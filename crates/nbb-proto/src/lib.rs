@@ -322,7 +322,10 @@ pub struct WireServerStats {
     pub bytes_in: u64,
     /// Raw bytes written to connections.
     pub bytes_out: u64,
-    /// Engine batch executions (one per request op).
+    /// Engine calls made by the workers. Queued point reads coalesce
+    /// into one call per group, so `frames_in / batches_executed` is the
+    /// mean group size (1.0 on an idle server); a group whose merged
+    /// call fails is re-executed one request at a time, each counted.
     pub batches_executed: u64,
     /// Times a reader parked because a connection's response queue was
     /// full (the backpressure signal).

@@ -14,11 +14,27 @@
 //!   per conn: reader thread ── frames bytes, decodes, reserves a
 //!             │                response slot, submits a Job
 //!             ▼
-//!         shared work queue ──► N worker threads ── execute against the
-//!             ▲                 Database (no server lock held), push the
-//!             │                 encoded response
+//!         shared work queue ──► N worker threads ── take the head job plus
+//!             ▲                 the queued run of like point reads behind
+//!             │                 it, make ONE engine call for the group (no
+//!             │                 server lock held), split the rows back per
+//!             │                 request, push the encoded responses
 //!   per conn: writer thread ── drains the bounded response queue
 //! ```
+//!
+//! **Natural batching.** A worker that dequeues a `GetMany` or
+//! `ProjectMany` also takes whatever contiguous run of the same op,
+//! table and index is already queued behind it (never waiting for more,
+//! never past `GROUP_KEY_CAP` = 64 keys) and runs one `get_many` /
+//! `project_many` over the concatenated keys, so the engine's
+//! sort / leaf-group / batched-fault machinery merges the group's misses
+//! into one device round trip. The group size tunes itself to queue
+//! depth: an idle server serves every request alone with no added
+//! latency, a backed-up one pays the device once per group. Only a
+//! prefix of the queue is ever taken, so no read is hoisted past a
+//! queued write. [`nbb_proto::WireServerStats::batches_executed`] counts
+//! engine calls, which makes `frames_in / batches_executed` the mean
+//! group size.
 //!
 //! Responses complete **out of order**: a fast request submitted after
 //! a slow one returns first, matched by the client via the echoed
@@ -46,6 +62,7 @@ use nbb_proto::{
     DecodeError, Framer, Request, RequestOp, Response, ResponseBody, WireBatchOp, WireBatchOutput,
     WireBound, WireProjection, WireServerStats,
 };
+use nbb_storage::error::StorageError;
 use nbb_storage::lockrank;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
@@ -145,16 +162,23 @@ struct Conn {
 }
 
 impl Conn {
-    /// Worker-side completion: releases the reservation and, unless the
-    /// connection already died, queues the encoded response frame.
-    fn complete(&self, frame: Vec<u8>) {
+    /// Worker-side completion of one group's responses for this
+    /// connection: releases their reservations and, unless the
+    /// connection already died, queues the encoded frames — one lock
+    /// acquisition and one writer wake-up however many frames.
+    ///
+    /// Moving a slot from `reserved` to `queue` frees no capacity, so a
+    /// parked reader is woken only when the frames are dropped (the
+    /// connection is closed); otherwise the writer's pop wakes it.
+    fn complete(&self, frames: Vec<Vec<u8>>) {
         let mut resp = self.resp.lock();
-        resp.reserved = resp.reserved.saturating_sub(1);
-        if !resp.closed {
-            resp.queue.push_back(frame);
+        resp.reserved = resp.reserved.saturating_sub(frames.len());
+        if resp.closed {
+            self.slot_cv.notify_one();
+        } else {
+            resp.queue.extend(frames);
         }
         self.resp_cv.notify_one();
-        self.slot_cv.notify_one();
     }
 }
 
@@ -477,7 +501,6 @@ fn decode_and_submit(shared: &Arc<Shared>, conn: &Arc<Conn>, payload: &[u8]) -> 
             return Admit::ConnClosed;
         }
     };
-    shared.stats.frames_in.fetch_add(1, Ordering::Relaxed);
 
     // Reserve a response slot; park while the pipeline is full. One
     // park episode counts once no matter how many spurious wakeups.
@@ -509,6 +532,9 @@ fn decode_and_submit(shared: &Arc<Shared>, conn: &Arc<Conn>, payload: &[u8]) -> 
         return Admit::ConnClosed;
     }
     work.queue.push_back(Job { conn: Arc::clone(conn), req });
+    // Counted under the queue lock: `frames_in == n` means n jobs have
+    // reached the work queue, in that order.
+    shared.stats.frames_in.fetch_add(1, Ordering::Relaxed);
     shared.work_cv.notify_one();
     Admit::Submitted
 }
@@ -587,28 +613,104 @@ fn teardown(shared: &Arc<Shared>, conn: &Arc<Conn>) {
 
 // ---- Workers --------------------------------------------------------
 
+/// Most keys one coalesced engine call carries. It bounds how long a
+/// group occupies its worker (and how much of a CPU-bound backlog one
+/// worker takes from the others); a single request larger than this
+/// still runs, alone.
+const GROUP_KEY_CAP: usize = 64;
+
+/// The parts of a coalescible point read: `(is_projection, table,
+/// index, keys)`; `None` for every other op.
+fn point_read(op: &RequestOp) -> Option<(bool, &str, &str, &[Vec<u8>])> {
+    match op {
+        RequestOp::GetMany { table, index, keys } => Some((false, table, index, keys)),
+        RequestOp::ProjectMany { table, index, keys } => Some((true, table, index, keys)),
+        _ => None,
+    }
+}
+
+/// Dequeues the head job and, when it is a point read, the contiguous
+/// run of jobs behind it with the same op kind, table and index, up to
+/// [`GROUP_KEY_CAP`] keys in all. Only a prefix is taken — FIFO order
+/// holds and no read moves past a queued write — and only what is
+/// already queued: the caller holds the work-queue lock, nothing waits.
+fn take_group(queue: &mut VecDeque<Job>) -> Vec<Job> {
+    let Some(head) = queue.front() else { return Vec::new() };
+    let mut n = 1;
+    if let Some((project, table, index, keys)) = point_read(&head.req.op) {
+        let mut total = keys.len();
+        for job in queue.iter().skip(1) {
+            match point_read(&job.req.op) {
+                Some((p, t, i, k))
+                    if (p, t, i) == (project, table, index) && total + k.len() <= GROUP_KEY_CAP =>
+                {
+                    total += k.len();
+                    n += 1;
+                }
+                _ => break,
+            }
+        }
+    }
+    queue.drain(..n).collect()
+}
+
+/// The named error every job of a group gets when its engine call
+/// panicked, carrying the panic message when it has one.
+fn panic_body(panic: &(dyn std::any::Any + Send)) -> ResponseBody {
+    let what = panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("opaque panic payload");
+    ResponseBody::Error { message: format!("internal error: worker panicked: {what}") }
+}
+
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
-        let job = {
+        let group = {
             let mut work = shared.work.lock();
             loop {
-                if let Some(job) = work.queue.pop_front() {
-                    break Some(job);
-                }
-                if work.shutdown {
-                    break None;
+                let group = take_group(&mut work.queue);
+                if !group.is_empty() || work.shutdown {
+                    break group;
                 }
                 shared.work_cv.wait(&mut work);
             }
         };
-        let Some(Job { conn, req }) = job else { break };
+        if group.is_empty() {
+            break;
+        }
+        let (dests, ops): (Vec<(Arc<Conn>, u64)>, Vec<RequestOp>) =
+            group.into_iter().map(|Job { conn, req }| ((conn, req.id), req.op)).unzip();
         // All server locks are released here: the engine call below
         // acquires ranks 5..90 from a clean stack (the lattice's server
         // band sits below the engine band precisely to prove this).
-        let body = execute(shared, req.op);
-        shared.stats.batches_executed.fetch_add(1, Ordering::Relaxed);
-        let frame = nbb_proto::encode_response(&Response { id: req.id, body });
-        conn.complete(frame);
+        //
+        // A panic below the server (an engine bug, a disk that panics)
+        // must not take the worker with it: the group's reserved
+        // response slots would never be released, their writers would
+        // wait for `reserved == 0` forever and `shutdown` would hang.
+        // The engine's own guards restore its state while unwinding
+        // (the shim's locks do not poison), so the worker answers the
+        // whole group with a named error and lives on.
+        let n = ops.len();
+        let bodies =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute_group(shared, ops)))
+                .unwrap_or_else(|panic| vec![panic_body(panic.as_ref()); n]);
+
+        // Complete per connection: one response-lock acquisition and
+        // one writer wake-up per connection per group.
+        let mut done: Vec<(Arc<Conn>, Vec<Vec<u8>>)> = Vec::new();
+        for ((conn, id), body) in dests.into_iter().zip(bodies) {
+            let frame = nbb_proto::encode_response(&Response { id, body });
+            match done.iter_mut().find(|(c, _)| Arc::ptr_eq(c, &conn)) {
+                Some((_, frames)) => frames.push(frame),
+                None => done.push((conn, vec![frame])),
+            }
+        }
+        for (conn, frames) in done {
+            conn.complete(frames);
+        }
     }
 }
 
@@ -626,18 +728,64 @@ fn wire_projection(p: Projection) -> WireProjection {
     WireProjection { payload: p.payload, index_only: p.index_only }
 }
 
+/// Executes one dequeued group, one body per op in order. A group of
+/// several point reads rides one merged engine call; if that call
+/// fails the group is re-executed one request at a time (reads are
+/// idempotent), so only the requests that fail alone report an error.
+fn execute_group(shared: &Shared, ops: Vec<RequestOp>) -> Vec<ResponseBody> {
+    let alike = match &ops[..] {
+        [first, _, ..] => point_read(first),
+        _ => None,
+    };
+    if let Some((project, table, index, _)) = alike {
+        let merged = try_execute_reads(shared, project, table, index, &ops);
+        shared.stats.batches_executed.fetch_add(1, Ordering::Relaxed);
+        if let Ok(bodies) = merged {
+            return bodies;
+        }
+    }
+    ops.into_iter().map(|op| execute(shared, op)).collect()
+}
+
 /// Executes one request op against the database, mapping every engine
 /// error to a wire [`ResponseBody::Error`] (the connection survives;
 /// only this response reports failure).
 fn execute(shared: &Shared, op: RequestOp) -> ResponseBody {
     let r = try_execute(shared, op);
+    shared.stats.batches_executed.fetch_add(1, Ordering::Relaxed);
     r.unwrap_or_else(|e| ResponseBody::Error { message: e.to_string() })
 }
 
-fn try_execute(
+/// One engine call for a group of point reads that [`take_group`]
+/// found alike (all `project`ions or all gets, through `index` of
+/// `table`): resolves the table and index once, reads the concatenated
+/// keys, and deals the rows back out per request.
+fn try_execute_reads(
     shared: &Shared,
-    op: RequestOp,
-) -> Result<ResponseBody, nbb_storage::error::StorageError> {
+    project: bool,
+    table: &str,
+    index: &str,
+    ops: &[RequestOp],
+) -> Result<Vec<ResponseBody>, StorageError> {
+    let per_op: Vec<&[Vec<u8>]> = ops.iter().filter_map(point_read).map(|r| r.3).collect();
+    let keys: Vec<&[u8]> = per_op.iter().flat_map(|k| k.iter().map(Vec::as_slice)).collect();
+    let t = shared.db.table(table)?;
+    let idx = t.index(index)?;
+    Ok(if project {
+        let mut rows = idx.project_many(&keys)?.into_iter().map(|r| r.map(wire_projection));
+        let deal = |k: &&[Vec<u8>]| ResponseBody::ProjectMany {
+            rows: rows.by_ref().take(k.len()).collect(),
+        };
+        per_op.iter().map(deal).collect()
+    } else {
+        let mut rows = idx.get_many(&keys)?.into_iter();
+        let deal =
+            |k: &&[Vec<u8>]| ResponseBody::GetMany { rows: rows.by_ref().take(k.len()).collect() };
+        per_op.iter().map(deal).collect()
+    })
+}
+
+fn try_execute(shared: &Shared, op: RequestOp) -> Result<ResponseBody, StorageError> {
     let db = &shared.db;
     Ok(match op {
         RequestOp::GetMany { table, index, keys } => {

@@ -2,7 +2,14 @@
 //! out-of-order completion by request id (proven with a gated disk, no
 //! timing), the malformed-frame suite (named errors, clean close, no
 //! database poisoning), graceful shutdown that drains in-flight work,
-//! the `max_connections` cap, and backpressure parks.
+//! the `max_connections` cap, backpressure parks, and natural batching
+//! (queued point reads coalesce into one engine call: deterministic
+//! group formation, scatter edge cases, per-request error isolation, a
+//! panicking engine call, and a randomized history against an oracle).
+//!
+//! `NBB_SERVER_TEST_WORKERS=<n>` overrides the worker count of every
+//! test that does not need a particular one; CI's degenerate-config job
+//! runs the suite with 1 (maximal group sizes, strict FIFO).
 
 use nbb_client::{Client, ClientConfig};
 use nbb_core::db::{Database, DbConfig};
@@ -13,23 +20,31 @@ use nbb_proto::{
 };
 use nbb_server::{Server, ServerConfig};
 use nbb_storage::disk::{DiskManager, InMemoryDisk};
-use nbb_storage::error::Result as StorageResult;
+use nbb_storage::error::{Result as StorageResult, StorageError};
 use nbb_storage::{Page, PageId};
 use parking_lot::{Condvar, Mutex};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Disk whose reads park at a gate until released — lets a test *hold*
-/// one request mid-fault while later requests race past it, so
-/// ordering assertions are deterministic instead of timing-based.
+/// one request mid-fault while later requests race past it (or queue
+/// up behind it), so ordering assertions are deterministic instead of
+/// timing-based. It can also fail every read that touches one chosen
+/// page, and panic inside the next read.
 struct GateDisk {
     inner: InMemoryDisk,
     held: Mutex<bool>,
     cv: Condvar,
+    /// Pages asked for.
     read_attempts: AtomicU64,
+    /// Device round trips (`read` and `read_many` alike).
+    read_calls: AtomicU64,
+    fail_page: Mutex<Option<PageId>>,
+    panic_next_read: AtomicBool,
 }
 
 impl GateDisk {
@@ -39,6 +54,34 @@ impl GateDisk {
             held: Mutex::new(false),
             cv: Condvar::new(),
             read_attempts: AtomicU64::new(0),
+            read_calls: AtomicU64::new(0),
+            fail_page: Mutex::new(None),
+            panic_next_read: AtomicBool::new(false),
+        }
+    }
+
+    /// Every read call that asks for `page` fails whole from now on.
+    fn fail_reads_of(&self, page: PageId) {
+        *self.fail_page.lock() = Some(page);
+    }
+
+    /// Counts the call, injects the armed panic, parks at the gate,
+    /// then injects the armed failure for a call reading `ids`.
+    fn enter_read(&self, ids: impl Iterator<Item = PageId>) -> StorageResult<()> {
+        let ids: Vec<PageId> = ids.collect();
+        self.read_attempts.fetch_add(ids.len() as u64, Ordering::Relaxed);
+        self.read_calls.fetch_add(1, Ordering::Relaxed);
+        // Checked before the gate: arming it while a read is parked
+        // strikes the NEXT read, not the parked one.
+        if self.panic_next_read.swap(false, Ordering::SeqCst) {
+            panic!("injected disk panic");
+        }
+        self.gate();
+        match *self.fail_page.lock() {
+            Some(bad) if ids.contains(&bad) => {
+                Err(StorageError::Io(format!("injected read failure on page {}", bad.0)))
+            }
+            _ => Ok(()),
         }
     }
 
@@ -77,13 +120,11 @@ impl DiskManager for GateDisk {
         self.inner.allocate()
     }
     fn read(&self, id: PageId, buf: &mut Page) -> StorageResult<()> {
-        self.read_attempts.fetch_add(1, Ordering::Relaxed);
-        self.gate();
+        self.enter_read(std::iter::once(id))?;
         self.inner.read(id, buf)
     }
     fn read_many(&self, pages: &mut [(PageId, &mut Page)]) -> StorageResult<()> {
-        self.read_attempts.fetch_add(pages.len() as u64, Ordering::Relaxed);
-        self.gate();
+        self.enter_read(pages.iter().map(|(id, _)| *id))?;
         for (id, buf) in pages.iter_mut() {
             self.inner.read(*id, buf)?;
         }
@@ -123,11 +164,22 @@ fn seeded_db(
     heap: Arc<dyn DiskManager>,
     n: i64,
 ) -> (Arc<Database>, RowSchema, Vec<nbb_storage::RecordId>) {
+    seeded_db_caching(cfg, heap, n, &[])
+}
+
+/// [`seeded_db`] whose `by_id` index caches `cached` columns in its
+/// leaves, so a `ProjectMany` payload carries their values.
+fn seeded_db_caching(
+    cfg: DbConfig,
+    heap: Arc<dyn DiskManager>,
+    n: i64,
+    cached: &[&str],
+) -> (Arc<Database>, RowSchema, Vec<nbb_storage::RecordId>) {
     let (_, rows) = kv_schema();
     let index_disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(cfg.page_size));
     let db = Arc::new(Database::with_disks(cfg, heap, index_disk).expect("open"));
     let t = db.create_table_with(&rows).expect("create table");
-    t.create_index(rows.index_spec("by_id", "id", &[]).expect("spec")).expect("index");
+    t.create_index(rows.index_spec("by_id", "id", cached).expect("spec")).expect("index");
     let load: Vec<Vec<u8>> = (0..n)
         .map(|id| rows.encode(&[Value::Int(id), Value::Int(id * 10)]).expect("encode"))
         .collect();
@@ -139,12 +191,76 @@ fn key(rows: &RowSchema, id: i64) -> Vec<u8> {
     rows.key("id", &Value::Int(id)).expect("key")
 }
 
+/// `ServerConfig::default()` with the worker count CI's single-worker
+/// run asks for (see the module docs). Tests whose assertion needs a
+/// particular worker count set `workers` themselves.
+fn server_config() -> ServerConfig {
+    let mut cfg = ServerConfig::default();
+    if let Ok(workers) = std::env::var("NBB_SERVER_TEST_WORKERS") {
+        cfg.workers = workers.parse().expect("NBB_SERVER_TEST_WORKERS must be a worker count");
+    }
+    cfg
+}
+
+fn get_many(rows: &RowSchema, ids: &[i64]) -> RequestOp {
+    RequestOp::GetMany {
+        table: "kv".into(),
+        index: "by_id".into(),
+        keys: ids.iter().map(|&id| key(rows, id)).collect(),
+    }
+}
+
+fn project_many(rows: &RowSchema, ids: &[i64]) -> RequestOp {
+    RequestOp::ProjectMany {
+        table: "kv".into(),
+        index: "by_id".into(),
+        keys: ids.iter().map(|&id| key(rows, id)).collect(),
+    }
+}
+
+fn update_many(rows: &RowSchema, pairs: &[(i64, i64)]) -> RequestOp {
+    RequestOp::UpdateMany {
+        table: "kv".into(),
+        index: "by_id".into(),
+        pairs: pairs
+            .iter()
+            .map(|&(id, val)| {
+                (key(rows, id), rows.encode(&[Value::Int(id), Value::Int(val)]).expect("encode"))
+            })
+            .collect(),
+    }
+}
+
+fn int(value: &Value) -> i64 {
+    match value {
+        Value::Int(v) => *v,
+        other => panic!("val is an int, got {other:?}"),
+    }
+}
+
+/// The `val` column of each returned row (`None` = key absent).
+fn get_vals(rows: &RowSchema, body: ResponseBody) -> Vec<Option<i64>> {
+    let ResponseBody::GetMany { rows: got } = body else { panic!("expected get_many: {body:?}") };
+    got.into_iter().map(|t| t.map(|t| int(&rows.decode(&t).expect("decode")[1]))).collect()
+}
+
+/// Same for a projection through an index caching exactly `val`.
+fn projected_vals(rows: &RowSchema, body: ResponseBody) -> Vec<Option<i64>> {
+    let ResponseBody::ProjectMany { rows: got } = body else {
+        panic!("expected project_many: {body:?}")
+    };
+    let spec = rows.index_spec("by_id", "id", &["val"]).expect("spec");
+    got.into_iter()
+        .map(|p| p.map(|p| int(&rows.decode_projection(&spec, &p.payload).expect("decode")[0].1)))
+        .collect()
+}
+
 #[test]
 fn full_op_surface_round_trips_through_a_client() {
     let cfg = DbConfig::default();
     let heap: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(cfg.page_size));
     let (db, rows, _) = seeded_db(cfg, heap, 50);
-    let server = Server::start(db, ServerConfig::default()).expect("start");
+    let server = Server::start(db, server_config()).expect("start");
     let client = Client::connect(server.local_addr(), ClientConfig::default()).expect("connect");
 
     // get_many: present and absent keys, result order mirrors keys.
@@ -317,7 +433,7 @@ fn malformed_frames_error_by_name_and_close_without_poisoning() {
     let cfg = DbConfig::default();
     let heap: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(cfg.page_size));
     let (db, rows, _) = seeded_db(cfg, heap, 10);
-    let server = Server::start(Arc::clone(&db), ServerConfig::default()).expect("start");
+    let server = Server::start(Arc::clone(&db), server_config()).expect("start");
 
     // Each case: (raw bytes to send, substring the error must name).
     let valid = encode_request(&Request {
@@ -412,7 +528,7 @@ fn shutdown_mid_flight_drains_the_in_flight_response() {
     db.heap_pool().flush_all().expect("flush");
     db.heap_pool().evict_page(rids[4].page).expect("evict");
 
-    let server = Server::start(Arc::clone(&db), ServerConfig::default()).expect("start");
+    let server = Server::start(Arc::clone(&db), server_config()).expect("start");
     let addr = server.local_addr();
     let client = Client::connect(addr, ClientConfig::default()).expect("connect");
 
@@ -465,14 +581,14 @@ fn max_connections_refuses_extras_and_counts_them() {
     let cfg = DbConfig::default();
     let heap: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(cfg.page_size));
     let (db, _rows, _) = seeded_db(cfg, heap, 1);
-    let server = Server::start(db, ServerConfig { max_connections: 2, ..ServerConfig::default() })
-        .expect("start");
+    let server =
+        Server::start(db, ServerConfig { max_connections: 2, ..server_config() }).expect("start");
 
     let c1 = Client::connect(server.local_addr(), ClientConfig::default()).expect("conn 1");
     let c2 = Client::connect(server.local_addr(), ClientConfig::default()).expect("conn 2");
-    // Stats round trips prove both are registered (active_connections
-    // is exact, not eventually-consistent, once a request completes).
-    assert_eq!(c1.stats().expect("stats").active_connections, 2);
+    // A round trip on the LATER connection proves both are registered:
+    // the acceptor registers in connect order before spawning a reader.
+    assert_eq!(c2.stats().expect("stats").active_connections, 2);
 
     // The third connection is dropped by the acceptor: EOF or reset
     // before any response.
@@ -518,11 +634,9 @@ fn full_response_queue_parks_the_reader_and_counts_it() {
 
     // One response slot: while request A is parked at the gate holding
     // the reservation, admitting request B must park the reader.
-    let server = Server::start(
-        Arc::clone(&db),
-        ServerConfig { workers: 2, response_queue: 1, ..ServerConfig::default() },
-    )
-    .expect("start");
+    let server =
+        Server::start(Arc::clone(&db), ServerConfig { response_queue: 1, ..server_config() })
+            .expect("start");
     let client = Client::connect(server.local_addr(), ClientConfig::default()).expect("connect");
 
     let reads_before = gate.read_attempts.load(Ordering::Relaxed);
@@ -558,4 +672,372 @@ fn full_response_queue_parks_the_reader_and_counts_it() {
 
     drop(client);
     server.shutdown();
+}
+
+// ---- Natural batching ------------------------------------------------
+
+/// A `kv` database whose heap sits on a gate disk with every heap page
+/// evicted (each row read is a device read), served by ONE worker.
+/// While that worker is parked at the gate inside a blocker request,
+/// everything [`Backlog::enqueue`]d queues up behind it in send order,
+/// so the groups the worker will form are known exactly.
+struct Backlog {
+    gate: Arc<GateDisk>,
+    rows: RowSchema,
+    rids: Vec<nbb_storage::RecordId>,
+    server: Server,
+}
+
+impl Backlog {
+    fn new(n: i64) -> Backlog {
+        // One pool shard of 64 frames: a batched fault reserves up to
+        // 32 pages at once, so a whole group's misses ride one
+        // `read_many` and device calls count engine calls.
+        let cfg =
+            DbConfig { heap_frames: 64, page_size: 512, pool_shards: 1, ..DbConfig::default() };
+        let gate = Arc::new(GateDisk::new(cfg.page_size));
+        let (db, rows, rids) =
+            seeded_db_caching(cfg, Arc::clone(&gate) as Arc<dyn DiskManager>, n, &["val"]);
+        db.heap_pool().flush_all().expect("flush");
+        let pages: BTreeSet<PageId> = rids.iter().map(|r| r.page).collect();
+        assert!(pages.len() >= 4 && pages.len() <= 32, "{} heap pages", pages.len());
+        for page in pages {
+            db.heap_pool().evict_page(page).expect("evict");
+        }
+        let server = Server::start(db, ServerConfig { workers: 1, ..ServerConfig::default() })
+            .expect("start");
+        Backlog { gate, rows, rids, server }
+    }
+
+    fn connect(&self) -> Client {
+        Client::connect(self.server.local_addr(), ClientConfig::default()).expect("connect")
+    }
+
+    /// The first row id that lives on none of the heap pages of `ids`.
+    fn id_off_pages_of(&self, ids: &[i64]) -> i64 {
+        let taken: Vec<PageId> = ids.iter().map(|&i| self.rids[i as usize].page).collect();
+        self.rids.iter().position(|r| !taken.contains(&r.page)).expect("a further heap page") as i64
+    }
+
+    /// Parks the worker: holds the gate and sends a read of row `id`,
+    /// returning once its fault has reached the disk.
+    fn park(&self, client: &Client, id: i64) -> nbb_client::Ticket {
+        let reads = self.gate.read_attempts.load(Ordering::Relaxed);
+        self.gate.hold_reads();
+        let ticket = client.submit(get_many(&self.rows, &[id])).expect("submit blocker");
+        self.gate.await_read_attempts(reads + 1);
+        ticket
+    }
+
+    /// Sends `op` and returns once it sits in the work queue
+    /// (`frames_in` counts a job as it is queued), so consecutive calls
+    /// queue in call order whichever connection they use.
+    fn enqueue(&self, client: &Client, op: RequestOp) -> nbb_client::Ticket {
+        let queued = self.server.stats().frames_in;
+        let ticket = client.submit(op).expect("submit");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while self.server.stats().frames_in == queued {
+            assert!(Instant::now() < deadline, "the request never reached the work queue");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        ticket
+    }
+
+    fn release(&self) {
+        self.gate.release_reads();
+    }
+}
+
+#[test]
+fn queued_point_reads_coalesce_into_one_engine_call_and_one_device_call() {
+    let b = Backlog::new(200);
+    let (c1, c2) = (b.connect(), b.connect());
+    let before = b.server.stats();
+    let calls_before = b.gate.read_calls.load(Ordering::Relaxed);
+
+    // Request A parks the only worker mid-fault; six cold reads from
+    // two connections (whose request ids collide, so routing is by
+    // connection AND id) queue up behind it.
+    let blocker = b.park(&c1, 0);
+    let cold = b.id_off_pages_of(&[0]);
+    let reads: Vec<[i64; 2]> = (0..6).map(|i| [cold + i, 199 - i]).collect();
+    let tickets: Vec<_> = reads
+        .iter()
+        .enumerate()
+        .map(|(i, ids)| b.enqueue(if i % 2 == 0 { &c1 } else { &c2 }, get_many(&b.rows, ids)))
+        .collect();
+    b.release();
+
+    assert_eq!(get_vals(&b.rows, c1.redeem(blocker).expect("blocker")), vec![Some(0)]);
+    for (i, (ids, ticket)) in reads.iter().zip(tickets).enumerate() {
+        let client = if i % 2 == 0 { &c1 } else { &c2 };
+        let want: Vec<Option<i64>> = ids.iter().map(|id| Some(id * 10)).collect();
+        assert_eq!(get_vals(&b.rows, client.redeem(ticket).expect("read")), want, "request {i}");
+    }
+
+    // A alone, then all six as ONE group: two engine calls, two device
+    // round trips, whatever the six requests' pages.
+    let after = b.server.stats();
+    assert_eq!(after.frames_in - before.frames_in, 7);
+    assert_eq!(after.batches_executed - before.batches_executed, 2);
+    assert_eq!(b.gate.read_calls.load(Ordering::Relaxed) - calls_before, 2);
+
+    drop((c1, c2));
+    b.server.shutdown();
+}
+
+#[test]
+fn coalesced_groups_scatter_rows_back_and_never_hoist_a_read_past_a_write() {
+    let b = Backlog::new(200);
+    let (c1, c2) = (b.connect(), b.connect());
+    let before = b.server.stats();
+    let blocker = b.park(&c1, 0);
+
+    // Queue order, and the groups a prefix-only rule must form:
+    //   P[] P[5,missing,7] P[7,5]   one ProjectMany group: zero keys, a
+    //                               missing key, keys shared by requests
+    //   U[7 -> 777]                 a write ends the run
+    //   P[7] P[]                    second group: reads the new value
+    //   G[3] G[]                    a different op kind starts its own
+    //   P[3]                        group and ends the one before it
+    let p_empty = b.enqueue(&c1, project_many(&b.rows, &[]));
+    let p_miss = b.enqueue(&c2, project_many(&b.rows, &[5, 9_999, 7]));
+    let p_dup = b.enqueue(&c1, project_many(&b.rows, &[7, 5]));
+    let update = b.enqueue(&c2, update_many(&b.rows, &[(7, 777)]));
+    let p_after = b.enqueue(&c1, project_many(&b.rows, &[7]));
+    let p_empty2 = b.enqueue(&c2, project_many(&b.rows, &[]));
+    let g_one = b.enqueue(&c1, get_many(&b.rows, &[3]));
+    let g_empty = b.enqueue(&c2, get_many(&b.rows, &[]));
+    let p_last = b.enqueue(&c1, project_many(&b.rows, &[3]));
+    b.release();
+
+    c1.redeem(blocker).expect("blocker");
+    assert_eq!(projected_vals(&b.rows, c1.redeem(p_empty).expect("p_empty")), vec![]);
+    assert_eq!(
+        projected_vals(&b.rows, c2.redeem(p_miss).expect("p_miss")),
+        vec![Some(50), None, Some(70)]
+    );
+    assert_eq!(projected_vals(&b.rows, c1.redeem(p_dup).expect("p_dup")), vec![Some(70), Some(50)]);
+    assert_eq!(
+        c2.redeem(update).expect("update"),
+        ResponseBody::UpdateMany { applied: vec![true] }
+    );
+    assert_eq!(
+        projected_vals(&b.rows, c1.redeem(p_after).expect("p_after")),
+        vec![Some(777)],
+        "the read queued behind the write must see it"
+    );
+    assert_eq!(projected_vals(&b.rows, c2.redeem(p_empty2).expect("p_empty2")), vec![]);
+    assert_eq!(get_vals(&b.rows, c1.redeem(g_one).expect("g_one")), vec![Some(30)]);
+    assert_eq!(get_vals(&b.rows, c2.redeem(g_empty).expect("g_empty")), vec![]);
+    assert_eq!(projected_vals(&b.rows, c1.redeem(p_last).expect("p_last")), vec![Some(30)]);
+
+    // Blocker, P-group, U, P-group, G-group, P: six engine calls for
+    // ten requests.
+    let after = b.server.stats();
+    assert_eq!(after.frames_in - before.frames_in, 10);
+    assert_eq!(after.batches_executed - before.batches_executed, 6);
+
+    drop((c1, c2));
+    b.server.shutdown();
+}
+
+#[test]
+fn a_request_that_fails_alone_does_not_fail_its_group_mates() {
+    let b = Backlog::new(200);
+    let (c1, c2) = (b.connect(), b.connect());
+    let before = b.server.stats();
+    let blocker = b.park(&c1, 0);
+
+    // Three reads on three further heap pages; the middle one's page
+    // fails every device call that asks for it — the merged call too.
+    let ok1 = b.id_off_pages_of(&[0]);
+    let bad = b.id_off_pages_of(&[0, ok1]);
+    let ok2 = b.id_off_pages_of(&[0, ok1, bad]);
+    b.gate.fail_reads_of(b.rids[bad as usize].page);
+    let t_ok1 = b.enqueue(&c1, get_many(&b.rows, &[ok1]));
+    let t_bad = b.enqueue(&c2, get_many(&b.rows, &[ok2, bad]));
+    let t_ok2 = b.enqueue(&c1, get_many(&b.rows, &[ok2]));
+    b.release();
+
+    c1.redeem(blocker).expect("blocker");
+    assert_eq!(get_vals(&b.rows, c1.redeem(t_ok1).expect("ok1")), vec![Some(ok1 * 10)]);
+    match c2.redeem(t_bad).expect("an error body, not a dead connection") {
+        ResponseBody::Error { message } => {
+            assert!(message.contains("injected read failure"), "{message}")
+        }
+        other => panic!("the request reading the failing page must fail, got {other:?}"),
+    }
+    assert_eq!(get_vals(&b.rows, c1.redeem(t_ok2).expect("ok2")), vec![Some(ok2 * 10)]);
+
+    // Blocker, the failed merged call, then the three one at a time.
+    let after = b.server.stats();
+    assert_eq!(after.batches_executed - before.batches_executed, 5);
+
+    drop((c1, c2));
+    b.server.shutdown();
+}
+
+#[test]
+fn a_panicking_engine_call_answers_its_group_and_the_worker_lives_on() {
+    let b = Backlog::new(200);
+    let (c1, c2) = (b.connect(), b.connect());
+    let blocker = b.park(&c1, 0);
+
+    // The blocker is already past the panic check; the next device
+    // call — the group's merged read — panics inside the only worker.
+    let cold = b.id_off_pages_of(&[0]);
+    b.gate.panic_next_read.store(true, Ordering::SeqCst);
+    let t1 = b.enqueue(&c1, get_many(&b.rows, &[cold]));
+    let t2 = b.enqueue(&c2, get_many(&b.rows, &[cold + 1]));
+    b.release();
+
+    c1.redeem(blocker).expect("blocker");
+    for (client, ticket) in [(&c1, t1), (&c2, t2)] {
+        match client.redeem(ticket).expect("an error body, not a dead connection") {
+            ResponseBody::Error { message } => {
+                assert!(message.contains("internal error"), "{message}");
+                assert!(message.contains("injected disk panic"), "{message}");
+            }
+            other => panic!("expected the named internal error, got {other:?}"),
+        }
+    }
+
+    // Same connections, same (only) worker, same pages: served.
+    for (client, id) in [(&c1, cold), (&c2, cold + 1)] {
+        let body = client.call(get_many(&b.rows, &[id])).expect("served after the panic");
+        assert_eq!(get_vals(&b.rows, body), vec![Some(id * 10)]);
+    }
+
+    // No response slot leaked: shutdown's drain terminates.
+    drop((c1, c2));
+    b.server.shutdown();
+}
+
+/// xorshift64*: the history below needs reproducible choices, not
+/// statistical quality.
+struct TestRng(u64);
+
+impl TestRng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) % n
+    }
+}
+
+/// What a request of the random history must answer.
+enum Expect {
+    Get(Vec<Option<i64>>),
+    Project(Vec<Option<i64>>),
+    Updated,
+}
+
+/// One client's half of the random history: a pipelined stream of
+/// `GetMany` / `ProjectMany` / `UpdateMany` over the keys it owns
+/// (`id % 3 == me`) and the shared read-only keys (`id % 3 == 2`),
+/// checked against a `BTreeMap` oracle.
+///
+/// Requests of one connection may execute in any order on a
+/// multi-worker server, so the stream never has a read and a write of
+/// one key in flight together: then every read has exactly one right
+/// answer, the oracle's at submit time.
+fn run_history(client: &Client, rows: &RowSchema, me: i64, n_keys: i64, ops: usize, seed: u64) {
+    const WINDOW: usize = 8;
+    let mut rng = TestRng(seed);
+    let mine = |id: &i64| id % 3 == me || id % 3 == 2;
+    let mut oracle: BTreeMap<i64, i64> = (0..n_keys).filter(mine).map(|id| (id, id * 10)).collect();
+    // Keys with a read (counted) or a write in flight.
+    let mut reading: BTreeMap<i64, usize> = BTreeMap::new();
+    let mut writing: BTreeSet<i64> = BTreeSet::new();
+    let mut in_flight: VecDeque<(nbb_client::Ticket, Vec<i64>, Expect)> = VecDeque::new();
+
+    for op in 0..ops + WINDOW {
+        if in_flight.len() == WINDOW || op >= ops {
+            let Some((ticket, ids, expect)) = in_flight.pop_front() else { break };
+            let body = client.redeem(ticket).expect("redeem");
+            match expect {
+                Expect::Get(want) => assert_eq!(get_vals(rows, body), want, "get {ids:?}"),
+                Expect::Project(want) => {
+                    assert_eq!(projected_vals(rows, body), want, "project {ids:?}")
+                }
+                Expect::Updated => {
+                    let applied = vec![true; ids.len()];
+                    assert_eq!(body, ResponseBody::UpdateMany { applied }, "update {ids:?}");
+                }
+            }
+            for id in &ids {
+                if !writing.remove(id) {
+                    *reading.get_mut(id).expect("a read was counted") -= 1;
+                }
+            }
+            if op >= ops {
+                continue;
+            }
+        }
+        let kind = rng.below(5);
+        if kind < 4 {
+            // A read of up to 4 keys, some of them absent, none being written.
+            let ids: Vec<i64> = (0..rng.below(5))
+                .map(|_| rng.below(n_keys as u64 + 20) as i64)
+                .filter(|id| mine(id) && !writing.contains(id))
+                .collect();
+            let want: Vec<Option<i64>> = ids.iter().map(|id| oracle.get(id).copied()).collect();
+            ids.iter().for_each(|id| *reading.entry(*id).or_default() += 1);
+            let (req, expect) = if kind < 2 {
+                (get_many(rows, &ids), Expect::Get(want))
+            } else {
+                (project_many(rows, &ids), Expect::Project(want))
+            };
+            in_flight.push_back((client.submit(req).expect("submit"), ids, expect));
+        } else {
+            // A write of up to 3 distinct owned keys nothing else is using.
+            let ids: BTreeSet<i64> = (0..1 + rng.below(3))
+                .map(|_| rng.below(n_keys as u64) as i64)
+                .filter(|id| id % 3 == me && !writing.contains(id))
+                .filter(|id| reading.get(id).copied().unwrap_or(0) == 0)
+                .collect();
+            let pairs: Vec<(i64, i64)> =
+                ids.iter().map(|&id| (id, rng.below(1_000_000) as i64)).collect();
+            oracle.extend(pairs.iter().copied());
+            writing.extend(ids.iter().copied());
+            let ticket = client.submit(update_many(rows, &pairs)).expect("submit");
+            in_flight.push_back((ticket, ids.into_iter().collect(), Expect::Updated));
+        }
+    }
+    assert!(in_flight.is_empty());
+}
+
+#[test]
+fn random_pipelined_history_from_two_clients_matches_an_oracle() {
+    const KEYS: i64 = 300;
+    const OPS: usize = 2_000;
+    for workers in [1, 4] {
+        // A heap pool smaller than the table, so reads keep faulting
+        // and groups keep merging real device work.
+        let cfg = DbConfig { heap_frames: 8, page_size: 512, ..DbConfig::default() };
+        let heap: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(cfg.page_size));
+        let (db, rows, _) = seeded_db_caching(cfg, heap, KEYS, &["val"]);
+        let server =
+            Server::start(db, ServerConfig { workers, ..ServerConfig::default() }).expect("start");
+
+        std::thread::scope(|s| {
+            for me in 0..2 {
+                let (addr, rows) = (server.local_addr(), &rows);
+                s.spawn(move || {
+                    let client = Client::connect(addr, ClientConfig::default()).expect("connect");
+                    run_history(&client, rows, me, KEYS, OPS, 0x9E37_79B9 + me as u64);
+                });
+            }
+        });
+
+        // After shutdown every writer has been joined, so the counters
+        // are final.
+        server.shutdown();
+        let stats = server.stats();
+        assert_eq!(stats.frames_in, 2 * OPS as u64);
+        assert_eq!(stats.frames_out, 2 * OPS as u64);
+        assert!(stats.batches_executed <= stats.frames_in, "a group is one engine call");
+    }
 }

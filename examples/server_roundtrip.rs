@@ -115,8 +115,8 @@ fn main() {
     // --- 4. the server's own counters, over the wire --------------------
     let s = client.stats().expect("stats");
     println!(
-        "server stats: {} frames in / {} out, {} batches executed, \
-         {} connections opened, {} decode errors",
+        "server stats: {} frames in / {} out, {} engine calls (queued point reads \
+         share one), {} connections opened, {} decode errors",
         s.frames_in, s.frames_out, s.batches_executed, s.connections_opened, s.decode_errors
     );
     assert_eq!(s.decode_errors, 0);
