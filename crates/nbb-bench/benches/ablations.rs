@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
+//! Ablation benchmarks for two design choices:
 //! covering index vs index cache (time per lookup), and cache probe cost
 //! as entry size varies (the slot-scan trade-off behind the 25-byte
 //! items). Hit-rate ablations (bucket size, policy) live in the

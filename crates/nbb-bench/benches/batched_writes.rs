@@ -1,7 +1,7 @@
 //! Batched vs point writes, and concurrent disjoint-range writers vs
 //! the old serialized-writer discipline.
 //!
-//! Two questions, mirroring `batched_reads.rs` on the write side:
+//! Two questions:
 //!
 //! 1. **Amortization.** A 1024-key sorted `insert_many` pays one
 //!    descent + one per-leaf latch + one page access per *destination

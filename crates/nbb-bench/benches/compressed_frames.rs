@@ -18,7 +18,7 @@
 //! costs whenever the device is slower than the codec.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use nbb_storage::{BufferPool, DiskManager, DiskModel, LatencyDisk, PageId};
+use nbb_storage::{BufferPool, DiskManager, DiskModel, LatencyDisk, PageId, PoolOptions};
 use nbb_workload::ScrambledZipf;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -55,7 +55,16 @@ fn rig(budget: usize) -> (BufferPool, Vec<PageId>) {
     let disk: Arc<dyn DiskManager> = Arc::new(LatencyDisk::new(4096, model));
     // Write-behind off: dirty evictions write synchronously (free under
     // the model), so the timed phase measures the read path alone.
-    let pool = BufferPool::with_options(disk, FRAMES, 1, 0, budget);
+    let pool = BufferPool::with_pool_options(
+        disk,
+        FRAMES,
+        PoolOptions {
+            shards: 1,
+            write_behind: 0,
+            compressed_budget_bytes: budget,
+            ..PoolOptions::default()
+        },
+    );
     let ids: Vec<PageId> = (0..PAGES).map(|_| pool.new_page().unwrap()).collect();
     // FOR-friendly content: per-page smooth u64 ramps (id-salted so
     // pages are distinct), the codec's best case.

@@ -2,7 +2,7 @@
 //! path (§2.1's hot query), comparing buffer-pool shard counts.
 //!
 //! Each measured iteration spawns `threads` workers that together
-//! perform `threads × OPS_PER_THREAD` `project_via_index` calls. With
+//! perform `threads × OPS_PER_THREAD` `IndexRef::project` calls. With
 //! `shards = 1` every page touch funnels through a single pool mutex;
 //! with `shards = 8` readers only contend when their pages collide on a
 //! stripe. The recorded elements/s is end-to-end read throughput.
@@ -69,8 +69,9 @@ fn fill_table(db: &Database, rows: u64, warm: bool) -> Arc<Table> {
     t.create_index(IndexSpec::cached("pk", FieldSpec::new(0, 8), vec![FieldSpec::new(8, 8)]))
         .unwrap();
     if warm {
+        let pk = t.index("pk").unwrap();
         for k in 0..rows {
-            t.project_via_index("pk", &k.to_be_bytes()).unwrap().unwrap();
+            pk.project(&k.to_be_bytes()).unwrap().unwrap();
         }
     }
     t
@@ -93,10 +94,11 @@ fn read_batch(table: &Arc<Table>, threads: usize, ops: usize, rows: u64) -> u64 
                     // Per-thread seed so threads fan out over the key
                     // space instead of marching in lockstep.
                     let mut k = mix(mix(epoch) ^ (0x5eed + ti as u64));
+                    let pk = table.index("pk").unwrap();
                     for _ in 0..ops {
                         k = mix(k);
                         let key = (k % rows).to_be_bytes();
-                        let p = table.project_via_index("pk", &key).unwrap().unwrap();
+                        let p = pk.project(&key).unwrap().unwrap();
                         acc = acc
                             .wrapping_add(u64::from_le_bytes(p.payload[..8].try_into().unwrap()));
                     }
@@ -175,18 +177,16 @@ fn bench_io_bound(c: &mut Criterion) {
 /// isolates the fault state machine from sharding entirely — the win
 /// must appear with one stripe or it isn't the state machine's.
 fn bench_overlapped_faults(_c: &mut Criterion) {
-    use nbb_storage::{BufferPool, Page, PageId};
+    use nbb_storage::{BufferPool, Page, PageId, PoolOptions};
     use std::sync::Barrier;
     use std::time::{Duration, Instant};
 
     let model = DiskModel { read_ns: OVERLAP_READ_NS, write_ns: 0 };
     let disk = Arc::new(LatencyDisk::new(4096, model));
-    let pool = Arc::new(BufferPool::with_options(
+    let pool = Arc::new(BufferPool::with_pool_options(
         Arc::clone(&disk) as Arc<dyn DiskManager>,
         2 * OVERLAP_K,
-        1,
-        0,
-        0,
+        PoolOptions { shards: 1, write_behind: 0, ..PoolOptions::default() },
     ));
     assert_eq!(pool.shards(), 1, "the probe must run in a single stripe");
 

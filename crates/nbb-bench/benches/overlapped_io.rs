@@ -14,7 +14,7 @@
 //! books: write-behind defers the writes, it does not delete them.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use nbb_storage::{BufferPool, DiskManager, DiskModel, LatencyDisk, PageId};
+use nbb_storage::{BufferPool, DiskManager, DiskModel, LatencyDisk, PageId, PoolOptions};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -35,7 +35,11 @@ struct Rig {
 fn rig(write_behind: usize) -> Rig {
     let model = DiskModel { read_ns: 0, write_ns: WRITE_NS };
     let disk: Arc<dyn DiskManager> = Arc::new(LatencyDisk::new(4096, model));
-    let pool = BufferPool::with_options(disk, 4, 1, write_behind, 0);
+    let pool = BufferPool::with_pool_options(
+        disk,
+        4,
+        PoolOptions { shards: 1, write_behind, ..PoolOptions::default() },
+    );
     let ids = (0..PAGES).map(|_| pool.new_page().unwrap()).collect();
     Rig { pool, ids }
 }

@@ -126,7 +126,7 @@ fn bench_same_key_storm(c: &mut Criterion) {
         "an 8-writer one-key storm over a blocking disk must park rivals: {s:?}"
     );
     assert_eq!(s.intent_parks, s.intent_handoffs, "every park must resolve via a handoff");
-    let hot = table.get_via_index("pk", &HOT_KEY.to_be_bytes()).unwrap();
+    let hot = table.index("pk").unwrap().get(&HOT_KEY.to_be_bytes()).unwrap();
     let mut live_hot = 0u64;
     table
         .scan(|_, row| {

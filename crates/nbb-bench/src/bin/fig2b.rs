@@ -2,7 +2,8 @@
 //! buffer-pool hit rate (0, 60, 90, 96, 100%), log-scale y in ms.
 //!
 //! Costs are measured CPU (real leaf-page probes, real buffer pool)
-//! plus modeled disk latency (10 ms/read, DESIGN.md §4 substitution).
+//! plus modeled disk latency (10 ms/read, substituting for the paper's
+//! real disk).
 
 use nbb_bench::cost_sim::{CostSim, CostSimConfig};
 use nbb_bench::report::{f, print_table};

@@ -178,7 +178,7 @@ pub fn run_variant(cfg: &Fig3Config, variant: Fig3Variant) -> Result<Fig3Result>
             }
             let tc = Arc::clone(&t);
             lookup = Box::new(move |rev_id: u64| {
-                Ok(tc.get_via_index("by_rev_id", &be_key(rev_id))?.is_some())
+                Ok(tc.index("by_rev_id")?.get(&be_key(rev_id))?.is_some())
             });
             hot_table = Arc::clone(&t);
             main_table = t;
@@ -199,10 +199,10 @@ pub fn run_variant(cfg: &Fig3Config, variant: Fig3Variant) -> Result<Fig3Result>
             cold.create_index(rev_index())?;
             let (h, c) = (Arc::clone(&hot), Arc::clone(&cold));
             lookup = Box::new(move |rev_id: u64| {
-                if h.get_via_index("by_rev_id", &be_key(rev_id))?.is_some() {
+                if h.index("by_rev_id")?.get(&be_key(rev_id))?.is_some() {
                     return Ok(true);
                 }
-                Ok(c.get_via_index("by_rev_id", &be_key(rev_id))?.is_some())
+                Ok(c.index("by_rev_id")?.get(&be_key(rev_id))?.is_some())
             });
             hot_table = hot;
             main_table = cold;

@@ -21,7 +21,8 @@
 //! cache to recycle), so they never escalate. The multi-key ops
 //! ([`BTree::insert_many`] / [`BTree::delete_many`]) sort their keys
 //! and ride one descent + one leaf-latch acquisition per destination
-//! leaf; the single-key mutators are wrappers over batches of one.
+//! leaf. Every single-key operation — `get`, `lookup_cached`, `insert`,
+//! `delete` — is a wrapper over its multi-key form with a batch of one.
 //!
 //! Alongside the leaf latches the tree carries a [`KeyIntents`] table
 //! ([`BTree::intents`]): key-level **write intents** for the multi-step
@@ -640,15 +641,10 @@ impl BTree {
         Ok((leaf, run))
     }
 
-    /// Point lookup without cache interaction.
+    /// Point lookup without cache interaction. Thin wrapper over a
+    /// one-key [`BTree::get_many`].
     pub fn get(&self, key: &[u8]) -> Result<Option<u64>> {
-        self.check_key(key)?;
-        let root = self.root.read();
-        let leaf = self.find_leaf(*root, key)?;
-        self.pool.with_page(leaf, |p| {
-            let n = Node::new(p, self.key_size);
-            Ok(n.search(key).ok().map(|i| n.value_at(i)))
-        })?
+        Ok(self.get_many(&[key])?.pop().flatten())
     }
 
     /// Batched point lookup; results are indexed like `keys`.
@@ -1256,73 +1252,12 @@ impl BTree {
     /// Cache-aware point lookup. On a hit, `payload` carries the cached
     /// fields and the entry is promoted toward the stable point. On a
     /// miss, fetch the tuple from the heap and call
-    /// [`BTree::cache_populate`] with the returned leaf and token.
+    /// [`BTree::cache_populate`] with the returned leaf and token. Thin
+    /// wrapper over a one-key [`BTree::lookup_cached_many`].
     pub fn lookup_cached(&self, key: &[u8]) -> Result<CachedLookup> {
-        self.check_key(key)?;
-        let _root = self.root.read();
-        let leaf = self.find_leaf(*_root, key)?;
-        let token = InvToken { csn: self.inv.csn(), newest_seq: self.inv.newest_seq() };
-        let Some(cfg) = self.opts.cache else {
-            let value = self.pool.with_page(leaf, |p| {
-                let n = Node::new(p, self.key_size);
-                n.search(key).ok().map(|i| n.value_at(i))
-            })?;
-            return Ok(CachedLookup { value, payload: None, leaf, token });
-        };
-
-        struct ReadOut {
-            value: Option<u64>,
-            verdict: crate::invalidation::PageVerdict,
-            probe: Option<(usize, Vec<u8>)>,
-        }
-        let out = self.pool.with_page(leaf, |p| {
-            let n = Node::new(p, self.key_size);
-            let value = n.search(key).ok().map(|i| n.value_at(i));
-            let range = n.first_key().zip(n.last_key());
-            let verdict = self.inv.check_page(n.csn(), n.log_watermark(), range);
-            let probe = if verdict.cache_valid {
-                value.and_then(|v| {
-                    CacheView::new_capped(p, self.key_size, &cfg, self.cache_cap_bytes())
-                        .probe(Self::tuple_id(v))
-                        .map(|(slot, pl)| (slot, pl.to_vec()))
-                })
-            } else {
-                None
-            };
-            ReadOut { value, verdict, probe }
-        })?;
-
-        self.apply_verdict(leaf, &out.verdict)?;
-
-        if out.value.is_some() {
-            self.stats.lookups.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some((slot, payload)) = out.probe {
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            // nbb-lint: allow(unwrap, a probe hit always carries its value)
-            let value = out.value.expect("probe implies value");
-            let promoted = self.pool.with_page_cache_write(leaf, |p| {
-                let mut rng = self.rng.lock();
-                let mut n = NodeMut::new(p, self.key_size);
-                CacheViewMut::new_capped(n.page_mut(), self.key_size, &cfg, self.cache_cap_bytes())
-                    .promote(slot, Self::tuple_id(value), &mut *rng)
-                    .is_some()
-            })?;
-            match promoted {
-                Some(true) => {
-                    self.stats.promotions.fetch_add(1, Ordering::Relaxed);
-                }
-                Some(false) => {}
-                None => {
-                    self.stats.latch_giveups.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            return Ok(CachedLookup { value: out.value, payload: Some(payload), leaf, token });
-        }
-        if out.value.is_some() {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(CachedLookup { value: out.value, payload: None, leaf, token })
+        let mut r = self.lookup_cached_many(&[key])?;
+        // nbb-lint: allow(unwrap, lookup_cached_many returns one result per input key)
+        Ok(r.pop().expect("one key in, one result out"))
     }
 
     /// Batched cache-aware point lookup; results are indexed like
@@ -1338,7 +1273,7 @@ impl BTree {
     ///
     /// Each returned [`CachedLookup`] is populate-ready: misses carry
     /// the owning leaf and a consistency token for
-    /// [`BTree::cache_populate`], exactly as the single-key path does.
+    /// [`BTree::cache_populate`].
     pub fn lookup_cached_many<K: AsRef<[u8]>>(&self, keys: &[K]) -> Result<Vec<CachedLookup>> {
         for k in keys {
             self.check_key(k.as_ref())?;
@@ -1414,7 +1349,7 @@ impl BTree {
                 .filter_map(|f| f.probe.as_ref().map(|(slot, _)| (*slot, f.value)))
                 .collect();
             // Stats only meter the cache protocol: a cache-less tree
-            // records nothing, matching the single-key path.
+            // records nothing.
             if cfg.is_some() {
                 self.stats.lookups.fetch_add(g.found.len() as u64, Ordering::Relaxed);
                 self.stats.hits.fetch_add(hits.len() as u64, Ordering::Relaxed);

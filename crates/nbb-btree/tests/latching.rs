@@ -10,7 +10,7 @@
 
 use nbb_btree::{BTree, BTreeOptions};
 use nbb_storage::error::StorageError;
-use nbb_storage::{BufferPool, DiskManager, InMemoryDisk};
+use nbb_storage::{BufferPool, DiskManager, InMemoryDisk, PoolOptions};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -312,7 +312,11 @@ fn batched_gets_tolerate_in_flight_page_faults() {
 
     let disk: Arc<dyn DiskManager> =
         Arc::new(LatencyDisk::new(4096, DiskModel { read_ns: 200_000, write_ns: 0 }));
-    let pool = Arc::new(BufferPool::with_options(disk, 8, 1, 16, 0));
+    let pool = Arc::new(BufferPool::with_pool_options(
+        disk,
+        8,
+        PoolOptions { shards: 1, write_behind: 16, ..PoolOptions::default() },
+    ));
     let tree = Arc::new(BTree::create(Arc::clone(&pool), 8, BTreeOptions::default()).unwrap());
     let entries: Vec<([u8; 8], u64)> = (0..N).map(|v| (k(v), v.wrapping_mul(7))).collect();
     tree.insert_many(&entries).unwrap();

@@ -211,11 +211,14 @@ fn update_value_changes_pointer() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn get_many_matches_point_gets() {
+fn get_many_matches_closed_form_over_unsorted_duplicated_absent_keys() {
     let tree = BTree::create(pool(), 8, BTreeOptions::default()).unwrap();
+    // Key v is present, with value 7v, iff v < 4000 and 3 does not
+    // divide v.
     for v in (0..4000u64).filter(|v| v % 3 != 0) {
         tree.insert(&k(v), v * 7).unwrap();
     }
+    let want = |v: u64| (v < 4000 && !v.is_multiple_of(3)).then_some(v * 7);
     // Unsorted batch with duplicates, absentees, and out-of-range keys.
     let mut asked: Vec<[u8; 8]> = Vec::new();
     let mut x = 99u64;
@@ -228,8 +231,12 @@ fn get_many_matches_point_gets() {
     let got = tree.get_many(&asked).unwrap();
     assert_eq!(got.len(), asked.len());
     for (i, key) in asked.iter().enumerate() {
-        assert_eq!(got[i], tree.get(key).unwrap(), "position {i}");
+        assert_eq!(got[i], want(u64::from_be_bytes(*key)), "position {i}");
     }
+    // A point get is the same path with a batch of one.
+    assert_eq!(tree.get(&k(1)).unwrap(), Some(7));
+    assert_eq!(tree.get(&k(3)).unwrap(), None);
+    assert_eq!(tree.get(&k(4400)).unwrap(), None);
 }
 
 #[test]
@@ -268,17 +275,22 @@ fn lookup_cached_many_hits_after_populate() {
 }
 
 #[test]
-fn lookup_cached_many_agrees_with_single_lookups() {
+fn lookup_cached_many_resolves_present_and_absent_keys_in_descending_order() {
     let tree = BTree::create(pool(), 8, cached_opts(8)).unwrap();
     for v in 0..500u64 {
         tree.insert(&k(v), v).unwrap();
     }
+    // Keys 699 down to 0: key v is present, with value v, iff v < 500.
     let asked: Vec<[u8; 8]> = (0..700u64).rev().map(k).collect();
     let batch = tree.lookup_cached_many(&asked).unwrap();
-    for (i, key) in asked.iter().enumerate() {
-        let single = tree.lookup_cached(key).unwrap();
-        assert_eq!(batch[i].value, single.value, "position {i}");
+    for (i, m) in batch.iter().enumerate() {
+        let v = 699 - i as u64;
+        assert_eq!(m.value, (v < 500).then_some(v), "position {i}");
+        assert!(m.payload.is_none(), "nothing was populated");
     }
+    // A point lookup is the same path with a batch of one.
+    assert_eq!(tree.lookup_cached(&k(499)).unwrap().value, Some(499));
+    assert_eq!(tree.lookup_cached(&k(500)).unwrap().value, None);
 }
 
 #[test]

@@ -76,19 +76,10 @@ pub struct DbConfig {
     /// Decisions surface through [`Database::tuner_decisions`] and the
     /// waste report; benches and tests can drive the controller
     /// deterministically with [`Database::tuning_tick`] (use a long
-    /// interval so the background thread stays out of the way).
+    /// interval so the background thread stays out of the way). Step
+    /// size, hysteresis and cooldown are
+    /// [`crate::tuner::TunerConfig`]'s defaults.
     pub tuning_interval: Option<Duration>,
-    /// Upper bound on bytes the tuner moves per decision (see
-    /// [`crate::tuner::TunerConfig::step_bytes`]; only read when
-    /// `tuning_interval` is `Some`).
-    pub tuner_step_bytes: usize,
-    /// Tuner hysteresis factor: the best consumer's hit value must
-    /// exceed the worst's by this factor before bytes move (see
-    /// [`crate::tuner::TunerConfig::hysteresis`]).
-    pub tuner_hysteresis: f64,
-    /// Ticks the tuner sits out after each move (see
-    /// [`crate::tuner::TunerConfig::cooldown_ticks`]).
-    pub tuner_cooldown_ticks: u32,
     /// Cursor readahead depth: leaves each range cursor speculatively
     /// batch-loads past the resident frontier on every refill, riding
     /// the pool's `prefetch`/`read_many` path. `0` (the default) is
@@ -114,9 +105,6 @@ impl Default for DbConfig {
             compressed_budget_bytes: 0,
             flusher_threads: 1,
             tuning_interval: None,
-            tuner_step_bytes: TunerConfig::default().step_bytes,
-            tuner_hysteresis: TunerConfig::default().hysteresis,
-            tuner_cooldown_ticks: TunerConfig::default().cooldown_ticks,
             readahead: 0,
             disk_model: None,
         }
@@ -353,13 +341,7 @@ impl Database {
 
     /// Spawns the background free-space controller (tuning is on).
     fn start_tuner(&mut self, interval: Duration) {
-        let cfg = TunerConfig {
-            interval,
-            step_bytes: self.config.tuner_step_bytes,
-            hysteresis: self.config.tuner_hysteresis,
-            cooldown_ticks: self.config.tuner_cooldown_ticks,
-            ..TunerConfig::default()
-        };
+        let cfg = TunerConfig { interval, ..TunerConfig::default() };
         let ring_cap = cfg.ring;
         let shared = Arc::new(TunerShared {
             controller: Mutex::with_rank(lockrank::TUNER, Controller::new(cfg)),
@@ -718,7 +700,7 @@ mod tests {
         }
         db.reset_stats();
         for i in (0..500u64).step_by(7) {
-            t.get_via_index("pk", &i.to_be_bytes()).unwrap().unwrap();
+            t.index("pk").unwrap().get(&i.to_be_bytes()).unwrap().unwrap();
         }
         let (heap_io, index_io) = db.io_stats();
         // Tiny pools force disk reads with simulated latency.

@@ -7,7 +7,7 @@
 //!   lock-striped; the [`db::DbConfig::pool_shards`] knob sizes the
 //!   stripe count (clamped so tiny experiment pools stay single-stripe);
 //! * [`table`] — fixed-width-tuple tables with cached secondary
-//!   indexes: [`table::Table::project_via_index`] is the paper's §2.1
+//!   indexes: [`query::IndexRef::project`] is the paper's §2.1
 //!   hot path (index-cache hit → no heap access), and updates/deletes
 //!   carry the §2.1.2 invalidation duties automatically. Reads are
 //!   fully concurrent (index→heap chases re-verify the fetched key, so
@@ -34,10 +34,11 @@
 //! * [`query`] — the handle-based query surface:
 //!   [`query::IndexRef`] handles from [`table::Table::index`] skip the
 //!   per-call name lookup; [`query::IndexRef::get_many`] /
-//!   [`query::IndexRef::project_many`] and their write twins
+//!   [`query::IndexRef::project_many`] and their write counterparts
 //!   [`query::IndexRef::put_many`] / [`query::IndexRef::update_many`]
 //!   / [`query::IndexRef::delete_many`] amortize lock acquisitions and
-//!   leaf visits across N keys; [`query::Batch`] /
+//!   leaf visits across N keys, and every point operation on a handle
+//!   is its batched form with a batch of one; [`query::Batch`] /
 //!   [`table::Table::execute`] mix point reads and writes with a
 //!   documented put → update → delete → read order (a batch's reads
 //!   observe its writes); [`query::IndexRef::range`] /
@@ -57,9 +58,6 @@
 //!   KiB, and reallocates bytes online (leaf cache space ↔ join cache
 //!   ↔ compressed tier), recording every decision in a ring the waste
 //!   report renders.
-//!
-//! The string-keyed `Table::*_via_index` methods remain as thin
-//! compatibility wrappers over the handle paths.
 //!
 //! ## Quickstart
 //!

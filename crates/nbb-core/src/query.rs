@@ -1,15 +1,15 @@
 //! Handle-based query surface: index handles, batched execution, and
 //! ordered range cursors.
 //!
-//! The string-keyed `Table::*_via_index` methods pay a name lookup
-//! through a `RwLock<HashMap>` on every call, take pool-shard locks one
-//! key at a time, and only expose point lookups. This module is the
-//! amortized alternative, in the spirit of the paper's thesis that no
-//! spare capacity — lock budgets included — should go unused:
+//! Every query goes through a handle, in the spirit of the paper's
+//! thesis that no spare capacity — lock budgets included — should go
+//! unused:
 //!
 //! * [`IndexRef`] — a cheap, clonable handle from [`Table::index`]. The
-//!   name resolves once; `get`/`project`/`update`/`delete` go straight
-//!   to the tree.
+//!   name resolves once, through the table's `RwLock<HashMap>`; every
+//!   operation on the handle goes straight to the tree. The point
+//!   operations (`get`/`project`/`put`/`update`/`delete`) are their
+//!   batched forms with a batch of one.
 //! * [`IndexRef::get_many`] / [`IndexRef::project_many`] — N lookups
 //!   share one tree-structure-lock acquisition, one page visit per
 //!   distinct leaf, and one buffer-pool lock acquisition per pool shard
@@ -91,26 +91,32 @@ impl<'t> IndexRef<'t> {
     }
 
     /// Full-tuple point lookup (index → heap, with key re-verification).
+    /// Thin wrapper over a one-key [`IndexRef::get_many`].
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.table.get_with(&self.idx, key)
+        Ok(self.get_many(&[key])?.pop().flatten())
     }
 
-    /// Projection over the cached fields: answered from leaf free space
-    /// when the cache holds the entry, otherwise heap fetch + populate.
+    /// Projection over the cached fields (§2.1's hot path): answered
+    /// from leaf free space when the cache holds the entry, otherwise
+    /// heap fetch + populate. Thin wrapper over a one-key
+    /// [`IndexRef::project_many`].
     pub fn project(&self, key: &[u8]) -> Result<Option<Projection>> {
-        self.table.project_with(&self.idx, key)
+        Ok(self.project_many(&[key])?.pop().flatten())
     }
 
     /// Updates the tuple whose key is `key` to `tuple`, maintaining
-    /// every index of the table (§2.1.2 invalidation duties included).
+    /// every index of the table (§2.1.2 consistency duties: indexes
+    /// whose cached fields changed get an invalidation predicate,
+    /// indexes whose key bytes changed get a delete+insert). Thin
+    /// wrapper over a one-pair [`IndexRef::update_many`].
     pub fn update(&self, key: &[u8], tuple: &[u8]) -> Result<bool> {
-        self.table.update_with(&self.idx, key, tuple)
+        Ok(self.update_many(&[(key, tuple)])?.pop().unwrap_or(false))
     }
 
     /// Deletes the tuple whose key is `key` from the table and all its
-    /// indexes.
+    /// indexes. Thin wrapper over a one-key [`IndexRef::delete_many`].
     pub fn delete(&self, key: &[u8]) -> Result<bool> {
-        self.table.delete_with(&self.idx, key)
+        Ok(self.delete_many(&[key])?.pop().unwrap_or(false))
     }
 
     /// Batched full-tuple lookup; results are indexed like `keys`.
@@ -131,8 +137,7 @@ impl<'t> IndexRef<'t> {
     /// Same grouping as [`IndexRef::get_many`], plus per-leaf cache
     /// amortization: one invalidation-verdict check and one promotion
     /// latch acquisition per leaf rather than per key. Cache misses
-    /// fetch the heap in one batched read and populate the cache like
-    /// the point path does.
+    /// fetch the heap in one batched read and populate the cache.
     pub fn project_many<K: AsRef<[u8]>>(&self, keys: &[K]) -> Result<Vec<Option<Projection>>> {
         self.table.project_many_with(&self.idx, keys)
     }

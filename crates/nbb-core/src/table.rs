@@ -22,9 +22,8 @@
 //! (duplicate in-batch keys are a named error), append heap tuples one
 //! page latch per tail page, and maintain every index through the
 //! B+Tree's sorted, leaf-grouped multi-key ops — writers on disjoint
-//! keys proceed in parallel under per-leaf latches. The single-key
-//! mutators and the string-keyed `*_via_index` methods remain as thin
-//! compatibility wrappers over the same paths.
+//! keys proceed in parallel under per-leaf latches. Every single-key
+//! operation on a handle is its batched form with a batch of one.
 //!
 //! # Same-key writers: key-level write intents
 //!
@@ -161,6 +160,10 @@ fn intent_violation(index: &str, key: &[u8]) -> StorageError {
          same index to coordinate"
     ))
 }
+
+/// One row a batch resolved through an index: `(position in the batch,
+/// heap address, tuple)`.
+type Row<T = Vec<u8>> = (usize, RecordId, T);
 
 pub(crate) struct Index {
     pub(crate) spec: IndexSpec,
@@ -601,114 +604,110 @@ impl Table {
         Ok(rids)
     }
 
-    /// Fetches the heap tuple behind an index hit, tolerating the
-    /// index→heap race window: between resolving the pointer and
-    /// reading the slot, a concurrent deleter may free it
-    /// (`InvalidSlot`) or a re-insert may recycle it for a different
-    /// key. Both read as "gone" — the lookup then reflects the delete
-    /// having happened first. The returned tuple is verified to carry
-    /// `key`, so callers may cache fields extracted from it.
+    /// The one index→heap chase: follows the pointer the index resolved
+    /// for each key (`ptrs` yields one per key, `None` = nothing to
+    /// chase), all through one batched heap read, and re-verifies that
+    /// each tuple still carries its key. Returns `(position, rid,
+    /// tuple)` per chased key in position order; the tuple is `None`
+    /// when the slot was freed or recycled for a different key between
+    /// the index read and the heap read. What that means is the
+    /// caller's call: readers ([`Table::fetch_verified_many`]) report
+    /// the key absent, writers ([`Table::resolve_for_write`]) an intent
+    /// violation.
+    fn chase<K: AsRef<[u8]>>(
+        &self,
+        idx: &Index,
+        keys: &[K],
+        ptrs: impl IntoIterator<Item = Option<u64>>,
+    ) -> Result<Vec<Row<Option<Vec<u8>>>>> {
+        let (positions, rids): (Vec<usize>, Vec<RecordId>) = ptrs
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, ptr)| Some((i, RecordId::from_u64(ptr?))))
+            .unzip();
+        let tuples = self.heap.get_many(&rids)?;
+        Ok(positions
+            .into_iter()
+            .zip(rids)
+            .zip(tuples)
+            .map(|((i, rid), tuple)| {
+                (i, rid, tuple.filter(|t| idx.spec.key.extract(t) == keys[i].as_ref()))
+            })
+            .collect())
+    }
+
+    /// Reader side of [`Table::chase`]: the verified heap tuple per key,
+    /// indexed like `keys`, tolerating the index→heap race window — a
+    /// slot a concurrent deleter freed or a re-insert recycled for a
+    /// different key reads as absent, so the lookup reflects the delete
+    /// having happened first. Returned tuples carry their key, so
+    /// callers may cache fields extracted from them.
     ///
     /// This is the **reader-vs-writer** re-verification, and it stays:
     /// readers never take write intents, so they remain wait-free and
-    /// pay nothing for the writers' coordination. (The write paths'
-    /// equivalent tolerance is gone — they resolve under intents, where
-    /// a dead chase is an invariant violation.)
+    /// pay nothing for the writers' coordination.
+    fn fetch_verified_many<K: AsRef<[u8]>>(
+        &self,
+        idx: &Index,
+        keys: &[K],
+        ptrs: impl IntoIterator<Item = Option<u64>>,
+    ) -> Result<Vec<Option<Vec<u8>>>> {
+        let rows = self.chase(idx, keys, ptrs)?;
+        // Count every heap access, not just verified ones — a chase
+        // that lands on a recycled or freed slot still did the I/O.
+        self.heap_fetches.fetch_add(rows.len() as u64, Ordering::Relaxed);
+        let mut out: Vec<Option<Vec<u8>>> = keys.iter().map(|_| None).collect();
+        for (i, _, tuple) in rows {
+            out[i] = tuple;
+        }
+        Ok(out)
+    }
+
+    /// [`Table::fetch_verified_many`] for the one row a range cursor
+    /// yields at a time: the same tolerance and the same verification,
+    /// over the heap's single-page read instead of a batch of one.
     pub(crate) fn fetch_verified(
         &self,
         idx: &Index,
         key: &[u8],
         ptr: u64,
     ) -> Result<Option<Vec<u8>>> {
-        // Count every heap access, not just verified ones — a chase
-        // that lands on a recycled or freed slot still did the I/O.
         self.heap_fetches.fetch_add(1, Ordering::Relaxed);
         match self.heap.get(RecordId::from_u64(ptr)) {
-            Ok(tuple) if idx.spec.key.extract(&tuple) == key => Ok(Some(tuple)),
-            Ok(_) => Ok(None),
+            Ok(tuple) => Ok(Some(tuple).filter(|t| idx.spec.key.extract(t) == key)),
             Err(StorageError::InvalidSlot { .. }) => Ok(None),
             Err(e) => Err(e),
         }
     }
 
-    /// Full-tuple point lookup through an index (index → heap).
-    ///
-    /// Compatibility wrapper: resolves the index name on every call.
-    /// Hot paths should resolve once via [`Table::index`] and use
-    /// [`crate::query::IndexRef::get`].
-    pub fn get_via_index(&self, index: &str, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let idx = self.find_index(index)?;
-        self.get_with(&idx, key)
-    }
-
-    pub(crate) fn get_with(&self, idx: &Index, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let Some(ptr) = idx.tree.get(key)? else { return Ok(None) };
-        self.fetch_verified(idx, key, ptr)
-    }
-
-    /// Projection query over the cached fields (§2.1's hot path):
-    /// answered from the index cache when possible, otherwise fetches
-    /// the heap tuple and populates the cache.
-    ///
-    /// Compatibility wrapper over [`crate::query::IndexRef::project`];
-    /// see [`Table::index`].
-    pub fn project_via_index(&self, index: &str, key: &[u8]) -> Result<Option<Projection>> {
-        let idx = self.find_index(index)?;
-        self.project_with(&idx, key)
-    }
-
-    pub(crate) fn project_with(&self, idx: &Index, key: &[u8]) -> Result<Option<Projection>> {
-        if idx.spec.cached_fields.is_empty() {
-            // No cache: plain index -> heap -> project.
-            let Some(tuple) = self.get_with(idx, key)? else { return Ok(None) };
-            return Ok(Some(Projection {
-                payload: idx.extract_payload(&tuple),
-                index_only: false,
-            }));
-        }
-        let m = idx.tree.lookup_cached(key)?;
-        let Some(ptr) = m.value else { return Ok(None) };
-        if let Some(payload) = m.payload {
-            self.index_only_answers.fetch_add(1, Ordering::Relaxed);
-            return Ok(Some(Projection { payload, index_only: true }));
-        }
-        let Some(tuple) = self.fetch_verified(idx, key, ptr)? else { return Ok(None) };
-        let payload = idx.extract_payload(&tuple);
-        idx.tree.cache_populate(m.leaf, ptr, &payload, m.token)?;
-        Ok(Some(Projection { payload, index_only: false }))
-    }
-
-    /// Updates the tuple with index key `key` (via `index`) to `tuple`.
-    ///
-    /// Handles the §2.1.2 consistency duties: indexes whose cached
-    /// fields changed get an invalidation predicate; indexes whose key
-    /// bytes changed get a delete+insert.
-    ///
-    /// Compatibility wrapper over [`crate::query::IndexRef::update`];
-    /// see [`Table::index`].
-    pub fn update_via_index(&self, index: &str, key: &[u8], tuple: &[u8]) -> Result<bool> {
-        let idx = self.find_index(index)?;
-        self.update_with(&idx, key, tuple)
-    }
-
-    /// Single-pair wrapper over [`Table::update_many_with`].
-    pub(crate) fn update_with(&self, idx: &Index, key: &[u8], tuple: &[u8]) -> Result<bool> {
-        let mut r = self.update_many_with(idx, &[(key, tuple)])?;
-        // nbb-lint: allow(unwrap, update_many_with returns one result per pair)
-        Ok(r.pop().expect("one pair in, one result out"))
+    /// Writer side of [`Table::chase`]: resolves `keys` through `idx`
+    /// and returns `(position, rid, current tuple)` for every key the
+    /// index holds, in position order. Callers hold the keys' write
+    /// intents, so same-key writers are parked and every pointer the
+    /// index resolves must chase to a live tuple still carrying its
+    /// key; one that does not is an [`intent_violation`].
+    fn resolve_for_write<K: AsRef<[u8]>>(&self, idx: &Index, keys: &[K]) -> Result<Vec<Row>> {
+        let ptrs = idx.tree.get_many(keys)?;
+        self.chase(idx, keys, ptrs)?
+            .into_iter()
+            .map(|(i, rid, tuple)| match tuple {
+                Some(t) => Ok((i, rid, t)),
+                None => Err(intent_violation(&idx.spec.name, keys[i].as_ref())),
+            })
+            .collect()
     }
 
     /// Batched key-based update; see
     /// [`crate::query::IndexRef::update_many`], which this implements.
     ///
-    /// Per pair the semantics match the single-key update: absent keys
-    /// report `false`, heap tuples update in place (RIDs stay stable),
-    /// and every index gets its §2.1.2 consistency duty — an
-    /// invalidation predicate when cached fields changed, a
-    /// delete+insert when key bytes changed. The batch amortizes: one
-    /// [`nbb_btree::BTree::get_many`] resolves all pointers, old
-    /// tuples ride one batched heap read, and each index's maintenance
-    /// lands as one leaf-grouped `delete_many` + `insert_many`
+    /// Per pair: absent keys report `false`, heap tuples update in
+    /// place (RIDs stay stable), and every index gets its §2.1.2
+    /// consistency duty — an invalidation predicate when cached fields
+    /// changed, a delete+insert when key bytes changed. The batch
+    /// amortizes: one [`nbb_btree::BTree::get_many`] resolves all
+    /// pointers, old tuples ride one batched heap read, and each
+    /// index's maintenance lands as one leaf-grouped `delete_many` +
+    /// `insert_many`
     /// (deletes before inserts, so key rotations within a batch —
     /// a→b, b→c — resolve deterministically instead of depending on op
     /// order).
@@ -751,26 +750,7 @@ impl Table {
         let mut intent_keys = keys.clone();
         intent_keys.extend(pairs.iter().map(|(_, t)| idx.spec.key.extract(t.as_ref())));
         let _intents = idx.tree.intents().acquire_many(&intent_keys);
-        let ptrs = idx.tree.get_many(&keys)?;
-        let mut positions = Vec::new();
-        let mut rids = Vec::new();
-        for (i, ptr) in ptrs.iter().enumerate() {
-            if let Some(p) = ptr {
-                positions.push(i);
-                rids.push(RecordId::from_u64(*p));
-            }
-        }
-        let olds = self.heap.get_many(&rids)?;
-        // (position, rid, old tuple) per resolved row. Same-key writers
-        // are parked on our intents, so every pointer the index just
-        // resolved must chase to a live tuple still carrying its key.
-        let mut rows: Vec<(usize, RecordId, Vec<u8>)> = Vec::new();
-        for ((&i, rid), old) in positions.iter().zip(&rids).zip(olds) {
-            match old {
-                Some(o) if idx.spec.key.extract(&o) == keys[i] => rows.push((i, *rid, o)),
-                _ => return Err(intent_violation(&idx.spec.name, keys[i])),
-            }
-        }
+        let rows = self.resolve_for_write(idx, &keys)?;
         let out = self.apply_verified_updates(
             rows,
             |i| pairs[i].1.as_ref(),
@@ -806,7 +786,7 @@ impl Table {
     /// consistent and the error purely informational.
     fn apply_verified_updates<'k>(
         &self,
-        rows: Vec<(usize, RecordId, Vec<u8>)>,
+        rows: Vec<Row>,
         new_of: impl Fn(usize) -> &'k [u8],
         violation_of: impl Fn(usize) -> StorageError,
         n_out: usize,
@@ -845,7 +825,7 @@ impl Table {
         // the batch finishes first (see the method docs), so no
         // heap-updated row is ever left without its index maintenance.
         let mut violation: Option<StorageError> = None;
-        let mut landed: Vec<(usize, RecordId, Vec<u8>)> = Vec::with_capacity(rows.len());
+        let mut landed: Vec<Row> = Vec::with_capacity(rows.len());
         for (i, rid, old) in rows {
             match self.heap.update(rid, new_of(i)) {
                 Ok(()) => landed.push((i, rid, old)),
@@ -892,22 +872,6 @@ impl Table {
         }
     }
 
-    /// Deletes the tuple with index key `key` (via `index`).
-    ///
-    /// Compatibility wrapper over [`crate::query::IndexRef::delete`];
-    /// see [`Table::index`].
-    pub fn delete_via_index(&self, index: &str, key: &[u8]) -> Result<bool> {
-        let idx = self.find_index(index)?;
-        self.delete_with(&idx, key)
-    }
-
-    /// Single-key wrapper over [`Table::delete_many_with`].
-    pub(crate) fn delete_with(&self, idx: &Index, key: &[u8]) -> Result<bool> {
-        let mut r = self.delete_many_with(idx, std::slice::from_ref(&key))?;
-        // nbb-lint: allow(unwrap, delete_many_with returns one result per key)
-        Ok(r.pop().expect("one key in, one result out"))
-    }
-
     /// Batched key-based delete; see
     /// [`crate::query::IndexRef::delete_many`], which this implements.
     ///
@@ -916,8 +880,7 @@ impl Table {
     /// its entries through one leaf-grouped
     /// [`nbb_btree::BTree::delete_many`] (plus the RID-reuse
     /// invalidation predicates) before the heap slots are freed —
-    /// index first, heap second, the same ordering as the single-key
-    /// path.
+    /// index first, heap second.
     ///
     /// Write intents on every addressed key serialize racing same-key
     /// deleters end to end: exactly one wins (`true`) and the rest
@@ -939,31 +902,11 @@ impl Table {
         // slots are freed (acquire_many dedupes, so a key listed twice
         // parks no one on itself).
         let _intents = idx.tree.intents().acquire_many(keys);
-        let ptrs = idx.tree.get_many(keys)?;
-        let mut positions = Vec::new();
-        let mut rids = Vec::new();
-        for (i, ptr) in ptrs.iter().enumerate() {
-            if let Some(p) = ptr {
-                positions.push(i);
-                rids.push(RecordId::from_u64(*p));
-            }
-        }
-        let tuples = self.heap.get_many(&rids)?;
-        // (position, rid, tuple) per doomed row. Under the intents a
-        // resolved pointer must chase to a live tuple with its key;
-        // dedupe rids so a key listed twice deletes once.
-        let mut victims: Vec<(usize, RecordId, Vec<u8>)> = Vec::new();
+        // (position, rid, tuple) per doomed row; dedupe rids so a key
+        // listed twice deletes once.
+        let mut victims = self.resolve_for_write(idx, keys)?;
         let mut seen = std::collections::HashSet::new();
-        for ((&i, rid), tuple) in positions.iter().zip(&rids).zip(tuples) {
-            match tuple {
-                Some(t) if idx.spec.key.extract(&t) == keys[i].as_ref() => {
-                    if seen.insert(rid.to_u64()) {
-                        victims.push((i, *rid, t));
-                    }
-                }
-                _ => return Err(intent_violation(&idx.spec.name, keys[i].as_ref())),
-            }
-        }
+        victims.retain(|(_, rid, _)| seen.insert(rid.to_u64()));
         let indexes: Vec<Arc<Index>> = self.indexes.read().values().cloned().collect();
         for other in &indexes {
             let del_keys: Vec<&[u8]> =
@@ -1047,19 +990,16 @@ impl Table {
         // the key its tuple carries, so this is the full write set on
         // this index), held until both legs land.
         let _intents = idx.tree.intents().acquire_many(&keys);
-        let ptrs = idx.tree.get_many(&keys)?;
-        let mut update_rids: Vec<(usize, RecordId)> = Vec::new();
-        let mut insert_positions: Vec<usize> = Vec::new();
-        let mut inserts: Vec<&[u8]> = Vec::new();
-        for (i, ptr) in ptrs.iter().enumerate() {
-            match ptr {
-                Some(p) => update_rids.push((i, RecordId::from_u64(*p))),
-                None => {
-                    insert_positions.push(i);
-                    inserts.push(tuples[i].as_ref());
-                }
-            }
+        // Keys the index holds form the update leg (their rows read and
+        // verified under the intents, in position order); the rest
+        // insert fresh.
+        let update_rows = self.resolve_for_write(idx, &keys)?;
+        let mut updating = vec![false; tuples.len()];
+        for (i, _, _) in &update_rows {
+            updating[*i] = true;
         }
+        let insert_positions: Vec<usize> = (0..tuples.len()).filter(|&i| !updating[i]).collect();
+        let inserts: Vec<&[u8]> = insert_positions.iter().map(|&i| tuples[i].as_ref()).collect();
         // Pre-validate the batch's combined index effects — across BOTH
         // legs — before anything mutates: any key this batch will write
         // (an insert-leg key, or an update-leg key that changes) must
@@ -1067,21 +1007,9 @@ impl Table {
         // keeps in place, on every index. Without the cross-leg check a
         // fresh tuple and an updated row landing on the same secondary
         // key would silently overwrite one another's entries. This
-        // needs the update rows' old tuples, read (and verified under
-        // the intents) here; the verified rows then feed the update leg
-        // directly, so the leg costs one descent and one heap read, not
-        // two of each.
-        let rids: Vec<RecordId> = update_rids.iter().map(|(_, rid)| *rid).collect();
-        let olds = self.heap.get_many(&rids)?;
-        let mut update_rows: Vec<(usize, RecordId, Vec<u8>)> = Vec::new();
-        for (&(i, rid), old) in update_rids.iter().zip(olds) {
-            match old {
-                Some(o) if idx.spec.key.extract(&o) == keys[i] => {
-                    update_rows.push((i, rid, o));
-                }
-                _ => return Err(intent_violation(&idx.spec.name, keys[i])),
-            }
-        }
+        // needs the update rows' old tuples, which is why the rows were
+        // resolved above; they then feed the update leg directly, so
+        // the leg costs one descent and one heap read, not two of each.
         let indexes: Vec<Arc<Index>> = self.indexes.read().values().cloned().collect();
         for other in &indexes {
             let mut written: Vec<&[u8]> =
@@ -1133,27 +1061,7 @@ impl Table {
         keys: &[K],
     ) -> Result<Vec<Option<Vec<u8>>>> {
         let ptrs = idx.tree.get_many(keys)?;
-        let mut positions = Vec::new();
-        let mut rids = Vec::new();
-        for (i, ptr) in ptrs.iter().enumerate() {
-            if let Some(p) = ptr {
-                positions.push(i);
-                rids.push(RecordId::from_u64(*p));
-            }
-        }
-        self.heap_fetches.fetch_add(rids.len() as u64, Ordering::Relaxed);
-        let tuples = self.heap.get_many(&rids)?;
-        let mut out: Vec<Option<Vec<u8>>> = keys.iter().map(|_| None).collect();
-        for (&i, tuple) in positions.iter().zip(tuples) {
-            // Same re-verification as the point path: a racing
-            // delete/re-insert reads as absent.
-            if let Some(t) = tuple {
-                if idx.spec.key.extract(&t) == keys[i].as_ref() {
-                    out[i] = Some(t);
-                }
-            }
-        }
-        Ok(out)
+        self.fetch_verified_many(idx, keys, ptrs)
     }
 
     /// Batched projection; see
@@ -1176,37 +1084,22 @@ impl Table {
                 .collect());
         }
         let lookups = idx.tree.lookup_cached_many(keys)?;
+        // Cache misses chase the heap, all through one batched read.
+        let chased = lookups.iter().map(|m| if m.payload.is_none() { m.value } else { None });
+        let tuples = self.fetch_verified_many(idx, keys, chased)?;
         let mut out: Vec<Option<Projection>> = keys.iter().map(|_| None).collect();
-        // (position, ptr, leaf, token) per cache miss that needs a heap
-        // chase; all the chases share one batched heap read.
-        let mut misses = Vec::new();
-        let mut rids = Vec::new();
         let mut served = 0u64;
-        for (i, m) in lookups.into_iter().enumerate() {
-            let Some(ptr) = m.value else { continue };
-            match m.payload {
-                Some(payload) => {
-                    served += 1;
-                    out[i] = Some(Projection { payload, index_only: true });
-                }
-                None => {
-                    misses.push((i, ptr, m.leaf, m.token));
-                    rids.push(RecordId::from_u64(ptr));
-                }
+        for (i, (m, tuple)) in lookups.into_iter().zip(tuples).enumerate() {
+            if let Some(payload) = m.payload {
+                served += 1;
+                out[i] = Some(Projection { payload, index_only: true });
+            } else if let (Some(ptr), Some(t)) = (m.value, tuple) {
+                let payload = idx.extract_payload(&t);
+                idx.tree.cache_populate(m.leaf, ptr, &payload, m.token)?;
+                out[i] = Some(Projection { payload, index_only: false });
             }
         }
         self.index_only_answers.fetch_add(served, Ordering::Relaxed);
-        self.heap_fetches.fetch_add(rids.len() as u64, Ordering::Relaxed);
-        let tuples = self.heap.get_many(&rids)?;
-        for ((i, ptr, leaf, token), tuple) in misses.into_iter().zip(tuples) {
-            let Some(t) = tuple else { continue };
-            if idx.spec.key.extract(&t) != keys[i].as_ref() {
-                continue;
-            }
-            let payload = idx.extract_payload(&t);
-            idx.tree.cache_populate(leaf, ptr, &payload, token)?;
-            out[i] = Some(Projection { payload, index_only: false });
-        }
         Ok(out)
     }
 
@@ -1231,7 +1124,7 @@ impl Table {
     }
 
     /// Records a query answered entirely from an index cache (used by
-    /// the range cursors, whose hits bypass `project_with`).
+    /// the range cursors, whose hits bypass `project_many_with`).
     pub(crate) fn note_index_only_answer(&self) {
         self.index_only_answers.fetch_add(1, Ordering::Relaxed);
     }
@@ -1332,19 +1225,19 @@ mod tests {
         let t = table_with_cached_index();
         t.insert(&tuple(1, 10, 100)).unwrap();
         t.insert(&tuple(2, 20, 200)).unwrap();
-        let got = t.get_via_index("by_id", &1u64.to_be_bytes()).unwrap().unwrap();
+        let got = t.index("by_id").unwrap().get(&1u64.to_be_bytes()).unwrap().unwrap();
         assert_eq!(got, tuple(1, 10, 100));
-        assert!(t.get_via_index("by_id", &3u64.to_be_bytes()).unwrap().is_none());
+        assert!(t.index("by_id").unwrap().get(&3u64.to_be_bytes()).unwrap().is_none());
     }
 
     #[test]
     fn projection_becomes_index_only_on_second_access() {
         let t = table_with_cached_index();
         t.insert(&tuple(1, 10, 100)).unwrap();
-        let p1 = t.project_via_index("by_id", &1u64.to_be_bytes()).unwrap().unwrap();
+        let p1 = t.index("by_id").unwrap().project(&1u64.to_be_bytes()).unwrap().unwrap();
         assert!(!p1.index_only, "first access must fetch the heap");
         assert_eq!(p1.payload, 100u64.to_le_bytes());
-        let p2 = t.project_via_index("by_id", &1u64.to_be_bytes()).unwrap().unwrap();
+        let p2 = t.index("by_id").unwrap().project(&1u64.to_be_bytes()).unwrap().unwrap();
         assert!(p2.index_only, "second access must be answered by the cache");
         assert_eq!(p2.payload, 100u64.to_le_bytes());
         let s = t.stats();
@@ -1357,11 +1250,11 @@ mod tests {
         let t = table_with_cached_index();
         t.insert(&tuple(1, 10, 100)).unwrap();
         // warm the cache
-        t.project_via_index("by_id", &1u64.to_be_bytes()).unwrap();
-        t.project_via_index("by_id", &1u64.to_be_bytes()).unwrap();
+        t.index("by_id").unwrap().project(&1u64.to_be_bytes()).unwrap();
+        t.index("by_id").unwrap().project(&1u64.to_be_bytes()).unwrap();
         // update the cached field
-        assert!(t.update_via_index("by_id", &1u64.to_be_bytes(), &tuple(1, 10, 999)).unwrap());
-        let p = t.project_via_index("by_id", &1u64.to_be_bytes()).unwrap().unwrap();
+        assert!(t.index("by_id").unwrap().update(&1u64.to_be_bytes(), &tuple(1, 10, 999)).unwrap());
+        let p = t.index("by_id").unwrap().project(&1u64.to_be_bytes()).unwrap().unwrap();
         assert_eq!(p.payload, 999u64.to_le_bytes(), "must never serve the stale 100");
     }
 
@@ -1369,11 +1262,13 @@ mod tests {
     fn update_of_uncached_field_keeps_cache_warm() {
         let t = table_with_cached_index();
         t.insert(&tuple(1, 10, 100)).unwrap();
-        t.project_via_index("by_id", &1u64.to_be_bytes()).unwrap();
-        assert!(t.project_via_index("by_id", &1u64.to_be_bytes()).unwrap().unwrap().index_only);
+        t.index("by_id").unwrap().project(&1u64.to_be_bytes()).unwrap();
+        assert!(
+            t.index("by_id").unwrap().project(&1u64.to_be_bytes()).unwrap().unwrap().index_only
+        );
         // group (uncached) changes; value stays.
-        t.update_via_index("by_id", &1u64.to_be_bytes(), &tuple(1, 77, 100)).unwrap();
-        let p = t.project_via_index("by_id", &1u64.to_be_bytes()).unwrap().unwrap();
+        t.index("by_id").unwrap().update(&1u64.to_be_bytes(), &tuple(1, 77, 100)).unwrap();
+        let p = t.index("by_id").unwrap().project(&1u64.to_be_bytes()).unwrap().unwrap();
         assert!(p.index_only, "unrelated updates must not invalidate the cache");
         assert_eq!(p.payload, 100u64.to_le_bytes());
     }
@@ -1382,15 +1277,15 @@ mod tests {
     fn delete_then_rid_reuse_never_serves_stale_cache() {
         let t = table_with_cached_index();
         t.insert(&tuple(1, 10, 100)).unwrap();
-        t.project_via_index("by_id", &1u64.to_be_bytes()).unwrap();
-        t.project_via_index("by_id", &1u64.to_be_bytes()).unwrap();
-        assert!(t.delete_via_index("by_id", &1u64.to_be_bytes()).unwrap());
-        assert!(t.project_via_index("by_id", &1u64.to_be_bytes()).unwrap().is_none());
+        t.index("by_id").unwrap().project(&1u64.to_be_bytes()).unwrap();
+        t.index("by_id").unwrap().project(&1u64.to_be_bytes()).unwrap();
+        assert!(t.index("by_id").unwrap().delete(&1u64.to_be_bytes()).unwrap());
+        assert!(t.index("by_id").unwrap().project(&1u64.to_be_bytes()).unwrap().is_none());
         // New tuple reuses the heap slot (same rid) with a new id.
         t.insert(&tuple(2, 20, 222)).unwrap();
-        let p = t.project_via_index("by_id", &2u64.to_be_bytes()).unwrap().unwrap();
+        let p = t.index("by_id").unwrap().project(&2u64.to_be_bytes()).unwrap().unwrap();
         assert_eq!(p.payload, 222u64.to_le_bytes());
-        assert!(t.project_via_index("by_id", &1u64.to_be_bytes()).unwrap().is_none());
+        assert!(t.index("by_id").unwrap().project(&1u64.to_be_bytes()).unwrap().is_none());
     }
 
     #[test]
@@ -1406,14 +1301,14 @@ mod tests {
         t.create_index(IndexSpec::plain("by_group", FieldSpec::new(8, 8))).unwrap();
         t.insert(&tuple(1, 10, 100)).unwrap();
         assert_eq!(
-            t.get_via_index("by_group", &10u64.to_be_bytes()).unwrap().unwrap(),
+            t.index("by_group").unwrap().get(&10u64.to_be_bytes()).unwrap().unwrap(),
             tuple(1, 10, 100)
         );
         // Key change on the group index via an update through by_id.
-        t.update_via_index("by_id", &1u64.to_be_bytes(), &tuple(1, 33, 100)).unwrap();
-        assert!(t.get_via_index("by_group", &10u64.to_be_bytes()).unwrap().is_none());
+        t.index("by_id").unwrap().update(&1u64.to_be_bytes(), &tuple(1, 33, 100)).unwrap();
+        assert!(t.index("by_group").unwrap().get(&10u64.to_be_bytes()).unwrap().is_none());
         assert_eq!(
-            t.get_via_index("by_group", &33u64.to_be_bytes()).unwrap().unwrap(),
+            t.index("by_group").unwrap().get(&33u64.to_be_bytes()).unwrap().unwrap(),
             tuple(1, 33, 100)
         );
     }
@@ -1428,7 +1323,7 @@ mod tests {
         t.create_index(IndexSpec::plain("late", FieldSpec::new(0, 8))).unwrap();
         for i in (0..200u64).step_by(17) {
             assert_eq!(
-                t.get_via_index("late", &i.to_be_bytes()).unwrap().unwrap(),
+                t.index("late").unwrap().get(&i.to_be_bytes()).unwrap().unwrap(),
                 tuple(i, i % 5, i * 2)
             );
         }
@@ -1446,7 +1341,7 @@ mod tests {
         let new_rid = t.relocate(rid).unwrap();
         assert_ne!(rid, new_rid);
         assert_eq!(
-            t.get_via_index("by_id", &1u64.to_be_bytes()).unwrap().unwrap(),
+            t.index("by_id").unwrap().get(&1u64.to_be_bytes()).unwrap().unwrap(),
             tuple(1, 10, 100)
         );
     }
@@ -1457,7 +1352,7 @@ mod tests {
         let t = Table::create("t", 32, hp, ip).unwrap();
         assert!(t.create_index(IndexSpec::plain("oob", FieldSpec::new(30, 8))).is_err());
         assert!(t.insert(&[0u8; 10]).is_err());
-        assert!(t.get_via_index("nope", &[0u8; 8]).is_err());
+        assert!(t.index("nope").is_err());
     }
 
     #[test]
@@ -1468,7 +1363,7 @@ mod tests {
         assert_eq!(rids.len(), 500);
         for i in (0..500u64).step_by(41) {
             assert_eq!(
-                t.get_via_index("by_id", &i.to_be_bytes()).unwrap().unwrap(),
+                t.index("by_id").unwrap().get(&i.to_be_bytes()).unwrap().unwrap(),
                 tuple(i, i % 7, i * 3)
             );
         }
@@ -1488,7 +1383,7 @@ mod tests {
         );
         // Nothing was applied: no heap rows, no index entries, no stats.
         assert_eq!(t.heap().live_tuple_count().unwrap(), 0);
-        assert!(t.get_via_index("by_id", &1u64.to_be_bytes()).unwrap().is_none());
+        assert!(t.index("by_id").unwrap().get(&1u64.to_be_bytes()).unwrap().is_none());
         assert_eq!(t.stats().inserts, 0);
         assert_eq!(t.stats().write_batches, 0);
     }
@@ -1505,10 +1400,10 @@ mod tests {
             assert_eq!(applied[j], i < 50, "key {i}");
         }
         assert_eq!(
-            t.get_via_index("by_id", &43u64.to_be_bytes()).unwrap().unwrap(),
+            t.index("by_id").unwrap().get(&43u64.to_be_bytes()).unwrap().unwrap(),
             tuple(43, 1, 1043)
         );
-        assert!(t.get_via_index("by_id", &55u64.to_be_bytes()).unwrap().is_none());
+        assert!(t.index("by_id").unwrap().get(&55u64.to_be_bytes()).unwrap().is_none());
         assert_eq!(t.stats().updates, 10);
         // 1 insert batch + 1 update batch.
         assert_eq!(t.stats().write_batches, 2);
@@ -1530,13 +1425,13 @@ mod tests {
             (2u64.to_be_bytes().to_vec(), tuple(3, 0, 200)), // 2 → 3
         ];
         assert_eq!(t.update_many_with(&idx, &pairs).unwrap(), vec![true, true]);
-        assert!(t.get_via_index("by_id", &1u64.to_be_bytes()).unwrap().is_none());
+        assert!(t.index("by_id").unwrap().get(&1u64.to_be_bytes()).unwrap().is_none());
         assert_eq!(
-            t.get_via_index("by_id", &2u64.to_be_bytes()).unwrap().unwrap(),
+            t.index("by_id").unwrap().get(&2u64.to_be_bytes()).unwrap().unwrap(),
             tuple(2, 0, 100)
         );
         assert_eq!(
-            t.get_via_index("by_id", &3u64.to_be_bytes()).unwrap().unwrap(),
+            t.index("by_id").unwrap().get(&3u64.to_be_bytes()).unwrap().unwrap(),
             tuple(3, 0, 200)
         );
     }
@@ -1555,7 +1450,7 @@ mod tests {
             Err(StorageError::DuplicateKeyInBatch { .. })
         ));
         assert_eq!(
-            t.get_via_index("by_id", &1u64.to_be_bytes()).unwrap().unwrap(),
+            t.index("by_id").unwrap().get(&1u64.to_be_bytes()).unwrap().unwrap(),
             tuple(1, 0, 100),
             "rejected batch must not touch the row"
         );
@@ -1582,16 +1477,16 @@ mod tests {
         assert!(matches!(err, StorageError::DuplicateKeyInBatch { .. }), "got {err:?}");
         // Nothing moved: heap rows and both index views are intact.
         assert_eq!(
-            t.get_via_index("by_id", &1u64.to_be_bytes()).unwrap().unwrap(),
+            t.index("by_id").unwrap().get(&1u64.to_be_bytes()).unwrap().unwrap(),
             tuple(1, 10, 100)
         );
         assert_eq!(
-            t.get_via_index("by_id", &2u64.to_be_bytes()).unwrap().unwrap(),
+            t.index("by_id").unwrap().get(&2u64.to_be_bytes()).unwrap().unwrap(),
             tuple(2, 20, 200)
         );
-        assert!(t.get_via_index("by_group", &10u64.to_be_bytes()).unwrap().is_some());
-        assert!(t.get_via_index("by_group", &20u64.to_be_bytes()).unwrap().is_some());
-        assert!(t.get_via_index("by_group", &30u64.to_be_bytes()).unwrap().is_none());
+        assert!(t.index("by_group").unwrap().get(&10u64.to_be_bytes()).unwrap().is_some());
+        assert!(t.index("by_group").unwrap().get(&20u64.to_be_bytes()).unwrap().is_some());
+        assert!(t.index("by_group").unwrap().get(&30u64.to_be_bytes()).unwrap().is_none());
         assert_eq!(t.stats().updates, 0);
     }
 
@@ -1613,18 +1508,18 @@ mod tests {
         let err = t.update_many_with(&idx, &pairs).unwrap_err();
         assert!(matches!(err, StorageError::DuplicateKeyInBatch { .. }), "got {err:?}");
         assert_eq!(
-            t.get_via_index("by_id", &1u64.to_be_bytes()).unwrap().unwrap(),
+            t.index("by_id").unwrap().get(&1u64.to_be_bytes()).unwrap().unwrap(),
             tuple(1, 10, 100)
         );
         assert_eq!(
-            t.get_via_index("by_id", &2u64.to_be_bytes()).unwrap().unwrap(),
+            t.index("by_id").unwrap().get(&2u64.to_be_bytes()).unwrap().unwrap(),
             tuple(2, 20, 200)
         );
         // Kept keys sharing a secondary value stay legal: updating two
         // rows that already share a group must not be flagged.
         t.create_index(IndexSpec::plain("by_group", FieldSpec::new(8, 8))).unwrap();
-        t.update_via_index("by_id", &1u64.to_be_bytes(), &tuple(1, 7, 1)).unwrap();
-        t.update_via_index("by_id", &2u64.to_be_bytes(), &tuple(2, 7, 2)).unwrap();
+        t.index("by_id").unwrap().update(&1u64.to_be_bytes(), &tuple(1, 7, 1)).unwrap();
+        t.index("by_id").unwrap().update(&2u64.to_be_bytes(), &tuple(2, 7, 2)).unwrap();
         let pairs: Vec<(Vec<u8>, Vec<u8>)> = vec![
             (1u64.to_be_bytes().to_vec(), tuple(1, 7, 11)),
             (2u64.to_be_bytes().to_vec(), tuple(2, 7, 22)),
@@ -1650,7 +1545,7 @@ mod tests {
         let err = t.put_many_with(&idx, &batch).unwrap_err();
         assert!(matches!(err, StorageError::DuplicateKeyInBatch { .. }), "got {err:?}");
         assert_eq!(
-            t.get_via_index("by_id", &1u64.to_be_bytes()).unwrap().unwrap(),
+            t.index("by_id").unwrap().get(&1u64.to_be_bytes()).unwrap().unwrap(),
             tuple(1, 10, 100),
             "update leg must not have run"
         );
@@ -1676,11 +1571,11 @@ mod tests {
         let err = t.put_many_with(&idx, &batch).unwrap_err();
         assert!(matches!(err, StorageError::DuplicateKeyInBatch { .. }), "got {err:?}");
         assert_eq!(
-            t.get_via_index("by_id", &1u64.to_be_bytes()).unwrap().unwrap(),
+            t.index("by_id").unwrap().get(&1u64.to_be_bytes()).unwrap().unwrap(),
             tuple(1, 10, 100)
         );
-        assert!(t.get_via_index("by_group", &10u64.to_be_bytes()).unwrap().is_some());
-        assert!(t.get_via_index("by_group", &77u64.to_be_bytes()).unwrap().is_none());
+        assert!(t.index("by_group").unwrap().get(&10u64.to_be_bytes()).unwrap().is_some());
+        assert!(t.index("by_group").unwrap().get(&77u64.to_be_bytes()).unwrap().is_none());
         assert_eq!(t.heap().live_tuple_count().unwrap(), 1);
         // A kept-key + fresh-tuple collision is also the batch's doing
         // and must be rejected: fresh group 10 vs row 1 keeping 10.
@@ -1694,11 +1589,11 @@ mod tests {
         let rids = t.put_many_with(&idx, &batch).unwrap();
         assert_eq!(rids.len(), 2);
         assert_eq!(
-            t.get_via_index("by_id", &1u64.to_be_bytes()).unwrap().unwrap(),
+            t.index("by_id").unwrap().get(&1u64.to_be_bytes()).unwrap().unwrap(),
             tuple(1, 11, 5)
         );
         assert_eq!(
-            t.get_via_index("by_id", &3u64.to_be_bytes()).unwrap().unwrap(),
+            t.index("by_id").unwrap().get(&3u64.to_be_bytes()).unwrap().unwrap(),
             tuple(3, 12, 0)
         );
     }
@@ -1716,8 +1611,8 @@ mod tests {
         ];
         let gone = t.delete_many_with(&idx, &keys).unwrap();
         assert_eq!(gone, vec![true, false, true, false]);
-        assert!(t.get_via_index("by_id", &3u64.to_be_bytes()).unwrap().is_none());
-        assert!(t.get_via_index("by_id", &7u64.to_be_bytes()).unwrap().is_none());
+        assert!(t.index("by_id").unwrap().get(&3u64.to_be_bytes()).unwrap().is_none());
+        assert!(t.index("by_id").unwrap().get(&7u64.to_be_bytes()).unwrap().is_none());
         assert_eq!(t.heap().live_tuple_count().unwrap(), 18);
         assert_eq!(t.stats().deletes, 2);
     }
@@ -1733,7 +1628,7 @@ mod tests {
         let keys: Vec<Vec<u8>> = (0..5u64).map(|i| i.to_be_bytes().to_vec()).collect();
         assert!(t.delete_many_with(&idx, &keys).unwrap().iter().all(|&b| b));
         for i in 0..10u64 {
-            let via_group = t.get_via_index("by_group", &(100 + i).to_be_bytes()).unwrap();
+            let via_group = t.index("by_group").unwrap().get(&(100 + i).to_be_bytes()).unwrap();
             assert_eq!(via_group.is_some(), i >= 5, "group key {}", 100 + i);
         }
     }
@@ -1748,7 +1643,7 @@ mod tests {
         let rids = t.put_many_with(&idx, &tuples).unwrap();
         assert_eq!(rids.len(), 10);
         for i in 0..15u64 {
-            let got = t.get_via_index("by_id", &i.to_be_bytes()).unwrap().unwrap();
+            let got = t.index("by_id").unwrap().get(&i.to_be_bytes()).unwrap().unwrap();
             let want = if i < 5 { tuple(i, 0, i) } else { tuple(i, 9, i + 500) };
             assert_eq!(got, want, "key {i}");
         }
@@ -1780,7 +1675,7 @@ mod tests {
             "want the named intent violation, got {err:?}"
         );
         assert_eq!(
-            t.get_via_index("by_id", &2u64.to_be_bytes()).unwrap().unwrap(),
+            t.index("by_id").unwrap().get(&2u64.to_be_bytes()).unwrap().unwrap(),
             tuple(2, 0, 200),
             "the violation must surface before any other row mutates"
         );
@@ -1789,7 +1684,7 @@ mod tests {
         let keys: Vec<Vec<u8>> = pairs.iter().map(|(k, _)| k.clone()).collect();
         let err = t.delete_many_with(&idx, &keys).unwrap_err();
         assert!(matches!(&err, StorageError::Corrupt(msg) if msg.contains("write intent")));
-        assert!(t.get_via_index("by_id", &1u64.to_be_bytes()).unwrap().is_none());
+        assert!(t.index("by_id").unwrap().get(&1u64.to_be_bytes()).unwrap().is_none());
     }
 
     #[test]
@@ -1805,12 +1700,15 @@ mod tests {
                 0 => {
                     if model.contains_key(&id) {
                         let v = x % 10_000;
-                        t.update_via_index("by_id", &id.to_be_bytes(), &tuple(id, 0, v)).unwrap();
+                        t.index("by_id")
+                            .unwrap()
+                            .update(&id.to_be_bytes(), &tuple(id, 0, v))
+                            .unwrap();
                         model.insert(id, v);
                     }
                 }
                 1 => {
-                    let existed = t.delete_via_index("by_id", &id.to_be_bytes()).unwrap();
+                    let existed = t.index("by_id").unwrap().delete(&id.to_be_bytes()).unwrap();
                     assert_eq!(existed, model.remove(&id).is_some(), "step {step}");
                 }
                 2 => {
@@ -1821,7 +1719,7 @@ mod tests {
                     });
                 }
                 _ => {
-                    let got = t.project_via_index("by_id", &id.to_be_bytes()).unwrap();
+                    let got = t.index("by_id").unwrap().project(&id.to_be_bytes()).unwrap();
                     match (got, model.get(&id)) {
                         (Some(p), Some(v)) => {
                             assert_eq!(p.payload, v.to_le_bytes(), "step {step} id {id}")

@@ -143,7 +143,9 @@ impl WasteReport {
                     i.pool.compressed_evictions,
                 ));
             }
-            if i.pool.read_batches > 0 {
+            // Every fault is a read batch (a point fault, of one page);
+            // the line only says something once reads coalesced.
+            if i.pool.read_pages > i.pool.read_batches {
                 out.push_str(&format!(
                     "    batched reads: {} pages in {} batches \
                      ({:.1} pages/read — device round-trips amortized)\n",

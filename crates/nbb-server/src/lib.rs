@@ -716,7 +716,7 @@ fn worker_loop(shared: &Arc<Shared>) {
 
 // ---- Request execution ----------------------------------------------
 
-fn wire_bound(b: WireBound) -> Bound<Vec<u8>> {
+fn wire_bound(b: &WireBound) -> Bound<&[u8]> {
     match b {
         WireBound::Unbounded => Bound::Unbounded,
         WireBound::Included(k) => Bound::Included(k),
@@ -728,38 +728,32 @@ fn wire_projection(p: Projection) -> WireProjection {
     WireProjection { payload: p.payload, index_only: p.index_only }
 }
 
-/// Executes one dequeued group, one body per op in order. A group of
-/// several point reads rides one merged engine call; if that call
-/// fails the group is re-executed one request at a time (reads are
+/// Executes one dequeued group as one engine call, one body per op in
+/// order, mapping an engine error to a wire [`ResponseBody::Error`]
+/// (the connection survives; only that response reports failure).
+/// Point reads — one request or a coalesced run of them — ride
+/// [`try_execute_reads`]; if the merged call of several requests fails,
+/// the group is re-executed one request at a time (reads are
 /// idempotent), so only the requests that fail alone report an error.
+/// Every other op was dequeued alone.
 fn execute_group(shared: &Shared, ops: Vec<RequestOp>) -> Vec<ResponseBody> {
-    let alike = match &ops[..] {
-        [first, _, ..] => point_read(first),
-        _ => None,
+    let result = match point_read(&ops[0]) {
+        Some((project, table, index, _)) => try_execute_reads(shared, project, table, index, &ops),
+        None => try_execute(shared, &ops[0]).map(|body| vec![body]),
     };
-    if let Some((project, table, index, _)) = alike {
-        let merged = try_execute_reads(shared, project, table, index, &ops);
-        shared.stats.batches_executed.fetch_add(1, Ordering::Relaxed);
-        if let Ok(bodies) = merged {
-            return bodies;
-        }
-    }
-    ops.into_iter().map(|op| execute(shared, op)).collect()
-}
-
-/// Executes one request op against the database, mapping every engine
-/// error to a wire [`ResponseBody::Error`] (the connection survives;
-/// only this response reports failure).
-fn execute(shared: &Shared, op: RequestOp) -> ResponseBody {
-    let r = try_execute(shared, op);
     shared.stats.batches_executed.fetch_add(1, Ordering::Relaxed);
-    r.unwrap_or_else(|e| ResponseBody::Error { message: e.to_string() })
+    match result {
+        Ok(bodies) => bodies,
+        Err(e) if ops.len() == 1 => vec![ResponseBody::Error { message: e.to_string() }],
+        Err(_) => ops.into_iter().flat_map(|op| execute_group(shared, vec![op])).collect(),
+    }
 }
 
 /// One engine call for a group of point reads that [`take_group`]
 /// found alike (all `project`ions or all gets, through `index` of
-/// `table`): resolves the table and index once, reads the concatenated
-/// keys, and deals the rows back out per request.
+/// `table`; a lone request is a group of one): resolves the table and
+/// index once, reads the concatenated keys, and deals the rows back
+/// out per request.
 fn try_execute_reads(
     shared: &Shared,
     project: bool,
@@ -785,47 +779,40 @@ fn try_execute_reads(
     })
 }
 
-fn try_execute(shared: &Shared, op: RequestOp) -> Result<ResponseBody, StorageError> {
+/// Executes one request op other than a point read against the
+/// database.
+fn try_execute(shared: &Shared, op: &RequestOp) -> Result<ResponseBody, StorageError> {
     let db = &shared.db;
     Ok(match op {
-        RequestOp::GetMany { table, index, keys } => {
-            let t = db.table(&table)?;
-            let rows = t.index(&index)?.get_many(&keys)?;
-            ResponseBody::GetMany { rows }
-        }
-        RequestOp::ProjectMany { table, index, keys } => {
-            let t = db.table(&table)?;
-            let rows = t.index(&index)?.project_many(&keys)?;
-            ResponseBody::ProjectMany {
-                rows: rows.into_iter().map(|r| r.map(wire_projection)).collect(),
-            }
+        RequestOp::GetMany { .. } | RequestOp::ProjectMany { .. } => {
+            unreachable!("execute_group runs point reads through try_execute_reads")
         }
         RequestOp::InsertMany { table, tuples } => {
-            let t = db.table(&table)?;
-            let rids = t.insert_many(&tuples)?;
+            let t = db.table(table)?;
+            let rids = t.insert_many(tuples)?;
             ResponseBody::InsertMany { rids: rids.into_iter().map(|r| r.to_u64()).collect() }
         }
         RequestOp::PutMany { table, index, tuples } => {
-            let t = db.table(&table)?;
-            let rids = t.index(&index)?.put_many(&tuples)?;
+            let t = db.table(table)?;
+            let rids = t.index(index)?.put_many(tuples)?;
             ResponseBody::PutMany { rids: rids.into_iter().map(|r| r.to_u64()).collect() }
         }
         RequestOp::UpdateMany { table, index, pairs } => {
-            let t = db.table(&table)?;
-            let applied = t.index(&index)?.update_many(&pairs)?;
+            let t = db.table(table)?;
+            let applied = t.index(index)?.update_many(pairs)?;
             ResponseBody::UpdateMany { applied }
         }
         RequestOp::DeleteMany { table, index, keys } => {
-            let t = db.table(&table)?;
-            let applied = t.index(&index)?.delete_many(&keys)?;
+            let t = db.table(table)?;
+            let applied = t.index(index)?.delete_many(keys)?;
             ResponseBody::DeleteMany { applied }
         }
         RequestOp::Range { table, index, lo, hi, limit } => {
-            let t = db.table(&table)?;
-            let idx = t.index(&index)?;
-            let mut cursor = idx.range((wire_bound(lo), wire_bound(hi)));
+            let t = db.table(table)?;
+            let idx = t.index(index)?;
+            let mut cursor = idx.range::<[u8], _>((wire_bound(lo), wire_bound(hi)));
             let mut rows: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-            while rows.len() < limit as usize {
+            while rows.len() < *limit as usize {
                 match cursor.next() {
                     Some(row) => {
                         let row = row?;
@@ -836,14 +823,14 @@ fn try_execute(shared: &Shared, op: RequestOp) -> Result<ResponseBody, StorageEr
             }
             // Probe one row past the page so `more` is authoritative
             // (a failed probe still proves more rows exist).
-            let more = rows.len() == limit as usize && cursor.next().is_some();
+            let more = rows.len() == *limit as usize && cursor.next().is_some();
             let resume = rows.last().map(|(k, _)| k.clone());
             ResponseBody::Range { rows, more, resume }
         }
         RequestOp::Batch { table, ops } => {
-            let t = db.table(&table)?;
+            let t = db.table(table)?;
             let mut batch = Batch::new();
-            for op in &ops {
+            for op in ops {
                 batch = match op {
                     WireBatchOp::Get { index, key } => batch.get(index, key),
                     WireBatchOp::Project { index, key } => batch.project(index, key),

@@ -24,11 +24,13 @@
 //!                    budget eviction, or claimed by a fault
 //! ```
 //!
-//! The shard map mutex is held only to *transition* between states,
-//! never across a [`DiskManager::read`]. A miss installs a `Loading`
-//! entry, reserves its frame (pinned, so the clock skips it), drops the
-//! shard lock, performs the load, then re-locks to publish. The
-//! consequences, which the concurrency benches measure:
+//! One implementation (`fault_batch`) runs this machine for every
+//! fault: a point access that misses is a batch of one. The shard map
+//! mutex is held only to *transition* between states, never across a
+//! [`DiskManager::read_many`]. A miss installs a `Loading` entry,
+//! reserves its frame (pinned, so the clock skips it), drops the shard
+//! lock, performs the load, then re-locks to publish. The consequences,
+//! which the concurrency benches measure:
 //!
 //! * Requesters for **other** pages in the same shard proceed
 //!   immediately — one stripe sustains frames-many in-flight faults
@@ -46,19 +48,18 @@
 //!
 //! ## Batch faults (`fault_many` / `prefetch`)
 //!
-//! The batched read path runs the same state machine for N pages at
-//! once: misses are grouped per shard, and each shard group reserves
-//! its frames and installs all its `Loading` entries under **one** map
-//! acquisition, drops the lock, then issues **one**
+//! For N pages at once, misses are grouped per shard, and each shard
+//! group reserves its frames and installs all its `Loading` entries
+//! under **one** map acquisition, drops the lock, then issues **one**
 //! [`DiskManager::read_many`] for every page the write-behind store and
 //! compressed tier couldn't serve — so a cold scan pays one device
 //! round-trip per batch instead of one per page
 //! ([`PoolStats::read_batches`] / [`PoolStats::read_pages`] meter the
-//! coalescing). Every per-page guarantee above is preserved:
-//! concurrent requesters join the individual `InFlight`s exactly as
-//! they would a point fault, and a failed page poisons only its own
-//! entry (a batch-level read error falls back to per-page reads so
-//! siblings still publish). Speculative batches (`prefetch`) publish
+//! coalescing; a point fault counts as a batch of one page). Every
+//! guarantee above holds per page: concurrent requesters join the
+//! individual `InFlight`s, and a failed page poisons only its own
+//! entry (an error from a multi-page read falls back to per-page reads
+//! so siblings still publish). Speculative batches (`prefetch`) publish
 //! their frames *unpinned, unreferenced, and flagged*: a frame nobody
 //! touched yet is the clock's first-choice victim, so readahead can
 //! never evict the working set — it only ever spends frames that were
@@ -138,8 +139,8 @@
 //! stripe. Frames are divided as evenly as possible across shards, and a
 //! shard can only evict among its own frames. [`BufferPool::new`]
 //! therefore caps the default shard count so each shard keeps at least
-//! [`MIN_FRAMES_PER_SHARD`] frames; [`BufferPool::new_sharded`] and
-//! [`BufferPool::with_options`] give callers exact control.
+//! [`MIN_FRAMES_PER_SHARD`] frames; [`BufferPool::with_pool_options`]
+//! gives callers exact control.
 //!
 //! # Lock order
 //!
@@ -256,46 +257,13 @@ impl InFlight {
     }
 }
 
-/// Unwind insurance for the loader: a `DiskManager` implementation that
-/// panics mid-`read` must not strand the `Loading` entry and its
-/// reserved (pinned, clock-invisible) frame — that would hang every
-/// future requester of the page forever. While armed, dropping this
-/// guard frees the frame and poisons the waiters exactly like a failed
-/// read; the loader disarms it once the load returns normally.
-struct LoadAbortGuard<'a> {
-    shard: &'a Shard,
-    id: PageId,
-    idx: usize,
-    inflight: &'a Arc<InFlight>,
-    armed: bool,
-}
-
-impl Drop for LoadAbortGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let frame = &self.shard.frames[self.idx];
-        // rank-exempt: unwinds out of a (possibly nested) fault, so the
-        // caller may still hold outer frame latches; see `pin`.
-        let mut map = self.shard.map.lock_unordered();
-        frame.dirty.store(false, Ordering::Release);
-        frame.pin.store(0, Ordering::Release);
-        map.table.remove(&self.id);
-        map.free.push(self.idx);
-        drop(map);
-        self.inflight.resolve(Err(StorageError::Io(format!(
-            "page {} load panicked in DiskManager::read",
-            self.id
-        ))));
-    }
-}
-
-/// Batch-fault twin of [`LoadAbortGuard`]: unwind insurance covering
-/// every `Loading` entry a batch reserved. Entries are cleared once the
-/// batch publishes; if a `DiskManager` panics mid-`read_many`, dropping
-/// this guard frees every still-reserved frame and poisons its waiters
-/// exactly like the per-page guard would.
+/// Unwind insurance for the loader, covering every `Loading` entry a
+/// fault reserved: a `DiskManager` implementation that panics
+/// mid-`read_many` must not strand those entries and their reserved
+/// (pinned, clock-invisible) frames — that would hang every future
+/// requester of the pages forever. Entries are cleared once the batch
+/// publishes; while any remain, dropping this guard frees their frames
+/// and poisons their waiters exactly like a failed read.
 struct BatchAbortGuard<'a> {
     shards: &'a [Shard],
     /// `(page, shard index, frame index, its Loading entry)`, grouped
@@ -312,9 +280,9 @@ impl Drop for BatchAbortGuard<'_> {
         while k < self.entries.len() {
             let si = self.entries[k].1;
             let shard = &self.shards[si];
-            // rank-exempt: unwinds out of a (possibly nested) batch
-            // fault, so the caller may still hold outer frame latches;
-            // see `LoadAbortGuard`. One shard map at a time, ascending.
+            // rank-exempt: unwinds out of a (possibly nested) fault,
+            // so the caller may still hold outer frame latches; see
+            // `pin`. One shard map at a time, ascending.
             let mut map = shard.map.lock_unordered();
             while k < self.entries.len() && self.entries[k].1 == si {
                 let (id, _, idx, _) = &self.entries[k];
@@ -344,9 +312,9 @@ enum BatchSlot {
     /// unaffected — each slot carries its own verdict.
     Failed(StorageError),
     /// Nothing was done for this page: the shard had no victim to
-    /// reserve (demand callers fall back to the serial point path,
-    /// which surfaces `BufferPoolExhausted` properly), or the page was
-    /// already resident/loading in a speculative batch.
+    /// reserve (demand callers retry it alone through `pin`, which
+    /// reports `BufferPoolExhausted` if it still cannot), or the page
+    /// was already resident/loading in a speculative batch.
     Skipped,
 }
 
@@ -1004,23 +972,25 @@ pub struct BufferPool {
     compressor: Option<std::thread::JoinHandle<()>>,
 }
 
-/// Construction knobs for [`BufferPool::with_pool_options`]. The
-/// positional constructors delegate here; `Default` reproduces
-/// [`BufferPool::new`]'s behavior except for the shard clamp (callers
-/// of `new` get [`clamp_shards`] applied first).
+/// Construction knobs for [`BufferPool::with_pool_options`]. `Default`
+/// reproduces [`BufferPool::new`]'s behavior except for the shard clamp
+/// (callers of `new` get [`clamp_shards`] applied first).
 #[derive(Clone, Debug)]
 pub struct PoolOptions {
     /// Lock-striped shard count, clamped to `[1, capacity]`.
     pub shards: usize,
-    /// Write-behind queue depth; 0 disables the queue (synchronous
-    /// dirty evictions) and spawns no flusher threads.
+    /// Write-behind queue depth; 0 disables the queue and its flusher
+    /// threads — every dirty eviction pays a synchronous
+    /// [`DiskManager::write`], the pre-write-behind behavior, which
+    /// benches use as the baseline.
     pub write_behind: usize,
     /// Number of write-behind drainer threads (min 1 when the queue is
     /// enabled). Per-page ordering is held by the gen-stamped
     /// `flushing` claim in [`WbSlot`], so drainers never race on a
     /// page: `pop_jobs` hands each slot to exactly one thread.
     pub flusher_threads: usize,
-    /// Compressed-tier stored-bytes budget; 0 disables the tier.
+    /// Bound on the *stored* (encoded) bytes the compressed frame tier
+    /// may hold; 0 disables the tier and its compressor thread.
     pub compressed_budget_bytes: usize,
 }
 
@@ -1045,48 +1015,14 @@ impl BufferPool {
     /// Panics if `capacity == 0`.
     pub fn new(disk: Arc<dyn DiskManager>, capacity: usize) -> Self {
         let shards = clamp_shards(capacity, DEFAULT_POOL_SHARDS);
-        Self::new_sharded(disk, capacity, shards)
-    }
-
-    /// Creates a pool of `capacity` frames striped into exactly `shards`
-    /// shards (clamped to `[1, capacity]`), with the default
-    /// write-behind depth. Frames are distributed as evenly as possible;
-    /// a shard only evicts among its own frames.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn new_sharded(disk: Arc<dyn DiskManager>, capacity: usize, shards: usize) -> Self {
-        Self::with_options(disk, capacity, shards, DEFAULT_WRITE_BEHIND, 0)
+        Self::with_pool_options(disk, capacity, PoolOptions { shards, ..PoolOptions::default() })
     }
 
     /// Full-control constructor: exact shard count (clamped to
-    /// `[1, capacity]`), write-behind queue depth, and compressed-tier
-    /// budget. `write_behind = 0` disables the queue and its flusher
-    /// thread — every dirty eviction pays a synchronous
-    /// [`DiskManager::write`], the pre-write-behind behavior, which
-    /// benches use as the baseline. `compressed_budget_bytes = 0`
-    /// disables the compressed frame tier and its compressor thread;
-    /// nonzero bounds the *stored* (encoded) bytes the tier may hold.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn with_options(
-        disk: Arc<dyn DiskManager>,
-        capacity: usize,
-        shards: usize,
-        write_behind: usize,
-        compressed_budget_bytes: usize,
-    ) -> Self {
-        Self::with_pool_options(
-            disk,
-            capacity,
-            PoolOptions { shards, write_behind, flusher_threads: 1, compressed_budget_bytes },
-        )
-    }
-
-    /// Struct-form constructor: everything [`BufferPool::with_options`]
-    /// takes plus [`PoolOptions::flusher_threads`], which spawns N
-    /// drainers over the one write-behind queue.
+    /// `[1, capacity]`; frames are distributed as evenly as possible and
+    /// a shard only evicts among its own frames), write-behind queue
+    /// depth and drainer count, and compressed-tier budget — see
+    /// [`PoolOptions`].
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
@@ -1737,154 +1673,57 @@ impl BufferPool {
         }
     }
 
-    /// Pins `id` into a frame of its shard: a hit pins the resident
-    /// frame, a request for a page mid-load parks on it, and a true miss
-    /// becomes the loader — it reserves a frame, installs `Loading`,
-    /// **releases the shard map lock across the read**, then publishes
-    /// the frame and wakes its waiters (each with a pre-granted pin).
-    ///
-    /// Every exit leaves the shard consistent: a failed victim
-    /// write-back keeps the victim resident (and dirty); a failed load
-    /// frees the — by then possibly clobbered — frame, poisons only its
-    /// own waiters, and maps nothing to it.
+    /// Pins `id` into a frame of its shard. A hit is served inline —
+    /// one map probe, no allocation; everything else (a page mid-load,
+    /// a true miss) is a demand fault of one page through
+    /// [`BufferPool::fault_batch`], the pool's single fault state
+    /// machine.
     fn pin(&self, id: PageId) -> Result<Arc<Frame>> {
         let shard = self.shard_of(id);
-        // rank-exempt: every pool entry point funnels through here, and
-        // user closures re-enter the pool while holding frame latches
-        // (nested `with_page` on distinct pages — latch coupling). The
-        // map-under-frame acquisition cannot deadlock because the only
-        // *blocking* frame latches taken under a map lock target
-        // unpinned victims (`retire_victim`/`demote_victim`), and a
-        // closure-held frame is pinned by definition. (`flush_all`'s
-        // sweep used to be the one map-holder latching pinned frames;
-        // it now snapshots under the map and latches after dropping it
-        // — `flush_frame_revalidated`.)
-        let mut map = shard.map.lock_unordered();
-        match map.table.get(&id) {
-            Some(&Residency::Resident(idx)) => {
+        {
+            // rank-exempt: every pool entry point funnels through here,
+            // and user closures re-enter the pool while holding frame
+            // latches (nested `with_page` on distinct pages — latch
+            // coupling). The map-under-frame acquisition cannot
+            // deadlock because the only *blocking* frame latches taken
+            // under a map lock target unpinned victims
+            // (`retire_victim`/`demote_victim`), and a closure-held
+            // frame is pinned by definition. (`flush_all`'s sweep used
+            // to be the one map-holder latching pinned frames; it now
+            // snapshots under the map and latches after dropping it —
+            // `flush_frame_revalidated`.)
+            let map = shard.map.lock_unordered();
+            if let Some(&Residency::Resident(idx)) = map.table.get(&id) {
                 let frame = &shard.frames[idx];
                 Self::touch_resident(shard, frame);
                 return Ok(Arc::clone(frame));
             }
-            Some(Residency::Loading(inflight)) => {
-                // Coalesce: register for a pin, then park off-lock.
-                let inflight = Arc::clone(inflight);
-                inflight.joiners.fetch_add(1, Ordering::Relaxed);
-                shard.stats.misses.fetch_add(1, Ordering::Relaxed);
-                shard.stats.fault_joins.fetch_add(1, Ordering::Relaxed);
-                drop(map);
-                return inflight.wait();
-            }
-            None => {}
         }
-        shard.stats.misses.fetch_add(1, Ordering::Relaxed);
-        shard.stats.faults.fetch_add(1, Ordering::Relaxed);
-        let idx = Self::find_victim(shard, &mut map)?;
-        let frame = &shard.frames[idx];
-        if let Some(old) = map.resident[idx] {
-            // On error the victim stays resident and dirty — consistent.
-            self.retire_victim(shard, frame, old)?;
-            self.demote_victim(frame, old);
-            Self::settle_evicted(shard, frame);
-            map.table.remove(&old);
-            map.resident[idx] = None;
-            shard.stats.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        // Reserve the frame: pinned (the clock skips it) but mapped to
-        // nothing, then fault with the shard unlocked so neighbors
-        // proceed and same-page requesters park instead of re-reading.
-        frame.pin.store(1, Ordering::Release);
-        let inflight = Arc::new(InFlight::new());
-        map.table.insert(id, Residency::Loading(Arc::clone(&inflight)));
-        drop(map);
-
-        // If the disk panics instead of erroring, unwind like a failed
-        // read: free the frame, poison the waiters, no zombie entry.
-        let mut abort = LoadAbortGuard { shard, id, idx, inflight: &inflight, armed: true };
-        let mut decompressed = false;
-        let loaded: Result<bool> = {
-            let mut guard = frame.data.write();
-            // Storage hierarchy for a fault: the write-behind store may
-            // hold newer bytes than the disk (a page re-faulted from it
-            // re-enters memory dirty); below it, the compressed tier
-            // serves the load as an in-memory decode; the disk is last.
-            match &self.wb {
-                Some(wb) if wb.serve_fault(id, &mut guard) => Ok(true),
-                _ => match self.ct.as_ref().and_then(|ct| ct.claim(id)) {
-                    Some(enc) => match pagecodec::decompress(&enc, guard.bytes_mut()) {
-                        Ok(()) => {
-                            decompressed = true;
-                            Ok(false)
-                        }
-                        // The entry was already claimed off the tier, so
-                        // the retry this poisons everyone into will read
-                        // the disk — a corrupt entry heals, never wedges.
-                        Err(e) => Err(StorageError::Io(format!("decompress page {id}: {e}"))),
-                    },
-                    None => self.disk.read(id, &mut guard).map(|()| false),
-                },
-            }
-        };
-        abort.armed = false;
-
-        // rank-exempt: publish step of a fault that may itself be
-        // nested under the caller's outer frame latches; see the entry
-        // acquisition above.
-        let mut map = shard.map.lock_unordered();
-        // Only the loader resolves its Loading entry, so the joiner
-        // count is final once we swap the entry out below.
-        let joiners = inflight.joiners.load(Ordering::Relaxed);
-        match loaded {
-            Ok(dirty) => {
-                if let Some(ct) = &self.ct {
-                    // The frame is the authority now: drop any stored
-                    // entry (wb- and disk-served loads may shadow a
-                    // staler one) and cancel any pending demotion job
-                    // queued before this page's last absence.
-                    ct.invalidate(id);
-                    if decompressed {
-                        ct.hits.fetch_add(1, Ordering::Relaxed);
-                        ct.stalls.fetch_add(u64::from(joiners), Ordering::Relaxed);
-                    }
-                }
-                frame.dirty.store(dirty, Ordering::Release);
-                // One pin for us plus one pre-granted to each parked
-                // waiter: none of them can lose the frame to eviction
-                // between wake-up and use.
-                frame.pin.store(1 + joiners, Ordering::Release);
-                frame.refbit.store(true, Ordering::Relaxed);
-                frame.prefetched.store(false, Ordering::Relaxed);
-                map.table.insert(id, Residency::Resident(idx));
-                map.resident[idx] = Some(id);
-                drop(map);
-                inflight.resolve(Ok(Arc::clone(frame)));
-                Ok(Arc::clone(frame))
-            }
-            Err(e) => {
-                // The failed read may have clobbered the frame bytes;
-                // free the frame (unpinned, mapped to nothing) and
-                // poison every parked waiter with the error.
-                frame.dirty.store(false, Ordering::Release);
-                frame.pin.store(0, Ordering::Release);
-                map.table.remove(&id);
-                map.free.push(idx);
-                drop(map);
-                inflight.resolve(Err(e.clone()));
-                Err(e)
-            }
+        match self.fault_batch(&[id], false).pop() {
+            Some(BatchSlot::Pinned(frame)) => Ok(frame),
+            Some(BatchSlot::Failed(e)) => Err(e),
+            // The shard had no victim to reserve.
+            Some(BatchSlot::Skipped) | None => Err(StorageError::BufferPoolExhausted),
         }
     }
 
-    /// Faults a batch of pages — any mix of shards — with **one** map
-    /// acquisition *per shard* to reserve the misses (shards visited in
-    /// ascending order, never held together), **one** `read_many`
-    /// spanning the whole batch for the pages no memory tier could
-    /// serve, and one map acquisition per shard to publish. Keeping the
-    /// disk batch pool-wide is what lets adjacent page ids — which
-    /// stripe one-per-shard — still coalesce into a single device
-    /// round-trip. The per-page guarantees of [`BufferPool::pin`] are
-    /// preserved exactly: concurrent requesters join each page's own
-    /// `InFlight`, a failed page poisons only its own entry, and a
+    /// The pool's one fault state machine: point faults
+    /// ([`BufferPool::pin`], a batch of one), batch faults, speculative
+    /// prefetches and decompress faults all run here. Faults a batch of
+    /// pages — any mix of shards — with **one** map acquisition *per
+    /// shard* to reserve the misses (shards visited in ascending order,
+    /// never held together), **one** `read_many` spanning the whole
+    /// batch for the pages no memory tier could serve, and one map
+    /// acquisition per shard to publish. Keeping the disk batch
+    /// pool-wide is what lets adjacent page ids — which stripe
+    /// one-per-shard — still coalesce into a single device round-trip.
+    /// The guarantees are per page: the first requester of an absent
+    /// page becomes its loader (frame reserved pinned, `Loading`
+    /// installed, **shard map released across the read**), concurrent
+    /// requesters join that page's own `InFlight` and are pre-granted
+    /// their pin at publish, a failed page frees its — by then possibly
+    /// clobbered — frame and poisons only its own waiters, a failed
+    /// victim write-back leaves the victim resident and dirty, and a
     /// panicking disk unwinds through [`BatchAbortGuard`] like a failed
     /// read.
     ///
@@ -1913,9 +1752,9 @@ impl BufferPool {
                 continue;
             }
             let shard = &self.shards[si];
-            // rank-exempt: batch twin of the `pin` entry acquisition,
-            // re-enterable from user closures holding frame latches.
-            // One shard map at a time, ascending — never two at once.
+            // rank-exempt: pool entry point, re-enterable from user
+            // closures holding frame latches; see `pin`. One shard map
+            // at a time, ascending — never two at once.
             let mut map = shard.map.lock_unordered();
             for &pos in group {
                 let id = ids[pos];
@@ -1947,8 +1786,7 @@ impl BufferPool {
                         if let Some(old) = map.resident[idx] {
                             match self.retire_victim(shard, frame, old) {
                                 Ok(()) => {}
-                                // Victim stays resident and dirty, same
-                                // as the point path.
+                                // Victim stays resident and dirty.
                                 Err(e) => {
                                     if !speculative {
                                         slots[pos] = BatchSlot::Failed(e);
@@ -1962,6 +1800,11 @@ impl BufferPool {
                             map.resident[idx] = None;
                             shard.stats.evictions.fetch_add(1, Ordering::Relaxed);
                         }
+                        // Reserve the frame: pinned (the clock skips
+                        // it) but mapped to nothing, so the load runs
+                        // with the shard unlocked — neighbors proceed
+                        // and same-page requesters park on the entry
+                        // instead of re-reading.
                         frame.pin.store(1, Ordering::Release);
                         let inflight = Arc::new(InFlight::new());
                         map.table.insert(id, Residency::Loading(Arc::clone(&inflight)));
@@ -1990,7 +1833,11 @@ impl BufferPool {
             // Latch every reserved frame at once (frame latches are a
             // multi rank, and a just-reserved frame — pinned, mapped to
             // nothing — has no other suitor), then walk the storage
-            // hierarchy per page; only the leftovers ride the disk batch.
+            // hierarchy per page: the write-behind store may hold newer
+            // bytes than the disk (a page re-faulted from it re-enters
+            // memory dirty); below it, the compressed tier serves the
+            // load as an in-memory decode; only the leftovers ride the
+            // disk batch.
             enum Serve {
                 Loaded { dirty: bool, decompressed: bool },
                 NeedsDisk,
@@ -2012,6 +1859,9 @@ impl BufferPool {
                 match self.ct.as_ref().and_then(|ct| ct.claim(*id)) {
                     Some(enc) => match pagecodec::decompress(&enc, guard.bytes_mut()) {
                         Ok(()) => serves.push(Serve::Loaded { dirty: false, decompressed: true }),
+                        // The entry was already claimed off the tier, so
+                        // the retry this poisons everyone into will read
+                        // the disk — a corrupt entry heals, never wedges.
                         Err(e) => serves.push(Serve::Failed(StorageError::Io(format!(
                             "decompress page {id}: {e}"
                         )))),
@@ -2048,9 +1898,14 @@ impl BufferPool {
                                 serves[k] = Serve::Loaded { dirty: false, decompressed: false };
                             }
                         }
-                        // A batch error makes no claim about which pages
-                        // landed; re-read each one (idempotent by the
-                        // `read_many` contract) so only the genuinely
+                        // A one-page batch's error already names
+                        // its page: poison that entry's waiters (a
+                        // retry here could heal the read behind their
+                        // backs and hand the error to no one).
+                        Err(e) if batch_ks.len() == 1 => serves[batch_ks[0]] = Serve::Failed(e),
+                        // A wider batch error makes no claim about which
+                        // pages landed; re-read each one (idempotent by
+                        // the `read_many` contract) so only the genuinely
                         // failing pages poison their entries.
                         Err(_) => {
                             for &k in &batch_ks {
@@ -2075,9 +1930,10 @@ impl BufferPool {
             while let Some(((_, _, next_si, _, _), _)) = iter.peek() {
                 let si = *next_si;
                 let shard = &self.shards[si];
-                // rank-exempt: batch twin of `pin`'s publish
-                // acquisition; may be nested under the caller's outer
-                // frame latches. One shard map at a time, ascending.
+                // rank-exempt: publish step of a fault that may
+                // itself be nested under the caller's outer frame
+                // latches; see `pin`. One shard map at a time,
+                // ascending.
                 let mut map = shard.map.lock_unordered();
                 let mut published = 0usize;
                 loop {
@@ -2097,6 +1953,11 @@ impl BufferPool {
                     match serve {
                         Serve::Loaded { dirty, decompressed } => {
                             if let Some(ct) = &self.ct {
+                                // The frame is the authority now: drop
+                                // any stored entry (wb- and disk-served
+                                // loads may shadow a staler one) and
+                                // cancel any demotion job queued before
+                                // this page's last absence.
                                 ct.invalidate(id);
                                 if decompressed {
                                     ct.hits.fetch_add(1, Ordering::Relaxed);
@@ -2120,6 +1981,10 @@ impl BufferPool {
                                     frame.prefetched.store(true, Ordering::Relaxed);
                                 }
                             } else {
+                                // One pin for the caller plus one
+                                // pre-granted to each parked waiter:
+                                // none can lose the frame to eviction
+                                // between wake-up and use.
                                 frame.pin.store(1 + joiners, Ordering::Release);
                                 frame.refbit.store(true, Ordering::Relaxed);
                                 frame.prefetched.store(false, Ordering::Relaxed);
@@ -2132,6 +1997,10 @@ impl BufferPool {
                             resolutions.push((inflight, Ok(Arc::clone(frame))));
                         }
                         Serve::Failed(e) => {
+                            // The failed read may have clobbered the
+                            // frame bytes; free the frame (unpinned,
+                            // mapped to nothing) and poison every
+                            // parked waiter with the error.
                             frame.dirty.store(false, Ordering::Release);
                             frame.pin.store(0, Ordering::Release);
                             frame.prefetched.store(false, Ordering::Relaxed);
@@ -2272,6 +2141,11 @@ mod tests {
         (pool, disk)
     }
 
+    /// A pool striped into exactly `shards` shards, other knobs default.
+    fn sharded(disk: Arc<dyn DiskManager>, cap: usize, shards: usize) -> BufferPool {
+        BufferPool::with_pool_options(disk, cap, PoolOptions { shards, ..PoolOptions::default() })
+    }
+
     /// The one write-gated test double behind every "freeze the
     /// flusher mid-write" scenario: writes (point and batched) block
     /// while the gate is held, each call counts as one attempt, and
@@ -2389,7 +2263,11 @@ mod tests {
     #[test]
     fn write_behind_disabled_writes_synchronously() {
         let disk = Arc::new(InMemoryDisk::new(256));
-        let pool = BufferPool::with_options(Arc::clone(&disk) as Arc<dyn DiskManager>, 2, 1, 0, 0);
+        let pool = BufferPool::with_pool_options(
+            Arc::clone(&disk) as Arc<dyn DiskManager>,
+            2,
+            PoolOptions { shards: 1, write_behind: 0, ..PoolOptions::default() },
+        );
         assert_eq!(pool.write_behind(), 0);
         let a = pool.new_page().unwrap();
         pool.with_page_mut(a, |p| p.bytes_mut()[0] = 9).unwrap();
@@ -2428,13 +2306,7 @@ mod tests {
         // claim must come out as one multi-page batch.
         const PAGES: usize = 8;
         let disk = Arc::new(GatedWriteDisk::new(256, true));
-        let pool = Arc::new(BufferPool::with_options(
-            Arc::clone(&disk) as Arc<dyn DiskManager>,
-            16,
-            1,
-            64,
-            0,
-        ));
+        let pool = Arc::new(sharded(Arc::clone(&disk) as Arc<dyn DiskManager>, 16, 1));
         let ids: Vec<PageId> = (0..PAGES).map(|_| pool.new_page().unwrap()).collect();
         for (i, id) in ids.iter().enumerate() {
             pool.with_page_mut(*id, |p| p.bytes_mut()[0] = i as u8).unwrap();
@@ -2469,12 +2341,10 @@ mod tests {
         // Queue depth 1: the second distinct dirty eviction must fall
         // back to a synchronous write — the documented stall regime —
         // and the new counter must make it observable.
-        let pool = Arc::new(BufferPool::with_options(
+        let pool = Arc::new(BufferPool::with_pool_options(
             Arc::clone(&disk) as Arc<dyn DiskManager>,
             4,
-            1,
-            1,
-            0,
+            PoolOptions { shards: 1, write_behind: 1, ..PoolOptions::default() },
         ));
         let a = pool.new_page().unwrap();
         let b = pool.new_page().unwrap();
@@ -2655,20 +2525,20 @@ mod tests {
     #[test]
     fn explicit_shard_count_is_honored_and_clamped() {
         let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(256));
-        let p = BufferPool::new_sharded(Arc::clone(&disk), 64, 4);
+        let p = sharded(Arc::clone(&disk), 64, 4);
         assert_eq!(p.shards(), 4);
         assert_eq!(p.capacity(), 64);
-        let p = BufferPool::new_sharded(Arc::clone(&disk), 3, 100);
+        let p = sharded(Arc::clone(&disk), 3, 100);
         assert_eq!(p.shards(), 3, "shards clamp to capacity");
         assert_eq!(p.capacity(), 3);
-        let p = BufferPool::new_sharded(disk, 16, 0);
+        let p = sharded(disk, 16, 0);
         assert_eq!(p.shards(), 1, "zero shards clamps to one");
     }
 
     #[test]
     fn uneven_capacity_distributes_all_frames() {
         let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(256));
-        let p = BufferPool::new_sharded(disk, 13, 4);
+        let p = sharded(disk, 13, 4);
         assert_eq!(p.shards(), 4);
         assert_eq!(p.capacity(), 13, "every frame must land in some shard");
     }
@@ -2678,7 +2548,7 @@ mod tests {
         // Working set ≫ capacity on a many-sharded pool: every page must
         // still read back its own bytes through eviction and reload.
         let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(256));
-        let pool = Arc::new(BufferPool::new_sharded(disk, 8, 4));
+        let pool = Arc::new(sharded(disk, 8, 4));
         let ids: Vec<_> = (0..64).map(|_| pool.new_page().unwrap()).collect();
         for (i, id) in ids.iter().enumerate() {
             pool.with_page_mut(*id, |p| p.bytes_mut()[3] = i as u8).unwrap();
@@ -2694,7 +2564,7 @@ mod tests {
     #[test]
     fn stats_aggregate_across_shards() {
         let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(256));
-        let pool = Arc::new(BufferPool::new_sharded(disk, 16, 4));
+        let pool = Arc::new(sharded(disk, 16, 4));
         let ids: Vec<_> = (0..16).map(|_| pool.new_page().unwrap()).collect();
         for id in &ids {
             pool.with_page(*id, |_| ()).unwrap(); // 16 misses
@@ -2715,7 +2585,7 @@ mod tests {
         // A page storm on one shard must not evict the other shard's
         // residents: page ids congruent mod 2 stay in their stripe.
         let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(256));
-        let pool = Arc::new(BufferPool::new_sharded(disk, 4, 2));
+        let pool = Arc::new(sharded(disk, 4, 2));
         let ids: Vec<_> = (0..12).map(|_| pool.new_page().unwrap()).collect();
         // Pin nothing; touch one even page, then storm odd pages.
         pool.with_page(ids[0], |_| ()).unwrap();
@@ -2766,7 +2636,7 @@ mod tests {
             inner: InMemoryDisk::new(256),
             fail_reads: AtomicBool::new(false),
         });
-        let pool = BufferPool::new_sharded(Arc::clone(&disk) as Arc<dyn DiskManager>, 2, 1);
+        let pool = sharded(Arc::clone(&disk) as Arc<dyn DiskManager>, 2, 1);
         // Fill both frames, one dirty.
         let a = pool.new_page().unwrap();
         let b = pool.new_page().unwrap();
@@ -2786,9 +2656,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_reads_match_point_reads_and_group_lock_work() {
+    fn batch_reads_over_mixed_residency_and_group_lock_work() {
         let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(256));
-        let pool = Arc::new(BufferPool::new_sharded(disk, 32, 4));
+        let pool = Arc::new(sharded(disk, 32, 4));
         let ids: Vec<_> = (0..24).map(|_| pool.new_page().unwrap()).collect();
         for (i, id) in ids.iter().enumerate() {
             pool.with_page_mut(*id, |p| p.bytes_mut()[0] = i as u8).unwrap();
@@ -2806,8 +2676,12 @@ mod tests {
             let want = ids.iter().position(|x| x == id).unwrap() as u8;
             assert_eq!(got[pos], want, "position {pos}");
         }
+        // Closed form: the 24 seeding writes each missed once; of the
+        // 26 batch members the 12 evicted pages miss and fault while
+        // the 12 residents and both duplicates of the resident `ids[5]`
+        // hit.
         let s = pool.stats();
-        assert_eq!(s.hits + s.misses - 24, asked.len() as u64, "every batch member counted");
+        assert_eq!((s.hits, s.misses, s.faults), (14, 24 + 12, 24 + 12));
     }
 
     #[test]
@@ -2815,7 +2689,7 @@ mod tests {
         // 2 frames, 1 shard: more batch members than frames must still
         // succeed (pins drain before misses fault).
         let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(256));
-        let pool = BufferPool::new_sharded(disk, 2, 1);
+        let pool = sharded(disk, 2, 1);
         let ids: Vec<_> = (0..10).map(|_| pool.new_page().unwrap()).collect();
         for (i, id) in ids.iter().enumerate() {
             pool.with_page_mut(*id, |p| p.bytes_mut()[0] = i as u8).unwrap();
@@ -2827,7 +2701,7 @@ mod tests {
     #[test]
     fn concurrent_threads_on_distinct_shards() {
         let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(256));
-        let pool = Arc::new(BufferPool::new_sharded(disk, 64, 8));
+        let pool = Arc::new(sharded(disk, 64, 8));
         let ids: Vec<_> = (0..64).map(|_| pool.new_page().unwrap()).collect();
         let mut handles = Vec::new();
         for t in 0..8usize {
@@ -2896,7 +2770,7 @@ mod tests {
             inner: InMemoryDisk::new(256),
             panic_next: AtomicBool::new(true),
         });
-        let pool = BufferPool::with_options(Arc::clone(&disk) as Arc<dyn DiskManager>, 2, 1, 64, 0);
+        let pool = sharded(Arc::clone(&disk) as Arc<dyn DiskManager>, 2, 1);
         let a = pool.new_page().unwrap();
         pool.with_page_mut(a, |p| p.bytes_mut()[0] = 5).unwrap();
         pool.evict_page(a).unwrap(); // enqueued; the flusher's write panics
@@ -2929,13 +2803,7 @@ mod tests {
         // test can freeze the flusher mid-write and provably interleave
         // an eviction with an active flush barrier.
         let disk = Arc::new(GatedWriteDisk::new(256, true));
-        let pool = Arc::new(BufferPool::with_options(
-            Arc::clone(&disk) as Arc<dyn DiskManager>,
-            4,
-            1,
-            64,
-            0,
-        ));
+        let pool = Arc::new(sharded(Arc::clone(&disk) as Arc<dyn DiskManager>, 4, 1));
         let a = pool.new_page().unwrap();
         let b = pool.new_page().unwrap();
         pool.with_page_mut(a, |p| p.bytes_mut()[0] = 1).unwrap();
@@ -2988,12 +2856,15 @@ mod tests {
     /// accounting in these tests is exact).
     fn cpool(cap: usize, budget: usize) -> (Arc<BufferPool>, Arc<InMemoryDisk>) {
         let disk = Arc::new(InMemoryDisk::new(256));
-        let pool = Arc::new(BufferPool::with_options(
+        let pool = Arc::new(BufferPool::with_pool_options(
             Arc::clone(&disk) as Arc<dyn DiskManager>,
             cap,
-            1,
-            0,
-            budget,
+            PoolOptions {
+                shards: 1,
+                write_behind: 0,
+                compressed_budget_bytes: budget,
+                ..PoolOptions::default()
+            },
         ));
         (pool, disk)
     }
@@ -3201,8 +3072,7 @@ mod tests {
         // pins on the same shard (the old sweep latched under the shard
         // map, so every pin/unpin queued behind the stuck writer).
         let disk = Arc::new(InMemoryDisk::new(256));
-        let pool =
-            Arc::new(BufferPool::new_sharded(Arc::clone(&disk) as Arc<dyn DiskManager>, 4, 1));
+        let pool = Arc::new(sharded(Arc::clone(&disk) as Arc<dyn DiskManager>, 4, 1));
         let a = pool.new_page().unwrap();
         let b = pool.new_page().unwrap();
         pool.with_page_mut(b, |p| p.bytes_mut()[0] = 7).unwrap();
@@ -3395,7 +3265,7 @@ mod tests {
             .collect();
         warm.flush_all().unwrap();
         drop(warm);
-        let pool = BufferPool::new_sharded(Arc::clone(&disk) as Arc<dyn DiskManager>, 64, 4);
+        let pool = sharded(Arc::clone(&disk) as Arc<dyn DiskManager>, 64, 4);
         assert!(
             (0..4).all(|s| ids.iter().any(|id| id.0 % 4 == s)),
             "test premise: the batch touches every shard"

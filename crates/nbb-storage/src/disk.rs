@@ -7,9 +7,9 @@
 //! * [`SimulatedDisk`] — page store plus an explicit latency model.
 //!   Every read/write is charged a configurable number of simulated
 //!   nanoseconds, accumulated in [`IoStats`]. This is the substitution
-//!   for the paper's real disk (see DESIGN.md §4): Figures 2(b) and 3
-//!   depend on the *ratio* between memory and disk access costs, which
-//!   the model makes explicit and reproducible.
+//!   for the paper's real disk: Figures 2(b) and 3 depend on the *ratio*
+//!   between memory and disk access costs, which the model makes
+//!   explicit and reproducible.
 //! * [`FileDisk`] — a real file on the local filesystem, for runs that
 //!   want actual I/O syscalls.
 

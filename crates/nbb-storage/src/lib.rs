@@ -14,12 +14,14 @@
 //!   cache-line-padded atomic counters), so concurrent accesses to
 //!   distinct pages rarely contend. Faults run through an
 //!   I/O-in-progress frame state machine: the shard lock is released
-//!   across the disk read, same-page requesters park on the in-flight
-//!   load instead of duplicating it, and dirty evictions hand their
-//!   bytes to a write-behind queue drained by a background flusher —
-//!   so one stripe overlaps frames-many faults and victim reclaim never
-//!   waits on the device. A byte-budgeted **compressed frame tier**
-//!   (`compressed_budget_bytes` in [`buffer::BufferPool::with_options`])
+//!   across the disk read (one implementation serves point accesses,
+//!   batches and readahead alike — a point miss is a batch of one),
+//!   same-page requesters park on the in-flight load instead of
+//!   duplicating it, and dirty evictions hand their bytes to a
+//!   write-behind queue drained by a background flusher — so one stripe
+//!   overlaps frames-many faults and victim reclaim never waits on the
+//!   device. A byte-budgeted **compressed frame tier**
+//!   ([`buffer::PoolOptions::compressed_budget_bytes`])
 //!   catches clock victims on their way out: a background worker
 //!   compresses the evicted bytes ([`nbb_encoding::pagecodec`]) and a
 //!   later fault on the page decompresses instead of touching the disk —

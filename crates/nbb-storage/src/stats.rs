@@ -141,11 +141,11 @@ pub struct PoolStats {
     /// `prefetch_issued - prefetch_hits - prefetch_wasted` pages are
     /// still resident awaiting a verdict.
     pub prefetch_wasted: u64,
-    /// Batched disk reads issued by the pool's batch-fault path (each
-    /// one [`crate::disk::DiskManager::read_many`] call, however many
-    /// pages it carried).
+    /// Disk reads issued by the pool's fault path (each one
+    /// [`crate::disk::DiskManager::read_many`] call, however many pages
+    /// it carried — a point fault is a call of one page).
     pub read_batches: u64,
-    /// Pages carried by those batched reads;
+    /// Pages carried by those reads;
     /// `read_pages / read_batches` is the achieved read coalescing
     /// factor.
     pub read_pages: u64,

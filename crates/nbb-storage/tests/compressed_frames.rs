@@ -13,19 +13,22 @@
 //! no sleep windows.
 
 use nbb_storage::disk::{DiskManager, InMemoryDisk};
-use nbb_storage::{BufferPool, PageId};
+use nbb_storage::{BufferPool, PageId, PoolOptions};
 use std::sync::{Arc, Barrier};
 
 /// Tier-enabled pool over an [`InMemoryDisk`]; write-behind is off so
 /// disk-read assertions are exact.
 fn cpool(cap: usize, budget: usize) -> (Arc<BufferPool>, Arc<InMemoryDisk>) {
     let disk = Arc::new(InMemoryDisk::new(256));
-    let pool = Arc::new(BufferPool::with_options(
+    let pool = Arc::new(BufferPool::with_pool_options(
         Arc::clone(&disk) as Arc<dyn DiskManager>,
         cap,
-        1,
-        0,
-        budget,
+        PoolOptions {
+            shards: 1,
+            write_behind: 0,
+            compressed_budget_bytes: budget,
+            ..PoolOptions::default()
+        },
     ));
     (pool, disk)
 }

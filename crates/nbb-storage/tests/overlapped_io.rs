@@ -16,7 +16,7 @@
 use nbb_storage::disk::{DiskManager, DiskModel, InMemoryDisk, LatencyDisk};
 use nbb_storage::error::{Result, StorageError};
 use nbb_storage::stats::IoStats;
-use nbb_storage::{BufferPool, Page, PageId};
+use nbb_storage::{BufferPool, Page, PageId, PoolOptions};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -32,6 +32,8 @@ struct GateDisk {
     held: Mutex<(bool, bool)>,
     cv: Condvar,
     fail_reads: AtomicBool,
+    /// Fail the next `read`/`read_many` call only, then heal.
+    fail_once: AtomicBool,
     /// Fail any read touching exactly this page id (`u64::MAX` =
     /// none). A `read_many` batch containing it fails **as a whole** —
     /// exercising the contract's "a batch error makes no claim about
@@ -50,6 +52,7 @@ impl GateDisk {
             held: Mutex::new((false, false)),
             cv: Condvar::new(),
             fail_reads: AtomicBool::new(false),
+            fail_once: AtomicBool::new(false),
             fail_page: AtomicU64::new(u64::MAX),
             panic_reads: AtomicBool::new(false),
             read_attempts: AtomicU64::new(0),
@@ -93,13 +96,17 @@ impl DiskManager for GateDisk {
         if self.panic_reads.load(Ordering::Relaxed) {
             panic!("injected read panic");
         }
-        if self.fail_reads.load(Ordering::Relaxed) || self.fail_page.load(Ordering::Relaxed) == id.0
+        if self.fail_reads.load(Ordering::Relaxed)
+            || self.fail_once.swap(false, Ordering::Relaxed)
+            || self.fail_page.load(Ordering::Relaxed) == id.0
         {
             return Err(StorageError::Io("injected read failure".into()));
         }
         self.inner.read(id, buf)
     }
     fn read_many(&self, pages: &mut [(PageId, &mut Page)]) -> Result<()> {
+        // Point faults arrive here too, as batches of one.
+        self.read_attempts.fetch_add(1, Ordering::Relaxed);
         self.read_batches.lock().push(pages.len());
         let mut held = self.held.lock();
         while held.0 {
@@ -110,7 +117,10 @@ impl DiskManager for GateDisk {
             panic!("injected read panic");
         }
         let fail = self.fail_page.load(Ordering::Relaxed);
-        if self.fail_reads.load(Ordering::Relaxed) || pages.iter().any(|(id, _)| id.0 == fail) {
+        if self.fail_reads.load(Ordering::Relaxed)
+            || self.fail_once.swap(false, Ordering::Relaxed)
+            || pages.iter().any(|(id, _)| id.0 == fail)
+        {
             return Err(StorageError::Io("injected batch read failure".into()));
         }
         for (id, buf) in pages.iter_mut() {
@@ -137,6 +147,13 @@ impl DiskManager for GateDisk {
     }
 }
 
+/// A single-stripe pool of `frames` frames over `disk`, so every page
+/// in a test shares one shard map.
+fn one_shard_pool(disk: Arc<dyn DiskManager>, frames: usize) -> Arc<BufferPool> {
+    let opts = PoolOptions { shards: 1, ..PoolOptions::default() };
+    Arc::new(BufferPool::with_pool_options(disk, frames, opts))
+}
+
 /// Spins until the pool reports `joins` co-waiters parked on in-flight
 /// loads. Joiners register before they park, so once this returns the
 /// storm has fully coalesced.
@@ -150,8 +167,7 @@ fn await_joins(pool: &BufferPool, joins: u64) {
 fn same_page_fault_storm_issues_exactly_one_read() {
     const THREADS: usize = 8;
     let disk = Arc::new(GateDisk::new(512));
-    let pool =
-        Arc::new(BufferPool::with_options(Arc::clone(&disk) as Arc<dyn DiskManager>, 8, 1, 64, 0));
+    let pool = one_shard_pool(disk.clone(), 8);
     let id = pool.new_page().unwrap();
     let mut page = Page::new(512);
     page.bytes_mut()[0] = 123;
@@ -187,8 +203,7 @@ fn same_page_fault_storm_issues_exactly_one_read() {
 fn poisoned_load_fails_every_waiter_then_retry_succeeds() {
     const THREADS: usize = 6;
     let disk = Arc::new(GateDisk::new(512));
-    let pool =
-        Arc::new(BufferPool::with_options(Arc::clone(&disk) as Arc<dyn DiskManager>, 8, 1, 64, 0));
+    let pool = one_shard_pool(disk.clone(), 8);
     let id = pool.new_page().unwrap();
     let mut page = Page::new(512);
     page.bytes_mut()[0] = 77;
@@ -232,6 +247,40 @@ fn poisoned_load_fails_every_waiter_then_retry_succeeds() {
 }
 
 #[test]
+fn once_failing_single_page_read_poisons_its_joiners_and_retry_reads_again() {
+    // A one-page fault is a `read_many` batch of one. Its error already
+    // names the page, so the pool must hand it to the loader and every
+    // parked joiner — not quietly re-read the page (the multi-page
+    // fallback), which on a disk that fails once would heal the load
+    // behind the waiters' backs.
+    const THREADS: usize = 5;
+    let disk = Arc::new(GateDisk::new(512));
+    let pool = one_shard_pool(disk.clone(), 8);
+    let id = seed_cold_pages(&disk, 1)[0];
+
+    disk.fail_once.store(true, Ordering::Relaxed);
+    disk.hold_reads();
+    let errors = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| match pool.with_page(id, |p| p.bytes()[0]) {
+                Err(StorageError::Io(_)) => errors.fetch_add(1, Ordering::Relaxed),
+                other => panic!("expected the injected I/O error, got {other:?}"),
+            });
+        }
+        await_joins(&pool, (THREADS - 1) as u64);
+        disk.release_reads();
+    });
+    assert_eq!(errors.load(Ordering::Relaxed), THREADS as u64, "loader and every joiner poisoned");
+    assert_eq!(disk.read_attempts.load(Ordering::Relaxed), 1, "no hidden second read");
+    assert!(!pool.contains(id));
+
+    assert_eq!(pool.with_page(id, |p| p.bytes()[0]).unwrap(), 1, "the retry faults afresh");
+    assert_eq!(disk.read_attempts.load(Ordering::Relaxed), 2, "exactly two device reads in all");
+    assert_eq!(disk.read_batches.lock().as_slice(), &[1, 1]);
+}
+
+#[test]
 fn distinct_cold_faults_overlap_within_one_stripe() {
     const K: usize = 8;
     const READ_MS: u64 = 50;
@@ -239,8 +288,7 @@ fn distinct_cold_faults_overlap_within_one_stripe() {
     // serialized behind the one shard mutex at ~K × read latency.
     let disk =
         Arc::new(LatencyDisk::new(512, DiskModel { read_ns: READ_MS * 1_000_000, write_ns: 0 }));
-    let pool =
-        Arc::new(BufferPool::with_options(Arc::clone(&disk) as Arc<dyn DiskManager>, 16, 1, 64, 0));
+    let pool = one_shard_pool(disk.clone(), 16);
     assert_eq!(pool.shards(), 1);
     let ids: Vec<PageId> = (0..K).map(|_| pool.new_page().unwrap()).collect();
     for (i, id) in ids.iter().enumerate() {
@@ -292,12 +340,10 @@ fn dirty_victim_reclaim_skips_the_synchronous_write() {
     // dirtying every page: each fault must reclaim a dirty victim.
     let run = |write_behind: usize| -> (Duration, u64) {
         let disk = Arc::new(LatencyDisk::new(512, model));
-        let pool = BufferPool::with_options(
+        let pool = BufferPool::with_pool_options(
             Arc::clone(&disk) as Arc<dyn DiskManager>,
             4,
-            1,
-            write_behind,
-            0,
+            PoolOptions { shards: 1, write_behind, ..PoolOptions::default() },
         );
         let ids: Vec<PageId> = (0..PAGES).map(|_| pool.new_page().unwrap()).collect();
         let start = Instant::now();
@@ -337,8 +383,7 @@ fn fault_storm_over_write_behind_store_skips_the_disk() {
     // write gate keeps the flusher from retiring the queue entry early,
     // so "served from the store" is deterministic.
     let disk = Arc::new(GateDisk::new(512));
-    let pool =
-        Arc::new(BufferPool::with_options(Arc::clone(&disk) as Arc<dyn DiskManager>, 4, 1, 64, 0));
+    let pool = one_shard_pool(disk.clone(), 4);
     let id = pool.new_page().unwrap();
     pool.with_page_mut(id, |p| p.bytes_mut()[0] = 55).unwrap();
     disk.hold_writes();
@@ -371,8 +416,7 @@ fn panicking_load_poisons_waiters_and_frees_the_frame() {
     // waiter gets an error instead of hanging forever.
     const THREADS: usize = 4;
     let disk = Arc::new(GateDisk::new(512));
-    let pool =
-        Arc::new(BufferPool::with_options(Arc::clone(&disk) as Arc<dyn DiskManager>, 8, 1, 64, 0));
+    let pool = one_shard_pool(disk.clone(), 8);
     let id = pool.new_page().unwrap();
     let mut page = Page::new(512);
     page.bytes_mut()[0] = 44;
@@ -433,8 +477,7 @@ fn seed_cold_pages(disk: &GateDisk, n: usize) -> Vec<PageId> {
 #[test]
 fn failing_page_in_batch_poisons_only_its_own_entry() {
     let disk = Arc::new(GateDisk::new(512));
-    let pool =
-        Arc::new(BufferPool::with_options(Arc::clone(&disk) as Arc<dyn DiskManager>, 8, 1, 64, 0));
+    let pool = one_shard_pool(disk.clone(), 8);
     let ids = seed_cold_pages(&disk, 4);
     let bad = ids[2];
     disk.fail_page.store(bad.0, Ordering::Relaxed);
@@ -464,8 +507,7 @@ fn failing_page_in_batch_poisons_only_its_own_entry() {
 #[test]
 fn batch_fault_failure_poisons_only_its_own_parked_joiners() {
     let disk = Arc::new(GateDisk::new(512));
-    let pool =
-        Arc::new(BufferPool::with_options(Arc::clone(&disk) as Arc<dyn DiskManager>, 8, 1, 64, 0));
+    let pool = one_shard_pool(disk.clone(), 8);
     let ids = seed_cold_pages(&disk, 2);
     let (good, bad) = (ids[0], ids[1]);
     disk.fail_page.store(bad.0, Ordering::Relaxed);

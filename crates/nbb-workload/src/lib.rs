@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates against Wikipedia's database and a 2-hour Apache
 //! log trace, neither of which ships with this reproduction. This crate
-//! builds the closest synthetic equivalents (see DESIGN.md §4):
+//! builds the closest synthetic equivalents:
 //!
 //! * [`zipf`] — O(1) zipfian sampling (the paper's α = 0.5 page skew),
 //!   plus a scrambled variant that scatters hot items across the id

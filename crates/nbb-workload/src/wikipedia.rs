@@ -1,7 +1,7 @@
 //! Synthetic Wikipedia `page` and `revision` tables.
 //!
-//! This is the substitution for the paper's real Wikipedia database
-//! (DESIGN.md §4): the schemas mirror MediaWiki's — including its
+//! This is the substitution for the paper's real Wikipedia database:
+//! the schemas mirror MediaWiki's — including its
 //! deliberate encoding waste, e.g. **timestamps stored as 14-byte
 //! strings** (`YYYYMMDDHHMMSS`) and booleans stored as full bytes — and
 //! the generators reproduce the distributional facts the paper reports:

@@ -74,7 +74,9 @@ fn main() {
             TraceOp::PageLookup { namespace, title } => {
                 let key = key_of(*namespace, title);
                 let p = pages_table
-                    .project_via_index("name_title", &key)
+                    .index("name_title")
+                    .expect("index")
+                    .project(&key)
                     .expect("query")
                     .expect("page exists");
                 // 17-byte payload: latest_rev | len | is_redirect
@@ -82,12 +84,18 @@ fn main() {
             }
             TraceOp::PageTouch { namespace, title } => {
                 let key = key_of(*namespace, title);
-                if let Some(old) = pages_table.get_via_index("name_title", &key).expect("get") {
+                if let Some(old) =
+                    pages_table.index("name_title").expect("index").get(&key).expect("get")
+                {
                     let mut new = old.clone();
                     // Bump page_len (inside the cached payload -> invalidation).
                     let len = u64::from_le_bytes(new[48..56].try_into().unwrap());
                     new[48..56].copy_from_slice(&(len + 1).to_le_bytes());
-                    pages_table.update_via_index("name_title", &key, &new).expect("update");
+                    pages_table
+                        .index("name_title")
+                        .expect("index")
+                        .update(&key, &new)
+                        .expect("update");
                     update_count += 1;
                 }
             }

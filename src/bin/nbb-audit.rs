@@ -50,8 +50,8 @@ fn main() {
     let mut hot_rids = Vec::new();
     for p in &pages {
         let key = p.latest_rev.to_be_bytes();
-        rev_t.project_via_index("by_rev_id", &key).expect("query");
-        rev_t.project_via_index("by_rev_id", &key).expect("query");
+        rev_t.index("by_rev_id").expect("index").project(&key).expect("query");
+        rev_t.index("by_rev_id").expect("index").project(&key).expect("query");
         let ptr = idx.tree().get(&key).expect("get").expect("hot indexed");
         hot_rids.push(RecordId::from_u64(ptr));
     }

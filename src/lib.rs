@@ -27,7 +27,7 @@
 //!
 //! ## Concurrency model
 //!
-//! Read paths are designed to run in parallel: `Table::project_via_index`
+//! Read paths are designed to run in parallel: `IndexRef::project`
 //! takes a tree-level read lock, descends to a leaf, and touches pages
 //! through per-shard pool mutexes and per-frame latches; index→heap
 //! pointer chases re-verify the fetched tuple's key so racing deletes

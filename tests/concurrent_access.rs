@@ -87,7 +87,9 @@ fn run_stress(pool_shards: usize, heap_frames: usize, index_frames: usize) {
                     if k < UPDATE_KEYS {
                         let floor = floors[k as usize].load(Ordering::Acquire);
                         let p = table
-                            .project_via_index("pk", &k.to_be_bytes())
+                            .index("pk")
+                            .unwrap()
+                            .project(&k.to_be_bytes())
                             .unwrap()
                             .expect("update keys are never deleted");
                         let (tag, version) = decode(&p.payload);
@@ -102,7 +104,9 @@ fn run_stress(pool_shards: usize, heap_frames: usize, index_frames: usize) {
                     } else {
                         // Churned key: may be absent, but when present the
                         // payload must belong to it.
-                        if let Some(p) = table.project_via_index("pk", &k.to_be_bytes()).unwrap() {
+                        if let Some(p) =
+                            table.index("pk").unwrap().project(&k.to_be_bytes()).unwrap()
+                        {
                             let (tag, _) = decode(&p.payload);
                             assert_eq!(tag, k, "projection returned another key's bytes");
                         }
@@ -127,7 +131,11 @@ fn run_stress(pool_shards: usize, heap_frames: usize, index_frames: usize) {
                     let k = x % UPDATE_KEYS;
                     versions[k as usize] += 1;
                     let v = versions[k as usize];
-                    assert!(table.update_via_index("pk", &k.to_be_bytes(), &tuple(k, v)).unwrap());
+                    assert!(table
+                        .index("pk")
+                        .unwrap()
+                        .update(&k.to_be_bytes(), &tuple(k, v))
+                        .unwrap());
                     // Publish only after the update (heap write + index
                     // invalidation) has completed: from here on, readers
                     // must never see an older version.
@@ -135,7 +143,7 @@ fn run_stress(pool_shards: usize, heap_frames: usize, index_frames: usize) {
 
                     if round % 5 == 0 {
                         let ck = UPDATE_KEYS + (x >> 8) % CHURN_KEYS;
-                        assert!(table.delete_via_index("pk", &ck.to_be_bytes()).unwrap());
+                        assert!(table.index("pk").unwrap().delete(&ck.to_be_bytes()).unwrap());
                         table.insert(&tuple(ck, round)).unwrap();
                     }
                 }
@@ -160,10 +168,10 @@ fn run_stress(pool_shards: usize, heap_frames: usize, index_frames: usize) {
     // Quiesced verification: every key's projection must match its heap
     // tuple, both on the populate path and the subsequent cache hit.
     for k in 0..UPDATE_KEYS + CHURN_KEYS {
-        let heap_tuple = table.get_via_index("pk", &k.to_be_bytes()).unwrap().unwrap();
+        let heap_tuple = table.index("pk").unwrap().get(&k.to_be_bytes()).unwrap().unwrap();
         let expect = &heap_tuple[8..16];
         for pass in 0..2 {
-            let p = table.project_via_index("pk", &k.to_be_bytes()).unwrap().unwrap();
+            let p = table.index("pk").unwrap().project(&k.to_be_bytes()).unwrap().unwrap();
             assert_eq!(p.payload, expect, "key {k} pass {pass}: projection disagrees with heap");
         }
     }
@@ -190,7 +198,7 @@ fn readers_vs_writer_under_memory_pressure() {
 /// bumps, `delete_many`/re-insert churn on the upper half of its
 /// range, and `get_many` read-backs — so per-leaf latches, escalated
 /// splits, and the grouped heap appends all contend across threads.
-/// Readers race `get_many`/`project_via_index` over every range,
+/// Readers race `get_many`/`project` over every range,
 /// asserting (a) any observed tuple belongs to the key that was asked
 /// for and (b) stable keys never read older than the writer's
 /// published floor (a violation means a lost invalidation or a torn

@@ -54,16 +54,16 @@ fn long_adversarial_interleaving_never_serves_stale() {
             2 => {
                 if truth.contains_key(&id) {
                     let v = x >> 32;
-                    assert!(t.update_via_index("pk", &k(id), &tuple(id, v)).unwrap());
+                    assert!(t.index("pk").unwrap().update(&k(id), &tuple(id, v)).unwrap());
                     truth.insert(id, v);
                 }
             }
             3 => {
-                let existed = t.delete_via_index("pk", &k(id)).unwrap();
+                let existed = t.index("pk").unwrap().delete(&k(id)).unwrap();
                 assert_eq!(existed, truth.remove(&id).is_some(), "step {step}");
             }
             _ => {
-                let got = t.project_via_index("pk", &k(id)).unwrap();
+                let got = t.index("pk").unwrap().project(&k(id)).unwrap();
                 match (got, truth.get(&id)) {
                     (Some(p), Some(v)) => assert_eq!(
                         p.payload,
@@ -99,12 +99,12 @@ fn stale_never_served_under_memory_pressure() {
             }
             1 => {
                 if truth.contains_key(&id) {
-                    t.update_via_index("pk", &k(id), &tuple(id, x >> 33)).unwrap();
+                    t.index("pk").unwrap().update(&k(id), &tuple(id, x >> 33)).unwrap();
                     truth.insert(id, x >> 33);
                 }
             }
             _ => {
-                if let Some(p) = t.project_via_index("pk", &k(id)).unwrap() {
+                if let Some(p) = t.index("pk").unwrap().project(&k(id)).unwrap() {
                     assert_eq!(
                         p.payload,
                         truth[&id].to_le_bytes(),
@@ -208,15 +208,15 @@ fn rid_reuse_across_tables_is_safe() {
         let id = 1000 + round;
         t.insert(&tuple(id, round)).unwrap();
         // Warm the cache, then delete.
-        t.project_via_index("pk", &k(id)).unwrap();
-        t.project_via_index("pk", &k(id)).unwrap();
-        assert!(t.delete_via_index("pk", &k(id)).unwrap());
+        t.index("pk").unwrap().project(&k(id)).unwrap();
+        t.index("pk").unwrap().project(&k(id)).unwrap();
+        assert!(t.index("pk").unwrap().delete(&k(id)).unwrap());
         // Reuse: new id, very likely the same heap slot.
         let id2 = 2000 + round;
         t.insert(&tuple(id2, round * 7)).unwrap();
-        let p = t.project_via_index("pk", &k(id2)).unwrap().unwrap();
+        let p = t.index("pk").unwrap().project(&k(id2)).unwrap().unwrap();
         assert_eq!(p.payload, (round * 7).to_le_bytes(), "round {round}");
-        assert!(t.project_via_index("pk", &k(id)).unwrap().is_none());
-        assert!(t.delete_via_index("pk", &k(id2)).unwrap());
+        assert!(t.index("pk").unwrap().project(&k(id)).unwrap().is_none());
+        assert!(t.index("pk").unwrap().delete(&k(id2)).unwrap());
     }
 }

@@ -38,7 +38,7 @@ fn restart_cycle(heap_disk: Arc<dyn DiskManager>, index_disk: Arc<dyn DiskManage
         }
         // Warm alpha's index cache so stale bytes exist on disk.
         for i in 0..1_500u64 {
-            a.project_via_index("pk", &k(i)).unwrap();
+            a.index("pk").unwrap().project(&k(i)).unwrap();
         }
         db.persist().unwrap();
     } // everything in memory dropped
@@ -48,21 +48,21 @@ fn restart_cycle(heap_disk: Arc<dyn DiskManager>, index_disk: Arc<dyn DiskManage
     let a = db.table("alpha").unwrap();
     let b = db.table("beta").unwrap();
     for i in (0..1_500u64).step_by(73) {
-        assert_eq!(a.get_via_index("pk", &k(i)).unwrap().unwrap(), tuple(i, i * 2));
-        assert_eq!(b.get_via_index("pk", &k(i)).unwrap().unwrap(), tuple(i, i * 3));
+        assert_eq!(a.index("pk").unwrap().get(&k(i)).unwrap().unwrap(), tuple(i, i * 2));
+        assert_eq!(b.index("pk").unwrap().get(&k(i)).unwrap().unwrap(), tuple(i, i * 3));
     }
     // The reopened cached index still works (fresh epoch, then warm).
-    let p1 = a.project_via_index("pk", &k(7)).unwrap().unwrap();
+    let p1 = a.index("pk").unwrap().project(&k(7)).unwrap().unwrap();
     assert!(!p1.index_only, "restart must start cold");
     assert_eq!(p1.payload, 14u64.to_le_bytes());
-    let p2 = a.project_via_index("pk", &k(7)).unwrap().unwrap();
+    let p2 = a.index("pk").unwrap().project(&k(7)).unwrap().unwrap();
     assert!(p2.index_only, "cache must repopulate after restart");
     // Structural invariants survived the round trip.
     a.index_tree("pk").unwrap().tree().check_invariants().unwrap().unwrap();
     b.index_tree("pk").unwrap().tree().check_invariants().unwrap().unwrap();
     // And the reopened database accepts new work.
     a.insert(&tuple(9_999, 1)).unwrap();
-    assert!(a.get_via_index("pk", &k(9_999)).unwrap().is_some());
+    assert!(a.index("pk").unwrap().get(&k(9_999)).unwrap().is_some());
 }
 
 #[test]
@@ -105,15 +105,15 @@ fn repersist_after_more_work() {
         for i in 500..900u64 {
             t.insert(&tuple(i, i)).unwrap();
         }
-        assert!(t.delete_via_index("pk", &k(3)).unwrap());
+        assert!(t.index("pk").unwrap().delete(&k(3)).unwrap());
         db.persist().unwrap();
     }
     let db = Database::reopen(cfg(), heap_disk, index_disk).unwrap();
     let t = db.table("t").unwrap();
-    assert!(t.get_via_index("pk", &k(3)).unwrap().is_none());
+    assert!(t.index("pk").unwrap().get(&k(3)).unwrap().is_none());
     for i in (0..900u64).step_by(111) {
         if i != 3 {
-            assert_eq!(t.get_via_index("pk", &k(i)).unwrap().unwrap(), tuple(i, i), "key {i}");
+            assert_eq!(t.index("pk").unwrap().get(&k(i)).unwrap().unwrap(), tuple(i, i), "key {i}");
         }
     }
 }

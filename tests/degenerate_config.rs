@@ -135,7 +135,7 @@ fn same_key_storm_on_single_intent_stripe() {
         }
     });
     let live = t.heap().live_tuple_count().unwrap();
-    let via_pk = t.get_via_index("pk", &9u64.to_be_bytes()).unwrap();
+    let via_pk = t.index("pk").unwrap().get(&9u64.to_be_bytes()).unwrap();
     assert_eq!(live, usize::from(via_pk.is_some()), "heap and index agree after the storm");
     assert!(t.index_tree("pk").unwrap().tree().intents().is_idle());
 }
@@ -175,7 +175,7 @@ fn compression_axis_budget_zero_is_bit_identical_and_budget_on_serves_faults() {
         db.persist().unwrap();
         for k in (0..ROWS).step_by(7) {
             assert_eq!(
-                t.get_via_index("pk", &k.to_be_bytes()).unwrap().unwrap(),
+                t.index("pk").unwrap().get(&k.to_be_bytes()).unwrap().unwrap(),
                 tuple(k, k % 5, k * 3)
             );
         }
@@ -321,7 +321,7 @@ fn persist_reopen_round_trips_on_degenerate_config() {
     assert_eq!(t.intent_stripes(), 1, "attach must thread the stripe knob too");
     for k in (0..300u64).step_by(37) {
         assert_eq!(
-            t.get_via_index("pk", &k.to_be_bytes()).unwrap().unwrap(),
+            t.index("pk").unwrap().get(&k.to_be_bytes()).unwrap().unwrap(),
             tuple(k, k % 7, k * 2)
         );
     }

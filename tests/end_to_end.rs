@@ -43,15 +43,15 @@ fn full_stack_lookup_correctness() {
     let (t, hot, total) = load_revisions(&db, 200, 10, 1);
     // Every revision resolvable; payload equals the stored field.
     for id in 1..=total as u64 {
-        let tuple = t.get_via_index("by_rev_id", &be_key(id)).unwrap().unwrap();
+        let tuple = t.index("by_rev_id").unwrap().get(&be_key(id)).unwrap().unwrap();
         let page_id = u64::from_le_bytes(tuple[8..16].try_into().unwrap());
-        let proj = t.project_via_index("by_rev_id", &be_key(id)).unwrap().unwrap();
+        let proj = t.index("by_rev_id").unwrap().project(&be_key(id)).unwrap().unwrap();
         assert_eq!(proj.payload, page_id.to_le_bytes());
     }
     // Second pass over the hot set: mostly index-only now.
     let before = t.stats().index_only_answers;
     for id in &hot {
-        t.project_via_index("by_rev_id", &be_key(*id)).unwrap().unwrap();
+        t.index("by_rev_id").unwrap().project(&be_key(*id)).unwrap().unwrap();
     }
     let after = t.stats().index_only_answers;
     assert!(
@@ -93,7 +93,7 @@ fn clustering_plus_partitioning_cut_io_in_order() {
             hot_t.create_index(IndexSpec::plain("by_rev_id", FieldSpec::new(0, 8))).unwrap();
             db.reset_stats();
             for id in &hotset {
-                hot_t.get_via_index("by_rev_id", &be_key(*id)).unwrap().unwrap();
+                hot_t.index("by_rev_id").unwrap().get(&be_key(*id)).unwrap().unwrap();
             }
             let (h, i) = db.io_stats();
             return h.reads + i.reads;
@@ -108,7 +108,7 @@ fn clustering_plus_partitioning_cut_io_in_order() {
         }
         db.reset_stats();
         for id in &hot {
-            t.get_via_index("by_rev_id", &be_key(*id)).unwrap().unwrap();
+            t.index("by_rev_id").unwrap().get(&be_key(*id)).unwrap().unwrap();
         }
         let (h, i) = db.io_stats();
         h.reads + i.reads
@@ -156,8 +156,8 @@ fn simulated_crash_invalidates_caches_but_preserves_data() {
     let db = Database::open(DbConfig::default());
     let (t, hot, total) = load_revisions(&db, 100, 10, 13);
     for id in &hot {
-        t.project_via_index("by_rev_id", &be_key(*id)).unwrap();
-        t.project_via_index("by_rev_id", &be_key(*id)).unwrap();
+        t.index("by_rev_id").unwrap().project(&be_key(*id)).unwrap();
+        t.index("by_rev_id").unwrap().project(&be_key(*id)).unwrap();
     }
     let idx = t.index_tree("by_rev_id").unwrap();
     assert!(idx.tree().cache_stats().hits > 0);
@@ -166,7 +166,7 @@ fn simulated_crash_invalidates_caches_but_preserves_data() {
     let hits_before = idx.tree().cache_stats().hits;
     for id in 1..=total as u64 {
         assert!(
-            t.get_via_index("by_rev_id", &be_key(id)).unwrap().is_some(),
+            t.index("by_rev_id").unwrap().get(&be_key(id)).unwrap().is_some(),
             "data must survive the crash"
         );
     }

@@ -43,20 +43,18 @@ fn cached_table(db: &Database, rows: u64) -> Arc<Table> {
 // ---------------------------------------------------------------------
 
 #[test]
-fn handle_ops_agree_with_via_index_wrappers() {
+fn handle_point_ops_read_and_maintain_rows() {
     let db = Database::open(DbConfig::default());
     let t = cached_table(&db, 500);
     let by_id = t.index("by_id").unwrap();
     assert_eq!(by_id.name(), "by_id");
     assert_eq!(by_id.spec().key, FieldSpec::new(0, 8));
 
-    // get / project agree with the wrappers.
+    // get / project return the loaded row (`cached_table`'s closed
+    // form) and its cached `value` field.
     for id in [0u64, 17, 499] {
-        assert_eq!(by_id.get(&be_key(id)).unwrap(), t.get_via_index("by_id", &be_key(id)).unwrap());
-        assert_eq!(
-            by_id.project(&be_key(id)).unwrap().unwrap().payload,
-            t.project_via_index("by_id", &be_key(id)).unwrap().unwrap().payload,
-        );
+        assert_eq!(by_id.get(&be_key(id)).unwrap().unwrap(), tuple(id, id % 7, id * 3));
+        assert_eq!(by_id.project(&be_key(id)).unwrap().unwrap().payload, (id * 3).to_le_bytes());
     }
     assert!(by_id.get(&be_key(9999)).unwrap().is_none());
 
@@ -81,7 +79,7 @@ fn unknown_index_name_errors_once_at_resolution() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn get_many_matches_point_gets_including_absentees() {
+fn get_many_matches_closed_form_including_absentees() {
     let db = Database::open(DbConfig::default());
     let t = cached_table(&db, 2000);
     let by_id = t.index("by_id").unwrap();
@@ -96,10 +94,17 @@ fn get_many_matches_point_gets_including_absentees() {
     }
     keys.push(be_key(100));
     keys.push(be_key(100));
+    // Key id is present, as `cached_table` loaded it, iff id < 2000 and
+    // it was not deleted above.
+    let want = |id: u64| (id < 2000 && id != 100 && id != 1500).then(|| tuple(id, id % 7, id * 3));
     let batch = by_id.get_many(&keys).unwrap();
     for (i, k) in keys.iter().enumerate() {
-        assert_eq!(batch[i], by_id.get(k).unwrap(), "position {i}");
+        assert_eq!(batch[i], want(u64::from_be_bytes(*k)), "position {i}");
     }
+    // A point get is the same path with a batch of one.
+    assert_eq!(by_id.get(&be_key(1499)).unwrap(), want(1499));
+    assert_eq!(by_id.get(&be_key(1500)).unwrap(), None);
+    assert_eq!(by_id.get(&be_key(2400)).unwrap(), None);
 }
 
 #[test]
@@ -202,8 +207,8 @@ fn execute_write_ops_then_reads_observe_them() {
     assert_eq!(out[6].applied(), Some(false));
     assert_eq!(out[7].applied(), Some(false));
     // Cross-check against the table after the batch.
-    assert!(t.get_via_index("by_id", &be_key(7)).unwrap().is_none());
-    assert_eq!(t.get_via_index("by_id", &be_key(5)).unwrap().unwrap(), tuple(5, 5, 555));
+    assert!(t.index("by_id").unwrap().get(&be_key(7)).unwrap().is_none());
+    assert_eq!(t.index("by_id").unwrap().get(&be_key(5)).unwrap().unwrap(), tuple(5, 5, 555));
 }
 
 #[test]

@@ -83,7 +83,7 @@ fn mixed_storm_respects_the_lock_lattice() {
                     // Stride through the cold range: every read is a
                     // likely fault, some served by the compressed tier.
                     let key = (r * 131 + round * 17) % SEEDED;
-                    let row = t.get_via_index("pk", &key.to_be_bytes()).unwrap();
+                    let row = t.index("pk").unwrap().get(&key.to_be_bytes()).unwrap();
                     if key >= HOT_KEYS {
                         let row = row.expect("cold rows are never deleted");
                         assert_eq!(u64::from_be_bytes(row[..8].try_into().unwrap()), key);
@@ -130,7 +130,7 @@ fn mixed_storm_respects_the_lock_lattice() {
 
     // Every row is whole and findable after the storm.
     for k in 0..inserted.load(Ordering::Relaxed) {
-        let row = t.get_via_index("pk", &k.to_be_bytes()).unwrap().expect("row survives");
+        let row = t.index("pk").unwrap().get(&k.to_be_bytes()).unwrap().expect("row survives");
         assert_eq!(u64::from_be_bytes(row[..8].try_into().unwrap()), k);
     }
 

@@ -48,16 +48,16 @@ proptest! {
                 }
                 1 => {
                     if let std::collections::hash_map::Entry::Occupied(mut e) = model.entry(id) {
-                        prop_assert!(t.update_via_index("pk", &k(id), &tuple(id, v)).unwrap());
+                        prop_assert!(t.index("pk").unwrap().update(&k(id), &tuple(id, v)).unwrap());
                         e.insert(v);
                     }
                 }
                 2 => {
-                    let deleted = t.delete_via_index("pk", &k(id)).unwrap();
+                    let deleted = t.index("pk").unwrap().delete(&k(id)).unwrap();
                     prop_assert_eq!(deleted, model.remove(&id).is_some());
                 }
                 _ => {
-                    let got = t.project_via_index("pk", &k(id)).unwrap();
+                    let got = t.index("pk").unwrap().project(&k(id)).unwrap();
                     match (got, model.get(&id)) {
                         (Some(p), Some(mv)) => prop_assert_eq!(p.payload, mv.to_le_bytes().to_vec()),
                         (None, None) => {}

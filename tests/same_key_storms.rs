@@ -26,7 +26,7 @@ use nbb::core::table::{FieldSpec, IndexSpec, Table};
 use nbb::storage::disk::{DiskManager, DiskModel, InMemoryDisk, LatencyDisk};
 use nbb::storage::error::Result;
 use nbb::storage::stats::IoStats;
-use nbb::storage::{BufferPool, Page, PageId};
+use nbb::storage::{BufferPool, Page, PageId, PoolOptions};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering;
@@ -107,8 +107,11 @@ fn observed_parked_storm_serializes_same_key_updates() {
     // write_behind = 0 so the eviction below lands on the (ungated)
     // write path and the storm's heap access must *read* through the
     // gate — freezing the intent holder mid-fault.
-    let heap_pool =
-        Arc::new(BufferPool::with_options(Arc::clone(&gate) as Arc<dyn DiskManager>, 4, 1, 0, 0));
+    let heap_pool = Arc::new(BufferPool::with_pool_options(
+        Arc::clone(&gate) as Arc<dyn DiskManager>,
+        4,
+        PoolOptions { shards: 1, write_behind: 0, ..PoolOptions::default() },
+    ));
     let index_disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
     let index_pool = Arc::new(BufferPool::new(index_disk, 64));
     let t = Table::create("t", 24, heap_pool, index_pool).unwrap();
@@ -144,7 +147,7 @@ fn observed_parked_storm_serializes_same_key_updates() {
     assert_eq!(s.intent_parks, WRITERS - 1, "every rival parked exactly once");
     assert_eq!(s.intent_handoffs, WRITERS - 1, "every release handed the key to a parked rival");
     // Final row is one writer's tuple, whole (no torn interleaving).
-    let row = t.get_via_index("pk", &KEY.to_be_bytes()).unwrap().expect("row survives");
+    let row = t.index("pk").unwrap().get(&KEY.to_be_bytes()).unwrap().expect("row survives");
     let w = u64::from_be_bytes(row[8..16].try_into().unwrap());
     assert!(w < WRITERS);
     assert_eq!(row, tuple(KEY, w, w + 100), "row must be exactly one writer's tuple");
@@ -191,9 +194,9 @@ fn racing_deleters_split_one_true_rest_false() {
             1,
             "round {round}: exactly one racing deleter wins"
         );
-        assert!(t.get_via_index("pk", &KEY.to_be_bytes()).unwrap().is_none());
+        assert!(t.index("pk").unwrap().get(&KEY.to_be_bytes()).unwrap().is_none());
         assert!(
-            t.get_via_index("by_group", &(round as u64).to_be_bytes()).unwrap().is_none(),
+            t.index("by_group").unwrap().get(&(round as u64).to_be_bytes()).unwrap().is_none(),
             "round {round}: secondary index fully maintained by the winning delete"
         );
     }
@@ -269,7 +272,7 @@ fn mixed_put_update_delete_storm_stays_consistent() {
     });
 
     // Consistency sweep: heap, pk, and the secondary agree exactly.
-    let hot = t.get_via_index("pk", &KEY.to_be_bytes()).unwrap();
+    let hot = t.index("pk").unwrap().get(&KEY.to_be_bytes()).unwrap();
     let mut live_hot = 0u64;
     let mut heap_copy = None;
     t.scan(|_, row| {
@@ -287,7 +290,7 @@ fn mixed_put_update_delete_storm_stays_consistent() {
             let group = u64::from_be_bytes(row[8..16].try_into().unwrap());
             assert!(group < WRITERS, "row is one writer's tuple");
             assert_eq!(
-                t.get_via_index("by_group", &group.to_be_bytes()).unwrap().as_ref(),
+                t.index("by_group").unwrap().get(&group.to_be_bytes()).unwrap().as_ref(),
                 Some(row),
                 "secondary index points at the surviving row"
             );
@@ -296,7 +299,7 @@ fn mixed_put_update_delete_storm_stays_consistent() {
     }
     // No writer's secondary entry survived except (at most) the live one.
     for w in 0..WRITERS {
-        let via_group = t.get_via_index("by_group", &w.to_be_bytes()).unwrap();
+        let via_group = t.index("by_group").unwrap().get(&w.to_be_bytes()).unwrap();
         if let Some(row) = via_group {
             assert_eq!(Some(row), hot, "stale secondary entry for writer {w}");
         }
@@ -330,7 +333,7 @@ fn racing_puts_leave_exactly_one_row() {
     // Serialized puts: one insert, the rest in-place updates — never
     // two heap rows for one key.
     assert_eq!(t.heap().live_tuple_count().unwrap(), 1, "upsert storm must not duplicate rows");
-    let row = t.get_via_index("pk", &KEY.to_be_bytes()).unwrap().unwrap();
+    let row = t.index("pk").unwrap().get(&KEY.to_be_bytes()).unwrap().unwrap();
     let w = u64::from_be_bytes(row[8..16].try_into().unwrap());
     assert_eq!(row, tuple(KEY, w, w));
     let s = t.stats();

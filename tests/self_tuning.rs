@@ -144,82 +144,10 @@ fn starved_hot_index_gains_cache_space_within_a_few_ticks() {
     // The engine stays correct after the reallocation.
     for k in (0..3000u64).step_by(17) {
         assert_eq!(
-            t.get_via_index("hot", &k.to_be_bytes()).unwrap().unwrap(),
+            t.index("hot").unwrap().get(&k.to_be_bytes()).unwrap().unwrap(),
             tuple(k, 1_000_000 + k, k * 3)
         );
     }
-}
-
-/// Builds the starved-cold / hot-index database used by the knob tests
-/// and drives manual ticks until the controller decides (or `ticks`
-/// rounds pass). Returns the first decision, if any.
-/// With `cold_hits`, the cold index also earns a trickle of hits each
-/// round — a nonzero donor value, which is what the hysteresis factor
-/// multiplies (a zero-value donor is vetoed by nothing).
-fn drive_until_decision(
-    config: DbConfig,
-    ticks: usize,
-    cold_hits: bool,
-) -> Option<nbb::core::tuner::TunerDecision> {
-    let db = Database::open(DbConfig {
-        heap_frames: 64,
-        index_frames: 64,
-        tuning_interval: Some(Duration::from_secs(3600)),
-        ..config
-    });
-    let t = db.create_table("t", 24).unwrap();
-    t.create_index(IndexSpec::cached("hot", FieldSpec::new(0, 8), vec![FieldSpec::new(16, 8)]))
-        .unwrap();
-    t.create_index(IndexSpec::cached("cold", FieldSpec::new(8, 8), vec![FieldSpec::new(16, 8)]))
-        .unwrap();
-    for k in 0..3000u64 {
-        t.insert(&tuple(k, 1_000_000 + k, k * 3)).unwrap();
-    }
-    let hot = t.index("hot").unwrap();
-    let cold = t.index("cold").unwrap();
-    for _ in 0..ticks {
-        for k in (0..3000u64).step_by(5) {
-            hot.project(&k.to_be_bytes()).unwrap().unwrap();
-            hot.project(&k.to_be_bytes()).unwrap().unwrap();
-        }
-        if cold_hits {
-            for k in (0..3000u64).step_by(500) {
-                let g = (1_000_000 + k).to_be_bytes();
-                cold.project(&g).unwrap().unwrap();
-                cold.project(&g).unwrap().unwrap();
-            }
-        }
-        if let Some(d) = db.tuning_tick() {
-            return Some(d);
-        }
-    }
-    None
-}
-
-#[test]
-fn tuner_knobs_thread_through_db_config() {
-    // Step size: a distinctive 1 KiB cap must bound the first move
-    // (the donor holds far more than min_bytes + 1 KiB, so the cap is
-    // the binding constraint, not the donor's floor).
-    let d =
-        drive_until_decision(DbConfig { tuner_step_bytes: 1024, ..DbConfig::default() }, 6, false)
-            .expect("controller never reallocated within the tick budget");
-    assert_eq!(d.moved_bytes, 1024, "step_bytes must cap the move");
-
-    // Hysteresis: with the default factor the lopsided workload moves
-    // bytes; an absurd factor vetoes the very same workload (the hot
-    // index can never out-earn the cold one by 1e9×). The cold index
-    // earns a trickle so the donor's value is nonzero — what the
-    // factor actually multiplies.
-    assert!(
-        drive_until_decision(DbConfig::default(), 6, true).is_some(),
-        "the default hysteresis must allow this lopsided move"
-    );
-    assert!(
-        drive_until_decision(DbConfig { tuner_hysteresis: 1e9, ..DbConfig::default() }, 6, true)
-            .is_none(),
-        "an absurd hysteresis factor must veto every move"
-    );
 }
 
 #[test]
