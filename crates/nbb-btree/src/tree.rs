@@ -5,9 +5,18 @@
 //! Concurrency model: one tree-level `RwLock<PageId>` guards the tree's
 //! *shape* and holds the current root as its value, plus a striped
 //! per-leaf latch table for writers. Read-only operations (`get`,
-//! `lookup_cached`, `scan_from`, the stats walks) take the read side —
-//! they never block each other, and with the sharded buffer pool they
-//! proceed in parallel down to the frame latches.
+//! `lookup_cached`, `scan_from`, `range_chunk`, `leaves_after`, the
+//! stats walks) take the read side — they never block each other, and
+//! with the sharded buffer pool they proceed in parallel down to the
+//! frame latches.
+//!
+//! Range scans are driven from outside, one call per leaf:
+//! [`BTree::range_chunk`] re-descends by key each time (so a cursor
+//! survives splits between calls) and reports the leaf's total key
+//! count; [`BTree::leaves_after`] reads the ids of the leaves that
+//! follow off the level-1 parent, so a cursor with a row budget can
+//! fault exactly the leaves it will walk in one batched read — the
+//! tree holds no lock between the two, and none across that read.
 //!
 //! Writers crab: they descend under the structure lock's **read** side
 //! (the shape cannot change underfoot while any read guard is held),
@@ -75,7 +84,7 @@ use nbb_storage::page::PageId;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::ops::Bound;
+use std::ops::{Bound, ControlFlow};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -273,6 +282,10 @@ pub struct RangeChunk {
     pub leaf: PageId,
     /// Consistency token issued before the leaf was read.
     pub token: InvToken,
+    /// Keys the leaf holds in total, in range or not — the divisor for
+    /// "how many more leaves does a row budget span" (`entries.len()`
+    /// undercounts a leaf the scan entered part-way).
+    pub leaf_keys: usize,
     /// True once the scan passed the upper bound or the leaf chain
     /// ended; no further chunk will yield entries.
     pub exhausted: bool,
@@ -1112,6 +1125,7 @@ impl BTree {
                 verdict: Option<crate::invalidation::PageVerdict>,
                 past_upper: bool,
                 next: PageId,
+                leaf_keys: usize,
             }
             let out = self.pool.with_page(leaf, |p| {
                 let n = Node::new(p, self.key_size);
@@ -1156,7 +1170,7 @@ impl BTree {
                     };
                     entries.push(RangeEntry { key: key.to_vec(), value, payload });
                 }
-                Out { entries, verdict, past_upper, next: n.next_leaf() }
+                Out { entries, verdict, past_upper, next: n.next_leaf(), leaf_keys: n.nkeys() }
             })?;
             if let Some(verdict) = &out.verdict {
                 self.apply_verdict(leaf, verdict)?;
@@ -1169,61 +1183,70 @@ impl BTree {
                     self.stats.hits.fetch_add(hit, Ordering::Relaxed);
                     self.stats.misses.fetch_add(probed - hit, Ordering::Relaxed);
                 }
+                let Out { entries, leaf_keys, .. } = out;
                 let exhausted = out.past_upper || !out.next.is_valid();
-                return Ok(RangeChunk { entries: out.entries, leaf, token, exhausted });
+                return Ok(RangeChunk { entries, leaf, token, leaf_keys, exhausted });
             }
             if out.past_upper || !out.next.is_valid() {
-                return Ok(RangeChunk { entries: Vec::new(), leaf, token, exhausted: true });
+                let (entries, leaf_keys) = (Vec::new(), out.leaf_keys);
+                return Ok(RangeChunk { entries, leaf, token, leaf_keys, exhausted: true });
             }
             leaf = out.next;
         }
     }
 
-    /// Collects up to `k` page ids worth prefetching for a scan that
-    /// just consumed leaf `from` — the feeder for
-    /// [`BufferPool::prefetch`]-driven cursor readahead.
+    /// Up to `k` leaves that follow the leaf owning `key`, in key order
+    /// — what a range cursor batch-faults before walking them with
+    /// [`BTree::range_chunk`].
     ///
-    /// The walk follows the sibling chain through **already-resident**
-    /// leaves only (each hop is a pool hit, zero I/O) until it meets the
-    /// first non-resident leaf: that frontier page is the scan's next
-    /// real fault, and the `k` ids returned are the frontier plus its
-    /// physical successors. Extending by physical adjacency rather than
-    /// chasing pointers is deliberate — reading a non-resident leaf to
-    /// learn its successor would cost exactly the serial fault the
-    /// readahead exists to avoid, while sequentially built trees (bulk
-    /// load, ascending inserts) lay leaves out in allocation order, so
-    /// adjacent ids are overwhelmingly the right guess. A wrong guess
-    /// is cheap by construction: prefetched-untouched frames are the
-    /// clock's first-choice victims.
-    ///
-    /// Returns an empty vec when `k == 0`, when the next `2k` chain
-    /// hops are all resident (nothing to speculate about), or on any
-    /// read error — speculation never surfaces failures.
-    pub fn readahead_targets(&self, from: PageId, k: usize) -> Vec<PageId> {
-        if k == 0 {
-            return Vec::new();
-        }
-        // No structure lock: a concurrent split can at worst make the
-        // guess stale, and stale speculation only costs a wasted frame.
-        let num_pages = self.pool.disk().num_pages();
-        let mut cur = from;
-        for _ in 0..=(2 * k) {
-            if !cur.is_valid() {
-                return Vec::new();
+    /// The ids are **exact**, not guessed: they are read off the
+    /// level-1 node that routes `key`, under the structure read lock,
+    /// stopping at the first child whose separator lies past `upper`
+    /// (a scan bounded there never visits it). The list never crosses
+    /// that parent — near its last child it yields fewer than `k` ids,
+    /// possibly none, and the cursor asks again from the next leaf it
+    /// reads. A tree whose root is a leaf has nothing to follow. The
+    /// ids may go stale once the lock is released (a split adds a leaf
+    /// between two of them); a stale id still names a live leaf, so
+    /// faulting it is at worst one unneeded read, and the walk itself
+    /// goes by key.
+    pub fn leaves_after(&self, key: &[u8], upper: Bound<&[u8]>, k: usize) -> Result<Vec<PageId>> {
+        self.check_key(key)?;
+        let root = self.root.read();
+        let mut cur = *root;
+        loop {
+            let step = self.pool.with_page(cur, |p| {
+                let n = Node::new(p, self.key_size);
+                match n.level() {
+                    0 => ControlFlow::Break(Vec::new()),
+                    1 => {
+                        // Child `i` holds the keys from separator `i`
+                        // up; the leftmost child sits before child 0.
+                        let from = match n.search(key) {
+                            Ok(i) => i + 1,
+                            Err(i) => i,
+                        };
+                        let within = |i: &usize| match upper {
+                            Bound::Included(u) => n.key_at(*i) <= u,
+                            Bound::Excluded(u) => n.key_at(*i) < u,
+                            Bound::Unbounded => true,
+                        };
+                        ControlFlow::Break(
+                            (from..n.nkeys())
+                                .take(k)
+                                .take_while(within)
+                                .map(|i| PageId(n.value_at(i)))
+                                .collect(),
+                        )
+                    }
+                    _ => ControlFlow::Continue(n.child_for(key)),
+                }
+            })?;
+            match step {
+                ControlFlow::Break(ids) => return Ok(ids),
+                ControlFlow::Continue(child) => cur = child,
             }
-            if !self.pool.contains(cur) {
-                return (0..k as u64)
-                    .map(|i| PageId(cur.0 + i))
-                    .filter(|p| p.0 < num_pages)
-                    .collect();
-            }
-            let Ok(next) = self.pool.with_page(cur, |p| Node::new(p, self.key_size).next_leaf())
-            else {
-                return Vec::new();
-            };
-            cur = next;
         }
-        Vec::new()
     }
 
     /// Number of keys in the tree (walks every leaf).

@@ -354,6 +354,63 @@ fn range_chunk_respects_bounds_between_keys() {
 }
 
 #[test]
+fn leaves_after_names_exactly_the_leaves_a_scan_walks_next() {
+    use std::ops::Bound;
+    // Small pages: 20,000 ascending keys make a three-level tree, so
+    // leaves hang off several level-1 parents.
+    let tree = BTree::create(pool_with(1024, 2048), 8, BTreeOptions::default()).unwrap();
+    assert!(tree.leaves_after(&k(0), Bound::Unbounded, 4).unwrap().is_empty(), "root is a leaf");
+    let n = 20_000u64;
+    for v in 0..n {
+        tree.insert(&k(v), v).unwrap();
+    }
+    assert_eq!(tree.height().unwrap(), 3);
+    // The chain a scan walks: (leaf page, first key, last key, keys).
+    let mut chain = Vec::new();
+    let mut lower = Bound::Unbounded;
+    let mut last_key;
+    loop {
+        let chunk = tree.range_chunk(lower, Bound::Unbounded).unwrap();
+        let (first, last) = (chunk.entries[0].value, chunk.entries.last().unwrap().value);
+        assert_eq!(chunk.leaf_keys, chunk.entries.len(), "a whole leaf is all in range");
+        chain.push((chunk.leaf, first, last));
+        if chunk.exhausted {
+            break;
+        }
+        last_key = k(last);
+        lower = Bound::Excluded(&last_key[..]);
+    }
+    // A leaf entered part-way still reports its total key count.
+    let (_, first, last) = chain[3];
+    let part = tree.range_chunk(Bound::Included(&k(last - 1)), Bound::Unbounded).unwrap();
+    assert_eq!((part.entries.len(), part.leaf_keys), (2, (last - first + 1) as usize));
+
+    let mut crossed = 0;
+    for (i, &(_, first, last)) in chain.iter().enumerate() {
+        for key in [first, last] {
+            let ahead = tree.leaves_after(&k(key), Bound::Unbounded, 5).unwrap();
+            let next: Vec<_> = chain[i + 1..].iter().take(ahead.len()).map(|c| c.0).collect();
+            assert_eq!(ahead, next, "after leaf {i}: exact ids, in key order");
+            // Fewer than asked only at the end of a parent (or the tree).
+            crossed += usize::from(ahead.is_empty() && i + 1 < chain.len());
+        }
+        // An upper bound cuts the list at the first leaf wholly past it.
+        if let Some(&(next_leaf, next_first, _)) = chain.get(i + 1) {
+            let reach = |hi: Bound<&[u8]>| tree.leaves_after(&k(first), hi, 1).unwrap();
+            if reach(Bound::Unbounded).is_empty() {
+                continue; // last child of its parent
+            }
+            let (own_last, next_first) = (k(last), k(next_first));
+            assert_eq!(reach(Bound::Included(&next_first)), vec![next_leaf]);
+            assert!(reach(Bound::Excluded(&next_first)).is_empty());
+            assert!(reach(Bound::Included(&own_last)).is_empty());
+        }
+    }
+    assert!(crossed >= 2, "the chain must cross level-1 parents, crossed {crossed}");
+    assert_eq!(tree.leaves_after(&k(0), Bound::Unbounded, 0).unwrap(), vec![]);
+}
+
+#[test]
 fn range_chunk_on_empty_tree_is_exhausted() {
     use std::ops::Bound;
     let tree = BTree::create(pool(), 8, BTreeOptions::default()).unwrap();

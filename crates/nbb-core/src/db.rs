@@ -80,15 +80,6 @@ pub struct DbConfig {
     /// size, hysteresis and cooldown are
     /// [`crate::tuner::TunerConfig`]'s defaults.
     pub tuning_interval: Option<Duration>,
-    /// Cursor readahead depth: leaves each range cursor speculatively
-    /// batch-loads past the resident frontier on every refill, riding
-    /// the pool's `prefetch`/`read_many` path. `0` (the default) is
-    /// **off** — scans fault serially exactly as before, byte for
-    /// byte. Speculative frames are the clock's first-choice victims,
-    /// so any nonzero depth can cost wasted reads but never evicts the
-    /// demand-paged working set; `TableStats::pool_prefetch_*` meters
-    /// the win rate.
-    pub readahead: usize,
     /// Disk latency model; `None` = plain in-memory disk.
     pub disk_model: Option<DiskModel>,
 }
@@ -105,7 +96,6 @@ impl Default for DbConfig {
             compressed_budget_bytes: 0,
             flusher_threads: 1,
             tuning_interval: None,
-            readahead: 0,
             disk_model: None,
         }
     }
@@ -496,7 +486,7 @@ impl Database {
         let db = Self::attach_disks(config, heap_disk, index_disk)?;
         for entry in catalog.tables {
             let heap = nbb_storage::HeapFile::attach(Arc::clone(&db.heap_pool), entry.heap_pages)?;
-            let mut table = Table::attach(
+            let table = Table::attach(
                 &entry.name,
                 entry.tuple_width as usize,
                 heap,
@@ -504,7 +494,6 @@ impl Database {
                 entry.indexes,
                 db.config.intent_stripes,
             )?;
-            table.set_readahead(db.config.readahead);
             db.tables.write().insert(entry.name, Arc::new(table));
         }
         Ok(db)
@@ -528,7 +517,6 @@ impl Database {
             Arc::clone(&self.index_pool),
         )?;
         table.set_intent_stripes(self.config.intent_stripes);
-        table.set_readahead(self.config.readahead);
         let t = Arc::new(table);
         tables.insert(name.to_string(), Arc::clone(&t));
         Ok(t)
@@ -620,34 +608,10 @@ impl Database {
     /// Runs the full waste audit on `table` and attaches the tuner's
     /// decision trace, so one report shows both the measured waste and
     /// what the controller did about it.
-    ///
-    /// When cursor readahead is on and has been exercised, the trace
-    /// also carries an advice line grading the speculation's win rate
-    /// (hits against evicted-unused pages), so the report points at the
-    /// knob worth moving rather than just printing counters.
     pub fn waste_report(&self, table: &str, index_names: &[&str]) -> Result<crate::WasteReport> {
         let t = self.table(table)?;
         let mut report = crate::waste::audit(&t, index_names, None, None)?;
         report.tuner = self.tuner_decisions();
-        let k = t.readahead();
-        if k > 0 {
-            let s = t.stats();
-            // Only prefetches whose fate is known grade the knob: hits
-            // served a later demand read, wasted were evicted untouched.
-            // Still-resident speculation is undecided and not counted.
-            let judged = s.pool_prefetch_hits + s.pool_prefetch_wasted;
-            if judged > 0 {
-                let useful = s.pool_prefetch_hits as f64 / judged as f64 * 100.0;
-                let advice = if useful >= 80.0 {
-                    "consider raising"
-                } else if useful <= 30.0 {
-                    "consider lowering"
-                } else {
-                    "keep"
-                };
-                report.tuner.push(format!("readahead K={k}: {useful:.0}% useful — {advice}"));
-            }
-        }
         Ok(report)
     }
 }
@@ -822,30 +786,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(rows, 500, "the tier never substitutes for durability");
-    }
-
-    #[test]
-    fn readahead_knob_threads_through_create_and_reopen() {
-        use nbb_storage::InMemoryDisk;
-        let db = Database::open(DbConfig::default());
-        let t = db.create_table("t", 16).unwrap();
-        assert_eq!(t.readahead(), 0, "default is off");
-
-        let heap: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
-        let index: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
-        let config = DbConfig { page_size: 4096, readahead: 8, ..DbConfig::default() };
-        let db =
-            Database::with_disks(config.clone(), Arc::clone(&heap), Arc::clone(&index)).unwrap();
-        let t = db.create_table("t", 16).unwrap();
-        assert_eq!(t.readahead(), 8);
-        for i in 0..100u64 {
-            let mut tu = i.to_be_bytes().to_vec();
-            tu.extend_from_slice(&[7u8; 8]);
-            t.insert(&tu).unwrap();
-        }
-        db.close().unwrap();
-        let db = Database::reopen(config, heap, index).unwrap();
-        assert_eq!(db.table("t").unwrap().readahead(), 8, "reopen threads the knob");
     }
 
     #[test]

@@ -42,8 +42,10 @@
 //!   [`table::Table::execute`] mix point reads and writes with a
 //!   documented put → update → delete → read order (a batch's reads
 //!   observe its writes); [`query::IndexRef::range`] /
-//!   [`query::IndexRef::range_projected`] walk sibling leaves in key
-//!   order, serving projections from leaf free space;
+//!   [`query::IndexRef::range_projected`] walk the leaves in key
+//!   order, serving projections from leaf free space and refilling by
+//!   row budget (`.limit(n)`): the leaves a refill is sure to need in
+//!   one batched fault, its heap rows in one batched read;
 //! * [`row`] — typed table declarations: [`row::RowSchema`] derives
 //!   field geometry and order-preserving key bytes from an
 //!   [`nbb_encoding::Schema`], so rows read/write as

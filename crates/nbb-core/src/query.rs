@@ -28,11 +28,18 @@
 //!   batched paths; see [`Batch`] for the write-before-read ordering
 //!   contract.
 //! * [`IndexRef::range`] / [`IndexRef::range_projected`] — ordered
-//!   cursors over the B+Tree's sibling-linked leaves. The projected
-//!   cursor serves cached fields straight from leaf free space (§2.1)
-//!   and falls back to heap chases with the usual key re-verification;
-//!   refills re-descend by key, so cursors survive leaf splits
-//!   mid-iteration.
+//!   cursors over the B+Tree's leaves. The projected cursor serves
+//!   cached fields straight from leaf free space (§2.1) and falls back
+//!   to heap chases with the usual key re-verification; refills
+//!   re-descend by key, so cursors survive leaf splits mid-iteration.
+//!   Cursors refill by **row budget** — what is left of
+//!   [`RangeCursor::limit`], or a budget that doubles per refill when
+//!   the caller set none: a refill faults the leaves it is sure to
+//!   consume in one batched read (their ids read off the parent node)
+//!   and fetches every buffered row's heap page in one more, so a page
+//!   of N rows costs a handful of device round trips instead of one per
+//!   leaf and per heap page, and reads no page a row-at-a-time walk
+//!   would not read.
 
 use crate::table::{Index, IndexSpec, Projection, Table};
 use nbb_btree::{BTree, InvToken, RangeEntry};
@@ -194,12 +201,14 @@ impl<'t> IndexRef<'t> {
     /// Bounds are key byte strings: `&lo[..]..&hi[..]`, `lo..=hi` over
     /// `Vec<u8>`, etc.
     ///
-    /// Each yielded row is re-verified against its index key, so rows
-    /// deleted by a racing writer are skipped, exactly like point
-    /// lookups. Refills re-descend by key: leaves may split
-    /// mid-iteration without disturbing the cursor.
+    /// Each row is re-verified against its index key when its refill
+    /// reads it, so rows deleted by a racing writer are skipped, exactly
+    /// like point lookups; a row already buffered is yielded as it was
+    /// read. Refills re-descend by key: leaves may split mid-iteration
+    /// without disturbing the cursor. A caller that wants a bounded
+    /// number of rows should say so with [`RangeCursor::limit`].
     pub fn range<K: AsRef<[u8]> + ?Sized, R: RangeBounds<K>>(&self, range: R) -> RangeCursor<'t> {
-        RangeCursor { inner: RangeState::new(self.table, Arc::clone(&self.idx), range) }
+        RangeCursor { inner: RangeState::new(self.table, Arc::clone(&self.idx), range, false) }
     }
 
     /// Full-table ordered cursor: [`IndexRef::range`] over all keys.
@@ -215,7 +224,9 @@ impl<'t> IndexRef<'t> {
         &self,
         range: R,
     ) -> ProjectedRangeCursor<'t> {
-        ProjectedRangeCursor { inner: RangeState::new(self.table, Arc::clone(&self.idx), range) }
+        ProjectedRangeCursor {
+            inner: RangeState::new(self.table, Arc::clone(&self.idx), range, true),
+        }
     }
 
     /// Full-table ordered projection cursor:
@@ -242,16 +253,38 @@ fn borrow_bound(b: &Bound<Vec<u8>>) -> Bound<&[u8]> {
     }
 }
 
-/// Shared cursor state: a buffered leaf chunk plus the resume bound.
+/// Most rows one refill buffers, whatever the caller asked for. A
+/// `limit` is request data (the wire carries a `u32`), so this is what
+/// keeps `limit = u32::MAX` from buffering a table or queueing an
+/// unbounded batch of page faults; a longer scan simply refills again.
+const REFILL_ROWS_MAX: usize = 1024;
+
+/// One buffered row, resolved and ready to yield: `body` is the tuple
+/// for [`RangeCursor`] and the cached-field payload for
+/// [`ProjectedRangeCursor`].
+struct Resolved {
+    key: Vec<u8>,
+    rid: RecordId,
+    body: Vec<u8>,
+    index_only: bool,
+}
+
+/// Shared cursor state: the resolved rows of the last refill plus the
+/// resume bound.
 struct RangeState<'t> {
     table: &'t Table,
     idx: Arc<Index>,
     lower: Bound<Vec<u8>>,
     upper: Bound<Vec<u8>>,
-    buf: VecDeque<RangeEntry>,
-    /// Leaf/token of the chunk currently in `buf`, for cache populates.
-    leaf: PageId,
-    token: Option<InvToken>,
+    /// Projection cursor: cached payloads answer without a heap chase,
+    /// chased rows populate the cache of the leaf they came from.
+    projected: bool,
+    /// Rows a `.limit(n)` cursor still owes; `None` = unlimited.
+    limit: Option<usize>,
+    /// Row budget of an unlimited cursor's next refill: 0 reads one
+    /// leaf, and every refill doubles what the last one buffered.
+    grow: usize,
+    buf: VecDeque<Resolved>,
     exhausted: bool,
     failed: bool,
 }
@@ -261,56 +294,109 @@ impl<'t> RangeState<'t> {
         table: &'t Table,
         idx: Arc<Index>,
         range: R,
+        projected: bool,
     ) -> Self {
         RangeState {
             table,
             idx,
             lower: owned_bound(range.start_bound()),
             upper: owned_bound(range.end_bound()),
+            projected,
+            limit: None,
+            grow: 0,
             buf: VecDeque::new(),
-            leaf: PageId::INVALID,
-            token: None,
             exhausted: false,
             failed: false,
         }
     }
 
-    /// Pulls the next leaf's worth of entries. Advancing `lower` past
-    /// the last buffered key (rather than chasing a remembered sibling
-    /// pointer) is what makes the cursor split-safe.
+    /// Buffers the next rows of the range, up to a **row budget**: what
+    /// is left of the limit, or the unlimited cursor's doubling budget,
+    /// clamped by [`REFILL_ROWS_MAX`]. Costs at most one multi-leaf
+    /// index fault per level-1 parent and one batched heap read.
+    ///
+    /// Index phase: read a leaf; while the budget is not met, ask the
+    /// tree for the leaves that follow, fault them in one
+    /// `fault_many`, and walk them. Each leaf is still read by
+    /// [`BTree::range_chunk`] re-descending from the last buffered key
+    /// (never by a remembered page id), which is what keeps the cursor
+    /// split-safe; after the batch fault those descents are pool hits.
+    /// Heap phase, with no tree lock held: every buffered entry that
+    /// needs its tuple is chased through one
+    /// [`Table::fetch_verified_many`]. Rows a racing delete removed in
+    /// between are dropped; the caller refills if that left it short.
     fn refill(&mut self) -> Result<()> {
-        let chunk =
-            self.idx.tree.range_chunk(borrow_bound(&self.lower), borrow_bound(&self.upper))?;
-        if let Some(last) = chunk.entries.last() {
-            self.lower = Bound::Excluded(last.key.clone());
-        }
-        self.leaf = chunk.leaf;
-        self.token = Some(chunk.token);
-        self.exhausted = chunk.exhausted;
-        self.buf = chunk.entries.into();
-        // Cursor readahead: with `DbConfig::readahead = K > 0`, each
-        // refill speculatively batch-loads the next K leaves past the
-        // resident frontier so the next refills hit memory instead of
-        // serially faulting. With K = 0 this is dead code — scans are
-        // byte-for-byte identical to the pre-readahead behavior.
-        let k = self.table.readahead();
-        if k > 0 && !self.exhausted {
-            let targets = self.idx.tree.readahead_targets(self.leaf, k);
-            if !targets.is_empty() {
-                self.idx.tree.pool().prefetch(&targets);
+        let tree = &self.idx.tree;
+        let want = self.limit.unwrap_or(self.grow).min(REFILL_ROWS_MAX);
+        let mut entries: Vec<(RangeEntry, PageId, InvToken)> = Vec::new();
+        let mut faulted_ahead = 0usize;
+        loop {
+            let mut chunk =
+                tree.range_chunk(borrow_bound(&self.lower), borrow_bound(&self.upper))?;
+            self.exhausted = chunk.exhausted;
+            // A limited cursor stops at its limit inside the leaf: the
+            // entries past it would cost heap pages nobody asked for.
+            if self.limit.is_some() && entries.len() + chunk.entries.len() > want {
+                chunk.entries.truncate(want - entries.len());
+                self.exhausted = false;
             }
+            let Some(last) = chunk.entries.last() else { break };
+            self.lower = Bound::Excluded(last.key.clone());
+            entries.extend(chunk.entries.into_iter().map(|e| (e, chunk.leaf, chunk.token)));
+            if self.exhausted || entries.len() >= want {
+                break;
+            }
+            faulted_ahead = faulted_ahead.saturating_sub(1);
+            // Once the leaves faulted ahead are walked, fault ahead
+            // again: only the leaves this refill is sure to consume
+            // whole, sized from the leaf's *total* key count. Its
+            // in-range count would be wrong exactly where it matters: a
+            // scan enters its first leaf part-way, and dividing by that
+            // fraction over-reads several leaves.
+            let sure = (want - entries.len()) / chunk.leaf_keys.max(1);
+            if faulted_ahead == 0 && sure > 0 {
+                let (last, ..) = &entries[entries.len() - 1];
+                let ahead = tree.leaves_after(&last.key, borrow_bound(&self.upper), sure)?;
+                tree.pool().fault_many(&ahead)?;
+                faulted_ahead = ahead.len();
+            }
+        }
+        self.grow = 2 * entries.len().max(1);
+
+        let keys: Vec<&[u8]> = entries.iter().map(|(e, ..)| e.key.as_slice()).collect();
+        let chased = |e: &RangeEntry| !self.projected || e.payload.is_none();
+        let ptrs = entries.iter().map(|(e, ..)| chased(e).then_some(e.value));
+        let tuples = self.table.fetch_verified_many(&self.idx, &keys, ptrs)?;
+        for ((e, leaf, token), tuple) in entries.into_iter().zip(tuples) {
+            let (body, index_only) = match (tuple, e.payload) {
+                (Some(tuple), _) if !self.projected => (tuple, false),
+                (Some(tuple), _) => {
+                    let payload = self.idx.extract_payload(&tuple);
+                    tree.cache_populate(leaf, e.value, &payload, token)?;
+                    (payload, false)
+                }
+                (None, Some(payload)) if self.projected => (payload, true),
+                // Deleted between the leaf read and the heap read.
+                (None, _) => continue,
+            };
+            let rid = RecordId::from_u64(e.value);
+            self.buf.push_back(Resolved { key: e.key, rid, body, index_only });
         }
         Ok(())
     }
 
-    /// Next raw index entry within the range, refilling as needed.
-    fn next_entry(&mut self) -> Option<Result<RangeEntry>> {
+    /// Next resolved row within the range and the limit, refilling as
+    /// needed.
+    fn next_row(&mut self) -> Option<Result<Resolved>> {
         loop {
-            if self.failed {
+            if self.failed || self.limit == Some(0) {
                 return None;
             }
-            if let Some(e) = self.buf.pop_front() {
-                return Some(Ok(e));
+            if let Some(row) = self.buf.pop_front() {
+                if let Some(left) = &mut self.limit {
+                    *left -= 1;
+                }
+                return Some(Ok(row));
             }
             if self.exhausted {
                 return None;
@@ -339,32 +425,22 @@ pub struct RangeCursor<'t> {
     inner: RangeState<'t>,
 }
 
+impl RangeCursor<'_> {
+    /// Yields at most `rows` rows. Say so before iterating: the cursor
+    /// then buffers and reads exactly the leaves and heap pages those
+    /// rows live on, in batches sized by what is left of the limit,
+    /// instead of growing its batches leaf by leaf.
+    pub fn limit(mut self, rows: usize) -> Self {
+        self.inner.limit = Some(rows);
+        self
+    }
+}
+
 impl Iterator for RangeCursor<'_> {
     type Item = Result<RangeRow>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let e = match self.inner.next_entry()? {
-                Ok(e) => e,
-                Err(err) => return Some(Err(err)),
-            };
-            match self.inner.table.fetch_verified(&self.inner.idx, &e.key, e.value) {
-                Ok(Some(tuple)) => {
-                    return Some(Ok(RangeRow {
-                        key: e.key,
-                        rid: RecordId::from_u64(e.value),
-                        tuple,
-                    }))
-                }
-                // Racing delete between the leaf read and the heap
-                // chase: the row is gone; skip it.
-                Ok(None) => continue,
-                Err(err) => {
-                    self.inner.failed = true;
-                    return Some(Err(err));
-                }
-            }
-        }
+        Some(self.inner.next_row()?.map(|r| RangeRow { key: r.key, rid: r.rid, tuple: r.body }))
     }
 }
 
@@ -385,49 +461,25 @@ pub struct ProjectedRangeCursor<'t> {
     inner: RangeState<'t>,
 }
 
+impl ProjectedRangeCursor<'_> {
+    /// Yields at most `rows` rows; see [`RangeCursor::limit`].
+    pub fn limit(mut self, rows: usize) -> Self {
+        self.inner.limit = Some(rows);
+        self
+    }
+}
+
 impl Iterator for ProjectedRangeCursor<'_> {
     type Item = Result<ProjectedRow>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let e = match self.inner.next_entry()? {
-                Ok(e) => e,
-                Err(err) => return Some(Err(err)),
-            };
-            let rid = RecordId::from_u64(e.value);
-            if let Some(payload) = e.payload {
+        Some(self.inner.next_row()?.map(|r| {
+            if r.index_only {
                 self.inner.table.note_index_only_answer();
-                return Some(Ok(ProjectedRow {
-                    key: e.key,
-                    rid,
-                    projection: Projection { payload, index_only: true },
-                }));
             }
-            let (leaf, token) = (self.inner.leaf, self.inner.token);
-            match self.inner.table.fetch_verified(&self.inner.idx, &e.key, e.value) {
-                Ok(Some(tuple)) => {
-                    let payload = self.inner.idx.extract_payload(&tuple);
-                    if let Some(token) = token {
-                        if let Err(err) =
-                            self.inner.idx.tree.cache_populate(leaf, e.value, &payload, token)
-                        {
-                            self.inner.failed = true;
-                            return Some(Err(err));
-                        }
-                    }
-                    return Some(Ok(ProjectedRow {
-                        key: e.key,
-                        rid,
-                        projection: Projection { payload, index_only: false },
-                    }));
-                }
-                Ok(None) => continue,
-                Err(err) => {
-                    self.inner.failed = true;
-                    return Some(Err(err));
-                }
-            }
-        }
+            let projection = Projection { payload: r.body, index_only: r.index_only };
+            ProjectedRow { key: r.key, rid: r.rid, projection }
+        }))
     }
 }
 

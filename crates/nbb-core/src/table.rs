@@ -17,6 +17,8 @@
 //! name once to a [`crate::query::IndexRef`], whose point, batched
 //! (`get_many` / `project_many` / [`Table::execute`]) and range-cursor
 //! operations skip the per-call name lookup and amortize lock work.
+//! Every one of them — a range cursor's refill included — reaches the
+//! heap through the same batched, key-verifying chase.
 //! Writes batch the same way: [`Table::insert_many`] and the
 //! `put_many` / `update_many` / `delete_many` family validate up front
 //! (duplicate in-batch keys are a named error), append heap tuples one
@@ -192,9 +194,11 @@ pub struct Projection {
 /// Per-table access counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TableStats {
-    /// Point queries answered entirely from an index cache.
+    /// Rows (of point queries and range cursors) answered entirely from
+    /// an index cache.
     pub index_only_answers: u64,
-    /// Point queries that had to fetch the heap tuple.
+    /// Rows chased to the heap: one per key of a point query or row of
+    /// a range-cursor refill that needed its tuple.
     pub heap_fetches: u64,
     /// Tuples inserted.
     pub inserts: u64,
@@ -232,8 +236,9 @@ pub struct TableStats {
     pub pool_decompress_stalls: u64,
     /// Pages held compressed in the pools' tiers right now (a gauge).
     pub pool_compressed_pages: u64,
-    /// Speculative page loads issued by cursor readahead (summed over
-    /// the heap and index pools; zero with `DbConfig::readahead = 0`).
+    /// Speculative page loads issued through `BufferPool::prefetch`
+    /// (summed over the heap and index pools; no engine path issues
+    /// any today).
     pub pool_prefetch_issued: u64,
     /// Prefetched pages a requester went on to touch — speculation that
     /// paid off.
@@ -266,8 +271,6 @@ pub struct Table {
     /// Stripe count for each index's key-intent table (0 = the btree
     /// default); applied to indexes created or attached afterwards.
     intent_stripes: usize,
-    /// Leaves of cursor readahead per range-scan refill (0 = off).
-    readahead: usize,
     index_only_answers: AtomicU64,
     heap_fetches: AtomicU64,
     inserts: AtomicU64,
@@ -296,7 +299,6 @@ impl Table {
             indexes: RwLock::with_rank(lockrank::TABLE_INDEXES, HashMap::new()),
             index_pool,
             intent_stripes: 0,
-            readahead: 0,
             index_only_answers: AtomicU64::new(0),
             heap_fetches: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
@@ -328,7 +330,6 @@ impl Table {
             indexes: RwLock::with_rank(lockrank::TABLE_INDEXES, HashMap::new()),
             index_pool,
             intent_stripes,
-            readahead: 0,
             index_only_answers: AtomicU64::new(0),
             heap_fetches: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
@@ -366,20 +367,6 @@ impl Table {
     /// The configured key-intent stripe count (0 = the btree default).
     pub fn intent_stripes(&self) -> usize {
         self.intent_stripes
-    }
-
-    /// Sets the cursor readahead depth: how many leaves ahead of a
-    /// range cursor each refill speculatively prefetches (0 = off —
-    /// scans behave byte-for-byte as before). [`crate::db::Database`]
-    /// threads its `DbConfig::readahead` knob through here before the
-    /// table is shared.
-    pub fn set_readahead(&mut self, leaves: usize) {
-        self.readahead = leaves;
-    }
-
-    /// The configured cursor readahead depth (0 = off).
-    pub fn readahead(&self) -> usize {
-        self.readahead
     }
 
     /// Every index's declaration and current root page — the catalog
@@ -636,7 +623,8 @@ impl Table {
             .collect())
     }
 
-    /// Reader side of [`Table::chase`]: the verified heap tuple per key,
+    /// Reader side of [`Table::chase`] (point reads, projections and
+    /// range-cursor refills): the verified heap tuple per key,
     /// indexed like `keys`, tolerating the index→heap race window — a
     /// slot a concurrent deleter freed or a re-insert recycled for a
     /// different key reads as absent, so the lookup reflects the delete
@@ -646,7 +634,7 @@ impl Table {
     /// This is the **reader-vs-writer** re-verification, and it stays:
     /// readers never take write intents, so they remain wait-free and
     /// pay nothing for the writers' coordination.
-    fn fetch_verified_many<K: AsRef<[u8]>>(
+    pub(crate) fn fetch_verified_many<K: AsRef<[u8]>>(
         &self,
         idx: &Index,
         keys: &[K],
@@ -661,23 +649,6 @@ impl Table {
             out[i] = tuple;
         }
         Ok(out)
-    }
-
-    /// [`Table::fetch_verified_many`] for the one row a range cursor
-    /// yields at a time: the same tolerance and the same verification,
-    /// over the heap's single-page read instead of a batch of one.
-    pub(crate) fn fetch_verified(
-        &self,
-        idx: &Index,
-        key: &[u8],
-        ptr: u64,
-    ) -> Result<Option<Vec<u8>>> {
-        self.heap_fetches.fetch_add(1, Ordering::Relaxed);
-        match self.heap.get(RecordId::from_u64(ptr)) {
-            Ok(tuple) => Ok(Some(tuple).filter(|t| idx.spec.key.extract(t) == key)),
-            Err(StorageError::InvalidSlot { .. }) => Ok(None),
-            Err(e) => Err(e),
-        }
     }
 
     /// Writer side of [`Table::chase`]: resolves `keys` through `idx`

@@ -156,7 +156,7 @@ impl WasteReport {
             }
             if i.pool.prefetch_issued > 0 {
                 out.push_str(&format!(
-                    "    readahead: {} pages prefetched, {} hit, {} wasted \
+                    "    prefetch: {} pages loaded ahead, {} hit, {} wasted \
                      (speculation win rate of the spare frames)\n",
                     i.pool.prefetch_issued, i.pool.prefetch_hits, i.pool.prefetch_wasted,
                 ));
@@ -395,12 +395,12 @@ mod tests {
     }
 
     #[test]
-    fn readahead_counters_render_when_nonzero() {
+    fn prefetch_counters_render_when_nonzero() {
         let t = table();
         let mut rep = audit(&t, &["pk"], None, None).unwrap();
         let zero = rep.render();
         assert!(
-            !zero.contains("batched reads") && !zero.contains("readahead:"),
+            !zero.contains("batched reads") && !zero.contains("prefetch:"),
             "quiet counters must render nothing:\n{zero}"
         );
         let pool = &mut rep.unused.indexes[0].pool;
@@ -415,7 +415,7 @@ mod tests {
             "batch coalescing line missing:\n{text}"
         );
         assert!(
-            text.contains("readahead: 24 pages prefetched, 20 hit, 2 wasted"),
+            text.contains("prefetch: 24 pages loaded ahead, 20 hit, 2 wasted"),
             "speculation verdict line missing:\n{text}"
         );
     }

@@ -1,0 +1,389 @@
+//! Range cursors refill by row budget: whatever the budget, the limit
+//! or the start, a cursor yields exactly what a `BTreeMap` yields, and
+//! a limited cursor reads exactly the pages a row-at-a-time walk reads.
+
+use nbb_core::db::{Database, DbConfig};
+use nbb_core::table::{FieldSpec, IndexSpec, Table};
+use nbb_storage::disk::{DiskManager, InMemoryDisk};
+use nbb_storage::error::{Result as StorageResult, StorageError};
+use nbb_storage::{Page, PageId, RecordId};
+use parking_lot::Mutex;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
+use std::sync::Arc;
+
+/// Rows loaded: even keys `0, 2, .. 2 * (ROWS - 1)`, so every odd key
+/// lies between two keys.
+const ROWS: u64 = 3000;
+/// Small pages: ≈ 27 keys per bulk-loaded leaf, > 100 leaves, three
+/// levels — a 513-row page spans many leaves and several parents.
+const PAGE_SIZE: usize = 1024;
+
+/// 24-byte tuple: key(8, BE) | group(8) | value(8, LE).
+fn tuple(key: u64) -> Vec<u8> {
+    let mut t = key.to_be_bytes().to_vec();
+    t.extend_from_slice(&(key % 7).to_le_bytes());
+    t.extend_from_slice(&(key * 3).to_le_bytes());
+    t
+}
+
+fn config(frames: usize) -> DbConfig {
+    DbConfig {
+        page_size: PAGE_SIZE,
+        heap_frames: frames,
+        index_frames: frames,
+        ..DbConfig::default()
+    }
+}
+
+/// Loads the table in key order, then bulk-loads `pk` (caching the
+/// value field) over it.
+fn load(db: &Database) -> Arc<Table> {
+    let t = db.create_table("t", 24).unwrap();
+    let rows: Vec<Vec<u8>> = (0..ROWS).map(|i| tuple(2 * i)).collect();
+    t.insert_many(&rows).unwrap();
+    t.create_index(IndexSpec::cached("pk", FieldSpec::new(0, 8), vec![FieldSpec::new(16, 8)]))
+        .unwrap();
+    t
+}
+
+fn oracle() -> BTreeMap<u64, Vec<u8>> {
+    (0..ROWS).map(|i| (2 * i, tuple(2 * i))).collect()
+}
+
+fn id(key: &[u8]) -> u64 {
+    u64::from_be_bytes(key.try_into().unwrap())
+}
+
+/// Keys of the first bulk-loaded leaf, which every leaf but the last
+/// matches.
+fn keys_per_leaf(t: &Table) -> usize {
+    let pk = t.index("pk").unwrap();
+    pk.tree().range_chunk(Bound::Unbounded, Bound::Unbounded).unwrap().leaf_keys
+}
+
+#[test]
+fn cursors_match_a_btreemap_for_every_limit_start_and_bound_kind() {
+    let db = Database::open(config(1024));
+    let t = load(&db);
+    let pk = t.index("pk").unwrap();
+    let model = oracle();
+    let per_leaf = keys_per_leaf(&t);
+    assert!((20..40).contains(&per_leaf), "geometry drifted: {per_leaf} keys per leaf");
+    let first_of_second_leaf = 2 * per_leaf as u64;
+    let starts = [
+        0,                        // first key
+        first_of_second_leaf + 8, // mid-leaf
+        first_of_second_leaf - 2, // last key of a leaf
+        2 * ROWS + 10,            // past the end
+        first_of_second_leaf + 9, // between two keys
+    ];
+    let limits = [1, per_leaf - 1, per_leaf, per_leaf + 1, 513, ROWS as usize + 10];
+    let upper = 2 * ROWS - 100; // ends inside the last leaves
+    for start in starts {
+        for excluded in [false, true] {
+            let lo = start.to_be_bytes();
+            let hi = upper.to_be_bytes();
+            let lower = if excluded { Bound::Excluded(&lo[..]) } else { Bound::Included(&lo[..]) };
+            let bounds = (lower, Bound::Excluded(&hi[..]));
+            // (`BTreeMap::range` panics on a start past the end.)
+            let from = if excluded { Bound::Excluded(start) } else { Bound::Included(start) };
+            let want: Vec<(u64, Vec<u8>)> = model
+                .range((from, Bound::Unbounded))
+                .take_while(|(k, _)| **k < upper)
+                .map(|(k, v)| (*k, v.clone()))
+                .collect();
+            let case = format!("start {start} excluded {excluded}");
+
+            let rows: Vec<_> = pk.range::<[u8], _>(bounds).map(|r| r.unwrap()).collect();
+            let got: Vec<(u64, Vec<u8>)> =
+                rows.iter().map(|r| (id(&r.key), r.tuple.clone())).collect();
+            assert_eq!(got, want, "unlimited range, {case}");
+            let projected: Vec<_> =
+                pk.range_projected::<[u8], _>(bounds).map(|r| r.unwrap()).collect();
+            let got: Vec<(u64, &[u8])> =
+                projected.iter().map(|r| (id(&r.key), &r.projection.payload[..])).collect();
+            let want_p: Vec<(u64, &[u8])> = want.iter().map(|(k, v)| (*k, &v[16..24])).collect();
+            assert_eq!(got, want_p, "unlimited range_projected, {case}");
+
+            for limit in limits {
+                let n = limit.min(want.len());
+                let rows: Vec<_> =
+                    pk.range::<[u8], _>(bounds).limit(limit).map(|r| r.unwrap()).collect();
+                let got: Vec<(u64, Vec<u8>)> =
+                    rows.iter().map(|r| (id(&r.key), r.tuple.clone())).collect();
+                assert_eq!(got, want[..n], "range limit {limit}, {case}");
+                for r in &rows {
+                    assert_eq!(t.heap().get(r.rid).unwrap(), r.tuple, "rid of {}", id(&r.key));
+                }
+                let projected: Vec<_> = pk
+                    .range_projected::<[u8], _>(bounds)
+                    .limit(limit)
+                    .map(|r| r.unwrap())
+                    .collect();
+                let got: Vec<(u64, &[u8])> =
+                    projected.iter().map(|r| (id(&r.key), &r.projection.payload[..])).collect();
+                assert_eq!(got, want_p[..n], "range_projected limit {limit}, {case}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_refill_spanning_leaves_warms_each_leafs_own_cache_and_warm_rows_skip_the_heap() {
+    let db = Database::open(config(1024));
+    let t = load(&db);
+    let pk = t.index("pk").unwrap();
+    let per_leaf = keys_per_leaf(&t);
+
+    // Cold: one refill buffers 513 rows from ≈ 19 leaves, chases them
+    // all, and must populate each row into the leaf it came from.
+    let before = t.stats();
+    let cold: Vec<_> = pk.range_projected_all().limit(513).map(|r| r.unwrap()).collect();
+    assert_eq!(cold.len(), 513);
+    assert!(cold.iter().all(|r| !r.projection.index_only));
+    let after = t.stats();
+    assert_eq!(after.heap_fetches - before.heap_fetches, 513, "one chase per cold row");
+    assert_eq!(after.index_only_answers, before.index_only_answers);
+
+    // Warm: a row is index-only only if its payload sits in the cache
+    // of the leaf that owns its key, so rows past the first leaf prove
+    // the populate went to the right leaf.
+    let warm: Vec<_> = pk.range_projected_all().limit(513).map(|r| r.unwrap()).collect();
+    let payloads = |rows: &[nbb_core::ProjectedRow]| -> Vec<Vec<u8>> {
+        rows.iter().map(|r| r.projection.payload.clone()).collect()
+    };
+    assert_eq!(payloads(&warm), payloads(&cold));
+    let later = &warm[per_leaf..];
+    let served = later.iter().filter(|r| r.projection.index_only).count();
+    assert!(served * 2 > later.len(), "only {served}/{} rows past leaf one are warm", later.len());
+
+    // Index-only rows add no heap fetch; the cold remainder adds one each.
+    let end = t.stats();
+    let index_only = warm.iter().filter(|r| r.projection.index_only).count() as u64;
+    assert_eq!(end.index_only_answers - after.index_only_answers, index_only);
+    assert_eq!(end.heap_fetches - after.heap_fetches, 513 - index_only);
+
+    // The full-tuple cursor chases every row, warm or not.
+    assert_eq!(pk.range_all().limit(513).count(), 513);
+    assert_eq!(t.stats().heap_fetches - end.heap_fetches, 513);
+}
+
+/// Counts what is read: the page ids of every device call, in order.
+/// Can fail every call that touches one page, until told to stop (a
+/// page that fails once inside a batch is absorbed by the pool's
+/// per-page retry and never reaches the cursor).
+struct ProbeDisk {
+    inner: InMemoryDisk,
+    calls: Mutex<Vec<Vec<PageId>>>,
+    fail_page: Mutex<Option<PageId>>,
+}
+
+impl ProbeDisk {
+    fn new() -> Arc<Self> {
+        Arc::new(ProbeDisk {
+            inner: InMemoryDisk::new(PAGE_SIZE),
+            calls: Mutex::new(Vec::new()),
+            fail_page: Mutex::new(None),
+        })
+    }
+
+    fn enter_read(&self, ids: Vec<PageId>) -> StorageResult<()> {
+        let bad = self.fail_page.lock().filter(|bad| ids.contains(bad));
+        self.calls.lock().push(ids);
+        match bad {
+            Some(bad) => Err(StorageError::Io(format!("injected read failure on page {}", bad.0))),
+            None => Ok(()),
+        }
+    }
+
+    fn fail_reads_of(&self, page: Option<PageId>) {
+        *self.fail_page.lock() = page;
+    }
+
+    /// Drains the log: (device calls, distinct pages read).
+    fn take(&self) -> (usize, BTreeSet<u64>) {
+        let calls = std::mem::take(&mut *self.calls.lock());
+        (calls.len(), calls.iter().flatten().map(|p| p.0).collect())
+    }
+}
+
+impl DiskManager for ProbeDisk {
+    fn page_size(&self) -> usize {
+        self.inner.page_size()
+    }
+    fn allocate(&self) -> StorageResult<PageId> {
+        self.inner.allocate()
+    }
+    fn read(&self, id: PageId, buf: &mut Page) -> StorageResult<()> {
+        self.enter_read(vec![id])?;
+        self.inner.read(id, buf)
+    }
+    fn read_many(&self, pages: &mut [(PageId, &mut Page)]) -> StorageResult<()> {
+        self.enter_read(pages.iter().map(|(id, _)| *id).collect())?;
+        for (id, buf) in pages.iter_mut() {
+            self.inner.read(*id, buf)?;
+        }
+        Ok(())
+    }
+    fn write(&self, id: PageId, page: &Page) -> StorageResult<()> {
+        self.inner.write(id, page)
+    }
+    fn num_pages(&self) -> u64 {
+        self.inner.num_pages()
+    }
+    fn stats(&self) -> nbb_storage::stats::IoStats {
+        self.inner.stats()
+    }
+    fn reset_stats(&self) {
+        self.inner.reset_stats()
+    }
+}
+
+/// A loaded, persisted database over two probe disks, plus a way to
+/// reopen it with cold pools of `frames` frames each.
+struct Persisted {
+    heap: Arc<ProbeDisk>,
+    index: Arc<ProbeDisk>,
+}
+
+impl Persisted {
+    fn new() -> Self {
+        let (heap, index) = (ProbeDisk::new(), ProbeDisk::new());
+        let db = Database::with_disks(config(1024), heap.clone(), index.clone()).unwrap();
+        load(&db);
+        db.close().unwrap();
+        Persisted { heap, index }
+    }
+
+    /// Reopens, empties both pools (reattaching walks the leaves and
+    /// the heap) and forgets the reads made so far.
+    fn reopen(&self, frames: usize) -> Database {
+        let db = Database::reopen(config(frames), self.heap.clone(), self.index.clone()).unwrap();
+        for pool in [db.heap_pool(), db.index_pool()] {
+            for page in 0..pool.disk().num_pages() {
+                pool.evict_page(PageId(page)).unwrap();
+            }
+        }
+        self.heap.take();
+        self.index.take();
+        db
+    }
+}
+
+#[test]
+fn a_limited_cursor_reads_exactly_the_pages_a_row_at_a_time_walk_reads() {
+    let disks = Persisted::new();
+    // Enter the first leaf three keys before its end: a batch sized
+    // from those three in-range keys would fault ≈ 170 leaves ahead.
+    let per_leaf = {
+        let db = disks.reopen(1024);
+        keys_per_leaf(&db.table("t").unwrap())
+    };
+    let start = (2 * (5 * per_leaf as u64 - 3)).to_be_bytes();
+
+    // The reference: one leaf per `range_chunk`, one `heap.get` per row.
+    let db = disks.reopen(1024);
+    let t = db.table("t").unwrap();
+    let tree_of = t.index_tree("pk").unwrap();
+    let mut lower = Bound::Included(start.to_vec());
+    let mut walked = 0;
+    while walked < 513 {
+        let lb = match &lower {
+            Bound::Included(k) => Bound::Included(&k[..]),
+            Bound::Excluded(k) => Bound::Excluded(&k[..]),
+            Bound::Unbounded => unreachable!(),
+        };
+        let chunk = tree_of.tree().range_chunk(lb, Bound::Unbounded).unwrap();
+        for e in chunk.entries.iter().take(513 - walked) {
+            t.heap().get(RecordId::from_u64(e.value)).unwrap();
+            walked += 1;
+        }
+        lower = Bound::Excluded(chunk.entries.last().unwrap().key.clone());
+    }
+    let (walk_index_calls, walk_index) = disks.index.take();
+    let (walk_heap_calls, walk_heap) = disks.heap.take();
+    drop((tree_of, t, db));
+
+    let db = disks.reopen(1024);
+    let t = db.table("t").unwrap();
+    let rows: Vec<_> =
+        t.index("pk").unwrap().range(&start[..]..).limit(513).map(|r| r.unwrap()).collect();
+    assert_eq!(rows.len(), 513);
+    let (index_calls, index) = disks.index.take();
+    let (heap_calls, heap) = disks.heap.take();
+    assert_eq!(index, walk_index, "index pages read");
+    assert_eq!(heap, walk_heap, "heap pages read");
+
+    // Same pages, far fewer round trips: a handful of leaf batches (one
+    // per level-1 parent the page spans, plus the path and the two
+    // partial leaves) and one heap batch, against one call per page.
+    assert_eq!(walk_index_calls, walk_index.len());
+    assert_eq!(walk_heap_calls, walk_heap.len());
+    assert!(
+        walk_index.len() >= 20 && walk_heap.len() >= 10,
+        "the page must span many pages: {} index, {} heap",
+        walk_index.len(),
+        walk_heap.len()
+    );
+    assert!(index_calls <= 8, "{index_calls} index calls for {} pages", index.len());
+    assert_eq!(heap_calls, 1, "{} heap pages", heap.len());
+}
+
+#[test]
+fn a_failed_page_fails_the_cursor_once_and_a_fresh_cursor_succeeds() {
+    let disks = Persisted::new();
+    let db = disks.reopen(1024);
+    let t = db.table("t").unwrap();
+    let pk = t.index("pk").unwrap();
+    let want: Vec<u64> = (0..513).map(|i| 2 * i).collect();
+
+    // A heap page in the middle of the page's rows: the batch fails.
+    let victim = pk.tree().get(&400u64.to_be_bytes()).unwrap().unwrap();
+    disks.heap.fail_reads_of(Some(RecordId::from_u64(victim).page));
+    let mut cursor = pk.range_all().limit(513);
+    assert!(matches!(cursor.next(), Some(Err(StorageError::Io(_)))), "the refill's error surfaces");
+    assert!(cursor.next().is_none(), "a failed cursor stays ended");
+    disks.heap.fail_reads_of(None);
+    let got: Vec<u64> = pk.range_all().limit(513).map(|r| id(&r.unwrap().key)).collect();
+    assert_eq!(got, want, "nothing was poisoned: a fresh cursor reads the same pages");
+
+    // A leaf among those faulted ahead in one batch.
+    let db = disks.reopen(1024);
+    let t = db.table("t").unwrap();
+    let pk = t.index("pk").unwrap();
+    let per_leaf = keys_per_leaf(&t) as u64;
+    let ahead = pk.tree().leaves_after(&0u64.to_be_bytes(), Bound::Unbounded, 3).unwrap();
+    assert_eq!(ahead.len(), 3);
+    db.index_pool().evict_page(ahead[1]).unwrap();
+    disks.index.fail_reads_of(Some(ahead[1]));
+    let mut cursor = pk.range_projected_all().limit(513);
+    assert!(matches!(cursor.next(), Some(Err(StorageError::Io(_)))));
+    assert!(cursor.next().is_none());
+    disks.index.fail_reads_of(None);
+    let got: Vec<u64> = pk.range_projected_all().limit(513).map(|r| id(&r.unwrap().key)).collect();
+    assert_eq!(got, want);
+    assert!(per_leaf * 3 < 513, "the failed leaf was inside the page");
+}
+
+#[test]
+fn a_hostile_limit_pages_through_the_table_in_bounded_refills() {
+    let db = Database::open(config(1024));
+    let t = load(&db);
+    let pk = t.index("pk").unwrap();
+    // What a refill chases is what it buffers: no single `next` may
+    // chase more than the clamp, whatever the limit says.
+    let cursor = pk.range_all().limit(u32::MAX as usize);
+    let (mut seen, mut refills) = (0u64, 0);
+    let mut chased = t.stats().heap_fetches;
+    for row in cursor {
+        assert_eq!(id(&row.unwrap().key), 2 * seen);
+        seen += 1;
+        let now = t.stats().heap_fetches;
+        assert!(now - chased <= 1024, "one refill buffered {} rows", now - chased);
+        refills += usize::from(now > chased);
+        chased = now;
+    }
+    assert_eq!(seen, ROWS);
+    assert_eq!(refills, 3, "3000 rows in refills of 1024, 1024 and 952");
+}

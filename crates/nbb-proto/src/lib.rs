@@ -134,6 +134,10 @@ pub enum WireBound {
     Excluded(Vec<u8>),
 }
 
+/// The error message a [`RequestOp::Range`] with `limit = 0` is
+/// answered with.
+pub const RANGE_LIMIT_ZERO: &str = "invalid request: Range limit must be at least 1";
+
 /// One operation of a [`Request`], mirroring the engine's batched
 /// fast paths one-to-one.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -194,6 +198,11 @@ pub enum RequestOp {
     /// One page of an ordered range scan (`IndexRef::range`). The
     /// response says whether more rows exist and where to resume, so a
     /// client pages a scan with a chain of these.
+    ///
+    /// `limit` must be at least 1: a page of no rows has no resume key,
+    /// so the paging rule could never advance past it. The server
+    /// answers `limit = 0` with [`ResponseBody::Error`] carrying
+    /// [`RANGE_LIMIT_ZERO`], before touching any page.
     Range {
         /// Target table.
         table: String,

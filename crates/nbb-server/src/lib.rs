@@ -60,7 +60,7 @@ use nbb_core::table::Projection;
 use nbb_core::BatchOutput;
 use nbb_proto::{
     DecodeError, Framer, Request, RequestOp, Response, ResponseBody, WireBatchOp, WireBatchOutput,
-    WireBound, WireProjection, WireServerStats,
+    WireBound, WireProjection, WireServerStats, RANGE_LIMIT_ZERO,
 };
 use nbb_storage::error::StorageError;
 use nbb_storage::lockrank;
@@ -808,22 +808,25 @@ fn try_execute(shared: &Shared, op: &RequestOp) -> Result<ResponseBody, StorageE
             ResponseBody::DeleteMany { applied }
         }
         RequestOp::Range { table, index, lo, hi, limit } => {
+            // An empty page carries no resume key, so a client paging
+            // by the resume rule would re-send it forever.
+            if *limit == 0 {
+                return Ok(ResponseBody::Error { message: RANGE_LIMIT_ZERO.into() });
+            }
+            let limit = *limit as usize;
             let t = db.table(table)?;
             let idx = t.index(index)?;
-            let mut cursor = idx.range::<[u8], _>((wire_bound(lo), wire_bound(hi)));
-            let mut rows: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-            while rows.len() < *limit as usize {
-                match cursor.next() {
-                    Some(row) => {
-                        let row = row?;
-                        rows.push((row.key, row.tuple));
-                    }
-                    None => break,
-                }
+            // One row past the page makes `more` authoritative, and
+            // asking for it up front lets the cursor size its batched
+            // refills for the page and the probe together.
+            let cursor = idx.range::<[u8], _>((wire_bound(lo), wire_bound(hi)));
+            let mut rows = Vec::new();
+            for row in cursor.limit(limit.saturating_add(1)) {
+                let row = row?;
+                rows.push((row.key, row.tuple));
             }
-            // Probe one row past the page so `more` is authoritative
-            // (a failed probe still proves more rows exist).
-            let more = rows.len() == *limit as usize && cursor.next().is_some();
+            let more = rows.len() > limit;
+            rows.truncate(limit);
             let resume = rows.last().map(|(k, _)| k.clone());
             ResponseBody::Range { rows, more, resume }
         }

@@ -339,6 +339,88 @@ fn full_op_surface_round_trips_through_a_client() {
     server.shutdown();
 }
 
+/// A 10,000-row `kv` table, loaded in key order and then indexed (a
+/// bulk-loaded `by_id` of ≈ 90 leaves under the root), over two gate disks; persisted and
+/// evicted, so the next request finds both pools cold.
+fn cold_kv() -> (Arc<Database>, RowSchema, [Arc<GateDisk>; 2]) {
+    let cfg = DbConfig { page_size: 4096, ..DbConfig::default() };
+    let (_, rows) = kv_schema();
+    let disks = [Arc::new(GateDisk::new(cfg.page_size)), Arc::new(GateDisk::new(cfg.page_size))];
+    let db = Arc::new(Database::with_disks(cfg, disks[0].clone(), disks[1].clone()).expect("open"));
+    let t = db.create_table_with(&rows).expect("create table");
+    let load: Vec<Vec<u8>> = (0..10_000)
+        .map(|id| rows.encode(&[Value::Int(id), Value::Int(id * 10)]).expect("encode"))
+        .collect();
+    t.insert_many(&load).expect("load");
+    t.create_index(rows.index_spec("by_id", "id", &[]).expect("spec")).expect("index");
+    db.persist().expect("persist");
+    for pool in [db.heap_pool(), db.index_pool()] {
+        for page in 0..pool.disk().num_pages() {
+            pool.evict_page(PageId(page)).expect("evict");
+        }
+    }
+    for disk in &disks {
+        disk.read_calls.store(0, Ordering::Relaxed);
+        disk.read_attempts.store(0, Ordering::Relaxed);
+    }
+    (db, rows, disks)
+}
+
+#[test]
+fn a_cold_range_page_costs_a_handful_of_device_calls() {
+    let (db, rows, [heap, index]) = cold_kv();
+    let server = Server::start(db, server_config()).expect("start");
+    let client = Client::connect(server.local_addr(), ClientConfig::default()).expect("connect");
+
+    // 512 rows from the middle of a leaf: ≈ 6 leaves and 3 heap pages,
+    // none resident. The page and its `more` probe row ride the same
+    // refill: root, first leaf, the leaves in between as one batch,
+    // last leaf; then every row's heap page in one batch.
+    let lo = WireBound::Included(key(&rows, 5003));
+    let (page, more, resume) =
+        client.range("kv", "by_id", lo, WireBound::Unbounded, 512).expect("range page");
+    let ids: Vec<i64> =
+        page.iter().map(|(_, t)| int(&rows.decode(t).expect("decode")[0])).collect();
+    assert_eq!(ids, (5003..5003 + 512).collect::<Vec<i64>>());
+    assert!(more);
+    assert_eq!(resume, Some(key(&rows, 5003 + 511)));
+    let (index_calls, heap_calls) =
+        (index.read_calls.load(Ordering::Relaxed), heap.read_calls.load(Ordering::Relaxed));
+    let (index_pages, heap_pages) =
+        (index.read_attempts.load(Ordering::Relaxed), heap.read_attempts.load(Ordering::Relaxed));
+    assert!(index_pages >= 6 && heap_pages >= 3, "{index_pages} index, {heap_pages} heap pages");
+    assert!(index_calls <= 4, "{index_calls} index device calls for {index_pages} pages");
+    assert!(heap_calls <= 2, "{heap_calls} heap device calls for {heap_pages} pages");
+
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn a_range_of_limit_zero_is_refused_before_any_page_is_touched() {
+    let (db, rows, [heap, index]) = cold_kv();
+    let server = Server::start(db, server_config()).expect("start");
+    let client = Client::connect(server.local_addr(), ClientConfig::default()).expect("connect");
+
+    // An empty page would carry `resume: None`; answering it (with
+    // `more: true`, as the probe once did) sends a client that follows
+    // the resume rule round the same request forever.
+    let lo = WireBound::Included(key(&rows, 0));
+    let refused = client.range("kv", "by_id", lo.clone(), WireBound::Unbounded, 0);
+    assert_eq!(refused, Err(nbb_client::ClientError::Server(nbb_proto::RANGE_LIMIT_ZERO.into())));
+    for disk in [&heap, &index] {
+        assert_eq!(disk.read_calls.load(Ordering::Relaxed), 0, "a refused request reads nothing");
+    }
+
+    // The connection survives, and the smallest legal page pages on.
+    let (page, more, resume) =
+        client.range("kv", "by_id", lo, WireBound::Unbounded, 1).expect("range page");
+    assert_eq!((page.len(), more, resume), (1, true, Some(key(&rows, 0))));
+
+    drop(client);
+    server.shutdown();
+}
+
 #[test]
 fn responses_complete_out_of_order_by_request_id() {
     // Small pages so 50 rows span several heap pages; the gate disk

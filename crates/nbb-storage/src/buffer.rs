@@ -61,7 +61,7 @@
 //! entry (an error from a multi-page read falls back to per-page reads
 //! so siblings still publish). Speculative batches (`prefetch`) publish
 //! their frames *unpinned, unreferenced, and flagged*: a frame nobody
-//! touched yet is the clock's first-choice victim, so readahead can
+//! touched yet is the clock's first-choice victim, so speculation can
 //! never evict the working set — it only ever spends frames that were
 //! idle ([`PoolStats::prefetch_issued`]/`prefetch_hits`/
 //! `prefetch_wasted` meter the speculation).
@@ -1363,11 +1363,12 @@ impl BufferPool {
         }
     }
 
-    /// Speculatively loads `ids` into spare frames — the readahead
-    /// entry point. Best-effort and silent: pages already resident,
-    /// already loading, unreservable, or failing their read are simply
-    /// skipped (a scan that outruns its readahead demand-faults as
-    /// usual). Loaded frames are published unpinned, unreferenced, and
+    /// Speculatively loads `ids` into spare frames. No engine path
+    /// calls it today (range cursors fault the leaves they are sure to
+    /// need with [`BufferPool::fault_many`]). Best-effort and silent:
+    /// pages already resident, already loading, unreservable, or
+    /// failing their read are simply skipped (the caller demand-faults
+    /// them as usual). Loaded frames are published unpinned, unreferenced, and
     /// flagged `prefetched`, making them the clock's **first-choice
     /// victims**: speculation can never push out the demand-paged
     /// working set. Counters: `prefetch_issued` now, `prefetch_hits` /
@@ -1664,7 +1665,7 @@ impl BufferPool {
     }
 
     /// Eviction-path prefetch verdict: a speculative frame evicted
-    /// before anyone touched it was wasted readahead. Caller holds the
+    /// before anyone touched it was wasted speculation. Caller holds the
     /// shard map lock.
     #[inline]
     fn settle_evicted(shard: &Shard, frame: &Frame) {
@@ -2050,9 +2051,9 @@ impl BufferPool {
         }
         // Speculation goes first: a prefetched frame nobody touched is
         // reclaimed before the clock disturbs the demand-paged set, so
-        // readahead can never evict working-set pages to make room for
-        // more readahead. (Flag transitions all happen under the shard
-        // map lock, so the scan is race-free.)
+        // speculation can never evict working-set pages to make room
+        // for more speculation. (Flag transitions all happen under the
+        // shard map lock, so the scan is race-free.)
         for (idx, frame) in shard.frames.iter().enumerate() {
             if frame.prefetched.load(Ordering::Relaxed) && frame.pin.load(Ordering::Acquire) == 0 {
                 return Ok(idx);

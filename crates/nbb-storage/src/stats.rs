@@ -128,8 +128,8 @@ pub struct PoolStats {
     pub compressed_pages: u64,
     /// Bytes currently held compressed (a gauge, like `wb_pending`).
     pub compressed_bytes: u64,
-    /// Speculative loads started by `BufferPool::prefetch` (pages a
-    /// readahead batch pulled in ahead of any requester). Also counted
+    /// Speculative loads started by `BufferPool::prefetch` (pages
+    /// pulled in ahead of any requester). Also counted
     /// in `faults`/`misses` — the frame machinery ran in full.
     pub prefetch_issued: u64,
     /// Prefetched pages a requester went on to touch: the speculation

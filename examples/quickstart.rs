@@ -94,10 +94,6 @@ fn main() {
         compressed_budget_bytes: 512 * 1024,
         flusher_threads: 2,
         tuning_interval: Some(std::time::Duration::from_secs(3600)),
-        // Cursor readahead: each range-scan refill speculatively
-        // batch-loads the next 8 leaves (one read_many per group);
-        // section 5 runs a cold scan and prints the verdict counters.
-        readahead: 8,
         ..DbConfig::default()
     });
     let t = db.create_table_with(&rows).expect("create table");
@@ -290,36 +286,39 @@ fn main() {
     );
     println!("({} decision(s); the same trace renders in the waste report)", decisions.len());
 
-    // --- Waste, read-side: batched faults + cursor readahead ----------
-    println!("\n--- 5. batched read path: readahead over a cold scan ---");
-    // Force the index cold (unpinned pages only — a best-effort sweep),
-    // then run one ordered scan. With `DbConfig::readahead` set, every
-    // cursor refill speculatively batch-loads the leaves past the
-    // resident frontier in ONE `read_many`, so the scan stops paying
-    // one device round-trip per leaf. Speculative frames are the
-    // clock's first-choice victims: a wrong guess costs a wasted read,
-    // never a working-set eviction.
-    let index_pool = db.index_pool();
-    for id in 0..index_pool.disk().num_pages() {
-        let _ = index_pool.evict_page(nbb::storage::PageId(id));
+    // --- Waste, read-side: range cursors refill by row budget ---------
+    println!("\n--- 5. batched read path: one cold page of a range scan ---");
+    // Force both pools cold (unpinned pages only — a best-effort
+    // sweep), then read one 2,000-row page. `.limit(n)` tells the
+    // cursor how many rows the caller wants, so each refill faults the
+    // leaves it is sure to consume in ONE `read_many` (their ids come
+    // from the parent node, not from a guess) and fetches the heap rows
+    // behind them in one more, instead of paying a device round trip
+    // per leaf and per heap page. Nothing is read that a row-at-a-time
+    // walk would not read. (Pages the compressed tier still holds are
+    // decompressed, not read, so they cost no device call at all.)
+    let pools = [("index", db.index_pool()), ("heap", db.heap_pool())];
+    for (_, pool) in pools {
+        for id in 0..pool.disk().num_pages() {
+            let _ = pool.evict_page(nbb::storage::PageId(id));
+        }
+        pool.reset_stats();
     }
-    index_pool.reset_stats();
     let zero = rows.key("id", &Value::Int(0)).unwrap();
-    let scanned = by_id.range(&zero[..]..).filter(|r| r.is_ok()).count();
-    let ps = index_pool.stats();
-    println!(
-        "cold scan    : {} rows; prefetched {} leaves ({} hit, {} wasted so far), \
-         {} pages in {} batched reads ({:.1} pages/read)",
-        scanned,
-        ps.prefetch_issued,
-        ps.prefetch_hits,
-        ps.prefetch_wasted,
-        ps.read_pages,
-        ps.read_batches,
-        ps.read_pages as f64 / ps.read_batches.max(1) as f64,
+    let scanned = by_id.range(&zero[..]..).limit(2_000).filter(|r| r.is_ok()).count();
+    println!("cold page    : {scanned} rows in two refills of at most 1,024");
+    for (name, pool) in pools {
+        let s = pool.stats();
+        println!(
+            "  {name:<5} pool : {} pages faulted, {} decompressed, {} read in {} device call(s)",
+            s.faults, s.compressed_hits, s.read_pages, s.read_batches
+        );
+    }
+    assert_eq!(scanned, 2_000);
+    assert!(
+        db.heap_pool().stats().read_batches <= 2,
+        "each refill fetches its heap rows in one device call"
     );
-    assert!(ps.prefetch_issued > 0, "a cold ordered scan must trigger readahead");
-    assert!(ps.read_batches < ps.read_pages, "batches must coalesce multiple pages");
 
     // --- Over the wire: the nbb-proto frame layout --------------------
     println!("\n--- 6. the network front door's frame layout ---");

@@ -31,10 +31,14 @@
 //! takes a tree-level read lock, descends to a leaf, and touches pages
 //! through per-shard pool mutexes and per-frame latches; index→heap
 //! pointer chases re-verify the fetched tuple's key so racing deletes
-//! read as "gone" instead of serving foreign bytes. Write paths are
-//! concurrent too: disjoint-key writers crab through striped per-leaf
-//! latches (only splits escalate to the exclusive structure lock), and
-//! **same-key writers serialize through key-level write intents** —
+//! read as "gone" instead of serving foreign bytes. Range cursors
+//! (`IndexRef::range(..).limit(n)`) refill by row budget: each refill
+//! batch-faults the leaves it is sure to consume and batch-reads the
+//! heap rows behind them, holding no tree lock across either read.
+//! Write paths are concurrent too: disjoint-key writers crab through
+//! striped per-leaf latches (only splits escalate to the exclusive
+//! structure lock), and **same-key writers serialize through key-level
+//! write intents** —
 //! each put/update/delete installs an intent on the keys it addresses
 //! and racing writers park on it with a pre-granted handoff, making
 //! per-key writes through one index linearizable end to end. The

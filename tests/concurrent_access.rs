@@ -358,3 +358,113 @@ fn disjoint_range_batch_writers_vs_readers() {
         "batched writes must amortize: {s:?}"
     );
 }
+
+// ---------------------------------------------------------------------
+// A paging scan vs an ascending inserter splitting leaves under it
+// ---------------------------------------------------------------------
+
+/// Pagers walk the whole index in `.limit(257)` pages (full tuples and
+/// projections), resuming each page past the last key of the one
+/// before, while a writer inserts the three keys between every two pre-loaded
+/// ones in ascending order — every bulk-loaded leaf splits at some
+/// point, some
+/// between a refill's batched leaf fault and its walk, some between two
+/// pages. Every pass must come out strictly ascending (nothing
+/// duplicated) and contain every pre-loaded key (nothing lost); an inserted
+/// key may or may not be seen, but one that is seen carries its own
+/// tuple.
+#[test]
+fn paging_scans_lose_and_duplicate_nothing_under_an_ascending_inserter() {
+    /// Pre-loaded keys: the multiples of 4 below `4 * LOADED`.
+    const LOADED: u64 = 3_000;
+    const PAGERS: usize = 2;
+
+    // The index pool holds a fraction of the leaves, so refills fault
+    // while the writer splits.
+    let db = Database::open(DbConfig {
+        page_size: 4096,
+        heap_frames: 64,
+        index_frames: 16,
+        pool_shards: 2,
+        ..DbConfig::default()
+    });
+    let table = db.create_table("t", 24).unwrap();
+    let loaded: Vec<Vec<u8>> = (0..LOADED).map(|i| tuple(4 * i, 0)).collect();
+    table.insert_many(&loaded).unwrap();
+    table
+        .create_index(IndexSpec::cached("pk", FieldSpec::new(0, 8), vec![FieldSpec::new(8, 8)]))
+        .unwrap();
+    let leaves_before = table.index("pk").unwrap().tree().index_stats().unwrap().leaf_pages;
+
+    let done = AtomicBool::new(false);
+    let start = std::sync::Barrier::new(PAGERS + 1);
+    // One full pass in pages of 257 rows; returns the keys in the
+    // order yielded.
+    let pass = |projected: bool| -> Vec<u64> {
+        let pk = table.index("pk").unwrap();
+        let mut seen: Vec<u64> = Vec::new();
+        loop {
+            let lo = seen.last().map(|k| k.to_be_bytes());
+            let bounds = match &lo {
+                Some(k) => (std::ops::Bound::Excluded(&k[..]), std::ops::Bound::Unbounded),
+                None => (std::ops::Bound::Unbounded, std::ops::Bound::Unbounded),
+            };
+            let before = seen.len();
+            if projected {
+                for row in pk.range_projected::<[u8], _>(bounds).limit(257) {
+                    let row = row.unwrap();
+                    let key = u64::from_be_bytes(row.key[..].try_into().unwrap());
+                    assert_eq!(decode(&row.projection.payload), (key, 0), "another key's bytes");
+                    seen.push(key);
+                }
+            } else {
+                for row in pk.range::<[u8], _>(bounds).limit(257) {
+                    let row = row.unwrap();
+                    let key = u64::from_be_bytes(row.key[..].try_into().unwrap());
+                    assert_eq!(row.tuple, tuple(key, 0), "another key's tuple");
+                    seen.push(key);
+                }
+            }
+            if seen.len() - before < 257 {
+                return seen;
+            }
+        }
+    };
+    let check = |seen: &[u64]| {
+        assert!(seen.windows(2).all(|w| w[0] < w[1]), "a pass must be strictly ascending");
+        let loaded_seen = seen.iter().filter(|k| *k % 4 == 0).count() as u64;
+        assert_eq!(loaded_seen, LOADED, "a pre-loaded key went missing across a split");
+    };
+
+    std::thread::scope(|s| {
+        let pagers: Vec<_> = (0..PAGERS)
+            .map(|i| {
+                let (pass, check, done, start) = (&pass, &check, &done, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let mut passes = 0;
+                    while !done.load(Ordering::Acquire) {
+                        check(&pass(i % 2 == 1));
+                        passes += 1;
+                    }
+                    passes
+                })
+            })
+            .collect();
+        start.wait();
+        for key in (0..4 * LOADED).filter(|k| k % 4 != 0) {
+            table.insert(&tuple(key, 0)).unwrap();
+        }
+        done.store(true, Ordering::Release);
+        for pager in pagers {
+            assert!(pager.join().unwrap() >= 1, "every pager overlapped the writer");
+        }
+    });
+
+    let pk = table.index("pk").unwrap();
+    assert!(pk.tree().index_stats().unwrap().leaf_pages > leaves_before, "the inserts must split");
+    for projected in [false, true] {
+        assert_eq!(pass(projected), (0..4 * LOADED).collect::<Vec<u64>>());
+    }
+    assert!(pk.tree().check_invariants().unwrap().is_ok());
+}

@@ -25,7 +25,6 @@ fn degenerate_config() -> DbConfig {
         intent_stripes: 1,
         compressed_budget_bytes: 0,
         tuning_interval: None,
-        readahead: 0,
         ..DbConfig::default()
     }
 }
@@ -324,5 +323,44 @@ fn persist_reopen_round_trips_on_degenerate_config() {
             t.index("pk").unwrap().get(&k.to_be_bytes()).unwrap().unwrap(),
             tuple(k, k % 7, k * 2)
         );
+    }
+}
+
+#[test]
+fn two_frame_pools_still_scan_correctly() {
+    use nbb::storage::{DiskManager, InMemoryDisk};
+    use std::sync::Arc;
+    // Two frames per pool, one shard: a batch fault may hold one frame
+    // at a time, so a refill's multi-leaf fault and its heap batch both
+    // degrade to one page per device call, and each page they load
+    // evicts the one before — the leaves faulted ahead are gone again
+    // when the walk reaches them. Slow, but the cursors must not notice.
+    let heap: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
+    let index: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
+    let db =
+        Database::with_disks(degenerate_config(), Arc::clone(&heap), Arc::clone(&index)).unwrap();
+    let t = db.create_table("t", 24).unwrap();
+    let rows: Vec<Vec<u8>> = (0..3000u64).map(|k| tuple(k, k % 5, k * 7)).collect();
+    t.insert_many(&rows).unwrap();
+    t.create_index(IndexSpec::cached("pk", FieldSpec::new(0, 8), vec![FieldSpec::new(16, 8)]))
+        .unwrap();
+    db.close().unwrap();
+
+    let tiny = DbConfig { heap_frames: 2, index_frames: 2, ..degenerate_config() };
+    let db = Database::reopen(tiny, heap, index).unwrap();
+    assert_eq!((db.heap_pool().capacity(), db.index_pool().capacity()), (2, 2));
+    let t = db.table("t").unwrap();
+    let pk = t.index("pk").unwrap();
+    let start = 1000u64.to_be_bytes();
+    let page: Vec<_> = pk.range(&start[..]..).limit(513).map(|r| r.unwrap()).collect();
+    assert_eq!(page.len(), 513);
+    for (i, row) in page.iter().enumerate() {
+        assert_eq!(row.tuple, tuple(1000 + i as u64, (1000 + i as u64) % 5, (1000 + i as u64) * 7));
+    }
+    let all: Vec<_> = pk.range_projected_all().map(|r| r.unwrap()).collect();
+    assert_eq!(all.len(), 3000);
+    for (k, row) in all.iter().enumerate() {
+        assert_eq!(row.key, (k as u64).to_be_bytes());
+        assert_eq!(row.projection.payload, (k as u64 * 7).to_le_bytes());
     }
 }

@@ -389,21 +389,23 @@ fn range_skips_rows_deleted_behind_the_index() {
     let db = Database::open(DbConfig::default());
     let t = cached_table(&db, 50);
     let by_id = t.index("by_id").unwrap();
-    let mut cursor = by_id.range_all();
-    cursor.next().unwrap().unwrap();
-    // Delete rows the cursor has not reached yet — through the heap
-    // only, leaving the index entries dangling (the index→heap race).
+    // Delete rows through the heap only, leaving their index entries
+    // dangling: what a cursor sees when a delete lands between its leaf
+    // read and its heap batch (the index→heap race).
     let heap_only: Vec<u64> = vec![10, 11, 12];
     for id in &heap_only {
         let ptr = by_id.tree().get(&be_key(*id)).unwrap().unwrap();
         t.heap().delete(nbb::storage::RecordId::from_u64(ptr)).unwrap();
     }
-    let rest: Vec<u64> =
-        cursor.map(|r| u64::from_be_bytes(r.unwrap().key[..8].try_into().unwrap())).collect();
-    for id in heap_only {
-        assert!(!rest.contains(&id), "row {id} deleted in the heap must be skipped");
-    }
-    assert!(rest.contains(&13));
+    let ids = |rows: Vec<nbb::core::RangeRow>| -> Vec<u64> {
+        rows.iter().map(|r| u64::from_be_bytes(r.key[..8].try_into().unwrap())).collect()
+    };
+    let all = ids(by_id.range_all().map(|r| r.unwrap()).collect());
+    assert_eq!(all, (0..50).filter(|id| !heap_only.contains(id)).collect::<Vec<u64>>());
+    // A limited cursor's first refill buffers ids 0..=12 and loses
+    // three of them to the heap; it refills until the limit is met.
+    let page = ids(by_id.range_all().limit(13).map(|r| r.unwrap()).collect());
+    assert_eq!(page, all[..13], "the skipped rows must not shorten the page");
 }
 
 // ---------------------------------------------------------------------

@@ -149,48 +149,3 @@ fn starved_hot_index_gains_cache_space_within_a_few_ticks() {
         );
     }
 }
-
-#[test]
-fn readahead_advice_line_grades_the_speculation_win_rate() {
-    // Readahead on, tuner off: the [tuner] section must still carry the
-    // advice line, because the knob it points at is a config knob, not
-    // the controller's. The index pool is kept smaller than the leaf
-    // set so the scan faults (a fully resident index never speculates).
-    let db = Database::open(DbConfig { readahead: 4, index_frames: 16, ..DbConfig::default() });
-    let t = db.create_table("t", 24).unwrap();
-    t.create_index(IndexSpec::cached("pk", FieldSpec::new(0, 8), vec![FieldSpec::new(16, 8)]))
-        .unwrap();
-    // Enough rows that the leaf set dwarfs the 16-frame index pool: the
-    // scan's resident frontier is always ahead of the cursor, so every
-    // refill has something real to speculate on.
-    for k in 0..12_000u64 {
-        t.insert(&tuple(k, k % 7, k * 3)).unwrap();
-    }
-
-    // An ascending full scan demand-touches every leaf the cursor
-    // speculatively loaded just behind the refill that issued it:
-    // near-perfect win rate, so the advice must grade the knob as
-    // worth raising.
-    let pk = t.index("pk").unwrap();
-    assert_eq!(pk.range_all().count(), 12_000);
-    let stats = t.stats();
-    assert!(stats.pool_prefetch_issued > 0, "the scan must actually speculate");
-    assert!(stats.pool_prefetch_hits > 0, "sequential readahead must pay off");
-
-    let report = db.waste_report("t", &["pk"]).unwrap();
-    let line = report
-        .tuner
-        .iter()
-        .find(|l| l.starts_with("readahead K=4:"))
-        .unwrap_or_else(|| panic!("advice line missing from {:?}", report.tuner));
-    assert!(
-        line.ends_with("consider raising"),
-        "a sequential scan's win rate must grade high: {line}"
-    );
-    assert!(line.contains("% useful"), "the line must carry the measured rate: {line}");
-    let rendered = report.render();
-    assert!(rendered.contains("[tuner]"), "advice must render under [tuner]:\n{rendered}");
-
-    // Off stays silent: the sibling default-config test pins that a
-    // zero-readahead database renders no [tuner] section at all.
-}
