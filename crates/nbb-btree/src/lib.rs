@@ -57,6 +57,6 @@ pub use intents::{IntentGuard, KeyIntents, DEFAULT_INTENT_STRIPES};
 pub use invalidation::{InvalidateOutcome, InvalidationState, Predicate};
 pub use node::{node_capacity, stable_point, InsertOutcome, Node, NodeMut};
 pub use tree::{
-    BTree, BTreeOptions, CacheStats, CachedLookup, IndexStats, InvToken, RangeChunk, RangeEntry,
+    BTree, BTreeOptions, CacheStats, CachedLookup, IndexStats, InvToken, RangeBuf, RangeChunk,
     WriteStats,
 };

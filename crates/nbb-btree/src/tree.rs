@@ -5,18 +5,21 @@
 //! Concurrency model: one tree-level `RwLock<PageId>` guards the tree's
 //! *shape* and holds the current root as its value, plus a striped
 //! per-leaf latch table for writers. Read-only operations (`get`,
-//! `lookup_cached`, `scan_from`, `range_chunk`, `leaves_after`, the
+//! `lookup_cached`, `scan_from`, `range_chunk`, `leaf_for`, `leaves_after`, the
 //! stats walks) take the read side — they never block each other, and
 //! with the sharded buffer pool they proceed in parallel down to the
 //! frame latches.
 //!
 //! Range scans are driven from outside, one call per leaf:
 //! [`BTree::range_chunk`] re-descends by key each time (so a cursor
-//! survives splits between calls) and reports the leaf's total key
-//! count; [`BTree::leaves_after`] reads the ids of the leaves that
-//! follow off the level-1 parent, so a cursor with a row budget can
-//! fault exactly the leaves it will walk in one batched read — the
-//! tree holds no lock between the two, and none across that read.
+//! survives splits between calls), appends the leaf's entries to the
+//! caller's [`RangeBuf`] — no per-entry allocation, no cache probe
+//! unless asked — and reports the leaf's total key count;
+//! [`BTree::leaf_for`] and [`BTree::leaves_after`] name the first leaf
+//! and the ones that follow off the level-1 parent without reading
+//! them, so a group of cursors can fault exactly the leaves it will
+//! walk in one batched read — the tree holds no lock between these
+//! calls, and none across that read.
 //!
 //! Writers crab: they descend under the structure lock's **read** side
 //! (the shape cannot change underfoot while any read guard is held),
@@ -258,24 +261,42 @@ pub struct CachedLookup {
     pub token: InvToken,
 }
 
-/// One `(key, value)` pair surfaced by [`BTree::range_chunk`], with the
-/// cached payload when the owning leaf's cache held one.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RangeEntry {
-    /// The index key.
-    pub key: Vec<u8>,
-    /// The stored value (tuple pointer).
-    pub value: u64,
-    /// Cached fields from leaf free space, if present and valid.
-    pub payload: Option<Vec<u8>>,
+/// Caller-owned row buffers [`BTree::range_chunk`] appends to, so a
+/// scan allocates per refill, not per row: entry `i`'s key is
+/// `keys[i * key_size..][..key_size]`, its value (tuple pointer)
+/// `values[i]`.
+#[derive(Debug, Clone, Default)]
+pub struct RangeBuf {
+    /// The index keys, `key_size` bytes each.
+    pub keys: Vec<u8>,
+    /// The stored values.
+    pub values: Vec<u64>,
+    /// Probing scans only: one `payload_size` slot per entry — the
+    /// cached fields from leaf free space where `cached[i]`, zeros
+    /// (for the caller to fill) elsewhere.
+    pub payloads: Vec<u8>,
+    /// Probing scans only: whether entry `i`'s slot holds a cached,
+    /// valid payload.
+    pub cached: Vec<bool>,
+}
+
+impl RangeBuf {
+    /// Empties every buffer, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.keys.clear();
+        self.values.clear();
+        self.payloads.clear();
+        self.cached.clear();
+    }
 }
 
 /// One leaf's worth of an ordered range scan (see
 /// [`BTree::range_chunk`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct RangeChunk {
-    /// In-range entries, ascending by key. Empty only when `exhausted`.
-    pub entries: Vec<RangeEntry>,
+    /// In-range entries appended to the caller's [`RangeBuf`],
+    /// ascending by key. Zero only when `exhausted`.
+    pub len: usize,
     /// The leaf the entries came from — pass to
     /// [`BTree::cache_populate`] together with `token` after a heap
     /// chase, so scans warm the cache like point lookups do.
@@ -283,11 +304,13 @@ pub struct RangeChunk {
     /// Consistency token issued before the leaf was read.
     pub token: InvToken,
     /// Keys the leaf holds in total, in range or not — the divisor for
-    /// "how many more leaves does a row budget span" (`entries.len()`
-    /// undercounts a leaf the scan entered part-way).
+    /// "how many more leaves does a row budget span" (`len` undercounts
+    /// a leaf the scan entered part-way).
     pub leaf_keys: usize,
     /// True once the scan passed the upper bound or the leaf chain
-    /// ended; no further chunk will yield entries.
+    /// ended; no further chunk will yield entries. Never true for a
+    /// chunk cut at `max`: the cut is only made in front of an in-range
+    /// entry.
     pub exhausted: bool,
 }
 
@@ -1090,9 +1113,12 @@ impl BTree {
         }
     }
 
-    /// Reads one ordered chunk of a range scan: the entries of the
-    /// first leaf intersecting `(lower, upper)`, each probed against
-    /// the leaf's §2.1 cache.
+    /// Reads one ordered chunk of a range scan: appends to `out` the
+    /// entries of the first leaf intersecting `(lower, upper)`, at most
+    /// `max` (≥ 1) of them. With `probe`, each entry is also looked up
+    /// in the leaf's §2.1 cache and gets a payload slot; a full-tuple
+    /// scan, which chases every row anyway, passes `false` and touches
+    /// neither the cache nor its counters.
     ///
     /// The structure lock is held only for the duration of this call —
     /// a cursor that advances its lower bound past the last returned
@@ -1106,13 +1132,21 @@ impl BTree {
     /// ended. Cache hits are **not** promoted: a scan touching every
     /// entry carries no per-key popularity signal, so it must not churn
     /// the stable point that point lookups organize.
-    pub fn range_chunk(&self, lower: Bound<&[u8]>, upper: Bound<&[u8]>) -> Result<RangeChunk> {
+    pub fn range_chunk(
+        &self,
+        lower: Bound<&[u8]>,
+        upper: Bound<&[u8]>,
+        max: usize,
+        probe: bool,
+        out: &mut RangeBuf,
+    ) -> Result<RangeChunk> {
         for b in [&lower, &upper] {
             if let Bound::Included(k) | Bound::Excluded(k) = b {
                 self.check_key(k)?;
             }
         }
-        let cfg = self.opts.cache;
+        let cfg = self.opts.cache.filter(|_| probe);
+        let (max, slot) = (max.max(1), cfg.map_or(0, |c| c.payload_size));
         let root = self.root.read();
         let mut leaf = match lower {
             Bound::Included(k) | Bound::Excluded(k) => self.find_leaf(*root, k)?,
@@ -1120,22 +1154,15 @@ impl BTree {
         };
         loop {
             let token = InvToken { csn: self.inv.csn(), newest_seq: self.inv.newest_seq() };
-            struct Out {
-                entries: Vec<RangeEntry>,
-                verdict: Option<crate::invalidation::PageVerdict>,
-                past_upper: bool,
-                next: PageId,
-                leaf_keys: usize,
-            }
-            let out = self.pool.with_page(leaf, |p| {
+            let (len, hits, verdict, ended, next, leaf_keys) = self.pool.with_page(leaf, |p| {
                 let n = Node::new(p, self.key_size);
                 let verdict = cfg.map(|_| {
                     let range = n.first_key().zip(n.last_key());
                     self.inv.check_page(n.csn(), n.log_watermark(), range)
                 });
-                let cache_valid = verdict.is_some_and(|v| v.cache_valid);
                 let view = cfg
                     .as_ref()
+                    .filter(|_| verdict.is_some_and(|v| v.cache_valid))
                     .map(|c| CacheView::new_capped(p, self.key_size, c, self.cache_cap_bytes()));
                 let from = match lower {
                     Bound::Included(k) => match n.search(k) {
@@ -1147,8 +1174,10 @@ impl BTree {
                     },
                     Bound::Unbounded => 0,
                 };
-                let mut entries = Vec::new();
-                let mut past_upper = false;
+                let (mut len, mut hits) = (0usize, 0u64);
+                // `None` = the leaf ran out; `Some(past_upper)` = the
+                // walk stopped in front of an entry.
+                let mut ended = None;
                 for i in from..n.nkeys() {
                     let key = n.key_at(i);
                     let in_range = match upper {
@@ -1156,43 +1185,84 @@ impl BTree {
                         Bound::Excluded(u) => key < u,
                         Bound::Unbounded => true,
                     };
-                    if !in_range {
-                        past_upper = true;
+                    if !in_range || len == max {
+                        ended = Some(!in_range);
                         break;
                     }
                     let value = n.value_at(i);
-                    let payload = if cache_valid {
-                        view.as_ref().and_then(|vw| {
-                            vw.probe(Self::tuple_id(value)).map(|(_, pl)| pl.to_vec())
-                        })
-                    } else {
-                        None
-                    };
-                    entries.push(RangeEntry { key: key.to_vec(), value, payload });
+                    out.keys.extend_from_slice(key);
+                    out.values.push(value);
+                    if probe {
+                        let hit = view.as_ref().and_then(|vw| vw.probe(Self::tuple_id(value)));
+                        match hit {
+                            Some((_, payload)) => out.payloads.extend_from_slice(payload),
+                            None => out.payloads.resize(out.payloads.len() + slot, 0),
+                        }
+                        out.cached.push(hit.is_some());
+                        hits += u64::from(hit.is_some());
+                    }
+                    len += 1;
                 }
-                Out { entries, verdict, past_upper, next: n.next_leaf(), leaf_keys: n.nkeys() }
+                (len, hits, verdict, ended, n.next_leaf(), n.nkeys())
             })?;
-            if let Some(verdict) = &out.verdict {
+            if let Some(verdict) = &verdict {
                 self.apply_verdict(leaf, verdict)?;
             }
-            if !out.entries.is_empty() {
-                let probed = out.entries.len() as u64;
-                let hit = out.entries.iter().filter(|e| e.payload.is_some()).count() as u64;
-                if cfg.is_some() {
-                    self.stats.lookups.fetch_add(probed, Ordering::Relaxed);
-                    self.stats.hits.fetch_add(hit, Ordering::Relaxed);
-                    self.stats.misses.fetch_add(probed - hit, Ordering::Relaxed);
-                }
-                let Out { entries, leaf_keys, .. } = out;
-                let exhausted = out.past_upper || !out.next.is_valid();
-                return Ok(RangeChunk { entries, leaf, token, leaf_keys, exhausted });
+            if cfg.is_some() {
+                self.stats.lookups.fetch_add(len as u64, Ordering::Relaxed);
+                self.stats.hits.fetch_add(hits, Ordering::Relaxed);
+                self.stats.misses.fetch_add(len as u64 - hits, Ordering::Relaxed);
             }
-            if out.past_upper || !out.next.is_valid() {
-                let (entries, leaf_keys) = (Vec::new(), out.leaf_keys);
-                return Ok(RangeChunk { entries, leaf, token, leaf_keys, exhausted: true });
+            let exhausted = ended.unwrap_or(!next.is_valid());
+            if len > 0 || exhausted {
+                return Ok(RangeChunk { len, leaf, token, leaf_keys, exhausted });
             }
-            leaf = out.next;
+            leaf = next;
         }
+    }
+
+    /// Runs `f` over the node that routes `key` (`None` = the leftmost
+    /// path) to its leaf — the level-1 node, or the root when the root
+    /// is a leaf — under the structure read lock, reading no leaf.
+    fn with_leaf_parent<R>(
+        &self,
+        key: Option<&[u8]>,
+        f: impl Fn(PageId, Node<'_>) -> R,
+    ) -> Result<R> {
+        let root = self.root.read();
+        let mut cur = *root;
+        loop {
+            let step = self.pool.with_page(cur, |p| {
+                let n = Node::new(p, self.key_size);
+                match (n.level(), key) {
+                    (0 | 1, _) => ControlFlow::Break(f(cur, n)),
+                    (_, Some(key)) => ControlFlow::Continue(n.child_for(key)),
+                    (_, None) => ControlFlow::Continue(n.leftmost_child()),
+                }
+            })?;
+            match step {
+                ControlFlow::Break(r) => return Ok(r),
+                ControlFlow::Continue(child) => cur = child,
+            }
+        }
+    }
+
+    /// The leaf a scan from `lower` reads first, named off its level-1
+    /// parent **without reading it**, so a cursor — or a group of them —
+    /// can fault first leaves in one batched read before walking them
+    /// with [`BTree::range_chunk`]. Like [`BTree::leaves_after`], the id
+    /// is exact when read and at worst one unneeded read once stale.
+    pub fn leaf_for(&self, lower: Bound<&[u8]>) -> Result<PageId> {
+        let key = match lower {
+            Bound::Included(k) | Bound::Excluded(k) => Some(k),
+            Bound::Unbounded => None,
+        };
+        key.map_or(Ok(()), |k| self.check_key(k))?;
+        self.with_leaf_parent(key, |id, n| match key {
+            _ if n.is_leaf() => id,
+            Some(k) => n.child_for(k),
+            None => n.leftmost_child(),
+        })
     }
 
     /// Up to `k` leaves that follow the leaf owning `key`, in key order
@@ -1212,41 +1282,23 @@ impl BTree {
     /// goes by key.
     pub fn leaves_after(&self, key: &[u8], upper: Bound<&[u8]>, k: usize) -> Result<Vec<PageId>> {
         self.check_key(key)?;
-        let root = self.root.read();
-        let mut cur = *root;
-        loop {
-            let step = self.pool.with_page(cur, |p| {
-                let n = Node::new(p, self.key_size);
-                match n.level() {
-                    0 => ControlFlow::Break(Vec::new()),
-                    1 => {
-                        // Child `i` holds the keys from separator `i`
-                        // up; the leftmost child sits before child 0.
-                        let from = match n.search(key) {
-                            Ok(i) => i + 1,
-                            Err(i) => i,
-                        };
-                        let within = |i: &usize| match upper {
-                            Bound::Included(u) => n.key_at(*i) <= u,
-                            Bound::Excluded(u) => n.key_at(*i) < u,
-                            Bound::Unbounded => true,
-                        };
-                        ControlFlow::Break(
-                            (from..n.nkeys())
-                                .take(k)
-                                .take_while(within)
-                                .map(|i| PageId(n.value_at(i)))
-                                .collect(),
-                        )
-                    }
-                    _ => ControlFlow::Continue(n.child_for(key)),
-                }
-            })?;
-            match step {
-                ControlFlow::Break(ids) => return Ok(ids),
-                ControlFlow::Continue(child) => cur = child,
+        self.with_leaf_parent(Some(key), |_, n| {
+            if n.is_leaf() {
+                return Vec::new();
             }
-        }
+            // Child `i` holds the keys from separator `i` up; the
+            // leftmost child sits before child 0.
+            let from = match n.search(key) {
+                Ok(i) => i + 1,
+                Err(i) => i,
+            };
+            let within = |i: &usize| match upper {
+                Bound::Included(u) => n.key_at(*i) <= u,
+                Bound::Excluded(u) => n.key_at(*i) < u,
+                Bound::Unbounded => true,
+            };
+            (from..n.nkeys()).take(k).take_while(within).map(|i| PageId(n.value_at(i))).collect()
+        })
     }
 
     /// Number of keys in the tree (walks every leaf).

@@ -239,24 +239,25 @@ fn range_scan_survives_concurrent_splits() {
         };
         // Cursor discipline from the query layer: advance the lower
         // bound past the last yielded key, re-descending per refill.
-        let mut seen: Vec<u64> = Vec::new();
+        let mut buf = nbb_btree::RangeBuf::default();
         let mut lower: Option<Vec<u8>> = None;
         loop {
             let lb = match &lower {
                 Some(key) => Bound::Excluded(key.as_slice()),
                 None => Bound::Unbounded,
             };
-            let chunk = tree.range_chunk(lb, Bound::Unbounded).unwrap();
-            for e in &chunk.entries {
-                seen.push(u64::from_be_bytes(e.key[..8].try_into().unwrap()));
-            }
-            if let Some(last) = chunk.entries.last() {
-                lower = Some(last.key.clone());
-            }
+            let chunk =
+                tree.range_chunk(lb, Bound::Unbounded, usize::MAX, false, &mut buf).unwrap();
+            lower = buf.keys.chunks_exact(8).last().map(<[u8]>::to_vec);
             if chunk.exhausted {
                 break;
             }
         }
+        let seen: Vec<u64> = buf
+            .keys
+            .chunks_exact(8)
+            .map(|key| u64::from_be_bytes(key.try_into().unwrap()))
+            .collect();
         writer.join().unwrap();
         assert!(seen.windows(2).all(|w| w[0] < w[1]), "cursor must stay strictly ascending");
         let evens: Vec<u64> = seen.iter().copied().filter(|v| v % 2 == 0).collect();

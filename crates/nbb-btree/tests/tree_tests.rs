@@ -306,6 +306,20 @@ fn lookup_cached_many_on_uncached_tree_records_no_cache_stats() {
     assert_eq!(tree.cache_stats(), nbb_btree::CacheStats::default());
 }
 
+/// One uncut chunk into fresh buffers.
+fn chunk_of(
+    tree: &BTree,
+    lower: std::ops::Bound<&[u8]>,
+    upper: std::ops::Bound<&[u8]>,
+    probe: bool,
+) -> (nbb_btree::RangeChunk, nbb_btree::RangeBuf) {
+    let mut buf = nbb_btree::RangeBuf::default();
+    let chunk = tree.range_chunk(lower, upper, usize::MAX, probe, &mut buf).unwrap();
+    assert_eq!((buf.values.len(), buf.keys.len()), (chunk.len, chunk.len * tree.key_size()));
+    assert_eq!(buf.cached.len(), if probe { chunk.len } else { 0 });
+    (chunk, buf)
+}
+
 #[test]
 fn range_chunk_walks_the_whole_tree_in_order() {
     use std::ops::Bound;
@@ -314,25 +328,45 @@ fn range_chunk_walks_the_whole_tree_in_order() {
     for v in 0..n {
         tree.insert(&k(v), v).unwrap();
     }
-    let mut seen = Vec::new();
+    let mut seen: Vec<u64> = Vec::new();
     let mut lower: Option<Vec<u8>> = None;
     loop {
         let lb = match &lower {
             None => Bound::Unbounded,
             Some(key) => Bound::Excluded(&key[..]),
         };
-        let chunk = tree.range_chunk(lb, Bound::Unbounded).unwrap();
-        for e in &chunk.entries {
-            seen.push(e.value);
-        }
-        if let Some(last) = chunk.entries.last() {
-            lower = Some(last.key.clone());
+        let (chunk, buf) = chunk_of(&tree, lb, Bound::Unbounded, false);
+        seen.extend(&buf.values);
+        if let Some(last) = buf.keys.chunks_exact(8).last() {
+            lower = Some(last.to_vec());
         }
         if chunk.exhausted {
             break;
         }
     }
     assert_eq!(seen, (0..n).collect::<Vec<_>>());
+}
+
+#[test]
+fn range_chunk_appends_up_to_max_and_only_cuts_in_front_of_a_row() {
+    use std::ops::Bound;
+    let tree = BTree::create(pool(), 8, BTreeOptions::default()).unwrap();
+    for v in 0..10u64 {
+        tree.insert(&k(v), v).unwrap();
+    }
+    let mut buf = nbb_btree::RangeBuf::default();
+    let all = (Bound::Unbounded, Bound::Excluded(&k(6)[..]));
+    // Cut at 4 of 6 in-range rows: more is known to follow.
+    let cut = tree.range_chunk(all.0, all.1, 4, false, &mut buf).unwrap();
+    assert_eq!((cut.len, cut.exhausted, cut.leaf_keys), (4, false, 10));
+    // The remaining two end the range at `max` exactly: not a cut.
+    let rest = tree.range_chunk(Bound::Excluded(&k(3)), all.1, 2, false, &mut buf).unwrap();
+    assert_eq!((rest.len, rest.exhausted), (2, true));
+    // Both chunks appended to the same buffers, at a fixed stride.
+    assert_eq!(buf.values, (0..6).collect::<Vec<u64>>());
+    let keys: Vec<&[u8]> = buf.keys.chunks_exact(8).collect();
+    assert_eq!(keys, (0..6).map(k).collect::<Vec<_>>());
+    assert!(buf.payloads.is_empty() && buf.cached.is_empty(), "not a probing scan");
 }
 
 #[test]
@@ -343,14 +377,12 @@ fn range_chunk_respects_bounds_between_keys() {
         tree.insert(&k(v), v).unwrap();
     }
     // 35..=65 → 40, 50, 60 (bounds fall between keys).
-    let chunk = tree.range_chunk(Bound::Included(&k(35)), Bound::Included(&k(65))).unwrap();
-    let got: Vec<u64> = chunk.entries.iter().map(|e| e.value).collect();
-    assert_eq!(got, vec![40, 50, 60]);
+    let (chunk, buf) = chunk_of(&tree, Bound::Included(&k(35)), Bound::Included(&k(65)), false);
+    assert_eq!(buf.values, vec![40, 50, 60]);
     assert!(chunk.exhausted);
     // Exclusive bounds on exact keys.
-    let chunk = tree.range_chunk(Bound::Excluded(&k(40)), Bound::Excluded(&k(60))).unwrap();
-    let got: Vec<u64> = chunk.entries.iter().map(|e| e.value).collect();
-    assert_eq!(got, vec![50]);
+    let (_, buf) = chunk_of(&tree, Bound::Excluded(&k(40)), Bound::Excluded(&k(60)), false);
+    assert_eq!(buf.values, vec![50]);
 }
 
 #[test]
@@ -360,6 +392,7 @@ fn leaves_after_names_exactly_the_leaves_a_scan_walks_next() {
     // leaves hang off several level-1 parents.
     let tree = BTree::create(pool_with(1024, 2048), 8, BTreeOptions::default()).unwrap();
     assert!(tree.leaves_after(&k(0), Bound::Unbounded, 4).unwrap().is_empty(), "root is a leaf");
+    assert_eq!(tree.leaf_for(Bound::Included(&k(7))).unwrap(), tree.root_page(), "root is a leaf");
     let n = 20_000u64;
     for v in 0..n {
         tree.insert(&k(v), v).unwrap();
@@ -370,9 +403,9 @@ fn leaves_after_names_exactly_the_leaves_a_scan_walks_next() {
     let mut lower = Bound::Unbounded;
     let mut last_key;
     loop {
-        let chunk = tree.range_chunk(lower, Bound::Unbounded).unwrap();
-        let (first, last) = (chunk.entries[0].value, chunk.entries.last().unwrap().value);
-        assert_eq!(chunk.leaf_keys, chunk.entries.len(), "a whole leaf is all in range");
+        let (chunk, buf) = chunk_of(&tree, lower, Bound::Unbounded, false);
+        let (first, last) = (buf.values[0], *buf.values.last().unwrap());
+        assert_eq!(chunk.leaf_keys, chunk.len, "a whole leaf is all in range");
         chain.push((chunk.leaf, first, last));
         if chunk.exhausted {
             break;
@@ -382,8 +415,21 @@ fn leaves_after_names_exactly_the_leaves_a_scan_walks_next() {
     }
     // A leaf entered part-way still reports its total key count.
     let (_, first, last) = chain[3];
-    let part = tree.range_chunk(Bound::Included(&k(last - 1)), Bound::Unbounded).unwrap();
-    assert_eq!((part.entries.len(), part.leaf_keys), (2, (last - first + 1) as usize));
+    let (part, _) = chunk_of(&tree, Bound::Included(&k(last - 1)), Bound::Unbounded, false);
+    assert_eq!((part.len, part.leaf_keys), (2, (last - first + 1) as usize));
+
+    // `leaf_for` names the leaf a scan from any bound reads first.
+    assert_eq!(tree.leaf_for(Bound::Unbounded).unwrap(), chain[0].0);
+    for &(leaf, first, last) in &chain {
+        for key in [first, last] {
+            assert_eq!(tree.leaf_for(Bound::Included(&k(key))).unwrap(), leaf);
+            assert_eq!(
+                tree.leaf_for(Bound::Excluded(&k(key))).unwrap(),
+                leaf,
+                "by owner, not by successor"
+            );
+        }
+    }
 
     let mut crossed = 0;
     for (i, &(_, first, last)) in chain.iter().enumerate() {
@@ -414,8 +460,8 @@ fn leaves_after_names_exactly_the_leaves_a_scan_walks_next() {
 fn range_chunk_on_empty_tree_is_exhausted() {
     use std::ops::Bound;
     let tree = BTree::create(pool(), 8, BTreeOptions::default()).unwrap();
-    let chunk = tree.range_chunk(Bound::Unbounded, Bound::Unbounded).unwrap();
-    assert!(chunk.entries.is_empty());
+    let (chunk, _) = chunk_of(&tree, Bound::Unbounded, Bound::Unbounded, true);
+    assert_eq!(chunk.len, 0);
     assert!(chunk.exhausted);
 }
 
@@ -431,15 +477,24 @@ fn range_chunk_serves_cached_payloads() {
         let m = tree.lookup_cached(&k(v)).unwrap();
         tree.cache_populate(m.leaf, v, &v.to_le_bytes(), m.token).unwrap();
     }
-    let chunk = tree.range_chunk(Bound::Included(&k(10)), Bound::Excluded(&k(20))).unwrap();
-    assert_eq!(chunk.entries.len(), 10);
-    let warm = chunk.entries.iter().filter(|e| e.payload.is_some()).count();
+    let range = (Bound::Included(&k(10)[..]), Bound::Excluded(&k(20)[..]));
+    let before = tree.cache_stats();
+    let (chunk, buf) = chunk_of(&tree, range.0, range.1, true);
+    assert_eq!(chunk.len, 10);
+    let warm = buf.cached.iter().filter(|c| **c).count();
     assert!(warm > 0, "scan must serve projections from leaf free space");
-    for e in &chunk.entries {
-        if let Some(pl) = &e.payload {
-            assert_eq!(pl[..], e.value.to_le_bytes()[..]);
-        }
+    for (i, slot) in buf.payloads.chunks_exact(8).enumerate() {
+        let want = if buf.cached[i] { buf.values[i].to_le_bytes() } else { [0; 8] };
+        assert_eq!(slot, want, "a miss leaves a zeroed slot for the caller to fill");
     }
+    let probed = tree.cache_stats();
+    assert_eq!(probed.lookups - before.lookups, 10);
+    assert_eq!(probed.hits - before.hits, warm as u64);
+    // A scan that chases every row anyway stays off the cache and its
+    // counters altogether.
+    let (_, buf) = chunk_of(&tree, range.0, range.1, false);
+    assert_eq!(buf.values.len(), 10);
+    assert_eq!(tree.cache_stats(), probed);
 }
 
 // ---------------------------------------------------------------------

@@ -45,7 +45,9 @@
 //!   [`query::IndexRef::range_projected`] walk the leaves in key
 //!   order, serving projections from leaf free space and refilling by
 //!   row budget (`.limit(n)`): the leaves a refill is sure to need in
-//!   one batched fault, its heap rows in one batched read;
+//!   one batched fault, its heap rows in one batched read, buffered in
+//!   flat arenas; [`query::IndexRef::range_pages`] refills a group of
+//!   pages together and lends their rows out as slices;
 //! * [`row`] — typed table declarations: [`row::RowSchema`] derives
 //!   field geometry and order-preserving key bytes from an
 //!   [`nbb_encoding::Schema`], so rows read/write as
@@ -146,7 +148,8 @@ pub mod waste;
 pub use db::{Database, DbConfig};
 pub use joincache::{JoinCache, JoinCacheStats};
 pub use query::{
-    Batch, BatchOutput, IndexRef, ProjectedRangeCursor, ProjectedRow, RangeCursor, RangeRow,
+    Batch, BatchOutput, IndexRef, PageSpec, ProjectedRangeCursor, ProjectedRow, RangeCursor,
+    RangePage, RangeRow,
 };
 pub use row::RowSchema;
 pub use table::{FieldSpec, IndexSpec, Projection, Table, TableStats};

@@ -34,19 +34,22 @@
 //!   re-descend by key, so cursors survive leaf splits mid-iteration.
 //!   Cursors refill by **row budget** — what is left of
 //!   [`RangeCursor::limit`], or a budget that doubles per refill when
-//!   the caller set none: a refill faults the leaves it is sure to
-//!   consume in one batched read (their ids read off the parent node)
-//!   and fetches every buffered row's heap page in one more, so a page
-//!   of N rows costs a handful of device round trips instead of one per
-//!   leaf and per heap page, and reads no page a row-at-a-time walk
-//!   would not read.
+//!   the caller set none — and a refill is a **group refill**: every
+//!   cursor in the group (a lone cursor is the group of one) names the
+//!   leaves it is sure to read, the union rides one batched fault, and
+//!   every row's heap page one batched read, so N queued pages cost
+//!   the device round trips of one and read exactly the pages they
+//!   would read alone. Rows are not objects: a refill buffers keys and
+//!   bodies in flat **arenas**, written once (leaf → arena, pinned heap
+//!   page → arena); [`IndexRef::range_pages`] lends them out as slices
+//!   and only the iterators' owned `RangeRow`s copy them.
 
 use crate::table::{Index, IndexSpec, Projection, Table};
-use nbb_btree::{BTree, InvToken, RangeEntry};
+use nbb_btree::{BTree, InvToken, RangeBuf};
 use nbb_storage::error::{Result, StorageError};
 use nbb_storage::rid::RecordId;
 use nbb_storage::PageId;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 
@@ -234,6 +237,46 @@ impl<'t> IndexRef<'t> {
     pub fn range_projected_all(&self) -> ProjectedRangeCursor<'t> {
         self.range_projected::<[u8], _>(..)
     }
+
+    /// One page per `(lower, upper, limit)` spec, all filled by the same
+    /// group refills: the specs' leaf faults and heap reads are merged,
+    /// so N queued pages cost about the device round trips of one while
+    /// reading exactly the union of the pages each reads alone. A page
+    /// holds the rows [`IndexRef::range`] yields under that limit, lent
+    /// out as slices (nothing is allocated per row), and knows whether
+    /// a row lies beyond it.
+    pub fn range_pages(&self, specs: &[PageSpec<'_>]) -> Result<Vec<RangePage<'t>>> {
+        self.pages(specs, false)
+    }
+
+    /// [`IndexRef::range_pages`] for [`IndexRef::range_projected`]: the
+    /// bodies are cached-field payloads ([`RangePage::index_only`]).
+    pub fn range_projected_pages(&self, specs: &[PageSpec<'_>]) -> Result<Vec<RangePage<'t>>> {
+        self.pages(specs, true)
+    }
+
+    fn pages(&self, specs: &[PageSpec<'_>], projected: bool) -> Result<Vec<RangePage<'t>>> {
+        let state = |&(lo, hi, limit): &PageSpec<'_>| {
+            let idx = Arc::clone(&self.idx);
+            let mut state = RangeState::new::<[u8], _>(self.table, idx, (lo, hi), projected);
+            // One row past the page makes `more` authoritative, and
+            // sizes the refills for the page and the probe together.
+            state.limit = Some(limit.saturating_add(1));
+            state
+        };
+        let mut group: Vec<RangeState<'t>> = specs.iter().map(state).collect();
+        let short = |c: &RangeState<'_>| c.limit.is_some_and(|l| l > c.rows.values.len());
+        while group.iter().any(|c| !c.exhausted && short(c)) {
+            refill(&mut group)?;
+        }
+        let page = |(state, &(.., limit)): (RangeState<'t>, &PageSpec<'_>)| {
+            let len = state.rows.values.len().min(limit);
+            let served = state.rows.cached.iter().take(len).filter(|c| **c).count();
+            self.table.note_index_only_answers(served as u64);
+            RangePage { state, len }
+        };
+        Ok(group.into_iter().zip(specs).map(page).collect())
+    }
 }
 
 /// Converts a borrowed bound into an owned one.
@@ -255,22 +298,13 @@ fn borrow_bound(b: &Bound<Vec<u8>>) -> Bound<&[u8]> {
 
 /// Most rows one refill buffers, whatever the caller asked for. A
 /// `limit` is request data (the wire carries a `u32`), so this is what
-/// keeps `limit = u32::MAX` from buffering a table or queueing an
-/// unbounded batch of page faults; a longer scan simply refills again.
+/// keeps `limit = u32::MAX` from queueing an unbounded batch of page
+/// faults; a longer scan simply refills again.
 const REFILL_ROWS_MAX: usize = 1024;
 
-/// One buffered row, resolved and ready to yield: `body` is the tuple
-/// for [`RangeCursor`] and the cached-field payload for
-/// [`ProjectedRangeCursor`].
-struct Resolved {
-    key: Vec<u8>,
-    rid: RecordId,
-    body: Vec<u8>,
-    index_only: bool,
-}
-
-/// Shared cursor state: the resolved rows of the last refill plus the
-/// resume bound.
+/// Shared cursor state: the rows buffered so far as flat arenas — no
+/// per-row object — the resume bound, and the cursor's share of the
+/// refill in progress.
 struct RangeState<'t> {
     table: &'t Table,
     idx: Arc<Index>,
@@ -284,9 +318,26 @@ struct RangeState<'t> {
     /// Row budget of an unlimited cursor's next refill: 0 reads one
     /// leaf, and every refill doubles what the last one buffered.
     grow: usize,
-    buf: VecDeque<Resolved>,
+    /// The buffered rows, every one resolved: keys and pointers at a
+    /// fixed stride, and for a projection cursor the bodies too
+    /// (`payloads`, with `cached` = answered index-only).
+    rows: RangeBuf,
+    /// A full-tuple cursor's bodies, `tuple_width` bytes per row.
+    tuples: Vec<u8>,
+    /// Buffered rows already yielded.
+    next: usize,
     exhausted: bool,
     failed: bool,
+    /// This refill: the first row it buffers and its row budget.
+    start: usize,
+    want: usize,
+    /// `(end row, leaf, token)` of every chunk it walked, so chased
+    /// rows populate the cache of their own leaf.
+    chunks: Vec<(usize, PageId, InvToken)>,
+    /// Leaves named this round and not yet walked, and the total keys
+    /// of the last leaf walked.
+    ahead: usize,
+    leaf_keys: usize,
 }
 
 impl<'t> RangeState<'t> {
@@ -304,109 +355,224 @@ impl<'t> RangeState<'t> {
             projected,
             limit: None,
             grow: 0,
-            buf: VecDeque::new(),
+            rows: RangeBuf::default(),
+            tuples: Vec::new(),
+            next: 0,
             exhausted: false,
             failed: false,
+            start: 0,
+            want: 0,
+            chunks: Vec::new(),
+            ahead: 0,
+            leaf_keys: 0,
         }
     }
 
-    /// Buffers the next rows of the range, up to a **row budget**: what
-    /// is left of the limit, or the unlimited cursor's doubling budget,
-    /// clamped by [`REFILL_ROWS_MAX`]. Costs at most one multi-leaf
-    /// index fault per level-1 parent and one batched heap read.
-    ///
-    /// Index phase: read a leaf; while the budget is not met, ask the
-    /// tree for the leaves that follow, fault them in one
-    /// `fault_many`, and walk them. Each leaf is still read by
-    /// [`BTree::range_chunk`] re-descending from the last buffered key
-    /// (never by a remembered page id), which is what keeps the cursor
-    /// split-safe; after the batch fault those descents are pool hits.
-    /// Heap phase, with no tree lock held: every buffered entry that
-    /// needs its tuple is chased through one
-    /// [`Table::fetch_verified_many`]. Rows a racing delete removed in
-    /// between are dropped; the caller refills if that left it short.
-    fn refill(&mut self) -> Result<()> {
+    /// Bytes per buffered body: the tuple, or the cached-field payload.
+    fn body_width(&self) -> usize {
+        if self.projected {
+            self.idx.spec.payload_size()
+        } else {
+            self.table.tuple_width()
+        }
+    }
+
+    /// Key and body of buffered row `i`, borrowed from the arenas.
+    fn row(&self, i: usize) -> (&[u8], &[u8]) {
+        let (kw, bw) = (self.idx.tree.key_size(), self.body_width());
+        let bodies = if self.projected { &self.rows.payloads } else { &self.tuples };
+        (&self.rows.keys[i * kw..][..kw], &bodies[i * bw..][..bw])
+    }
+
+    /// Starts a refill: sets its **row budget** — what is left of the
+    /// limit, or the unlimited cursor's doubling budget, clamped by
+    /// [`REFILL_ROWS_MAX`] — reusing the arenas once they are drained.
+    fn begin(&mut self) {
+        if self.next == self.rows.values.len() {
+            self.rows.clear();
+            self.tuples.clear();
+            self.next = 0;
+        }
+        self.start = self.rows.values.len();
+        let owed =
+            self.limit.map_or(self.grow.max(1), |l| l.saturating_sub(self.start - self.next));
+        self.want = owed.min(REFILL_ROWS_MAX);
+        self.chunks.clear();
+    }
+
+    /// Rows this refill has yet to read from the index.
+    fn owes(&self) -> usize {
+        let read = self.rows.values.len() - self.start;
+        if self.exhausted {
+            0
+        } else {
+            self.want.saturating_sub(read)
+        }
+    }
+
+    /// Walks the leaves the last round named for this cursor (one leaf
+    /// when it named none). Each leaf is read by [`BTree::range_chunk`]
+    /// re-descending from the last buffered key (never by a remembered
+    /// page id), which is what keeps the cursor split-safe; after the
+    /// round's batch fault those descents are pool hits.
+    fn walk(&mut self) -> Result<()> {
         let tree = &self.idx.tree;
-        let want = self.limit.unwrap_or(self.grow).min(REFILL_ROWS_MAX);
-        let mut entries: Vec<(RangeEntry, PageId, InvToken)> = Vec::new();
-        let mut faulted_ahead = 0usize;
         loop {
-            let mut chunk =
-                tree.range_chunk(borrow_bound(&self.lower), borrow_bound(&self.upper))?;
-            self.exhausted = chunk.exhausted;
             // A limited cursor stops at its limit inside the leaf: the
             // entries past it would cost heap pages nobody asked for.
-            if self.limit.is_some() && entries.len() + chunk.entries.len() > want {
-                chunk.entries.truncate(want - entries.len());
-                self.exhausted = false;
+            let max = if self.limit.is_some() { self.owes() } else { usize::MAX };
+            let (lower, upper) = (borrow_bound(&self.lower), borrow_bound(&self.upper));
+            let chunk = tree.range_chunk(lower, upper, max, self.projected, &mut self.rows)?;
+            (self.exhausted, self.leaf_keys) = (chunk.exhausted, chunk.leaf_keys);
+            if chunk.len > 0 {
+                let last = &self.rows.keys[self.rows.keys.len() - tree.key_size()..];
+                self.lower = Bound::Excluded(last.to_vec());
+                self.chunks.push((self.rows.values.len(), chunk.leaf, chunk.token));
             }
-            let Some(last) = chunk.entries.last() else { break };
-            self.lower = Bound::Excluded(last.key.clone());
-            entries.extend(chunk.entries.into_iter().map(|e| (e, chunk.leaf, chunk.token)));
-            if self.exhausted || entries.len() >= want {
-                break;
-            }
-            faulted_ahead = faulted_ahead.saturating_sub(1);
-            // Once the leaves faulted ahead are walked, fault ahead
-            // again: only the leaves this refill is sure to consume
-            // whole, sized from the leaf's *total* key count. Its
-            // in-range count would be wrong exactly where it matters: a
-            // scan enters its first leaf part-way, and dividing by that
-            // fraction over-reads several leaves.
-            let sure = (want - entries.len()) / chunk.leaf_keys.max(1);
-            if faulted_ahead == 0 && sure > 0 {
-                let (last, ..) = &entries[entries.len() - 1];
-                let ahead = tree.leaves_after(&last.key, borrow_bound(&self.upper), sure)?;
-                tree.pool().fault_many(&ahead)?;
-                faulted_ahead = ahead.len();
+            self.ahead = self.ahead.saturating_sub(1);
+            if self.owes() == 0 || self.ahead == 0 {
+                return Ok(());
             }
         }
-        self.grow = 2 * entries.len().max(1);
-
-        let keys: Vec<&[u8]> = entries.iter().map(|(e, ..)| e.key.as_slice()).collect();
-        let chased = |e: &RangeEntry| !self.projected || e.payload.is_none();
-        let ptrs = entries.iter().map(|(e, ..)| chased(e).then_some(e.value));
-        let tuples = self.table.fetch_verified_many(&self.idx, &keys, ptrs)?;
-        for ((e, leaf, token), tuple) in entries.into_iter().zip(tuples) {
-            let (body, index_only) = match (tuple, e.payload) {
-                (Some(tuple), _) if !self.projected => (tuple, false),
-                (Some(tuple), _) => {
-                    let payload = self.idx.extract_payload(&tuple);
-                    tree.cache_populate(leaf, e.value, &payload, token)?;
-                    (payload, false)
-                }
-                (None, Some(payload)) if self.projected => (payload, true),
-                // Deleted between the leaf read and the heap read.
-                (None, _) => continue,
-            };
-            let rid = RecordId::from_u64(e.value);
-            self.buf.push_back(Resolved { key: e.key, rid, body, index_only });
-        }
-        Ok(())
     }
 
-    /// Next resolved row within the range and the limit, refilling as
-    /// needed.
-    fn next_row(&mut self) -> Option<Result<Resolved>> {
+    /// Removes the buffered rows at `dead` (ascending): the ones a
+    /// racing delete took between the leaf read and the heap read.
+    fn drop_rows(&mut self, dead: &[usize]) {
+        fn retain<T>(arena: &mut Vec<T>, width: usize, dead: &[usize]) {
+            let mut at = 0;
+            arena.retain(|_| {
+                at += 1;
+                dead.binary_search(&((at - 1) / width)).is_err()
+            });
+        }
+        let (kw, bw) = (self.idx.tree.key_size(), self.body_width());
+        retain(&mut self.rows.keys, kw, dead);
+        retain(&mut self.rows.values, 1, dead);
+        retain(&mut self.rows.cached, 1, dead);
+        // Whichever of the two holds the bodies; the other is empty.
+        retain(&mut self.rows.payloads, bw, dead);
+        retain(&mut self.tuples, bw, dead);
+    }
+
+    /// Next row to yield — its position in the arenas — within the
+    /// range and the limit, refilling as needed.
+    fn next_row(&mut self) -> Option<Result<usize>> {
         loop {
             if self.failed || self.limit == Some(0) {
                 return None;
             }
-            if let Some(row) = self.buf.pop_front() {
+            if self.next < self.rows.values.len() {
                 if let Some(left) = &mut self.limit {
                     *left -= 1;
                 }
-                return Some(Ok(row));
+                self.next += 1;
+                return Some(Ok(self.next - 1));
             }
             if self.exhausted {
                 return None;
             }
-            if let Err(e) = self.refill() {
+            if let Err(e) = refill(std::slice::from_mut(self)) {
                 self.failed = true;
                 return Some(Err(e));
             }
         }
     }
+}
+
+/// Buffers the next rows of every unfinished cursor in `group` — all
+/// cursors of one kind over one index; a lone cursor is the group of
+/// one — each up to its own row budget, sharing the device round trips
+/// over exactly the union of the pages each would read alone.
+///
+/// Index phase, round by round: every cursor still owing rows names
+/// the leaves it reads next without reading them — first
+/// [`BTree::leaf_for`] its lower bound, then the
+/// [`BTree::leaves_after`] it is sure to consume whole, or the one leaf
+/// it is certain to touch, sized from the last leaf's *total* key count
+/// (a scan enters its first leaf part-way; dividing by that in-range
+/// fraction would over-read several leaves) — the union rides ONE
+/// `fault_many`, and each cursor walks its leaves by key. Heap phase:
+/// every row that needs its tuple is chased through ONE
+/// [`Table::fetch_verified`], which writes the bodies straight into
+/// the arenas. No tree lock is held across either read. Rows a racing
+/// delete removed in between are dropped; the caller refills if that
+/// left it short.
+fn refill(group: &mut [RangeState<'_>]) -> Result<()> {
+    let Some(first) = group.first() else { return Ok(()) };
+    let (table, idx, projected) = (first.table, Arc::clone(&first.idx), first.projected);
+    let (tree, kw, bw) = (&idx.tree, idx.tree.key_size(), first.body_width());
+    group.iter_mut().for_each(RangeState::begin);
+    while group.iter().any(|c| c.owes() > 0) {
+        let mut leaves: Vec<PageId> = Vec::new();
+        for c in group.iter_mut().filter(|c| c.owes() > 0) {
+            let named = leaves.len();
+            match &c.lower {
+                Bound::Excluded(last) if !c.chunks.is_empty() => {
+                    let sure = (c.owes() / c.leaf_keys.max(1)).max(1);
+                    leaves.extend(tree.leaves_after(last, borrow_bound(&c.upper), sure)?);
+                }
+                lower => leaves.push(tree.leaf_for(borrow_bound(lower))?),
+            }
+            c.ahead = leaves.len() - named;
+        }
+        leaves.sort_unstable();
+        leaves.dedup();
+        tree.pool().fault_many(&leaves)?;
+        for c in group.iter_mut().filter(|c| c.owes() > 0) {
+            c.walk()?;
+        }
+    }
+
+    // Every cursor's rows that need their tuple, as (cursor, row).
+    let mut chased: Vec<(usize, usize)> = Vec::new();
+    for (ci, c) in group.iter_mut().enumerate() {
+        let n = c.rows.values.len();
+        c.grow = 2 * (n - c.start).max(1);
+        if !projected {
+            c.tuples.resize(n * bw, 0);
+        }
+        chased.extend((c.start..n).filter(|&r| !(projected && c.rows.cached[r])).map(|r| (ci, r)));
+    }
+    let rid = |&(ci, r): &(usize, usize)| RecordId::from_u64(group[ci].rows.values[r]);
+    let rids: Vec<RecordId> = chased.iter().map(rid).collect();
+    let mut live = vec![false; chased.len()];
+    let (keys, mut bodies): (Vec<&[u8]>, Vec<&mut Vec<u8>>) = group
+        .iter_mut()
+        .map(|c| (&c.rows.keys[..], if projected { &mut c.rows.payloads } else { &mut c.tuples }))
+        .unzip();
+    let key_of = |j: usize| &keys[chased[j].0][chased[j].1 * kw..][..kw];
+    table.fetch_verified(&idx, &rids, key_of, |j, tuple| {
+        let body = &mut bodies[chased[j].0][chased[j].1 * bw..][..bw];
+        if projected {
+            idx.write_payload(tuple, body);
+        } else {
+            body.copy_from_slice(tuple);
+        }
+        live[j] = true;
+    })?;
+
+    // Chased rows warm the cache of the leaf they came from; rows a
+    // racing delete took are dropped.
+    let mut chased = chased.iter().zip(&live).peekable();
+    for (ci, c) in group.iter_mut().enumerate() {
+        let (mut dead, mut chunks) = (Vec::new(), c.chunks.iter().peekable());
+        while let Some((&(_, r), &live)) = chased.next_if(|((of, _), _)| *of == ci) {
+            while chunks.next_if(|(end, ..)| *end <= r).is_some() {}
+            match chunks.peek() {
+                _ if !live => dead.push(r),
+                Some(&&(_, leaf, token)) if projected => {
+                    let payload = &c.rows.payloads[r * bw..][..bw];
+                    tree.cache_populate(leaf, c.rows.values[r], payload, token)?;
+                }
+                _ => {}
+            }
+        }
+        if !dead.is_empty() {
+            c.drop_rows(&dead);
+        }
+    }
+    Ok(())
 }
 
 /// One row yielded by [`IndexRef::range`].
@@ -440,7 +606,11 @@ impl Iterator for RangeCursor<'_> {
     type Item = Result<RangeRow>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        Some(self.inner.next_row()?.map(|r| RangeRow { key: r.key, rid: r.rid, tuple: r.body }))
+        Some(self.inner.next_row()?.map(|i| {
+            let (key, tuple) = self.inner.row(i);
+            let rid = RecordId::from_u64(self.inner.rows.values[i]);
+            RangeRow { key: key.to_vec(), rid, tuple: tuple.to_vec() }
+        }))
     }
 }
 
@@ -473,13 +643,44 @@ impl Iterator for ProjectedRangeCursor<'_> {
     type Item = Result<ProjectedRow>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        Some(self.inner.next_row()?.map(|r| {
-            if r.index_only {
-                self.inner.table.note_index_only_answer();
-            }
-            let projection = Projection { payload: r.body, index_only: r.index_only };
-            ProjectedRow { key: r.key, rid: r.rid, projection }
+        Some(self.inner.next_row()?.map(|i| {
+            let (key, payload) = self.inner.row(i);
+            let index_only = self.inner.rows.cached[i];
+            self.inner.table.note_index_only_answers(u64::from(index_only));
+            let projection = Projection { payload: payload.to_vec(), index_only };
+            let rid = RecordId::from_u64(self.inner.rows.values[i]);
+            ProjectedRow { key: key.to_vec(), rid, projection }
         }))
+    }
+}
+
+/// One spec of [`IndexRef::range_pages`]: `(lower, upper, limit)`.
+pub type PageSpec<'a> = (Bound<&'a [u8]>, Bound<&'a [u8]>, usize);
+
+/// One page of [`IndexRef::range_pages`] /
+/// [`IndexRef::range_projected_pages`]: up to `limit` rows in key
+/// order, borrowed from the arena their refills filled.
+pub struct RangePage<'t> {
+    state: RangeState<'t>,
+    len: usize,
+}
+
+impl RangePage<'_> {
+    /// The page's rows as `(key, body)`: the body is the full tuple,
+    /// or for a projected page the cached-field payload.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = (&[u8], &[u8])> + DoubleEndedIterator + '_ {
+        (0..self.len).map(|i| self.state.row(i))
+    }
+
+    /// Whether row `i` of a projected page was served from leaf free
+    /// space without touching the heap.
+    pub fn index_only(&self, i: usize) -> bool {
+        self.state.rows.cached[i]
+    }
+
+    /// Whether rows remain in the range past this page.
+    pub fn more(&self) -> bool {
+        self.state.rows.values.len() > self.len
     }
 }
 

@@ -18,7 +18,9 @@
 //! (`get_many` / `project_many` / [`Table::execute`]) and range-cursor
 //! operations skip the per-call name lookup and amortize lock work.
 //! Every one of them — a range cursor's refill included — reaches the
-//! heap through the same batched, key-verifying chase.
+//! heap through the same batched, key-verifying chase: a visitor that
+//! sees each verified tuple in place under its page's pin, which the
+//! point paths collect into `Vec`s and range refills copy into arenas.
 //! Writes batch the same way: [`Table::insert_many`] and the
 //! `put_many` / `update_many` / `delete_many` family validate up front
 //! (duplicate in-batch keys are a named error), append heap tuples one
@@ -167,6 +169,13 @@ fn intent_violation(index: &str, key: &[u8]) -> StorageError {
 /// heap address, tuple)`.
 type Row<T = Vec<u8>> = (usize, RecordId, T);
 
+/// The positions an index resolved, each with the heap address its
+/// pointer names.
+fn resolved(ptrs: impl IntoIterator<Item = Option<u64>>) -> (Vec<usize>, Vec<RecordId>) {
+    let chased = |(i, ptr): (usize, Option<u64>)| Some((i, RecordId::from_u64(ptr?)));
+    ptrs.into_iter().enumerate().filter_map(chased).unzip()
+}
+
 pub(crate) struct Index {
     pub(crate) spec: IndexSpec,
     pub(crate) tree: BTree,
@@ -174,11 +183,19 @@ pub(crate) struct Index {
 
 impl Index {
     pub(crate) fn extract_payload(&self, tuple: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.spec.payload_size());
-        for f in &self.spec.cached_fields {
-            out.extend_from_slice(f.extract(tuple));
-        }
+        let mut out = vec![0; self.spec.payload_size()];
+        self.write_payload(tuple, &mut out);
         out
+    }
+
+    /// Writes `tuple`'s cached fields into `out`, a
+    /// [`IndexSpec::payload_size`]-byte slot.
+    pub(crate) fn write_payload(&self, tuple: &[u8], out: &mut [u8]) {
+        let mut at = 0;
+        for f in &self.spec.cached_fields {
+            out[at..at + f.len].copy_from_slice(f.extract(tuple));
+            at += f.len;
+        }
     }
 }
 
@@ -591,63 +608,64 @@ impl Table {
         Ok(rids)
     }
 
-    /// The one index→heap chase: follows the pointer the index resolved
-    /// for each key (`ptrs` yields one per key, `None` = nothing to
-    /// chase), all through one batched heap read, and re-verifies that
-    /// each tuple still carries its key. Returns `(position, rid,
-    /// tuple)` per chased key in position order; the tuple is `None`
-    /// when the slot was freed or recycled for a different key between
-    /// the index read and the heap read. What that means is the
-    /// caller's call: readers ([`Table::fetch_verified_many`]) report
-    /// the key absent, writers ([`Table::resolve_for_write`]) an intent
-    /// violation.
-    fn chase<K: AsRef<[u8]>>(
+    /// The one index→heap chase: reads the tuples at `rids` through one
+    /// batched heap read and hands `visit(i, tuple)` every tuple that
+    /// still carries `key_of(i)` — in place, under the heap page's pin,
+    /// so `visit` copies what it keeps and calls nothing. A slot freed
+    /// or recycled for a different key between the index read and the
+    /// heap read is not visited. What that means is the caller's call:
+    /// readers ([`Table::fetch_verified`]) report the key absent,
+    /// writers ([`Table::resolve_for_write`]) an intent violation.
+    fn chase<'k>(
         &self,
         idx: &Index,
-        keys: &[K],
-        ptrs: impl IntoIterator<Item = Option<u64>>,
-    ) -> Result<Vec<Row<Option<Vec<u8>>>>> {
-        let (positions, rids): (Vec<usize>, Vec<RecordId>) = ptrs
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, ptr)| Some((i, RecordId::from_u64(ptr?))))
-            .unzip();
-        let tuples = self.heap.get_many(&rids)?;
-        Ok(positions
-            .into_iter()
-            .zip(rids)
-            .zip(tuples)
-            .map(|((i, rid), tuple)| {
-                (i, rid, tuple.filter(|t| idx.spec.key.extract(t) == keys[i].as_ref()))
-            })
-            .collect())
+        rids: &[RecordId],
+        key_of: impl Fn(usize) -> &'k [u8],
+        mut visit: impl FnMut(usize, &[u8]),
+    ) -> Result<()> {
+        self.heap.read_many(rids, |i, tuple| {
+            if idx.spec.key.extract(tuple) == key_of(i) {
+                visit(i, tuple);
+            }
+        })
     }
 
     /// Reader side of [`Table::chase`] (point reads, projections and
-    /// range-cursor refills): the verified heap tuple per key,
-    /// indexed like `keys`, tolerating the index→heap race window — a
-    /// slot a concurrent deleter freed or a re-insert recycled for a
-    /// different key reads as absent, so the lookup reflects the delete
-    /// having happened first. Returned tuples carry their key, so
-    /// callers may cache fields extracted from them.
+    /// range refills), tolerating the index→heap race window — a slot a
+    /// concurrent deleter freed or a re-insert recycled for a different
+    /// key is not visited, so the lookup reflects the delete having
+    /// happened first. Visited tuples carry their key, so callers may
+    /// cache fields extracted from them.
     ///
     /// This is the **reader-vs-writer** re-verification, and it stays:
     /// readers never take write intents, so they remain wait-free and
     /// pay nothing for the writers' coordination.
-    pub(crate) fn fetch_verified_many<K: AsRef<[u8]>>(
+    pub(crate) fn fetch_verified<'k>(
+        &self,
+        idx: &Index,
+        rids: &[RecordId],
+        key_of: impl Fn(usize) -> &'k [u8],
+        visit: impl FnMut(usize, &[u8]),
+    ) -> Result<()> {
+        // Count every heap access, not just verified ones — a chase
+        // that lands on a recycled or freed slot still did the I/O.
+        self.heap_fetches.fetch_add(rids.len() as u64, Ordering::Relaxed);
+        self.chase(idx, rids, key_of, visit)
+    }
+
+    /// [`Table::fetch_verified`] collecting copies: the verified heap
+    /// tuple per key, indexed like `keys` (`ptrs` yields the pointer
+    /// the index resolved for each key, `None` = nothing to chase).
+    fn fetch_verified_many<K: AsRef<[u8]>>(
         &self,
         idx: &Index,
         keys: &[K],
         ptrs: impl IntoIterator<Item = Option<u64>>,
     ) -> Result<Vec<Option<Vec<u8>>>> {
-        let rows = self.chase(idx, keys, ptrs)?;
-        // Count every heap access, not just verified ones — a chase
-        // that lands on a recycled or freed slot still did the I/O.
-        self.heap_fetches.fetch_add(rows.len() as u64, Ordering::Relaxed);
-        let mut out: Vec<Option<Vec<u8>>> = keys.iter().map(|_| None).collect();
-        for (i, _, tuple) in rows {
-            out[i] = tuple;
-        }
+        let (at, rids) = resolved(ptrs);
+        let mut out: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
+        let key_of = |j: usize| keys[at[j]].as_ref();
+        self.fetch_verified(idx, &rids, key_of, |j, tuple| out[at[j]] = Some(tuple.to_vec()))?;
         Ok(out)
     }
 
@@ -658,10 +676,12 @@ impl Table {
     /// index resolves must chase to a live tuple still carrying its
     /// key; one that does not is an [`intent_violation`].
     fn resolve_for_write<K: AsRef<[u8]>>(&self, idx: &Index, keys: &[K]) -> Result<Vec<Row>> {
-        let ptrs = idx.tree.get_many(keys)?;
-        self.chase(idx, keys, ptrs)?
-            .into_iter()
-            .map(|(i, rid, tuple)| match tuple {
+        let (at, rids) = resolved(idx.tree.get_many(keys)?);
+        let mut tuples: Vec<Option<Vec<u8>>> = vec![None; rids.len()];
+        let key_of = |j: usize| keys[at[j]].as_ref();
+        self.chase(idx, &rids, key_of, |j, tuple| tuples[j] = Some(tuple.to_vec()))?;
+        (at.iter().zip(rids).zip(tuples))
+            .map(|((&i, rid), tuple)| match tuple {
                 Some(t) => Ok((i, rid, t)),
                 None => Err(intent_violation(&idx.spec.name, keys[i].as_ref())),
             })
@@ -1094,10 +1114,10 @@ impl Table {
         self.heap.scan(f)
     }
 
-    /// Records a query answered entirely from an index cache (used by
+    /// Records `rows` answered entirely from an index cache (used by
     /// the range cursors, whose hits bypass `project_many_with`).
-    pub(crate) fn note_index_only_answer(&self) {
-        self.index_only_answers.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn note_index_only_answers(&self, rows: u64) {
+        self.index_only_answers.fetch_add(rows, Ordering::Relaxed);
     }
 
     /// Access counters. The `pool_*` fields aggregate the heap and

@@ -1,7 +1,10 @@
 //! Range cursors refill by row budget: whatever the budget, the limit
 //! or the start, a cursor yields exactly what a `BTreeMap` yields, and
 //! a limited cursor reads exactly the pages a row-at-a-time walk reads.
+//! Pages refilled as a group equal the pages refilled alone, and read
+//! the union of their pages in the device calls of one.
 
+use nbb_btree::RangeBuf;
 use nbb_core::db::{Database, DbConfig};
 use nbb_core::table::{FieldSpec, IndexSpec, Table};
 use nbb_storage::disk::{DiskManager, InMemoryDisk};
@@ -28,12 +31,11 @@ fn tuple(key: u64) -> Vec<u8> {
 }
 
 fn config(frames: usize) -> DbConfig {
-    DbConfig {
-        page_size: PAGE_SIZE,
-        heap_frames: frames,
-        index_frames: frames,
-        ..DbConfig::default()
-    }
+    config_with(PAGE_SIZE, frames)
+}
+
+fn config_with(page_size: usize, frames: usize) -> DbConfig {
+    DbConfig { page_size, heap_frames: frames, index_frames: frames, ..DbConfig::default() }
 }
 
 /// Loads the table in key order, then bulk-loads `pk` (caching the
@@ -59,7 +61,8 @@ fn id(key: &[u8]) -> u64 {
 /// matches.
 fn keys_per_leaf(t: &Table) -> usize {
     let pk = t.index("pk").unwrap();
-    pk.tree().range_chunk(Bound::Unbounded, Bound::Unbounded).unwrap().leaf_keys
+    let mut buf = RangeBuf::default();
+    pk.tree().range_chunk(Bound::Unbounded, Bound::Unbounded, 1, false, &mut buf).unwrap().leaf_keys
 }
 
 #[test]
@@ -180,9 +183,9 @@ struct ProbeDisk {
 }
 
 impl ProbeDisk {
-    fn new() -> Arc<Self> {
+    fn new(page_size: usize) -> Arc<Self> {
         Arc::new(ProbeDisk {
-            inner: InMemoryDisk::new(PAGE_SIZE),
+            inner: InMemoryDisk::new(page_size),
             calls: Mutex::new(Vec::new()),
             fail_page: Mutex::new(None),
         })
@@ -203,8 +206,15 @@ impl ProbeDisk {
 
     /// Drains the log: (device calls, distinct pages read).
     fn take(&self) -> (usize, BTreeSet<u64>) {
+        let (calls, _, pages) = self.take_counted();
+        (calls, pages)
+    }
+
+    /// Drains the log: (device calls, page reads, distinct pages read).
+    fn take_counted(&self) -> (usize, usize, BTreeSet<u64>) {
         let calls = std::mem::take(&mut *self.calls.lock());
-        (calls.len(), calls.iter().flatten().map(|p| p.0).collect())
+        let reads = calls.iter().map(Vec::len).sum();
+        (calls.len(), reads, calls.iter().flatten().map(|p| p.0).collect())
     }
 }
 
@@ -243,23 +253,30 @@ impl DiskManager for ProbeDisk {
 /// A loaded, persisted database over two probe disks, plus a way to
 /// reopen it with cold pools of `frames` frames each.
 struct Persisted {
+    page_size: usize,
     heap: Arc<ProbeDisk>,
     index: Arc<ProbeDisk>,
 }
 
 impl Persisted {
     fn new() -> Self {
-        let (heap, index) = (ProbeDisk::new(), ProbeDisk::new());
-        let db = Database::with_disks(config(1024), heap.clone(), index.clone()).unwrap();
+        Self::with_page_size(PAGE_SIZE)
+    }
+
+    fn with_page_size(page_size: usize) -> Self {
+        let (heap, index) = (ProbeDisk::new(page_size), ProbeDisk::new(page_size));
+        let cfg = config_with(page_size, 1024);
+        let db = Database::with_disks(cfg, heap.clone(), index.clone()).unwrap();
         load(&db);
         db.close().unwrap();
-        Persisted { heap, index }
+        Persisted { page_size, heap, index }
     }
 
     /// Reopens, empties both pools (reattaching walks the leaves and
     /// the heap) and forgets the reads made so far.
     fn reopen(&self, frames: usize) -> Database {
-        let db = Database::reopen(config(frames), self.heap.clone(), self.index.clone()).unwrap();
+        let cfg = config_with(self.page_size, frames);
+        let db = Database::reopen(cfg, self.heap.clone(), self.index.clone()).unwrap();
         for pool in [db.heap_pool(), db.index_pool()] {
             for page in 0..pool.disk().num_pages() {
                 pool.evict_page(PageId(page)).unwrap();
@@ -294,12 +311,13 @@ fn a_limited_cursor_reads_exactly_the_pages_a_row_at_a_time_walk_reads() {
             Bound::Excluded(k) => Bound::Excluded(&k[..]),
             Bound::Unbounded => unreachable!(),
         };
-        let chunk = tree_of.tree().range_chunk(lb, Bound::Unbounded).unwrap();
-        for e in chunk.entries.iter().take(513 - walked) {
-            t.heap().get(RecordId::from_u64(e.value)).unwrap();
+        let mut buf = RangeBuf::default();
+        tree_of.tree().range_chunk(lb, Bound::Unbounded, 513 - walked, false, &mut buf).unwrap();
+        for value in &buf.values {
+            t.heap().get(RecordId::from_u64(*value)).unwrap();
             walked += 1;
         }
-        lower = Bound::Excluded(chunk.entries.last().unwrap().key.clone());
+        lower = Bound::Excluded(buf.keys.chunks_exact(8).last().unwrap().to_vec());
     }
     let (walk_index_calls, walk_index) = disks.index.take();
     let (walk_heap_calls, walk_heap) = disks.heap.take();
@@ -386,4 +404,170 @@ fn a_hostile_limit_pages_through_the_table_in_bounded_refills() {
     }
     assert_eq!(seen, ROWS);
     assert_eq!(refills, 3, "3000 rows in refills of 1024, 1024 and 952");
+}
+
+/// `(start key, exclusive end key, limit)`; `u64::MAX` = unbounded end.
+type Spec = (u64, u64, usize);
+
+/// What the oracle says a page of `spec` holds: rows and `more`.
+fn oracle_page(model: &BTreeMap<u64, Vec<u8>>, (lo, hi, limit): Spec) -> (Vec<u64>, bool) {
+    let in_range: Vec<u64> = model.keys().copied().filter(|k| (lo..hi).contains(k)).collect();
+    (in_range[..limit.min(in_range.len())].to_vec(), in_range.len() > limit)
+}
+
+/// Runs `group` through the group-refill entry point; per page the keys,
+/// bodies and index-only flags, plus `more`.
+#[allow(clippy::type_complexity)]
+fn pages_of(
+    t: &Table,
+    group: &[Spec],
+    projected: bool,
+) -> Vec<(Vec<u64>, Vec<Vec<u8>>, Vec<bool>, bool)> {
+    let pk = t.index("pk").unwrap();
+    let bytes: Vec<([u8; 8], [u8; 8])> =
+        group.iter().map(|s| (s.0.to_be_bytes(), s.1.to_be_bytes())).collect();
+    let specs: Vec<nbb_core::query::PageSpec<'_>> = group
+        .iter()
+        .zip(&bytes)
+        .map(|(&(_, hi, limit), (lo, hi_bytes))| {
+            let upper =
+                if hi == u64::MAX { Bound::Unbounded } else { Bound::Excluded(&hi_bytes[..]) };
+            (Bound::Included(&lo[..]), upper, limit)
+        })
+        .collect();
+    let pages =
+        if projected { pk.range_projected_pages(&specs) } else { pk.range_pages(&specs) }.unwrap();
+    assert_eq!(pages.len(), group.len());
+    pages
+        .iter()
+        .map(|page| {
+            let (keys, bodies) = page.rows().map(|(k, b)| (id(k), b.to_vec())).unzip();
+            let flags = (0..page.rows().len()).map(|i| projected && page.index_only(i)).collect();
+            (keys, bodies, flags, page.more())
+        })
+        .collect()
+}
+
+#[test]
+fn pages_refilled_as_a_group_equal_the_oracle_and_the_same_pages_alone() {
+    let db = Database::open(config(1024));
+    let t = load(&db);
+    let model = oracle();
+    let per_leaf = keys_per_leaf(&t) as u64;
+    let pool: [Spec; 7] = [
+        (100, u64::MAX, 60),                            // a short page
+        (4000, u64::MAX, 513),                          // disjoint from it
+        (100 + 2 * per_leaf, u64::MAX, 100),            // overlapping it
+        (100, u64::MAX, 60),                            // identical to it
+        (51, 52, 10),                                   // empty: between two keys
+        (2 * ROWS + 10, u64::MAX, 10),                  // past the end
+        (2 * (ROWS - 40), u64::MAX, 2 * ROWS as usize), // limit > table, runs off the end
+    ];
+    let whole_table: Spec = (0, u64::MAX, ROWS as usize + 10); // several refills
+    let mut groups: Vec<Vec<Spec>> = Vec::new();
+    for mask in 1u32..1 << pool.len() {
+        if mask.count_ones() <= 4 {
+            groups.push((0..pool.len()).filter(|i| mask >> i & 1 == 1).map(|i| pool[i]).collect());
+        }
+    }
+    groups.extend([vec![whole_table], vec![pool[0], whole_table, pool[1]]]);
+    for projected in [false, true] {
+        for group in &groups {
+            let pages = pages_of(&t, group, projected);
+            for (spec, (keys, bodies, _, more)) in group.iter().zip(&pages) {
+                let case = format!("spec {spec:?} in {group:?}, projected {projected}");
+                let (want_keys, want_more) = oracle_page(&model, *spec);
+                assert_eq!((keys, more), (&want_keys, &want_more), "{case}");
+                for (key, body) in keys.iter().zip(bodies) {
+                    let tuple = &model[key];
+                    assert_eq!(body, if projected { &tuple[16..24] } else { &tuple[..] }, "{case}");
+                }
+                let alone = pages_of(&t, &[*spec], projected).remove(0);
+                assert_eq!((&alone.0, &alone.1, alone.3), (keys, bodies, *more), "alone, {case}");
+            }
+        }
+    }
+}
+
+#[test]
+fn grouped_projected_pages_warm_each_rows_own_leaf_and_then_answer_index_only() {
+    let db = Database::open(config(1024));
+    let t = load(&db);
+    let per_leaf = keys_per_leaf(&t);
+    let group: [Spec; 2] = [(0, u64::MAX, 300), (3000, u64::MAX, 300)];
+
+    // Cold: every row of both pages is chased, in one merged heap read,
+    // and populates the cache of the leaf it came from.
+    let before = t.stats();
+    let cold = pages_of(&t, &group, true);
+    assert!(cold.iter().all(|(_, _, index_only, _)| index_only.iter().all(|f| !f)));
+    let after = t.stats();
+    // 301 rows per page: the `more` probe row is chased with the rest.
+    assert_eq!(after.heap_fetches - before.heap_fetches, 2 * 301);
+    assert_eq!(after.index_only_answers, before.index_only_answers);
+
+    // Warm: rows past each page's first leaf are index-only only if
+    // their payload sits in their own leaf's cache; those rows stay
+    // index-only in a group (no heap fetch), the rest are chased.
+    let warm = pages_of(&t, &group, true);
+    let mut served = 0;
+    for ((_, bodies, index_only, _), (_, cold_bodies, ..)) in warm.iter().zip(&cold) {
+        assert_eq!(bodies, cold_bodies);
+        let later = &index_only[per_leaf..];
+        let hits = later.iter().filter(|f| **f).count();
+        assert!(hits * 2 > later.len(), "only {hits}/{} rows past leaf one are warm", later.len());
+        served += index_only.iter().filter(|f| **f).count() as u64;
+    }
+    let end = t.stats();
+    assert_eq!(end.index_only_answers - after.index_only_answers, served);
+    // The probe rows past each page may be cached too: they are not
+    // chased, and not counted as answers either.
+    let chased = end.heap_fetches - after.heap_fetches;
+    assert!((2 * 301 - served - 2..=2 * 301 - served).contains(&chased), "{chased} chased");
+}
+
+#[test]
+fn a_full_tuple_scan_over_a_cached_index_stays_off_the_leaf_cache() {
+    let db = Database::open(config(1024));
+    let t = load(&db);
+    let pk = t.index("pk").unwrap();
+    // Warm some of the cache, so there would be something to hit.
+    assert_eq!(pk.range_projected_all().limit(200).count(), 200);
+    let before = pk.tree().cache_stats();
+    assert_eq!(pk.range_all().limit(513).count(), 513);
+    assert_eq!(pages_of(&t, &[(0, u64::MAX, 513)], false)[0].0.len(), 513);
+    assert_eq!(pk.tree().cache_stats(), before, "every row is chased anyway: no probe, no counter");
+    assert_eq!(pk.range_projected_all().limit(10).count(), 10);
+    assert_eq!(pk.tree().cache_stats().lookups - before.lookups, 10, "projections still probe");
+}
+
+#[test]
+fn a_group_of_two_pages_reads_the_union_of_their_pages_in_the_calls_of_one() {
+    // 4 KiB pages: the 3,000-key index is a root over ≈ 25 leaves, so a
+    // cold 513-row page is root, first leaf, the leaves between as one
+    // batch, last leaf — 4 index calls — and one heap batch.
+    let disks = Persisted::with_page_size(4096);
+    let (first, second): (Spec, Spec) = ((2 * 310, u64::MAX, 512), (2 * 700, u64::MAX, 512));
+    let mut solo: Vec<(BTreeSet<u64>, BTreeSet<u64>)> = Vec::new();
+    for spec in [first, second] {
+        let db = disks.reopen(1024);
+        assert_eq!(pages_of(&db.table("t").unwrap(), &[spec], false)[0].0.len(), 512);
+        let ((index_calls, index), (heap_calls, heap)) = (disks.index.take(), disks.heap.take());
+        assert!(index_calls <= 4 && heap_calls <= 2, "alone: {index_calls} + {heap_calls} calls");
+        solo.push((index, heap));
+    }
+    let shared: Vec<_> = solo[0].0.intersection(&solo[1].0).collect();
+    assert!(shared.len() >= 2, "premise: the pages overlap beyond the root, share {shared:?}");
+    assert!(solo[0].1.intersection(&solo[1].1).count() >= 1, "premise: heap pages overlap too");
+
+    let db = disks.reopen(1024);
+    let pages = pages_of(&db.table("t").unwrap(), &[first, second], false);
+    assert_eq!((pages[0].0.len(), pages[1].0.len()), (512, 512));
+    let (index_calls, index_reads, index) = disks.index.take_counted();
+    let (heap_calls, heap_reads, heap) = disks.heap.take_counted();
+    assert_eq!(index, &solo[0].0 | &solo[1].0, "index pages: exactly the union");
+    assert_eq!(heap, &solo[0].1 | &solo[1].1, "heap pages: exactly the union");
+    assert_eq!((index_reads, heap_reads), (index.len(), heap.len()), "a shared page is read once");
+    assert!(index_calls <= 4, "{index_calls} index calls for {} pages", index.len());
+    assert!(heap_calls <= 2, "{heap_calls} heap calls for {} pages", heap.len());
 }

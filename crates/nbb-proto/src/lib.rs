@@ -138,6 +138,11 @@ pub enum WireBound {
 /// answered with.
 pub const RANGE_LIMIT_ZERO: &str = "invalid request: Range limit must be at least 1";
 
+/// How the error message begins that replaces a response whose frame
+/// would exceed the server's frame cap (the peer's [`Framer`] would
+/// refuse it and the connection would die): ask for less per request.
+pub const RESPONSE_TOO_LARGE: &str = "response too large for one frame";
+
 /// One operation of a [`Request`], mirroring the engine's batched
 /// fast paths one-to-one.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -202,7 +207,10 @@ pub enum RequestOp {
     /// `limit` must be at least 1: a page of no rows has no resume key,
     /// so the paging rule could never advance past it. The server
     /// answers `limit = 0` with [`ResponseBody::Error`] carrying
-    /// [`RANGE_LIMIT_ZERO`], before touching any page.
+    /// [`RANGE_LIMIT_ZERO`]. A page may hold **fewer** than `limit`
+    /// rows while `more` is true: the server cuts a page at the rows
+    /// that fit one frame (its frame cap over key width + tuple width)
+    /// and the client resumes from `resume` as after any other page.
     Range {
         /// Target table.
         table: String,
@@ -495,18 +503,25 @@ fn put_byte_list(out: &mut Vec<u8>, items: &[Vec<u8>]) {
     }
 }
 
-/// Wraps a finished payload in its length prefix.
-fn frame(payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    wire::put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(&payload);
+/// Starts a frame: the length prefix is reserved now and patched by
+/// [`seal`], so the payload is written once, in place.
+fn open_frame(id: u64) -> Vec<u8> {
+    let mut out = vec![0; HEADER_LEN];
+    wire::put_u64(&mut out, id);
+    out
+}
+
+/// Finishes a frame begun by [`open_frame`]: overwrites the reserved
+/// prefix with what [`wire::put_u32`] would have appended.
+fn seal(mut out: Vec<u8>) -> Vec<u8> {
+    let len = (out.len() - HEADER_LEN) as u32;
+    out[..HEADER_LEN].copy_from_slice(&len.to_be_bytes());
     out
 }
 
 /// Encodes a request as one complete frame (length prefix included).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut p = Vec::new();
-    wire::put_u64(&mut p, req.id);
+    let mut p = open_frame(req.id);
     p.push(req.op.tag());
     match &req.op {
         RequestOp::GetMany { table, index, keys }
@@ -577,13 +592,16 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         }
         RequestOp::Stats => {}
     }
-    frame(p)
+    seal(p)
 }
 
 /// Encodes a response as one complete frame (length prefix included).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut p = Vec::new();
-    wire::put_u64(&mut p, resp.id);
+    if let ResponseBody::Range { rows, more, resume } = &resp.body {
+        let rows = rows.iter().map(|(k, t)| (&k[..], &t[..]));
+        return encode_range_response(resp.id, rows, *more, resume.as_deref());
+    }
+    let mut p = open_frame(resp.id);
     match &resp.body {
         ResponseBody::Error { message } => {
             p.push(tags::STATUS_ERR);
@@ -625,15 +643,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                         put_bool(&mut p, *a);
                     }
                 }
-                ResponseBody::Range { rows, more, resume } => {
-                    wire::put_u32(&mut p, rows.len() as u32);
-                    for (k, t) in rows {
-                        put_bytes(&mut p, k);
-                        put_bytes(&mut p, t);
-                    }
-                    put_bool(&mut p, *more);
-                    put_opt_bytes(&mut p, resume.as_deref());
-                }
+                ResponseBody::Range { .. } => unreachable!("encoded above"),
                 ResponseBody::Batch { outputs } => {
                     wire::put_u32(&mut p, outputs.len() as u32);
                     for o in outputs {
@@ -687,7 +697,34 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             }
         }
     }
-    frame(p)
+    seal(p)
+}
+
+/// Encodes a [`ResponseBody::Range`] frame straight from borrowed
+/// `(key, tuple)` rows — a server answering from pinned pages or a scan
+/// arena copies each row once, into the frame. Byte-identical to
+/// [`encode_response`] over the owned body (which delegates here).
+pub fn encode_range_response<'a, I>(id: u64, rows: I, more: bool, resume: Option<&[u8]>) -> Vec<u8>
+where
+    I: IntoIterator<Item = (&'a [u8], &'a [u8])>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let mut rows = rows.into_iter().peekable();
+    let mut p = open_frame(id);
+    p.extend_from_slice(&[tags::STATUS_OK, tags::RANGE]);
+    let count = rows.len();
+    wire::put_u32(&mut p, count as u32);
+    if let Some((k, t)) = rows.peek() {
+        // Rows of one table are one width: size the frame once.
+        p.reserve(count * (2 * 4 + k.len() + t.len()) + 2 * 4 + k.len());
+    }
+    for (k, t) in rows {
+        put_bytes(&mut p, k);
+        put_bytes(&mut p, t);
+    }
+    put_bool(&mut p, more);
+    put_opt_bytes(&mut p, resume);
+    seal(p)
 }
 
 // ---- Decode ---------------------------------------------------------
@@ -1068,9 +1105,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn request_round_trip_all_ops() {
-        let ops = vec![
+    /// Every [`RequestOp`] variant.
+    fn all_ops() -> Vec<RequestOp> {
+        vec![
             RequestOp::GetMany { table: "t".into(), index: "pk".into(), keys: vec![vec![1]] },
             RequestOp::ProjectMany { table: "t".into(), index: "i".into(), keys: vec![] },
             RequestOp::InsertMany { table: "t".into(), tuples: vec![vec![0; 24]] },
@@ -1099,8 +1136,12 @@ mod tests {
                 ],
             },
             RequestOp::Stats,
-        ];
-        for (i, op) in ops.into_iter().enumerate() {
+        ]
+    }
+
+    #[test]
+    fn request_round_trip_all_ops() {
+        for (i, op) in all_ops().into_iter().enumerate() {
             let req = Request { id: i as u64 * 7 + 1, op };
             let bytes = encode_request(&req);
             let decoded = decode_request(&bytes[HEADER_LEN..]).expect("round trip");
@@ -1108,9 +1149,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn response_round_trip_all_bodies() {
-        let bodies = vec![
+    /// Every [`ResponseBody`] variant, `Range` both full and empty.
+    fn all_bodies() -> Vec<ResponseBody> {
+        vec![
             ResponseBody::Error { message: "no table named x".into() },
             ResponseBody::GetMany { rows: vec![Some(vec![1, 2]), None] },
             ResponseBody::ProjectMany {
@@ -1156,7 +1197,12 @@ mod tests {
                 connections_refused: 9,
                 decode_errors: 10,
             }),
-        ];
+        ]
+    }
+
+    #[test]
+    fn response_round_trip_all_bodies() {
+        let bodies = all_bodies();
         for (i, body) in bodies.into_iter().enumerate() {
             let resp = Response { id: i as u64, body };
             let bytes = encode_response(&resp);
@@ -1190,6 +1236,59 @@ mod tests {
             0, 0, 0, 1, 0xAA,                     // key[0]
         ];
         assert_eq!(bytes, expected);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn golden_bytes_of_every_response_body_and_request_op_are_pinned() {
+        // Pinned from the encoder as it stood before `frame()` stopped
+        // copying payloads and `Range` got its borrowed-row encoder.
+        let responses: Vec<String> = all_bodies()
+            .into_iter()
+            .enumerate()
+            .map(|(i, body)| hex(&encode_response(&Response { id: i as u64, body })))
+            .collect();
+        let requests: Vec<String> = all_ops()
+            .into_iter()
+            .enumerate()
+            .map(|(i, op)| hex(&encode_request(&Request { id: 100 + i as u64, op })))
+            .collect();
+        #[rustfmt::skip]
+        let pinned_responses = [
+            "0000001d000000000000000001000000106e6f207461626c65206e616d65642078",
+            "0000001600000000000000010001000000020100000002010200",
+            "0000001c00000000000000020002000000030100000001010100010000000000",
+            "0000001e000000000000000300030000000200000000000000017fffffffffffffff",
+            "0000000e0000000000000004000400000000",
+            "0000001000000000000000050005000000020100",
+            "0000000f000000000000000600060000000100",
+            "000000200000000000000007000700000001000000010100000002020301010000000101",
+            "0000001000000000000000080007000000000000",
+            "0000002e00000000000000090008000000070101000000010101000201000000010200020003000000000000004d04010500",
+            "0000005a000000000000000a0009000000000000000100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a",
+        ];
+        #[rustfmt::skip]
+        let pinned_requests = [
+            "0000001d000000000000006401000000017400000002706b000000010000000101",
+            "000000170000000000000065020000000174000000016900000000",
+            "0000002e00000000000000660300000001740000000100000018000000000000000000000000000000000000000000000000",
+            "0000001d000000000000006704000000017400000002706b000000010000000107",
+            "00000022000000000000006805000000017400000002706b0000000100000001010000000102",
+            "0000001d000000000000006906000000017400000002706b000000010000000101",
+            "00000025000000000000006a07000000017400000002706b0100000002000102000000010900000080",
+            "0000005a000000000000006b080000000174000000050100000002706b00000001010300000002706b0000000802020202020202020400000002706b000000010300000001040500000002706b00000001050200000002706b0000000106",
+            "00000009000000000000006c09",
+        ];
+        assert_eq!(responses, pinned_responses);
+        assert_eq!(requests, pinned_requests);
+
+        // The borrowed-row `Range` encoder is the same bytes.
+        let rows = [(&[1u8][..], &[2u8, 3][..])];
+        assert_eq!(hex(&encode_range_response(7, rows, true, Some(&[1]))), pinned_responses[7]);
+        assert_eq!(hex(&encode_range_response(8, [], false, None)), pinned_responses[8]);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! ## Thread anatomy
 //!
 //! ```text
-//!             accept thread ── registers conns, enforces max_connections
+//!             accept thread ── blocks in accept(), registers conns,
+//!             │                enforces max_connections
 //!   per conn: reader thread ── frames bytes, decodes, reserves a
 //!             │                response slot, submits a Job
 //!             ▼
@@ -32,7 +33,12 @@
 //! depth: an idle server serves every request alone with no added
 //! latency, a backed-up one pays the device once per group. Only a
 //! prefix of the queue is ever taken, so no read is hoisted past a
-//! queued write. [`nbb_proto::WireServerStats::batches_executed`] counts
+//! queued write. Queued `Range` pages on one table and index coalesce
+//! the same way, up to `GROUP_ROW_CAP` = 1,024 rows asked for: the run
+//! is one group refill (`IndexRef::range_pages`) that merges the pages'
+//! leaf faults and heap reads, and each page is encoded from the
+//! refill's arena straight into its response frame.
+//! [`nbb_proto::WireServerStats::batches_executed`] counts
 //! engine calls, which makes `frames_in / batches_executed` the mean
 //! group size.
 //!
@@ -55,12 +61,12 @@
 #![warn(missing_docs)]
 
 use nbb_core::db::Database;
-use nbb_core::query::Batch;
+use nbb_core::query::{Batch, PageSpec};
 use nbb_core::table::Projection;
 use nbb_core::BatchOutput;
 use nbb_proto::{
     DecodeError, Framer, Request, RequestOp, Response, ResponseBody, WireBatchOp, WireBatchOutput,
-    WireBound, WireProjection, WireServerStats, RANGE_LIMIT_ZERO,
+    WireBound, WireProjection, WireServerStats, RANGE_LIMIT_ZERO, RESPONSE_TOO_LARGE,
 };
 use nbb_storage::error::StorageError;
 use nbb_storage::lockrank;
@@ -88,7 +94,9 @@ pub struct ServerConfig {
     /// Response slots per connection: the pipelining depth the server
     /// buffers before the reader parks (the backpressure bound).
     pub response_queue: usize,
-    /// Frame payload cap enforced on inbound frames.
+    /// Frame payload cap: enforced on inbound frames, and never
+    /// exceeded by an outbound one (a `Range` page is cut to fit, any
+    /// other oversize response becomes a named error).
     pub max_frame: usize,
 }
 
@@ -222,7 +230,6 @@ impl Server {
     /// returns once the server is reachable.
     pub fn start(db: Arc<Database>, cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
         let shared = Arc::new(Shared {
@@ -283,10 +290,17 @@ impl Server {
             return;
         }
 
-        // 1. Stop the accept loop (it polls the flag).
+        // 1. Stop the accept loop: it blocks in `accept()`, so wake it
+        // with a loopback connect (it sees the flag and exits). If the
+        // connect fails the listener is normally already gone and the
+        // thread finished; a thread that is somehow still blocked is
+        // left detached rather than joined forever.
         let accept = self.shared.lifecycle.lock().accept.take();
         if let Some(h) = accept {
-            let _ = h.join();
+            let woke = TcpStream::connect_timeout(&self.local_addr, Duration::from_secs(1));
+            if woke.is_ok() || h.is_finished() {
+                let _ = h.join();
+            }
         }
 
         // 2. Nudge every connection's reader with a read-side shutdown:
@@ -336,8 +350,14 @@ impl Drop for Server {
 
 fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
     let mut next_id: u64 = 0;
-    while !shared.shutting_down.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        // Blocks: an idle server costs no wake-ups. `shutdown` sets the
+        // flag and then connects, so the flag is checked per arrival.
+        let accepted = listener.accept();
+        if shared.shutting_down.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let active = shared.stats.active_connections.load(Ordering::Relaxed);
                 if active >= shared.cfg.max_connections as u64 {
@@ -353,9 +373,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
                     shared.stats.connections_refused.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // E.g. out of descriptors: back off instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
@@ -619,32 +637,46 @@ fn teardown(shared: &Arc<Shared>, conn: &Arc<Conn>) {
 /// still runs, alone.
 const GROUP_KEY_CAP: usize = 64;
 
-/// The parts of a coalescible point read: `(is_projection, table,
-/// index, keys)`; `None` for every other op.
-fn point_read(op: &RequestOp) -> Option<(bool, &str, &str, &[Vec<u8>])> {
-    match op {
-        RequestOp::GetMany { table, index, keys } => Some((false, table, index, keys)),
-        RequestOp::ProjectMany { table, index, keys } => Some((true, table, index, keys)),
-        _ => None,
-    }
+/// Most rows a coalesced run of `Range` pages asks for in all: the
+/// bound one cursor refill already has, so the run's merged leaf fault
+/// and heap read still fit one device round trip each (at 2,048 they
+/// spill into a second while other workers idle — measured slower).
+const GROUP_ROW_CAP: usize = 1024;
+
+/// What must be equal along a coalesced run: op kind, table, index.
+type Run<'a> = (std::mem::Discriminant<RequestOp>, &'a str, &'a str);
+
+/// The parts of a coalescible read: its [`Run`], its weight — its keys,
+/// or the rows its page asks for — and the cap on a run's weight;
+/// `None` for every other op.
+fn read_of(op: &RequestOp) -> Option<(Run<'_>, usize, usize)> {
+    let (table, index, weight, cap) = match op {
+        RequestOp::GetMany { table, index, keys }
+        | RequestOp::ProjectMany { table, index, keys } => {
+            (table, index, keys.len(), GROUP_KEY_CAP)
+        }
+        RequestOp::Range { table, index, limit, .. } => {
+            (table, index, *limit as usize, GROUP_ROW_CAP)
+        }
+        _ => return None,
+    };
+    Some(((std::mem::discriminant(op), table, index), weight, cap))
 }
 
-/// Dequeues the head job and, when it is a point read, the contiguous
-/// run of jobs behind it with the same op kind, table and index, up to
-/// [`GROUP_KEY_CAP`] keys in all. Only a prefix is taken — FIFO order
-/// holds and no read moves past a queued write — and only what is
-/// already queued: the caller holds the work-queue lock, nothing waits.
+/// Dequeues the head job and, when it is a read, the contiguous run of
+/// jobs behind it with the same op kind, table and index, up to
+/// [`GROUP_KEY_CAP`] keys — `Range` pages: [`GROUP_ROW_CAP`] rows — in
+/// all. Only a prefix is taken — FIFO order holds and no read moves
+/// past a queued write — and only what is already queued: the caller
+/// holds the work-queue lock, nothing waits.
 fn take_group(queue: &mut VecDeque<Job>) -> Vec<Job> {
     let Some(head) = queue.front() else { return Vec::new() };
     let mut n = 1;
-    if let Some((project, table, index, keys)) = point_read(&head.req.op) {
-        let mut total = keys.len();
+    if let Some((run, mut total, cap)) = read_of(&head.req.op) {
         for job in queue.iter().skip(1) {
-            match point_read(&job.req.op) {
-                Some((p, t, i, k))
-                    if (p, t, i) == (project, table, index) && total + k.len() <= GROUP_KEY_CAP =>
-                {
-                    total += k.len();
+            match read_of(&job.req.op) {
+                Some((r, weight, _)) if r == run && total + weight <= cap => {
+                    total += weight;
                     n += 1;
                 }
                 _ => break,
@@ -656,13 +688,18 @@ fn take_group(queue: &mut VecDeque<Job>) -> Vec<Job> {
 
 /// The named error every job of a group gets when its engine call
 /// panicked, carrying the panic message when it has one.
-fn panic_body(panic: &(dyn std::any::Any + Send)) -> ResponseBody {
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     let what = panic
         .downcast_ref::<&str>()
         .copied()
         .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
         .unwrap_or("opaque panic payload");
-    ResponseBody::Error { message: format!("internal error: worker panicked: {what}") }
+    format!("internal error: worker panicked: {what}")
+}
+
+/// The frame of an error response.
+fn error_frame(id: u64, message: String) -> Vec<u8> {
+    nbb_proto::encode_response(&Response { id, body: ResponseBody::Error { message } })
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
@@ -693,16 +730,18 @@ fn worker_loop(shared: &Arc<Shared>) {
         // The engine's own guards restore its state while unwinding
         // (the shim's locks do not poison), so the worker answers the
         // whole group with a named error and lives on.
-        let n = ops.len();
-        let bodies =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute_group(shared, ops)))
-                .unwrap_or_else(|panic| vec![panic_body(panic.as_ref()); n]);
+        let ids: Vec<u64> = dests.iter().map(|(_, id)| *id).collect();
+        let run = || execute_group(shared, &ids, ops);
+        let frames =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|panic| {
+                let message = panic_message(panic.as_ref());
+                ids.iter().map(|&id| error_frame(id, message.clone())).collect()
+            });
 
         // Complete per connection: one response-lock acquisition and
         // one writer wake-up per connection per group.
         let mut done: Vec<(Arc<Conn>, Vec<Vec<u8>>)> = Vec::new();
-        for ((conn, id), body) in dests.into_iter().zip(bodies) {
-            let frame = nbb_proto::encode_response(&Response { id, body });
+        for ((conn, _), frame) in dests.into_iter().zip(frames) {
             match done.iter_mut().find(|(c, _)| Arc::ptr_eq(c, &conn)) {
                 Some((_, frames)) => frames.push(frame),
                 None => done.push((conn, vec![frame])),
@@ -728,44 +767,110 @@ fn wire_projection(p: Projection) -> WireProjection {
     WireProjection { payload: p.payload, index_only: p.index_only }
 }
 
-/// Executes one dequeued group as one engine call, one body per op in
-/// order, mapping an engine error to a wire [`ResponseBody::Error`]
-/// (the connection survives; only that response reports failure).
-/// Point reads — one request or a coalesced run of them — ride
-/// [`try_execute_reads`]; if the merged call of several requests fails,
-/// the group is re-executed one request at a time (reads are
-/// idempotent), so only the requests that fail alone report an error.
-/// Every other op was dequeued alone.
-fn execute_group(shared: &Shared, ops: Vec<RequestOp>) -> Vec<ResponseBody> {
-    let result = match point_read(&ops[0]) {
-        Some((project, table, index, _)) => try_execute_reads(shared, project, table, index, &ops),
-        None => try_execute(shared, &ops[0]).map(|body| vec![body]),
+/// Executes one dequeued group as one engine call and encodes one
+/// response frame per op (`ids[i]` answers `ops[i]`), mapping an engine
+/// error to a wire [`ResponseBody::Error`] (the connection survives;
+/// only that response reports failure). Reads — one request or a
+/// coalesced run — ride [`try_execute_reads`] / [`try_execute_ranges`];
+/// if the merged call of several requests fails, the group is
+/// re-executed one request at a time (reads are idempotent), so only
+/// the requests that fail alone report an error. Every other op was
+/// dequeued alone. No frame leaves above [`ServerConfig::max_frame`] —
+/// the peer's framer would refuse it and kill the connection with
+/// everything in flight on it — so an oversize response is replaced by
+/// an error naming [`RESPONSE_TOO_LARGE`].
+fn execute_group(shared: &Shared, ids: &[u64], ops: Vec<RequestOp>) -> Vec<Vec<u8>> {
+    let encode = |bodies: Vec<ResponseBody>| -> Vec<Vec<u8>> {
+        let frame = |(&id, body)| nbb_proto::encode_response(&Response { id, body });
+        ids.iter().zip(bodies).map(frame).collect()
+    };
+    let result = match &ops[0] {
+        RequestOp::Range { table, index, .. } => {
+            try_execute_ranges(shared, table, index, ids, &ops)
+        }
+        RequestOp::GetMany { table, index, .. } | RequestOp::ProjectMany { table, index, .. } => {
+            try_execute_reads(shared, table, index, &ops).map(encode)
+        }
+        op => try_execute(shared, op).map(|body| encode(vec![body])),
     };
     shared.stats.batches_executed.fetch_add(1, Ordering::Relaxed);
+    let max = shared.cfg.max_frame;
+    let capped = |(frame, &id): (Vec<u8>, &u64)| match frame.len() - nbb_proto::HEADER_LEN {
+        len if len > max => error_frame(id, format!("{RESPONSE_TOO_LARGE}: {len} > {max} bytes")),
+        _ => frame,
+    };
     match result {
-        Ok(bodies) => bodies,
-        Err(e) if ops.len() == 1 => vec![ResponseBody::Error { message: e.to_string() }],
-        Err(_) => ops.into_iter().flat_map(|op| execute_group(shared, vec![op])).collect(),
+        Ok(frames) => frames.into_iter().zip(ids).map(capped).collect(),
+        Err(e) if ops.len() == 1 => vec![error_frame(ids[0], e.to_string())],
+        Err(_) => (ids.iter().zip(ops))
+            .flat_map(|(&id, op)| execute_group(shared, &[id], vec![op]))
+            .collect(),
     }
 }
 
+/// One group refill for a run of `Range` pages on `index` of `table` (a
+/// lone request is a run of one): [`nbb_core::IndexRef::range_pages`]
+/// merges the run's leaf faults and heap reads, and every page goes
+/// from its arena straight into its response frame. A page is cut at
+/// the rows that fit [`ServerConfig::max_frame`] and then says `more`,
+/// so the resume rule pages on.
+fn try_execute_ranges(
+    shared: &Shared,
+    table: &str,
+    index: &str,
+    ids: &[u64],
+    ops: &[RequestOp],
+) -> Result<Vec<Vec<u8>>, StorageError> {
+    let t = shared.db.table(table)?;
+    let idx = t.index(index)?;
+    // A row is two length prefixes, key and tuple; the rest of a frame
+    // is id, status, tag, count, `more` and the optional resume key.
+    let key = idx.spec().key.len;
+    let fit = shared.cfg.max_frame.saturating_sub(20 + key) / (8 + key + t.tuple_width());
+    // An empty page carries no resume key, so a client paging by the
+    // resume rule would re-send it forever: `limit = 0` is refused.
+    fn spec(op: &RequestOp, fit: usize) -> Option<PageSpec<'_>> {
+        match op {
+            RequestOp::Range { lo, hi, limit: limit @ 1.., .. } => {
+                Some((wire_bound(lo), wire_bound(hi), (*limit as usize).min(fit.max(1))))
+            }
+            _ => None,
+        }
+    }
+    let specs: Vec<PageSpec<'_>> = ops.iter().filter_map(|op| spec(op, fit)).collect();
+    let mut pages = idx.range_pages(&specs)?.into_iter();
+    let frame = |(&id, op)| match spec(op, fit).and_then(|_| pages.next()) {
+        Some(page) => {
+            let resume = page.rows().next_back().map(|(key, _)| key);
+            nbb_proto::encode_range_response(id, page.rows(), page.more(), resume)
+        }
+        None => error_frame(id, RANGE_LIMIT_ZERO.into()),
+    };
+    Ok(ids.iter().zip(ops).map(frame).collect())
+}
+
 /// One engine call for a group of point reads that [`take_group`]
-/// found alike (all `project`ions or all gets, through `index` of
+/// found alike (all projections or all gets, through `index` of
 /// `table`; a lone request is a group of one): resolves the table and
 /// index once, reads the concatenated keys, and deals the rows back
 /// out per request.
 fn try_execute_reads(
     shared: &Shared,
-    project: bool,
     table: &str,
     index: &str,
     ops: &[RequestOp],
 ) -> Result<Vec<ResponseBody>, StorageError> {
-    let per_op: Vec<&[Vec<u8>]> = ops.iter().filter_map(point_read).map(|r| r.3).collect();
+    fn keys_of(op: &RequestOp) -> Option<&[Vec<u8>]> {
+        match op {
+            RequestOp::GetMany { keys, .. } | RequestOp::ProjectMany { keys, .. } => Some(keys),
+            _ => None,
+        }
+    }
+    let per_op: Vec<&[Vec<u8>]> = ops.iter().filter_map(keys_of).collect();
     let keys: Vec<&[u8]> = per_op.iter().flat_map(|k| k.iter().map(Vec::as_slice)).collect();
     let t = shared.db.table(table)?;
     let idx = t.index(index)?;
-    Ok(if project {
+    Ok(if matches!(ops[0], RequestOp::ProjectMany { .. }) {
         let mut rows = idx.project_many(&keys)?.into_iter().map(|r| r.map(wire_projection));
         let deal = |k: &&[Vec<u8>]| ResponseBody::ProjectMany {
             rows: rows.by_ref().take(k.len()).collect(),
@@ -779,13 +884,12 @@ fn try_execute_reads(
     })
 }
 
-/// Executes one request op other than a point read against the
-/// database.
+/// Executes one request op other than a read against the database.
 fn try_execute(shared: &Shared, op: &RequestOp) -> Result<ResponseBody, StorageError> {
     let db = &shared.db;
     Ok(match op {
-        RequestOp::GetMany { .. } | RequestOp::ProjectMany { .. } => {
-            unreachable!("execute_group runs point reads through try_execute_reads")
+        RequestOp::GetMany { .. } | RequestOp::ProjectMany { .. } | RequestOp::Range { .. } => {
+            unreachable!("execute_group runs reads through try_execute_reads / _ranges")
         }
         RequestOp::InsertMany { table, tuples } => {
             let t = db.table(table)?;
@@ -806,29 +910,6 @@ fn try_execute(shared: &Shared, op: &RequestOp) -> Result<ResponseBody, StorageE
             let t = db.table(table)?;
             let applied = t.index(index)?.delete_many(keys)?;
             ResponseBody::DeleteMany { applied }
-        }
-        RequestOp::Range { table, index, lo, hi, limit } => {
-            // An empty page carries no resume key, so a client paging
-            // by the resume rule would re-send it forever.
-            if *limit == 0 {
-                return Ok(ResponseBody::Error { message: RANGE_LIMIT_ZERO.into() });
-            }
-            let limit = *limit as usize;
-            let t = db.table(table)?;
-            let idx = t.index(index)?;
-            // One row past the page makes `more` authoritative, and
-            // asking for it up front lets the cursor size its batched
-            // refills for the page and the probe together.
-            let cursor = idx.range::<[u8], _>((wire_bound(lo), wire_bound(hi)));
-            let mut rows = Vec::new();
-            for row in cursor.limit(limit.saturating_add(1)) {
-                let row = row?;
-                rows.push((row.key, row.tuple));
-            }
-            let more = rows.len() > limit;
-            rows.truncate(limit);
-            let resume = rows.last().map(|(k, _)| k.clone());
-            ResponseBody::Range { rows, more, resume }
         }
         RequestOp::Batch { table, ops } => {
             let t = db.table(table)?;
@@ -860,4 +941,35 @@ fn try_execute(shared: &Shared, op: &RequestOp) -> Result<ResponseBody, StorageE
         }
         RequestOp::Stats => ResponseBody::Stats(shared.stats.snapshot()),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nbb_core::db::DbConfig;
+    use std::time::Instant;
+
+    #[test]
+    fn shutdown_terminates_when_its_wake_up_connect_fails() {
+        let db = Arc::new(Database::open(DbConfig::default()));
+        let server = Server::start(db, ServerConfig::default()).expect("start");
+        // Make the accept thread leave on its own and take the listener
+        // with it, then put the flag back: `shutdown` now finds nothing
+        // to connect to.
+        server.shared.shutting_down.store(true, Ordering::SeqCst);
+        TcpStream::connect(server.local_addr()).expect("wake the accept thread");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let gone =
+            || server.shared.lifecycle.lock().accept.as_ref().is_some_and(|h| h.is_finished());
+        while !gone() {
+            assert!(Instant::now() < deadline, "the accept thread never left");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        server.shared.shutting_down.store(false, Ordering::SeqCst);
+        assert!(TcpStream::connect(server.local_addr()).is_err(), "premise: nothing listens");
+
+        server.shutdown();
+        let lc = server.shared.lifecycle.lock();
+        assert!(lc.accept.is_none() && lc.workers.is_empty(), "everything was joined");
+    }
 }

@@ -5,7 +5,11 @@
 //! the `max_connections` cap, backpressure parks, and natural batching
 //! (queued point reads coalesce into one engine call: deterministic
 //! group formation, scatter edge cases, per-request error isolation, a
-//! panicking engine call, and a randomized history against an oracle).
+//! panicking engine call, and a randomized history against an oracle;
+//! queued `Range` pages coalesce into one group refill the same way),
+//! and the outbound frame cap (a `Range` page is cut to fit and pages
+//! on; any other oversize response is a named error, not a dead
+//! connection).
 //!
 //! `NBB_SERVER_TEST_WORKERS=<n>` overrides the worker count of every
 //! test that does not need a particular one; CI's degenerate-config job
@@ -791,6 +795,16 @@ impl Backlog {
         Backlog { gate, rows, rids, server }
     }
 
+    /// [`cold_kv`] — 10,000 rows, both pools cold, both disks gated —
+    /// behind ONE worker, for queueing `Range` pages: `gate` is the
+    /// heap disk, the index disk and the database come back beside it.
+    fn cold() -> (Backlog, Arc<GateDisk>, Arc<Database>) {
+        let (db, rows, [gate, index]) = cold_kv();
+        let cfg = ServerConfig { workers: 1, ..ServerConfig::default() };
+        let server = Server::start(Arc::clone(&db), cfg).expect("start");
+        (Backlog { gate, rows, rids: Vec::new(), server }, index, db)
+    }
+
     fn connect(&self) -> Client {
         Client::connect(self.server.local_addr(), ClientConfig::default()).expect("connect")
     }
@@ -994,6 +1008,286 @@ fn a_panicking_engine_call_answers_its_group_and_the_worker_lives_on() {
     // No response slot leaked: shutdown's drain terminates.
     drop((c1, c2));
     b.server.shutdown();
+}
+
+fn range_page(rows: &RowSchema, from: i64, limit: u32) -> RequestOp {
+    RequestOp::Range {
+        table: "kv".into(),
+        index: "by_id".into(),
+        lo: WireBound::Included(key(rows, from)),
+        hi: WireBound::Unbounded,
+        limit,
+    }
+}
+
+/// The ids of a `Range` page's rows, with `more` and the resume key.
+fn range_ids(rows: &RowSchema, body: ResponseBody) -> (Vec<i64>, bool, Option<Vec<u8>>) {
+    let ResponseBody::Range { rows: got, more, resume } = body else {
+        panic!("expected a range page: {body:?}")
+    };
+    let ids = got.iter().map(|(_, t)| int(&rows.decode(t).expect("decode")[0])).collect();
+    (ids, more, resume)
+}
+
+fn assert_page(rows: &RowSchema, body: ResponseBody, from: i64, len: i64) {
+    let want = ((from..from + len).collect::<Vec<i64>>(), true, Some(key(rows, from + len - 1)));
+    assert_eq!(range_ids(rows, body), want, "page from {from}");
+}
+
+#[test]
+fn queued_range_pages_share_one_group_refill_and_its_device_calls() {
+    let (b, index, _db) = Backlog::cold();
+    let (c1, c2) = (b.connect(), b.connect());
+    let before = b.server.stats();
+
+    // The blocker (root, one leaf, one heap page) parks the only
+    // worker; two cold 512-row pages, far from it and from each other,
+    // queue up behind it.
+    let blocker = b.park(&c1, 0);
+    let calls = |disk: &GateDisk| disk.read_calls.load(Ordering::Relaxed);
+    let (index_before, heap_before) = (calls(&index), calls(&b.gate));
+    let r1 = b.enqueue(&c1, range_page(&b.rows, 3003, 512));
+    let r2 = b.enqueue(&c2, range_page(&b.rows, 7003, 512));
+    b.release();
+
+    assert_eq!(get_vals(&b.rows, c1.redeem(blocker).expect("blocker")), vec![Some(0)]);
+    assert_page(&b.rows, c1.redeem(r1).expect("r1"), 3003, 512);
+    assert_page(&b.rows, c2.redeem(r2).expect("r2"), 7003, 512);
+
+    // Blocker, then both pages as ONE engine call whose refill faults
+    // both pages' first leaves, middle leaves and last leaves together
+    // and chases all 1,026 rows in one heap read: what one page costs.
+    let after = b.server.stats();
+    assert_eq!(after.batches_executed - before.batches_executed, 2);
+    let (index_calls, heap_calls) = (calls(&index) - index_before, calls(&b.gate) - heap_before);
+    assert!(index_calls <= 4, "{index_calls} index device calls for two pages");
+    assert!(heap_calls <= 2, "{heap_calls} heap device calls for two pages");
+
+    drop((c1, c2));
+    b.server.shutdown();
+}
+
+#[test]
+fn range_runs_end_at_any_other_op_and_at_the_row_cap() {
+    let (b, _index, _db) = Backlog::cold();
+    let (c1, c2) = (b.connect(), b.connect());
+    let before = b.server.stats();
+    let blocker = b.park(&c1, 0);
+
+    // R R G R: a run of two, the point read that ends it, a run of one.
+    let r1 = b.enqueue(&c1, range_page(&b.rows, 3003, 300));
+    let r2 = b.enqueue(&c2, range_page(&b.rows, 3100, 300));
+    let g = b.enqueue(&c1, get_many(&b.rows, &[5]));
+    let r3 = b.enqueue(&c2, range_page(&b.rows, 9_900, 500));
+    // 500 + 600 and 600 + 600 rows are past the cap: one page per
+    // engine call. A refused page inside a run does not end it.
+    let r4 = b.enqueue(&c1, range_page(&b.rows, 100, 600));
+    let r5 = b.enqueue(&c2, range_page(&b.rows, 200, 600));
+    let r6 = b.enqueue(&c1, range_page(&b.rows, 300, 0));
+    let r7 = b.enqueue(&c2, range_page(&b.rows, 9_999, 7));
+    b.release();
+
+    c1.redeem(blocker).expect("blocker");
+    assert_page(&b.rows, c1.redeem(r1).expect("r1"), 3003, 300);
+    assert_page(&b.rows, c2.redeem(r2).expect("r2"), 3100, 300);
+    assert_eq!(get_vals(&b.rows, c1.redeem(g).expect("g")), vec![Some(50)]);
+    let last_page = range_ids(&b.rows, c2.redeem(r3).expect("r3"));
+    assert_eq!(last_page, ((9_900..10_000).collect(), false, Some(key(&b.rows, 9_999))));
+    assert_page(&b.rows, c1.redeem(r4).expect("r4"), 100, 600);
+    assert_page(&b.rows, c2.redeem(r5).expect("r5"), 200, 600);
+    let refused = ResponseBody::Error { message: nbb_proto::RANGE_LIMIT_ZERO.into() };
+    assert_eq!(c1.redeem(r6).expect("r6"), refused);
+    let tail = range_ids(&b.rows, c2.redeem(r7).expect("r7"));
+    assert_eq!(tail, (vec![9_999], false, Some(key(&b.rows, 9_999))));
+
+    // Blocker, [R R], G, [R], [R], [R R(0) R]: six engine calls.
+    let after = b.server.stats();
+    assert_eq!(after.frames_in - before.frames_in, 9);
+    assert_eq!(after.batches_executed - before.batches_executed, 6);
+
+    drop((c1, c2));
+    b.server.shutdown();
+}
+
+#[test]
+fn a_failing_leaf_fails_only_the_range_page_that_needs_it() {
+    let (b, index, db) = Backlog::cold();
+    let (c1, c2) = (b.connect(), b.connect());
+    let before = b.server.stats();
+    let blocker = b.park(&c1, 0);
+
+    // The first leaf of the second page fails every device call that
+    // asks for it — the run's merged leaf fault too. (Naming it reads
+    // only the root, which the blocker made resident.)
+    let t = db.table("kv").expect("table");
+    let first = key(&b.rows, 7003);
+    let doomed =
+        t.index("by_id").expect("index").tree().leaf_for(std::ops::Bound::Included(&first));
+    index.fail_reads_of(doomed.expect("leaf_for"));
+    let r1 = b.enqueue(&c1, range_page(&b.rows, 3003, 512));
+    let r2 = b.enqueue(&c2, range_page(&b.rows, 7003, 512));
+    b.release();
+
+    c1.redeem(blocker).expect("blocker");
+    assert_page(&b.rows, c1.redeem(r1).expect("r1"), 3003, 512);
+    match c2.redeem(r2).expect("an error body, not a dead connection") {
+        ResponseBody::Error { message } => {
+            assert!(message.contains("injected read failure"), "{message}")
+        }
+        other => panic!("the page over the failing leaf must fail, got {other:?}"),
+    }
+    // Blocker, the failed merged call, then the two one at a time.
+    let after = b.server.stats();
+    assert_eq!(after.batches_executed - before.batches_executed, 4);
+
+    drop((c1, c2));
+    b.server.shutdown();
+}
+
+#[test]
+fn a_panicking_group_refill_answers_both_pages_and_the_worker_lives_on() {
+    let (b, _index, _db) = Backlog::cold();
+    let (c1, c2) = (b.connect(), b.connect());
+    let blocker = b.park(&c1, 0);
+
+    // The blocker is past the heap disk's panic check; the next heap
+    // read — the run's merged chase — panics inside the only worker.
+    b.gate.panic_next_read.store(true, Ordering::SeqCst);
+    let r1 = b.enqueue(&c1, range_page(&b.rows, 3003, 512));
+    let r2 = b.enqueue(&c2, range_page(&b.rows, 7003, 512));
+    b.release();
+
+    c1.redeem(blocker).expect("blocker");
+    for (client, ticket) in [(&c1, r1), (&c2, r2)] {
+        match client.redeem(ticket).expect("an error body, not a dead connection") {
+            ResponseBody::Error { message } => {
+                assert!(message.contains("internal error"), "{message}");
+                assert!(message.contains("injected disk panic"), "{message}");
+            }
+            other => panic!("expected the named internal error, got {other:?}"),
+        }
+    }
+    // Same connections, same (only) worker, same pages: served.
+    for (client, from) in [(&c1, 3003), (&c2, 7003)] {
+        let body = client.call(range_page(&b.rows, from, 512)).expect("served after the panic");
+        assert_page(&b.rows, body, from, 512);
+    }
+
+    drop((c1, c2));
+    b.server.shutdown();
+}
+
+// ---- The outbound frame cap -------------------------------------------
+
+/// 20,000 rows of 64-byte tuples (`id` and seven more ints), indexed by
+/// `id`: a page of all of them is a 1.6 MB frame.
+fn wide_db() -> (Arc<Database>, RowSchema) {
+    let names = ["id", "a", "b", "c", "d", "e", "f", "g"];
+    let schema = Schema {
+        table: "wide".into(),
+        columns: names.iter().map(|n| ColumnDef::new(n, DeclaredType::Int64)).collect(),
+    };
+    let rows = RowSchema::new(&schema);
+    let db = Arc::new(Database::open(DbConfig::default()));
+    let t = db.create_table_with(&rows).expect("create table");
+    let load: Vec<Vec<u8>> = (0..20_000i64)
+        .map(|id| rows.encode(&vec![Value::Int(id); names.len()]).expect("encode"))
+        .collect();
+    assert_eq!(load[0].len(), 64);
+    t.insert_many(&load).expect("load");
+    t.create_index(rows.index_spec("by_id", "id", &[]).expect("spec")).expect("index");
+    (db, rows)
+}
+
+#[test]
+fn an_oversize_range_page_is_cut_to_fit_its_frame_and_pages_to_completion() {
+    let (db, rows) = wide_db();
+    let server = Server::start(db, server_config()).expect("start");
+    let client = Client::connect(server.local_addr(), ClientConfig::default()).expect("connect");
+
+    // One request for everything. The whole answer is 1,600,028 bytes;
+    // sent as one frame, the client's framer refuses it and the
+    // connection dies with every request in flight on it.
+    let mut seen: Vec<i64> = Vec::new();
+    let mut lo = WireBound::Unbounded;
+    let mut pages = 0;
+    loop {
+        let (page, more, resume) = client
+            .range("wide", "by_id", lo, WireBound::Unbounded, 20_000)
+            .expect("a page that fits its frame");
+        let frame = 28 + page.len() * (8 + 8 + 64);
+        assert!(frame <= nbb_proto::DEFAULT_MAX_FRAME, "a {frame}-byte frame left the server");
+        assert!(!page.is_empty(), "a cut page still makes progress");
+        seen.extend(page.iter().map(|(_, t)| int(&rows.decode(t).expect("decode")[0])));
+        assert_eq!(resume.as_ref(), page.last().map(|(k, _)| k));
+        pages += 1;
+        if !more {
+            break;
+        }
+        lo = WireBound::Excluded(resume.expect("a cut page names its resume key"));
+    }
+    assert_eq!(seen, (0..20_000).collect::<Vec<i64>>(), "every row once, in order");
+    assert_eq!(pages, 2, "13,106 rows fit a 1 MiB frame");
+
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn any_other_oversize_response_is_a_named_error_and_the_connection_lives() {
+    let (db, rows) = wide_db();
+    let server = Server::start(db, server_config()).expect("start");
+    let client = Client::connect(server.local_addr(), ClientConfig::default()).expect("connect");
+    let get = |ids: std::ops::Range<i64>| RequestOp::GetMany {
+        table: "wide".into(),
+        index: "by_id".into(),
+        keys: ids.map(|id| rows.key("id", &Value::Int(id)).expect("key")).collect(),
+    };
+
+    // 240 KB of keys in, 1.38 MB of tuples out: over the cap.
+    match client.call(get(0..20_000)).expect("an error body, not a dead connection") {
+        ResponseBody::Error { message } => {
+            assert!(message.starts_with(nbb_proto::RESPONSE_TOO_LARGE), "{message}")
+        }
+        other => {
+            panic!("expected the named error, got {} bytes of rows", format!("{other:?}").len())
+        }
+    }
+    // The same connection serves a request that fits.
+    let ResponseBody::GetMany { rows: got } = client.call(get(7..9)).expect("served") else {
+        panic!("expected rows")
+    };
+    let ids: Vec<i64> = got
+        .iter()
+        .map(|t| int(&rows.decode(t.as_ref().expect("present")).expect("decode")[0]))
+        .collect();
+    assert_eq!(ids, vec![7, 8]);
+
+    drop(client);
+    server.shutdown();
+}
+
+// ---- Accept -------------------------------------------------------------
+
+#[test]
+fn an_idle_server_blocks_in_accept_and_shutdown_wakes_it() {
+    let (db, _, _) = seeded_db(DbConfig::default(), Arc::new(InMemoryDisk::new(8192)), 0);
+    let server = Server::start(db, server_config()).expect("start");
+    let addr = server.local_addr();
+    // Idle long enough that a polling accept loop would have spun; the
+    // blocked one serves the first connect at once.
+    std::thread::sleep(Duration::from_millis(20));
+    let client = Client::connect(addr, ClientConfig::default()).expect("connect");
+    assert_eq!(client.stats().expect("stats").connections_opened, 1);
+    drop(client);
+
+    // Nothing is connecting: only shutdown's own loopback connect can
+    // get the accept thread out of `accept()`.
+    let started = Instant::now();
+    server.shutdown();
+    assert!(started.elapsed() < Duration::from_secs(5), "shutdown hung on the accept thread");
+    assert!(TcpStream::connect(addr).is_err(), "the listener is closed");
+    assert_eq!(server.stats().connections_opened, 1, "the wake-up is not a connection");
 }
 
 /// xorshift64*: the history below needs reproducible choices, not

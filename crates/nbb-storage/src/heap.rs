@@ -6,6 +6,10 @@
 //! `nbb-partition` is implemented as delete-then-append on this API, the
 //! same mechanism the paper uses ("relocates hot tuples by deleting then
 //! appending them to the end of the table").
+//!
+//! Batched reads are one visitor, [`HeapFile::read_many`]: tuples are
+//! seen in place under their page's pin, each distinct page pinned
+//! once; [`HeapFile::get_many`] is that visitor collecting copies.
 
 use crate::buffer::BufferPool;
 use crate::error::{Result, StorageError};
@@ -163,41 +167,50 @@ impl HeapFile {
         })?
     }
 
-    /// Fetches many tuples at once, visiting each distinct page exactly
-    /// once through the pool's batched pin path
-    /// ([`BufferPool::with_page_batch`]): N rids on the same page cost
-    /// one pin and one slotted-page parse instead of N of each.
+    /// Visits many tuples at once without copying them: `visit(i, bytes)`
+    /// runs under the page pin for every `rids[i]` whose slot is live,
+    /// each position exactly once, in no promised order. Positions are
+    /// grouped per page by a sort, and every distinct page is pinned once
+    /// through the pool's batched path
+    /// ([`BufferPool::with_page_batch`]): N rids on one page cost one
+    /// pin and one slotted-page parse, and the batch's misses share
+    /// device round trips.
     ///
-    /// Results are indexed like `rids`. A rid whose slot is no longer
-    /// live reads as `None` (batch readers tolerate racing deletes the
-    /// same way index→heap chases do); other errors propagate.
-    pub fn get_many(&self, rids: &[RecordId]) -> Result<Vec<Option<Vec<u8>>>> {
-        // Distinct pages, each carrying the positions that live on it.
+    /// A rid whose slot is no longer live is simply not visited (batch
+    /// readers tolerate racing deletes the same way index→heap chases
+    /// do); other errors propagate. `visit` runs with a frame latch
+    /// held, so it must not call back into the engine.
+    pub fn read_many(&self, rids: &[RecordId], mut visit: impl FnMut(usize, &[u8])) -> Result<()> {
+        let mut order: Vec<usize> = (0..rids.len()).collect();
+        order.sort_unstable_by_key(|&i| (rids[i].page, i));
+        // Distinct pages, and where each one's positions start in `order`.
         let mut pages: Vec<PageId> = Vec::new();
-        let mut members: Vec<Vec<usize>> = Vec::new();
-        let mut page_slot: std::collections::HashMap<PageId, usize> =
-            std::collections::HashMap::new();
-        for (i, rid) in rids.iter().enumerate() {
-            let pi = *page_slot.entry(rid.page).or_insert_with(|| {
-                pages.push(rid.page);
-                members.push(Vec::new());
-                pages.len() - 1
-            });
-            members[pi].push(i);
-        }
-        let mut out: Vec<Option<Vec<u8>>> = rids.iter().map(|_| None).collect();
-        let page_results = self.pool.with_page_batch(&pages, |pi, p| -> Result<Vec<_>> {
-            let sp = SlottedPageRef::attach(p)?;
-            Ok(members[pi]
-                .iter()
-                .map(|&i| (i, sp.get(rids[i].slot).ok().map(|t| t.to_vec())))
-                .collect())
-        })?;
-        for r in page_results {
-            for (i, tuple) in r? {
-                out[i] = tuple;
+        let mut starts: Vec<usize> = Vec::new();
+        for (at, &i) in order.iter().enumerate() {
+            if pages.last() != Some(&rids[i].page) {
+                pages.push(rids[i].page);
+                starts.push(at);
             }
         }
+        starts.push(order.len());
+        let visited = self.pool.with_page_batch(&pages, |pi, p| -> Result<()> {
+            let sp = SlottedPageRef::attach(p)?;
+            for &i in &order[starts[pi]..starts[pi + 1]] {
+                if let Ok(tuple) = sp.get(rids[i].slot) {
+                    visit(i, tuple);
+                }
+            }
+            Ok(())
+        })?;
+        visited.into_iter().collect()
+    }
+
+    /// Fetches many tuples at once: [`HeapFile::read_many`] collecting
+    /// copies. Results are indexed like `rids`; a rid whose slot is no
+    /// longer live reads as `None`.
+    pub fn get_many(&self, rids: &[RecordId]) -> Result<Vec<Option<Vec<u8>>>> {
+        let mut out: Vec<Option<Vec<u8>>> = vec![None; rids.len()];
+        self.read_many(rids, |i, tuple| out[i] = Some(tuple.to_vec()))?;
         Ok(out)
     }
 
@@ -398,6 +411,28 @@ mod tests {
         for (i, rid) in asked.iter().enumerate() {
             assert_eq!(got[i], h.get(*rid).ok(), "position {i}");
         }
+    }
+
+    #[test]
+    fn read_many_visits_each_live_position_exactly_once() {
+        let h = heap();
+        let rids: Vec<RecordId> =
+            (0..150u32).map(|i| h.insert(&i.to_le_bytes()).unwrap()).collect();
+        h.delete(rids[10]).unwrap();
+        h.delete(rids[77]).unwrap();
+        // Unsorted across pages, duplicated rids, dead slots.
+        let ask = [140usize, 3, 10, 3, 77, 0, 149, 140, 75, 76];
+        let asked: Vec<RecordId> = ask.iter().map(|&i| rids[i]).collect();
+        assert!(asked.windows(2).any(|w| w[0].page > w[1].page), "premise: unsorted pages");
+        let mut visits = vec![0u32; asked.len()];
+        h.read_many(&asked, |pos, bytes| {
+            assert_eq!(bytes, (ask[pos] as u32).to_le_bytes(), "position {pos} sees its own row");
+            visits[pos] += 1;
+        })
+        .unwrap();
+        let want: Vec<u32> = ask.iter().map(|&i| u32::from(i != 10 && i != 77)).collect();
+        assert_eq!(visits, want, "live positions once each, dead slots never");
+        h.read_many(&[], |_, _| panic!("nothing to visit")).unwrap();
     }
 
     #[test]

@@ -32,9 +32,12 @@
 //! through per-shard pool mutexes and per-frame latches; index→heap
 //! pointer chases re-verify the fetched tuple's key so racing deletes
 //! read as "gone" instead of serving foreign bytes. Range cursors
-//! (`IndexRef::range(..).limit(n)`) refill by row budget: each refill
-//! batch-faults the leaves it is sure to consume and batch-reads the
-//! heap rows behind them, holding no tree lock across either read.
+//! (`IndexRef::range(..).limit(n)`) refill by row budget, and a group
+//! of them (`IndexRef::range_pages`, what the server makes of queued
+//! `Range` requests) refills together: each refill batch-faults the
+//! union of the leaves its cursors are sure to consume and batch-reads
+//! the heap rows behind them into flat arenas — no per-row allocation,
+//! no tree lock across either read.
 //! Write paths are concurrent too: disjoint-key writers crab through
 //! striped per-leaf latches (only splits escalate to the exclusive
 //! structure lock), and **same-key writers serialize through key-level

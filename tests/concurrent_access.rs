@@ -363,8 +363,9 @@ fn disjoint_range_batch_writers_vs_readers() {
 // A paging scan vs an ascending inserter splitting leaves under it
 // ---------------------------------------------------------------------
 
-/// Pagers walk the whole index in `.limit(257)` pages (full tuples and
-/// projections), resuming each page past the last key of the one
+/// Pagers walk the whole index in `.limit(257)` pages (full tuples,
+/// projections, and two scanners whose pages coalesce into one group
+/// refill), resuming each page past the last key of the one
 /// before, while a writer inserts the three keys between every two pre-loaded
 /// ones in ascending order — every bulk-loaded leaf splits at some
 /// point, some
@@ -377,7 +378,7 @@ fn disjoint_range_batch_writers_vs_readers() {
 fn paging_scans_lose_and_duplicate_nothing_under_an_ascending_inserter() {
     /// Pre-loaded keys: the multiples of 4 below `4 * LOADED`.
     const LOADED: u64 = 3_000;
-    const PAGERS: usize = 2;
+    const PAGERS: usize = 3;
 
     // The index pool holds a fraction of the leaves, so refills fault
     // while the writer splits.
@@ -430,21 +431,61 @@ fn paging_scans_lose_and_duplicate_nothing_under_an_ascending_inserter() {
             }
         }
     };
-    let check = |seen: &[u64]| {
+    // Two scanners — one over everything, one from the middle — whose
+    // pages coalesce: every step refills both as one group
+    // (`range_pages`, what a server worker makes of two queued `Range`
+    // requests). Returns each scanner's keys.
+    const MID: u64 = 2 * LOADED;
+    let coalesced_pass = || -> [Vec<u64>; 2] {
+        let pk = table.index("pk").unwrap();
+        let mut seen: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
+        let mut scanning = vec![0usize, 1];
+        while !scanning.is_empty() {
+            let resume: Vec<[u8; 8]> = scanning
+                .iter()
+                .map(|&s| seen[s].last().map_or(MID * s as u64, |k| k + 1).to_be_bytes())
+                .collect();
+            let specs: Vec<nbb::core::query::PageSpec<'_>> = resume
+                .iter()
+                .map(|k| (std::ops::Bound::Included(&k[..]), std::ops::Bound::Unbounded, 257))
+                .collect();
+            let pages = pk.range_pages(&specs).unwrap();
+            for (s, page) in std::mem::take(&mut scanning).into_iter().zip(&pages) {
+                for (key, row) in page.rows() {
+                    let key = u64::from_be_bytes(key.try_into().unwrap());
+                    assert_eq!(row, tuple(key, 0), "another key's tuple");
+                    seen[s].push(key);
+                }
+                if page.more() {
+                    scanning.push(s);
+                }
+            }
+        }
+        seen
+    };
+    let check_from = |seen: &[u64], from: u64| {
         assert!(seen.windows(2).all(|w| w[0] < w[1]), "a pass must be strictly ascending");
         let loaded_seen = seen.iter().filter(|k| *k % 4 == 0).count() as u64;
-        assert_eq!(loaded_seen, LOADED, "a pre-loaded key went missing across a split");
+        assert_eq!(loaded_seen, LOADED - from / 4, "a pre-loaded key went missing across a split");
     };
+    let check = |seen: &[u64]| check_from(seen, 0);
 
     std::thread::scope(|s| {
         let pagers: Vec<_> = (0..PAGERS)
             .map(|i| {
                 let (pass, check, done, start) = (&pass, &check, &done, &start);
+                let (coalesced_pass, check_from) = (&coalesced_pass, &check_from);
                 s.spawn(move || {
                     start.wait();
                     let mut passes = 0;
                     while !done.load(Ordering::Acquire) {
-                        check(&pass(i % 2 == 1));
+                        if i == 2 {
+                            let [whole, half] = coalesced_pass();
+                            check(&whole);
+                            check_from(&half, MID);
+                        } else {
+                            check(&pass(i == 1));
+                        }
                         passes += 1;
                     }
                     passes
@@ -466,5 +507,8 @@ fn paging_scans_lose_and_duplicate_nothing_under_an_ascending_inserter() {
     for projected in [false, true] {
         assert_eq!(pass(projected), (0..4 * LOADED).collect::<Vec<u64>>());
     }
+    let [whole, half] = coalesced_pass();
+    assert_eq!(whole, (0..4 * LOADED).collect::<Vec<u64>>());
+    assert_eq!(half, (MID..4 * LOADED).collect::<Vec<u64>>());
     assert!(pk.tree().check_invariants().unwrap().is_ok());
 }
