@@ -58,12 +58,7 @@ fn rig(budget: usize) -> (BufferPool, Vec<PageId>) {
     let pool = BufferPool::with_pool_options(
         disk,
         FRAMES,
-        PoolOptions {
-            shards: 1,
-            write_behind: 0,
-            compressed_budget_bytes: budget,
-            ..PoolOptions::default()
-        },
+        PoolOptions { shards: 1, write_behind: 0, compressed_budget_bytes: budget },
     );
     let ids: Vec<PageId> = (0..PAGES).map(|_| pool.new_page().unwrap()).collect();
     // FOR-friendly content: per-page smooth u64 ramps (id-salted so

@@ -39,6 +39,7 @@
 //! | 24  | 8    | next leaf PageId (u64::MAX = none) |
 //! | 32  | 8    | aux: internal → leftmost child; leaf → predicate-log watermark |
 
+use nbb_storage::error::StorageError;
 use nbb_storage::page::{Page, PageId};
 
 /// Fixed header size (Figure 1's "Fixed Size Header").
@@ -89,6 +90,22 @@ impl<'a> Node<'a> {
     pub fn new(page: &'a Page, key_size: usize) -> Self {
         debug_assert_eq!(page.read_u16(OFF_MAGIC), MAGIC, "not a btree node");
         Node { page, key_size }
+    }
+
+    /// [`Node::new`] for page `id` fresh from a device, whose bytes are
+    /// outside input: a real check in every profile, `Corrupt` naming
+    /// the page when the magic is wrong.
+    pub(crate) fn checked(
+        page: &'a Page,
+        id: PageId,
+        key_size: usize,
+    ) -> Result<Self, StorageError> {
+        match page.read_u16(OFF_MAGIC) {
+            MAGIC => Ok(Node { page, key_size }),
+            found => Err(StorageError::Corrupt(format!(
+                "page {id} is not a B+Tree node (magic {found:#06x}, expected {MAGIC:#06x})"
+            ))),
+        }
     }
 
     /// Bytes per key entry: key plus an 8-byte value/child pointer.

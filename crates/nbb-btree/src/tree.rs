@@ -395,11 +395,9 @@ impl BTree {
         if let Some(c) = &opts.cache {
             c.validate();
         }
-        // Sanity: the root must parse as a node of this key size.
-        pool.with_page(root, |p| {
-            let n = Node::new(p, key_size);
-            let _ = n.nkeys();
-        })?;
+        // The root comes off a device: it must carry the node magic.
+        // (Every leaf is checked the same way by the chain walk below.)
+        pool.with_page(root, |p| Node::checked(p, root, key_size).map(|_| ()))??;
         let threshold = opts.cache.map(|c| c.log_threshold).unwrap_or(64);
         let seed = opts.cache_seed;
         let tree = BTree {
@@ -1707,15 +1705,19 @@ impl BTree {
         self.for_each_leaf_from(*root, f)
     }
 
-    /// Leaf-chain walk; the caller holds the structure lock.
+    /// Leaf-chain walk; the caller holds the structure lock. Every page
+    /// visited must carry the node magic: a sibling pointer into an
+    /// unformatted page is `Corrupt`, not a zeroed "leaf" whose own
+    /// sibling pointer is page 0 again.
     fn for_each_leaf_from(&self, root: PageId, mut f: impl FnMut(Node<'_>)) -> Result<()> {
         let mut leaf = self.first_leaf_from(root)?;
         loop {
             let next = self.pool.with_page(leaf, |p| {
-                let n = Node::new(p, self.key_size);
-                f(n);
-                n.next_leaf()
-            })?;
+                Node::checked(p, leaf, self.key_size).map(|n| {
+                    f(n);
+                    n.next_leaf()
+                })
+            })??;
             if !next.is_valid() {
                 return Ok(());
             }

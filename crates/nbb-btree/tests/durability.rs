@@ -2,8 +2,8 @@
 //! full tear-down of all in-memory state, and reopened trees start a
 //! fresh CSN epoch so stale on-disk cache bytes are never served.
 
-use nbb_btree::{BTree, BTreeOptions, CacheConfig};
-use nbb_storage::{BufferPool, DiskManager, FileDisk, InMemoryDisk};
+use nbb_btree::{BTree, BTreeOptions, CacheConfig, NodeMut};
+use nbb_storage::{BufferPool, DiskManager, FileDisk, InMemoryDisk, StorageError};
 use std::sync::Arc;
 
 fn k(v: u64) -> [u8; 8] {
@@ -111,21 +111,39 @@ fn reopened_epoch_outruns_persisted_csn() {
 fn open_rejects_garbage_root() {
     let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
     let pool = Arc::new(BufferPool::new(disk, 8));
-    // Allocate an uninitialized page: not a node.
+    // Allocate an uninitialized page: not a node. A zeroed page read as
+    // a node is a level-0 leaf whose next-leaf pointer is page 0 —
+    // itself — so an unchecked open walks that chain forever once debug
+    // asserts are off. The magic is checked for real in every profile.
     let pid = pool.new_page().unwrap();
-    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        BTree::open(pool, 8, pid, BTreeOptions::default())
-    }));
-    // Either an error or a debug-assert panic is acceptable; never a
-    // silently-working tree.
-    if let Ok(Ok(tree)) = r {
-        // If it opened (release mode skips the debug assert), any use
-        // must fail loudly rather than fabricate data.
-        let use_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            tree.get(&k(1)).map(|v| v.is_none())
-        }));
-        if let Ok(Ok(none)) = use_result {
-            assert!(none, "garbage root must not return values");
-        } // error or panic: fine
-    } // error or panic at open: fine
+    match BTree::open(pool, 8, pid, BTreeOptions::default()) {
+        Err(StorageError::Corrupt(msg)) => {
+            assert!(msg.contains(&format!("page {pid}")), "the error names the page: {msg}")
+        }
+        Err(e) => panic!("expected Corrupt, got {e}"),
+        Ok(_) => panic!("a zeroed page opened as a tree"),
+    }
+}
+
+#[test]
+fn open_rejects_a_leaf_chain_that_runs_into_an_unformatted_page() {
+    let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
+    let pool = Arc::new(BufferPool::new(disk, 8));
+    let tree = BTree::create(Arc::clone(&pool), 8, BTreeOptions::default()).unwrap();
+    for i in 0..10 {
+        tree.insert(&k(i), i).unwrap();
+    }
+    let root = tree.root_page();
+    drop(tree);
+    // The root is a well-formed leaf; point its sibling link at a page
+    // nobody ever formatted.
+    let stray = pool.new_page().unwrap();
+    pool.with_page_mut(root, |p| NodeMut::new(p, 8).set_next_leaf(stray)).unwrap();
+    match BTree::open(pool, 8, root, BTreeOptions::default()) {
+        Err(StorageError::Corrupt(msg)) => {
+            assert!(msg.contains(&format!("page {stray}")), "the error names the page: {msg}")
+        }
+        Err(e) => panic!("expected Corrupt, got {e}"),
+        Ok(_) => panic!("a chain into an unformatted page opened as a tree"),
+    }
 }

@@ -59,12 +59,6 @@ pub struct DbConfig {
     /// without it. See `nbb_storage::buffer`'s module docs;
     /// `TableStats::pool_compressed_*` meters it.
     pub compressed_budget_bytes: usize,
-    /// Write-behind drainer threads per buffer pool (min 1 whenever
-    /// `write_behind > 0`; ignored when the queue is disabled). The
-    /// queue's gen-stamped claim protocol already serializes per-page
-    /// flushes, so N drainers overlap distinct pages' device writes
-    /// without reordering any one page's.
-    pub flusher_threads: usize,
     /// Self-tuning free-space controller interval. `None` (the
     /// default) is **off**: no tuner thread is spawned, no cache-space
     /// targets or join-cache bounds are ever set, and behavior is
@@ -94,7 +88,6 @@ impl Default for DbConfig {
             write_behind: nbb_storage::DEFAULT_WRITE_BEHIND,
             intent_stripes: nbb_btree::DEFAULT_INTENT_STRIPES,
             compressed_budget_bytes: 0,
-            flusher_threads: 1,
             tuning_interval: None,
             disk_model: None,
         }
@@ -114,7 +107,6 @@ impl DbConfig {
             PoolOptions {
                 shards,
                 write_behind: self.write_behind,
-                flusher_threads: self.flusher_threads,
                 compressed_budget_bytes: self.compressed_budget_bytes,
             },
         ))
@@ -786,16 +778,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(rows, 500, "the tier never substitutes for durability");
-    }
-
-    #[test]
-    fn flusher_threads_knob_applies_to_both_pools() {
-        let db = Database::open(DbConfig::default());
-        assert_eq!(db.heap_pool().flusher_threads(), 1);
-        assert_eq!(db.index_pool().flusher_threads(), 1);
-        let db = Database::open(DbConfig { flusher_threads: 3, ..DbConfig::default() });
-        assert_eq!(db.heap_pool().flusher_threads(), 3);
-        assert_eq!(db.index_pool().flusher_threads(), 3);
     }
 
     #[test]

@@ -253,15 +253,6 @@ pub struct TableStats {
     pub pool_decompress_stalls: u64,
     /// Pages held compressed in the pools' tiers right now (a gauge).
     pub pool_compressed_pages: u64,
-    /// Speculative page loads issued through `BufferPool::prefetch`
-    /// (summed over the heap and index pools; no engine path issues
-    /// any today).
-    pub pool_prefetch_issued: u64,
-    /// Prefetched pages a requester went on to touch — speculation that
-    /// paid off.
-    pub pool_prefetch_hits: u64,
-    /// Prefetched pages evicted untouched — speculation that missed.
-    pub pool_prefetch_wasted: u64,
     /// Batched disk reads issued by the pools' batch-fault path (one
     /// per `read_many` call, however many pages it carried).
     pub pool_read_batches: u64,
@@ -1150,9 +1141,6 @@ impl Table {
                 + index_pool.compressed_evictions,
             pool_decompress_stalls: heap_pool.decompress_stalls + index_pool.decompress_stalls,
             pool_compressed_pages: heap_pool.compressed_pages + index_pool.compressed_pages,
-            pool_prefetch_issued: heap_pool.prefetch_issued + index_pool.prefetch_issued,
-            pool_prefetch_hits: heap_pool.prefetch_hits + index_pool.prefetch_hits,
-            pool_prefetch_wasted: heap_pool.prefetch_wasted + index_pool.prefetch_wasted,
             pool_read_batches: heap_pool.read_batches + index_pool.read_batches,
             pool_read_pages: heap_pool.read_pages + index_pool.read_pages,
             intent_parks,

@@ -154,13 +154,6 @@ impl WasteReport {
                     i.pool.read_pages as f64 / i.pool.read_batches as f64,
                 ));
             }
-            if i.pool.prefetch_issued > 0 {
-                out.push_str(&format!(
-                    "    prefetch: {} pages loaded ahead, {} hit, {} wasted \
-                     (speculation win rate of the spare frames)\n",
-                    i.pool.prefetch_issued, i.pool.prefetch_hits, i.pool.prefetch_wasted,
-                ));
-            }
         }
         if let Some(l) = &self.locality {
             out.push_str(&format!(
@@ -395,28 +388,18 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_counters_render_when_nonzero() {
+    fn batched_read_counters_render_when_nonzero() {
         let t = table();
         let mut rep = audit(&t, &["pk"], None, None).unwrap();
         let zero = rep.render();
-        assert!(
-            !zero.contains("batched reads") && !zero.contains("prefetch:"),
-            "quiet counters must render nothing:\n{zero}"
-        );
+        assert!(!zero.contains("batched reads"), "quiet counters must render nothing:\n{zero}");
         let pool = &mut rep.unused.indexes[0].pool;
         pool.read_batches = 3;
         pool.read_pages = 24;
-        pool.prefetch_issued = 24;
-        pool.prefetch_hits = 20;
-        pool.prefetch_wasted = 2;
         let text = rep.render();
         assert!(
             text.contains("batched reads: 24 pages in 3 batches (8.0 pages/read"),
             "batch coalescing line missing:\n{text}"
-        );
-        assert!(
-            text.contains("prefetch: 24 pages loaded ahead, 20 hit, 2 wasted"),
-            "speculation verdict line missing:\n{text}"
         );
     }
 }

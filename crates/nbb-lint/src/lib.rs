@@ -614,7 +614,7 @@ mod tests {
     #[test]
     fn classify_scopes_rules_by_path() {
         assert!(classify("crates/shims/parking_lot/src/lib.rs").is_none());
-        assert!(classify("crates/nbb-storage/src/buffer.rs").unwrap().engine_src);
+        assert!(classify("crates/nbb-storage/src/buffer/fault.rs").unwrap().engine_src);
         assert!(classify("crates/nbb-proto/src/lib.rs").unwrap().engine_src);
         assert!(classify("crates/nbb-server/src/lib.rs").unwrap().engine_src);
         assert!(classify("crates/nbb-client/src/lib.rs").unwrap().engine_src);

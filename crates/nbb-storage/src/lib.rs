@@ -14,8 +14,8 @@
 //!   cache-line-padded atomic counters), so concurrent accesses to
 //!   distinct pages rarely contend. Faults run through an
 //!   I/O-in-progress frame state machine: the shard lock is released
-//!   across the disk read (one implementation serves point accesses,
-//!   batches and speculative loads alike — a point miss is a batch of one),
+//!   across the disk read (one implementation serves point accesses
+//!   and batches alike — a point miss is a batch of one),
 //!   same-page requesters park on the in-flight load instead of
 //!   duplicating it, and dirty evictions hand their bytes to a
 //!   write-behind queue drained by a background flusher — so one stripe

@@ -128,19 +128,13 @@ pub struct PoolStats {
     pub compressed_pages: u64,
     /// Bytes currently held compressed (a gauge, like `wb_pending`).
     pub compressed_bytes: u64,
-    /// Speculative loads started by `BufferPool::prefetch` (pages
-    /// pulled in ahead of any requester). Also counted
-    /// in `faults`/`misses` — the frame machinery ran in full.
+    /// Always 0; kept only until a `benchmark` PR drops
+    /// `pool.prefetch_hit_ratio` (the pool faults on demand only, and
+    /// `benchmark/src/run.rs` still names this field).
     pub prefetch_issued: u64,
-    /// Prefetched pages a requester went on to touch: the speculation
-    /// that paid off. Counted once per prefetched page, on its first
-    /// demand access (or when a demand requester joined the speculative
-    /// load mid-flight).
+    /// Always 0; kept only until a `benchmark` PR drops
+    /// `pool.prefetch_hit_ratio`.
     pub prefetch_hits: u64,
-    /// Prefetched pages evicted untouched: the speculation that missed.
-    /// `prefetch_issued - prefetch_hits - prefetch_wasted` pages are
-    /// still resident awaiting a verdict.
-    pub prefetch_wasted: u64,
     /// Disk reads issued by the pool's fault path (each one
     /// [`crate::disk::DiskManager::read_many`] call, however many pages
     /// it carried — a point fault is a call of one page).

@@ -23,12 +23,7 @@ fn cpool(cap: usize, budget: usize) -> (Arc<BufferPool>, Arc<InMemoryDisk>) {
     let pool = Arc::new(BufferPool::with_pool_options(
         Arc::clone(&disk) as Arc<dyn DiskManager>,
         cap,
-        PoolOptions {
-            shards: 1,
-            write_behind: 0,
-            compressed_budget_bytes: budget,
-            ..PoolOptions::default()
-        },
+        PoolOptions { shards: 1, write_behind: 0, compressed_budget_bytes: budget },
     ));
     (pool, disk)
 }

@@ -546,3 +546,115 @@ fn batch_fault_failure_poisons_only_its_own_parked_joiners() {
     disk.fail_page.store(u64::MAX, Ordering::Relaxed);
     assert_eq!(pool.with_page(bad, |p| p.bytes()[0]).unwrap(), 2);
 }
+
+/// Runs `f` with every page of `held` pinned at once (nested
+/// `with_page` closures) — the only way to prove no frame is missing.
+fn with_all_pinned<R>(pool: &BufferPool, held: &[PageId], f: impl FnOnce() -> R) -> R {
+    match held.split_first() {
+        None => f(),
+        Some((first, rest)) => pool.with_page(*first, |_| with_all_pinned(pool, rest, f)).unwrap(),
+    }
+}
+
+#[test]
+fn panicking_batch_load_across_shards_frees_every_frame_and_poisons_every_joiner() {
+    // One batch whose misses sit in four different shards dies in its
+    // single read_many: every shard must get its reserved frame back
+    // and every page's parked joiner must be poisoned, none left
+    // hanging on a Loading entry nobody will resolve.
+    const SHARDS: usize = 4;
+    let disk = Arc::new(GateDisk::new(512));
+    let opts = PoolOptions { shards: SHARDS, ..PoolOptions::default() };
+    let pool = Arc::new(BufferPool::with_pool_options(disk.clone(), 32, opts));
+    let ids = seed_cold_pages(&disk, SHARDS);
+    let mut shards: Vec<u64> = ids.iter().map(|id| id.0 % SHARDS as u64).collect();
+    shards.sort_unstable();
+    shards.dedup();
+    assert_eq!(shards.len(), SHARDS, "test premise: one miss per shard");
+
+    disk.panic_reads.store(true, Ordering::Relaxed);
+    disk.hold_reads();
+    let batcher = {
+        let (pool, ids) = (Arc::clone(&pool), ids.clone());
+        std::thread::spawn(move || pool.fault_many(&ids))
+    };
+    // At the gate inside read_many, so every page is reserved: whoever
+    // asks for one now joins the batch instead of loading it.
+    while disk.read_attempts.load(Ordering::Relaxed) < 1 {
+        std::thread::yield_now();
+    }
+    let joiners: Vec<_> = ids
+        .iter()
+        .map(|&id| {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || pool.with_page(id, |p| p.bytes()[0]))
+        })
+        .collect();
+    await_joins(&pool, SHARDS as u64);
+    disk.release_reads();
+
+    assert!(batcher.join().is_err(), "the loader re-raises the disk's panic");
+    for j in joiners {
+        match j.join().unwrap() {
+            Err(StorageError::Io(msg)) => assert!(msg.contains("panicked"), "{msg}"),
+            other => panic!("expected a poisoned joiner, got {other:?}"),
+        }
+    }
+    assert_eq!(disk.read_batches.lock().as_slice(), &[SHARDS], "one read_many spanned the shards");
+    assert!(ids.iter().all(|&id| !pool.contains(id)), "no page was published");
+
+    // Every frame of every shard is back: `capacity()` distinct pages,
+    // spread evenly over the shards, can all be pinned at once.
+    disk.panic_reads.store(false, Ordering::Relaxed);
+    let fresh = seed_cold_pages(&disk, pool.capacity());
+    let pinned = with_all_pinned(&pool, &fresh, || fresh.iter().all(|&id| pool.contains(id)));
+    assert!(pinned, "a reserved frame leaked: some shard could not hold its share");
+    assert_eq!(pool.with_page(ids[0], |p| p.bytes()[0]).unwrap(), 1, "the page faults afresh");
+}
+
+#[test]
+fn batch_that_runs_out_of_victims_midway_still_returns_every_page() {
+    // One shard of 8 frames, so a batch chunk is 4 pages. Six pages
+    // pinned by the caller leave two victims: a batch of four cold
+    // pages reserves two frames and finds none for the other two, which
+    // are retried alone once the batch's own pins drain. The batch must
+    // return all four pages and count exactly what four point calls do.
+    let cold = || {
+        let p = one_shard_pool(Arc::new(InMemoryDisk::new(256)), 8);
+        let ids: Vec<PageId> =
+            (0..10u8).map(|i| p.new_page_with(|pg| pg.bytes_mut()[0] = i).unwrap().0).collect();
+        p.flush_all().unwrap();
+        for &id in &ids {
+            p.evict_page(id).unwrap();
+        }
+        p.reset_stats();
+        (p, ids)
+    };
+    let want: Vec<u8> = (6..10).collect();
+
+    let (p, ids) = cold();
+    let got =
+        with_all_pinned(&p, &ids[..6], || p.with_page_batch(&ids[6..], |_, pg| pg.bytes()[0]));
+    assert_eq!(got.unwrap(), want, "with_page_batch");
+    let batch = p.stats();
+
+    let (p, ids) = cold();
+    with_all_pinned(&p, &ids[..6], || p.fault_many(&ids[6..])).unwrap();
+    let got: Vec<u8> =
+        ids[6..].iter().map(|&id| p.with_page(id, |pg| pg.bytes()[0]).unwrap()).collect();
+    assert_eq!(got, want, "fault_many");
+    let fault = p.stats();
+
+    let (p, ids) = cold();
+    let got = with_all_pinned(&p, &ids[..6], || {
+        ids[6..].iter().map(|&id| p.with_page(id, |pg| pg.bytes()[0]).unwrap()).collect::<Vec<u8>>()
+    });
+    assert_eq!(got, want, "point calls");
+    let point = p.stats();
+
+    assert_eq!((point.hits, point.misses), (0, 10), "six held pages and four cold ones");
+    assert_eq!((batch.hits, batch.misses), (point.hits, point.misses));
+    // fault_many's pages were read back afterwards: two still resident,
+    // two evicted by the retries — the same four accesses either way.
+    assert_eq!(fault.hits + fault.misses, point.hits + point.misses + 4);
+}

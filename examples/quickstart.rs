@@ -84,15 +84,13 @@ fn main() {
     };
     let rows = RowSchema::new(&schema);
     // A small heap pool plus a compressed-frame budget: evictions are
-    // frequent enough to matter, and the tier catches them. Two
-    // write-behind flusher threads drain the dirty-page queue in
-    // parallel, and the self-tuning controller is armed — the interval
-    // is deliberately huge so this example drives its ticks manually
-    // (section 4) instead of racing a background thread.
+    // frequent enough to matter, and the tier catches them. The
+    // self-tuning controller is armed — the interval is deliberately
+    // huge so this example drives its ticks manually (section 4)
+    // instead of racing a background thread.
     let db = Database::open(DbConfig {
         heap_frames: 24,
         compressed_budget_bytes: 512 * 1024,
-        flusher_threads: 2,
         tuning_interval: Some(std::time::Duration::from_secs(3600)),
         ..DbConfig::default()
     });

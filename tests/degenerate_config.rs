@@ -21,7 +21,6 @@ fn degenerate_config() -> DbConfig {
         index_frames: 32,
         pool_shards: 1,
         write_behind: 0,
-        flusher_threads: 1,
         intent_stripes: 1,
         compressed_budget_bytes: 0,
         tuning_interval: None,
@@ -208,20 +207,20 @@ fn compression_axis_budget_zero_is_bit_identical_and_budget_on_serves_faults() {
     }
 }
 
-/// The flusher axis: a real write-behind queue drained by *several*
-/// claimer threads, composed with every other knob at its degenerate
-/// value. Each queued slot must be written exactly once no matter which
-/// thread claims it, and close() must remain a full drain barrier, so a
-/// reopen sees the last version of every row.
+/// The write-behind axis: a real (shallow) write-behind queue and its
+/// flusher, composed with every other knob at its degenerate value.
+/// close() must remain a full drain barrier however the flusher and the
+/// barrier's own drain split the queued slots, so a reopen sees the
+/// last version of every row.
 #[test]
-fn flusher_axis_many_threads_drain_every_queued_write() {
+fn write_behind_axis_close_drains_every_queued_write() {
     use nbb::storage::{DiskManager, InMemoryDisk};
     use std::sync::Arc;
     let heap: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
     let index: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
-    let config = DbConfig { write_behind: 8, flusher_threads: 4, ..degenerate_config() };
+    let config = DbConfig { write_behind: 8, ..degenerate_config() };
     let db = Database::with_disks(config.clone(), Arc::clone(&heap), Arc::clone(&index)).unwrap();
-    assert_eq!(db.heap_pool().flusher_threads(), 4);
+    assert_eq!(db.heap_pool().write_behind(), 8);
     let t = db.create_table("t", 24).unwrap();
     t.create_index(IndexSpec::plain("pk", FieldSpec::new(0, 8))).unwrap();
     // Insert, then overwrite every row: the 32-frame pool evicts dirty
@@ -246,20 +245,19 @@ fn flusher_axis_many_threads_drain_every_queued_write() {
         true
     })
     .unwrap();
-    assert_eq!(rows, 2000, "multi-threaded drain lost rows");
+    assert_eq!(rows, 2000, "the drain lost rows");
     assert_eq!(sum, (0..2000u64).map(|k| k * 2).sum::<u64>(), "a stale version survived");
 }
 
 /// The tuning axis: the background controller live (1 ms interval)
-/// underneath a mixed read/write workload, with multiple flushers and
-/// every other knob degenerate. The tuner may only move cache-space
+/// underneath a mixed read/write workload, with a shallow write-behind
+/// queue and every other knob degenerate. The tuner may only move cache-space
 /// budgets — correctness of every read and every durable byte must be
 /// untouched while it reallocates under our feet.
 #[test]
 fn tuning_axis_controller_runs_under_a_live_workload() {
     use std::time::Duration;
     let config = DbConfig {
-        flusher_threads: 2,
         write_behind: 4,
         tuning_interval: Some(Duration::from_millis(1)),
         ..degenerate_config()
