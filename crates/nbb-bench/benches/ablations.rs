@@ -41,7 +41,6 @@ fn bench_covering_vs_cache(c: &mut Criterion) {
         BTreeOptions {
             cache: Some(CacheConfig { payload_size: 17, bucket_slots: 8, log_threshold: 64 }),
             cache_seed: 1,
-            ..Default::default()
         },
         (0..n).map(|i| (i.to_be_bytes().to_vec(), i)),
         0.68,

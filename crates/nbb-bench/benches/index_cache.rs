@@ -89,7 +89,7 @@ fn bench_store_promote(c: &mut Criterion) {
 fn bench_tree_lookup_paths(c: &mut Criterion) {
     let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(8192));
     let pool = Arc::new(BufferPool::new(disk, 1024));
-    let opts = BTreeOptions { cache: Some(cfg()), cache_seed: 5, ..Default::default() };
+    let opts = BTreeOptions { cache: Some(cfg()), cache_seed: 5 };
     let tree = BTree::create(pool, 8, opts).unwrap();
     let n = 50_000u64;
     for i in 0..n {

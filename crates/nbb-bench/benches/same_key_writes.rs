@@ -1,7 +1,6 @@
 //! Same-key writer storms through the key-level write-intent table.
 //!
-//! The complement of `batched_writes.rs`'s disjoint-range rung: here
-//! every writer hammers **one** key, the worst case the intent table
+//! Every writer hammers **one** key, the worst case the intent table
 //! exists for. The acceptance bar is *correctness under full
 //! contention*, not speedup — 8 writers cycling put/update/delete on a
 //! single hot key over a blocking disk must complete with **zero
@@ -21,7 +20,7 @@ use std::time::{Duration, Instant};
 const WRITERS: u64 = 8;
 const ROUNDS: u64 = 24;
 const HOT_KEY: u64 = 7;
-/// Modeled device latency (NVMe-ish), matching batched_writes.rs.
+/// Modeled device latency (NVMe-ish).
 const IO_NS: u64 = 20_000;
 
 /// 24-byte tuple: key(8) | writer(8) | value(8).

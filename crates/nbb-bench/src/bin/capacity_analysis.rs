@@ -42,7 +42,6 @@ fn main() {
     let opts = BTreeOptions {
         cache: Some(CacheConfig { payload_size: 17, bucket_slots: 8, log_threshold: 64 }),
         cache_seed: 1,
-        ..Default::default()
     };
     let entries = (0..n_scaled).map(|i| {
         let mut k = vec![0u8; key_size];

@@ -9,8 +9,6 @@
 //!   Figure 3 over the full storage stack;
 //! * [`tuning`] — the shifting-workload rig comparing static
 //!   spare-byte splits against the self-tuning controller;
-//! * [`serverload`] — the end-to-end network front-door rig: pipelined
-//!   client fleets against `nbb-server` over loopback TCP;
 //! * [`report`] — aligned text tables for stdout.
 //!
 //! Binaries (`cargo run --release -p nbb-bench --bin <name>`):
@@ -23,6 +21,5 @@
 pub mod cost_sim;
 pub mod fig3;
 pub mod report;
-pub mod serverload;
 pub mod swap_sim;
 pub mod tuning;

@@ -44,8 +44,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Default stripe count for a tree's intent table; the `DbConfig`
-/// `intent_stripes` knob overrides it per database. Like the leaf-latch
+/// Stripe count of every tree's intent table. Like the leaf-latch
 /// stripes, collisions only cost parallelism (two distinct keys on one
 /// stripe briefly share a map mutex), never correctness.
 pub const DEFAULT_INTENT_STRIPES: usize = 64;
@@ -91,13 +90,13 @@ pub struct KeyIntents {
 }
 
 impl KeyIntents {
-    /// Creates an intent table with `stripes` stripes (`0` selects
-    /// [`DEFAULT_INTENT_STRIPES`]; any positive count — including 1 —
-    /// is honored, so degenerate configs stay testable).
+    /// Creates an intent table with `stripes` (≥ 1) stripes. Trees use
+    /// [`DEFAULT_INTENT_STRIPES`]; the parameter exists so this
+    /// module's tests can run the degenerate one-stripe table.
     pub fn new(stripes: usize) -> Self {
-        let n = if stripes == 0 { DEFAULT_INTENT_STRIPES } else { stripes };
+        assert!(stripes >= 1, "an intent table needs at least one stripe");
         KeyIntents {
-            stripes: (0..n)
+            stripes: (0..stripes)
                 .map(|_| Mutex::with_rank(lockrank::INTENT_STRIPE, HashMap::new()))
                 .collect(),
             parks: AtomicU64::new(0),

@@ -30,11 +30,21 @@
 //! latch and read guard, take the structure lock's **write** side
 //! (excluding every reader and fast-path writer), and re-descend to
 //! split — deletes never restructure (underflow is left for the index
-//! cache to recycle), so they never escalate. The multi-key ops
-//! ([`BTree::insert_many`] / [`BTree::delete_many`]) sort their keys
-//! and ride one descent + one leaf-latch acquisition per destination
-//! leaf. Every single-key operation — `get`, `lookup_cached`, `insert`,
-//! `delete` — is a wrapper over its multi-key form with a batch of one.
+//! cache to recycle), so they never escalate.
+//!
+//! All of that is one function, the leaf-run walker in `tree/write.rs`
+//! (the write path is that file, read top to bottom):
+//! [`BTree::insert_many`], [`BTree::delete_many`] and
+//! [`BTree::update_value`] hand it their keys in sorted order and a
+//! per-key leaf op; it takes the structure lock's read side (released
+//! every few dozen runs, so a huge batch cannot starve an escalating
+//! writer),
+//! and per run of keys one leaf owns pays one descent, one leaf latch —
+//! the only place one is taken — and one exclusive page access. An op
+//! that finds its leaf full hands that one key to the escalated insert
+//! and the walk resumes behind it. Every single-key operation — `get`,
+//! `lookup_cached`, `insert`, `delete` — is a wrapper over its
+//! multi-key form with a batch of one.
 //!
 //! Alongside the leaf latches the tree carries a [`KeyIntents`] table
 //! ([`BTree::intents`]): key-level **write intents** for the multi-step
@@ -47,7 +57,7 @@
 //! parking on an in-flight load. That makes per-key put/update/delete
 //! linearizable end to end without adding any cost to disjoint-key
 //! writers; [`WriteStats::intent_parks`] / `intent_handoffs` meter the
-//! contention. [`BTreeOptions::intent_stripes`] sizes the table.
+//! contention.
 //!
 //! Page-level physical latching is delegated to the buffer pool's frame
 //! locks (every leaf mutation is a single
@@ -77,7 +87,7 @@
 //! runtime; `cargo run -p nbb-lint` verifies no lock escapes it.
 
 use crate::cache::{CacheConfig, CacheView, CacheViewMut, StoreOutcome, CACHE_CAP_UNLIMITED};
-use crate::intents::KeyIntents;
+use crate::intents::{KeyIntents, DEFAULT_INTENT_STRIPES};
 use crate::invalidation::{InvalidateOutcome, InvalidationState};
 use crate::node::{node_capacity, InsertOutcome, Node, NodeMut};
 use nbb_storage::buffer::BufferPool;
@@ -91,18 +101,13 @@ use std::ops::{Bound, ControlFlow};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+mod write;
+
 /// Stripes in the per-leaf latch table. Collisions between distinct
 /// leaves only cost parallelism, never correctness, so a modest fixed
 /// count suffices — it bounds writer fan-out the way pool shards bound
 /// reader fan-out.
 const LEAF_LATCH_STRIPES: usize = 64;
-
-/// Leaf runs a multi-key write processes per structure-lock read
-/// acquisition. Releasing and reacquiring the guard at this cadence
-/// bounds how long a large batch can hold off an escalating writer
-/// (and the readers queued behind it under a fair lock), at the cost
-/// of one extra lock round-trip per RUNS_PER_GUARD leaves.
-const RUNS_PER_GUARD: usize = 64;
 
 /// Striped per-leaf write latches (the "per-leaf latching" ROADMAP
 /// item). A writer holds the latch of the one leaf it mutates for the
@@ -138,11 +143,6 @@ pub struct BTreeOptions {
     /// Seed for the cache's randomized placement (fixed default for
     /// reproducibility).
     pub cache_seed: u64,
-    /// Stripes in the key-level write-intent table ([`BTree::intents`]).
-    /// `0` (the default) selects
-    /// [`crate::intents::DEFAULT_INTENT_STRIPES`]; `1` degrades to a
-    /// single stripe, which only costs parallelism, never correctness.
-    pub intent_stripes: usize,
 }
 
 /// Aggregated index-cache counters.
@@ -343,6 +343,28 @@ pub struct BTree {
 }
 
 impl BTree {
+    /// A tree over `pool` with its root at `root`: fresh latch and intent
+    /// tables, invalidation epoch and counters.
+    fn rooted_at(pool: Arc<BufferPool>, key_size: usize, root: PageId, opts: BTreeOptions) -> Self {
+        let threshold = opts.cache.map(|c| c.log_threshold).unwrap_or(64);
+        BTree {
+            pool,
+            key_size,
+            latches: LeafLatches::new(),
+            intents: KeyIntents::new(DEFAULT_INTENT_STRIPES),
+            root: RwLock::with_rank(lockrank::TREE_STRUCTURE, root),
+            inv: InvalidationState::new(threshold),
+            rng: Mutex::with_rank(
+                lockrank::TREE_RNG,
+                SmallRng::seed_from_u64(opts.cache_seed ^ 0x006e_6262_7472_6565),
+            ),
+            opts,
+            stats: CacheStatsAtomic::default(),
+            wstats: WriteStatsAtomic::default(),
+            cache_cap: AtomicUsize::new(CACHE_CAP_UNLIMITED),
+        }
+    }
+
     /// Creates an empty tree.
     pub fn create(pool: Arc<BufferPool>, key_size: usize, opts: BTreeOptions) -> Result<Self> {
         assert!(key_size >= 1, "key size must be positive");
@@ -357,24 +379,7 @@ impl BTree {
         let (root, ()) = pool.new_page_with(|p| {
             NodeMut::init_leaf(p, key_size);
         })?;
-        let threshold = opts.cache.map(|c| c.log_threshold).unwrap_or(64);
-        let seed = opts.cache_seed;
-        Ok(BTree {
-            pool,
-            key_size,
-            latches: LeafLatches::new(),
-            intents: KeyIntents::new(opts.intent_stripes),
-            root: RwLock::with_rank(lockrank::TREE_STRUCTURE, root),
-            opts,
-            inv: InvalidationState::new(threshold),
-            rng: Mutex::with_rank(
-                lockrank::TREE_RNG,
-                SmallRng::seed_from_u64(seed ^ 0x006e_6262_7472_6565),
-            ),
-            stats: CacheStatsAtomic::default(),
-            wstats: WriteStatsAtomic::default(),
-            cache_cap: AtomicUsize::new(CACHE_CAP_UNLIMITED),
-        })
+        Ok(Self::rooted_at(pool, key_size, root, opts))
     }
 
     /// Reattaches a tree persisted on `pool`'s disk, rooted at `root`
@@ -398,24 +403,7 @@ impl BTree {
         // The root comes off a device: it must carry the node magic.
         // (Every leaf is checked the same way by the chain walk below.)
         pool.with_page(root, |p| Node::checked(p, root, key_size).map(|_| ()))??;
-        let threshold = opts.cache.map(|c| c.log_threshold).unwrap_or(64);
-        let seed = opts.cache_seed;
-        let tree = BTree {
-            pool,
-            key_size,
-            latches: LeafLatches::new(),
-            intents: KeyIntents::new(opts.intent_stripes),
-            root: RwLock::with_rank(lockrank::TREE_STRUCTURE, root),
-            opts,
-            inv: InvalidationState::new(threshold),
-            rng: Mutex::with_rank(
-                lockrank::TREE_RNG,
-                SmallRng::seed_from_u64(seed ^ 0x006e_6262_7472_6565),
-            ),
-            stats: CacheStatsAtomic::default(),
-            wstats: WriteStatsAtomic::default(),
-            cache_cap: AtomicUsize::new(CACHE_CAP_UNLIMITED),
-        };
+        let tree = Self::rooted_at(pool, key_size, root, opts);
         // Fresh epoch strictly above every persisted CSNp, so cache
         // bytes surviving on disk can never false-validate.
         let mut max_csn = 0u64;
@@ -509,24 +497,7 @@ impl BTree {
             level += 1;
         }
 
-        let threshold = opts.cache.map(|c| c.log_threshold).unwrap_or(64);
-        let seed = opts.cache_seed;
-        Ok(BTree {
-            pool,
-            key_size,
-            latches: LeafLatches::new(),
-            intents: KeyIntents::new(opts.intent_stripes),
-            root: RwLock::with_rank(lockrank::TREE_STRUCTURE, level_nodes[0].1),
-            opts,
-            inv: InvalidationState::new(threshold),
-            rng: Mutex::with_rank(
-                lockrank::TREE_RNG,
-                SmallRng::seed_from_u64(seed ^ 0x006e_6262_7472_6565),
-            ),
-            stats: CacheStatsAtomic::default(),
-            wstats: WriteStatsAtomic::default(),
-            cache_cap: AtomicUsize::new(CACHE_CAP_UNLIMITED),
-        })
+        Ok(Self::rooted_at(pool, key_size, level_nodes[0].1, opts))
     }
 
     /// Key width in bytes.
@@ -582,6 +553,22 @@ impl BTree {
         Ok(())
     }
 
+    /// Checks every key's width and returns the batch's positions in
+    /// key order — what every batched op walks, so keys of one leaf are
+    /// neighbours. The sort is stable: equal keys keep their input order.
+    fn sorted_positions<'k>(
+        &self,
+        n: usize,
+        key_of: impl Fn(usize) -> &'k [u8],
+    ) -> Result<Vec<usize>> {
+        for pos in 0..n {
+            self.check_key(key_of(pos))?;
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| key_of(a).cmp(key_of(b)));
+        Ok(order)
+    }
+
     /// Descends from `root` to the leaf owning `key`. The caller must
     /// hold the structure lock (either side) so the path cannot change
     /// underfoot.
@@ -603,78 +590,6 @@ impl BTree {
         }
     }
 
-    /// Like [`BTree::find_leaf`], but also returns the tightest routing
-    /// upper bound collected along the descent: every key strictly
-    /// below the bound is owned by the returned leaf (`None` = the
-    /// rightmost leaf, which owns everything above its separator). This
-    /// is what lets the batched write paths consume a whole sorted run
-    /// of keys per descent without guessing at leaf boundaries. The
-    /// caller must hold the structure lock (either side).
-    fn find_leaf_bounded(&self, root: PageId, key: &[u8]) -> Result<(PageId, Option<Vec<u8>>)> {
-        let mut cur = root;
-        let mut upper: Option<Vec<u8>> = None;
-        loop {
-            let next = self.pool.with_page(cur, |p| {
-                let n = Node::new(p, self.key_size);
-                if n.is_leaf() {
-                    return None;
-                }
-                // child_for(), inlined to also capture the separator
-                // immediately above the taken child — the tightest
-                // bound at this level (a child's subtree bound is
-                // always <= its ancestors', so innermost wins).
-                let (child, bound) = match n.search(key) {
-                    Ok(i) => (
-                        PageId(n.value_at(i)),
-                        (i + 1 < n.nkeys()).then(|| n.key_at(i + 1).to_vec()),
-                    ),
-                    Err(0) => (n.leftmost_child(), n.first_key().map(<[u8]>::to_vec)),
-                    Err(i) => {
-                        (PageId(n.value_at(i - 1)), (i < n.nkeys()).then(|| n.key_at(i).to_vec()))
-                    }
-                };
-                Some((child, bound))
-            })?;
-            match next {
-                Some((child, bound)) => {
-                    if bound.is_some() {
-                        upper = bound;
-                    }
-                    cur = child;
-                }
-                None => return Ok((cur, upper)),
-            }
-        }
-    }
-
-    /// Descends to the leaf owning the first key of `tail` (the sorted
-    /// remainder of a batch's order vector; `key_of` maps an order
-    /// entry to its key) and returns how many of `tail`'s leading keys
-    /// that leaf owns. Single-key tails skip the bound bookkeeping.
-    fn locate_run<'k>(
-        &self,
-        root: PageId,
-        key_of: impl Fn(usize) -> &'k [u8],
-        tail: &[usize],
-    ) -> Result<(PageId, usize)> {
-        let first = key_of(tail[0]);
-        if tail.len() == 1 {
-            return Ok((self.find_leaf(root, first)?, 1));
-        }
-        let (leaf, upper) = self.find_leaf_bounded(root, first)?;
-        let run = match upper {
-            Some(ub) => {
-                let mut e = 1;
-                while e < tail.len() && key_of(tail[e]) < ub.as_slice() {
-                    e += 1;
-                }
-                e
-            }
-            None => tail.len(),
-        };
-        Ok((leaf, run))
-    }
-
     /// Point lookup without cache interaction. Thin wrapper over a
     /// one-key [`BTree::get_many`].
     pub fn get(&self, key: &[u8]) -> Result<Option<u64>> {
@@ -689,11 +604,7 @@ impl BTree {
     /// set cost roughly one descent per *distinct leaf* instead of N
     /// full root-to-leaf descents with N lock round-trips.
     pub fn get_many<K: AsRef<[u8]>>(&self, keys: &[K]) -> Result<Vec<Option<u64>>> {
-        for k in keys {
-            self.check_key(k.as_ref())?;
-        }
-        let mut order: Vec<usize> = (0..keys.len()).collect();
-        order.sort_by(|&a, &b| keys[a].as_ref().cmp(keys[b].as_ref()));
+        let order = self.sorted_positions(keys.len(), |i| keys[i].as_ref())?;
         let mut out: Vec<Option<u64>> = vec![None; keys.len()];
         let root = self.root.read();
         let mut i = 0;
@@ -725,358 +636,6 @@ impl BTree {
             i += consumed;
         }
         Ok(out)
-    }
-
-    /// Inserts `key → value`; returns the previous value when
-    /// overwriting. Thin wrapper over a one-entry
-    /// [`BTree::insert_many`].
-    pub fn insert(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
-        let mut r = self.insert_many(&[(key, value)])?;
-        // nbb-lint: allow(unwrap, insert_many returns one result per input entry)
-        Ok(r.pop().expect("one entry in, one result out"))
-    }
-
-    /// Inserts a batch of `(key, value)` entries; results (the previous
-    /// value when overwriting) are indexed like `entries`.
-    ///
-    /// The write analogue of [`BTree::get_many`]: keys are sorted and
-    /// grouped by destination leaf, so the batch pays one descent, one
-    /// leaf-latch acquisition, and one exclusive page access per
-    /// **distinct leaf** instead of per key. The sorted run each leaf
-    /// owns is bounded by the routing separators collected during the
-    /// descent ([`BTree::find_leaf_bounded`]), so no key is ever
-    /// applied to the wrong leaf. Writers on disjoint leaves proceed in
-    /// parallel under the structure lock's read side; a run that fills
-    /// its leaf escalates just that key to the write side (splitting as
-    /// needed) and resumes the fast path for the rest of the batch.
-    ///
-    /// Duplicate keys within one batch are rejected whole with
-    /// [`StorageError::DuplicateKeyInBatch`] **before** any mutation:
-    /// inside a single batch there is no meaningful "last writer", so
-    /// the ambiguity is surfaced instead of silently resolved.
-    pub fn insert_many<K: AsRef<[u8]>>(&self, entries: &[(K, u64)]) -> Result<Vec<Option<u64>>> {
-        for (k, _) in entries {
-            self.check_key(k.as_ref())?;
-        }
-        if entries.is_empty() {
-            return Ok(Vec::new());
-        }
-        if let [(key, value)] = entries {
-            // Batch of one (the `insert` wrapper's shape): same crab,
-            // none of the batch bookkeeping allocations — no order
-            // vector, no sort, no duplicate scan.
-            self.wstats.batches.fetch_add(1, Ordering::Relaxed);
-            self.wstats.keys.fetch_add(1, Ordering::Relaxed);
-            return Ok(vec![self.insert_one(key.as_ref(), *value)?]);
-        }
-        let mut order: Vec<usize> = (0..entries.len()).collect();
-        order.sort_by(|&a, &b| entries[a].0.as_ref().cmp(entries[b].0.as_ref()));
-        for w in order.windows(2) {
-            if entries[w[0]].0.as_ref() == entries[w[1]].0.as_ref() {
-                return Err(StorageError::duplicate_key(entries[w[0]].0.as_ref()));
-            }
-        }
-        self.wstats.batches.fetch_add(1, Ordering::Relaxed);
-        self.wstats.keys.fetch_add(entries.len() as u64, Ordering::Relaxed);
-        let mut out: Vec<Option<u64>> = vec![None; entries.len()];
-        let mut i = 0;
-        while i < order.len() {
-            let mut escalate = false;
-            {
-                // Fast path: crab under the shared structure lock,
-                // latching one leaf per sorted run. The guard is
-                // released every RUNS_PER_GUARD runs so an arbitrarily
-                // large batch cannot stall an escalating writer (and
-                // the readers queued behind it) for its whole length.
-                let root = self.root.read();
-                let mut runs = 0;
-                while i < order.len() && runs < RUNS_PER_GUARD {
-                    runs += 1;
-                    let (leaf, run) =
-                        self.locate_run(*root, |pos| entries[pos].0.as_ref(), &order[i..])?;
-                    let _latch = self.latches.lock(leaf);
-                    self.wstats.leaf_groups.fetch_add(1, Ordering::Relaxed);
-                    let applied = self.pool.with_page_mut(leaf, |p| {
-                        let mut n = NodeMut::new(p, self.key_size);
-                        let mut applied: Vec<(usize, Option<u64>)> = Vec::with_capacity(run);
-                        for &pos in &order[i..i + run] {
-                            let key = entries[pos].0.as_ref();
-                            let old = n.as_ref().search(key).ok().map(|j| n.as_ref().value_at(j));
-                            if n.insert(key, entries[pos].1) == InsertOutcome::NeedSplit {
-                                break;
-                            }
-                            applied.push((pos, old));
-                        }
-                        applied
-                    })?;
-                    let done = applied.len();
-                    for (pos, old) in applied {
-                        if let Some(o) = old {
-                            // Overwriting an existing pointer may strand
-                            // a cached entry for the old tuple id; a
-                            // predicate flushes it lazily.
-                            self.inv.invalidate(entries[pos].0.as_ref(), o.wrapping_add(1));
-                        }
-                        out[pos] = old;
-                    }
-                    i += done;
-                    if done < run {
-                        escalate = true;
-                        break;
-                    }
-                }
-            }
-            if escalate {
-                // Slow path: the leaf is full. Split under the exclusive
-                // structure lock for this one key, then resume crabbing.
-                let pos = order[i];
-                out[pos] = self.insert_escalated(entries[pos].0.as_ref(), entries[pos].1)?;
-                i += 1;
-            }
-        }
-        Ok(out)
-    }
-
-    /// One key through the crabbing fast path: shared structure lock,
-    /// leaf latch, leaf-local write; escalates on a full leaf. The
-    /// allocation-free core both `insert` and a one-entry
-    /// [`BTree::insert_many`] reduce to.
-    fn insert_one(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
-        {
-            let root = self.root.read();
-            let leaf = self.find_leaf(*root, key)?;
-            let _latch = self.latches.lock(leaf);
-            self.wstats.leaf_groups.fetch_add(1, Ordering::Relaxed);
-            let (outcome, old) = self.pool.with_page_mut(leaf, |p| {
-                let mut n = NodeMut::new(p, self.key_size);
-                let old = n.as_ref().search(key).ok().map(|i| n.as_ref().value_at(i));
-                (n.insert(key, value), old)
-            })?;
-            if outcome != InsertOutcome::NeedSplit {
-                if let Some(o) = old {
-                    // Overwriting an existing pointer may strand a
-                    // cached entry for the old tuple id; a predicate
-                    // flushes it lazily.
-                    self.inv.invalidate(key, o.wrapping_add(1));
-                }
-                return Ok(old);
-            }
-        }
-        self.insert_escalated(key, value)
-    }
-
-    /// Escalated insert: takes the structure lock's write side (every
-    /// reader and fast-path writer drains first), re-descends, and
-    /// splits whatever is full along the way — the only place the
-    /// tree's shape changes.
-    fn insert_escalated(&self, key: &[u8], value: u64) -> Result<Option<u64>> {
-        self.wstats.escalations.fetch_add(1, Ordering::Relaxed);
-        let mut guard = self.root.write();
-        let root = *guard;
-        let (old, split) = self.insert_rec(root, key, value)?;
-        if let Some((sep, right)) = split {
-            let level = self.pool.with_page(root, |p| Node::new(p, self.key_size).level())?;
-            let (new_root, ()) = self.pool.new_page_with(|p| {
-                let mut n = NodeMut::init_internal(p, self.key_size, level + 1, root);
-                let r = n.insert(&sep, right.0);
-                debug_assert_eq!(r, InsertOutcome::Inserted);
-            })?;
-            *guard = new_root;
-        }
-        if let Some(old_value) = old {
-            // Overwriting an existing pointer may strand a cached entry
-            // for the old tuple id; a predicate flushes it lazily.
-            self.inv.invalidate(key, old_value.wrapping_add(1));
-        }
-        Ok(old)
-    }
-
-    /// Recursive insert; returns `(old_value, Some((separator, new_right)))`
-    /// when `page` split.
-    #[allow(clippy::type_complexity)]
-    fn insert_rec(
-        &self,
-        page: PageId,
-        key: &[u8],
-        value: u64,
-    ) -> Result<(Option<u64>, Option<(Vec<u8>, PageId)>)> {
-        let is_leaf = self.pool.with_page(page, |p| Node::new(p, self.key_size).is_leaf())?;
-        if is_leaf {
-            let (outcome, old) = self.pool.with_page_mut(page, |p| {
-                let mut n = NodeMut::new(p, self.key_size);
-                let old = n.as_ref().search(key).ok().map(|i| n.as_ref().value_at(i));
-                (n.insert(key, value), old)
-            })?;
-            if outcome != InsertOutcome::NeedSplit {
-                return Ok((old, None));
-            }
-            let (sep, right) = self.split_page(page)?;
-            let target = if key >= sep.as_slice() { right } else { page };
-            let outcome = self
-                .pool
-                .with_page_mut(target, |p| NodeMut::new(p, self.key_size).insert(key, value))?;
-            assert_ne!(outcome, InsertOutcome::NeedSplit, "post-split insert must fit");
-            return Ok((None, Some((sep, right))));
-        }
-        let child = self.pool.with_page(page, |p| Node::new(p, self.key_size).child_for(key))?;
-        let (old, child_split) = self.insert_rec(child, key, value)?;
-        let Some((csep, cright)) = child_split else {
-            return Ok((old, None));
-        };
-        let outcome = self
-            .pool
-            .with_page_mut(page, |p| NodeMut::new(p, self.key_size).insert(&csep, cright.0))?;
-        if outcome != InsertOutcome::NeedSplit {
-            return Ok((old, None));
-        }
-        let (sep, right) = self.split_page(page)?;
-        let target = if csep.as_slice() >= sep.as_slice() { right } else { page };
-        let outcome = self
-            .pool
-            .with_page_mut(target, |p| NodeMut::new(p, self.key_size).insert(&csep, cright.0))?;
-        assert_ne!(outcome, InsertOutcome::NeedSplit, "post-split insert must fit");
-        Ok((old, Some((sep, right))))
-    }
-
-    /// Splits `page` in half, returning `(separator, new_right_page)`.
-    fn split_page(&self, page: PageId) -> Result<(Vec<u8>, PageId)> {
-        let (entries, level, next) = self.pool.with_page(page, |p| {
-            let n = Node::new(p, self.key_size);
-            (n.entries(), n.level(), n.next_leaf())
-        })?;
-        let n = entries.len();
-        debug_assert!(n >= 2, "cannot split a node with < 2 entries");
-        let mid = n / 2;
-        let is_leaf = level == 0;
-        let (sep, left_entries, right_entries, right_leftmost) = if is_leaf {
-            (entries[mid].0.clone(), &entries[..mid], &entries[mid..], None)
-        } else {
-            (entries[mid].0.clone(), &entries[..mid], &entries[mid + 1..], Some(entries[mid].1))
-        };
-        let (right, ()) = self.pool.new_page_with(|p| {
-            let mut node = if is_leaf {
-                NodeMut::init_leaf(p, self.key_size)
-            } else {
-                // nbb-lint: allow(unwrap, internal levels always carry a right-leftmost child)
-                NodeMut::init_internal(p, self.key_size, level, PageId(right_leftmost.unwrap()))
-            };
-            for (k, v) in right_entries {
-                let r = node.append_sorted(k, *v);
-                debug_assert_eq!(r, InsertOutcome::Inserted);
-            }
-            if is_leaf {
-                node.set_next_leaf(next);
-            }
-        })?;
-        self.pool.with_page_mut(page, |p| {
-            let mut node = NodeMut::new(p, self.key_size);
-            node.rebuild_with(left_entries);
-            if is_leaf {
-                node.set_next_leaf(right);
-            }
-        })?;
-        Ok((sep, right))
-    }
-
-    /// Removes `key`; returns its value if it was present. Thin wrapper
-    /// over a one-key [`BTree::delete_many`].
-    ///
-    /// Underflowing nodes are left as-is (no merging) — the unused space
-    /// this leaves behind is precisely what the index cache recycles.
-    pub fn delete(&self, key: &[u8]) -> Result<Option<u64>> {
-        let mut r = self.delete_many(&[key])?;
-        // nbb-lint: allow(unwrap, delete_many returns one result per input key)
-        Ok(r.pop().expect("one key in, one result out"))
-    }
-
-    /// Removes a batch of keys; results (each key's value if it was
-    /// present) are indexed like `keys`.
-    ///
-    /// Same leaf grouping as [`BTree::insert_many`]. Deletes never
-    /// restructure the tree (underflow is left for the index cache to
-    /// recycle), so the whole batch runs under one shared
-    /// structure-lock acquisition with no escalation — deleters on
-    /// disjoint leaves proceed in parallel. Duplicate keys are
-    /// permitted and idempotent: the first occurrence (in input order)
-    /// removes the entry and later ones read as absent, matching the
-    /// equivalent loop of single deletes.
-    pub fn delete_many<K: AsRef<[u8]>>(&self, keys: &[K]) -> Result<Vec<Option<u64>>> {
-        for k in keys {
-            self.check_key(k.as_ref())?;
-        }
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.wstats.batches.fetch_add(1, Ordering::Relaxed);
-        self.wstats.keys.fetch_add(keys.len() as u64, Ordering::Relaxed);
-        if let [key] = keys {
-            // Batch of one (the `delete` wrapper's shape): same crab,
-            // none of the batch bookkeeping allocations.
-            let key = key.as_ref();
-            let root = self.root.read();
-            let leaf = self.find_leaf(*root, key)?;
-            let _latch = self.latches.lock(leaf);
-            self.wstats.leaf_groups.fetch_add(1, Ordering::Relaxed);
-            let old =
-                self.pool.with_page_mut(leaf, |p| NodeMut::new(p, self.key_size).delete(key))?;
-            return Ok(vec![old]);
-        }
-        let mut order: Vec<usize> = (0..keys.len()).collect();
-        order.sort_by(|&a, &b| keys[a].as_ref().cmp(keys[b].as_ref()));
-        let mut out: Vec<Option<u64>> = vec![None; keys.len()];
-        let mut i = 0;
-        while i < order.len() {
-            // Like insert_many's fast path, the read guard is released
-            // every RUNS_PER_GUARD leaf runs so a huge batch cannot
-            // monopolize the structure lock.
-            let root = self.root.read();
-            let mut runs = 0;
-            while i < order.len() && runs < RUNS_PER_GUARD {
-                runs += 1;
-                let (leaf, run) = self.locate_run(*root, |pos| keys[pos].as_ref(), &order[i..])?;
-                let _latch = self.latches.lock(leaf);
-                self.wstats.leaf_groups.fetch_add(1, Ordering::Relaxed);
-                let removed = self.pool.with_page_mut(leaf, |p| {
-                    let mut n = NodeMut::new(p, self.key_size);
-                    order[i..i + run]
-                        .iter()
-                        .map(|&pos| (pos, n.delete(keys[pos].as_ref())))
-                        .collect::<Vec<_>>()
-                })?;
-                for (pos, old) in removed {
-                    out[pos] = old;
-                }
-                i += run;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Updates the value of an existing key; returns false if absent.
-    /// Logs an invalidation predicate for the old pointer.
-    pub fn update_value(&self, key: &[u8], value: u64) -> Result<bool> {
-        self.check_key(key)?;
-        let root = self.root.read();
-        let leaf = self.find_leaf(*root, key)?;
-        let _latch = self.latches.lock(leaf);
-        let old = self.pool.with_page_mut(leaf, |p| {
-            let mut n = NodeMut::new(p, self.key_size);
-            match n.as_ref().search(key) {
-                Ok(i) => {
-                    let old = n.as_ref().value_at(i);
-                    let r = n.insert(key, value);
-                    debug_assert_eq!(r, InsertOutcome::Updated);
-                    Some(old)
-                }
-                Err(_) => None,
-            }
-        })?;
-        if let Some(old) = old {
-            self.inv.invalidate(key, old.wrapping_add(1));
-            Ok(true)
-        } else {
-            Ok(false)
-        }
     }
 
     /// Visits `(key, value)` pairs in ascending key order starting at the
@@ -1348,11 +907,7 @@ impl BTree {
     /// the owning leaf and a consistency token for
     /// [`BTree::cache_populate`].
     pub fn lookup_cached_many<K: AsRef<[u8]>>(&self, keys: &[K]) -> Result<Vec<CachedLookup>> {
-        for k in keys {
-            self.check_key(k.as_ref())?;
-        }
-        let mut order: Vec<usize> = (0..keys.len()).collect();
-        order.sort_by(|&a, &b| keys[a].as_ref().cmp(keys[b].as_ref()));
+        let order = self.sorted_positions(keys.len(), |i| keys[i].as_ref())?;
         let mut out: Vec<Option<CachedLookup>> = (0..keys.len()).map(|_| None).collect();
         let cfg = self.opts.cache;
         let root = self.root.read();

@@ -14,7 +14,6 @@ fn cached_opts() -> BTreeOptions {
     BTreeOptions {
         cache: Some(CacheConfig { payload_size: 8, bucket_slots: 8, log_threshold: 32 }),
         cache_seed: 17,
-        ..Default::default()
     }
 }
 

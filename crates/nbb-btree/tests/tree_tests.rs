@@ -22,7 +22,6 @@ fn cached_opts(payload: usize) -> BTreeOptions {
     BTreeOptions {
         cache: Some(CacheConfig { payload_size: payload, bucket_slots: 8, log_threshold: 32 }),
         cache_seed: 7,
-        ..Default::default()
     }
 }
 
@@ -583,7 +582,6 @@ fn predicate_log_overflow_invalidates_everything() {
     let opts = BTreeOptions {
         cache: Some(CacheConfig { payload_size: 8, bucket_slots: 8, log_threshold: 4 }),
         cache_seed: 3,
-        ..Default::default()
     };
     let tree = BTree::create(pool(), 8, opts).unwrap();
     for v in 0..100u64 {

@@ -40,15 +40,6 @@ pub struct DbConfig {
     /// is unchanged either way: [`Database::persist`] and
     /// [`Database::close`] drain the queue before returning.
     pub write_behind: usize,
-    /// Stripes in each index's key-level write-intent table (the
-    /// same-key writer coordination structure; see
-    /// [`nbb_btree::KeyIntents`]). Writers on one key serialize by
-    /// parking on the in-flight intent; writers on distinct keys only
-    /// share a stripe's map mutex for a lookup, so this bounds writer
-    /// fan-out the way `pool_shards` bounds reader fan-out. `1` is
-    /// legal (degenerate single-stripe table, correctness unchanged);
-    /// `0` selects [`nbb_btree::DEFAULT_INTENT_STRIPES`].
-    pub intent_stripes: usize,
     /// Compressed frame tier budget, in stored (encoded) bytes, for
     /// each buffer pool. Nonzero makes eviction demote cold victims
     /// into a budget-bounded compressed store (a background thread pays
@@ -86,7 +77,6 @@ impl Default for DbConfig {
             index_frames: 1024,
             pool_shards: nbb_storage::DEFAULT_POOL_SHARDS,
             write_behind: nbb_storage::DEFAULT_WRITE_BEHIND,
-            intent_stripes: nbb_btree::DEFAULT_INTENT_STRIPES,
             compressed_budget_bytes: 0,
             tuning_interval: None,
             disk_model: None,
@@ -484,7 +474,6 @@ impl Database {
                 heap,
                 Arc::clone(&db.index_pool),
                 entry.indexes,
-                db.config.intent_stripes,
             )?;
             db.tables.write().insert(entry.name, Arc::new(table));
         }
@@ -502,14 +491,12 @@ impl Database {
         if tables.contains_key(name) {
             return Err(StorageError::Corrupt(format!("table {name} already exists")));
         }
-        let mut table = Table::create(
+        let t = Arc::new(Table::create(
             name,
             tuple_width,
             Arc::clone(&self.heap_pool),
             Arc::clone(&self.index_pool),
-        )?;
-        table.set_intent_stripes(self.config.intent_stripes);
-        let t = Arc::new(table);
+        )?);
         tables.insert(name.to_string(), Arc::clone(&t));
         Ok(t)
     }

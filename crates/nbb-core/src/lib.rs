@@ -22,8 +22,8 @@
 //!   are linearizable end to end (one racing deleter wins `true`, the
 //!   rest observe its completed delete as `false` — no silently
 //!   dropped rows, no tolerated writer-side `InvalidSlot`s).
-//!   `db::DbConfig::intent_stripes` sizes the intent table;
-//!   `table::TableStats::intent_parks` / `intent_handoffs` meter it.
+//!   `table::TableStats::intent_parks` / `intent_handoffs` meter the
+//!   intent table.
 //!   Batched mutators ([`table::Table::insert_many`] and the
 //!   `update_many`/`delete_many`/`put_many` family) validate up front
 //!   — duplicate in-batch keys surface

@@ -21,13 +21,19 @@
 //! heap through the same batched, key-verifying chase: a visitor that
 //! sees each verified tuple in place under its page's pin, which the
 //! point paths collect into `Vec`s and range refills copy into arenas.
-//! Writes batch the same way: [`Table::insert_many`] and the
-//! `put_many` / `update_many` / `delete_many` family validate up front
-//! (duplicate in-batch keys are a named error), append heap tuples one
-//! page latch per tail page, and maintain every index through the
-//! B+Tree's sorted, leaf-grouped multi-key ops — writers on disjoint
-//! keys proceed in parallel under per-leaf latches. Every single-key
-//! operation on a handle is its batched form with a batch of one.
+//! Writes are one path too (`table/write.rs`, read top to bottom):
+//! [`Table::insert_many`] and the `put_many` / `update_many` /
+//! `delete_many` family are *planners* — each validates its input,
+//! takes its write intents, resolves the rows it addresses and
+//! describes the batch as one row-change plan (insert = no old tuple,
+//! delete = no new one, update = both) — and one private `apply` does
+//! everything a plan owes the heap and every index: the duplicate-key
+//! check before anything mutates (a named error), the heap appends one
+//! page latch per tail page, the in-place overwrites and frees, and
+//! per index one leaf-grouped `delete_many`, one `insert_many` and the
+//! §2.1.2 invalidation predicates — writers on disjoint keys proceed in
+//! parallel under per-leaf latches. Every single-key operation on a
+//! handle is its batched form with a batch of one.
 //!
 //! # Same-key writers: key-level write intents
 //!
@@ -67,6 +73,8 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+mod write;
 
 /// A byte range within the fixed-width tuple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,41 +142,6 @@ impl IndexSpec {
     }
 }
 
-/// Sorts `keys` in place and rejects the batch when any two collide
-/// ([`StorageError::DuplicateKeyInBatch`]) — the shared up-front guard
-/// of every batched write path.
-fn reject_duplicate_keys(keys: &mut [&[u8]]) -> Result<()> {
-    keys.sort_unstable();
-    if let Some(w) = keys.windows(2).find(|w| w[0] == w[1]) {
-        return Err(StorageError::duplicate_key(w[0]));
-    }
-    Ok(())
-}
-
-/// Error for an index→heap chase that came up empty **while the key's
-/// write intent was held**: with same-key writers serialized, a pointer
-/// the index resolved under the intent must land on a live heap tuple
-/// carrying that key. The one way to get here is a writer addressing
-/// the same row through a *different* index (uncoordinated by design,
-/// see the module docs) — surfaced loudly instead of silently dropping
-/// the row, which is what the pre-intent tolerance branches did.
-fn intent_violation(index: &str, key: &[u8]) -> StorageError {
-    use std::fmt::Write;
-    let mut hex = String::with_capacity(key.len() * 2);
-    for b in key {
-        let _ = write!(hex, "{b:02x}");
-    }
-    StorageError::Corrupt(format!(
-        "index {index} resolved key 0x{hex} to a freed or recycled heap slot while its \
-         write intent was held; writers racing on one row must address it through the \
-         same index to coordinate"
-    ))
-}
-
-/// One row a batch resolved through an index: `(position in the batch,
-/// heap address, tuple)`.
-type Row<T = Vec<u8>> = (usize, RecordId, T);
-
 /// The positions an index resolved, each with the heap address its
 /// pointer names.
 fn resolved(ptrs: impl IntoIterator<Item = Option<u64>>) -> (Vec<usize>, Vec<RecordId>) {
@@ -223,10 +196,11 @@ pub struct TableStats {
     pub updates: u64,
     /// Tuples deleted.
     pub deletes: u64,
-    /// Logical write batches executed. A leaf-grouped multi-op
-    /// ([`Table::insert_many`], `update_many`, `delete_many`, or one
-    /// write group of a [`crate::query::Batch`]) counts as **one**
-    /// batch here while still counting each tuple above, so
+    /// Logical write batches executed: one per plan. A multi-op
+    /// ([`Table::insert_many`], `update_many`, `delete_many`,
+    /// `put_many` — both of its legs — or one write group of a
+    /// [`crate::query::Batch`]) counts as **one** batch here while
+    /// still counting each tuple above, so
     /// `inserts / write_batches` is the visible amortization factor —
     /// a loop of N single-tuple calls shows as N batches of one.
     pub write_batches: u64,
@@ -276,9 +250,6 @@ pub struct Table {
     heap: HeapFile,
     indexes: RwLock<HashMap<String, Arc<Index>>>,
     index_pool: Arc<BufferPool>,
-    /// Stripe count for each index's key-intent table (0 = the btree
-    /// default); applied to indexes created or attached afterwards.
-    intent_stripes: usize,
     index_only_answers: AtomicU64,
     heap_fetches: AtomicU64,
     inserts: AtomicU64,
@@ -306,7 +277,6 @@ impl Table {
             heap: HeapFile::create(heap_pool)?,
             indexes: RwLock::with_rank(lockrank::TABLE_INDEXES, HashMap::new()),
             index_pool,
-            intent_stripes: 0,
             index_only_answers: AtomicU64::new(0),
             heap_fetches: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
@@ -319,16 +289,12 @@ impl Table {
     /// Reattaches a persisted table: an existing heap plus indexes
     /// reopened from their catalog entries `(spec, root page)`. No
     /// backfill happens — the trees already contain the entries.
-    /// `intent_stripes` sizes each reopened index's key-intent table
-    /// (0 = the btree default), matching what
-    /// [`Table::set_intent_stripes`] does for fresh tables.
     pub fn attach(
         name: &str,
         tuple_width: usize,
         heap: HeapFile,
         index_pool: Arc<BufferPool>,
         indexes: Vec<(IndexSpec, nbb_storage::PageId)>,
-        intent_stripes: usize,
     ) -> Result<Self> {
         assert!(tuple_width > 0, "tuple width must be positive");
         let t = Table {
@@ -337,7 +303,6 @@ impl Table {
             heap,
             indexes: RwLock::with_rank(lockrank::TABLE_INDEXES, HashMap::new()),
             index_pool,
-            intent_stripes,
             index_only_answers: AtomicU64::new(0),
             heap_fetches: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
@@ -356,25 +321,11 @@ impl Table {
                 Arc::clone(&t.index_pool),
                 spec.key.len,
                 root,
-                BTreeOptions { cache, cache_seed: 0x5eed, intent_stripes },
+                BTreeOptions { cache, cache_seed: 0x5eed },
             )?;
             t.indexes.write().insert(spec.name.clone(), Arc::new(Index { spec, tree }));
         }
         Ok(t)
-    }
-
-    /// Sets the stripe count for the key-intent table of every index
-    /// created after this call (0 = the btree default,
-    /// [`nbb_btree::DEFAULT_INTENT_STRIPES`]). [`crate::db::Database`]
-    /// threads its `DbConfig::intent_stripes` knob through here before
-    /// the table is shared.
-    pub fn set_intent_stripes(&mut self, stripes: usize) {
-        self.intent_stripes = stripes;
-    }
-
-    /// The configured key-intent stripe count (0 = the btree default).
-    pub fn intent_stripes(&self) -> usize {
-        self.intent_stripes
     }
 
     /// Every index's declaration and current root page — the catalog
@@ -426,7 +377,7 @@ impl Table {
             bucket_slots: spec.bucket_slots,
             log_threshold: spec.log_threshold,
         });
-        let opts = BTreeOptions { cache, cache_seed: 0x5eed, intent_stripes: self.intent_stripes };
+        let opts = BTreeOptions { cache, cache_seed: 0x5eed };
         let mut pending = Vec::new();
         self.heap.scan(|rid, tuple| {
             pending.push((spec.key.extract(tuple).to_vec(), rid));
@@ -535,70 +486,6 @@ impl Table {
         Ok(())
     }
 
-    /// Inserts a tuple, maintaining every index. Thin wrapper over a
-    /// one-tuple [`Table::insert_many`].
-    pub fn insert(&self, tuple: &[u8]) -> Result<RecordId> {
-        let mut rids = self.insert_many(std::slice::from_ref(&tuple))?;
-        // nbb-lint: allow(unwrap, insert_many returns one rid per input tuple)
-        Ok(rids.pop().expect("one tuple in, one rid out"))
-    }
-
-    /// Inserts a batch of tuples, returning their heap addresses
-    /// indexed like `tuples`, maintaining every index through the
-    /// sorted multi-key tree path.
-    ///
-    /// Validation happens **up front**, before any page is touched:
-    /// every tuple must match the declared width, and no two tuples in
-    /// the batch may collide on any index's key bytes — within one
-    /// batch there is no meaningful "last writer", so collisions are
-    /// rejected whole with [`StorageError::DuplicateKeyInBatch`]
-    /// instead of silently resolved. After validation the heap appends
-    /// ride one page latch per tail page ([`HeapFile::append_many`])
-    /// and each index applies its entries via
-    /// [`nbb_btree::BTree::insert_many`]: one descent plus one
-    /// leaf-latch acquisition per destination leaf instead of per
-    /// tuple. The whole call counts as **one** logical write batch in
-    /// [`Table::stats`].
-    pub fn insert_many<T: AsRef<[u8]>>(&self, tuples: &[T]) -> Result<Vec<RecordId>> {
-        for t in tuples {
-            self.check_tuple(t.as_ref())?;
-        }
-        if tuples.is_empty() {
-            return Ok(Vec::new());
-        }
-        if let [t] = tuples {
-            // Batch of one (the `insert` wrapper's shape): the direct
-            // path, none of the batch bookkeeping allocations — no
-            // index snapshot, no key vectors, no (vacuous) dup scan.
-            let t = t.as_ref();
-            let rid = self.heap.insert(t)?;
-            for idx in self.indexes.read().values() {
-                idx.tree.insert(idx.spec.key.extract(t), rid.to_u64())?;
-            }
-            self.inserts.fetch_add(1, Ordering::Relaxed);
-            self.write_batches.fetch_add(1, Ordering::Relaxed);
-            return Ok(vec![rid]);
-        }
-        let indexes: Vec<Arc<Index>> = self.indexes.read().values().cloned().collect();
-        for idx in &indexes {
-            let mut keys: Vec<&[u8]> =
-                tuples.iter().map(|t| idx.spec.key.extract(t.as_ref())).collect();
-            reject_duplicate_keys(&mut keys)?;
-        }
-        let rids = self.heap.append_many(tuples)?;
-        for idx in &indexes {
-            let entries: Vec<(&[u8], u64)> = tuples
-                .iter()
-                .zip(&rids)
-                .map(|(t, rid)| (idx.spec.key.extract(t.as_ref()), rid.to_u64()))
-                .collect();
-            idx.tree.insert_many(&entries)?;
-        }
-        self.inserts.fetch_add(tuples.len() as u64, Ordering::Relaxed);
-        self.write_batches.fetch_add(1, Ordering::Relaxed);
-        Ok(rids)
-    }
-
     /// The one index→heap chase: reads the tuples at `rids` through one
     /// batched heap read and hands `visit(i, tuple)` every tuple that
     /// still carries `key_of(i)` — in place, under the heap page's pin,
@@ -660,381 +547,6 @@ impl Table {
         Ok(out)
     }
 
-    /// Writer side of [`Table::chase`]: resolves `keys` through `idx`
-    /// and returns `(position, rid, current tuple)` for every key the
-    /// index holds, in position order. Callers hold the keys' write
-    /// intents, so same-key writers are parked and every pointer the
-    /// index resolves must chase to a live tuple still carrying its
-    /// key; one that does not is an [`intent_violation`].
-    fn resolve_for_write<K: AsRef<[u8]>>(&self, idx: &Index, keys: &[K]) -> Result<Vec<Row>> {
-        let (at, rids) = resolved(idx.tree.get_many(keys)?);
-        let mut tuples: Vec<Option<Vec<u8>>> = vec![None; rids.len()];
-        let key_of = |j: usize| keys[at[j]].as_ref();
-        self.chase(idx, &rids, key_of, |j, tuple| tuples[j] = Some(tuple.to_vec()))?;
-        (at.iter().zip(rids).zip(tuples))
-            .map(|((&i, rid), tuple)| match tuple {
-                Some(t) => Ok((i, rid, t)),
-                None => Err(intent_violation(&idx.spec.name, keys[i].as_ref())),
-            })
-            .collect()
-    }
-
-    /// Batched key-based update; see
-    /// [`crate::query::IndexRef::update_many`], which this implements.
-    ///
-    /// Per pair: absent keys report `false`, heap tuples update in
-    /// place (RIDs stay stable), and every index gets its §2.1.2
-    /// consistency duty — an invalidation predicate when cached fields
-    /// changed, a delete+insert when key bytes changed. The batch
-    /// amortizes: one [`nbb_btree::BTree::get_many`] resolves all
-    /// pointers, old tuples ride one batched heap read, and each
-    /// index's maintenance lands as one leaf-grouped `delete_many` +
-    /// `insert_many`
-    /// (deletes before inserts, so key rotations within a batch —
-    /// a→b, b→c — resolve deterministically instead of depending on op
-    /// order).
-    ///
-    /// Before resolving anything the batch installs **write intents**
-    /// on every key it addresses on this index — the input keys plus
-    /// the keys the new tuples carry (a key-changing update writes
-    /// both) — so racing same-key writers park and the whole
-    /// resolve→heap→maintain sequence is exclusive per key: an update
-    /// serialized behind a deleter observes the completed delete and
-    /// reports `false`; one serialized ahead of it lands first. No row
-    /// is ever silently dropped mid-batch.
-    ///
-    /// Duplicate keys are rejected whole with
-    /// [`StorageError::DuplicateKeyInBatch`] before anything mutates —
-    /// both duplicate *input* keys (two updates to the same key in one
-    /// batch have no defined order) and two rows updating into the
-    /// same **new** key on any index (a loop of singles would silently
-    /// leave that index pointing at whichever row ran last; the batch
-    /// surfaces the collision instead).
-    pub(crate) fn update_many_with<K: AsRef<[u8]>, T: AsRef<[u8]>>(
-        &self,
-        idx: &Index,
-        pairs: &[(K, T)],
-    ) -> Result<Vec<bool>> {
-        for (_, t) in pairs {
-            self.check_tuple(t.as_ref())?;
-        }
-        if pairs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let keys: Vec<&[u8]> = pairs.iter().map(|(k, _)| k.as_ref()).collect();
-        {
-            let mut sorted = keys.clone();
-            reject_duplicate_keys(&mut sorted)?;
-        }
-        // Key-level write intents, held to the end of the batch: the
-        // addressed keys plus the keys the replacement tuples carry on
-        // this index (sorted and deduplicated inside `acquire_many`).
-        let mut intent_keys = keys.clone();
-        intent_keys.extend(pairs.iter().map(|(_, t)| idx.spec.key.extract(t.as_ref())));
-        let _intents = idx.tree.intents().acquire_many(&intent_keys);
-        let rows = self.resolve_for_write(idx, &keys)?;
-        let out = self.apply_verified_updates(
-            rows,
-            |i| pairs[i].1.as_ref(),
-            |i| intent_violation(&idx.spec.name, keys[i]),
-            pairs.len(),
-        )?;
-        self.write_batches.fetch_add(1, Ordering::Relaxed);
-        Ok(out)
-    }
-
-    /// Shared tail of the batched update path (used by
-    /// [`Table::update_many_with`] and the update leg of
-    /// [`Table::put_many_with`], which resolves and verifies rows
-    /// itself to avoid a second descent + heap read).
-    ///
-    /// `rows` are `(out position, rid, old tuple)` entries resolved and
-    /// verified **under the caller's write intents**; `new_of` maps an
-    /// out position to its replacement tuple, `violation_of` builds the
-    /// intent-violation error for a position. Validates the planned
-    /// index effects, applies heap updates, performs grouped per-index
-    /// maintenance, and returns which of the `n_out` positions landed.
-    ///
-    /// With same-key writers parked on the intents, nothing coordinated
-    /// can free a resolved slot mid-batch — but an *uncoordinated*
-    /// cross-index writer (or `relocate`) still can. That violation is
-    /// surfaced as an error, yet only **after** the batch's surviving
-    /// rows get their full index maintenance: aborting mid-loop would
-    /// strand already-updated heap rows with no invalidation predicates
-    /// and stale secondary entries — torn state for rows that were not
-    /// even part of the race. The racing row itself needs no
-    /// maintenance from us (its destroyer maintained the indexes when
-    /// it freed the slot), so finishing the batch leaves the table
-    /// consistent and the error purely informational.
-    fn apply_verified_updates<'k>(
-        &self,
-        rows: Vec<Row>,
-        new_of: impl Fn(usize) -> &'k [u8],
-        violation_of: impl Fn(usize) -> StorageError,
-        n_out: usize,
-    ) -> Result<Vec<bool>> {
-        if rows.is_empty() {
-            return Ok(vec![false; n_out]);
-        }
-        // Validate the batch's index effects BEFORE mutating anything:
-        // two rows updating into the same new key — or a changed key
-        // landing on a key another row keeps in place — would make the
-        // planned insert silently overwrite (or `insert_many` reject
-        // mid-batch, stranding an index with neither entry). Kept keys
-        // colliding with each other are a pre-existing non-unique-index
-        // state, not this batch's doing, and stay legal.
-        let indexes: Vec<Arc<Index>> = self.indexes.read().values().cloned().collect();
-        for other in &indexes {
-            let mut changed: Vec<&[u8]> = Vec::new();
-            let mut kept: Vec<&[u8]> = Vec::new();
-            for (i, _, old) in &rows {
-                let new_key = other.spec.key.extract(new_of(*i));
-                if other.spec.key.extract(old) != new_key {
-                    changed.push(new_key);
-                } else {
-                    kept.push(new_key);
-                }
-            }
-            reject_duplicate_keys(&mut changed)?;
-            kept.sort_unstable();
-            if let Some(k) = changed.iter().find(|k| kept.binary_search(k).is_ok()) {
-                return Err(StorageError::duplicate_key(k));
-            }
-        }
-        // Heap writes in place. The pre-intent "racing deleter drops
-        // just its row (reported false)" tolerance is gone: a freed
-        // slot here is an intent violation and becomes an error — but
-        // the batch finishes first (see the method docs), so no
-        // heap-updated row is ever left without its index maintenance.
-        let mut violation: Option<StorageError> = None;
-        let mut landed: Vec<Row> = Vec::with_capacity(rows.len());
-        for (i, rid, old) in rows {
-            match self.heap.update(rid, new_of(i)) {
-                Ok(()) => landed.push((i, rid, old)),
-                Err(StorageError::InvalidSlot { .. }) => {
-                    violation.get_or_insert_with(|| violation_of(i));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        // Index maintenance, grouped per index: deletes before inserts,
-        // so key rotations within one batch (a→b, b→c) resolve
-        // deterministically.
-        for other in &indexes {
-            let mut dels: Vec<&[u8]> = Vec::new();
-            let mut inss: Vec<(&[u8], u64)> = Vec::new();
-            let mut invs: Vec<(&[u8], u64)> = Vec::new();
-            for (i, rid, old) in &landed {
-                let new_tuple = new_of(*i);
-                let old_key = other.spec.key.extract(old);
-                let new_key = other.spec.key.extract(new_tuple);
-                if old_key != new_key {
-                    dels.push(old_key);
-                    inss.push((new_key, rid.to_u64()));
-                } else if !other.spec.cached_fields.is_empty()
-                    && other.extract_payload(old) != other.extract_payload(new_tuple)
-                {
-                    invs.push((new_key, rid.to_u64()));
-                }
-            }
-            other.tree.delete_many(&dels)?;
-            other.tree.insert_many(&inss)?;
-            for (k, ptr) in invs {
-                other.tree.invalidate(k, ptr)?;
-            }
-        }
-        let mut out = vec![false; n_out];
-        for (i, _, _) in &landed {
-            out[*i] = true;
-        }
-        self.updates.fetch_add(landed.len() as u64, Ordering::Relaxed);
-        match violation {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
-    }
-
-    /// Batched key-based delete; see
-    /// [`crate::query::IndexRef::delete_many`], which this implements.
-    ///
-    /// One [`nbb_btree::BTree::get_many`] resolves every pointer, the
-    /// doomed tuples ride one batched heap read, and each index drops
-    /// its entries through one leaf-grouped
-    /// [`nbb_btree::BTree::delete_many`] (plus the RID-reuse
-    /// invalidation predicates) before the heap slots are freed —
-    /// index first, heap second.
-    ///
-    /// Write intents on every addressed key serialize racing same-key
-    /// deleters end to end: exactly one wins (`true`) and the rest
-    /// observe its completed delete (`false`, via the index reading
-    /// absent) — the pre-intent branch that swallowed a loser's
-    /// `InvalidSlot` mid-heap-delete is gone. Absent keys report
-    /// `false`. Duplicate keys in one batch are idempotent: the first
-    /// occurrence deletes the row, later ones report `false`, matching
-    /// the equivalent loop.
-    pub(crate) fn delete_many_with<K: AsRef<[u8]>>(
-        &self,
-        idx: &Index,
-        keys: &[K],
-    ) -> Result<Vec<bool>> {
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Write intents on the addressed keys, held until the heap
-        // slots are freed (acquire_many dedupes, so a key listed twice
-        // parks no one on itself).
-        let _intents = idx.tree.intents().acquire_many(keys);
-        // (position, rid, tuple) per doomed row; dedupe rids so a key
-        // listed twice deletes once.
-        let mut victims = self.resolve_for_write(idx, keys)?;
-        let mut seen = std::collections::HashSet::new();
-        victims.retain(|(_, rid, _)| seen.insert(rid.to_u64()));
-        let indexes: Vec<Arc<Index>> = self.indexes.read().values().cloned().collect();
-        for other in &indexes {
-            let del_keys: Vec<&[u8]> =
-                victims.iter().map(|(_, _, t)| other.spec.key.extract(t)).collect();
-            other.tree.delete_many(&del_keys)?;
-            // Drop any cached entry for these pointers (RID reuse
-            // safety).
-            for (_, rid, t) in &victims {
-                other.tree.invalidate(other.spec.key.extract(t), rid.to_u64())?;
-            }
-        }
-        let mut out = vec![false; keys.len()];
-        let mut deleted = 0u64;
-        // A slot an *uncoordinated* cross-index writer freed first is
-        // an intent violation, surfaced as an error — but only after
-        // every other victim's heap delete runs: aborting mid-loop
-        // would strand rows whose index entries were already dropped
-        // above as unreachable live heap tuples. The racing row itself
-        // ends consistent either way (its destroyer freed the slot, we
-        // dropped the index entries — the row is simply gone).
-        let mut violation: Option<StorageError> = None;
-        for (i, rid, _) in &victims {
-            match self.heap.delete(*rid) {
-                Ok(()) => {
-                    out[*i] = true;
-                    deleted += 1;
-                }
-                Err(StorageError::InvalidSlot { .. }) => {
-                    violation
-                        .get_or_insert_with(|| intent_violation(&idx.spec.name, keys[*i].as_ref()));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        self.deletes.fetch_add(deleted, Ordering::Relaxed);
-        self.write_batches.fetch_add(1, Ordering::Relaxed);
-        match violation {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
-    }
-
-    /// Batched upsert through one index; see
-    /// [`crate::query::IndexRef::put_many`], which this implements.
-    ///
-    /// Each tuple's key (as declared by `idx`) decides its fate: keys
-    /// already present update their row in place (keeping its RID,
-    /// with full index maintenance), absent keys insert fresh rows.
-    /// Write intents on every key make the whole decision-and-apply
-    /// sequence exclusive per key, so the legs cannot be invalidated
-    /// mid-flight — a put serialized behind a racing same-key deleter
-    /// observes the completed delete and inserts fresh; the pre-intent
-    /// "update leg lost, fall back to insert" retry is gone. Every
-    /// tuple lands; returns each tuple's landing address, indexed like
-    /// `tuples`. Duplicate keys surface
-    /// [`StorageError::DuplicateKeyInBatch`] before anything mutates —
-    /// on this index's keys, and across both legs on every index's
-    /// keys the batch will write (two fresh tuples, two key-changing
-    /// updates, or one of each landing on the same secondary key, as
-    /// well as any of those landing on a key an update keeps in
-    /// place). Decomposes into (up to) one update batch and one insert
-    /// batch in [`Table::stats`].
-    pub(crate) fn put_many_with<T: AsRef<[u8]>>(
-        &self,
-        idx: &Index,
-        tuples: &[T],
-    ) -> Result<Vec<RecordId>> {
-        for t in tuples {
-            self.check_tuple(t.as_ref())?;
-        }
-        if tuples.is_empty() {
-            return Ok(Vec::new());
-        }
-        {
-            let mut keys: Vec<&[u8]> =
-                tuples.iter().map(|t| idx.spec.key.extract(t.as_ref())).collect();
-            reject_duplicate_keys(&mut keys)?;
-        }
-        let keys: Vec<&[u8]> = tuples.iter().map(|t| idx.spec.key.extract(t.as_ref())).collect();
-        // Write intents on every upserted key (a put's addressed key is
-        // the key its tuple carries, so this is the full write set on
-        // this index), held until both legs land.
-        let _intents = idx.tree.intents().acquire_many(&keys);
-        // Keys the index holds form the update leg (their rows read and
-        // verified under the intents, in position order); the rest
-        // insert fresh.
-        let update_rows = self.resolve_for_write(idx, &keys)?;
-        let mut updating = vec![false; tuples.len()];
-        for (i, _, _) in &update_rows {
-            updating[*i] = true;
-        }
-        let insert_positions: Vec<usize> = (0..tuples.len()).filter(|&i| !updating[i]).collect();
-        let inserts: Vec<&[u8]> = insert_positions.iter().map(|&i| tuples[i].as_ref()).collect();
-        // Pre-validate the batch's combined index effects — across BOTH
-        // legs — before anything mutates: any key this batch will write
-        // (an insert-leg key, or an update-leg key that changes) must
-        // collide with no other written key and with no key an update
-        // keeps in place, on every index. Without the cross-leg check a
-        // fresh tuple and an updated row landing on the same secondary
-        // key would silently overwrite one another's entries. This
-        // needs the update rows' old tuples, which is why the rows were
-        // resolved above; they then feed the update leg directly, so
-        // the leg costs one descent and one heap read, not two of each.
-        let indexes: Vec<Arc<Index>> = self.indexes.read().values().cloned().collect();
-        for other in &indexes {
-            let mut written: Vec<&[u8]> =
-                inserts.iter().map(|t| other.spec.key.extract(t)).collect();
-            let mut kept: Vec<&[u8]> = Vec::new();
-            for (i, _, old) in &update_rows {
-                let new_key = other.spec.key.extract(tuples[*i].as_ref());
-                if other.spec.key.extract(old) == new_key {
-                    kept.push(new_key);
-                } else {
-                    written.push(new_key);
-                }
-            }
-            reject_duplicate_keys(&mut written)?;
-            kept.sort_unstable();
-            if let Some(k) = written.iter().find(|k| kept.binary_search(k).is_ok()) {
-                return Err(StorageError::duplicate_key(k));
-            }
-        }
-        let mut out = vec![RecordId::from_u64(0); tuples.len()];
-        // Apply the update leg on the rows verified above; under the
-        // intents every row lands (no fallback leg exists anymore).
-        let upd_rids: Vec<(usize, RecordId)> =
-            update_rows.iter().map(|(i, rid, _)| (*i, *rid)).collect();
-        self.apply_verified_updates(
-            update_rows,
-            |i| tuples[i].as_ref(),
-            |i| intent_violation(&idx.spec.name, keys[i]),
-            tuples.len(),
-        )?;
-        if !upd_rids.is_empty() {
-            self.write_batches.fetch_add(1, Ordering::Relaxed);
-        }
-        for (i, rid) in upd_rids {
-            out[i] = rid;
-        }
-        let new_rids = self.insert_many(&inserts)?;
-        for (&i, rid) in insert_positions.iter().zip(new_rids) {
-            out[i] = rid;
-        }
-        Ok(out)
-    }
-
     /// Batched full-tuple lookup; see
     /// [`crate::query::IndexRef::get_many`], which this implements.
     pub(crate) fn get_many_with<K: AsRef<[u8]>>(
@@ -1083,18 +595,6 @@ impl Table {
         }
         self.index_only_answers.fetch_add(served, Ordering::Relaxed);
         Ok(out)
-    }
-
-    /// Relocates the tuple at `rid` to the heap tail (the §3.1
-    /// clustering primitive), patching every index.
-    pub fn relocate(&self, rid: RecordId) -> Result<RecordId> {
-        let tuple = self.heap.get(rid)?;
-        let new_rid = self.heap.relocate(rid)?;
-        for idx in self.indexes.read().values() {
-            let k = idx.spec.key.extract(&tuple);
-            idx.tree.update_value(k, new_rid.to_u64())?;
-        }
-        Ok(new_rid)
     }
 
     /// Visits every live tuple. The callback returns `true` to keep

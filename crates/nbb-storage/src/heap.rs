@@ -71,28 +71,12 @@ impl HeapFile {
         self.pages.read().len()
     }
 
-    /// Appends a tuple, returning its address.
-    ///
-    /// Tries the tail page first; allocates a new tail when full.
+    /// Appends a tuple, returning its address: [`HeapFile::append_many`]
+    /// of one.
     pub fn insert(&self, tuple: &[u8]) -> Result<RecordId> {
-        // nbb-lint: allow(unwrap, heaps are created with one page and never shrink)
-        let tail = *self.pages.read().last().expect("heap always has >= 1 page");
-        let res = self.pool.with_page_mut(tail, |p| {
-            let mut sp = SlottedPage::attach(p)?;
-            sp.insert(tuple)
-        })?;
-        match res {
-            Ok(slot) => Ok(RecordId::new(tail, slot)),
-            Err(StorageError::PageFull { .. }) | Err(StorageError::TupleTooLarge { .. }) => {
-                let fresh = self.grow()?;
-                let slot = self.pool.with_page_mut(fresh, |p| {
-                    let mut sp = SlottedPage::attach(p)?;
-                    sp.insert(tuple)
-                })??;
-                Ok(RecordId::new(fresh, slot))
-            }
-            Err(e) => Err(e),
-        }
+        let mut rids = self.append_many(&[tuple])?;
+        // nbb-lint: allow(unwrap, append_many returns one rid per input tuple)
+        Ok(rids.pop().expect("one tuple in, one rid out"))
     }
 
     /// Appends a batch of tuples, returning their addresses indexed
@@ -112,10 +96,10 @@ impl HeapFile {
     pub fn append_many<T: AsRef<[u8]>>(&self, tuples: &[T]) -> Result<Vec<RecordId>> {
         let mut out = Vec::with_capacity(tuples.len());
         // After the batch fills a page, it continues on the page its
-        // OWN grow() returned (like `insert` does) instead of
-        // re-reading the shared tail: two racing batches that both
-        // grow would otherwise pile onto whichever page became the
-        // tail last, orphaning the other fresh page empty forever.
+        // OWN grow() returned instead of re-reading the shared tail:
+        // two racing batches that both grow would otherwise pile onto
+        // whichever page became the tail last, orphaning the other
+        // fresh page empty forever.
         let mut next_tail: Option<PageId> = None;
         while out.len() < tuples.len() {
             let tail = match next_tail.take() {

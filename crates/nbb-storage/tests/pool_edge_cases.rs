@@ -1,7 +1,12 @@
 //! Buffer-pool edge cases: exhaustion, nested access, stats accounting.
 
-use nbb_storage::{BufferPool, DiskManager, InMemoryDisk, StorageError};
+use nbb_storage::{BufferPool, DiskManager, InMemoryDisk, PoolOptions, StorageError};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
+
+#[path = "support/flaky_disk.rs"]
+mod flaky_disk;
+use flaky_disk::FlakyDisk;
 
 fn pool(cap: usize) -> Arc<BufferPool> {
     let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(256));
@@ -83,4 +88,30 @@ fn stats_add_up() {
     assert_eq!(s.misses, 6);
     assert_eq!(s.hits, 2);
     assert_eq!(s.evictions, 4, "6 loads into 2 frames");
+}
+
+#[test]
+fn failed_read_leaves_pool_consistent() {
+    let disk = Arc::new(FlakyDisk::new(256));
+    let pool = BufferPool::with_pool_options(
+        Arc::clone(&disk) as Arc<dyn DiskManager>,
+        2,
+        PoolOptions { shards: 1, ..PoolOptions::default() },
+    );
+    // Fill both frames, one dirty.
+    let a = pool.new_page().unwrap();
+    let b = pool.new_page().unwrap();
+    let c = pool.new_page().unwrap();
+    pool.with_page_mut(a, |p| p.bytes_mut()[0] = 11).unwrap();
+    pool.with_page(b, |_| ()).unwrap();
+    // Inject failures: faulting `c` must error without corrupting
+    // the map — and must not lose `a`'s dirty data.
+    disk.fail_reads.store(true, Ordering::Relaxed);
+    assert!(pool.with_page(c, |_| ()).is_err());
+    disk.fail_reads.store(false, Ordering::Relaxed);
+    // Everything still readable with the right contents.
+    assert_eq!(pool.with_page(a, |p| p.bytes()[0]).unwrap(), 11);
+    pool.with_page(b, |_| ()).unwrap();
+    pool.with_page(c, |_| ()).unwrap();
+    assert_eq!(pool.with_page(a, |p| p.bytes()[0]).unwrap(), 11, "dirty page lost");
 }

@@ -44,9 +44,8 @@
 //! anything, so N threads hammering one key serialize cleanly (racing
 //! deleters split into one `true` and N-1 `false`s; nothing aborts or
 //! disappears), while disjoint-key writers stay fully parallel under
-//! the per-leaf latches. `DbConfig::intent_stripes` sizes the intent
-//! table; `TableStats::intent_parks`/`intent_handoffs` (printed below)
-//! meter the contention it absorbed.
+//! the per-leaf latches. `TableStats::intent_parks`/`intent_handoffs`
+//! (printed below) meter the contention the intent table absorbed.
 //!
 //! All of this concurrency is *checked*, not just promised — see
 //! `CONCURRENCY.md` at the repo root for the lock-order lattice. To run

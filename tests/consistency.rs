@@ -130,7 +130,6 @@ fn concurrent_readers_and_writers_on_shared_tree() {
             BTreeOptions {
                 cache: Some(CacheConfig { payload_size: 8, bucket_slots: 8, log_threshold: 16 }),
                 cache_seed: 99,
-                ..Default::default()
             },
         )
         .unwrap(),

@@ -1,5 +1,5 @@
 //! The degenerate configuration: one pool stripe, synchronous
-//! write-back (`write_behind = 0`), one intent stripe.
+//! write-back (`write_behind = 0`).
 //!
 //! Every concurrency structure in the engine is striped or queued for
 //! parallelism, and each has a single-stripe / disabled mode that the
@@ -21,7 +21,6 @@ fn degenerate_config() -> DbConfig {
         index_frames: 32,
         pool_shards: 1,
         write_behind: 0,
-        intent_stripes: 1,
         compressed_budget_bytes: 0,
         tuning_interval: None,
         ..DbConfig::default()
@@ -44,8 +43,6 @@ fn knobs_actually_degenerate() {
     assert_eq!(db.index_pool().shards(), 1);
     assert_eq!(db.heap_pool().write_behind(), 0);
     assert_eq!(db.index_pool().write_behind(), 0);
-    let t = db.create_table("t", 24).unwrap();
-    assert_eq!(t.intent_stripes(), 1, "intent stripe knob must thread through");
 }
 
 #[test]
@@ -102,7 +99,7 @@ fn mixed_workload_matches_model_on_degenerate_config() {
 }
 
 #[test]
-fn same_key_storm_on_single_intent_stripe() {
+fn same_key_storm_on_degenerate_config() {
     const WRITERS: u64 = 8;
     const ROUNDS: u64 = 50;
     let db = Database::open(degenerate_config());
@@ -315,7 +312,6 @@ fn persist_reopen_round_trips_on_degenerate_config() {
     db.close().unwrap();
     let db = Database::reopen(config, heap, index).unwrap();
     let t = db.table("t").unwrap();
-    assert_eq!(t.intent_stripes(), 1, "attach must thread the stripe knob too");
     for k in (0..300u64).step_by(37) {
         assert_eq!(
             t.index("pk").unwrap().get(&k.to_be_bytes()).unwrap().unwrap(),

@@ -44,7 +44,6 @@ fn mixed_storm_respects_the_lock_lattice() {
         index_frames: 8,
         pool_shards: 2,
         write_behind: 4,
-        intent_stripes: 4,
         compressed_budget_bytes: 64 * 1024,
         ..DbConfig::default()
     });

@@ -15,21 +15,50 @@ fn k(v: u64) -> [u8; 8] {
     v.to_be_bytes()
 }
 
-fn tuple(id: u64, value: u64) -> Vec<u8> {
+/// id(8, BE) | value(8, LE) | tag(8, BE).
+fn tuple(id: u64, value: u64, tag: u64) -> Vec<u8> {
     let mut t = Vec::with_capacity(24);
     t.extend_from_slice(&k(id));
     t.extend_from_slice(&value.to_le_bytes());
-    t.extend_from_slice(&[0u8; 8]);
+    t.extend_from_slice(&k(tag));
     t
+}
+
+/// The whole-table model: id → (value, tag), tags unique among rows.
+type Model = std::collections::BTreeMap<u64, (u64, u64)>;
+
+/// What a write of `rows` (id, value, tag) must do to `model`: `None`
+/// when two of the tags it writes (a fresh row's, or a changed one)
+/// collide with each other or with a tag a rewritten row keeps — the
+/// engine must then reject the batch whole — else the model afterwards.
+fn written(model: &Model, rows: &[(u64, u64, u64)]) -> Option<Model> {
+    let keeps = |&(id, _, tag): &(u64, u64, u64)| model.get(&id).is_some_and(|m| m.1 == tag);
+    let writes: Vec<u64> = rows.iter().filter(|r| !keeps(r)).map(|r| r.2).collect();
+    let collides = |(i, tag): (usize, &u64)| {
+        writes[..i].contains(tag) || rows.iter().any(|r| keeps(r) && r.2 == *tag)
+    };
+    if writes.iter().enumerate().any(collides) {
+        return None;
+    }
+    let mut after = model.clone();
+    after.extend(rows.iter().map(|&(id, value, tag)| (id, (value, tag))));
+    Some(after)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
+    /// Every write op in single and batched form — insert, update
+    /// (tag-changing ones included), delete, put — over a table with a
+    /// cached primary index and a cached unique secondary index: after
+    /// every step the model, `get`, `project` and a scan through each
+    /// index agree; at the end both trees are sound and the heap holds
+    /// exactly the model's rows.
     #[test]
     fn table_with_cached_index_matches_model(
-        ops in prop::collection::vec((0u8..4, 0u64..80, 0u64..100_000), 1..300)
+        ops in prop::collection::vec((0u8..8, any::<u64>()), 1..120)
     ) {
+        const IDS: u64 = 24;
         let db = Database::open(DbConfig {
             page_size: 4096, heap_frames: 32, index_frames: 32, ..DbConfig::default()
         });
@@ -37,35 +66,109 @@ proptest! {
         t.create_index(IndexSpec::cached(
             "pk", FieldSpec::new(0, 8), vec![FieldSpec::new(8, 8)],
         )).unwrap();
-        let mut model = std::collections::HashMap::new();
-        for (op, id, v) in ops {
-            match op {
-                0 => {
-                    model.entry(id).or_insert_with(|| {
-                        t.insert(&tuple(id, v)).unwrap();
-                        v
-                    });
-                }
-                1 => {
-                    if let std::collections::hash_map::Entry::Occupied(mut e) = model.entry(id) {
-                        prop_assert!(t.index("pk").unwrap().update(&k(id), &tuple(id, v)).unwrap());
-                        e.insert(v);
+        t.create_index(IndexSpec::cached(
+            "by_tag", FieldSpec::new(16, 8), vec![FieldSpec::new(8, 8)],
+        )).unwrap();
+        let (pk, by_tag) = (t.index("pk").unwrap(), t.index("by_tag").unwrap());
+        let mut model = Model::new();
+        // Tags no row ever held: what a drawn tag is swapped for when a
+        // row outside the batch holds it (overwriting that row's entry
+        // is the caller's contract violation, not the engine's to see).
+        let mut unused_tag = 1_000u64;
+        for (op, seed) in ops {
+            let mut x = seed | 1;
+            let mut draw = |n: u64| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (x >> 33) % n
+            };
+            // Ops 0, 2, 4, 6 are singles; 1, 3, 5, 7 batches of 2..=5.
+            let n = if op % 2 == 0 { 1 } else { 2 + draw(4) as usize };
+            let mut ids: Vec<u64> = (0..n).map(|_| draw(IDS)).collect();
+            if op / 2 != 2 {
+                // Only deletes take a key twice (idempotent).
+                ids.sort_unstable();
+                ids.dedup();
+            }
+            match op / 2 {
+                0 => ids.retain(|id| !model.contains_key(id)),
+                1 => ids.retain(|id| model.contains_key(id)),
+                _ => {}
+            }
+            if ids.is_empty() {
+                continue;
+            }
+            if op / 2 == 2 {
+                let keys: Vec<[u8; 8]> = ids.iter().map(|&id| k(id)).collect();
+                let want: Vec<bool> = ids.iter().map(|id| model.remove(id).is_some()).collect();
+                let got = if n == 1 {
+                    vec![pk.delete(&keys[0]).unwrap()]
+                } else {
+                    pk.delete_many(&keys).unwrap()
+                };
+                prop_assert_eq!(got, want);
+            } else {
+                let rows: Vec<(u64, u64, u64)> = ids.iter().map(|&id| {
+                    let held = model.get(&id).map(|m| m.1);
+                    let tag = match held {
+                        Some(tag) if draw(2) == 0 => tag,
+                        _ => draw(3 * IDS),
+                    };
+                    let outside = model.iter().any(|(o, m)| m.1 == tag && !ids.contains(o));
+                    let tag = if outside { unused_tag += 1; unused_tag } else { tag };
+                    (id, draw(100_000), tag)
+                }).collect();
+                let tuples: Vec<Vec<u8>> =
+                    rows.iter().map(|&(id, value, tag)| tuple(id, value, tag)).collect();
+                let done = match (op / 2, n) {
+                    (0, 1) => t.insert(&tuples[0]).map(|_| ()),
+                    (0, _) => t.insert_many(&tuples).map(|_| ()),
+                    (1, 1) => pk.update(&k(ids[0]), &tuples[0]).map(|applied| assert!(applied)),
+                    (1, _) => {
+                        let pairs: Vec<([u8; 8], &[u8])> =
+                            ids.iter().map(|&id| k(id)).zip(tuples.iter().map(Vec::as_slice)).collect();
+                        pk.update_many(&pairs).map(|applied| assert!(applied.iter().all(|&a| a)))
                     }
-                }
-                2 => {
-                    let deleted = t.index("pk").unwrap().delete(&k(id)).unwrap();
-                    prop_assert_eq!(deleted, model.remove(&id).is_some());
-                }
-                _ => {
-                    let got = t.index("pk").unwrap().project(&k(id)).unwrap();
-                    match (got, model.get(&id)) {
-                        (Some(p), Some(mv)) => prop_assert_eq!(p.payload, mv.to_le_bytes().to_vec()),
-                        (None, None) => {}
-                        (g, m) => prop_assert!(false, "mismatch: {:?} vs {:?}", g, m),
+                    (_, 1) => pk.put(&tuples[0]).map(|_| ()),
+                    _ => pk.put_many(&tuples).map(|_| ()),
+                };
+                match written(&model, &rows) {
+                    Some(after) => {
+                        prop_assert!(done.is_ok(), "step rejected: {:?}", done);
+                        model = after;
                     }
+                    None => prop_assert!(
+                        matches!(done, Err(nbb::storage::StorageError::DuplicateKeyInBatch { .. })),
+                        "colliding tags must reject the batch whole, got {:?}", done
+                    ),
                 }
             }
+            // Point views: every id through the primary index, every
+            // live tag through the secondary.
+            for id in 0..IDS {
+                let want = model.get(&id).map(|&(value, tag)| tuple(id, value, tag));
+                prop_assert_eq!(&pk.get(&k(id)).unwrap(), &want, "get({})", id);
+                let projected = pk.project(&k(id)).unwrap().map(|p| p.payload);
+                prop_assert_eq!(projected, want.map(|w| w[8..16].to_vec()), "project({})", id);
+            }
+            for (&id, &(value, tag)) in &model {
+                let projected = by_tag.project(&k(tag)).unwrap().map(|p| p.payload);
+                prop_assert_eq!(projected, Some(value.to_le_bytes().to_vec()), "tag of {}", id);
+            }
+            // Ordered views: a scan through each index is the model in
+            // that index's key order.
+            let by_id: Vec<Vec<u8>> =
+                model.iter().map(|(&id, &(value, tag))| tuple(id, value, tag)).collect();
+            let mut by_tag_order = by_id.clone();
+            by_tag_order.sort_by(|a, b| a[16..].cmp(&b[16..]));
+            for (index, want) in [(&pk, by_id), (&by_tag, by_tag_order)] {
+                let got: Vec<Vec<u8>> = index.range_all().map(|r| r.unwrap().tuple).collect();
+                prop_assert_eq!(got, want, "scan through {}", index.name());
+            }
         }
+        for index in [&pk, &by_tag] {
+            prop_assert_eq!(index.tree().check_invariants().unwrap(), Ok(()));
+        }
+        prop_assert_eq!(t.heap().live_tuple_count().unwrap(), model.len());
     }
 
     #[test]
