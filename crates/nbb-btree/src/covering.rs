@@ -12,9 +12,10 @@
 //! on identical workloads: equal read paths, very different memory
 //! footprints.
 
-use crate::tree::{BTree, BTreeOptions};
+use crate::tree::{BTree, BTreeOptions, RangeBuf};
 use nbb_storage::buffer::BufferPool;
 use nbb_storage::error::Result;
+use std::ops::Bound;
 use std::sync::Arc;
 
 /// A B+Tree whose entries carry `field_size` bytes of covered columns
@@ -76,14 +77,11 @@ impl CoveringIndex {
         debug_assert_eq!(key.len(), self.key_size);
         let mut probe = vec![0u8; self.key_size + self.field_size];
         probe[..self.key_size].copy_from_slice(key);
-        let mut found = None;
-        self.tree.scan_from(&probe, |k, v| {
-            if &k[..self.key_size] == key {
-                found = Some((k[self.key_size..].to_vec(), v));
-            }
-            false // the first entry >= probe decides; never continue
-        })?;
-        Ok(found)
+        // The first entry >= probe decides.
+        let mut first = RangeBuf::default();
+        self.tree.range_chunk(Bound::Included(&probe), Bound::Unbounded, 1, false, &mut first)?;
+        let found = first.values.first().filter(|_| &first.keys[..self.key_size] == key);
+        Ok(found.map(|v| (first.keys[self.key_size..].to_vec(), *v)))
     }
 
     /// Deletes the entry for `key` (first matching prefix).

@@ -1,7 +1,8 @@
-//! Key-level **write intents**: the same-key coordination structure the
-//! per-leaf latch table deliberately does not provide.
+//! Key-level **write intents**: the same-key coordination structure a
+//! page latch cannot provide.
 //!
-//! [`super::tree::BTree`]'s leaf latches serialize *page-local* work, so
+//! A leaf's frame latch serializes *page-local* work (every leaf
+//! mutation of [`super::tree::BTree`] is one `with_page_mut` closure), so
 //! two writers mutating one leaf take turns — but a logical table write
 //! (resolve the key through the index, read/mutate the heap row, then
 //! maintain every index) spans several page operations with windows in
@@ -44,9 +45,9 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Stripe count of every tree's intent table. Like the leaf-latch
-/// stripes, collisions only cost parallelism (two distinct keys on one
-/// stripe briefly share a map mutex), never correctness.
+/// Stripe count of every tree's intent table. Collisions only cost
+/// parallelism (two distinct keys on one stripe briefly share a map
+/// mutex), never correctness.
 pub const DEFAULT_INTENT_STRIPES: usize = 64;
 
 /// One in-flight write intent; racing same-key writers park here.
@@ -80,8 +81,7 @@ type StripeMap = HashMap<Vec<u8>, Arc<IntentSlot>>;
 
 /// Striped table of per-key write intents; see the module docs.
 ///
-/// Owned by a [`super::tree::BTree`] (sibling to its leaf-latch table)
-/// and acquired by the table layer's write paths before they resolve a
+/// Owned by a [`super::tree::BTree`] and acquired by the table layer's write paths before they resolve a
 /// key, so the whole index→heap→index sequence is exclusive per key.
 pub struct KeyIntents {
     stripes: Box<[Mutex<StripeMap>]>,

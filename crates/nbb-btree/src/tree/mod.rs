@@ -2,89 +2,61 @@
 //! protocol (probe on lookup, populate on miss, promote on hit,
 //! predicate-driven invalidation).
 //!
-//! Concurrency model: one tree-level `RwLock<PageId>` guards the tree's
-//! *shape* and holds the current root as its value, plus a striped
-//! per-leaf latch table for writers. Read-only operations (`get`,
-//! `lookup_cached`, `scan_from`, `range_chunk`, `leaf_for`, `leaves_after`, the
-//! stats walks) take the read side — they never block each other, and
-//! with the sharded buffer pool they proceed in parallel down to the
-//! frame latches.
+//! Concurrency model, in full: **structure lock → frame latch**. One
+//! tree-level `RwLock<PageId>` guards the tree's *shape* and holds the
+//! current root as its value; below it the only page-level lock is the
+//! buffer pool's per-frame latch, taken by `with_page` (shared),
+//! `with_page_mut` (exclusive) and `with_page_cache_write` (exclusive,
+//! try-only, non-dirtying: cache writes are simply skipped under
+//! contention, per §2.1.3). The tree has no latch table of its own: the
+//! frame latch of a leaf *is* its leaf latch.
 //!
-//! Range scans are driven from outside, one call per leaf:
-//! [`BTree::range_chunk`] re-descends by key each time (so a cursor
-//! survives splits between calls), appends the leaf's entries to the
-//! caller's [`RangeBuf`] — no per-entry allocation, no cache probe
-//! unless asked — and reports the leaf's total key count;
-//! [`BTree::leaf_for`] and [`BTree::leaves_after`] name the first leaf
-//! and the ones that follow off the level-1 parent without reading
-//! them, so a group of cursors can fault exactly the leaves it will
-//! walk in one batched read — the tree holds no lock between these
-//! calls, and none across that read.
+//! The read path is `tree/read.rs`, read top to bottom. Every read-only
+//! operation takes the structure lock's read side — readers never block
+//! each other, and with the sharded buffer pool they proceed in
+//! parallel down to the frame latches. Range scans are driven from
+//! outside, one [`BTree::range_chunk`] per leaf, re-descending by key
+//! each time so a cursor survives splits between calls; the tree holds
+//! no lock between those calls, nor across the batched leaf fault that
+//! [`BTree::leaf_for`] and [`BTree::leaves_after`] let a cursor issue.
 //!
-//! Writers crab: they descend under the structure lock's **read** side
-//! (the shape cannot change underfoot while any read guard is held),
-//! latch the destination leaf in [`LeafLatches`], and mutate it
-//! leaf-locally — so inserts and deletes on disjoint leaves proceed in
-//! parallel, matching the sharded buffer pool. Only a structural
-//! modification escalates: a full leaf makes the writer drop its leaf
-//! latch and read guard, take the structure lock's **write** side
-//! (excluding every reader and fast-path writer), and re-descend to
-//! split — deletes never restructure (underflow is left for the index
-//! cache to recycle), so they never escalate.
-//!
-//! All of that is one function, the leaf-run walker in `tree/write.rs`
-//! (the write path is that file, read top to bottom):
+//! The write path is `tree/write.rs`, read top to bottom. Writers crab:
 //! [`BTree::insert_many`], [`BTree::delete_many`] and
-//! [`BTree::update_value`] hand it their keys in sorted order and a
-//! per-key leaf op; it takes the structure lock's read side (released
-//! every few dozen runs, so a huge batch cannot starve an escalating
-//! writer),
-//! and per run of keys one leaf owns pays one descent, one leaf latch —
-//! the only place one is taken — and one exclusive page access. An op
-//! that finds its leaf full hands that one key to the escalated insert
-//! and the walk resumes behind it. Every single-key operation — `get`,
+//! [`BTree::update_value`] hand the one leaf-run walker their keys in
+//! sorted order; it descends under the structure lock's **read** side
+//! (the shape cannot change underfoot while any read guard is held) and
+//! mutates the destination leaf inside **one**
+//! [`nbb_storage::BufferPool::with_page_mut`] closure per run of keys.
+//! That leaf's frame write latch, held for the closure's whole length,
+//! is the entire leaf-local critical section: two writers of one leaf
+//! take turns there, readers observe the leaf between two whole runs,
+//! and writers of disjoint leaves proceed in parallel. Only a split
+//! escalates: a full leaf makes the writer leave the closure, drop its
+//! read guard, take the structure lock's **write** side (excluding
+//! every reader and fast-path writer) and re-descend — deletes never
+//! restructure (underflow is left for the index cache to recycle), so
+//! they never escalate. Every single-key operation — `get`,
 //! `lookup_cached`, `insert`, `delete` — is a wrapper over its
 //! multi-key form with a batch of one.
 //!
-//! Alongside the leaf latches the tree carries a [`KeyIntents`] table
-//! ([`BTree::intents`]): key-level **write intents** for the multi-step
-//! logical writes layered above the tree (resolve a key, mutate the
-//! heap, maintain every index). The tree's own entry points do not take
-//! intents — a single leaf mutation is already atomic under its latch —
-//! but the table layer installs an intent on every key a write batch
-//! addresses *before* descending, and racing same-key writers park on
-//! it with a pre-granted handoff, exactly like buffer-pool requesters
-//! parking on an in-flight load. That makes per-key put/update/delete
-//! linearizable end to end without adding any cost to disjoint-key
-//! writers; [`WriteStats::intent_parks`] / `intent_handoffs` meter the
-//! contention.
+//! The tree also carries a [`KeyIntents`] table ([`BTree::intents`]):
+//! key-level write intents for the multi-step logical writes layered
+//! above it. The tree's own entry points take none — a single leaf
+//! mutation is already atomic under its frame latch — but the table
+//! layer installs one on every key a write batch addresses *before*
+//! descending, which makes per-key put/update/delete linearizable end
+//! to end at no cost to disjoint-key writers.
 //!
-//! Page-level physical latching is delegated to the buffer pool's frame
-//! locks (every leaf mutation is a single
-//! [`nbb_storage::BufferPool::with_page_mut`] closure, so readers always
-//! observe a leaf between two whole operations). Cache writes use the
-//! pool's try-latch, non-dirtying access
-//! ([`nbb_storage::BufferPool::with_page_cache_write`]) and are simply
-//! skipped under contention, per §2.1.3.
-//!
-//! The pool's fault path is an I/O-in-progress state machine: a request
-//! for a page another thread is still loading *parks on that frame*
-//! (off every tree lock — a parked reader holds at most the structure
-//! lock's read side, which the loader never needs), and faults for
-//! distinct pages in one pool stripe overlap. Tree code needs no
-//! special cases for these `Loading` frames — `get_many`'s per-leaf
-//! batches and the write paths' leaf-run accesses simply come back with
-//! the page once it publishes — but it can rely on cold batched reads
-//! not serializing per stripe, and on a storm of descents through the
-//! same cold interior page costing one disk read.
+//! A request for a page another thread is still loading parks on that
+//! frame, holding at most the structure lock's read side, which the
+//! loader never needs; tree code has no special case for it.
 //!
 //! Every lock above sits in the workspace lock-order lattice
-//! (`CONCURRENCY.md` at the repo root): structure at rank 30, leaf
-//! latches at 40 — deliberately *not* re-entrant, so the rank checker
-//! enforces the one-leaf-latch-at-a-time crabbing promise — and the
-//! tree's frame-nested state (invalidation log, promotion RNG) above
-//! the pool's frame rank. Debug test runs verify the whole order at
-//! runtime; `cargo run -p nbb-lint` verifies no lock escapes it.
+//! (`CONCURRENCY.md` at the repo root): intents at ranks 20 and 25,
+//! structure at rank 30, and the tree's frame-nested state
+//! (invalidation log, promotion RNG) above the pool's frame rank. Debug
+//! test runs verify the whole order at runtime; `cargo run -p nbb-lint`
+//! verifies no lock escapes it.
 
 use crate::cache::{CacheConfig, CacheView, CacheViewMut, StoreOutcome, CACHE_CAP_UNLIMITED};
 use crate::intents::{KeyIntents, DEFAULT_INTENT_STRIPES};
@@ -94,46 +66,16 @@ use nbb_storage::buffer::BufferPool;
 use nbb_storage::error::{Result, StorageError};
 use nbb_storage::lockrank;
 use nbb_storage::page::PageId;
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, RwLock};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::ops::{Bound, ControlFlow};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+mod read;
 mod write;
 
-/// Stripes in the per-leaf latch table. Collisions between distinct
-/// leaves only cost parallelism, never correctness, so a modest fixed
-/// count suffices — it bounds writer fan-out the way pool shards bound
-/// reader fan-out.
-const LEAF_LATCH_STRIPES: usize = 64;
-
-/// Striped per-leaf write latches (the "per-leaf latching" ROADMAP
-/// item). A writer holds the latch of the one leaf it mutates for the
-/// duration of its leaf-local work; writers on other leaves proceed in
-/// parallel. Readers never touch these — the buffer pool's frame
-/// latches give them consistent per-page views. Deadlock discipline: a
-/// thread holds at most one leaf latch at a time, acquired only while
-/// holding the structure lock's read side (never its write side), so
-/// the only lock order is structure → leaf → frame.
-struct LeafLatches {
-    stripes: Box<[Mutex<()>]>,
-}
-
-impl LeafLatches {
-    fn new() -> Self {
-        LeafLatches {
-            stripes: (0..LEAF_LATCH_STRIPES)
-                .map(|_| Mutex::with_rank(lockrank::LEAF_LATCH, ()))
-                .collect(),
-        }
-    }
-
-    fn lock(&self, leaf: PageId) -> MutexGuard<'_, ()> {
-        self.stripes[(leaf.0 % self.stripes.len() as u64) as usize].lock()
-    }
-}
+pub use read::{CachedLookup, RangeBuf, RangeChunk};
 
 /// Tree construction options.
 #[derive(Debug, Clone, Default)]
@@ -191,8 +133,8 @@ pub struct WriteStats {
     pub batches: u64,
     /// Keys across those batches.
     pub keys: u64,
-    /// Leaf groups processed — one descent plus one leaf-latch
-    /// acquisition each.
+    /// Leaf groups processed — one descent plus one exclusive page
+    /// access (the leaf's frame write latch, taken once) each.
     pub leaf_groups: u64,
     /// Runs that hit a full leaf and escalated to the exclusive
     /// structure lock (where splits happen).
@@ -248,72 +190,6 @@ pub struct InvToken {
     newest_seq: u64,
 }
 
-/// Result of a cache-aware point lookup.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CachedLookup {
-    /// The value stored for the key (tuple pointer), if the key exists.
-    pub value: Option<u64>,
-    /// The cached payload, present on a cache hit.
-    pub payload: Option<Vec<u8>>,
-    /// The leaf that owns the key — pass to [`BTree::cache_populate`].
-    pub leaf: PageId,
-    /// Consistency token for populating after a heap fetch.
-    pub token: InvToken,
-}
-
-/// Caller-owned row buffers [`BTree::range_chunk`] appends to, so a
-/// scan allocates per refill, not per row: entry `i`'s key is
-/// `keys[i * key_size..][..key_size]`, its value (tuple pointer)
-/// `values[i]`.
-#[derive(Debug, Clone, Default)]
-pub struct RangeBuf {
-    /// The index keys, `key_size` bytes each.
-    pub keys: Vec<u8>,
-    /// The stored values.
-    pub values: Vec<u64>,
-    /// Probing scans only: one `payload_size` slot per entry — the
-    /// cached fields from leaf free space where `cached[i]`, zeros
-    /// (for the caller to fill) elsewhere.
-    pub payloads: Vec<u8>,
-    /// Probing scans only: whether entry `i`'s slot holds a cached,
-    /// valid payload.
-    pub cached: Vec<bool>,
-}
-
-impl RangeBuf {
-    /// Empties every buffer, keeping the allocations.
-    pub fn clear(&mut self) {
-        self.keys.clear();
-        self.values.clear();
-        self.payloads.clear();
-        self.cached.clear();
-    }
-}
-
-/// One leaf's worth of an ordered range scan (see
-/// [`BTree::range_chunk`]).
-#[derive(Debug, Clone, Copy)]
-pub struct RangeChunk {
-    /// In-range entries appended to the caller's [`RangeBuf`],
-    /// ascending by key. Zero only when `exhausted`.
-    pub len: usize,
-    /// The leaf the entries came from — pass to
-    /// [`BTree::cache_populate`] together with `token` after a heap
-    /// chase, so scans warm the cache like point lookups do.
-    pub leaf: PageId,
-    /// Consistency token issued before the leaf was read.
-    pub token: InvToken,
-    /// Keys the leaf holds in total, in range or not — the divisor for
-    /// "how many more leaves does a row budget span" (`len` undercounts
-    /// a leaf the scan entered part-way).
-    pub leaf_keys: usize,
-    /// True once the scan passed the upper bound or the leaf chain
-    /// ended; no further chunk will yield entries. Never true for a
-    /// chunk cut at `max`: the cut is only made in front of an in-range
-    /// entry.
-    pub exhausted: bool,
-}
-
 /// A disk-style B+Tree with fixed-width keys and `u64` values.
 pub struct BTree {
     pool: Arc<BufferPool>,
@@ -323,8 +199,6 @@ pub struct BTree {
     /// snapshot the root and protect the shape with a single shared
     /// acquisition.
     root: RwLock<PageId>,
-    /// Per-leaf write latches; see the module docs' crabbing discipline.
-    latches: LeafLatches,
     /// Key-level write intents for the logical write paths layered
     /// above the tree; see [`BTree::intents`].
     intents: KeyIntents,
@@ -343,14 +217,13 @@ pub struct BTree {
 }
 
 impl BTree {
-    /// A tree over `pool` with its root at `root`: fresh latch and intent
-    /// tables, invalidation epoch and counters.
+    /// A tree over `pool` with its root at `root`: fresh intent table,
+    /// invalidation epoch and counters.
     fn rooted_at(pool: Arc<BufferPool>, key_size: usize, root: PageId, opts: BTreeOptions) -> Self {
         let threshold = opts.cache.map(|c| c.log_threshold).unwrap_or(64);
         BTree {
             pool,
             key_size,
-            latches: LeafLatches::new(),
             intents: KeyIntents::new(DEFAULT_INTENT_STRIPES),
             root: RwLock::with_rank(lockrank::TREE_STRUCTURE, root),
             inv: InvalidationState::new(threshold),
@@ -407,7 +280,7 @@ impl BTree {
         // Fresh epoch strictly above every persisted CSNp, so cache
         // bytes surviving on disk can never false-validate.
         let mut max_csn = 0u64;
-        tree.for_each_leaf(|n| max_csn = max_csn.max(n.csn()))?;
+        tree.for_each_leaf(root, |n| max_csn = max_csn.max(n.csn()))?;
         tree.inv.advance_epoch_beyond(max_csn);
         Ok(tree)
     }
@@ -569,307 +442,6 @@ impl BTree {
         Ok(order)
     }
 
-    /// Descends from `root` to the leaf owning `key`. The caller must
-    /// hold the structure lock (either side) so the path cannot change
-    /// underfoot.
-    fn find_leaf(&self, root: PageId, key: &[u8]) -> Result<PageId> {
-        let mut cur = root;
-        loop {
-            let next = self.pool.with_page(cur, |p| {
-                let n = Node::new(p, self.key_size);
-                if n.is_leaf() {
-                    None
-                } else {
-                    Some(n.child_for(key))
-                }
-            })?;
-            match next {
-                Some(child) => cur = child,
-                None => return Ok(cur),
-            }
-        }
-    }
-
-    /// Point lookup without cache interaction. Thin wrapper over a
-    /// one-key [`BTree::get_many`].
-    pub fn get(&self, key: &[u8]) -> Result<Option<u64>> {
-        Ok(self.get_many(&[key])?.pop().flatten())
-    }
-
-    /// Batched point lookup; results are indexed like `keys`.
-    ///
-    /// The whole batch shares **one** structure-lock acquisition and is
-    /// processed in sorted key order, so every key that resolves in the
-    /// same leaf shares a single page visit: N lookups over a hot key
-    /// set cost roughly one descent per *distinct leaf* instead of N
-    /// full root-to-leaf descents with N lock round-trips.
-    pub fn get_many<K: AsRef<[u8]>>(&self, keys: &[K]) -> Result<Vec<Option<u64>>> {
-        let order = self.sorted_positions(keys.len(), |i| keys[i].as_ref())?;
-        let mut out: Vec<Option<u64>> = vec![None; keys.len()];
-        let root = self.root.read();
-        let mut i = 0;
-        while i < order.len() {
-            let leaf = self.find_leaf(*root, keys[order[i]].as_ref())?;
-            let consumed = self.pool.with_page(leaf, |p| {
-                let n = Node::new(p, self.key_size);
-                let mut c = 0;
-                while i + c < order.len() {
-                    let key = keys[order[i + c]].as_ref();
-                    match n.search(key) {
-                        Ok(j) => out[order[i + c]] = Some(n.value_at(j)),
-                        // Past the last key: only the key that was
-                        // routed here (c == 0) is definitively absent;
-                        // later keys may belong to a sibling, so the
-                        // outer loop re-descends for them.
-                        Err(j) if j >= n.nkeys() => {
-                            if c == 0 {
-                                c = 1;
-                            }
-                            break;
-                        }
-                        Err(_) => {} // strictly inside the leaf: absent
-                    }
-                    c += 1;
-                }
-                c
-            })?;
-            i += consumed;
-        }
-        Ok(out)
-    }
-
-    /// Visits `(key, value)` pairs in ascending key order starting at the
-    /// first key ≥ `start`; stops when `f` returns false.
-    pub fn scan_from(&self, start: &[u8], mut f: impl FnMut(&[u8], u64) -> bool) -> Result<()> {
-        self.check_key(start)?;
-        let root = self.root.read();
-        let mut leaf = self.find_leaf(*root, start)?;
-        let mut first_page = true;
-        loop {
-            let (cont, next) = self.pool.with_page(leaf, |p| {
-                let n = Node::new(p, self.key_size);
-                let from = if first_page {
-                    match n.search(start) {
-                        Ok(i) | Err(i) => i,
-                    }
-                } else {
-                    0
-                };
-                for i in from..n.nkeys() {
-                    if !f(n.key_at(i), n.value_at(i)) {
-                        return (false, PageId::INVALID);
-                    }
-                }
-                (true, n.next_leaf())
-            })?;
-            if !cont || !next.is_valid() {
-                return Ok(());
-            }
-            first_page = false;
-            leaf = next;
-        }
-    }
-
-    /// Reads one ordered chunk of a range scan: appends to `out` the
-    /// entries of the first leaf intersecting `(lower, upper)`, at most
-    /// `max` (≥ 1) of them. With `probe`, each entry is also looked up
-    /// in the leaf's §2.1 cache and gets a payload slot; a full-tuple
-    /// scan, which chases every row anyway, passes `false` and touches
-    /// neither the cache nor its counters.
-    ///
-    /// The structure lock is held only for the duration of this call —
-    /// a cursor that advances its lower bound past the last returned
-    /// key between calls observes a consistent, ascending sequence even
-    /// when leaves split mid-iteration, because each refill re-descends
-    /// by *key*, never by a remembered sibling pointer.
-    ///
-    /// Leaves that contribute nothing (all keys below `lower`) are
-    /// skipped via the sibling chain under the same lock acquisition.
-    /// `exhausted` is true once `upper` was passed or the leaf chain
-    /// ended. Cache hits are **not** promoted: a scan touching every
-    /// entry carries no per-key popularity signal, so it must not churn
-    /// the stable point that point lookups organize.
-    pub fn range_chunk(
-        &self,
-        lower: Bound<&[u8]>,
-        upper: Bound<&[u8]>,
-        max: usize,
-        probe: bool,
-        out: &mut RangeBuf,
-    ) -> Result<RangeChunk> {
-        for b in [&lower, &upper] {
-            if let Bound::Included(k) | Bound::Excluded(k) = b {
-                self.check_key(k)?;
-            }
-        }
-        let cfg = self.opts.cache.filter(|_| probe);
-        let (max, slot) = (max.max(1), cfg.map_or(0, |c| c.payload_size));
-        let root = self.root.read();
-        let mut leaf = match lower {
-            Bound::Included(k) | Bound::Excluded(k) => self.find_leaf(*root, k)?,
-            Bound::Unbounded => self.first_leaf_from(*root)?,
-        };
-        loop {
-            let token = InvToken { csn: self.inv.csn(), newest_seq: self.inv.newest_seq() };
-            let (len, hits, verdict, ended, next, leaf_keys) = self.pool.with_page(leaf, |p| {
-                let n = Node::new(p, self.key_size);
-                let verdict = cfg.map(|_| {
-                    let range = n.first_key().zip(n.last_key());
-                    self.inv.check_page(n.csn(), n.log_watermark(), range)
-                });
-                let view = cfg
-                    .as_ref()
-                    .filter(|_| verdict.is_some_and(|v| v.cache_valid))
-                    .map(|c| CacheView::new_capped(p, self.key_size, c, self.cache_cap_bytes()));
-                let from = match lower {
-                    Bound::Included(k) => match n.search(k) {
-                        Ok(i) | Err(i) => i,
-                    },
-                    Bound::Excluded(k) => match n.search(k) {
-                        Ok(i) => i + 1,
-                        Err(i) => i,
-                    },
-                    Bound::Unbounded => 0,
-                };
-                let (mut len, mut hits) = (0usize, 0u64);
-                // `None` = the leaf ran out; `Some(past_upper)` = the
-                // walk stopped in front of an entry.
-                let mut ended = None;
-                for i in from..n.nkeys() {
-                    let key = n.key_at(i);
-                    let in_range = match upper {
-                        Bound::Included(u) => key <= u,
-                        Bound::Excluded(u) => key < u,
-                        Bound::Unbounded => true,
-                    };
-                    if !in_range || len == max {
-                        ended = Some(!in_range);
-                        break;
-                    }
-                    let value = n.value_at(i);
-                    out.keys.extend_from_slice(key);
-                    out.values.push(value);
-                    if probe {
-                        let hit = view.as_ref().and_then(|vw| vw.probe(Self::tuple_id(value)));
-                        match hit {
-                            Some((_, payload)) => out.payloads.extend_from_slice(payload),
-                            None => out.payloads.resize(out.payloads.len() + slot, 0),
-                        }
-                        out.cached.push(hit.is_some());
-                        hits += u64::from(hit.is_some());
-                    }
-                    len += 1;
-                }
-                (len, hits, verdict, ended, n.next_leaf(), n.nkeys())
-            })?;
-            if let Some(verdict) = &verdict {
-                self.apply_verdict(leaf, verdict)?;
-            }
-            if cfg.is_some() {
-                self.stats.lookups.fetch_add(len as u64, Ordering::Relaxed);
-                self.stats.hits.fetch_add(hits, Ordering::Relaxed);
-                self.stats.misses.fetch_add(len as u64 - hits, Ordering::Relaxed);
-            }
-            let exhausted = ended.unwrap_or(!next.is_valid());
-            if len > 0 || exhausted {
-                return Ok(RangeChunk { len, leaf, token, leaf_keys, exhausted });
-            }
-            leaf = next;
-        }
-    }
-
-    /// Runs `f` over the node that routes `key` (`None` = the leftmost
-    /// path) to its leaf — the level-1 node, or the root when the root
-    /// is a leaf — under the structure read lock, reading no leaf.
-    fn with_leaf_parent<R>(
-        &self,
-        key: Option<&[u8]>,
-        f: impl Fn(PageId, Node<'_>) -> R,
-    ) -> Result<R> {
-        let root = self.root.read();
-        let mut cur = *root;
-        loop {
-            let step = self.pool.with_page(cur, |p| {
-                let n = Node::new(p, self.key_size);
-                match (n.level(), key) {
-                    (0 | 1, _) => ControlFlow::Break(f(cur, n)),
-                    (_, Some(key)) => ControlFlow::Continue(n.child_for(key)),
-                    (_, None) => ControlFlow::Continue(n.leftmost_child()),
-                }
-            })?;
-            match step {
-                ControlFlow::Break(r) => return Ok(r),
-                ControlFlow::Continue(child) => cur = child,
-            }
-        }
-    }
-
-    /// The leaf a scan from `lower` reads first, named off its level-1
-    /// parent **without reading it**, so a cursor — or a group of them —
-    /// can fault first leaves in one batched read before walking them
-    /// with [`BTree::range_chunk`]. Like [`BTree::leaves_after`], the id
-    /// is exact when read and at worst one unneeded read once stale.
-    pub fn leaf_for(&self, lower: Bound<&[u8]>) -> Result<PageId> {
-        let key = match lower {
-            Bound::Included(k) | Bound::Excluded(k) => Some(k),
-            Bound::Unbounded => None,
-        };
-        key.map_or(Ok(()), |k| self.check_key(k))?;
-        self.with_leaf_parent(key, |id, n| match key {
-            _ if n.is_leaf() => id,
-            Some(k) => n.child_for(k),
-            None => n.leftmost_child(),
-        })
-    }
-
-    /// Up to `k` leaves that follow the leaf owning `key`, in key order
-    /// — what a range cursor batch-faults before walking them with
-    /// [`BTree::range_chunk`].
-    ///
-    /// The ids are **exact**, not guessed: they are read off the
-    /// level-1 node that routes `key`, under the structure read lock,
-    /// stopping at the first child whose separator lies past `upper`
-    /// (a scan bounded there never visits it). The list never crosses
-    /// that parent — near its last child it yields fewer than `k` ids,
-    /// possibly none, and the cursor asks again from the next leaf it
-    /// reads. A tree whose root is a leaf has nothing to follow. The
-    /// ids may go stale once the lock is released (a split adds a leaf
-    /// between two of them); a stale id still names a live leaf, so
-    /// faulting it is at worst one unneeded read, and the walk itself
-    /// goes by key.
-    pub fn leaves_after(&self, key: &[u8], upper: Bound<&[u8]>, k: usize) -> Result<Vec<PageId>> {
-        self.check_key(key)?;
-        self.with_leaf_parent(Some(key), |_, n| {
-            if n.is_leaf() {
-                return Vec::new();
-            }
-            // Child `i` holds the keys from separator `i` up; the
-            // leftmost child sits before child 0.
-            let from = match n.search(key) {
-                Ok(i) => i + 1,
-                Err(i) => i,
-            };
-            let within = |i: &usize| match upper {
-                Bound::Included(u) => n.key_at(*i) <= u,
-                Bound::Excluded(u) => n.key_at(*i) < u,
-                Bound::Unbounded => true,
-            };
-            (from..n.nkeys()).take(k).take_while(within).map(|i| PageId(n.value_at(i))).collect()
-        })
-    }
-
-    /// Number of keys in the tree (walks every leaf).
-    pub fn len(&self) -> Result<usize> {
-        let mut n = 0usize;
-        self.for_each_leaf(|node| n += node.nkeys())?;
-        Ok(n)
-    }
-
-    /// True when the tree holds no keys.
-    pub fn is_empty(&self) -> Result<bool> {
-        Ok(self.len()? == 0)
-    }
-
     // ---------------------------------------------------------------
     // Index cache protocol (§2.1)
     // ---------------------------------------------------------------
@@ -879,201 +451,6 @@ impl BTree {
     #[inline]
     fn tuple_id(value: u64) -> u64 {
         value.wrapping_add(1)
-    }
-
-    /// Cache-aware point lookup. On a hit, `payload` carries the cached
-    /// fields and the entry is promoted toward the stable point. On a
-    /// miss, fetch the tuple from the heap and call
-    /// [`BTree::cache_populate`] with the returned leaf and token. Thin
-    /// wrapper over a one-key [`BTree::lookup_cached_many`].
-    pub fn lookup_cached(&self, key: &[u8]) -> Result<CachedLookup> {
-        let mut r = self.lookup_cached_many(&[key])?;
-        // nbb-lint: allow(unwrap, lookup_cached_many returns one result per input key)
-        Ok(r.pop().expect("one key in, one result out"))
-    }
-
-    /// Batched cache-aware point lookup; results are indexed like
-    /// `keys`.
-    ///
-    /// Like [`BTree::get_many`], the batch shares one structure-lock
-    /// acquisition and one page visit per distinct leaf — and on top of
-    /// that, cache work is amortized per leaf instead of per key: the
-    /// invalidation verdict is checked once per leaf, and every cache
-    /// hit in a leaf is promoted under a **single** try-latch
-    /// acquisition (N hot hits in one leaf cost one latch round-trip,
-    /// not N).
-    ///
-    /// Each returned [`CachedLookup`] is populate-ready: misses carry
-    /// the owning leaf and a consistency token for
-    /// [`BTree::cache_populate`].
-    pub fn lookup_cached_many<K: AsRef<[u8]>>(&self, keys: &[K]) -> Result<Vec<CachedLookup>> {
-        let order = self.sorted_positions(keys.len(), |i| keys[i].as_ref())?;
-        let mut out: Vec<Option<CachedLookup>> = (0..keys.len()).map(|_| None).collect();
-        let cfg = self.opts.cache;
-        let root = self.root.read();
-        let mut i = 0;
-        while i < order.len() {
-            let token = InvToken { csn: self.inv.csn(), newest_seq: self.inv.newest_seq() };
-            let leaf = self.find_leaf(*root, keys[order[i]].as_ref())?;
-
-            /// One batch key resolved in the leaf, with its cache probe.
-            struct Found {
-                pos: usize,
-                value: u64,
-                probe: Option<(usize, Vec<u8>)>,
-            }
-            struct Group {
-                consumed: usize,
-                found: Vec<Found>,
-                absent: Vec<usize>,
-                verdict: Option<crate::invalidation::PageVerdict>,
-            }
-            let g = self.pool.with_page(leaf, |p| {
-                let n = Node::new(p, self.key_size);
-                let verdict = cfg.map(|_| {
-                    let range = n.first_key().zip(n.last_key());
-                    self.inv.check_page(n.csn(), n.log_watermark(), range)
-                });
-                let cache_valid = verdict.is_some_and(|v| v.cache_valid);
-                let view = cfg
-                    .as_ref()
-                    .map(|c| CacheView::new_capped(p, self.key_size, c, self.cache_cap_bytes()));
-                let mut g = Group { consumed: 0, found: Vec::new(), absent: Vec::new(), verdict };
-                while i + g.consumed < order.len() {
-                    let pos = order[i + g.consumed];
-                    match n.search(keys[pos].as_ref()) {
-                        Ok(j) => {
-                            let v = n.value_at(j);
-                            let probe = if cache_valid {
-                                view.as_ref().and_then(|vw| {
-                                    vw.probe(Self::tuple_id(v)).map(|(s, pl)| (s, pl.to_vec()))
-                                })
-                            } else {
-                                None
-                            };
-                            g.found.push(Found { pos, value: v, probe });
-                        }
-                        Err(j) if j >= n.nkeys() => {
-                            if g.consumed == 0 {
-                                g.absent.push(pos);
-                                g.consumed = 1;
-                            }
-                            break;
-                        }
-                        Err(_) => g.absent.push(pos),
-                    }
-                    g.consumed += 1;
-                }
-                g
-            })?;
-
-            if let Some(verdict) = &g.verdict {
-                self.apply_verdict(leaf, verdict)?;
-            }
-
-            let hits: Vec<(usize, u64)> = g
-                .found
-                .iter()
-                .filter_map(|f| f.probe.as_ref().map(|(slot, _)| (*slot, f.value)))
-                .collect();
-            // Stats only meter the cache protocol: a cache-less tree
-            // records nothing.
-            if cfg.is_some() {
-                self.stats.lookups.fetch_add(g.found.len() as u64, Ordering::Relaxed);
-                self.stats.hits.fetch_add(hits.len() as u64, Ordering::Relaxed);
-                self.stats.misses.fetch_add((g.found.len() - hits.len()) as u64, Ordering::Relaxed);
-            }
-            if !hits.is_empty() {
-                // All of this leaf's promotions ride one latch attempt.
-                let promoted = self.pool.with_page_cache_write(leaf, |p| {
-                    // nbb-lint: allow(unwrap, hits are only collected when a cache config exists)
-                    let cfg = cfg.as_ref().expect("hits imply cache config");
-                    let mut rng = self.rng.lock();
-                    let mut n = NodeMut::new(p, self.key_size);
-                    let mut done = 0u64;
-                    for (slot, v) in &hits {
-                        // promote re-verifies the slot still holds the
-                        // entry, so earlier swaps cannot misdirect it.
-                        if CacheViewMut::new_capped(
-                            n.page_mut(),
-                            self.key_size,
-                            cfg,
-                            self.cache_cap_bytes(),
-                        )
-                        .promote(*slot, Self::tuple_id(*v), &mut *rng)
-                        .is_some()
-                        {
-                            done += 1;
-                        }
-                    }
-                    done
-                })?;
-                match promoted {
-                    Some(done) => {
-                        self.stats.promotions.fetch_add(done, Ordering::Relaxed);
-                    }
-                    None => {
-                        self.stats.latch_giveups.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-
-            for f in g.found {
-                out[f.pos] = Some(CachedLookup {
-                    value: Some(f.value),
-                    payload: f.probe.map(|(_, pl)| pl),
-                    leaf,
-                    token,
-                });
-            }
-            for pos in g.absent {
-                out[pos] = Some(CachedLookup { value: None, payload: None, leaf, token });
-            }
-            i += g.consumed;
-        }
-        // nbb-lint: allow(unwrap, the group loop visits every key exactly once)
-        Ok(out.into_iter().map(|c| c.expect("every key visited")).collect())
-    }
-
-    /// Performs the cache bookkeeping a leaf-read verdict demands:
-    /// zeroes the page cache on a predicate match, and advances the
-    /// predicate-log watermark so pending entries are not rescanned.
-    /// Both writes use the non-dirtying try-latch path and are simply
-    /// skipped under contention (§2.1.3).
-    fn apply_verdict(
-        &self,
-        leaf: PageId,
-        verdict: &crate::invalidation::PageVerdict,
-    ) -> Result<()> {
-        let Some(cfg) = self.opts.cache else { return Ok(()) };
-        if verdict.must_zero {
-            self.stats.zeroings.fetch_add(1, Ordering::Relaxed);
-            let wm = verdict.advance_watermark_to;
-            let wrote = self.pool.with_page_cache_write(leaf, |p| {
-                let mut n = NodeMut::new(p, self.key_size);
-                if let Some(wm) = wm {
-                    if wm > n.as_ref().log_watermark() {
-                        n.set_log_watermark(wm);
-                    }
-                }
-                CacheViewMut::new_capped(n.page_mut(), self.key_size, &cfg, self.cache_cap_bytes())
-                    .zero();
-            })?;
-            if wrote.is_none() {
-                self.stats.latch_giveups.fetch_add(1, Ordering::Relaxed);
-            }
-        } else if let Some(wm) = verdict.advance_watermark_to {
-            let wrote = self.pool.with_page_cache_write(leaf, |p| {
-                let mut n = NodeMut::new(p, self.key_size);
-                if wm > n.as_ref().log_watermark() {
-                    n.set_log_watermark(wm);
-                }
-            })?;
-            if wrote.is_none() {
-                self.stats.latch_giveups.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Ok(())
     }
 
     /// Stores the payload fetched from the heap after a cache miss.
@@ -1205,101 +582,6 @@ impl BTree {
     // Introspection
     // ---------------------------------------------------------------
 
-    /// Tree height (1 = root is a leaf).
-    pub fn height(&self) -> Result<usize> {
-        let root = self.root.read();
-        let mut h = 1;
-        let mut cur = *root;
-        loop {
-            let next = self.pool.with_page(cur, |p| {
-                let n = Node::new(p, self.key_size);
-                if n.is_leaf() {
-                    None
-                } else {
-                    Some(n.leftmost_child())
-                }
-            })?;
-            match next {
-                Some(c) => {
-                    h += 1;
-                    cur = c;
-                }
-                None => return Ok(h),
-            }
-        }
-    }
-
-    /// Leftmost leaf page.
-    pub fn first_leaf(&self) -> Result<PageId> {
-        let root = self.root.read();
-        self.first_leaf_from(*root)
-    }
-
-    /// Leftmost-leaf descent; the caller holds the structure lock.
-    fn first_leaf_from(&self, root: PageId) -> Result<PageId> {
-        let mut cur = root;
-        loop {
-            let next = self.pool.with_page(cur, |p| {
-                let n = Node::new(p, self.key_size);
-                if n.is_leaf() {
-                    None
-                } else {
-                    Some(n.leftmost_child())
-                }
-            })?;
-            match next {
-                Some(c) => cur = c,
-                None => return Ok(cur),
-            }
-        }
-    }
-
-    /// Visits every leaf under the structure lock's read side.
-    fn for_each_leaf(&self, f: impl FnMut(Node<'_>)) -> Result<()> {
-        let root = self.root.read();
-        self.for_each_leaf_from(*root, f)
-    }
-
-    /// Leaf-chain walk; the caller holds the structure lock. Every page
-    /// visited must carry the node magic: a sibling pointer into an
-    /// unformatted page is `Corrupt`, not a zeroed "leaf" whose own
-    /// sibling pointer is page 0 again.
-    fn for_each_leaf_from(&self, root: PageId, mut f: impl FnMut(Node<'_>)) -> Result<()> {
-        let mut leaf = self.first_leaf_from(root)?;
-        loop {
-            let next = self.pool.with_page(leaf, |p| {
-                Node::checked(p, leaf, self.key_size).map(|n| {
-                    f(n);
-                    n.next_leaf()
-                })
-            })??;
-            if !next.is_valid() {
-                return Ok(());
-            }
-            leaf = next;
-        }
-    }
-
-    /// Aggregate index statistics: leaves, total keys, mean fill factor,
-    /// total/occupied cache slots.
-    pub fn index_stats(&self) -> Result<IndexStats> {
-        let mut s = IndexStats::default();
-        let cfg = self.opts.cache;
-        let cap_bytes = self.cache_cap_bytes();
-        self.for_each_leaf(|n| {
-            s.leaf_pages += 1;
-            s.keys += n.nkeys();
-            s.fill_sum += n.fill_factor();
-            s.free_bytes += n.free_bytes();
-            if let Some(cfg) = cfg.as_ref() {
-                let v = CacheView::new_from_node_capped(&n, cfg, cap_bytes);
-                s.cache_slots += v.capacity();
-                s.cache_occupied += v.occupied();
-            }
-        })?;
-        Ok(s)
-    }
-
     /// Verifies structural invariants; returns a description of the first
     /// violation. Intended for tests.
     pub fn check_invariants(&self) -> Result<std::result::Result<(), String>> {
@@ -1313,7 +595,7 @@ impl BTree {
         // Leaf chain must be ascending and cover all leaves.
         let mut prev_last: Option<Vec<u8>> = None;
         let mut chain_ok = Ok(());
-        self.for_each_leaf_from(root, |n| {
+        self.for_each_leaf(root, |n| {
             if chain_ok.is_err() {
                 return;
             }

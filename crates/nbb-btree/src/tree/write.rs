@@ -45,8 +45,8 @@ impl BTree {
     /// value when overwriting) are indexed like `entries`.
     ///
     /// The write analogue of [`BTree::get_many`], through the leaf-run
-    /// walker: one descent, one leaf-latch acquisition and one
-    /// exclusive page access per **distinct leaf** instead of per key.
+    /// walker: one descent and one exclusive page access per **distinct
+    /// leaf** instead of per key.
     /// A run that fills its leaf escalates just that key to the
     /// structure lock's write side (splitting as needed) and resumes
     /// the fast path for the rest of the batch.
@@ -120,18 +120,19 @@ impl BTree {
     }
 
     /// The leaf-run walker: every leaf mutation outside a split goes
-    /// through here, and this is the only place a leaf latch is taken.
+    /// through here.
     ///
     /// `order` holds the batch's positions sorted by key (`key_of` maps
     /// a position to its key). The walker crabs under the structure
     /// lock's read side, releasing it every [`RUNS_PER_GUARD`] runs so
     /// an arbitrarily large batch cannot stall an escalating writer for
     /// its whole length. Per run: one descent names the leaf and how
-    /// many of the remaining keys it owns ([`BTree::locate_run`]), the
-    /// leaf's latch is taken, and `leaf_op` is applied to each key of
-    /// the run inside **one** exclusive page access. A key whose op
-    /// reports [`LeafWrite::Full`] ends the run: with the guard and the
-    /// latch dropped it is inserted under the exclusive structure lock
+    /// many of the remaining keys it owns ([`BTree::locate_run`]), and
+    /// `leaf_op` is applied to each key of the run inside **one**
+    /// `with_page_mut` closure, whose frame write latch is the whole
+    /// leaf-local critical section (module docs). A key whose op
+    /// reports [`LeafWrite::Full`] ends the run: with the page and the
+    /// guard released it is inserted under the exclusive structure lock
     /// ([`BTree::insert_escalated`]), and the walk resumes after it.
     /// Returns each key's previous value, indexed by position; a
     /// non-empty call is one batch in [`super::WriteStats`].
@@ -156,7 +157,6 @@ impl BTree {
                 while i < order.len() && runs < RUNS_PER_GUARD && full.is_none() {
                     runs += 1;
                     let (leaf, run) = self.locate_run(*root, &key_of, &order[i..])?;
-                    let _latch = self.latches.lock(leaf);
                     self.wstats.leaf_groups.fetch_add(1, Ordering::Relaxed);
                     let verdicts = self.pool.with_page_mut(leaf, |p| {
                         let mut n = NodeMut::new(p, self.key_size);
@@ -201,75 +201,25 @@ impl BTree {
         self.inv.invalidate(key, Self::tuple_id(old));
     }
 
-    /// Like [`BTree::find_leaf`], but also returns the tightest routing
-    /// upper bound collected along the descent: every key strictly
-    /// below the bound is owned by the returned leaf (`None` = the
-    /// rightmost leaf, which owns everything above its separator). This
-    /// is what lets the batched write paths consume a whole sorted run
-    /// of keys per descent without guessing at leaf boundaries. The
-    /// caller must hold the structure lock (either side).
-    fn find_leaf_bounded(&self, root: PageId, key: &[u8]) -> Result<(PageId, Option<Vec<u8>>)> {
-        let mut cur = root;
-        let mut upper: Option<Vec<u8>> = None;
-        loop {
-            let next = self.pool.with_page(cur, |p| {
-                let n = Node::new(p, self.key_size);
-                if n.is_leaf() {
-                    return None;
-                }
-                // child_for(), inlined to also capture the separator
-                // immediately above the taken child — the tightest
-                // bound at this level (a child's subtree bound is
-                // always <= its ancestors', so innermost wins).
-                let (child, bound) = match n.search(key) {
-                    Ok(i) => (
-                        PageId(n.value_at(i)),
-                        (i + 1 < n.nkeys()).then(|| n.key_at(i + 1).to_vec()),
-                    ),
-                    Err(0) => (n.leftmost_child(), n.first_key().map(<[u8]>::to_vec)),
-                    Err(i) => {
-                        (PageId(n.value_at(i - 1)), (i < n.nkeys()).then(|| n.key_at(i).to_vec()))
-                    }
-                };
-                Some((child, bound))
-            })?;
-            match next {
-                Some((child, bound)) => {
-                    if bound.is_some() {
-                        upper = bound;
-                    }
-                    cur = child;
-                }
-                None => return Ok((cur, upper)),
-            }
-        }
-    }
-
     /// Descends to the leaf owning the first key of `tail` (the sorted
     /// remainder of a batch's order vector; `key_of` maps an order
     /// entry to its key) and returns how many of `tail`'s leading keys
-    /// that leaf owns. Single-key tails skip the bound bookkeeping.
+    /// that leaf owns: those strictly below the tightest separator the
+    /// descent passed (all of them on the rightmost path) — what lets a
+    /// whole sorted run be consumed per descent without guessing at
+    /// leaf boundaries. Single-key tails skip the bound bookkeeping.
     fn locate_run<'k>(
         &self,
         root: PageId,
         key_of: impl Fn(usize) -> &'k [u8],
         tail: &[usize],
     ) -> Result<(PageId, usize)> {
-        let first = key_of(tail[0]);
-        if tail.len() == 1 {
-            return Ok((self.find_leaf(root, first)?, 1));
-        }
-        let (leaf, upper) = self.find_leaf_bounded(root, first)?;
-        let run = match upper {
-            Some(ub) => {
-                let mut e = 1;
-                while e < tail.len() && key_of(tail[e]) < ub.as_slice() {
-                    e += 1;
-                }
-                e
-            }
-            None => tail.len(),
-        };
+        let mut upper = None;
+        let bound = (tail.len() > 1).then_some(&mut upper);
+        let leaf = self.descend(root, Some(key_of(tail[0])), 0, bound)?;
+        let run = upper.map_or(tail.len(), |ub| {
+            1 + tail[1..].iter().take_while(|&&pos| key_of(pos) < ub.as_slice()).count()
+        });
         Ok((leaf, run))
     }
 

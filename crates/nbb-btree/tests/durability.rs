@@ -115,13 +115,7 @@ fn open_rejects_garbage_root() {
     // itself — so an unchecked open walks that chain forever once debug
     // asserts are off. The magic is checked for real in every profile.
     let pid = pool.new_page().unwrap();
-    match BTree::open(pool, 8, pid, BTreeOptions::default()) {
-        Err(StorageError::Corrupt(msg)) => {
-            assert!(msg.contains(&format!("page {pid}")), "the error names the page: {msg}")
-        }
-        Err(e) => panic!("expected Corrupt, got {e}"),
-        Ok(_) => panic!("a zeroed page opened as a tree"),
-    }
+    assert_corrupt_naming("open", BTree::open(pool, 8, pid, BTreeOptions::default()), &[pid]);
 }
 
 #[test]
@@ -138,11 +132,92 @@ fn open_rejects_a_leaf_chain_that_runs_into_an_unformatted_page() {
     // nobody ever formatted.
     let stray = pool.new_page().unwrap();
     pool.with_page_mut(root, |p| NodeMut::new(p, 8).set_next_leaf(stray)).unwrap();
-    match BTree::open(pool, 8, root, BTreeOptions::default()) {
-        Err(StorageError::Corrupt(msg)) => {
-            assert!(msg.contains(&format!("page {stray}")), "the error names the page: {msg}")
-        }
-        Err(e) => panic!("expected Corrupt, got {e}"),
-        Ok(_) => panic!("a chain into an unformatted page opened as a tree"),
+    assert_corrupt_naming("open", BTree::open(pool, 8, root, BTreeOptions::default()), &[stray]);
+}
+
+/// A three-leaf-or-more tree on `pool`, with the leaves a scan walks in
+/// chain order.
+fn tree_with_chain(pool: &Arc<BufferPool>) -> (BTree, Vec<nbb_storage::PageId>) {
+    use std::ops::Bound;
+    let tree = BTree::create(Arc::clone(pool), 8, BTreeOptions::default()).unwrap();
+    for i in 0..1_000 {
+        tree.insert(&k(i), i).unwrap();
     }
+    let (mut chain, mut buf) = (Vec::new(), nbb_btree::RangeBuf::default());
+    let mut lower: Option<[u8; 8]> = None;
+    loop {
+        let lb = lower.as_ref().map_or(Bound::Unbounded, |key| Bound::Excluded(&key[..]));
+        let chunk = tree.range_chunk(lb, Bound::Unbounded, usize::MAX, false, &mut buf).unwrap();
+        chain.push(chunk.leaf);
+        if chunk.exhausted {
+            break;
+        }
+        lower = Some(k(*buf.values.last().unwrap()));
+    }
+    assert!(chain.len() >= 3, "1,000 keys split into {} leaves", chain.len());
+    (tree, chain)
+}
+
+/// `Corrupt` whose message names one of `pages`.
+fn assert_corrupt_naming<T>(what: &str, r: Result<T, StorageError>, pages: &[nbb_storage::PageId]) {
+    match r {
+        Err(StorageError::Corrupt(msg)) => assert!(
+            pages.iter().any(|p| msg.contains(&format!("page {p}"))),
+            "{what}: the error names the page: {msg}"
+        ),
+        Err(e) => panic!("{what}: expected Corrupt, got {e}"),
+        Ok(_) => panic!("{what}: a corrupt leaf chain read as a tree"),
+    }
+}
+
+#[test]
+fn chain_cycle_among_formatted_leaves_is_corrupt_not_a_hang() {
+    use std::ops::Bound;
+    let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
+    let pool = Arc::new(BufferPool::new(disk, 64));
+    let (tree, chain) = tree_with_chain(&pool);
+    let last = *chain.last().unwrap();
+    // Every page on the chain is a well-formed leaf, so no magic check
+    // can see this: only a bound on the hops ends the walk. First the
+    // last leaf names an earlier one, then itself.
+    for (target, cycle) in [(chain[1], &chain[1..]), (last, &chain[chain.len() - 1..])] {
+        pool.with_page_mut(last, |p| NodeMut::new(p, 8).set_next_leaf(target)).unwrap();
+        assert_corrupt_naming("len", tree.len(), cycle);
+        assert_corrupt_naming("index_stats", tree.index_stats(), cycle);
+        assert_corrupt_naming("scan_from", tree.scan_from(&k(0), |_, _| true), cycle);
+        // The skip loop: nothing at or above the lower bound is left in
+        // the last leaf, so the chunk hops on looking for a row.
+        let mut buf = nbb_btree::RangeBuf::default();
+        let past = (Bound::Excluded(&k(999)[..]), Bound::Unbounded);
+        let chunk = tree.range_chunk(past.0, past.1, usize::MAX, false, &mut buf);
+        assert_corrupt_naming("range_chunk", chunk, cycle);
+        let root = tree.root_page();
+        let reopened = BTree::open(Arc::clone(&pool), 8, root, BTreeOptions::default());
+        assert_corrupt_naming("open", reopened, cycle);
+    }
+    // Reads that never follow the broken link still answer.
+    assert_eq!(tree.get(&k(999)).unwrap(), Some(999));
+}
+
+#[test]
+fn range_chunk_and_scan_from_reject_an_unformatted_sibling() {
+    use std::ops::Bound;
+    let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
+    let pool = Arc::new(BufferPool::new(disk, 64));
+    let (tree, chain) = tree_with_chain(&pool);
+    let stray = pool.new_page().unwrap();
+    pool.with_page_mut(chain[0], |p| NodeMut::new(p, 8).set_next_leaf(stray)).unwrap();
+    assert_corrupt_naming("scan_from", tree.scan_from(&k(0), |_, _| true), &[stray]);
+    assert_corrupt_naming("len", tree.len(), &[stray]);
+    assert_corrupt_naming("index_stats", tree.index_stats(), &[stray]);
+    // A chunk follows the sibling link only out of a leaf that gave it
+    // nothing: empty the first leaf, then ask from the start.
+    let mut first = nbb_btree::RangeBuf::default();
+    tree.range_chunk(Bound::Unbounded, Bound::Unbounded, usize::MAX, false, &mut first).unwrap();
+    for key in first.keys.chunks_exact(8) {
+        tree.delete(key).unwrap();
+    }
+    let mut buf = nbb_btree::RangeBuf::default();
+    let chunk = tree.range_chunk(Bound::Unbounded, Bound::Unbounded, usize::MAX, false, &mut buf);
+    assert_corrupt_naming("range_chunk", chunk, &[stray]);
 }

@@ -1,9 +1,9 @@
-//! The write-path latching matrix: sorted multi-key ops, per-leaf
-//! latching under contention, escalated splits racing fast-path
+//! The write-path latching matrix: sorted multi-key ops, same-leaf
+//! writers under contention, escalated splits racing fast-path
 //! writers, and writers racing range cursors mid-iteration.
 //!
-//! The contract under test (see `tree.rs` module docs): writers crab —
-//! shared structure lock + per-leaf latch — so disjoint-leaf writers
+//! The contract under test (see the `tree` module docs): writers crab —
+//! shared structure lock + the leaf's frame latch — so disjoint-leaf writers
 //! run in parallel; a full leaf escalates to the exclusive structure
 //! lock and splits there; readers never block each other and always
 //! observe a leaf between two whole operations.
@@ -145,7 +145,7 @@ fn concurrent_writers_split_safely() {
             s.spawn(move || {
                 // Interleaved stripes (w, w+W, w+2W, …): every writer
                 // keeps landing on the same leaves as its peers, so
-                // leaf latches and escalated splits genuinely contend.
+                // frame latches and escalated splits genuinely contend.
                 for i in 0..PER_WRITER {
                     let key = i * WRITERS + w;
                     tree.insert(&k(key), key * 7).unwrap();
@@ -272,7 +272,7 @@ fn range_scan_survives_concurrent_splits() {
 }
 
 /// Same-leaf contention: many writers all updating one tiny key range
-/// serialize on the leaf latch without losing updates.
+/// serialize on the leaf's frame latch without losing updates.
 #[test]
 fn same_leaf_writers_serialize_on_the_latch() {
     const THREADS: usize = 8;

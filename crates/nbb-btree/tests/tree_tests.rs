@@ -209,15 +209,22 @@ fn update_value_changes_pointer() {
 // Batched lookups and range chunks
 // ---------------------------------------------------------------------
 
-#[test]
-fn get_many_matches_closed_form_over_unsorted_duplicated_absent_keys() {
-    let tree = BTree::create(pool(), 8, BTreeOptions::default()).unwrap();
-    // Key v is present, with value 7v, iff v < 4000 and 3 does not
-    // divide v.
+/// Every reader must give one answer. Key `v` is present, with value
+/// `7v`, iff `v < 4000` and 3 does not divide `v`; the same unsorted,
+/// duplicated, absent and leaf-straddling key set goes through
+/// `get_many`, `lookup_cached_many`, `range_chunk` and `scan_from`.
+fn readers_match_closed_form(opts: BTreeOptions) {
+    use std::ops::Bound;
+    let cached = opts.cache.is_some();
+    let tree = BTree::create(pool(), 8, opts).unwrap();
     for v in (0..4000u64).filter(|v| v % 3 != 0) {
         tree.insert(&k(v), v * 7).unwrap();
     }
-    let want = |v: u64| (v < 4000 && !v.is_multiple_of(3)).then_some(v * 7);
+    let present = |v: u64| v < 4000 && !v.is_multiple_of(3);
+    let want = |v: u64| present(v).then_some(v * 7);
+    // The first present key at or above `v`.
+    let ceil = |v: u64| (v..4000).find(|v| present(*v));
+
     // Unsorted batch with duplicates, absentees, and out-of-range keys.
     let mut asked: Vec<[u8; 8]> = Vec::new();
     let mut x = 99u64;
@@ -227,15 +234,84 @@ fn get_many_matches_closed_form_over_unsorted_duplicated_absent_keys() {
     }
     asked.push(k(1));
     asked.push(k(1));
-    let got = tree.get_many(&asked).unwrap();
-    assert_eq!(got.len(), asked.len());
-    for (i, key) in asked.iter().enumerate() {
-        assert_eq!(got[i], want(u64::from_be_bytes(*key)), "position {i}");
+    // Every leaf's last key, the absent key after it and the next
+    // leaf's first key: a sorted run that straddles each boundary.
+    let (mut leaves, mut lower) = (0, Bound::Unbounded);
+    let mut edge;
+    loop {
+        let (chunk, buf) = chunk_of(&tree, lower, Bound::Unbounded, false);
+        let last = *buf.values.last().unwrap() / 7;
+        asked.extend([k(last), k(last + 1), k(last + 2)]);
+        leaves += 1;
+        assert!(leaves < 4000, "a chunk after {last} did not move past it");
+        if chunk.exhausted {
+            break;
+        }
+        edge = k(last);
+        lower = Bound::Excluded(&edge[..]);
     }
+    assert!(leaves >= 10, "the key set must straddle many leaves, got {leaves}");
+    let values: Vec<Option<u64>> = asked.iter().map(|key| want(u64::from_be_bytes(*key))).collect();
+
+    assert_eq!(tree.get_many(&asked).unwrap(), values, "get_many");
+    let looked = tree.lookup_cached_many(&asked).unwrap();
+    let got: Vec<Option<u64>> = looked.iter().map(|m| m.value).collect();
+    assert_eq!(got, values, "lookup_cached_many");
+    assert!(looked.iter().all(|m| m.payload.is_none()), "nothing was populated");
+    if cached {
+        // Populate what was found; values must not move and the hits
+        // must carry what was stored.
+        for m in looked.iter().filter(|m| m.value.is_some()) {
+            let v = m.value.unwrap();
+            tree.cache_populate(m.leaf, v, &v.to_le_bytes(), m.token).unwrap();
+        }
+        let warm = tree.lookup_cached_many(&asked).unwrap();
+        let got: Vec<Option<u64>> = warm.iter().map(|m| m.value).collect();
+        assert_eq!(got, values, "lookup_cached_many after populate");
+        assert!(warm.iter().any(|m| m.payload.is_some()), "a populated cache must hit");
+        for m in warm.iter().filter(|m| m.payload.is_some()) {
+            assert_eq!(m.payload.as_deref(), Some(&m.value.unwrap().to_le_bytes()[..]));
+        }
+    } else {
+        assert_eq!(tree.cache_stats(), nbb_btree::CacheStats::default());
+    }
+
+    // The range readers over the same keys, probing or not.
+    for (key, value) in asked.iter().zip(&values) {
+        let v = u64::from_be_bytes(*key);
+        let at = (Bound::Included(&key[..]), Bound::Included(&key[..]));
+        let (_, buf) = chunk_of(&tree, at.0, at.1, cached);
+        assert_eq!(buf.values, Vec::from_iter(*value), "range_chunk at {v}");
+        let mut buf = nbb_btree::RangeBuf::default();
+        tree.range_chunk(Bound::Excluded(&key[..]), Bound::Unbounded, 1, cached, &mut buf).unwrap();
+        assert_eq!(buf.values, Vec::from_iter(ceil(v + 1).map(|n| n * 7)), "range_chunk after {v}");
+        let mut first = None;
+        tree.scan_from(key, |found, value| {
+            first = Some((u64::from_be_bytes(found.try_into().unwrap()), value));
+            false
+        })
+        .unwrap();
+        assert_eq!(first, ceil(v).map(|n| (n, n * 7)), "scan_from {v}");
+    }
+    // And a scan across every leaf boundary yields each key once.
+    let mut seen = Vec::new();
+    tree.scan_from(&k(1000), |_, value| {
+        seen.push(value / 7);
+        seen.len() <= 4000 // a scan that stopped advancing fails below, not hangs
+    })
+    .unwrap();
+    assert_eq!(seen, (1000..4000).filter(|v| present(*v)).collect::<Vec<_>>());
+
     // A point get is the same path with a batch of one.
     assert_eq!(tree.get(&k(1)).unwrap(), Some(7));
     assert_eq!(tree.get(&k(3)).unwrap(), None);
     assert_eq!(tree.get(&k(4400)).unwrap(), None);
+}
+
+#[test]
+fn get_many_matches_closed_form_over_unsorted_duplicated_absent_keys() {
+    readers_match_closed_form(BTreeOptions::default());
+    readers_match_closed_form(cached_opts(8));
 }
 
 #[test]

@@ -28,8 +28,8 @@
 //!   `update_many`/`delete_many`/`put_many` family) validate up front
 //!   — duplicate in-batch keys surface
 //!   [`nbb_storage::error::StorageError::DuplicateKeyInBatch`] — and
-//!   amortize one descent + one leaf latch + one heap-page latch per
-//!   page touched, visible as `write_batches` vs `inserts` in
+//!   amortize one descent + one page latch per leaf and per heap page
+//!   touched, visible as `write_batches` vs `inserts` in
 //!   [`table::Table::stats`];
 //! * [`query`] — the handle-based query surface:
 //!   [`query::IndexRef`] handles from [`table::Table::index`] skip the

@@ -32,7 +32,7 @@
 //! page latch per tail page, the in-place overwrites and frees, and
 //! per index one leaf-grouped `delete_many`, one `insert_many` and the
 //! §2.1.2 invalidation predicates — writers on disjoint keys proceed in
-//! parallel under per-leaf latches. Every single-key operation on a
+//! parallel, each under its own leaf's frame latch. Every single-key operation on a
 //! handle is its batched form with a batch of one.
 //!
 //! # Same-key writers: key-level write intents

@@ -23,7 +23,6 @@
 //! |    20 | [`INTENT_STRIPE`]        | `KeyIntents` stripe maps                       |
 //! |    25 | [`INTENT_SLOT`]          | per-key `IntentSlot` state                     |
 //! |    30 | [`TREE_STRUCTURE`]       | B+tree structure lock (`BTree.root`)           |
-//! |    40 | [`LEAF_LATCH`]           | striped per-leaf write latches                 |
 //! |    50 | [`HEAP_DIRECTORY`]       | `HeapFile` page-id directory                   |
 //! |    55 | [`JOIN_CACHE`]           | §2.2 join cache (page budgets + entries)       |
 //! |    60 | [`POOL_SHARD_MAP`]       | buffer-pool shard residency maps               |
@@ -122,11 +121,6 @@ pub const INTENT_SLOT: Rank = Rank::new(25, "btree.intent_slot");
 /// descents, write side for escalated splits.
 pub const TREE_STRUCTURE: Rank = Rank::new(30, "btree.structure");
 
-/// Striped per-leaf write latches. Not `multi`: a thread holds at most
-/// one leaf latch at a time (the documented crabbing discipline), and
-/// the rank check now enforces that promise.
-pub const LEAF_LATCH: Rank = Rank::new(40, "btree.leaf_latch");
-
 /// `HeapFile`'s directory of allocated page ids. Guards are transient
 /// (never held across pool calls), but scans take it before faulting
 /// pages in, so it ranks below the pool.
@@ -201,7 +195,6 @@ mod tests {
         let stripe = Mutex::with_rank(INTENT_STRIPE, ());
         let slot = Mutex::with_rank(INTENT_SLOT, ());
         let root = RwLock::with_rank(TREE_STRUCTURE, ());
-        let leaf = Mutex::with_rank(LEAF_LATCH, ());
         let dir = RwLock::with_rank(HEAP_DIRECTORY, ());
         let jc = Mutex::with_rank(JOIN_CACHE, ());
         let map = Mutex::with_rank(POOL_SHARD_MAP, ());
@@ -217,13 +210,12 @@ mod tests {
         let _b = stripe.lock();
         let _c = slot.lock();
         let _d = root.read();
-        let _e = leaf.lock();
         let _f = dir.write();
         let _j = jc.lock();
         let _g = map.lock();
         let _h = frame.write();
         let _i = disk.lock();
-        assert_eq!(parking_lot::held_rank_count(), 15);
+        assert_eq!(parking_lot::held_rank_count(), 14);
     }
 
     #[test]
@@ -258,20 +250,6 @@ mod tests {
         let map = Mutex::with_rank(POOL_SHARD_MAP, ());
         let _latch = frame.read();
         let _boom = map.lock();
-    }
-
-    #[test]
-    #[should_panic(
-        expected = "acquiring 'btree.leaf_latch' (rank 40) while holding 'btree.leaf_latch'"
-    )]
-    fn leaf_latches_do_not_nest() {
-        // The crabbing promise (tree.rs module docs): a thread holds at
-        // most one leaf latch at a time. LEAF_LATCH is deliberately not
-        // `multi`, so the checker enforces it.
-        let a = Mutex::with_rank(LEAF_LATCH, ());
-        let b = Mutex::with_rank(LEAF_LATCH, ());
-        let _first = a.lock();
-        let _boom = b.lock();
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! Declares a table from a typed schema ([`RowSchema`]), loads it
 //! through the batched write path (`insert_many`: one descent + one
-//! per-leaf latch per destination leaf, not per row), resolves an index
+//! exclusive page access per destination leaf, not per row), resolves an index
 //! handle once ([`Table::index`] → `IndexRef`), then shows (1) the
 //! index cache answering projections from B+Tree free space — via point
 //! lookups, a batched `get_many`/`Batch`, and an ordered range cursor —
@@ -43,8 +43,8 @@
 //! installs a key-level **write intent** on its index before touching
 //! anything, so N threads hammering one key serialize cleanly (racing
 //! deleters split into one `true` and N-1 `false`s; nothing aborts or
-//! disappears), while disjoint-key writers stay fully parallel under
-//! the per-leaf latches. `TableStats::intent_parks`/`intent_handoffs`
+//! disappears), while disjoint-key writers stay fully parallel, each
+//! under its own leaf's frame latch. `TableStats::intent_parks`/`intent_handoffs`
 //! (printed below) meter the contention the intent table absorbed.
 //!
 //! All of this concurrency is *checked*, not just promised — see
@@ -99,8 +99,8 @@ fn main() {
 
     // Bulk load through the batched write path: the whole batch is
     // validated up front, heap appends share one page latch per tail
-    // page, and each index pays one descent + one per-leaf latch per
-    // destination leaf instead of per row.
+    // page, and each index pays one descent + one exclusive page access
+    // per destination leaf instead of per row.
     let load: Vec<Vec<u8>> = (0..10_000i64)
         .map(|i| {
             rows.encode(&[

@@ -38,8 +38,8 @@
 //! union of the leaves its cursors are sure to consume and batch-reads
 //! the heap rows behind them into flat arenas — no per-row allocation,
 //! no tree lock across either read.
-//! Write paths are concurrent too: disjoint-key writers crab through
-//! striped per-leaf latches (only splits escalate to the exclusive
+//! Write paths are concurrent too: disjoint-key writers crab down to
+//! their leaf's frame latch (only splits escalate to the exclusive
 //! structure lock), and **same-key writers serialize through key-level
 //! write intents** —
 //! each put/update/delete installs an intent on the keys it addresses

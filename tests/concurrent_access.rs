@@ -196,7 +196,7 @@ fn readers_vs_writer_under_memory_pressure() {
 /// Multi-writer stress over the batched write path. Each writer owns a
 /// disjoint key range and rounds through `put_many` (upsert) version
 /// bumps, `delete_many`/re-insert churn on the upper half of its
-/// range, and `get_many` read-backs — so per-leaf latches, escalated
+/// range, and `get_many` read-backs — so leaf frame latches, escalated
 /// splits, and the grouped heap appends all contend across threads.
 /// Readers race `get_many`/`project` over every range,
 /// asserting (a) any observed tuple belongs to the key that was asked

@@ -10,10 +10,9 @@
 //! barrier — so the ordinary assertion "the storm completed" carries the
 //! real payload "no interleaving of these paths violated the lattice".
 //!
-//! The deterministic inversion tests (panic message naming both locks,
-//! leaf latches refusing to nest) live next to the lattice itself in
-//! `nbb-storage/src/lockrank.rs`; the checker's own unit tests live in
-//! the `parking_lot` shim.
+//! The deterministic inversion tests (panic message naming both locks)
+//! live next to the lattice itself in `nbb-storage/src/lockrank.rs`; the
+//! checker's own unit tests live in the `parking_lot` shim.
 
 use nbb::core::db::{Database, DbConfig};
 use nbb::core::table::{FieldSpec, IndexSpec};
