@@ -100,7 +100,7 @@ enum Source {
     Compressed,
 }
 
-/// One reserved miss: its frame is pinned (the clock skips it) and
+/// One reserved miss: its frame is pinned (no victim scan takes it) and
 /// mapped to nothing, its `Loading` entry is in the shard's table — so
 /// the load runs with the shard unlocked, neighbors proceed, and
 /// same-page requesters park on the entry instead of re-reading.
@@ -134,7 +134,7 @@ impl Reserved<'_> {
 /// The misses of one batch between reserve and publish, and its own
 /// unwind guard: a `DiskManager` implementation that panics
 /// mid-`read_many` must not strand `Loading` entries and their reserved
-/// (pinned, clock-invisible) frames — that would hang every future
+/// (pinned, so never a victim) frames — that would hang every future
 /// requester of the pages forever. Dropped with misses unpublished, it
 /// frees their frames and poisons their waiters exactly like a failed
 /// read.
@@ -303,9 +303,12 @@ impl<'p> Reservation<'p> {
                         // to each parked waiter: none can lose the
                         // frame to eviction between wake-up and use.
                         frame.pin.store(1 + joiners, Ordering::Release);
-                        frame.refbit.store(true, Ordering::Relaxed);
+                        // A load is not a reference: a page earns its
+                        // second chance by a touch after it was placed.
+                        frame.refbit.store(false, Ordering::Relaxed);
                         map.table.insert(m.id, Residency::Resident(m.frame));
                         map.resident[m.frame] = Some(m.id);
+                        map.admit(m.frame, m.id);
                         slots[m.pos] = Ok(Arc::clone(frame));
                     }
                     Err(e) => {
@@ -450,10 +453,11 @@ impl BufferPool {
     /// misses per shard (ascending order, one map acquisition each)
     /// and rides **one** [`crate::disk::DiskManager::read_many`]
     /// spanning the whole chunk, so adjacent ids coalesce even though
-    /// they stripe across shards. Pages land resident, referenced, and
-    /// unpinned. Returns the first per-page error (remaining pages are
-    /// still faulted — per-page independence, as everywhere in the
-    /// batch path).
+    /// they stripe across shards. Pages land resident and unpinned, on
+    /// probation unless a recent eviction left their id in the ghost.
+    /// Returns the first per-page error (remaining pages are still
+    /// faulted — per-page independence, as everywhere in the batch
+    /// path).
     pub fn fault_many(&self, ids: &[PageId]) -> Result<()> {
         let mut first_err = None;
         for part in ids.chunks(self.batch_chunk()) {

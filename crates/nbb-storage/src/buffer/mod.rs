@@ -1,5 +1,5 @@
 //! Buffer pool: fixed set of frames over a [`DiskManager`], split into
-//! lock-striped shards with per-shard clock eviction, an
+//! lock-striped shards with per-shard **2Q replacement**, an
 //! I/O-in-progress **frame state machine** on the fault path,
 //! **write-behind** eviction, and an optional **compressed frame tier**
 //! that holds cold victims at a fraction of their raw size.
@@ -28,9 +28,10 @@
 //! for every fault: a point access that misses is a batch of one. The
 //! shard map mutex is held only to *transition* between states, never across a
 //! [`DiskManager::read_many`]. A miss installs a `Loading` entry,
-//! reserves its frame (pinned, so the clock skips it), drops the shard
-//! lock, performs the load, then re-locks to publish. The consequences,
-//! which the concurrency benches measure:
+//! reserves its frame (pinned, so no victim scan takes it), drops the
+//! shard lock, performs the load, then re-locks to publish. The
+//! consequences, which `tests/overlapped_io.rs` pins with gated disks
+//! and `point_cold`'s `pool.fault_joins_per_kreq` measures:
 //!
 //! * Requesters for **other** pages in the same shard proceed
 //!   immediately — one stripe sustains frames-many in-flight faults
@@ -49,9 +50,9 @@
 //! ## Where things live
 //!
 //! * `mod.rs` is the pool's public face; `shard.rs` one stripe (frames,
-//!   residency table, clock, eviction); `fault.rs` the fault machine;
-//!   `write_behind.rs` and `compressed.rs` the two tiers below a frame,
-//!   each with its background thread.
+//!   residency table, 2Q replacement, eviction); `fault.rs` the fault
+//!   machine; `write_behind.rs` and `compressed.rs` the two tiers below
+//!   a frame, each with its background thread.
 //! * A batch of misses is one `Reservation` carried through **reserve**
 //!   (one map acquisition per shard, ascending) → **load** (no map held:
 //!   write-behind store, compressed tier, then **one**
@@ -131,14 +132,29 @@
 //! # Sharding
 //!
 //! The pool is partitioned into `shards` independent stripes, each with
-//! its own frame table, free list, clock hand, and statistics. A page id
-//! maps to exactly one shard (`page_id % shards`), so concurrent
+//! its own frame table, free list, replacement state, and statistics. A
+//! page id maps to exactly one shard (`page_id % shards`), so concurrent
 //! accesses to distinct pages contend only when they collide on a
 //! stripe. Frames are divided as evenly as possible across shards, and a
 //! shard can only evict among its own frames. [`BufferPool::new`]
 //! therefore caps the default shard count so each shard keeps at least
 //! [`MIN_FRAMES_PER_SHARD`] frames; [`BufferPool::with_pool_options`]
 //! gives callers exact control.
+//!
+//! Each shard replaces by 2Q (`shard.rs`). A page's first residency is
+//! **probation**, a FIFO capped at a quarter of the shard in which hits
+//! are ignored, because the touches that come with a first use are
+//! correlated, not reuse: a range leaf is faulted by `fault_many` and
+//! read by its cursor a moment later, a heap page serves the rows of
+//! one request, and a scrambled-Zipf tail page is touched once. A
+//! clock that references every page it loads lets such a page outlive
+//! two sweeps while pages in real use are read again. A page leaving
+//! probation leaves its id in a **ghost** of half the shard's size; a
+//! miss on a ghost id — a re-reference *after* probation — puts the
+//! page in the **protected** set, where a second-chance sweep evicts
+//! what has not been touched since it last passed. A hit stays one map
+//! probe, a pin and a relaxed store, and all of it lives under the
+//! shard map.
 //!
 //! # Lock order
 //!
@@ -175,7 +191,7 @@ use write_behind::WriteBehind;
 pub const DEFAULT_POOL_SHARDS: usize = 8;
 
 /// Minimum frames per shard before [`BufferPool::new`] reduces the
-/// default shard count. Keeps clock eviction meaningful (a one-frame
+/// default shard count. Keeps replacement meaningful (a one-frame
 /// shard degenerates to direct replacement) and leaves headroom for
 /// nested pins of pages that happen to collide on a shard.
 pub const MIN_FRAMES_PER_SHARD: usize = 16;
@@ -478,7 +494,8 @@ impl BufferPool {
     }
 
     /// Forces page `id` out of the pool (handing it to write-behind iff
-    /// dirty).
+    /// dirty). Like any victim, a page on probation leaves its id in the
+    /// ghost, so its next fault promotes it.
     ///
     /// Used by tests and harnesses to simulate memory pressure; a no-op
     /// if the page is not resident. Fails if the page is pinned or mid-load.

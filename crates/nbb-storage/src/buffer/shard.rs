@@ -1,6 +1,8 @@
-//! One lock stripe of the pool: its frames, residency table, free
-//! list, clock hand and counters, plus victim selection and eviction
-//! over them.
+//! One lock stripe of the pool: its frames, residency table, free list,
+//! 2Q replacement state (Johnson & Shasha, VLDB '94: a probation FIFO,
+//! ghost ids, a protected set under a second-chance sweep; why a first
+//! touch is probation is in `mod.rs` §Sharding) and counters, plus
+//! victim selection and eviction over them.
 
 use super::fault::InFlight;
 use super::BufferPool;
@@ -8,9 +10,17 @@ use crate::error::{Result, StorageError};
 use crate::lockrank;
 use crate::page::{Page, PageId};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Once the shard is full, probation holds at most a quarter of its
+/// frames: its oldest page is the victim while it holds more.
+const PROBATION_SHARE: usize = 4;
+
+/// The ghost remembers the ids of at most half a shard's frames' worth
+/// of pages evicted off probation.
+const GHOST_SHARE: usize = 2;
 
 pub(super) struct Frame {
     pub(super) data: RwLock<Page>,
@@ -35,7 +45,51 @@ pub(super) struct ShardMap {
     pub(super) resident: Vec<Option<PageId>>,
     /// Stack of free local frame indexes (avoids O(n) scans on miss).
     pub(super) free: Vec<usize>,
+    /// Frames holding a page on its first residency, oldest first.
+    probation: VecDeque<usize>,
+    /// local frame index -> its page was re-referenced after probation
+    protected: Vec<bool>,
+    /// Ids of the pages last evicted off probation, oldest first, and
+    /// the same ids as a set. Both are allocated once, full size.
+    ghost: VecDeque<PageId>,
+    ghosts: HashSet<PageId>,
+    /// Second-chance hand over the protected frames.
     clock_hand: usize,
+}
+
+impl ShardMap {
+    /// Places page `id`, just loaded into frame `idx`: a page whose id
+    /// the ghost remembers joins the protected set, any other page
+    /// probation's tail.
+    pub(super) fn admit(&mut self, idx: usize, id: PageId) {
+        if self.ghosts.remove(&id) {
+            self.ghost.retain(|&g| g != id);
+            self.protected[idx] = true;
+        } else {
+            self.probation.push_back(idx);
+        }
+    }
+
+    /// Takes frame `idx`, whose page `id` is leaving, out of the
+    /// replacement state; a page leaving probation leaves its id in the
+    /// ghost, dropping the oldest id when the ghost is full.
+    fn retire(&mut self, idx: usize, id: PageId) {
+        if std::mem::take(&mut self.protected[idx]) {
+            return;
+        }
+        self.probation.retain(|&f| f != idx);
+        if self.ghost.len() == ghost_cap(self.resident.len()) {
+            if let Some(old) = self.ghost.pop_front() {
+                self.ghosts.remove(&old);
+            }
+        }
+        self.ghost.push_back(id);
+        self.ghosts.insert(id);
+    }
+}
+
+fn ghost_cap(frames: usize) -> usize {
+    (frames / GHOST_SHARE).max(1)
 }
 
 /// Per-shard counters. Relaxed atomics on their own cache line so the
@@ -82,6 +136,13 @@ impl Shard {
                     // Pop order: lowest index first, matching the old
                     // pool's first-free-frame scan.
                     free: (0..n).rev().collect(),
+                    probation: VecDeque::with_capacity(n),
+                    protected: vec![false; n],
+                    ghost: VecDeque::with_capacity(ghost_cap(n)),
+                    // Twice the ids it will hold: a set that never
+                    // exceeds half its capacity rehashes its deletion
+                    // markers in place instead of growing.
+                    ghosts: HashSet::with_capacity(2 * ghost_cap(n)),
                     clock_hand: 0,
                 },
             ),
@@ -90,7 +151,9 @@ impl Shard {
     }
 
     /// Hit-path bookkeeping shared by the point and batch paths: pin,
-    /// reference, count the hit. Caller holds the shard map lock.
+    /// reference, count the hit. The reference bit is read only on a
+    /// protected frame; on probation a hit is just a hit. Caller holds
+    /// the shard map lock.
     #[inline]
     pub(super) fn touch(&self, frame: &Frame) {
         frame.pin.fetch_add(1, Ordering::AcqRel);
@@ -98,30 +161,47 @@ impl Shard {
         self.stats.hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Clock (second-chance) victim selection over the shard's unpinned
-    /// frames; free frames are taken from the free list first. Frames
-    /// reserved by an in-flight load are pinned, so the clock never
-    /// steals them.
+    /// 2Q victim selection; free frames are taken from the free list
+    /// first. While probation holds more than its share of the shard,
+    /// the victim is its oldest unpinned page; otherwise it is the
+    /// second-chance sweep's pick among the protected frames. Each side
+    /// falls back to the other before the shard is exhausted. Both skip
+    /// pinned frames, so neither steals a frame reserved by an
+    /// in-flight load or held by a caller.
     fn find_victim(&self, map: &mut ShardMap) -> Result<usize> {
         if let Some(idx) = map.free.pop() {
             return Ok(idx);
         }
+        let victim = if map.probation.len() > (self.frames.len() / PROBATION_SHARE).max(1) {
+            self.oldest_on_probation(map).or_else(|| self.sweep_protected(map))
+        } else {
+            self.sweep_protected(map).or_else(|| self.oldest_on_probation(map))
+        };
+        victim.ok_or(StorageError::BufferPoolExhausted)
+    }
+
+    fn oldest_on_probation(&self, map: &ShardMap) -> Option<usize> {
+        map.probation.iter().copied().find(|&idx| self.frames[idx].pin.load(Ordering::Acquire) == 0)
+    }
+
+    /// Second chance over the protected frames: the first sweep clears
+    /// reference bits, the second takes the first unpinned frame; 2n+1
+    /// steps bound the scan.
+    fn sweep_protected(&self, map: &mut ShardMap) -> Option<usize> {
         let n = self.frames.len();
-        // Two sweeps: the first clears reference bits, the second takes
-        // the first unpinned frame. 2n+1 steps bound the scan.
         for _ in 0..(2 * n + 1) {
             let idx = map.clock_hand;
-            map.clock_hand = (map.clock_hand + 1) % n;
+            map.clock_hand = (idx + 1) % n;
             let frame = &self.frames[idx];
-            if frame.pin.load(Ordering::Acquire) != 0 {
+            if !map.protected[idx] || frame.pin.load(Ordering::Acquire) != 0 {
                 continue;
             }
             if frame.refbit.swap(false, Ordering::Relaxed) {
                 continue;
             }
-            return Ok(idx);
+            return Some(idx);
         }
-        Err(StorageError::BufferPoolExhausted)
+        None
     }
 }
 
@@ -154,7 +234,7 @@ impl BufferPool {
     }
 
     /// A frame for a page about to load: off the free list, else a
-    /// clock victim evicted on the spot. The frame comes back unpinned
+    /// victim evicted on the spot. The frame comes back unpinned
     /// and mapped to nothing. Caller holds the shard map lock.
     pub(super) fn take_frame(&self, shard: &Shard, map: &mut ShardMap) -> Result<usize> {
         let idx = shard.find_victim(map)?;
@@ -201,6 +281,7 @@ impl BufferPool {
         }
         map.table.remove(&old);
         map.resident[idx] = None;
+        map.retire(idx, old);
         shard.stats.evictions.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }

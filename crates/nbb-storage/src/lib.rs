@@ -9,10 +9,13 @@
 //!   and the delete-then-append relocation primitive §3.1 clusters with.
 //! * [`disk`] — in-memory, simulated-latency, blocking-latency, and
 //!   file-backed disks with I/O accounting ([`stats::IoStats`]).
-//! * [`buffer`] — a lock-striped, clock-eviction buffer pool: page ids
-//!   hash to independent shards (own frame table, free list, clock hand,
-//!   cache-line-padded atomic counters), so concurrent accesses to
-//!   distinct pages rarely contend. Faults run through an
+//! * [`buffer`] — a lock-striped, 2Q-replacement buffer pool: page ids
+//!   hash to independent shards (own frame table, free list, probation
+//!   FIFO, ghost ids and protected set, cache-line-padded atomic
+//!   counters), so concurrent accesses to distinct pages rarely
+//!   contend, and a page's first touches buy it only a spell on
+//!   probation — a re-reference after that is what keeps a page
+//!   resident. Faults run through an
 //!   I/O-in-progress frame state machine: the shard lock is released
 //!   across the disk read (one implementation serves point accesses
 //!   and batches alike — a point miss is a batch of one),
@@ -22,7 +25,7 @@
 //!   overlaps frames-many faults and victim reclaim never waits on the
 //!   device. A byte-budgeted **compressed frame tier**
 //!   ([`buffer::PoolOptions::compressed_budget_bytes`])
-//!   catches clock victims on their way out: a background worker
+//!   catches eviction victims on their way out: a background worker
 //!   compresses the evicted bytes ([`nbb_encoding::pagecodec`]) and a
 //!   later fault on the page decompresses instead of touching the disk —
 //!   trading spare CPU for an effectively larger pool, the crate's

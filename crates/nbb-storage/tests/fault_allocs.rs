@@ -90,6 +90,31 @@ fn cold_one_page_fault_allocates_at_most_half_of_what_it_did() {
 }
 
 #[test]
+fn evicting_cold_fault_allocates_no_more_than_a_free_one() {
+    // One shard, every frame holding a page on probation.
+    let (pool, ids) = warm_pool(16);
+    let extra = pool.new_page().unwrap();
+    assert_eq!(pool.capacity(), 32);
+    let more: Vec<_> = (0..16).map(|_| pool.new_page().unwrap()).collect();
+    pool.fault_many(&more).unwrap();
+    assert!(ids.iter().chain(&more).all(|&id| pool.contains(id)), "premise: the shard is full");
+
+    // The first eviction this pool makes: its victim, probation's
+    // oldest page, leaves its id in a ghost that has never held one.
+    let evicting = allocations_in(|| pool.fault_many(&[extra]).unwrap());
+    assert!(pool.contains(extra) && !pool.contains(ids[0]), "the victim was probation's oldest");
+
+    let id = ids[3];
+    pool.evict_page(id).unwrap();
+    let free = allocations_in(|| pool.fault_many(&[id]).unwrap());
+    println!("cold fault: {free} allocations off the free list, {evicting} evicting");
+    assert!(
+        evicting <= free,
+        "a fault that evicts made {evicting} allocations; one off the free list made {free}"
+    );
+}
+
+#[test]
 fn warm_hit_allocates_nothing() {
     let (pool, ids) = warm_pool(8);
     let mut seen = 0u8;

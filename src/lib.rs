@@ -13,9 +13,10 @@
 //!
 //! * [`storage`] — pages, heaps, disks (with latency models), and a
 //!   **lock-striped buffer pool**: page ids hash to independent shards,
-//!   each with its own frame table, free list, clock hand, and padded
-//!   atomic counters, so concurrent readers contend only on stripe
-//!   collisions;
+//!   each with its own frame table, free list, 2Q replacement state
+//!   (a probation FIFO, a ghost of recent ids, a second-chance sweep
+//!   over protected frames) and padded atomic counters, so concurrent
+//!   readers contend only on stripe collisions;
 //! * [`btree`] — the Figure-1 B+Tree with the index cache; one
 //!   tree-level `RwLock` (whose value is the root) lets lookups share
 //!   the read side while splits hold the write side;
@@ -51,9 +52,10 @@
 //! contract (zero aborted ops, one winner per racing delete, a
 //! consistent final row).
 //!
-//! See `examples/quickstart.rs` for a 5-minute tour, and the `nbb-bench`
-//! crate for the binaries that regenerate every figure in the paper
-//! (plus `benches/concurrent_reads.rs` for the sharding scaling curves).
+//! See `examples/quickstart.rs` for a 5-minute tour, the `nbb-bench`
+//! crate for the binaries that regenerate every figure in the paper,
+//! and `benchmark/` for the end-to-end workloads that measure the
+//! engine layer by layer over the wire.
 
 pub use nbb_btree as btree;
 pub use nbb_core as core;
