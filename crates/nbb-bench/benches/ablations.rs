@@ -3,12 +3,8 @@
 //! as entry size varies (the slot-scan trade-off behind the 25-byte
 //! items). Hit-rate ablations (bucket size, policy) live in the
 //! `ablation_policies` binary since they measure rates, not time.
-//!
-//! This bench also carries the asserted self-tuning gate
-//! ([`tuning_policy_gate`]): it fails the run outright if the online
-//! controller does not beat the best static spare-byte split.
 
-use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use nbb_btree::cache::{CacheConfig, CacheView, CacheViewMut};
 use nbb_btree::node::NodeMut;
 use nbb_btree::{BTree, BTreeOptions, CoveringIndex};
@@ -122,37 +118,10 @@ fn short() -> Criterion {
         .warm_up_time(std::time::Duration::from_millis(500))
 }
 
-/// The self-tuning acceptance gate: the controller, starting from an
-/// even split, must beat every static spend policy on the shifting
-/// workload (hot-set migration + projection-mix flip mid-run) and land
-/// within 10% of each phase's winning static split. Hit counts are
-/// deterministic (seeded workload, manual ticks), so this asserts —
-/// it does not merely print.
-fn tuning_policy_gate() {
-    use nbb_bench::tuning::{assert_tuned_beats_static, run_all, TuningScale};
-    let results = run_all(&TuningScale::full());
-    for r in &results {
-        println!(
-            "[tuning] {:>12}: total {:>7} hits, per-phase {:?}",
-            r.policy.name(),
-            r.total_hits(),
-            r.phases.iter().map(|p| p.hits).collect::<Vec<_>>()
-        );
-    }
-    for d in results.iter().flat_map(|r| &r.decisions) {
-        println!("[tuning]   {d}");
-    }
-    assert_tuned_beats_static(&results, 0.10);
-    println!("[tuning] PASS: tuned beats every static split overall, within 10% per phase");
-}
-
 criterion_group! {
     name = benches;
     config = short();
     targets = bench_covering_vs_cache, bench_probe_by_entry_size
 }
 
-fn main() {
-    benches();
-    tuning_policy_gate();
-}
+criterion_main!(benches);

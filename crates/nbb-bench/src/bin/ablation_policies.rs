@@ -3,70 +3,16 @@
 //! * the swap-toward-S policy vs random placement without promotion
 //!   (does promotion actually protect hot entries? — §2.1.1's core
 //!   design claim);
-//! * bucket size `N` (ring granularity of the promotion ladder);
-//! * static spare-byte splits vs the self-tuning controller on the
-//!   shifting workload (hot-set migration + projection-mix flip).
+//! * bucket size `N` (ring granularity of the promotion ladder).
 //!
-//! The first two are evaluated under the Shrink workload, where
-//! placement matters: the periphery gets overwritten, so hit rates
-//! only survive if hot items migrated inward.
-//!
-//! Besides the stdout tables, the tuning comparison is written to
-//! `BENCH_ablations.json` (hits, hit rate, and ops/s per policy per
-//! phase) so CI can archive the numbers per commit. Pass `--smoke`
-//! to run the tuning comparison at test scale (CI's quick gate).
+//! The policy ablation runs under the Shrink workload, where placement
+//! matters: the periphery gets overwritten, so hit rates only survive
+//! if hot items migrated inward.
 
 use nbb_bench::report::{f, print_table};
 use nbb_bench::swap_sim::{fig2a_point_with, Fig2aMode, Policy};
-use nbb_bench::tuning::{run_all, PolicyScore, TuningScale};
-use std::fmt::Write as _;
-
-/// Renders the tuning comparison as the `BENCH_ablations.json` body.
-/// Hand-rolled (the workspace has no serde): stable key order, one
-/// policy object per element, numbers only.
-fn tuning_json(scale_name: &str, scale: &TuningScale, results: &[PolicyScore]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"benchmark\": \"tuning_policies\",");
-    let _ = writeln!(out, "  \"scale\": \"{scale_name}\",");
-    let _ = writeln!(
-        out,
-        "  \"workload\": {{\"rows\": {}, \"lookups_per_chunk\": {}, \"chunks_per_phase\": {}, \
-         \"warmup_chunks\": {}, \"budget_bytes\": {}}},",
-        scale.rows,
-        scale.lookups_per_chunk,
-        scale.chunks_per_phase,
-        scale.warmup_chunks,
-        scale.budget_bytes
-    );
-    out.push_str("  \"policies\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"policy\": \"{}\",", r.policy.name());
-        let _ = writeln!(out, "      \"total_hits\": {},", r.total_hits());
-        out.push_str("      \"phases\": [\n");
-        for (p, ph) in r.phases.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "        {{\"phase\": {}, \"lookups\": {}, \"hits\": {}, \"hit_rate\": {:.4}, \
-                 \"ops_per_s\": {:.1}}}{}",
-                p + 1,
-                ph.lookups,
-                ph.hits,
-                ph.hits as f64 / ph.lookups as f64,
-                ph.ops_per_s(),
-                if p + 1 < r.phases.len() { "," } else { "" }
-            );
-        }
-        out.push_str("      ],\n");
-        let _ = writeln!(out, "      \"tuner_decisions\": {}", r.decisions.len());
-        let _ = writeln!(out, "    }}{}", if i + 1 < results.len() { "," } else { "" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
     let n_items = 20_000;
     let lookups = 100_000;
     let alpha = 1.0;
@@ -134,37 +80,4 @@ fn main() {
     );
     println!("\nexpectation: promotion should protect hot entries under Shrink; N trades");
     println!("promotion granularity against swap distance (flat optimum is fine).");
-
-    // Spend-policy ablation: static splits of the leaf-cache budget vs
-    // the self-tuning controller, on the shifting two-phase workload.
-    let (scale_name, scale) =
-        if smoke { ("short", TuningScale::short()) } else { ("full", TuningScale::full()) };
-    let results = run_all(&scale);
-    let mut rows = Vec::new();
-    for r in &results {
-        let mut row = vec![r.policy.name().to_string()];
-        for ph in &r.phases {
-            row.push(format!("{}", ph.hits));
-            row.push(f(ph.hits as f64 / ph.lookups as f64, 3));
-            row.push(f(ph.ops_per_s() / 1000.0, 0));
-        }
-        row.push(format!("{}", r.total_hits()));
-        rows.push(row);
-    }
-    print_table(
-        &format!(
-            "ablation: spare-byte spend policy on the shifting workload \
-             ({scale_name} scale, budget {} KiB)",
-            scale.budget_bytes / 1024
-        ),
-        &["policy", "p1_hits", "p1_rate", "p1_kops", "p2_hits", "p2_rate", "p2_kops", "total_hits"],
-        &rows,
-    );
-    for d in results.iter().flat_map(|r| &r.decisions) {
-        println!("  {d}");
-    }
-
-    let json = tuning_json(scale_name, &scale, &results);
-    std::fs::write("BENCH_ablations.json", &json).expect("write BENCH_ablations.json");
-    println!("\nwrote BENCH_ablations.json ({} policies, {scale_name} scale)", results.len());
 }

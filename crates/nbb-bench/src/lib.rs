@@ -7,8 +7,6 @@
 //!   Figures 2(b) and 2(c), using real leaf pages and slotted pages;
 //! * [`fig3`] — the end-to-end clustering/partitioning experiment of
 //!   Figure 3 over the full storage stack;
-//! * [`tuning`] — the shifting-workload rig comparing static
-//!   spare-byte splits against the self-tuning controller;
 //! * [`report`] — aligned text tables for stdout.
 //!
 //! Binaries (`cargo run --release -p nbb-bench --bin <name>`):
@@ -22,4 +20,3 @@ pub mod cost_sim;
 pub mod fig3;
 pub mod report;
 pub mod swap_sim;
-pub mod tuning;

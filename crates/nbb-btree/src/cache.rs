@@ -73,25 +73,6 @@ pub enum StoreOutcome {
     NoRoom,
 }
 
-/// Sentinel cache-space cap meaning "no cap": every slot the free
-/// region can hold is usable. See [`CacheView::new_capped`].
-pub const CACHE_CAP_UNLIMITED: usize = usize::MAX;
-
-/// Clamps the natural slot range `[first, last)` to a window of at most
-/// `cap_slots` slots centered on the stable point `s_slot`. The window
-/// keeps the most stable slots usable, so a shrunken cache retains the
-/// hottest entries and loses only the periphery — the same shape as
-/// key-region growth killing peripheral slots.
-#[inline]
-fn capped_range(first: usize, last: usize, s_slot: usize, cap_slots: usize) -> (usize, usize) {
-    let width = last - first;
-    if width <= cap_slots {
-        return (first, last);
-    }
-    let lo = s_slot.saturating_sub(cap_slots / 2).clamp(first, last - cap_slots);
-    (lo, lo + cap_slots)
-}
-
 /// Read-only cache view over a leaf page.
 pub struct CacheView<'a> {
     page: &'a Page,
@@ -100,29 +81,12 @@ pub struct CacheView<'a> {
     free_high: usize,
     s_slot: usize,
     half_bucket: usize,
-    cap_slots: usize,
 }
 
 impl<'a> CacheView<'a> {
     /// Builds a view; `key_size` is the tree's key width, `cfg` the
     /// tree's cache configuration.
     pub fn new(page: &'a Page, key_size: usize, cfg: &CacheConfig) -> Self {
-        Self::new_capped(page, key_size, cfg, CACHE_CAP_UNLIMITED)
-    }
-
-    /// Builds a view whose usable slots are additionally limited to
-    /// `cap_bytes` of cache space per leaf (the tuner's runtime-resize
-    /// hook). `CACHE_CAP_UNLIMITED` disables the cap. The cap constrains
-    /// `slot_range` — probe/store/promote — but never invalidation:
-    /// [`CacheViewMut::zero`] always clears the full natural range, so
-    /// entries stranded outside a shrunken window can never be revived
-    /// as stale data when the cap later grows.
-    pub fn new_capped(
-        page: &'a Page,
-        key_size: usize,
-        cfg: &CacheConfig,
-        cap_bytes: usize,
-    ) -> Self {
         let node = Node::new(page, key_size);
         let entry = cfg.entry_size();
         let s = stable_point(page.size(), key_size);
@@ -133,30 +97,16 @@ impl<'a> CacheView<'a> {
             entry,
             s_slot: s / entry,
             half_bucket: (cfg.bucket_slots / 2).max(1),
-            cap_slots: if cap_bytes == CACHE_CAP_UNLIMITED {
-                usize::MAX
-            } else {
-                cap_bytes / entry
-            },
         }
     }
 
-    /// The slot range the free region could hold, ignoring any cap.
+    /// Usable slot index range `[first, last)`: every aligned slot the
+    /// free region holds; empty when it cannot hold a single one.
     #[inline]
-    fn natural_slot_range(&self) -> (usize, usize) {
+    pub fn slot_range(&self) -> (usize, usize) {
         let first = self.free_low.div_ceil(self.entry);
         let last = self.free_high / self.entry;
         (first, last.max(first))
-    }
-
-    /// Usable slot index range `[first, last)`; empty when the free
-    /// region cannot hold a single aligned slot. When a cache-space cap
-    /// is set, this is a window of at most `cap` slots around the
-    /// stable point.
-    #[inline]
-    pub fn slot_range(&self) -> (usize, usize) {
-        let (first, last) = self.natural_slot_range();
-        capped_range(first, last, self.s_slot, self.cap_slots)
     }
 
     /// Number of usable slots.
@@ -225,23 +175,11 @@ pub struct CacheViewMut<'a> {
     free_high: usize,
     s_slot: usize,
     half_bucket: usize,
-    cap_slots: usize,
 }
 
 impl<'a> CacheViewMut<'a> {
     /// Builds a mutable view (same parameters as [`CacheView::new`]).
     pub fn new(page: &'a mut Page, key_size: usize, cfg: &CacheConfig) -> Self {
-        Self::new_capped(page, key_size, cfg, CACHE_CAP_UNLIMITED)
-    }
-
-    /// Builds a mutable view with a cache-space cap (same parameters as
-    /// [`CacheView::new_capped`]).
-    pub fn new_capped(
-        page: &'a mut Page,
-        key_size: usize,
-        cfg: &CacheConfig,
-        cap_bytes: usize,
-    ) -> Self {
         let node = Node::new(page, key_size);
         let (free_low, free_high) = (node.free_low(), node.free_high());
         let entry = cfg.entry_size();
@@ -253,11 +191,6 @@ impl<'a> CacheViewMut<'a> {
             entry,
             s_slot: s / entry,
             half_bucket: (cfg.bucket_slots / 2).max(1),
-            cap_slots: if cap_bytes == CACHE_CAP_UNLIMITED {
-                usize::MAX
-            } else {
-                cap_bytes / entry
-            },
         }
     }
 
@@ -269,7 +202,6 @@ impl<'a> CacheViewMut<'a> {
             free_high: self.free_high,
             s_slot: self.s_slot,
             half_bucket: self.half_bucket,
-            cap_slots: self.cap_slots,
         }
     }
 
@@ -368,12 +300,9 @@ impl<'a> CacheViewMut<'a> {
     }
 
     /// Zeroes every slot the free region can hold (predicate-match
-    /// invalidation, §2.1.2). Deliberately ignores the cache-space cap:
-    /// an invalidation must also kill entries stranded outside a
-    /// shrunken window, or a later cap growth would re-expose them as
-    /// stale hits.
+    /// invalidation, §2.1.2).
     pub fn zero(&mut self) {
-        let (first, last) = self.ro().natural_slot_range();
+        let (first, last) = self.ro().slot_range();
         if first < last {
             let (a, b) = (self.offset(first), self.offset(last));
             self.page.bytes_mut()[a..b].fill(0);
@@ -601,72 +530,6 @@ mod tests {
         let node = Node::new(&p, KS);
         assert!(first * c.entry_size() >= node.free_low());
         assert!(last * c.entry_size() <= node.free_high());
-    }
-
-    #[test]
-    fn cap_limits_slot_window_around_stable_point() {
-        let p = empty_leaf();
-        let c = cfg();
-        let full = CacheView::new(&p, KS, &c);
-        let (nf, nl) = full.slot_range();
-        assert!(nl - nf > 8, "need a roomy leaf for this test");
-        // Cap to 4 slots: the window must be 4 wide, inside the natural
-        // range, and contain (or hug) the stable point.
-        let capped = CacheView::new_capped(&p, KS, &c, 4 * c.entry_size());
-        let (cf, cl) = capped.slot_range();
-        assert_eq!(cl - cf, 4);
-        assert!(cf >= nf && cl <= nl);
-        assert_eq!(capped.capacity(), 4);
-        // Zero cap: empty window.
-        let zeroed = CacheView::new_capped(&p, KS, &c, 0);
-        assert_eq!(zeroed.capacity(), 0);
-        // Unlimited sentinel: natural range.
-        let unl = CacheView::new_capped(&p, KS, &c, CACHE_CAP_UNLIMITED);
-        assert_eq!(unl.slot_range(), (nf, nl));
-    }
-
-    #[test]
-    fn capped_store_stays_inside_window_and_evicts_there() {
-        let mut p = empty_leaf();
-        let c = cfg();
-        let mut r = rng();
-        let cap_bytes = 4 * c.entry_size();
-        let mut m = CacheViewMut::new_capped(&mut p, KS, &c, cap_bytes);
-        for id in 1..=8u64 {
-            assert_ne!(m.store(id, &payload(id as u8), &mut r), StoreOutcome::NoRoom);
-        }
-        let v = CacheView::new_capped(&p, KS, &c, cap_bytes);
-        assert_eq!(v.occupied(), 4, "occupancy bounded by the cap");
-        // Nothing landed outside the window.
-        let full = CacheView::new(&p, KS, &c);
-        assert_eq!(full.occupied(), 4);
-        let (wf, wl) = v.slot_range();
-        for (id, _) in full.entries() {
-            let (slot, _) = full.probe(id).unwrap();
-            assert!(slot >= wf && slot < wl, "entry {id} escaped the window");
-        }
-    }
-
-    #[test]
-    fn zero_clears_entries_stranded_outside_a_shrunken_window() {
-        let mut p = empty_leaf();
-        let c = cfg();
-        let mut r = rng();
-        // Populate uncapped, so entries land across the whole range.
-        let cap0 = CacheView::new(&p, KS, &c).capacity();
-        {
-            let mut m = CacheViewMut::new(&mut p, KS, &c);
-            for id in 1..=cap0 as u64 {
-                m.store(id, &payload(1), &mut r);
-            }
-        }
-        // Invalidate through a *capped* view: every entry must die, not
-        // just the window's, or growing the cap would revive stale data.
-        {
-            let mut m = CacheViewMut::new_capped(&mut p, KS, &c, 2 * c.entry_size());
-            m.zero();
-        }
-        assert_eq!(CacheView::new(&p, KS, &c).occupied(), 0);
     }
 
     #[test]

@@ -273,11 +273,6 @@ impl<'a> Node<'a> {
     pub fn page(&self) -> &'a Page {
         self.page
     }
-
-    /// The key width this view was built with.
-    pub fn key_size_of(&self) -> usize {
-        self.key_size
-    }
 }
 
 impl<'a> NodeMut<'a> {

@@ -58,7 +58,7 @@
 //! test runs verify the whole order at runtime; `cargo run -p nbb-lint`
 //! verifies no lock escapes it.
 
-use crate::cache::{CacheConfig, CacheView, CacheViewMut, StoreOutcome, CACHE_CAP_UNLIMITED};
+use crate::cache::{CacheConfig, CacheViewMut, StoreOutcome};
 use crate::intents::{KeyIntents, DEFAULT_INTENT_STRIPES};
 use crate::invalidation::{InvalidateOutcome, InvalidationState};
 use crate::node::{node_capacity, InsertOutcome, Node, NodeMut};
@@ -69,7 +69,7 @@ use nbb_storage::page::PageId;
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 mod read;
@@ -207,13 +207,6 @@ pub struct BTree {
     rng: Mutex<SmallRng>,
     stats: CacheStatsAtomic,
     wstats: WriteStatsAtomic,
-    /// Per-leaf cache-space target in bytes ([`CACHE_CAP_UNLIMITED`] =
-    /// every free-region slot is usable). Set at runtime by the tuner
-    /// via [`BTree::set_cache_space_target`] and honored lazily: each
-    /// cache view built after the store reads the new value, so the cap
-    /// takes effect at the next leaf touch with no stop-the-world
-    /// rewrite.
-    cache_cap: AtomicUsize,
 }
 
 impl BTree {
@@ -234,7 +227,6 @@ impl BTree {
             opts,
             stats: CacheStatsAtomic::default(),
             wstats: WriteStatsAtomic::default(),
-            cache_cap: AtomicUsize::new(CACHE_CAP_UNLIMITED),
         }
     }
 
@@ -388,33 +380,6 @@ impl BTree {
         self.opts.cache.as_ref()
     }
 
-    /// Sets the per-leaf cache-space target in bytes (`None` =
-    /// unlimited, the default: every free-region slot is usable). The
-    /// tuner's runtime-resize hook. Honored **lazily** at the next
-    /// leaf touch — each cache view built afterwards clamps its usable
-    /// slots to a window of this many bytes around the stable point —
-    /// so no leaf is rewritten eagerly. Shrinking strands entries
-    /// outside the window (harmless: they are unreachable, and
-    /// invalidation still zeroes the full natural range); growing
-    /// re-exposes only slots that invalidation kept honest.
-    pub fn set_cache_space_target(&self, bytes_per_leaf: Option<usize>) {
-        self.cache_cap.store(bytes_per_leaf.unwrap_or(CACHE_CAP_UNLIMITED), Ordering::Relaxed);
-    }
-
-    /// The per-leaf cache-space target, if one was set.
-    pub fn cache_space_target(&self) -> Option<usize> {
-        match self.cache_cap.load(Ordering::Relaxed) {
-            CACHE_CAP_UNLIMITED => None,
-            b => Some(b),
-        }
-    }
-
-    /// The cap every cache view is built with.
-    #[inline]
-    fn cache_cap_bytes(&self) -> usize {
-        self.cache_cap.load(Ordering::Relaxed)
-    }
-
     fn check_key(&self, key: &[u8]) -> Result<()> {
         if key.len() != self.key_size {
             return Err(StorageError::Corrupt(format!(
@@ -497,12 +462,14 @@ impl BTree {
                 let wm = self.inv.newest_seq();
                 n.set_csn(token.csn);
                 n.set_log_watermark(wm);
-                CacheViewMut::new_capped(n.page_mut(), self.key_size, &cfg, self.cache_cap_bytes())
-                    .zero();
+                CacheViewMut::new(n.page_mut(), self.key_size, &cfg).zero();
             }
             let mut rng = self.rng.lock();
-            CacheViewMut::new_capped(n.page_mut(), self.key_size, &cfg, self.cache_cap_bytes())
-                .store(Self::tuple_id(value), payload, &mut *rng)
+            CacheViewMut::new(n.page_mut(), self.key_size, &cfg).store(
+                Self::tuple_id(value),
+                payload,
+                &mut *rng,
+            )
         })?;
         match stored {
             Some(StoreOutcome::Stored) => {
@@ -704,19 +671,5 @@ impl IndexStats {
         } else {
             self.fill_sum / self.leaf_pages as f64
         }
-    }
-}
-
-impl<'a> CacheView<'a> {
-    /// Builds a cache view from an existing node view (avoids re-parsing
-    /// the header in aggregate walks).
-    pub fn new_from_node(node: &Node<'a>, cfg: &CacheConfig) -> Self {
-        CacheView::new(node.page(), node.key_size_of(), cfg)
-    }
-
-    /// [`CacheView::new_from_node`] with a cache-space cap (see
-    /// [`CacheView::new_capped`]).
-    pub fn new_from_node_capped(node: &Node<'a>, cfg: &CacheConfig, cap_bytes: usize) -> Self {
-        CacheView::new_capped(node.page(), node.key_size_of(), cfg, cap_bytes)
     }
 }

@@ -377,7 +377,6 @@ impl BTree {
     pub fn index_stats(&self) -> Result<IndexStats> {
         let mut s = IndexStats::default();
         let cfg = self.opts.cache;
-        let cap_bytes = self.cache_cap_bytes();
         let root = self.root.read();
         self.for_each_leaf(*root, |n| {
             s.leaf_pages += 1;
@@ -385,7 +384,7 @@ impl BTree {
             s.fill_sum += n.fill_factor();
             s.free_bytes += n.free_bytes();
             if let Some(cfg) = cfg.as_ref() {
-                let v = CacheView::new_from_node_capped(&n, cfg, cap_bytes);
+                let v = CacheView::new(n.page(), self.key_size, cfg);
                 s.cache_slots += v.capacity();
                 s.cache_occupied += v.occupied();
             }
@@ -472,7 +471,7 @@ impl BTree {
     /// leaf, or the read is `Corrupt` naming it.
     ///
     /// With `probe` on a cached tree the invalidation verdict is taken
-    /// once and the visitor's [`LeafView`] carries the capped cache
+    /// once and the visitor's [`LeafView`] carries the cache
     /// view if the verdict lets it be trusted; once the pin is released
     /// the verdict's bookkeeping is applied and the counters are fed
     /// what the visitor probed. Without, neither cache nor counters are
@@ -501,7 +500,7 @@ impl BTree {
             let cache = cfg
                 .as_ref()
                 .filter(|_| verdict.is_some_and(|v| v.cache_valid))
-                .map(|c| CacheView::new_capped(p, self.key_size, c, self.cache_cap_bytes()));
+                .map(|c| CacheView::new(p, self.key_size, c));
             let mut view = LeafView { token, node, cache, asked: 0, hits: 0 };
             let out = visit(&mut view);
             Ok((out, node.next_leaf(), verdict, view.asked, view.hits))
@@ -537,8 +536,7 @@ impl BTree {
                 n.set_log_watermark(wm);
             }
             if zero {
-                CacheViewMut::new_capped(n.page_mut(), self.key_size, &cfg, self.cache_cap_bytes())
-                    .zero();
+                CacheViewMut::new(n.page_mut(), self.key_size, &cfg).zero();
             }
         })?;
         if wrote.is_none() {
@@ -554,8 +552,7 @@ impl BTree {
         let Some(cfg) = self.opts.cache else { return Ok(()) };
         let promoted = self.pool.with_page_cache_write(leaf, |p| {
             let mut rng = self.rng.lock();
-            let mut cache =
-                CacheViewMut::new_capped(p, self.key_size, &cfg, self.cache_cap_bytes());
+            let mut cache = CacheViewMut::new(p, self.key_size, &cfg);
             // promote re-verifies the slot still holds the entry, so
             // earlier swaps cannot misdirect it.
             let mut done = 0u64;

@@ -1,19 +1,14 @@
 //! Database facade: pools, disks, and named tables in one place.
 
-use crate::joincache::JoinCache;
 use crate::table::Table;
-use crate::tuner::{
-    ConsumerId, ConsumerSample, Controller, DecisionRing, TunedSurface, TunerConfig, TunerDecision,
-};
 use nbb_storage::disk::{DiskManager, DiskModel, InMemoryDisk, SimulatedDisk};
 use nbb_storage::error::{Result, StorageError};
 use nbb_storage::lockrank;
 use nbb_storage::stats::{IoStats, PoolStats};
 use nbb_storage::{BufferPool, PoolOptions};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Configuration for a [`Database`].
 #[derive(Debug, Clone)]
@@ -45,26 +40,12 @@ pub struct DbConfig {
     /// into a budget-bounded compressed store (a background thread pays
     /// the CPU; a later fault on such a page decompresses instead of
     /// reading the disk), so the same frame budget effectively caches
-    /// compression-ratio× more pages. `0` (the default) disables the
-    /// tier entirely — eviction behavior is bit-identical to a build
-    /// without it. See `nbb_storage::buffer`'s module docs;
+    /// compression-ratio× more pages. The budget is fixed when the pools
+    /// are built. `0` (the default) disables the tier entirely —
+    /// eviction behavior is bit-identical to a build without it. See
+    /// `nbb_storage::buffer`'s module docs;
     /// `TableStats::pool_compressed_*` meters it.
     pub compressed_budget_bytes: usize,
-    /// Self-tuning free-space controller interval. `None` (the
-    /// default) is **off**: no tuner thread is spawned, no cache-space
-    /// targets or join-cache bounds are ever set, and behavior is
-    /// byte-identical to a build without the tuner. `Some(d)` spawns a
-    /// background controller that samples every spare-byte consumer
-    /// (each cached index's leaf space, the join cache, the compressed
-    /// tier) every `d`, scores hits per spare KiB, and moves a bounded
-    /// step of bytes from the lowest-value consumer to the highest.
-    /// Decisions surface through [`Database::tuner_decisions`] and the
-    /// waste report; benches and tests can drive the controller
-    /// deterministically with [`Database::tuning_tick`] (use a long
-    /// interval so the background thread stays out of the way). Step
-    /// size, hysteresis and cooldown are
-    /// [`crate::tuner::TunerConfig`]'s defaults.
-    pub tuning_interval: Option<Duration>,
     /// Disk latency model; `None` = plain in-memory disk.
     pub disk_model: Option<DiskModel>,
 }
@@ -78,7 +59,6 @@ impl Default for DbConfig {
             pool_shards: nbb_storage::DEFAULT_POOL_SHARDS,
             write_behind: nbb_storage::DEFAULT_WRITE_BEHIND,
             compressed_budget_bytes: 0,
-            tuning_interval: None,
             disk_model: None,
         }
     }
@@ -103,141 +83,14 @@ impl DbConfig {
     }
 }
 
-/// A small database: two buffer pools over two disks, named tables,
-/// and (opt-in) a self-tuning free-space controller.
+/// A small database: two buffer pools over two disks and named tables.
 pub struct Database {
     config: DbConfig,
     heap_pool: Arc<BufferPool>,
     index_pool: Arc<BufferPool>,
     heap_disk: Arc<dyn DiskManager>,
     index_disk: Arc<dyn DiskManager>,
-    /// `Arc` so the tuner thread can sample tables without borrowing
-    /// the `Database` (which it outlives-races with during drop).
-    tables: Arc<RwLock<HashMap<String, Arc<Table>>>>,
-    join_cache: Arc<Mutex<JoinCache>>,
-    tuner: Option<Arc<TunerShared>>,
-    tuner_thread: Option<std::thread::JoinHandle<()>>,
-}
-
-/// State shared between the tuner thread, [`Database::tuning_tick`],
-/// and the waste report.
-struct TunerShared {
-    controller: Mutex<Controller>,
-    ring: DecisionRing,
-    surface: DbSurface,
-    /// Shutdown flag + wake condvar for prompt drop-time exit.
-    shutdown: Mutex<bool>,
-    wake: Condvar,
-}
-
-impl TunerShared {
-    /// One full controller round: sample every consumer, decide, apply
-    /// the resizes, record the decision. The controller lock is held
-    /// only across the pure decision — sampling and resizing reach
-    /// engine locks with no tuner lock held.
-    fn tick_once(&self) -> Option<TunerDecision> {
-        let samples = self.surface.sample();
-        let decision = self.controller.lock().tick(&samples)?;
-        self.surface.resize(&decision.from, decision.from_bytes);
-        self.surface.resize(&decision.to, decision.to_bytes);
-        self.ring.push(decision.to_string());
-        Some(decision)
-    }
-}
-
-/// The production [`TunedSurface`]: walks every cached index, the join
-/// cache, and the compressed tier.
-struct DbSurface {
-    tables: Arc<RwLock<HashMap<String, Arc<Table>>>>,
-    join_cache: Arc<Mutex<JoinCache>>,
-    heap_pool: Arc<BufferPool>,
-    index_pool: Arc<BufferPool>,
-}
-
-/// Separator inside a [`ConsumerId::LeafCache`] name: `table/index`.
-const LEAF_CONSUMER_SEP: char = '/';
-
-impl DbSurface {
-    /// Tables snapshot, sorted by name for deterministic sample order.
-    fn tables_sorted(&self) -> Vec<Arc<Table>> {
-        let mut v: Vec<Arc<Table>> = self.tables.read().values().cloned().collect();
-        v.sort_by(|a, b| a.name().cmp(b.name()));
-        v
-    }
-}
-
-impl TunedSurface for DbSurface {
-    fn sample(&self) -> Vec<ConsumerSample> {
-        let mut out = Vec::new();
-        for t in self.tables_sorted() {
-            for (spec, _) in t.index_specs() {
-                let Ok(handle) = t.index_tree(&spec.name) else { continue };
-                let tree = handle.tree();
-                if tree.cache_config().is_none() {
-                    continue; // uncached index: no spare-byte consumer
-                }
-                let Ok(stats) = tree.index_stats() else { continue };
-                // Allocation = the explicit target if one was ever set,
-                // else the measured free bytes (the natural, uncapped
-                // spare space the cache recycles today).
-                let bytes = match tree.cache_space_target() {
-                    Some(per_leaf) => per_leaf * stats.leaf_pages.max(1),
-                    None => stats.free_bytes,
-                };
-                out.push(ConsumerSample {
-                    id: ConsumerId::LeafCache(format!(
-                        "{}{LEAF_CONSUMER_SEP}{}",
-                        t.name(),
-                        spec.name
-                    )),
-                    hits: tree.cache_stats().hits,
-                    bytes,
-                });
-            }
-        }
-        {
-            let jc = self.join_cache.lock();
-            out.push(ConsumerSample {
-                id: ConsumerId::JoinCache,
-                hits: jc.stats().hits,
-                bytes: jc.total_budget().unwrap_or_else(|| jc.total_used()),
-            });
-        }
-        let tier_bytes = self.heap_pool.compressed_budget() + self.index_pool.compressed_budget();
-        if tier_bytes > 0 {
-            let (h, i) = (self.heap_pool.stats(), self.index_pool.stats());
-            out.push(ConsumerSample {
-                id: ConsumerId::CompressedTier,
-                hits: h.compressed_hits + i.compressed_hits,
-                bytes: tier_bytes,
-            });
-        }
-        out
-    }
-
-    fn resize(&self, id: &ConsumerId, new_bytes: usize) {
-        match id {
-            ConsumerId::LeafCache(name) => {
-                let Some((tname, iname)) = name.split_once(LEAF_CONSUMER_SEP) else { return };
-                let Some(t) = self.tables.read().get(tname).cloned() else { return };
-                let Ok(handle) = t.index_tree(iname) else { return };
-                let tree = handle.tree();
-                let leaves = tree.index_stats().map_or(1, |s| s.leaf_pages).max(1);
-                // Honored lazily: the cap applies at the next leaf
-                // touch; no stop-the-world rewrite.
-                tree.set_cache_space_target(Some(new_bytes / leaves));
-            }
-            ConsumerId::JoinCache => {
-                self.join_cache.lock().set_total_budget(Some(new_bytes));
-            }
-            ConsumerId::CompressedTier => {
-                // One logical consumer over two pools: split evenly.
-                let half = new_bytes / 2;
-                self.heap_pool.set_compressed_budget(half);
-                self.index_pool.set_compressed_budget(new_bytes - half);
-            }
-        }
-    }
+    tables: RwLock<HashMap<String, Arc<Table>>>,
 }
 
 impl Database {
@@ -294,60 +147,14 @@ impl Database {
         Self::check_page_sizes(&config, &heap_disk, &index_disk)?;
         let heap_pool = config.build_pool(&heap_disk, config.heap_frames);
         let index_pool = config.build_pool(&index_disk, config.index_frames);
-        let mut db = Database {
+        Ok(Database {
             config,
             heap_pool,
             index_pool,
             heap_disk,
             index_disk,
-            tables: Arc::new(RwLock::with_rank(lockrank::DB_TABLES, HashMap::new())),
-            join_cache: Arc::new(Mutex::with_rank(lockrank::JOIN_CACHE, JoinCache::new())),
-            tuner: None,
-            tuner_thread: None,
-        };
-        if let Some(interval) = db.config.tuning_interval {
-            db.start_tuner(interval);
-        }
-        Ok(db)
-    }
-
-    /// Spawns the background free-space controller (tuning is on).
-    fn start_tuner(&mut self, interval: Duration) {
-        let cfg = TunerConfig { interval, ..TunerConfig::default() };
-        let ring_cap = cfg.ring;
-        let shared = Arc::new(TunerShared {
-            controller: Mutex::with_rank(lockrank::TUNER, Controller::new(cfg)),
-            ring: DecisionRing::new(ring_cap),
-            surface: DbSurface {
-                tables: Arc::clone(&self.tables),
-                join_cache: Arc::clone(&self.join_cache),
-                heap_pool: Arc::clone(&self.heap_pool),
-                index_pool: Arc::clone(&self.index_pool),
-            },
-            shutdown: Mutex::with_rank(lockrank::TUNER, false),
-            wake: Condvar::new(),
-        });
-        let thread = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("nbb-tuner".into())
-                .spawn(move || loop {
-                    {
-                        let mut stop = shared.shutdown.lock();
-                        if !*stop {
-                            shared.wake.wait_for(&mut stop, interval);
-                        }
-                        if *stop {
-                            break;
-                        }
-                    }
-                    shared.tick_once();
-                })
-                // nbb-lint: allow(unwrap, thread spawn at database construction; OS exhaustion is fatal)
-                .expect("spawn tuner thread")
-        };
-        self.tuner = Some(shared);
-        self.tuner_thread = Some(thread);
+            tables: RwLock::with_rank(lockrank::DB_TABLES, HashMap::new()),
+        })
     }
 
     fn check_page_sizes(
@@ -562,51 +369,6 @@ impl Database {
         self.heap_disk.reset_stats();
         self.index_disk.reset_stats();
     }
-
-    /// The §2.2 join cache. Lock it to insert/lookup joined payloads;
-    /// the tuner (when on) bounds its total bytes.
-    pub fn join_cache(&self) -> &Arc<Mutex<JoinCache>> {
-        &self.join_cache
-    }
-
-    /// Forces one synchronous controller round (sample → decide →
-    /// resize → record). `None` when tuning is off *or* the controller
-    /// decided to hold still this round. Benches and tests pair this
-    /// with a long [`DbConfig::tuning_interval`] so ticks happen at
-    /// deterministic workload points instead of wall-clock ones.
-    pub fn tuning_tick(&self) -> Option<TunerDecision> {
-        self.tuner.as_ref()?.tick_once()
-    }
-
-    /// The tuner's recent decisions, oldest first, rendered as the
-    /// waste report prints them. Empty when tuning is off.
-    pub fn tuner_decisions(&self) -> Vec<String> {
-        self.tuner.as_ref().map_or_else(Vec::new, |t| t.ring.snapshot())
-    }
-
-    /// Runs the full waste audit on `table` and attaches the tuner's
-    /// decision trace, so one report shows both the measured waste and
-    /// what the controller did about it.
-    pub fn waste_report(&self, table: &str, index_names: &[&str]) -> Result<crate::WasteReport> {
-        let t = self.table(table)?;
-        let mut report = crate::waste::audit(&t, index_names, None, None)?;
-        report.tuner = self.tuner_decisions();
-        Ok(report)
-    }
-}
-
-impl Drop for Database {
-    /// Stops the tuner thread (when tuning is on) before the pools go
-    /// down: set the flag, wake the interval sleep, join.
-    fn drop(&mut self) {
-        if let Some(shared) = &self.tuner {
-            *shared.shutdown.lock() = true;
-            shared.wake.notify_all();
-        }
-        if let Some(h) = self.tuner_thread.take() {
-            let _ = h.join();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -765,36 +527,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(rows, 500, "the tier never substitutes for durability");
-    }
-
-    #[test]
-    fn tuning_is_off_by_default_and_surfaces_nothing() {
-        let db = Database::open(DbConfig::default());
-        db.create_table("t", 16).unwrap();
-        assert!(db.tuning_tick().is_none());
-        assert!(db.tuner_decisions().is_empty());
-        let report = db.waste_report("t", &[]).unwrap();
-        assert!(report.tuner.is_empty());
-        assert!(!report.render().contains("[tuner]"));
-    }
-
-    #[test]
-    fn tuner_thread_starts_and_shuts_down_cleanly() {
-        // Spawn → (maybe a few wall-clock ticks) → shutdown → join.
-        // The short interval exercises the timed wait; Drop must not
-        // hang even if the thread is mid-sleep.
-        let db = Database::open(DbConfig {
-            tuning_interval: Some(Duration::from_millis(1)),
-            ..DbConfig::default()
-        });
-        let t = db.create_table("t", 16).unwrap();
-        for i in 0..50u64 {
-            let mut tu = i.to_be_bytes().to_vec();
-            tu.extend_from_slice(&[3u8; 8]);
-            t.insert(&tu).unwrap();
-        }
-        std::thread::sleep(Duration::from_millis(10));
-        drop(db);
     }
 
     #[test]

@@ -54,14 +54,11 @@
 //!   [`nbb_encoding::Value`]s;
 //! * [`waste`] — the §1 vision of "tools that automate waste
 //!   detection": one audit spanning unused space, locality, and
-//!   encoding waste;
-//! * [`joincache`] — the §2.2 data-page join-result cache extension;
-//! * [`tuner`] — the self-tuning free-space controller: opt in via
-//!   [`db::DbConfig::tuning_interval`] and a background thread walks
-//!   the waste metrics, scores each spare-byte consumer's hits per
-//!   KiB, and reallocates bytes online (leaf cache space ↔ join cache
-//!   ↔ compressed tier), recording every decision in a ring the waste
-//!   report renders.
+//!   encoding waste.
+//!
+//! Every cached index keeps all of its leaves' free bytes as cache
+//! space: nothing caps a leaf's cache region below what its free
+//! region holds.
 //!
 //! ## Quickstart
 //!
@@ -138,20 +135,16 @@
 
 pub mod catalog;
 pub mod db;
-pub mod joincache;
 pub mod query;
 pub mod row;
 pub mod table;
-pub mod tuner;
 pub mod waste;
 
 pub use db::{Database, DbConfig};
-pub use joincache::{JoinCache, JoinCacheStats};
 pub use query::{
     Batch, BatchOutput, IndexRef, PageSpec, ProjectedRangeCursor, ProjectedRow, RangeCursor,
     RangePage, RangeRow,
 };
 pub use row::RowSchema;
 pub use table::{FieldSpec, IndexSpec, Projection, Table, TableStats};
-pub use tuner::{ConsumerId, ConsumerSample, Controller, TunedSurface, TunerConfig, TunerDecision};
 pub use waste::{audit, audit_encoding, audit_locality, audit_unused, WasteReport};

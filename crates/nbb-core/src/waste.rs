@@ -82,11 +82,6 @@ pub struct WasteReport {
     pub locality: Option<LocalityReport>,
     /// §4 encoding (when a schema/decoder was supplied).
     pub encoding: Option<SchemaReport>,
-    /// The free-space tuner's recent decisions (oldest first) — empty
-    /// when tuning is off or no move has fired yet. Populated by
-    /// [`crate::db::Database::waste_report`]; the plain [`audit`] entry
-    /// point has no tuner to ask.
-    pub tuner: Vec<String>,
 }
 
 impl WasteReport {
@@ -167,12 +162,6 @@ impl WasteReport {
         if let Some(e) = &self.encoding {
             out.push_str("[encoding]\n");
             out.push_str(&e.render());
-        }
-        if !self.tuner.is_empty() {
-            out.push_str("[tuner]\n");
-            for line in &self.tuner {
-                out.push_str(&format!("  {line}\n"));
-            }
         }
         out
     }
@@ -265,7 +254,6 @@ pub fn audit(
             Some((schema, decode, limit)) => Some(audit_encoding(table, schema, decode, limit)?),
             None => None,
         },
-        tuner: Vec::new(),
     })
 }
 

@@ -7,7 +7,7 @@ use crate::page::{Page, PageId};
 use nbb_encoding::pagecodec;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Demotions the compressed tier will queue ahead of its compressor
@@ -54,10 +54,8 @@ pub(super) struct CompressedTier {
     work_cv: Condvar,
     /// Signals drainers that a job completed.
     done_cv: Condvar,
-    /// Stored-bytes bound for `entries`. Atomic so the tuner can resize
-    /// it at runtime ([`CompressedTier::set_budget`]); `admit` reads it
-    /// once per admission.
-    pub(super) budget: AtomicUsize,
+    /// Stored-bytes bound for `entries`, fixed at construction.
+    pub(super) budget: usize,
     pub(super) hits: AtomicU64,
     pub(super) evictions: AtomicU64,
     pub(super) stalls: AtomicU64,
@@ -84,7 +82,7 @@ impl CompressedTier {
             ),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            budget: AtomicUsize::new(budget),
+            budget,
             hits: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             stalls: AtomicU64::new(0),
@@ -149,11 +147,10 @@ impl CompressedTier {
     /// fits the budget. Called by the compressor with the state lock
     /// held and the job's token already validated and retired.
     fn admit(&self, st: &mut CtState, pid: PageId, raw_len: usize, enc: Vec<u8>) {
-        let budget = self.budget.load(Ordering::Relaxed);
-        if enc.len() > budget {
+        if enc.len() > self.budget {
             return;
         }
-        while st.bytes + enc.len() > budget {
+        while st.bytes + enc.len() > self.budget {
             let Some(old) = st.order.pop_front() else { break };
             if let Some(gone) = st.entries.remove(&old) {
                 st.bytes -= gone.len();
@@ -206,22 +203,6 @@ impl CompressedTier {
         let mut st = self.state.lock();
         while !st.queue.is_empty() || st.inflight > 0 {
             self.done_cv.wait(&mut st);
-        }
-    }
-
-    /// Resizes the stored-bytes budget at runtime (the tuner's resize
-    /// hook). Shrinking evicts oldest entries until the store fits;
-    /// growing takes effect at the next admission. Entries are cache,
-    /// never durability state, so eviction here is always safe.
-    pub(super) fn set_budget(&self, bytes: usize) {
-        self.budget.store(bytes, Ordering::Relaxed);
-        let mut st = self.state.lock();
-        while st.bytes > bytes {
-            let Some(old) = st.order.pop_front() else { break };
-            if let Some(gone) = st.entries.remove(&old) {
-                st.bytes -= gone.len();
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
         }
     }
 
@@ -393,38 +374,5 @@ mod tests {
         assert_eq!(s.compressed_pages, 1);
         assert_eq!(s.compressed_bytes, 256 + 12, "raw fallback pays only the header");
         assert!(s.compression_ratio() < 1.0, "honest ratio accounting for a raw entry");
-    }
-
-    #[test]
-    fn runtime_compressed_budget_resize_evicts_to_fit() {
-        // Three zero-ish entries (~25 stored bytes each) fit a 4 KiB
-        // budget; shrinking to 60 bytes must evict down to two, and
-        // growing back re-opens admission for future demotions.
-        let (pool, _) = cpool(2, 4096);
-        let ids: Vec<PageId> = (0..3).map(|_| pool.new_page().unwrap()).collect();
-        for id in &ids {
-            pool.with_page(*id, |_| ()).unwrap();
-            pool.evict_page(*id).unwrap();
-        }
-        pool.flush_all().unwrap();
-        assert_eq!(pool.stats().compressed_pages, 3);
-
-        assert!(pool.set_compressed_budget(60), "tier present: resize applies");
-        assert_eq!(pool.compressed_budget(), 60);
-        let s = pool.stats();
-        assert!(s.compressed_bytes <= 60, "shrink evicted down to the new budget");
-        assert_eq!(s.compressed_pages, 2, "oldest entry went first");
-
-        assert!(pool.set_compressed_budget(4096));
-        let d = pool.new_page().unwrap();
-        pool.with_page(d, |_| ()).unwrap();
-        pool.evict_page(d).unwrap();
-        pool.flush_all().unwrap();
-        assert_eq!(pool.stats().compressed_pages, 3, "regrown budget admits again");
-
-        let plain_disk = Arc::new(InMemoryDisk::new(256));
-        let plain = BufferPool::new(plain_disk as Arc<dyn DiskManager>, 2);
-        assert!(!plain.set_compressed_budget(1024), "no tier at construction: resize is a no-op");
-        assert_eq!(plain.compressed_budget(), 0);
     }
 }

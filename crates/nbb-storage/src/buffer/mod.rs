@@ -315,22 +315,7 @@ impl BufferPool {
     /// Configured compressed-tier budget in stored bytes (0 = the tier
     /// is disabled and evicted pages are simply dropped).
     pub fn compressed_budget(&self) -> usize {
-        self.ct.as_ref().map_or(0, |ct| ct.budget.load(Ordering::Relaxed))
-    }
-
-    /// Resizes the compressed tier's stored-bytes budget at runtime
-    /// (the tuner's resize hook). Shrinking evicts oldest entries until
-    /// the store fits. Returns `false` when the tier is disabled —
-    /// whether the tier (and its compressor thread) exists is fixed at
-    /// construction; this only moves the byte bound.
-    pub fn set_compressed_budget(&self, bytes: usize) -> bool {
-        match &self.ct {
-            Some(ct) => {
-                ct.set_budget(bytes);
-                true
-            }
-            None => false,
-        }
+        self.ct.as_ref().map_or(0, |ct| ct.budget)
     }
 
     /// Test hook: while `held`, the compressor thread parks and faults

@@ -17,14 +17,12 @@
 //! |     2 | [`SERVER_CONNS`]         | `nbb-server` connection table                  |
 //! |     3 | [`SERVER_WORK_QUEUE`]    | `nbb-server` shared work queue                 |
 //! |     4 | [`SERVER_CONN_RESP`]     | `nbb-server` per-connection response queue     |
-//! |     5 | [`TUNER`]                | tuner decision ring + controller state         |
 //! |    10 | [`DB_TABLES`]            | `Database.tables` registry                     |
 //! |    15 | [`TABLE_INDEXES`]        | `Table.indexes` registry                       |
 //! |    20 | [`INTENT_STRIPE`]        | `KeyIntents` stripe maps                       |
 //! |    25 | [`INTENT_SLOT`]          | per-key `IntentSlot` state                     |
 //! |    30 | [`TREE_STRUCTURE`]       | B+tree structure lock (`BTree.root`)           |
 //! |    50 | [`HEAP_DIRECTORY`]       | `HeapFile` page-id directory                   |
-//! |    55 | [`JOIN_CACHE`]           | §2.2 join cache (page budgets + entries)       |
 //! |    60 | [`POOL_SHARD_MAP`]       | buffer-pool shard residency maps               |
 //! |    65 | [`POOL_FRAME`]           | per-frame page latches (multi: latch coupling) |
 //! |    66 | [`TREE_INVALIDATION_LOG`]| cache invalidation predicate log               |
@@ -37,7 +35,7 @@
 //! The server band (1–4) sits *below* every engine rank because server
 //! threads call into the engine — a worker that still held a server
 //! lock while executing a batched op would need that lock to order
-//! before `TUNER` and everything above it. (By design workers drop all
+//! before `DB_TABLES` and everything above it. (By design workers drop all
 //! server locks before touching the `Database`; the band makes the
 //! checker prove it.) The client band ([`CLIENT_PENDING`] 6,
 //! [`CLIENT_WRITE`] 7) is standalone: client threads never take engine
@@ -88,15 +86,6 @@ pub const CLIENT_PENDING: Rank = Rank::new(6, "client.pending");
 /// write (see `CONCURRENCY.md`).
 pub const CLIENT_WRITE: Rank = Rank::new(7, "client.write");
 
-/// The free-space tuner's controller state and decision ring. Lowest
-/// rank in the lattice — acquired *first*, above every engine lock —
-/// because the tuner thread holds it while sampling stats (which walks
-/// tables, trees, and pool gauges, reaching every rank below) and
-/// while applying resize hooks. Conversely nothing in the engine ever
-/// locks tuner state from inside an engine lock: readers of the
-/// decision ring (the waste report) take it as their first lock too.
-pub const TUNER: Rank = Rank::new(5, "core.tuner");
-
 /// `Database.tables`: the table registry. Held briefly for lookup /
 /// create; `create_table` and `reopen` hold the write side across
 /// table construction, which reaches every rank below.
@@ -125,11 +114,6 @@ pub const TREE_STRUCTURE: Rank = Rank::new(30, "btree.structure");
 /// (never held across pool calls), but scans take it before faulting
 /// pages in, so it ranks below the pool.
 pub const HEAP_DIRECTORY: Rank = Rank::new(50, "heap.directory");
-
-/// The §2.2 join cache (per-page budgets, entry maps, global clock).
-/// Below the pool ranks because a guard-holder may call into the pool
-/// (e.g. sizing decisions that read pool gauges), never the reverse.
-pub const JOIN_CACHE: Rank = Rank::new(55, "core.join_cache");
 
 /// Buffer-pool shard residency maps. Dropped across disk reads on the
 /// fault path; held across frame-latch acquisition when publishing,
@@ -190,13 +174,11 @@ mod tests {
         let conns = Mutex::with_rank(SERVER_CONNS, ());
         let work = Mutex::with_rank(SERVER_WORK_QUEUE, ());
         let resp = Mutex::with_rank(SERVER_CONN_RESP, ());
-        let tuner = Mutex::with_rank(TUNER, ());
         let tables = RwLock::with_rank(DB_TABLES, ());
         let stripe = Mutex::with_rank(INTENT_STRIPE, ());
         let slot = Mutex::with_rank(INTENT_SLOT, ());
         let root = RwLock::with_rank(TREE_STRUCTURE, ());
         let dir = RwLock::with_rank(HEAP_DIRECTORY, ());
-        let jc = Mutex::with_rank(JOIN_CACHE, ());
         let map = Mutex::with_rank(POOL_SHARD_MAP, ());
         let frame = RwLock::with_rank(POOL_FRAME, ());
         let disk = Mutex::with_rank(DISK_IO, ());
@@ -205,29 +187,27 @@ mod tests {
         let _s2 = conns.lock();
         let _s3 = work.lock();
         let _s4 = resp.lock();
-        let _t = tuner.lock();
         let _a = tables.read();
         let _b = stripe.lock();
         let _c = slot.lock();
         let _d = root.read();
         let _f = dir.write();
-        let _j = jc.lock();
         let _g = map.lock();
         let _h = frame.write();
         let _i = disk.lock();
-        assert_eq!(parking_lot::held_rank_count(), 14);
+        assert_eq!(parking_lot::held_rank_count(), 12);
     }
 
     #[test]
     #[should_panic(
-        expected = "acquiring 'server.conn_resp' (rank 4) while holding 'core.tuner' (rank 5)"
+        expected = "acquiring 'server.conn_resp' (rank 4) while holding 'db.tables' (rank 10)"
     )]
     fn engine_locks_never_nest_server_locks() {
         // The server band sits below the engine: a thread inside an
         // engine lock must never reach back into server state.
-        let tuner = Mutex::with_rank(TUNER, ());
+        let tables = RwLock::with_rank(DB_TABLES, ());
         let resp = Mutex::with_rank(SERVER_CONN_RESP, ());
-        let _held = tuner.lock();
+        let _held = tables.read();
         let _boom = resp.lock();
     }
 

@@ -14,13 +14,10 @@
 //! (2) the write side of `Batch` (`put`/`update`/`delete` grouped per
 //! index, reads observing the batch's writes), (3) a locality audit
 //! before and after hot/cold clustering, (4) the schema advisor
-//! finding encoding waste, (5) the self-tuning free-space
-//! controller (`DbConfig::tuning_interval`) scoring every spare-byte
-//! consumer's hits per KiB and reallocating bytes online — its
-//! decision trace is printed and also rides along in the waste report —
-//! and (6) the `nbb-proto` wire frame layout that carries all of these
-//! operations over loopback TCP (`examples/server_roundtrip.rs` runs
-//! the live client/server pair).
+//! finding encoding waste, (5) a cold range page read in batched
+//! device calls, and (6) the `nbb-proto` wire frame layout that carries
+//! all of these operations over loopback TCP
+//! (`examples/server_roundtrip.rs` runs the live client/server pair).
 //!
 //! Beneath all of it sits the overlapped-I/O buffer pool: a page fault
 //! releases its pool-stripe lock across the disk read (concurrent
@@ -83,14 +80,10 @@ fn main() {
     };
     let rows = RowSchema::new(&schema);
     // A small heap pool plus a compressed-frame budget: evictions are
-    // frequent enough to matter, and the tier catches them. The
-    // self-tuning controller is armed — the interval is deliberately
-    // huge so this example drives its ticks manually (section 4)
-    // instead of racing a background thread.
+    // frequent enough to matter, and the tier catches them.
     let db = Database::open(DbConfig {
         heap_frames: 24,
         compressed_budget_bytes: 512 * 1024,
-        tuning_interval: Some(std::time::Duration::from_secs(3600)),
         ..DbConfig::default()
     });
     let t = db.create_table_with(&rows).expect("create table");
@@ -138,6 +131,14 @@ fn main() {
     let tuples = by_id.get_many(&hot).expect("batched get");
     assert!(tuples.iter().all(|t| t.is_some()));
     println!("get_many     : {} keys in one batched pass", tuples.len());
+    // The same hot set projected twice: the first pass fetches each row
+    // from the heap and caches its fields in leaf free space, the second
+    // is answered from there.
+    for pass in 1..=2 {
+        let answered = by_id.project_many(&hot).expect("batched projection");
+        let cached = answered.iter().flatten().filter(|p| p.index_only).count();
+        println!("project_many : pass {pass}, {cached} of {} from leaf free space", hot.len());
+    }
     let out =
         t.execute(Batch::new().get("by_id", &hot[0]).project("by_id", &hot[1])).expect("batch");
     assert!(out[0].tuple().is_some() && out[1].projection().is_some());
@@ -254,37 +255,8 @@ fn main() {
         waste::audit_encoding(&t, &schema, |b| rows.decode(b).expect("decode"), 5_000).unwrap();
     print!("{}", report.render());
 
-    // --- Waste, closed-loop: the self-tuning controller ---------------
-    println!("\n--- 4. self-tuning free-space controller ---");
-    // Every spare-byte consumer — this index's leaf cache space, the
-    // join cache, the compressed tier — reports cumulative hits and
-    // current bytes each tick; the controller scores hits per spare
-    // KiB and moves one bounded step from the lowest-value consumer to
-    // the highest. First tick only records baselines.
-    let hot_keys: Vec<Vec<u8>> =
-        (0..1024i64).map(|i| rows.key("id", &Value::Int(i * 3)).unwrap()).collect();
-    db.tuning_tick(); // baselines only
-    for _ in 0..6 {
-        // A genuinely hot set: after the first pass these answer from
-        // the leaf cache, so the index earns hits per spare KiB every
-        // interval while the compressed tier sits mostly idle.
-        for k in &hot_keys {
-            let _ = by_id.project(k).expect("query");
-        }
-        db.tuning_tick();
-    }
-    let decisions = db.tuner_decisions();
-    for line in &decisions {
-        println!("{line}");
-    }
-    assert!(
-        !decisions.is_empty(),
-        "the hot index earns hits per KiB; the idle tier must donate to it"
-    );
-    println!("({} decision(s); the same trace renders in the waste report)", decisions.len());
-
     // --- Waste, read-side: range cursors refill by row budget ---------
-    println!("\n--- 5. batched read path: one cold page of a range scan ---");
+    println!("\n--- 4. batched read path: one cold page of a range scan ---");
     // Force both pools cold (unpinned pages only — a best-effort
     // sweep), then read one 2,000-row page. `.limit(n)` tells the
     // cursor how many rows the caller wants, so each refill faults the
@@ -318,7 +290,7 @@ fn main() {
     );
 
     // --- Over the wire: the nbb-proto frame layout --------------------
-    println!("\n--- 6. the network front door's frame layout ---");
+    println!("\n--- 5. the network front door's frame layout ---");
     // Everything above is also reachable over loopback TCP through
     // `nbb-server` (see `examples/server_roundtrip.rs`). The wire unit
     // is a length-prefixed frame:
