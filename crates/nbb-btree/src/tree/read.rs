@@ -74,7 +74,9 @@ pub struct RangeChunk {
     pub token: InvToken,
     /// Keys the leaf holds in total, in range or not — the divisor for
     /// "how many more leaves does a row budget span" (`len` undercounts
-    /// a leaf the scan entered part-way).
+    /// a leaf the scan entered part-way). This is the leaf's true count;
+    /// a caller sizing a batch from it floors it at half a node, which
+    /// only a leaf thinned by deletes falls below.
     pub leaf_keys: usize,
     /// True once the scan passed the upper bound or the leaf chain
     /// ended; no further chunk will yield entries. Never true for a
@@ -316,7 +318,10 @@ impl BTree {
 
     /// Up to `k` leaves that follow the leaf owning `key`, in key order
     /// — what a range cursor batch-faults before walking them with
-    /// [`BTree::range_chunk`].
+    /// [`BTree::range_chunk`]. A cursor asks for as many as finish its
+    /// row budget (the budget over [`RangeChunk::leaf_keys`] floored at
+    /// half a node, rounded up), so on a chain of equal leaves one call
+    /// names every leaf it still reads under this parent.
     ///
     /// The ids are **exact**, not guessed: they are read off the
     /// level-1 node that routes `key`, under the structure read lock,

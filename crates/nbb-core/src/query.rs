@@ -45,7 +45,7 @@
 //!   and only the iterators' owned `RangeRow`s copy them.
 
 use crate::table::{Index, IndexSpec, Projection, Table};
-use nbb_btree::{BTree, InvToken, RangeBuf};
+use nbb_btree::{node_capacity, BTree, InvToken, RangeBuf};
 use nbb_storage::error::{Result, StorageError};
 use nbb_storage::rid::RecordId;
 use nbb_storage::PageId;
@@ -335,7 +335,8 @@ struct RangeState<'t> {
     /// rows populate the cache of their own leaf.
     chunks: Vec<(usize, PageId, InvToken)>,
     /// Leaves named this round and not yet walked, and the total keys
-    /// of the last leaf walked.
+    /// of the last leaf walked — the divisor that sizes the next round
+    /// (see [`refill`]).
     ahead: usize,
     leaf_keys: usize,
 }
@@ -488,12 +489,18 @@ impl<'t> RangeState<'t> {
 /// Index phase, round by round: every cursor still owing rows names
 /// the leaves it reads next without reading them — first
 /// [`BTree::leaf_for`] its lower bound, then the
-/// [`BTree::leaves_after`] it is sure to consume whole, or the one leaf
-/// it is certain to touch, sized from the last leaf's *total* key count
-/// (a scan enters its first leaf part-way; dividing by that in-range
-/// fraction would over-read several leaves) — the union rides ONE
-/// `fault_many`, and each cursor walks its leaves by key. Heap phase:
-/// every row that needs its tuple is chased through ONE
+/// [`BTree::leaves_after`] that finish its budget, `ceil(owes / d)` of
+/// them. The divisor `d` is the last leaf's *total* key count (a scan
+/// enters its first leaf part-way; dividing by that in-range fraction
+/// would over-read several leaves), floored at half a node: a split or
+/// a bulk load leaves no leaf sparser, and a leaf that deletes thinned
+/// (leaves never merge) must not size a run of a whole parent's
+/// leaves. When the leaves ahead are as full as the last one, that
+/// names exactly the leaves the rows live on, so a fresh page costs its
+/// first leaf, the rest in one batch, then the heap; a sparser leaf or
+/// the end of a level-1 parent's children adds a round. The union
+/// rides ONE `fault_many`, and each cursor walks its leaves by key.
+/// Heap phase: every row that needs its tuple is chased through ONE
 /// [`Table::fetch_verified`], which writes the bodies straight into
 /// the arenas. No tree lock is held across either read. Rows a racing
 /// delete removed in between are dropped; the caller refills if that
@@ -502,6 +509,7 @@ fn refill(group: &mut [RangeState<'_>]) -> Result<()> {
     let Some(first) = group.first() else { return Ok(()) };
     let (table, idx, projected) = (first.table, Arc::clone(&first.idx), first.projected);
     let (tree, kw, bw) = (&idx.tree, idx.tree.key_size(), first.body_width());
+    let half_node = node_capacity(tree.pool().disk().page_size(), kw) / 2;
     group.iter_mut().for_each(RangeState::begin);
     while group.iter().any(|c| c.owes() > 0) {
         let mut leaves: Vec<PageId> = Vec::new();
@@ -509,8 +517,8 @@ fn refill(group: &mut [RangeState<'_>]) -> Result<()> {
             let named = leaves.len();
             match &c.lower {
                 Bound::Excluded(last) if !c.chunks.is_empty() => {
-                    let sure = (c.owes() / c.leaf_keys.max(1)).max(1);
-                    leaves.extend(tree.leaves_after(last, borrow_bound(&c.upper), sure)?);
+                    let rest = c.owes().div_ceil(c.leaf_keys.max(half_node));
+                    leaves.extend(tree.leaves_after(last, borrow_bound(&c.upper), rest)?);
                 }
                 lower => leaves.push(tree.leaf_for(borrow_bound(lower))?),
             }

@@ -37,7 +37,11 @@
 //! the same way, up to `GROUP_ROW_CAP` = 1,024 rows asked for: the run
 //! is one group refill (`IndexRef::range_pages`) that merges the pages'
 //! leaf faults and heap reads, and each page is encoded from the
-//! refill's arena straight into its response frame.
+//! refill's arena straight into its response frame. Below the
+//! resident inner nodes a cold page costs three serial device calls —
+//! its first leaf, every other leaf it spans in one batch (sized from
+//! the first leaf's key count to finish the page), its heap pages in
+//! one batch — and a run of pages costs the same three.
 //! [`nbb_proto::WireServerStats::batches_executed`] counts
 //! engine calls, which makes `frames_in / batches_executed` the mean
 //! group size.

@@ -378,8 +378,8 @@ fn a_cold_range_page_costs_a_handful_of_device_calls() {
 
     // 512 rows from the middle of a leaf: ≈ 6 leaves and 3 heap pages,
     // none resident. The page and its `more` probe row ride the same
-    // refill: root, first leaf, the leaves in between as one batch,
-    // last leaf; then every row's heap page in one batch.
+    // refill: root, first leaf, every other leaf as one batch; then
+    // every row's heap page in one batch.
     let lo = WireBound::Included(key(&rows, 5003));
     let (page, more, resume) =
         client.range("kv", "by_id", lo, WireBound::Unbounded, 512).expect("range page");
@@ -393,7 +393,7 @@ fn a_cold_range_page_costs_a_handful_of_device_calls() {
     let (index_pages, heap_pages) =
         (index.read_attempts.load(Ordering::Relaxed), heap.read_attempts.load(Ordering::Relaxed));
     assert!(index_pages >= 6 && heap_pages >= 3, "{index_pages} index, {heap_pages} heap pages");
-    assert!(index_calls <= 4, "{index_calls} index device calls for {index_pages} pages");
+    assert!(index_calls <= 3, "{index_calls} index device calls for {index_pages} pages");
     assert!(heap_calls <= 2, "{heap_calls} heap device calls for {heap_pages} pages");
 
     drop(client);
@@ -1055,12 +1055,13 @@ fn queued_range_pages_share_one_group_refill_and_its_device_calls() {
     assert_page(&b.rows, c2.redeem(r2).expect("r2"), 7003, 512);
 
     // Blocker, then both pages as ONE engine call whose refill faults
-    // both pages' first leaves, middle leaves and last leaves together
-    // and chases all 1,026 rows in one heap read: what one page costs.
+    // both pages' first leaves together, then both pages' other leaves
+    // together (the blocker left the root resident), and chases all
+    // 1,026 rows in one heap read: what one page costs.
     let after = b.server.stats();
     assert_eq!(after.batches_executed - before.batches_executed, 2);
     let (index_calls, heap_calls) = (calls(&index) - index_before, calls(&b.gate) - heap_before);
-    assert!(index_calls <= 4, "{index_calls} index device calls for two pages");
+    assert!(index_calls <= 2, "{index_calls} index device calls for two pages");
     assert!(heap_calls <= 2, "{heap_calls} heap device calls for two pages");
 
     drop((c1, c2));
