@@ -316,7 +316,7 @@ fn batched_gets_tolerate_in_flight_page_faults() {
     let pool = Arc::new(BufferPool::with_pool_options(
         disk,
         8,
-        PoolOptions { shards: 1, write_behind: 16, ..PoolOptions::default() },
+        PoolOptions { shards: 1, write_behind: 16 },
     ));
     let tree = Arc::new(BTree::create(Arc::clone(&pool), 8, BTreeOptions::default()).unwrap());
     let entries: Vec<([u8; 8], u64)> = (0..N).map(|v| (k(v), v.wrapping_mul(7))).collect();

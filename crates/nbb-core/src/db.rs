@@ -35,17 +35,6 @@ pub struct DbConfig {
     /// is unchanged either way: [`Database::persist`] and
     /// [`Database::close`] drain the queue before returning.
     pub write_behind: usize,
-    /// Compressed frame tier budget, in stored (encoded) bytes, for
-    /// each buffer pool. Nonzero makes eviction demote cold victims
-    /// into a budget-bounded compressed store (a background thread pays
-    /// the CPU; a later fault on such a page decompresses instead of
-    /// reading the disk), so the same frame budget effectively caches
-    /// compression-ratio× more pages. The budget is fixed when the pools
-    /// are built. `0` (the default) disables the tier entirely —
-    /// eviction behavior is bit-identical to a build without it. See
-    /// `nbb_storage::buffer`'s module docs;
-    /// `TableStats::pool_compressed_*` meters it.
-    pub compressed_budget_bytes: usize,
     /// Disk latency model; `None` = plain in-memory disk.
     pub disk_model: Option<DiskModel>,
 }
@@ -58,7 +47,6 @@ impl Default for DbConfig {
             index_frames: 1024,
             pool_shards: nbb_storage::DEFAULT_POOL_SHARDS,
             write_behind: nbb_storage::DEFAULT_WRITE_BEHIND,
-            compressed_budget_bytes: 0,
             disk_model: None,
         }
     }
@@ -67,18 +55,13 @@ impl Default for DbConfig {
 impl DbConfig {
     /// Builds a pool of `frames` frames over `disk` with this config's
     /// shard target (clamped by the pool's own headroom policy,
-    /// [`nbb_storage::clamp_shards`]), write-behind depth, and
-    /// compressed-tier budget.
+    /// [`nbb_storage::clamp_shards`]) and write-behind depth.
     fn build_pool(&self, disk: &Arc<dyn DiskManager>, frames: usize) -> Arc<BufferPool> {
         let shards = nbb_storage::clamp_shards(frames, self.pool_shards);
         Arc::new(BufferPool::with_pool_options(
             Arc::clone(disk),
             frames,
-            PoolOptions {
-                shards,
-                write_behind: self.write_behind,
-                compressed_budget_bytes: self.compressed_budget_bytes,
-            },
+            PoolOptions { shards, write_behind: self.write_behind },
         ))
     }
 }
@@ -480,53 +463,6 @@ mod tests {
         .unwrap();
         assert_eq!(rows, 500, "close must drain write-behind before reopen");
         assert_eq!(sum, (0..500).sum::<u64>());
-    }
-
-    #[test]
-    fn compressed_budget_knob_applies_and_close_drains_the_compressor() {
-        use nbb_storage::InMemoryDisk;
-        // Knob: default is 0 (tier off), a nonzero budget threads
-        // through to both pools — and survives reopen via the config.
-        let db = Database::open(DbConfig::default());
-        assert_eq!(db.heap_pool().compressed_budget(), 0);
-        assert_eq!(db.index_pool().compressed_budget(), 0);
-
-        let heap: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
-        let index: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
-        let config = DbConfig {
-            page_size: 4096,
-            heap_frames: 4,
-            index_frames: 4,
-            compressed_budget_bytes: 256 * 1024,
-            ..DbConfig::default()
-        };
-        let db =
-            Database::with_disks(config.clone(), Arc::clone(&heap), Arc::clone(&index)).unwrap();
-        assert_eq!(db.heap_pool().compressed_budget(), 256 * 1024);
-        assert_eq!(db.index_pool().compressed_budget(), 256 * 1024);
-
-        // Tiny pools force evictions, which now feed the compressor;
-        // close() is a flush barrier, so every queued demotion must be
-        // either admitted or retired before the pool drops — and the
-        // durable bytes must round-trip regardless of tier state.
-        let t = db.create_table("t", 16).unwrap();
-        for i in 0..500u64 {
-            let mut tu = i.to_be_bytes().to_vec();
-            tu.extend_from_slice(&[7u8; 8]);
-            t.insert(&tu).unwrap();
-        }
-        db.close().unwrap();
-
-        let db = Database::reopen(config, heap, index).unwrap();
-        assert_eq!(db.heap_pool().compressed_budget(), 256 * 1024, "reopen threads the knob");
-        let t = db.table("t").unwrap();
-        let mut rows = 0u64;
-        t.scan(|_, _| {
-            rows += 1;
-            true
-        })
-        .unwrap();
-        assert_eq!(rows, 500, "the tier never substitutes for durability");
     }
 
     #[test]

@@ -217,16 +217,6 @@ pub struct TableStats {
     /// Evicted-but-unflushed pages queued in the pools' write-behind
     /// stores right now (a gauge).
     pub pool_wb_pending: u64,
-    /// Pool faults served by decompressing a page from the compressed
-    /// frame tier instead of reading the disk (summed over the heap and
-    /// index pools; zero with `DbConfig::compressed_budget_bytes = 0`).
-    pub pool_compressed_hits: u64,
-    /// Compressed-tier entries evicted to stay within budget.
-    pub pool_compressed_evictions: u64,
-    /// Requesters that parked on an in-flight decompress fault.
-    pub pool_decompress_stalls: u64,
-    /// Pages held compressed in the pools' tiers right now (a gauge).
-    pub pool_compressed_pages: u64,
     /// Batched disk reads issued by the pools' batch-fault path (one
     /// per `read_many` call, however many pages it carried).
     pub pool_read_batches: u64,
@@ -636,11 +626,6 @@ impl Table {
             pool_fault_joins: heap_pool.fault_joins + index_pool.fault_joins,
             pool_wb_flushed: heap_pool.wb_flushed + index_pool.wb_flushed,
             pool_wb_pending: heap_pool.wb_pending + index_pool.wb_pending,
-            pool_compressed_hits: heap_pool.compressed_hits + index_pool.compressed_hits,
-            pool_compressed_evictions: heap_pool.compressed_evictions
-                + index_pool.compressed_evictions,
-            pool_decompress_stalls: heap_pool.decompress_stalls + index_pool.decompress_stalls,
-            pool_compressed_pages: heap_pool.compressed_pages + index_pool.compressed_pages,
             pool_read_batches: heap_pool.read_batches + index_pool.read_batches,
             pool_read_pages: heap_pool.read_pages + index_pool.read_pages,
             intent_parks,

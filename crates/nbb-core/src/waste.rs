@@ -127,17 +127,6 @@ impl WasteReport {
                     i.pool.faults, i.pool.fault_joins, i.pool.wb_flushed, i.pool.wb_pending,
                 ));
             }
-            if i.pool.compressed_ratio_den > 0 {
-                out.push_str(&format!(
-                    "    compressed tier: {} pages / {} bytes held ({:.2}x ratio), \
-                     {} faults served without disk, {} budget evictions\n",
-                    i.pool.compressed_pages,
-                    i.pool.compressed_bytes,
-                    i.pool.compression_ratio(),
-                    i.pool.compressed_hits,
-                    i.pool.compressed_evictions,
-                ));
-            }
             // Every fault is a read batch (a point fault, of one page);
             // the line only says something once reads coalesced.
             if i.pool.read_pages > i.pool.read_batches {

@@ -33,7 +33,7 @@ fn table_on_flaky_heap() -> (Table, Arc<FlakyDisk>, Vec<(u64, PageId)>) {
         2,
         // No write-behind: an evicted page is on the disk, not in a
         // queue that could answer its next fault.
-        PoolOptions { shards: 1, write_behind: 0, ..PoolOptions::default() },
+        PoolOptions { shards: 1, write_behind: 0 },
     ));
     let index_disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
     let t = Table::create("t", 32, heap_pool, Arc::new(BufferPool::new(index_disk, 64))).unwrap();

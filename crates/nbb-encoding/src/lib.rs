@@ -15,9 +15,6 @@
 //! * [`bitpack`] — dense n-bit packing (the workspace's only `unsafe`,
 //!   property-tested against a safe reference);
 //! * [`dict`], [`delta`] — dictionary and frame-of-reference codecs;
-//! * [`pagecodec`] — whole-page compression (frame-of-reference +
-//!   bitpack with a self-describing header and a raw-fallback ratio
-//!   gate) backing the buffer pool's compressed frame tier;
 //! * [`timestamp`] — the MediaWiki 14-char timestamp format and its
 //!   4-byte encoding;
 //! * [`semantic_id`] — §4.2: partition bits embedded in surrogate keys
@@ -37,7 +34,6 @@ pub mod bitpack;
 pub mod delta;
 pub mod dict;
 pub mod inference;
-pub mod pagecodec;
 pub mod rowcodec;
 pub mod schema;
 pub mod semantic_id;
@@ -48,7 +44,6 @@ pub use bitpack::{min_bits, pack, unpack, BitPacked};
 pub use delta::DeltaColumn;
 pub use dict::DictColumn;
 pub use inference::{analyze_column, ColumnAnalysis, DeclaredType, PhysicalType, Value};
-pub use pagecodec::{PageCodecError, PageMode};
 pub use rowcodec::{ColumnLayout, RowCodecError, RowLayout};
 pub use schema::{
     analyze_table, decode_column, encode_column, ColumnDef, EncodedColumn, Schema, SchemaReport,

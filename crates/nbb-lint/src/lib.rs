@@ -20,8 +20,8 @@
 //!   where the rank discipline lives.
 //! * **L3 (wait-in-loop)** — every condvar `wait(guard)` call must sit
 //!   inside a `while`/`loop`/`for` body: the fault machine, intents,
-//!   write-behind drain, and compressor protocols all assume spurious
-//!   wakeups are re-checked.
+//!   and write-behind drain protocols all assume spurious wakeups are
+//!   re-checked.
 //! * **L4 (no-unwrap)** — non-test code in the engine crates may not
 //!   `.unwrap()`/`.expect(`: fallible paths return `StorageError`. A
 //!   true invariant carries `// nbb-lint: allow(unwrap, why)` on or

@@ -5,9 +5,10 @@
 //!   held together) pins the hits, joins the loads already in flight,
 //!   and for each absent page takes a frame (pinned, mapped to nothing)
 //!   and installs its `Loading` entry;
-//! * **load**: no map held — write-behind store, then compressed tier,
-//!   then **one** [`crate::disk::DiskManager::read_many`] for whatever
-//!   no memory tier served, spanning every shard of the batch;
+//! * **load**: no map held — write-behind store, then **one**
+//!   [`crate::disk::DiskManager::read_many`] for whatever the store did
+//!   not serve, spanning every shard of the batch: the one place a page
+//!   enters memory from a device;
 //! * **publish**: one map acquisition per shard turns each reserved
 //!   frame into a resident page (or frees it), then the parked waiters
 //!   are resolved, then this batch parks on the loads it joined.
@@ -24,7 +25,6 @@ use super::BufferPool;
 use crate::error::{Result, StorageError};
 use crate::lockrank;
 use crate::page::{Page, PageId};
-use nbb_encoding::pagecodec;
 use parking_lot::{Condvar, Mutex, RwLockWriteGuard};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -88,18 +88,6 @@ impl InFlight {
     }
 }
 
-/// Which tier filled a reserved frame.
-#[derive(Clone, Copy, PartialEq)]
-enum Source {
-    /// The device — what every miss rides unless a memory tier has it.
-    Disk,
-    /// The write-behind store: newer than the disk, so the page
-    /// re-enters memory dirty.
-    WriteBehind,
-    /// The compressed tier: the "I/O" was an in-memory decode.
-    Compressed,
-}
-
 /// One reserved miss: its frame is pinned (no victim scan takes it) and
 /// mapped to nothing, its `Loading` entry is in the shard's table — so
 /// the load runs with the shard unlocked, neighbors proceed, and
@@ -113,9 +101,13 @@ struct Reserved<'p> {
     frame: usize,
     inflight: Arc<InFlight>,
     /// The frame's write latch while the page rides the disk batch;
-    /// `None` before `load` and once a tier has filled the frame.
+    /// `None` before `load` and once the write-behind store has filled
+    /// the frame.
     latch: Option<RwLockWriteGuard<'p, Page>>,
-    loaded: Result<Source>,
+    /// Served from the write-behind store: newer than the disk, so the
+    /// page re-enters memory dirty.
+    dirty: bool,
+    loaded: Result<()>,
 }
 
 impl Reserved<'_> {
@@ -193,7 +185,8 @@ impl<'p> Reservation<'p> {
                                 frame: idx,
                                 inflight,
                                 latch: None,
-                                loaded: Ok(Source::Disk),
+                                dirty: false,
+                                loaded: Ok(()),
                             });
                         }
                         Err(e) => slots[pos] = Err(e),
@@ -204,26 +197,17 @@ impl<'p> Reservation<'p> {
         batch
     }
 
-    /// Fills every reserved frame, walking the storage hierarchy per
-    /// page: the write-behind store may hold newer bytes than the disk;
-    /// below it, the compressed tier serves the load as an in-memory
-    /// decode; only the leftovers keep their latch and ride the disk
-    /// batch. (Frame latches are a multi rank, and a just-reserved
-    /// frame — pinned, mapped to nothing — has no other suitor.)
+    /// Fills every reserved frame: the write-behind store may hold
+    /// newer bytes than the disk and serves those pages itself; the
+    /// rest keep their latch and ride the disk batch. (Frame latches
+    /// are a multi rank, and a just-reserved frame — pinned, mapped to
+    /// nothing — has no other suitor.)
     fn load(&mut self) {
         let pool = self.pool;
         for m in &mut self.misses {
             let mut page = pool.shards[m.shard].frames[m.frame].data.write();
             if pool.wb.as_ref().is_some_and(|wb| wb.serve_fault(m.id, &mut page)) {
-                m.loaded = Ok(Source::WriteBehind);
-            } else if let Some(enc) = pool.ct.as_ref().and_then(|ct| ct.claim(m.id)) {
-                m.loaded = match pagecodec::decompress(&enc, page.bytes_mut()) {
-                    Ok(()) => Ok(Source::Compressed),
-                    // The entry was already claimed off the tier, so
-                    // the retry this poisons everyone into will read
-                    // the disk — a corrupt entry heals, never wedges.
-                    Err(e) => Err(StorageError::Io(format!("decompress page {}: {e}", m.id))),
-                };
+                m.dirty = true;
             } else {
                 m.latch = Some(page);
             }
@@ -256,7 +240,7 @@ impl<'p> Reservation<'p> {
                     // pages landed; re-read each one (idempotent by the
                     // `read_many` contract) so only the genuinely
                     // failing pages poison their entries.
-                    pool.disk.read(m.id, &mut page).map(|()| Source::Disk)
+                    pool.disk.read(m.id, &mut page)
                 } else {
                     // A one-page batch's error already names its page:
                     // poison that entry's waiters (a retry here could
@@ -285,20 +269,8 @@ impl<'p> Reservation<'p> {
                 // counts are final once the entries leave the table.
                 let joiners = m.inflight.joiners.load(Ordering::Relaxed);
                 match &m.loaded {
-                    Ok(source) => {
-                        if let Some(ct) = &pool.ct {
-                            // The frame is the authority now: drop any
-                            // stored entry (wb- and disk-served loads
-                            // may shadow a staler one) and cancel any
-                            // demotion job queued before this page's
-                            // last absence.
-                            ct.invalidate(m.id);
-                            if *source == Source::Compressed {
-                                ct.hits.fetch_add(1, Ordering::Relaxed);
-                                ct.stalls.fetch_add(u64::from(joiners), Ordering::Relaxed);
-                            }
-                        }
-                        frame.dirty.store(*source == Source::WriteBehind, Ordering::Release);
+                    Ok(()) => {
+                        frame.dirty.store(m.dirty, Ordering::Release);
                         // One pin for the caller plus one pre-granted
                         // to each parked waiter: none can lose the
                         // frame to eviction between wake-up and use.

@@ -1,27 +1,23 @@
 //! Buffer pool: fixed set of frames over a [`DiskManager`], split into
 //! lock-striped shards with per-shard **2Q replacement**, an
-//! I/O-in-progress **frame state machine** on the fault path,
-//! **write-behind** eviction, and an optional **compressed frame tier**
-//! that holds cold victims at a fraction of their raw size.
+//! I/O-in-progress **frame state machine** on the fault path, and
+//! **write-behind** eviction.
 //!
-//! # Frame state machine (overlapped faults, compressed demotions)
+//! # Frame state machine (overlapped faults)
 //!
-//! A shard's residency table maps each page to `Resident` or `Loading`;
-//! the pool-global compressed tier adds a third place a page's bytes
-//! can live. Together:
+//! A shard's residency table maps each page to `Resident` or `Loading`:
 //!
 //! ```text
 //!            miss: reserve frame,            load finishes:
 //!            release shard lock              publish + wake waiters
 //!   absent ────────────────────▶ Loading ────────────────────▶ Resident
-//!      ▲                            │  ▲                          │
-//!      │       load fails:          │  │ decompress fault:        │ evicted:
-//!      │       free frame,          │  │ tier entry claimed,      │ demotion
-//!      │       poison waiters       │  │ no disk read             │ enqueued
-//!      │◀───────────────────────────┘  │                          ▼
-//!      │                               └───────────────────── Compressed
+//!      ▲                            │                             │
+//!      │       load fails:          │                             │
+//!      │       free frame,          │                             │
+//!      │       poison waiters       │                             │
+//!      │◀───────────────────────────┘                             │
 //!      │◀─────────────────────────────────────────────────────────┘
-//!                    budget eviction, or claimed by a fault
+//!                  evicted (dirty bytes to write-behind first)
 //! ```
 //!
 //! One implementation (`fault_batch` in `fault.rs`) runs this machine
@@ -51,14 +47,13 @@
 //!
 //! * `mod.rs` is the pool's public face; `shard.rs` one stripe (frames,
 //!   residency table, 2Q replacement, eviction); `fault.rs` the fault
-//!   machine; `write_behind.rs` and `compressed.rs` the two tiers below
-//!   a frame, each with its background thread.
+//!   machine; `write_behind.rs` the store below a frame, with its
+//!   background flusher.
 //! * A batch of misses is one `Reservation` carried through **reserve**
 //!   (one map acquisition per shard, ascending) → **load** (no map held:
-//!   write-behind store, compressed tier, then **one**
-//!   [`DiskManager::read_many`] for the rest, spanning shards) →
-//!   **publish** (one map acquisition per shard, then resolve waiters,
-//!   then park on joins).
+//!   write-behind store, then **one** [`DiskManager::read_many`] for
+//!   the rest, spanning shards) → **publish** (one map acquisition per
+//!   shard, then resolve waiters, then park on joins).
 //! * So a cold scan pays one device round-trip per batch, not per page
 //!   ([`PoolStats::read_batches`] / [`PoolStats::read_pages`]; a point
 //!   fault is a batch of one), and every guarantee above holds per
@@ -81,40 +76,6 @@
 //! drains it too. A full queue falls back to the old synchronous write,
 //! so memory stays bounded. `write_behind = 0` disables the queue and
 //! the flusher thread entirely.
-//!
-//! # Compressed frame tier
-//!
-//! With a nonzero `compressed_budget_bytes`, eviction stops discarding
-//! cold-but-warm pages outright: after the victim's dirty bytes are
-//! safe (write-behind copy or synchronous write — durability ordering
-//! is untouched), the victim is **demoted**: its bytes are queued for a
-//! background compressor thread, which encodes them with
-//! [`nbb_encoding::pagecodec`] (frame-of-reference + bitpack with a
-//! raw fallback when the ratio is poor) and admits the result to a
-//! budget-bounded store. The same frame budget then effectively caches
-//! budget ÷ ratio more pages. Three properties keep it off every hot
-//! path:
-//!
-//! * **Reclaim never stalls.** Demotion is a page memcpy into a bounded
-//!   queue; if the queue is full the page is simply evicted the old
-//!   way. Compression itself runs on the `nbb-compressor` thread.
-//! * **A decompress fault is a cheap load.** The fault path checks
-//!   write-behind (newer bytes win), then the compressed tier, then the
-//!   disk. A tier hit rides the *same* `Loading` state machine —
-//!   co-waiters park and get pre-granted pins, a failed decompress
-//!   poisons only its own waiters — but the "I/O" is an in-memory
-//!   decode ([`PoolStats::compressed_hits`] /
-//!   [`PoolStats::decompress_stalls`] meter it).
-//! * **Entries are always redundant.** A page is only demoted after its
-//!   bytes are clean (on disk or in the write-behind queue), and any
-//!   load publishing the page invalidates its tier entry and any
-//!   pending demotion job. A corrupt or evicted entry therefore costs a
-//!   disk read, never data. Budget overruns evict the oldest entries
-//!   ([`PoolStats::compressed_evictions`]).
-//!
-//! `compressed_budget_bytes = 0` (the default everywhere) disables the
-//! tier, the compressor thread, and every new code path — eviction
-//! behaves bit-for-bit as before.
 //!
 //! # Index-cache contract
 //!
@@ -171,7 +132,6 @@
 //! latched pinned frames, now snapshots residency under the map and
 //! latches after dropping it.)
 
-mod compressed;
 mod fault;
 mod shard;
 mod write_behind;
@@ -180,7 +140,6 @@ use crate::disk::DiskManager;
 use crate::error::{Result, StorageError};
 use crate::page::{Page, PageId};
 use crate::stats::PoolStats;
-use compressed::CompressedTier;
 use fault::InFlight;
 use shard::{Frame, Residency, Shard};
 use std::sync::atomic::Ordering;
@@ -201,15 +160,12 @@ pub const MIN_FRAMES_PER_SHARD: usize = 16;
 pub const DEFAULT_WRITE_BEHIND: usize = 64;
 
 /// Fixed-capacity page cache over a shared disk, striped into shards,
-/// with overlapped faults, write-behind eviction, and an optional
-/// compressed frame tier.
+/// with overlapped faults and write-behind eviction.
 pub struct BufferPool {
     disk: Arc<dyn DiskManager>,
     shards: Box<[Shard]>,
     wb: Option<Arc<WriteBehind>>,
     flusher: Option<std::thread::JoinHandle<()>>,
-    ct: Option<Arc<CompressedTier>>,
-    compressor: Option<std::thread::JoinHandle<()>>,
 }
 
 /// Construction knobs for [`BufferPool::with_pool_options`]. `Default`
@@ -224,18 +180,11 @@ pub struct PoolOptions {
     /// [`DiskManager::write`], the pre-write-behind behavior, which
     /// benches use as the baseline.
     pub write_behind: usize,
-    /// Bound on the *stored* (encoded) bytes the compressed frame tier
-    /// may hold; 0 disables the tier and its compressor thread.
-    pub compressed_budget_bytes: usize,
 }
 
 impl Default for PoolOptions {
     fn default() -> Self {
-        PoolOptions {
-            shards: DEFAULT_POOL_SHARDS,
-            write_behind: DEFAULT_WRITE_BEHIND,
-            compressed_budget_bytes: 0,
-        }
+        PoolOptions { shards: DEFAULT_POOL_SHARDS, write_behind: DEFAULT_WRITE_BEHIND }
     }
 }
 
@@ -254,8 +203,8 @@ impl BufferPool {
 
     /// Full-control constructor: exact shard count (clamped to
     /// `[1, capacity]`; frames are distributed as evenly as possible and
-    /// a shard only evicts among its own frames), write-behind queue
-    /// depth, and compressed-tier budget — see [`PoolOptions`].
+    /// a shard only evicts among its own frames) and write-behind queue
+    /// depth — see [`PoolOptions`].
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
@@ -264,7 +213,7 @@ impl BufferPool {
         capacity: usize,
         opts: PoolOptions,
     ) -> Self {
-        let PoolOptions { shards, write_behind, compressed_budget_bytes } = opts;
+        let PoolOptions { shards, write_behind } = opts;
         assert!(capacity > 0, "buffer pool needs at least one frame");
         let nshards = shards.clamp(1, capacity);
         let page_size = disk.page_size();
@@ -283,17 +232,7 @@ impl BufferPool {
                 // nbb-lint: allow(unwrap, thread spawn at pool construction; OS exhaustion is fatal)
                 .expect("spawn write-behind flusher")
         });
-        let ct = (compressed_budget_bytes > 0)
-            .then(|| Arc::new(CompressedTier::new(compressed_budget_bytes)));
-        let compressor = ct.as_ref().map(|ct| {
-            let ct = Arc::clone(ct);
-            std::thread::Builder::new()
-                .name("nbb-compressor".into())
-                .spawn(move || CompressedTier::run(ct))
-                // nbb-lint: allow(unwrap, thread spawn at pool construction; OS exhaustion is fatal)
-                .expect("spawn compressor")
-        });
-        BufferPool { disk, shards, wb, flusher, ct, compressor }
+        BufferPool { disk, shards, wb, flusher }
     }
 
     /// Number of frames across all shards.
@@ -310,24 +249,6 @@ impl BufferPool {
     /// evictions write synchronously).
     pub fn write_behind(&self) -> usize {
         self.wb.as_ref().map_or(0, |wb| wb.capacity)
-    }
-
-    /// Configured compressed-tier budget in stored bytes (0 = the tier
-    /// is disabled and evicted pages are simply dropped).
-    pub fn compressed_budget(&self) -> usize {
-        self.ct.as_ref().map_or(0, |ct| ct.budget)
-    }
-
-    /// Test hook: while `held`, the compressor thread parks and faults
-    /// served from the compressed tier block before decompressing —
-    /// used by tests and harnesses to observe demotions queue up or to
-    /// pile co-requesters onto one in-flight decompress fault. Release
-    /// the gate before calling [`BufferPool::flush_all`] (its drain
-    /// waits for the compressor). No-op when the tier is disabled.
-    pub fn set_compression_gate(&self, held: bool) {
-        if let Some(ct) = &self.ct {
-            ct.set_gate(held);
-        }
     }
 
     /// The disk this pool fronts.
@@ -531,13 +452,6 @@ impl BufferPool {
         if let Some(wb) = &self.wb {
             wb.drain()?;
         }
-        if let Some(ct) = &self.ct {
-            // Nothing here is durability state (entries are redundant
-            // with the disk/queue by construction), but the barrier
-            // promises a quiesced pool: no compression limbo survives
-            // it, so post-flush observers see settled tier gauges.
-            ct.drain();
-        }
         for shard in self.shards.iter() {
             let mut resident: Vec<(PageId, usize)> = Vec::new();
             let mut loading: Vec<(PageId, Arc<InFlight>)> = Vec::new();
@@ -638,16 +552,6 @@ impl BufferPool {
             out.wb_sync_fallbacks = wb.sync_fallbacks.load(Ordering::Relaxed);
             out.wb_pending = wb.pending();
         }
-        if let Some(ct) = &self.ct {
-            out.compressed_hits = ct.hits.load(Ordering::Relaxed);
-            out.compressed_evictions = ct.evictions.load(Ordering::Relaxed);
-            out.decompress_stalls = ct.stalls.load(Ordering::Relaxed);
-            out.compressed_ratio_num = ct.ratio_num.load(Ordering::Relaxed);
-            out.compressed_ratio_den = ct.ratio_den.load(Ordering::Relaxed);
-            let (pages, bytes) = ct.occupancy();
-            out.compressed_pages = pages;
-            out.compressed_bytes = bytes;
-        }
         out
     }
 
@@ -669,13 +573,6 @@ impl BufferPool {
             wb.flushed.store(0, Ordering::Relaxed);
             wb.sync_fallbacks.store(0, Ordering::Relaxed);
         }
-        if let Some(ct) = &self.ct {
-            ct.hits.store(0, Ordering::Relaxed);
-            ct.evictions.store(0, Ordering::Relaxed);
-            ct.stalls.store(0, Ordering::Relaxed);
-            ct.ratio_num.store(0, Ordering::Relaxed);
-            ct.ratio_den.store(0, Ordering::Relaxed);
-        }
     }
 }
 
@@ -686,17 +583,8 @@ impl Drop for BufferPool {
     /// reach the disk by drop at the latest. (Resident dirty frames are
     /// — as before — the caller's to flush via
     /// [`BufferPool::flush_all`].) Errors are swallowed; the
-    /// error-visible barrier is `flush_all`. The compressor thread is
-    /// simply shut down and joined — its store is cache, nothing to
-    /// persist (a shutdown flag also unjams a worker parked on a test
-    /// gate someone forgot to release).
+    /// error-visible barrier is `flush_all`.
     fn drop(&mut self) {
-        if let Some(ct) = &self.ct {
-            ct.shut_down();
-            if let Some(h) = self.compressor.take() {
-                let _ = h.join();
-            }
-        }
         let Some(wb) = &self.wb else { return };
         wb.shut_down();
         if let Some(h) = self.flusher.take() {

@@ -252,10 +252,7 @@ impl BufferPool {
     /// enqueued to write-behind (a memcpy) instead of a synchronous
     /// device write, falling back to the synchronous write when
     /// write-behind is disabled or full. On error the victim stays
-    /// dirty and resident. Only then — the bytes are on disk or in the
-    /// queue, so durability ordering is untouched — is the clean victim
-    /// offered to the compressed tier, which is infallible and
-    /// non-blocking: at worst the demotion is skipped (full queue).
+    /// dirty and resident.
     pub(super) fn evict(
         &self,
         shard: &Shard,
@@ -272,12 +269,6 @@ impl BufferPool {
             }
             frame.dirty.store(false, Ordering::Release);
             shard.stats.writebacks.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(ct) = &self.ct {
-            // Clone outside the tier lock (the `WriteBehind::enqueue`
-            // argument: under the shared lock only pointers should move).
-            let copy = frame.data.read().clone();
-            ct.enqueue_demotion(old, copy);
         }
         map.table.remove(&old);
         map.resident[idx] = None;

@@ -456,7 +456,7 @@ mod tests {
         let pool = BufferPool::with_pool_options(
             Arc::clone(&disk) as Arc<dyn DiskManager>,
             2,
-            PoolOptions { shards: 1, write_behind: 0, ..PoolOptions::default() },
+            PoolOptions { shards: 1, write_behind: 0 },
         );
         assert_eq!(pool.write_behind(), 0);
         let a = pool.new_page().unwrap();
@@ -534,7 +534,7 @@ mod tests {
         let pool = Arc::new(BufferPool::with_pool_options(
             Arc::clone(&disk) as Arc<dyn DiskManager>,
             4,
-            PoolOptions { shards: 1, write_behind: 1, ..PoolOptions::default() },
+            PoolOptions { shards: 1, write_behind: 1 },
         ));
         let a = pool.new_page().unwrap();
         let b = pool.new_page().unwrap();
@@ -695,7 +695,7 @@ mod tests {
         let pool = BufferPool::with_pool_options(
             Arc::clone(&disk) as Arc<dyn DiskManager>,
             4,
-            PoolOptions { shards: 1, write_behind: 8, ..PoolOptions::default() },
+            PoolOptions { shards: 1, write_behind: 8 },
         );
         let ids: Vec<PageId> = (0..32).map(|_| pool.new_page().unwrap()).collect();
         for round in 0..=3u8 {

@@ -23,14 +23,7 @@
 //!   duplicating it, and dirty evictions hand their bytes to a
 //!   write-behind queue drained by a background flusher — so one stripe
 //!   overlaps frames-many faults and victim reclaim never waits on the
-//!   device. A byte-budgeted **compressed frame tier**
-//!   ([`buffer::PoolOptions::compressed_budget_bytes`])
-//!   catches eviction victims on their way out: a background worker
-//!   compresses the evicted bytes ([`nbb_encoding::pagecodec`]) and a
-//!   later fault on the page decompresses instead of touching the disk —
-//!   trading spare CPU for an effectively larger pool, the crate's
-//!   "no bits left behind" answer for memory itself. Budget 0 (the
-//!   default) disables the tier bit-for-bit.
+//!   device.
 //!   [`buffer::BufferPool::with_page_cache_write`] provides the paper's
 //!   §2.1.1 contract: page writes that never dirty the frame and give up
 //!   under latch contention, so index caching adds zero I/O.

@@ -29,7 +29,6 @@
 //! |    67 | [`POOL_INFLIGHT`]        | per-fault `InFlight` coalescing state          |
 //! |    68 | [`TREE_RNG`]             | cache-promotion RNG                            |
 //! |    70 | [`POOL_WRITE_BEHIND`]    | write-behind queue state                       |
-//! |    75 | [`POOL_COMPRESSED_TIER`] | compressed cold-frame tier state               |
 //! |    90 | [`DISK_IO`]              | disk backends (multi: wrapper disks may nest)  |
 //!
 //! The server band (1–4) sits *below* every engine rank because server
@@ -121,7 +120,7 @@ pub const HEAP_DIRECTORY: Rank = Rank::new(50, "heap.directory");
 pub const POOL_SHARD_MAP: Rank = Rank::new(60, "pool.shard_map");
 
 /// Per-frame page latches. Loaders hold the write side across
-/// write-behind drains, compressed-tier claims, and disk reads.
+/// write-behind serves and disk reads.
 ///
 /// `multi`: user closures run under a frame latch and may re-enter the
 /// pool for a *distinct* page (nested `with_page` — latch coupling),
@@ -149,10 +148,6 @@ pub const TREE_RNG: Rank = Rank::new(68, "btree.cache_rng");
 /// Write-behind queue state (bounded queue, flusher handshake,
 /// drain/serve-fault barriers).
 pub const POOL_WRITE_BEHIND: Rank = Rank::new(70, "pool.write_behind");
-
-/// Compressed cold-frame tier state (demotion queue, slot directory,
-/// compressor handshake).
-pub const POOL_COMPRESSED_TIER: Rank = Rank::new(75, "pool.compressed_tier");
 
 /// Disk backends: `InMemoryDisk`'s page vector and `FileDisk`'s
 /// non-unix positional-I/O lock. Terminal — nothing is ever acquired

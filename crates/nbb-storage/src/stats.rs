@@ -106,28 +106,10 @@ pub struct PoolStats {
     /// reflects pages evicted-but-unflushed at snapshot time and is
     /// untouched by `reset_stats`).
     pub wb_pending: u64,
-    /// Faults served by decompressing a page from the compressed frame
-    /// tier instead of reading the disk. These still count in `misses`
-    /// and `faults` (the frame machinery ran); the hit here is avoiding
-    /// the device. See [`PoolStats::effective_hit_rate`].
+    /// Always 0; kept only until a `benchmark` PR drops
+    /// `pool.compressed_hit_ratio` (the pool has no compressed frame
+    /// tier, and `benchmark/src/run.rs` still names this field).
     pub compressed_hits: u64,
-    /// Compressed entries pushed out of the tier to stay within
-    /// `compressed_budget_bytes`.
-    pub compressed_evictions: u64,
-    /// Requesters that parked on an in-flight **decompress** fault
-    /// (the subset of `fault_joins` whose load was served from the
-    /// compressed tier).
-    pub decompress_stalls: u64,
-    /// Raw bytes of every page admitted to the compressed tier
-    /// (numerator of the achieved compression ratio).
-    pub compressed_ratio_num: u64,
-    /// Stored (encoded) bytes of every page admitted to the compressed
-    /// tier (denominator of the achieved compression ratio).
-    pub compressed_ratio_den: u64,
-    /// Pages currently held compressed (a gauge, like `wb_pending`).
-    pub compressed_pages: u64,
-    /// Bytes currently held compressed (a gauge, like `wb_pending`).
-    pub compressed_bytes: u64,
     /// Always 0; kept only until a `benchmark` PR drops
     /// `pool.prefetch_hit_ratio` (the pool faults on demand only, and
     /// `benchmark/src/run.rs` still names this field).
@@ -153,28 +135,6 @@ impl PoolStats {
             0.0
         } else {
             self.hits as f64 / total as f64
-        }
-    }
-
-    /// Fraction of requests that avoided the disk: raw frame hits plus
-    /// faults served by decompressing a tier entry. With the compressed
-    /// tier disabled this equals [`PoolStats::hit_rate`].
-    pub fn effective_hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            (self.hits + self.compressed_hits) as f64 / total as f64
-        }
-    }
-
-    /// Achieved compression ratio (raw bytes / stored bytes) over every
-    /// page admitted to the compressed tier; 0 when none were.
-    pub fn compression_ratio(&self) -> f64 {
-        if self.compressed_ratio_den == 0 {
-            0.0
-        } else {
-            self.compressed_ratio_num as f64 / self.compressed_ratio_den as f64
         }
     }
 }
@@ -211,23 +171,5 @@ mod tests {
         assert_eq!(z.hit_rate(), 0.0);
         let p = PoolStats { hits: 3, misses: 1, ..Default::default() };
         assert!((p.hit_rate() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn compression_helper_edges() {
-        let z = PoolStats::default();
-        assert_eq!(z.compression_ratio(), 0.0);
-        assert_eq!(z.effective_hit_rate(), 0.0);
-        let p = PoolStats {
-            hits: 2,
-            misses: 2,
-            compressed_hits: 1,
-            compressed_ratio_num: 4096,
-            compressed_ratio_den: 1024,
-            ..Default::default()
-        };
-        assert!((p.hit_rate() - 0.5).abs() < 1e-12);
-        assert!((p.effective_hit_rate() - 0.75).abs() < 1e-12);
-        assert!((p.compression_ratio() - 4.0).abs() < 1e-12);
     }
 }

@@ -343,7 +343,7 @@ fn dirty_victim_reclaim_skips_the_synchronous_write() {
         let pool = BufferPool::with_pool_options(
             Arc::clone(&disk) as Arc<dyn DiskManager>,
             4,
-            PoolOptions { shards: 1, write_behind, ..PoolOptions::default() },
+            PoolOptions { shards: 1, write_behind },
         );
         let ids: Vec<PageId> = (0..PAGES).map(|_| pool.new_page().unwrap()).collect();
         let start = Instant::now();

@@ -121,3 +121,50 @@ fn failed_read_leaves_pool_consistent() {
     pool.with_page(c, |_| ()).unwrap();
     assert_eq!(pool.with_page(a, |p| p.bytes()[0]).unwrap(), 11, "dirty page lost");
 }
+
+#[test]
+fn evict_refault_grind_stays_consistent() {
+    // Readers hammer pages whose content encodes their identity while
+    // an evictor forces them out under the readers: every read must see
+    // the right bytes whether it was a frame hit, a join on another
+    // reader's load, a write-behind serve, or a disk fault — and the
+    // pool must settle with every page intact.
+    const PAGES: u64 = 8;
+    const READERS: usize = 2;
+    const ROUNDS: usize = 1500;
+    let p = pool(4);
+    let ids: Vec<_> = (0..PAGES).map(|_| p.new_page().unwrap()).collect();
+    for (i, id) in ids.iter().enumerate() {
+        p.with_page_mut(*id, |pg| pg.bytes_mut()[0] = i as u8).unwrap();
+    }
+    std::thread::scope(|s| {
+        for r in 0..READERS {
+            let (p, ids) = (&p, &ids);
+            s.spawn(move || {
+                let mut x = 0x9E37_79B9u64.wrapping_add(r as u64);
+                for _ in 0..ROUNDS {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    let i = (x % PAGES) as usize;
+                    let got = p.with_page(ids[i], |pg| pg.bytes()[0]).unwrap();
+                    assert_eq!(got, i as u8, "page {i} served wrong bytes");
+                }
+            });
+        }
+        let (p, ids) = (&p, &ids);
+        s.spawn(move || {
+            let mut x = 0xDEAD_BEEFu64;
+            for _ in 0..ROUNDS {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                // Pinned or mid-load pages refuse eviction; that's fine.
+                let _ = p.evict_page(ids[(x % PAGES) as usize]);
+            }
+        });
+    });
+    p.flush_all().unwrap();
+    for (i, id) in ids.iter().enumerate() {
+        assert_eq!(p.with_page(*id, |pg| pg.bytes()[0]).unwrap(), i as u8);
+    }
+    let s = p.stats();
+    assert!(s.evictions > 0, "the grind never evicted: it tested nothing");
+    assert_eq!(s.misses, s.faults + s.fault_joins, "every miss loads or parks");
+}

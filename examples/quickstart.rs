@@ -26,15 +26,8 @@
 //! a background write-behind queue instead of a synchronous device
 //! write (`DbConfig::write_behind` sizes it; `Database::persist`/
 //! `close` drain it, so durability is unchanged). The `pool_*` fields
-//! printed at the end meter that machinery.
-//!
-//! The pool also practices what the paper preaches on itself: with
-//! `DbConfig::compressed_budget_bytes` set, cold eviction victims are
-//! compressed into a byte-budgeted side tier instead of being forgotten,
-//! and a later fault on such a page decompresses instead of reading the
-//! disk — spare CPU traded for an effectively larger pool. This example
-//! runs with a deliberately small heap pool so the final `pool:` lines
-//! show the tier absorbing refaults.
+//! printed at the end meter that machinery; this example runs with a
+//! deliberately small heap pool so they have evictions to show.
 //!
 //! Writers are concurrency-safe per key: every put/update/delete
 //! installs a key-level **write intent** on its index before touching
@@ -79,13 +72,8 @@ fn main() {
         ],
     };
     let rows = RowSchema::new(&schema);
-    // A small heap pool plus a compressed-frame budget: evictions are
-    // frequent enough to matter, and the tier catches them.
-    let db = Database::open(DbConfig {
-        heap_frames: 24,
-        compressed_budget_bytes: 512 * 1024,
-        ..DbConfig::default()
-    });
+    // A small heap pool: evictions are frequent enough to matter.
+    let db = Database::open(DbConfig { heap_frames: 24, ..DbConfig::default() });
     let t = db.create_table_with(&rows).expect("create table");
     t.create_index(rows.index_spec("by_id", "id", &["views"]).expect("geometry"))
         .expect("create index");
@@ -264,8 +252,7 @@ fn main() {
     // from the parent node, not from a guess) and fetches the heap rows
     // behind them in one more, instead of paying a device round trip
     // per leaf and per heap page. Nothing is read that a row-at-a-time
-    // walk would not read. (Pages the compressed tier still holds are
-    // decompressed, not read, so they cost no device call at all.)
+    // walk would not read.
     let pools = [("index", db.index_pool()), ("heap", db.heap_pool())];
     for (_, pool) in pools {
         for id in 0..pool.disk().num_pages() {
@@ -279,8 +266,8 @@ fn main() {
     for (name, pool) in pools {
         let s = pool.stats();
         println!(
-            "  {name:<5} pool : {} pages faulted, {} decompressed, {} read in {} device call(s)",
-            s.faults, s.compressed_hits, s.read_pages, s.read_batches
+            "  {name:<5} pool : {} pages faulted, {} read in {} device call(s)",
+            s.faults, s.read_pages, s.read_batches
         );
     }
     assert_eq!(scanned, 2_000);
@@ -337,14 +324,6 @@ fn main() {
         "\npool: {} faults started, {} coalesced onto in-flight loads, \
          write-behind {} flushed / {} pending",
         s.pool_faults, s.pool_fault_joins, s.pool_wb_flushed, s.pool_wb_pending
-    );
-    println!(
-        "pool: compressed tier served {} faults without disk \
-         ({} pages held compressed, {} budget evictions, {} stalls joined a decompress)",
-        s.pool_compressed_hits,
-        s.pool_compressed_pages,
-        s.pool_compressed_evictions,
-        s.pool_decompress_stalls
     );
     drop(t);
     db.close().expect("close drains write-behind and flushes both pools");

@@ -21,7 +21,6 @@ fn degenerate_config() -> DbConfig {
         index_frames: 32,
         pool_shards: 1,
         write_behind: 0,
-        compressed_budget_bytes: 0,
         ..DbConfig::default()
     }
 }
@@ -132,75 +131,6 @@ fn same_key_storm_on_degenerate_config() {
     let via_pk = t.index("pk").unwrap().get(&9u64.to_be_bytes()).unwrap();
     assert_eq!(live, usize::from(via_pk.is_some()), "heap and index agree after the storm");
     assert!(t.index_tree("pk").unwrap().tree().intents().is_idle());
-}
-
-/// The compression axis: the compressed frame tier composed with every
-/// other knob at its degenerate value. Budget 0 must be *bit-identical*
-/// to the pre-tier engine — dormant counters and byte-for-byte equal
-/// durable state — while a nonzero budget on the same single-stripe,
-/// synchronous-write-back config must actually serve refaults from
-/// memory without perturbing a single durable byte.
-#[test]
-fn compression_axis_budget_zero_is_bit_identical_and_budget_on_serves_faults() {
-    use nbb::storage::{DiskManager, InMemoryDisk, Page, PageId};
-    use std::sync::Arc;
-    const ROWS: u64 = 20_000;
-
-    // One deterministic workload, parameterized only by the budget: the
-    // 32-frame degenerate pools hold ~1/8 of the pages this creates, so
-    // the read-back phase is all refaults.
-    fn run(budget: usize) -> (Arc<InMemoryDisk>, Arc<InMemoryDisk>, u64) {
-        let heap = Arc::new(InMemoryDisk::new(4096));
-        let index = Arc::new(InMemoryDisk::new(4096));
-        let config = DbConfig { compressed_budget_bytes: budget, ..degenerate_config() };
-        let db = Database::with_disks(
-            config,
-            Arc::clone(&heap) as Arc<dyn DiskManager>,
-            Arc::clone(&index) as Arc<dyn DiskManager>,
-        )
-        .unwrap();
-        let t = db.create_table("t", 24).unwrap();
-        t.create_index(IndexSpec::plain("pk", FieldSpec::new(0, 8))).unwrap();
-        for k in 0..ROWS {
-            t.insert(&tuple(k, k % 5, k * 3)).unwrap();
-        }
-        // persist() is a flush barrier and therefore also drains the
-        // compressor queue: the read-back faults against a settled tier.
-        db.persist().unwrap();
-        for k in (0..ROWS).step_by(7) {
-            assert_eq!(
-                t.index("pk").unwrap().get(&k.to_be_bytes()).unwrap().unwrap(),
-                tuple(k, k % 5, k * 3)
-            );
-        }
-        let stats = t.stats();
-        if budget == 0 {
-            assert_eq!(stats.pool_compressed_hits, 0, "budget 0 must leave the tier dormant");
-            assert_eq!(stats.pool_compressed_pages, 0);
-            assert_eq!(stats.pool_decompress_stalls, 0);
-        }
-        let hits = stats.pool_compressed_hits;
-        drop(t);
-        db.close().unwrap();
-        (heap, index, hits)
-    }
-
-    let (heap_off, index_off, _) = run(0);
-    let (heap_on, index_on, hits_on) = run(1 << 20);
-    assert!(hits_on > 0, "the budget-on run must serve refaults from the tier");
-
-    // The tier is a pure read-side accelerator: every durable byte must
-    // come out identical with it on or off.
-    for (name, off, on) in [("heap", heap_off, heap_on), ("index", index_off, index_on)] {
-        assert_eq!(off.num_pages(), on.num_pages(), "{name} page counts diverged");
-        for id in 0..off.num_pages() {
-            let mut a = Page::new(4096);
-            let mut b = Page::new(4096);
-            off.read(PageId(id), &mut a).unwrap();
-            on.read(PageId(id), &mut b).unwrap();
-            assert_eq!(a.bytes(), b.bytes(), "{name} page {id} diverged under compression");
-        }
-    }
 }
 
 /// The write-behind axis: a real (shallow) write-behind queue and its

@@ -4,9 +4,9 @@
 //! workspace lattice (`CONCURRENCY.md`): an inversion panics on the
 //! spot, naming both locks. This test's job is to make one run cross as
 //! many *combinations* of lock paths as possible at once — faults and
-//! coalesced fault-joins, evictions through the write-behind queue and
-//! the compressed tier, same-key intent parks and handoffs, cached-index
-//! promotion/invalidation (the frame-nested ranks), and the `flush_all`
+//! coalesced fault-joins, evictions through the write-behind queue,
+//! same-key intent parks and handoffs, cached-index promotion and
+//! invalidation (the frame-nested ranks), and the `flush_all`
 //! barrier — so the ordinary assertion "the storm completed" carries the
 //! real payload "no interleaving of these paths violated the lattice".
 //!
@@ -43,7 +43,6 @@ fn mixed_storm_respects_the_lock_lattice() {
         index_frames: 8,
         pool_shards: 2,
         write_behind: 4,
-        compressed_budget_bytes: 64 * 1024,
         ..DbConfig::default()
     });
     let t = db.create_table("t", 24).unwrap();
@@ -79,7 +78,7 @@ fn mixed_storm_respects_the_lock_lattice() {
             s.spawn(move || {
                 for round in 0..ROUNDS {
                     // Stride through the cold range: every read is a
-                    // likely fault, some served by the compressed tier.
+                    // likely fault.
                     let key = (r * 131 + round * 17) % SEEDED;
                     let row = t.index("pk").unwrap().get(&key.to_be_bytes()).unwrap();
                     if key >= HOT_KEYS {
@@ -133,8 +132,8 @@ fn mixed_storm_respects_the_lock_lattice() {
     }
 
     // The checker's stack must be fully unwound on this thread, and the
-    // close-path flush (drain write-behind, stop the compressor, flush
-    // residents) must itself pass the lattice.
+    // close-path flush (drain write-behind, flush residents) must
+    // itself pass the lattice.
     #[cfg(debug_assertions)]
     assert_eq!(parking_lot::held_rank_count(), 0);
     db.close().unwrap();

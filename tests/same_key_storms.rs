@@ -110,7 +110,7 @@ fn observed_parked_storm_serializes_same_key_updates() {
     let heap_pool = Arc::new(BufferPool::with_pool_options(
         Arc::clone(&gate) as Arc<dyn DiskManager>,
         4,
-        PoolOptions { shards: 1, write_behind: 0, ..PoolOptions::default() },
+        PoolOptions { shards: 1, write_behind: 0 },
     ));
     let index_disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
     let index_pool = Arc::new(BufferPool::new(index_disk, 64));
