@@ -9,7 +9,13 @@
 //!
 //! Each entry is `tuple_id (u64, nonzero) ‖ payload (fixed width)`. A
 //! zeroed slot is empty — which is why every byte entering the free
-//! region is zeroed by the node layer.
+//! region is zeroed by the node layer. The cache never looks inside a
+//! payload; the table layer (`nbb-core`) decides what it holds. When
+//! the entry fits a half-full leaf many times over, the payload is
+//! **every non-key byte of the tuple**: the key already lives in the
+//! leaf, so one entry answers a full-row read (key bytes put back at
+//! their offset) as well as any projection (fields sliced out). A
+//! wider tuple's entry holds only the projected fields.
 //!
 //! Placement policy (§2.1.1):
 //! * slots are ranked by distance from the stable point
@@ -71,6 +77,17 @@ pub enum StoreOutcome {
     StoredEvicting,
     /// No usable slot exists (free region smaller than one slot).
     NoRoom,
+}
+
+/// A uniformly drawn one of `slots`, or `None` when there are none:
+/// one pass counts them and one finds the drawn one, so a store
+/// collects nothing.
+fn pick<R: Rng>(slots: impl Iterator<Item = usize> + Clone, rng: &mut R) -> Option<usize> {
+    let n = slots.clone().count();
+    if n == 0 {
+        return None;
+    }
+    slots.into_iter().nth(rng.gen_range(0..n))
 }
 
 /// Read-only cache view over a leaf page.
@@ -232,20 +249,19 @@ impl<'a> CacheViewMut<'a> {
             self.write_entry(slot, tuple_id, payload);
             return StoreOutcome::Stored;
         }
-        let free: Vec<usize> = (first..last).filter(|&s| self.ro().tuple_id_at(s) == 0).collect();
-        if !free.is_empty() {
-            let slot = free[rng.gen_range(0..free.len())];
+        let view = self.ro();
+        let free = pick((first..last).filter(|&s| view.tuple_id_at(s) == 0), rng);
+        if let Some(slot) = free {
             self.write_entry(slot, tuple_id, payload);
             return StoreOutcome::Stored;
         }
         // Evict from the outermost (peripheral) occupied bucket.
         let view = self.ro();
-        // nbb-lint: allow(unwrap, eviction scan runs only when occupancy > 0)
-        let peripheral = (first..last).max_by_key(|&s| view.bucket_of(s)).expect("nonempty");
-        let max_bucket = view.bucket_of(peripheral);
-        let victims: Vec<usize> =
-            (first..last).filter(|&s| view.bucket_of(s) == max_bucket).collect();
-        let slot = victims[rng.gen_range(0..victims.len())];
+        let max_bucket = (first..last).map(|s| view.bucket_of(s)).max().unwrap_or(0);
+        let Some(slot) = pick((first..last).filter(|&s| view.bucket_of(s) == max_bucket), rng)
+        else {
+            return StoreOutcome::NoRoom;
+        };
         self.write_entry(slot, tuple_id, payload);
         StoreOutcome::StoredEvicting
     }

@@ -96,7 +96,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to go to the heap.
     pub misses: u64,
-    /// Entries stored by [`BTree::cache_populate`].
+    /// Entries stored by [`BTree::cache_populate_many`].
     pub populates: u64,
     /// Stores that overwrote a peripheral victim.
     pub evictions: u64,
@@ -181,7 +181,7 @@ struct CacheStatsAtomic {
     stale_skips: AtomicU64,
 }
 
-/// Consistency token captured at lookup time; [`BTree::cache_populate`]
+/// Consistency token captured at lookup time; [`BTree::cache_populate_many`]
 /// refuses to store a payload if any invalidation happened after it was
 /// issued (the heap value read in between may be stale).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -419,11 +419,8 @@ impl BTree {
     }
 
     /// Stores the payload fetched from the heap after a cache miss.
-    ///
-    /// `leaf`, `value` and `token` come from the preceding
-    /// [`BTree::lookup_cached`]. The store is skipped (returning `false`)
-    /// if any invalidation occurred since the token was issued, if the
-    /// latch is contended, or if the leaf has no cache room.
+    /// Thin wrapper over a one-entry [`BTree::cache_populate_many`];
+    /// returns whether the entry was stored.
     pub fn cache_populate(
         &self,
         leaf: PageId,
@@ -431,62 +428,87 @@ impl BTree {
         payload: &[u8],
         token: InvToken,
     ) -> Result<bool> {
-        let Some(cfg) = self.opts.cache else { return Ok(false) };
-        if payload.len() != cfg.payload_size {
+        Ok(self.cache_populate_many(&[(leaf, token, value, payload)])? == 1)
+    }
+
+    /// Stores the payloads fetched from the heap after cache misses,
+    /// `(leaf, token, value, payload)` each: `leaf` and `token` as the
+    /// preceding [`BTree::lookup_cached_with`] or [`BTree::range_chunk`]
+    /// reported them, `value` the key's pointer. Returns how many were
+    /// stored.
+    ///
+    /// Consecutive entries of one leaf and token form a **run**, and a
+    /// caller that lists its misses in key order has one run per leaf.
+    /// The batch takes the structure lock's read side once; each run
+    /// takes its leaf's try-latch once and the placement RNG once. A
+    /// run is skipped whole if any invalidation occurred since its
+    /// token was issued (the heap read may be stale), if the latch is
+    /// contended, or entry by entry when the leaf has no cache room.
+    pub fn cache_populate_many(&self, entries: &[(PageId, InvToken, u64, &[u8])]) -> Result<usize> {
+        let Some(cfg) = self.opts.cache else { return Ok(0) };
+        if let Some((.., payload)) = entries.iter().find(|e| e.3.len() != cfg.payload_size) {
             return Err(StorageError::Corrupt(format!(
                 "cache payload width {} != configured {}",
                 payload.len(),
                 cfg.payload_size
             )));
         }
+        if entries.is_empty() {
+            return Ok(0);
+        }
+        let fresh = |t: &InvToken| self.inv.csn() == t.csn && self.inv.newest_seq() == t.newest_seq;
         let _root = self.root.read();
-        // Any invalidation after the token means the heap read may be
-        // stale; skip rather than risk caching old bytes.
-        if self.inv.csn() != token.csn || self.inv.newest_seq() != token.newest_seq {
-            self.stats.stale_skips.fetch_add(1, Ordering::Relaxed);
-            return Ok(false);
+        let mut stored = 0;
+        for run in entries.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (leaf, token) = (run[0].0, run[0].1);
+            // Any invalidation after the token means the heap read may
+            // be stale; skip rather than risk caching old bytes.
+            if !fresh(&token) {
+                self.stats.stale_skips.fetch_add(run.len() as u64, Ordering::Relaxed);
+                continue;
+            }
+            let outcome = self.pool.with_page_cache_write(leaf, |p| {
+                // Re-check the token under the latch: invalidations
+                // serialize with this closure via the predicate log's
+                // own lock, and the page cannot be probed while we hold
+                // the write latch.
+                let mut n = NodeMut::new(p, self.key_size);
+                if !fresh(&token) || !n.as_ref().is_leaf() {
+                    return (0, 0);
+                }
+                if n.as_ref().csn() != token.csn {
+                    // Stale epoch: lazily reset this page's cache.
+                    let wm = self.inv.newest_seq();
+                    n.set_csn(token.csn);
+                    n.set_log_watermark(wm);
+                    CacheViewMut::new(n.page_mut(), self.key_size, &cfg).zero();
+                }
+                let mut rng = self.rng.lock();
+                let mut cache = CacheViewMut::new(n.page_mut(), self.key_size, &cfg);
+                let (mut stored, mut evicted) = (0u64, 0u64);
+                for &(.., value, payload) in run {
+                    match cache.store(Self::tuple_id(value), payload, &mut *rng) {
+                        StoreOutcome::Stored => stored += 1,
+                        StoreOutcome::StoredEvicting => {
+                            (stored, evicted) = (stored + 1, evicted + 1)
+                        }
+                        StoreOutcome::NoRoom => {}
+                    }
+                }
+                (stored, evicted)
+            })?;
+            match outcome {
+                Some((s, e)) => {
+                    self.stats.populates.fetch_add(s, Ordering::Relaxed);
+                    self.stats.evictions.fetch_add(e, Ordering::Relaxed);
+                    stored += s as usize;
+                }
+                None => {
+                    self.stats.latch_giveups.fetch_add(1, Ordering::Relaxed);
+                }
+            }
         }
-        let stored = self.pool.with_page_cache_write(leaf, |p| {
-            // Re-check the token under the latch: invalidations serialize
-            // with this closure via the predicate log's own lock, and the
-            // page cannot be probed while we hold the write latch.
-            if self.inv.csn() != token.csn || self.inv.newest_seq() != token.newest_seq {
-                return StoreOutcome::NoRoom;
-            }
-            let mut n = NodeMut::new(p, self.key_size);
-            if !n.as_ref().is_leaf() {
-                return StoreOutcome::NoRoom;
-            }
-            if n.as_ref().csn() != token.csn {
-                // Stale epoch: lazily reset this page's cache.
-                let wm = self.inv.newest_seq();
-                n.set_csn(token.csn);
-                n.set_log_watermark(wm);
-                CacheViewMut::new(n.page_mut(), self.key_size, &cfg).zero();
-            }
-            let mut rng = self.rng.lock();
-            CacheViewMut::new(n.page_mut(), self.key_size, &cfg).store(
-                Self::tuple_id(value),
-                payload,
-                &mut *rng,
-            )
-        })?;
-        match stored {
-            Some(StoreOutcome::Stored) => {
-                self.stats.populates.fetch_add(1, Ordering::Relaxed);
-                Ok(true)
-            }
-            Some(StoreOutcome::StoredEvicting) => {
-                self.stats.populates.fetch_add(1, Ordering::Relaxed);
-                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-                Ok(true)
-            }
-            Some(StoreOutcome::NoRoom) => Ok(false),
-            None => {
-                self.stats.latch_giveups.fetch_add(1, Ordering::Relaxed);
-                Ok(false)
-            }
-        }
+        Ok(stored)
     }
 
     /// Logs an invalidation for a tuple whose cached fields changed in

@@ -24,7 +24,7 @@ pub struct CachedLookup {
     pub value: Option<u64>,
     /// The cached payload, present on a cache hit.
     pub payload: Option<Vec<u8>>,
-    /// The leaf that owns the key — pass to [`BTree::cache_populate`].
+    /// The leaf that owns the key — pass to [`BTree::cache_populate_many`].
     pub leaf: PageId,
     /// Consistency token for populating after a heap fetch.
     pub token: InvToken,
@@ -41,8 +41,8 @@ pub struct RangeBuf {
     /// The stored values.
     pub values: Vec<u64>,
     /// Probing scans only: one `payload_size` slot per entry — the
-    /// cached fields from leaf free space where `cached[i]`, zeros
-    /// (for the caller to fill) elsewhere.
+    /// cache entry's payload from leaf free space where `cached[i]`,
+    /// zeros (for the caller to fill) elsewhere.
     pub payloads: Vec<u8>,
     /// Probing scans only: whether entry `i`'s slot holds a cached,
     /// valid payload.
@@ -67,7 +67,7 @@ pub struct RangeChunk {
     /// ascending by key. Zero only when `exhausted`.
     pub len: usize,
     /// The leaf the entries came from — pass to
-    /// [`BTree::cache_populate`] together with `token` after a heap
+    /// [`BTree::cache_populate_many`] together with `token` after a heap
     /// chase, so scans warm the cache like point lookups do.
     pub leaf: PageId,
     /// Consistency token issued before the leaf was read.
@@ -145,7 +145,7 @@ impl BTree {
     /// Cache-aware point lookup. On a hit, `payload` carries the cached
     /// fields and the entry is promoted toward the stable point. On a
     /// miss, fetch the tuple from the heap and call
-    /// [`BTree::cache_populate`] with the returned leaf and token. Thin
+    /// [`BTree::cache_populate_many`] with the returned leaf and token. Thin
     /// wrapper over a one-key [`BTree::lookup_cached_many`].
     pub fn lookup_cached(&self, key: &[u8]) -> Result<CachedLookup> {
         let mut r = self.lookup_cached_many(&[key])?;
@@ -154,23 +154,9 @@ impl BTree {
     }
 
     /// Batched cache-aware point lookup; results are indexed like
-    /// `keys`.
-    ///
-    /// The leaf-group reader with the cache in view: like
-    /// [`BTree::get_many`], the batch shares one structure-lock
-    /// acquisition and one page visit per distinct leaf — and on top of
-    /// that, cache work is amortized per leaf instead of per key: the
-    /// invalidation verdict is checked once per leaf, and every cache
-    /// hit in a leaf is promoted under a **single** try-latch
-    /// acquisition (N hot hits in one leaf cost one latch round-trip,
-    /// not N).
-    ///
-    /// Each returned [`CachedLookup`] is populate-ready: misses carry
-    /// the owning leaf and a consistency token for
-    /// [`BTree::cache_populate`].
+    /// `keys`. A thin wrapper over [`BTree::lookup_cached_with`] that
+    /// copies every hit's payload into its [`CachedLookup`].
     pub fn lookup_cached_many<K: AsRef<[u8]>>(&self, keys: &[K]) -> Result<Vec<CachedLookup>> {
-        let key_of = |pos: usize| keys[pos].as_ref();
-        let order = self.sorted_positions(keys.len(), key_of)?;
         // The reader answers every position exactly once.
         let unanswered = CachedLookup {
             value: None,
@@ -179,10 +165,39 @@ impl BTree {
             token: InvToken { csn: 0, newest_seq: 0 },
         };
         let mut out = vec![unanswered; keys.len()];
-        self.read_groups(&order, key_of, true, |pos, leaf, token, value, payload| {
+        self.lookup_cached_with(keys, |pos, leaf, token, value, payload| {
             out[pos] = CachedLookup { value, payload: payload.map(<[u8]>::to_vec), leaf, token };
         })?;
         Ok(out)
+    }
+
+    /// Batched cache-aware point lookup that lends each answer instead
+    /// of collecting it: `visit(pos, leaf, token, value, payload)` is
+    /// called once per position of `keys` — `value` its pointer if the
+    /// key is in the index, `payload` the cached entry on a hit,
+    /// borrowed from the leaf — so a caller builds what it returns
+    /// straight from the page. `visit` runs under the leaf's shared pin
+    /// and must not call back into the tree or its pool.
+    ///
+    /// The leaf-group reader with the cache in view: like
+    /// [`BTree::get_many`], the batch shares one structure-lock
+    /// acquisition and one page visit per distinct leaf — and on top of
+    /// that, cache work is amortized per leaf instead of per key: the
+    /// invalidation verdict is checked once per leaf, and every cache
+    /// hit in a leaf is promoted under a **single** try-latch
+    /// acquisition (N hot hits in one leaf cost one latch round-trip,
+    /// not N). Positions are visited in key order, so the misses of one
+    /// leaf are neighbours: `(leaf, token, value, payload)` for each,
+    /// once its tuple is fetched, is a run of
+    /// [`BTree::cache_populate_many`].
+    pub fn lookup_cached_with<K: AsRef<[u8]>>(
+        &self,
+        keys: &[K],
+        visit: impl FnMut(usize, PageId, InvToken, Option<u64>, Option<&[u8]>),
+    ) -> Result<()> {
+        let key_of = |pos: usize| keys[pos].as_ref();
+        let order = self.sorted_positions(keys.len(), key_of)?;
+        self.read_groups(&order, key_of, true, visit)
     }
 
     /// Visits `(key, value)` pairs in ascending key order starting at the

@@ -465,6 +465,72 @@ mod tests {
         assert_eq!(sum, (0..500).sum::<u64>());
     }
 
+    /// The catalog's payload as the last persist wrote it.
+    fn catalog_bytes(heap: &Arc<dyn DiskManager>) -> Vec<u8> {
+        let mut header = nbb_storage::Page::new(heap.page_size());
+        heap.read(nbb_storage::PageId(0), &mut header).unwrap();
+        let (len, first) = (header.read_u64(4) as usize, header.read_u64(12));
+        let mut out = Vec::new();
+        let mut page = nbb_storage::Page::new(heap.page_size());
+        for pid in first.. {
+            if out.len() == len {
+                return out;
+            }
+            heap.read(nbb_storage::PageId(pid), &mut page).unwrap();
+            let take = (len - out.len()).min(page.size());
+            out.extend_from_slice(&page.bytes()[..take]);
+        }
+        unreachable!("the loop returns once the payload is read")
+    }
+
+    #[test]
+    fn whole_row_entries_are_derived_again_on_reopen_from_unchanged_catalog_bytes() {
+        use nbb_storage::InMemoryDisk;
+        let heap: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
+        let index: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
+        let config =
+            DbConfig { page_size: 4096, heap_frames: 64, index_frames: 64, ..DbConfig::default() };
+        let row = |k: u64| {
+            let mut r = k.to_be_bytes().to_vec();
+            r.extend((0..56u64).map(|i| (k.wrapping_mul(31) + i) as u8));
+            r
+        };
+        let keys: Vec<[u8; 8]> = (0..2_000u64).step_by(13).map(u64::to_be_bytes).collect();
+        let spec = IndexSpec::cached("pk", FieldSpec::new(0, 8), vec![FieldSpec::new(8, 16)]);
+        let written = {
+            let db = Database::with_disks(config.clone(), Arc::clone(&heap), Arc::clone(&index))
+                .unwrap();
+            let t = db.create_table("t", 64).unwrap();
+            t.insert_many(&(0..2_000u64).map(row).collect::<Vec<_>>()).unwrap();
+            t.create_index(spec.clone()).unwrap();
+            let pk = t.index("pk").unwrap();
+            assert_eq!(pk.tree().cache_config().unwrap().payload_size, 56);
+            pk.get_many(&keys).unwrap();
+            db.persist().unwrap();
+            catalog_bytes(&heap)
+        };
+        let catalog = crate::catalog::decode(&written).unwrap();
+        assert_eq!(catalog.tables[0].tuple_width, 64);
+        assert_eq!(catalog.tables[0].indexes[0].0, spec, "the catalog stores the spec as given");
+
+        let db = Database::reopen(config, Arc::clone(&heap), index).unwrap();
+        let t = db.table("t").unwrap();
+        let pk = t.index("pk").unwrap();
+        assert_eq!(pk.tree().cache_config().unwrap().payload_size, 56, "derived again");
+        let cold = pk.get_many(&keys).unwrap();
+        let before = t.stats();
+        let warm = pk.get_many(&keys).unwrap();
+        assert_eq!(t.stats().index_only_answers - before.index_only_answers, keys.len() as u64);
+        assert_eq!(t.stats().heap_fetches, before.heap_fetches);
+        for ((k, cold), warm) in keys.iter().zip(cold).zip(warm) {
+            let want = row(u64::from_be_bytes(*k));
+            assert_eq!(cold.unwrap(), want);
+            assert_eq!(warm.unwrap(), want, "a hit after reopen is the row, byte for byte");
+        }
+        db.persist().unwrap();
+        assert_eq!(catalog_bytes(&heap), written, "nothing new is stored in the catalog");
+    }
+
     #[test]
     fn stats_reset_clears_everything() {
         let db = Database::open(DbConfig { heap_frames: 2, ..DbConfig::default() });

@@ -100,8 +100,9 @@ impl<'t> IndexRef<'t> {
         self.table
     }
 
-    /// Full-tuple point lookup (index → heap, with key re-verification).
-    /// Thin wrapper over a one-key [`IndexRef::get_many`].
+    /// Full-tuple point lookup: from the leaf cache when it holds the
+    /// row, otherwise index → heap with key re-verification. Thin
+    /// wrapper over a one-key [`IndexRef::get_many`].
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         Ok(self.get_many(&[key])?.pop().flatten())
     }
@@ -138,16 +139,27 @@ impl<'t> IndexRef<'t> {
     /// ([`nbb_storage::BufferPool::with_page_batch`]) — N lookups over
     /// a hot key set cost far fewer lock acquisitions than N
     /// [`IndexRef::get`] calls.
+    ///
+    /// When the index's leaf-cache entries are whole rows (a cached
+    /// index over tuples narrow enough, see [`IndexSpec::cached_fields`])
+    /// a key the cache holds is answered from its leaf without touching
+    /// the heap: the entry's non-key bytes with the key put back at its
+    /// offset, counted in `index_only_answers`. Misses are chased in one
+    /// batched heap read and warm the cache of their leaf. Any other
+    /// index goes to the heap for every key.
     pub fn get_many<K: AsRef<[u8]>>(&self, keys: &[K]) -> Result<Vec<Option<Vec<u8>>>> {
         self.table.get_many_with(&self.idx, keys)
     }
 
-    /// Batched projection; results are indexed like `keys`.
+    /// Batched projection — each key's `cached_fields`, concatenated;
+    /// results are indexed like `keys`.
     ///
-    /// Same grouping as [`IndexRef::get_many`], plus per-leaf cache
-    /// amortization: one invalidation-verdict check and one promotion
-    /// latch acquisition per leaf rather than per key. Cache misses
-    /// fetch the heap in one batched read and populate the cache.
+    /// The same batched read as [`IndexRef::get_many`], answering with
+    /// the fields sliced out of the leaf-cache entry (whole-row or
+    /// projection) on a hit, with per-leaf cache amortization: one
+    /// invalidation-verdict check and one promotion latch acquisition
+    /// per leaf rather than per key. Cache misses fetch the heap in one
+    /// batched read and populate the cache, one latch per leaf.
     pub fn project_many<K: AsRef<[u8]>>(&self, keys: &[K]) -> Result<Vec<Option<Projection>>> {
         self.table.project_many_with(&self.idx, keys)
     }
@@ -319,11 +331,13 @@ struct RangeState<'t> {
     /// leaf, and every refill doubles what the last one buffered.
     grow: usize,
     /// The buffered rows, every one resolved: keys and pointers at a
-    /// fixed stride, and for a projection cursor the bodies too
-    /// (`payloads`, with `cached` = answered index-only).
+    /// fixed stride, and for a projection cursor each row's leaf-cache
+    /// entry too (`payloads`, with `cached` = answered index-only).
     rows: RangeBuf,
-    /// A full-tuple cursor's bodies, `tuple_width` bytes per row.
-    tuples: Vec<u8>,
+    /// The bodies, one per buffered row: `tuple_width` bytes of a full
+    /// tuple, or a projection cursor's cached fields (sliced out of
+    /// `rows.payloads`, which holds each row's leaf-cache entry).
+    bodies: Vec<u8>,
     /// Buffered rows already yielded.
     next: usize,
     exhausted: bool,
@@ -357,7 +371,7 @@ impl<'t> RangeState<'t> {
             limit: None,
             grow: 0,
             rows: RangeBuf::default(),
-            tuples: Vec::new(),
+            bodies: Vec::new(),
             next: 0,
             exhausted: false,
             failed: false,
@@ -381,8 +395,7 @@ impl<'t> RangeState<'t> {
     /// Key and body of buffered row `i`, borrowed from the arenas.
     fn row(&self, i: usize) -> (&[u8], &[u8]) {
         let (kw, bw) = (self.idx.tree.key_size(), self.body_width());
-        let bodies = if self.projected { &self.rows.payloads } else { &self.tuples };
-        (&self.rows.keys[i * kw..][..kw], &bodies[i * bw..][..bw])
+        (&self.rows.keys[i * kw..][..kw], &self.bodies[i * bw..][..bw])
     }
 
     /// Starts a refill: sets its **row budget** — what is left of the
@@ -391,7 +404,7 @@ impl<'t> RangeState<'t> {
     fn begin(&mut self) {
         if self.next == self.rows.values.len() {
             self.rows.clear();
-            self.tuples.clear();
+            self.bodies.clear();
             self.next = 0;
         }
         self.start = self.rows.values.len();
@@ -447,13 +460,13 @@ impl<'t> RangeState<'t> {
                 dead.binary_search(&((at - 1) / width)).is_err()
             });
         }
-        let (kw, bw) = (self.idx.tree.key_size(), self.body_width());
+        let (kw, bw, ew) = (self.idx.tree.key_size(), self.body_width(), self.idx.entry_size());
         retain(&mut self.rows.keys, kw, dead);
         retain(&mut self.rows.values, 1, dead);
         retain(&mut self.rows.cached, 1, dead);
-        // Whichever of the two holds the bodies; the other is empty.
-        retain(&mut self.rows.payloads, bw, dead);
-        retain(&mut self.tuples, bw, dead);
+        // Empty for a full-tuple cursor.
+        retain(&mut self.rows.payloads, ew, dead);
+        retain(&mut self.bodies, bw, dead);
     }
 
     /// Next row to yield — its position in the arenas — within the
@@ -532,52 +545,65 @@ fn refill(group: &mut [RangeState<'_>]) -> Result<()> {
         }
     }
 
-    // Every cursor's rows that need their tuple, as (cursor, row).
+    // Every cursor's rows that need their tuple, as (cursor, row). A
+    // full-tuple cursor's bodies are the tuples; a projection cursor
+    // chases into its rows' entry slots and slices bodies out below.
+    let ew = idx.entry_size();
     let mut chased: Vec<(usize, usize)> = Vec::new();
     for (ci, c) in group.iter_mut().enumerate() {
         let n = c.rows.values.len();
         c.grow = 2 * (n - c.start).max(1);
-        if !projected {
-            c.tuples.resize(n * bw, 0);
-        }
+        c.bodies.resize(n * bw, 0);
         chased.extend((c.start..n).filter(|&r| !(projected && c.rows.cached[r])).map(|r| (ci, r)));
     }
     let rid = |&(ci, r): &(usize, usize)| RecordId::from_u64(group[ci].rows.values[r]);
     let rids: Vec<RecordId> = chased.iter().map(rid).collect();
     let mut live = vec![false; chased.len()];
-    let (keys, mut bodies): (Vec<&[u8]>, Vec<&mut Vec<u8>>) = group
+    let w = if projected { ew } else { bw };
+    let (keys, mut slots): (Vec<&[u8]>, Vec<&mut Vec<u8>>) = group
         .iter_mut()
-        .map(|c| (&c.rows.keys[..], if projected { &mut c.rows.payloads } else { &mut c.tuples }))
+        .map(|c| (&c.rows.keys[..], if projected { &mut c.rows.payloads } else { &mut c.bodies }))
         .unzip();
     let key_of = |j: usize| &keys[chased[j].0][chased[j].1 * kw..][..kw];
     table.fetch_verified(&idx, &rids, key_of, |j, tuple| {
-        let body = &mut bodies[chased[j].0][chased[j].1 * bw..][..bw];
+        let slot = &mut slots[chased[j].0][chased[j].1 * w..][..w];
         if projected {
-            idx.write_payload(tuple, body);
+            idx.write_payload(tuple, slot);
         } else {
-            body.copy_from_slice(tuple);
+            slot.copy_from_slice(tuple);
         }
         live[j] = true;
     })?;
 
-    // Chased rows warm the cache of the leaf they came from; rows a
-    // racing delete took are dropped.
+    // Chased rows warm the cache of the leaf they came from, the whole
+    // group in one batched populate; rows a racing delete took are
+    // dropped.
+    let (mut warm, mut dead) = (Vec::new(), Vec::new());
     let mut chased = chased.iter().zip(&live).peekable();
-    for (ci, c) in group.iter_mut().enumerate() {
-        let (mut dead, mut chunks) = (Vec::new(), c.chunks.iter().peekable());
+    for (ci, c) in group.iter().enumerate() {
+        let mut chunks = c.chunks.iter().peekable();
         while let Some((&(_, r), &live)) = chased.next_if(|((of, _), _)| *of == ci) {
             while chunks.next_if(|(end, ..)| *end <= r).is_some() {}
             match chunks.peek() {
-                _ if !live => dead.push(r),
+                _ if !live => dead.push((ci, r)),
                 Some(&&(_, leaf, token)) if projected => {
-                    let payload = &c.rows.payloads[r * bw..][..bw];
-                    tree.cache_populate(leaf, c.rows.values[r], payload, token)?;
+                    warm.push((leaf, token, c.rows.values[r], &c.rows.payloads[r * ew..][..ew]));
                 }
                 _ => {}
             }
         }
-        if !dead.is_empty() {
-            c.drop_rows(&dead);
+    }
+    tree.cache_populate_many(&warm)?;
+    for (ci, c) in group.iter_mut().enumerate() {
+        if projected {
+            for r in c.start..c.rows.values.len() {
+                let entry = &c.rows.payloads[r * ew..][..ew];
+                idx.write_projection(entry, true, &mut c.bodies[r * bw..][..bw]);
+            }
+        }
+        let mine: Vec<usize> = dead.iter().filter(|d| d.0 == ci).map(|d| d.1).collect();
+        if !mine.is_empty() {
+            c.drop_rows(&mine);
         }
     }
     Ok(())

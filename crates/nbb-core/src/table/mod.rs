@@ -2,16 +2,17 @@
 //!
 //! A [`Table`] composes the substrates into the paper's system: a heap
 //! file for tuples, any number of B+Tree indexes whose leaf free space
-//! caches hot tuples' projected fields (§2.1), and the bookkeeping that
-//! keeps caches consistent under updates (§2.1.2).
+//! caches hot tuples (§2.1) — every non-key byte when the row is narrow
+//! enough, else the projected fields — and the bookkeeping that keeps
+//! caches consistent under updates (§2.1.2).
 //!
 //! Field geometry is declared, not parsed: a [`FieldSpec`] names a byte
 //! range of the fixed-width tuple; an [`IndexSpec`] says which range is
-//! the key and which ranges ride in the index cache. The paper's
-//! `name_title` example: key = (namespace, title), cached payload =
-//! 4 projected fields, 25-byte cache items. Declarations are validated
-//! at [`Table::create_index`]; geometry can also be derived from a
-//! typed schema via [`crate::row::RowSchema`].
+//! the key and which ranges a projection returns. The paper's
+//! `name_title` example: key = (namespace, title), 4 projected fields
+//! (17 bytes, 25-byte cache items when only they are cached).
+//! Declarations are validated at [`Table::create_index`]; geometry can
+//! also be derived from a typed schema via [`crate::row::RowSchema`].
 //!
 //! Queries flow through handles: [`Table::index`] resolves an index
 //! name once to a [`crate::query::IndexRef`], whose point, batched
@@ -63,12 +64,14 @@
 //! silently dropping the row. `inserts` of already-present keys remain
 //! the caller's contract violation, as before.
 
-use nbb_btree::{BTree, BTreeOptions, CacheConfig};
+use nbb_btree::cache::CACHE_ID_SIZE;
+use nbb_btree::node::{NODE_FOOTER_SIZE, NODE_HEADER_SIZE};
+use nbb_btree::{BTree, BTreeOptions, CacheConfig, InvToken};
 use nbb_storage::error::{Result, StorageError};
 use nbb_storage::heap::HeapFile;
 use nbb_storage::lockrank;
 use nbb_storage::rid::RecordId;
-use nbb_storage::BufferPool;
+use nbb_storage::{BufferPool, PageId};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -104,10 +107,14 @@ pub struct IndexSpec {
     /// Which tuple bytes form the key (must be unique per tuple for
     /// point lookups to be meaningful).
     pub key: FieldSpec,
-    /// Fields cached in leaf free space; empty = caching disabled.
+    /// What a projection returns: these fields, concatenated. Empty =
+    /// caching disabled. Non-empty turns on the §2.1 leaf cache, whose
+    /// entry holds every non-key byte of the tuple when that fits a
+    /// half-full leaf many times over (then a full-row read hits it
+    /// too), and only these fields otherwise.
     pub cached_fields: Vec<FieldSpec>,
-    /// Cache tuning (bucket size, log threshold); payload size is
-    /// derived from `cached_fields`.
+    /// Cache tuning (bucket size, log threshold); the entry width is
+    /// derived from the key, `cached_fields` and the tuple width.
     pub bucket_slots: usize,
     /// Predicate-log threshold before full invalidation.
     pub log_threshold: usize,
@@ -136,7 +143,7 @@ impl IndexSpec {
         }
     }
 
-    /// Total cached payload width.
+    /// Width of a projection: the cached fields' total.
     pub fn payload_size(&self) -> usize {
         self.cached_fields.iter().map(|f| f.len).sum()
     }
@@ -149,25 +156,134 @@ fn resolved(ptrs: impl IntoIterator<Item = Option<u64>>) -> (Vec<usize>, Vec<Rec
     ptrs.into_iter().enumerate().filter_map(chased).unzip()
 }
 
+/// Fewest entries a half-full leaf's free space must hold for an
+/// index to cache whole rows; a wider tuple keeps projection entries.
+const WHOLE_ROW_MIN_SLOTS: usize = 16;
+
+/// What a batched point read returns per key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Shape {
+    /// The full tuple.
+    Row,
+    /// The cached fields, concatenated: a [`Projection`]'s payload.
+    Projection,
+}
+
+/// One key's answer to a batched point read, and whether the leaf cache
+/// gave it.
+type Answer = (Vec<u8>, bool);
+
+/// A key a batched point read chases to the heap: its position, its
+/// pointer, and — when the read probed the cache — the leaf and token a
+/// populate needs.
+type Chase = (usize, u64, Option<(PageId, InvToken)>);
+
 pub(crate) struct Index {
     pub(crate) spec: IndexSpec,
     pub(crate) tree: BTree,
+    /// The leaf-cache entry is every non-key byte of the tuple, so it
+    /// answers full-row reads too; otherwise it is the projection.
+    whole_rows: bool,
 }
 
 impl Index {
+    /// Builds an index over the tree `tree` makes from the options this
+    /// derives — the one place an index's leaf-cache entry is chosen,
+    /// from what the catalog already stores (`spec`, the tuple width)
+    /// and the index pool's page size. A cached index's entry is
+    /// `tuple_id ‖ every non-key byte` when a half-full leaf's free
+    /// space holds [`WHOLE_ROW_MIN_SLOTS`] of them, and
+    /// `tuple_id ‖ cached_fields` otherwise.
+    fn build(
+        spec: IndexSpec,
+        tuple_width: usize,
+        page_size: usize,
+        tree: impl FnOnce(BTreeOptions) -> Result<BTree>,
+    ) -> Result<Self> {
+        let row = tuple_width - spec.key.len;
+        let half_free = (page_size - NODE_HEADER_SIZE - NODE_FOOTER_SIZE) / 2;
+        let whole_rows = !spec.cached_fields.is_empty()
+            && half_free / (CACHE_ID_SIZE + row) >= WHOLE_ROW_MIN_SLOTS;
+        let cache = (!spec.cached_fields.is_empty()).then(|| CacheConfig {
+            payload_size: if whole_rows { row } else { spec.payload_size() },
+            bucket_slots: spec.bucket_slots,
+            log_threshold: spec.log_threshold,
+        });
+        let tree = tree(BTreeOptions { cache, cache_seed: 0x5eed })?;
+        Ok(Index { spec, tree, whole_rows })
+    }
+
+    /// Width of a leaf-cache entry's payload (0 for an uncached index).
+    pub(crate) fn entry_size(&self) -> usize {
+        self.tree.cache_config().map_or(0, |c| c.payload_size)
+    }
+
+    /// Whether a `shape` read consults the leaf cache: a projection
+    /// whenever the index caches, a full row only when entries are
+    /// whole rows.
+    fn probes(&self, shape: Shape) -> bool {
+        match shape {
+            Shape::Row => self.whole_rows,
+            Shape::Projection => self.tree.cache_config().is_some(),
+        }
+    }
+
     pub(crate) fn extract_payload(&self, tuple: &[u8]) -> Vec<u8> {
-        let mut out = vec![0; self.spec.payload_size()];
+        let mut out = vec![0; self.entry_size()];
         self.write_payload(tuple, &mut out);
         out
     }
 
-    /// Writes `tuple`'s cached fields into `out`, a
-    /// [`IndexSpec::payload_size`]-byte slot.
+    /// Writes `tuple`'s leaf-cache entry payload into `out`, an
+    /// [`Index::entry_size`]-byte slot: every non-key byte in tuple
+    /// order for whole rows, the projection otherwise.
     pub(crate) fn write_payload(&self, tuple: &[u8], out: &mut [u8]) {
+        if self.whole_rows {
+            let key = self.spec.key;
+            out[..key.offset].copy_from_slice(&tuple[..key.offset]);
+            out[key.offset..].copy_from_slice(&tuple[key.offset + key.len..]);
+        } else {
+            self.write_projection(tuple, false, out);
+        }
+    }
+
+    /// Writes the projection of `src` into `out`, a
+    /// [`IndexSpec::payload_size`]-byte slot. `src` is a tuple, or with
+    /// `entry` a leaf-cache entry payload: a whole-row entry lacks the
+    /// key bytes, so a field past the key sits `key.len` lower in it.
+    pub(crate) fn write_projection(&self, src: &[u8], entry: bool, out: &mut [u8]) {
+        if entry && !self.whole_rows {
+            out.copy_from_slice(src);
+            return;
+        }
+        let key = self.spec.key;
         let mut at = 0;
         for f in &self.spec.cached_fields {
-            out[at..at + f.len].copy_from_slice(f.extract(tuple));
+            let from = if entry && f.offset > key.offset { f.offset - key.len } else { f.offset };
+            out[at..at + f.len].copy_from_slice(&src[from..from + f.len]);
             at += f.len;
+        }
+    }
+
+    /// The `shape` answer for `key` from `src`: a verified heap tuple,
+    /// or with `entry` the key's leaf-cache entry payload, from which a
+    /// full row is rebuilt by putting the key back at its offset.
+    fn answer(&self, shape: Shape, key: &[u8], src: &[u8], entry: bool) -> Vec<u8> {
+        match shape {
+            Shape::Row if entry => {
+                let at = self.spec.key.offset;
+                let mut row = Vec::with_capacity(src.len() + key.len());
+                row.extend_from_slice(&src[..at]);
+                row.extend_from_slice(key);
+                row.extend_from_slice(&src[at..]);
+                row
+            }
+            Shape::Row => src.to_vec(),
+            Shape::Projection => {
+                let mut out = vec![0; self.spec.payload_size()];
+                self.write_projection(src, entry, &mut out);
+                out
+            }
         }
     }
 }
@@ -300,20 +416,14 @@ impl Table {
             deletes: AtomicU64::new(0),
             write_batches: AtomicU64::new(0),
         };
+        let page_size = t.index_pool.disk().page_size();
         for (spec, root) in indexes {
             t.check_spec(&spec)?;
-            let cache = (!spec.cached_fields.is_empty()).then(|| CacheConfig {
-                payload_size: spec.payload_size(),
-                bucket_slots: spec.bucket_slots,
-                log_threshold: spec.log_threshold,
-            });
-            let tree = BTree::open(
-                Arc::clone(&t.index_pool),
-                spec.key.len,
-                root,
-                BTreeOptions { cache, cache_seed: 0x5eed },
-            )?;
-            t.indexes.write().insert(spec.name.clone(), Arc::new(Index { spec, tree }));
+            let (pool, key_len) = (Arc::clone(&t.index_pool), spec.key.len);
+            let index = Index::build(spec, tuple_width, page_size, |opts| {
+                BTree::open(pool, key_len, root, opts)
+            })?;
+            t.indexes.write().insert(index.spec.name.clone(), Arc::new(index));
         }
         Ok(t)
     }
@@ -362,36 +472,28 @@ impl Table {
     /// unique, falling back to one-by-one inserts for duplicate keys.
     pub fn create_index(&self, spec: IndexSpec) -> Result<()> {
         self.check_spec(&spec)?;
-        let cache = (!spec.cached_fields.is_empty()).then(|| CacheConfig {
-            payload_size: spec.payload_size(),
-            bucket_slots: spec.bucket_slots,
-            log_threshold: spec.log_threshold,
-        });
-        let opts = BTreeOptions { cache, cache_seed: 0x5eed };
+        let key = spec.key;
         let mut pending = Vec::new();
         self.heap.scan(|rid, tuple| {
-            pending.push((spec.key.extract(tuple).to_vec(), rid));
+            pending.push((key.extract(tuple).to_vec(), rid));
             true
         })?;
         pending.sort_by(|a, b| a.0.cmp(&b.0));
         let unique = pending.windows(2).all(|w| w[0].0 < w[1].0);
-        let tree = if !pending.is_empty() && unique {
-            BTree::bulk_load(
-                Arc::clone(&self.index_pool),
-                spec.key.len,
-                opts,
-                pending.into_iter().map(|(k, rid)| (k, rid.to_u64())),
-                Self::BACKFILL_FILL,
-            )?
-        } else {
-            let tree = BTree::create(Arc::clone(&self.index_pool), spec.key.len, opts)?;
-            for (key, rid) in pending {
-                tree.insert(&key, rid.to_u64())?;
+        let pool = Arc::clone(&self.index_pool);
+        let page_size = pool.disk().page_size();
+        let index = Index::build(spec, self.tuple_width, page_size, |opts| {
+            if !pending.is_empty() && unique {
+                let entries = pending.into_iter().map(|(k, rid)| (k, rid.to_u64()));
+                return BTree::bulk_load(pool, key.len, opts, entries, Self::BACKFILL_FILL);
             }
-            tree
-        };
-        let name = spec.name.clone();
-        self.indexes.write().insert(name, Arc::new(Index { spec, tree }));
+            let tree = BTree::create(pool, key.len, opts)?;
+            for (k, rid) in pending {
+                tree.insert(&k, rid.to_u64())?;
+            }
+            Ok(tree)
+        })?;
+        self.indexes.write().insert(index.spec.name.clone(), Arc::new(index));
         Ok(())
     }
 
@@ -521,22 +623,6 @@ impl Table {
         self.chase(idx, rids, key_of, visit)
     }
 
-    /// [`Table::fetch_verified`] collecting copies: the verified heap
-    /// tuple per key, indexed like `keys` (`ptrs` yields the pointer
-    /// the index resolved for each key, `None` = nothing to chase).
-    fn fetch_verified_many<K: AsRef<[u8]>>(
-        &self,
-        idx: &Index,
-        keys: &[K],
-        ptrs: impl IntoIterator<Item = Option<u64>>,
-    ) -> Result<Vec<Option<Vec<u8>>>> {
-        let (at, rids) = resolved(ptrs);
-        let mut out: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
-        let key_of = |j: usize| keys[at[j]].as_ref();
-        self.fetch_verified(idx, &rids, key_of, |j, tuple| out[at[j]] = Some(tuple.to_vec()))?;
-        Ok(out)
-    }
-
     /// Batched full-tuple lookup; see
     /// [`crate::query::IndexRef::get_many`], which this implements.
     pub(crate) fn get_many_with<K: AsRef<[u8]>>(
@@ -544,8 +630,8 @@ impl Table {
         idx: &Index,
         keys: &[K],
     ) -> Result<Vec<Option<Vec<u8>>>> {
-        let ptrs = idx.tree.get_many(keys)?;
-        self.fetch_verified_many(idx, keys, ptrs)
+        let rows = self.read_many(idx, keys, Shape::Row)?;
+        Ok(rows.into_iter().map(|r| r.map(|(row, _)| row)).collect())
     }
 
     /// Batched projection; see
@@ -555,35 +641,68 @@ impl Table {
         idx: &Index,
         keys: &[K],
     ) -> Result<Vec<Option<Projection>>> {
-        if idx.spec.cached_fields.is_empty() {
-            return Ok(self
-                .get_many_with(idx, keys)?
-                .into_iter()
-                .map(|t| {
-                    t.map(|tuple| Projection {
-                        payload: idx.extract_payload(&tuple),
-                        index_only: false,
-                    })
-                })
-                .collect());
+        let answers = self.read_many(idx, keys, Shape::Projection)?;
+        let projection = |(payload, index_only)| Projection { payload, index_only };
+        Ok(answers.into_iter().map(|a| a.map(projection)).collect())
+    }
+
+    /// The one batched point read, parameterised by what it returns:
+    /// per key, its `shape` answer and whether the leaf cache gave it
+    /// (indexed like `keys`; `None` = absent).
+    ///
+    /// When a `shape` read can be answered from the index's entries,
+    /// [`BTree::lookup_cached_with`] finds the hits and each answer is
+    /// built straight from its leaf — a full row puts the key back at
+    /// its offset, a projection slices its fields out; every hit counts
+    /// in [`TableStats::index_only_answers`]. The misses are chased in
+    /// one [`Table::fetch_verified`] heap read, and then populated
+    /// through one [`BTree::cache_populate_many`], one run per leaf.
+    /// Any other read is [`BTree::get_many`] and the chase.
+    fn read_many<K: AsRef<[u8]>>(
+        &self,
+        idx: &Index,
+        keys: &[K],
+        shape: Shape,
+    ) -> Result<Vec<Option<Answer>>> {
+        let mut out: Vec<Option<Answer>> = vec![None; keys.len()];
+        let mut chased: Vec<Chase> = Vec::new();
+        let probe = idx.probes(shape);
+        if probe {
+            let mut served = 0u64;
+            idx.tree.lookup_cached_with(keys, |pos, leaf, token, value, entry| {
+                match (value, entry) {
+                    (Some(_), Some(entry)) => {
+                        let key = keys[pos].as_ref();
+                        out[pos] = Some((idx.answer(shape, key, entry, true), true));
+                        served += 1;
+                    }
+                    (Some(ptr), None) => chased.push((pos, ptr, Some((leaf, token)))),
+                    (None, _) => {}
+                }
+            })?;
+            self.index_only_answers.fetch_add(served, Ordering::Relaxed);
+        } else {
+            let ptrs = idx.tree.get_many(keys)?.into_iter().enumerate();
+            chased.extend(ptrs.filter_map(|(pos, ptr)| Some((pos, ptr?, None))));
         }
-        let lookups = idx.tree.lookup_cached_many(keys)?;
-        // Cache misses chase the heap, all through one batched read.
-        let chased = lookups.iter().map(|m| if m.payload.is_none() { m.value } else { None });
-        let tuples = self.fetch_verified_many(idx, keys, chased)?;
-        let mut out: Vec<Option<Projection>> = keys.iter().map(|_| None).collect();
-        let mut served = 0u64;
-        for (i, (m, tuple)) in lookups.into_iter().zip(tuples).enumerate() {
-            if let Some(payload) = m.payload {
-                served += 1;
-                out[i] = Some(Projection { payload, index_only: true });
-            } else if let (Some(ptr), Some(t)) = (m.value, tuple) {
-                let payload = idx.extract_payload(&t);
-                idx.tree.cache_populate(m.leaf, ptr, &payload, m.token)?;
-                out[i] = Some(Projection { payload, index_only: false });
+        let rids: Vec<RecordId> = chased.iter().map(|c| RecordId::from_u64(c.1)).collect();
+        let w = if probe { idx.entry_size() } else { 0 };
+        let mut entries = vec![0u8; chased.len() * w];
+        let key_of = |j: usize| keys[chased[j].0].as_ref();
+        self.fetch_verified(idx, &rids, key_of, |j, tuple| {
+            out[chased[j].0] = Some((idx.answer(shape, key_of(j), tuple, false), false));
+            if probe {
+                idx.write_payload(tuple, &mut entries[j * w..][..w]);
             }
-        }
-        self.index_only_answers.fetch_add(served, Ordering::Relaxed);
+        })?;
+        // Every chased key whose tuple verified warms its leaf.
+        let warm: Vec<(PageId, InvToken, u64, &[u8])> = (chased.iter().enumerate())
+            .filter(|(_, c)| out[c.0].is_some())
+            .filter_map(|(j, &(_, ptr, home))| {
+                home.map(|(l, t)| (l, t, ptr, &entries[j * w..][..w]))
+            })
+            .collect();
+        idx.tree.cache_populate_many(&warm)?;
         Ok(out)
     }
 
@@ -596,7 +715,7 @@ impl Table {
     }
 
     /// Records `rows` answered entirely from an index cache (used by
-    /// the range cursors, whose hits bypass `project_many_with`).
+    /// the range cursors, whose hits bypass [`Table::read_many`]).
     pub(crate) fn note_index_only_answers(&self, rows: u64) {
         self.index_only_answers.fetch_add(rows, Ordering::Relaxed);
     }
@@ -723,18 +842,138 @@ mod tests {
     }
 
     #[test]
-    fn update_of_uncached_field_keeps_cache_warm() {
+    fn any_non_key_byte_change_invalidates_the_cached_row() {
         let t = table_with_cached_index();
         t.insert(&tuple(1, 10, 100)).unwrap();
-        t.index("by_id").unwrap().project(&1u64.to_be_bytes()).unwrap();
-        assert!(
-            t.index("by_id").unwrap().project(&1u64.to_be_bytes()).unwrap().unwrap().index_only
-        );
-        // group (uncached) changes; value stays.
-        t.index("by_id").unwrap().update(&1u64.to_be_bytes(), &tuple(1, 77, 100)).unwrap();
-        let p = t.index("by_id").unwrap().project(&1u64.to_be_bytes()).unwrap().unwrap();
-        assert!(p.index_only, "unrelated updates must not invalidate the cache");
+        let by_id = t.index("by_id").unwrap();
+        let key = 1u64.to_be_bytes();
+        let mut row = tuple(1, 10, 100);
+        // Every byte past the key — the uncached `group` and blob too —
+        // now lives in the cached entry.
+        for at in 8..32 {
+            by_id.get(&key).unwrap();
+            let before = t.stats();
+            assert_eq!(by_id.get(&key).unwrap().unwrap(), row, "byte {at}: warm hit");
+            assert_eq!(t.stats().index_only_answers, before.index_only_answers + 1);
+            row[at] ^= 0x5A;
+            assert!(by_id.update(&key, &row).unwrap());
+            let before = t.stats();
+            assert_eq!(by_id.get(&key).unwrap().unwrap(), row, "byte {at}: the new bytes");
+            assert_eq!(t.stats().heap_fetches, before.heap_fetches + 1, "byte {at}: invalidated");
+            assert_eq!(t.stats().index_only_answers, before.index_only_answers);
+        }
+    }
+
+    #[test]
+    fn identical_tuple_update_keeps_cache_warm() {
+        let t = table_with_cached_index();
+        t.insert(&tuple(1, 10, 100)).unwrap();
+        let by_id = t.index("by_id").unwrap();
+        let key = 1u64.to_be_bytes();
+        by_id.get(&key).unwrap();
+        assert!(by_id.project(&key).unwrap().unwrap().index_only);
+        assert!(by_id.update(&key, &tuple(1, 10, 100)).unwrap());
+        let before = t.stats();
+        assert_eq!(by_id.get(&key).unwrap().unwrap(), tuple(1, 10, 100));
+        let p = by_id.project(&key).unwrap().unwrap();
+        assert!(p.index_only, "an update that changes no byte must not invalidate");
         assert_eq!(p.payload, 100u64.to_le_bytes());
+        let after = t.stats();
+        assert_eq!(after.heap_fetches, before.heap_fetches);
+        assert_eq!(after.index_only_answers, before.index_only_answers + 2);
+    }
+
+    /// 32-byte tuple with the key in the middle: a(8) | key(8) | b(8) | c(8).
+    fn keyed_at_8(key: u64) -> Vec<u8> {
+        let mut t = Vec::with_capacity(32);
+        t.extend_from_slice(&(key * 3).to_le_bytes());
+        t.extend_from_slice(&key.to_be_bytes());
+        t.extend_from_slice(&(key ^ 0xF0F0).to_le_bytes());
+        t.extend_from_slice(&[key as u8; 8]);
+        t
+    }
+
+    #[test]
+    fn a_key_mid_tuple_round_trips_byte_identically_from_a_hit() {
+        let (hp, ip) = pools();
+        let t = Table::create("t", 32, hp, ip).unwrap();
+        let rows: Vec<Vec<u8>> = (1..=300u64).map(keyed_at_8).collect();
+        t.insert_many(&rows).unwrap();
+        // Backfilled at half fill: 40 free slots a leaf, more than the
+        // keys asked of any one of them.
+        let fields = vec![FieldSpec::new(24, 8), FieldSpec::new(0, 4)];
+        t.create_index(IndexSpec::cached("mid", FieldSpec::new(8, 8), fields)).unwrap();
+        let mid = t.index("mid").unwrap();
+        assert_eq!(mid.tree().cache_config().unwrap().payload_size, 24, "whole rows");
+        let keys: Vec<[u8; 8]> = (1..=300u64).step_by(7).map(u64::to_be_bytes).collect();
+        let cold = mid.get_many(&keys).unwrap();
+        let before = t.stats();
+        let warm = mid.get_many(&keys).unwrap();
+        assert_eq!(t.stats().heap_fetches, before.heap_fetches, "every row from the cache");
+        assert_eq!(t.stats().index_only_answers, before.index_only_answers + keys.len() as u64);
+        for ((key, cold), warm) in keys.iter().zip(cold).zip(warm) {
+            let want = keyed_at_8(u64::from_be_bytes(*key));
+            assert_eq!(cold.unwrap(), want);
+            assert_eq!(warm.unwrap(), want, "a hit rebuilds the row byte for byte");
+        }
+    }
+
+    #[test]
+    fn project_many_from_whole_row_entries_equals_the_concatenated_fields() {
+        let (hp, ip) = pools();
+        let t = Table::create("t", 32, hp, ip).unwrap();
+        // Out of tuple order, one field each side of the key.
+        let fields = vec![FieldSpec::new(28, 4), FieldSpec::new(2, 5), FieldSpec::new(16, 8)];
+        t.insert_many(&(1..=200u64).map(keyed_at_8).collect::<Vec<_>>()).unwrap();
+        t.create_index(IndexSpec::cached("mid", FieldSpec::new(8, 8), fields.clone())).unwrap();
+        let mid = t.index("mid").unwrap();
+        let keys: Vec<[u8; 8]> = (1..=200u64).step_by(5).map(u64::to_be_bytes).collect();
+        mid.get_many(&keys).unwrap(); // warms whole-row entries
+        for (key, p) in keys.iter().zip(mid.project_many(&keys).unwrap()) {
+            let row = keyed_at_8(u64::from_be_bytes(*key));
+            let want: Vec<u8> =
+                fields.iter().flat_map(|f| row[f.offset..f.offset + f.len].to_vec()).collect();
+            let p = p.unwrap();
+            assert!(p.index_only, "served from the entry a get populated");
+            assert_eq!(p.payload, want);
+        }
+    }
+
+    #[test]
+    fn a_tuple_too_wide_for_whole_rows_keeps_projection_entries() {
+        let (hp, ip) = pools();
+        // A half-full 4 KiB leaf frees 2,024 bytes: 16 entries of 126 B
+        // fit (8 B id + 118 non-key bytes), 16 of 127 B do not.
+        for (width, entry) in [(126, 118), (127, 8)] {
+            let t = Table::create("t", width, Arc::clone(&hp), Arc::clone(&ip)).unwrap();
+            let spec = IndexSpec::cached("pk", FieldSpec::new(0, 8), vec![FieldSpec::new(8, 8)]);
+            t.create_index(spec).unwrap();
+            let pk = t.index("pk").unwrap();
+            assert_eq!(pk.tree().cache_config().unwrap().payload_size, entry, "width {width}");
+        }
+        let t = Table::create("wide", 200, hp, ip).unwrap();
+        let spec = IndexSpec::cached("pk", FieldSpec::new(0, 8), vec![FieldSpec::new(8, 8)]);
+        t.create_index(spec).unwrap();
+        let row = |k: u64| {
+            let mut r = vec![k as u8; 200];
+            r[..8].copy_from_slice(&k.to_be_bytes());
+            r
+        };
+        t.insert_many(&(0..100u64).map(row).collect::<Vec<_>>()).unwrap();
+        let pk = t.index("pk").unwrap();
+        let keys: Vec<[u8; 8]> = (0..100u64).map(u64::to_be_bytes).collect();
+        pk.project_many(&keys).unwrap();
+        let before = (t.stats(), pk.tree().cache_stats().lookups);
+        for _ in 0..3 {
+            for (k, got) in keys.iter().zip(pk.get_many(&keys).unwrap()) {
+                assert_eq!(got.unwrap(), row(u64::from_be_bytes(*k)));
+            }
+        }
+        let after = t.stats();
+        assert_eq!(after.index_only_answers, before.0.index_only_answers, "never index-only");
+        assert_eq!(after.heap_fetches, before.0.heap_fetches + 300, "every row from the heap");
+        assert_eq!(pk.tree().cache_stats().lookups, before.1, "and the cache is not probed");
+        assert!(pk.project_many(&keys).unwrap().iter().all(|p| p.as_ref().unwrap().index_only));
     }
 
     #[test]

@@ -47,7 +47,10 @@ fn main() {
     let db = Database::open(DbConfig::default());
     let pages_table = db.create_table("page", PAGE_ROW_WIDTH).expect("create table");
     // The paper's setup: 32-byte composite key, 4 projected fields
-    // cached (17 bytes -> 25-byte cache items).
+    // (17 bytes). The paper caches only those (25-byte cache items);
+    // here a leaf-cache entry holds the row's 48 non-key bytes (56-byte
+    // items), because 16 of them fit a half-full 8 KiB leaf — so a
+    // full-row `get` hits too, at the price of fewer slots.
     pages_table
         .create_index(IndexSpec::cached(
             "name_title",
@@ -129,8 +132,14 @@ fn main() {
         "consistency: {} predicate zeroings, {} stale-skips, {} full invalidations prevented stale reads",
         cs.zeroings, cs.stale_skips, 0
     );
-    // Bound context: with ~N cache slots over 10k pages under zipf(0.5),
+    // Bound context: with N cache slots over 10k pages under zipf(0.5),
     // the best possible hit rate is the top-mass of the cached fraction
-    // (≈ sqrt(slots/pages)); the swap policy should get most of it.
-    assert!(cs.hit_rate() > 0.35, "zipfian trace should hit the cache often: {cs:?}");
+    // (≈ sqrt(N / pages)); the swap policy should get most of it. The
+    // 56-byte items give N = 2,480 (25-byte items gave 5,614: a 52 %
+    // hit rate against 34 % now, both about 70 % of their bound).
+    let bound = (is.cache_slots as f64 / rows.len() as f64).sqrt();
+    assert!(
+        cs.hit_rate() > 0.6 * bound,
+        "zipfian trace should hit the cache often (bound {bound:.3}): {cs:?}"
+    );
 }
