@@ -35,7 +35,7 @@ fn bench_covering_vs_cache(c: &mut Criterion) {
         pool(),
         8,
         BTreeOptions {
-            cache: Some(CacheConfig { payload_size: 17, bucket_slots: 8, log_threshold: 64 }),
+            cache: Some(CacheConfig { payload_size: 17, bucket_slots: 8 }),
             cache_seed: 1,
         },
         (0..n).map(|i| (i.to_be_bytes().to_vec(), i)),
@@ -80,7 +80,7 @@ fn bench_covering_vs_cache(c: &mut Criterion) {
 fn bench_probe_by_entry_size(c: &mut Criterion) {
     let mut group = c.benchmark_group("probe_by_payload");
     for &payload in &[9usize, 17, 57, 120] {
-        let cfg = CacheConfig { payload_size: payload, bucket_slots: 8, log_threshold: 64 };
+        let cfg = CacheConfig { payload_size: payload, bucket_slots: 8 };
         let mut page = Page::new(8192);
         {
             let mut node = NodeMut::init_leaf(&mut page, 32);

@@ -40,7 +40,7 @@ fn main() {
     let pool = Arc::new(BufferPool::new(disk, 4096));
     let n_scaled = 200_000u64;
     let opts = BTreeOptions {
-        cache: Some(CacheConfig { payload_size: 17, bucket_slots: 8, log_threshold: 64 }),
+        cache: Some(CacheConfig { payload_size: 17, bucket_slots: 8 }),
         cache_seed: 1,
     };
     let entries = (0..n_scaled).map(|i| {

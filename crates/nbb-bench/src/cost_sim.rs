@@ -108,8 +108,7 @@ impl CostSim {
     /// caches, heap pages with 100-byte tuples, and a disk image.
     pub fn build(cfg: CostSimConfig, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let cache_cfg =
-            CacheConfig { payload_size: cfg.payload, bucket_slots: 8, log_threshold: 64 };
+        let cache_cfg = CacheConfig { payload_size: cfg.payload, bucket_slots: 8 };
         let mut leaves = Vec::with_capacity(cfg.n_leaves);
         let mut cached_ids = Vec::with_capacity(cfg.n_leaves);
         let mut next_id = 1u64;

@@ -1,175 +1,46 @@
-//! Cache consistency (§2.1.2): cache sequence numbers + predicate log.
+//! What remains of §2.1.2: the index-wide epoch `CSNidx`, and the rule
+//! that says when a leaf's cache may be trusted.
 //!
-//! Two invariants make invalidation O(1):
+//! The paper keeps the cache consistent lazily — a predicate per
+//! updated tuple, matched against a leaf's key range when the leaf is
+//! next read. This crate keeps it exact at the writer instead (see
+//! [`crate::cache`]), so no per-tuple state is left here. What is left:
 //!
-//! 1. `CSNp ≤ CSNidx` for every page;
-//! 2. a page's cache is valid **only if** `CSNp == CSNidx`.
-//!
-//! Incrementing the global `CSNidx` therefore invalidates every page
-//! cache at once — used at crash recovery and when the predicate log
-//! overflows its threshold.
-//!
-//! Fine-grained invalidation appends a predicate (key + tuple id) that
-//! uniquely identifies the updated tuple. When a leaf is read during
-//! normal query execution, predicates newer than the leaf's watermark
-//! are matched against its key range; on a match the leaf's cache space
-//! is zeroed. The watermark (stored in the leaf header) keeps re-scans
-//! amortized: a page only examines each predicate once.
+//! 1. `CSNp ≤ CSNidx` for every page, and incrementing `CSNidx` drops
+//!    every page cache at once ([`InvalidationState::invalidate_all`]);
+//! 2. a page's cache is trusted **only if** `CSNp == CSNidx` *and* a
+//!    populate reset it during the page's current residency in the
+//!    buffer pool ([`nbb_storage::page::Page::marked`]). Cache writes
+//!    never dirty a frame, so a page read back from a device may hold
+//!    entries older than the memory that was evicted; the mark is
+//!    cleared on every load, and only a reset raises it again.
 
-use nbb_storage::lockrank;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A logged invalidation: identifies one updated tuple.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Predicate {
-    /// Monotonic sequence number (position in the log stream).
-    pub seq: u64,
-    /// The tuple's index key — used to match leaf key ranges.
-    pub key: Vec<u8>,
-    /// The tuple's cache id.
-    pub tuple_id: u64,
-}
-
-/// Outcome of logging an invalidation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InvalidateOutcome {
-    /// Appended to the log; pages will lazily zero on read.
-    Logged,
-    /// The log exceeded its threshold: `CSNidx` was bumped (all page
-    /// caches invalid) and the log cleared.
-    FullInvalidation,
-}
-
-/// Verdict for one leaf read: what the caller must do before trusting
-/// the page's cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PageVerdict {
-    /// Cache usable as-is (CSN matches and no pending predicate hit).
-    pub cache_valid: bool,
-    /// A pending predicate matched: the page cache must be zeroed.
-    pub must_zero: bool,
-    /// Watermark to install after processing (equals the newest seq
-    /// examined). `None` when nothing new was examined.
-    pub advance_watermark_to: Option<u64>,
-}
-
-/// Shared invalidation state for one index.
-#[derive(Debug)]
+/// Shared invalidation state for one index: the `CSNidx` epoch.
+#[derive(Debug, Default)]
 pub struct InvalidationState {
     csn_idx: AtomicU64,
-    log: Mutex<Vec<Predicate>>,
-    next_seq: AtomicU64,
-    threshold: usize,
-    full_invalidations: AtomicU64,
-    logged: AtomicU64,
 }
 
 impl InvalidationState {
-    /// Creates state with the given log threshold.
-    pub fn new(threshold: usize) -> Self {
-        InvalidationState {
-            csn_idx: AtomicU64::new(1),
-            log: Mutex::with_rank(lockrank::TREE_INVALIDATION_LOG, Vec::new()),
-            next_seq: AtomicU64::new(1),
-            threshold: threshold.max(1),
-            full_invalidations: AtomicU64::new(0),
-            logged: AtomicU64::new(0),
-        }
-    }
-
     /// Current `CSNidx`.
     #[inline]
     pub fn csn(&self) -> u64 {
         self.csn_idx.load(Ordering::Acquire)
     }
 
-    /// Sequence number of the newest predicate ever issued (0 if none).
-    ///
-    /// Together with [`csn`](Self::csn) this forms a consistency token:
-    /// if both are unchanged between two moments, no invalidation of any
-    /// kind happened in between.
-    #[inline]
-    pub fn newest_seq(&self) -> u64 {
-        self.next_seq.load(Ordering::Acquire) - 1
-    }
-
     /// Invalidates the entire index cache (`CSNidx += 1`), e.g. after a
-    /// simulated crash. Clears the predicate log: the CSN bump subsumes it.
+    /// simulated crash.
     pub fn invalidate_all(&self) {
-        let mut log = self.log.lock();
-        log.clear();
         self.csn_idx.fetch_add(1, Ordering::AcqRel);
-        self.full_invalidations.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Moves `CSNidx` strictly above `max_persisted_csn` (restart path:
-    /// a reopened index must out-run every `CSNp` stamped by previous
-    /// incarnations, or surviving disk bytes could false-validate).
-    pub fn advance_epoch_beyond(&self, max_persisted_csn: u64) {
-        let mut log = self.log.lock();
-        log.clear();
-        self.csn_idx.fetch_max(max_persisted_csn + 1, Ordering::AcqRel);
-        self.full_invalidations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Logs an invalidation predicate for one updated tuple.
-    pub fn invalidate(&self, key: &[u8], tuple_id: u64) -> InvalidateOutcome {
-        let mut log = self.log.lock();
-        if log.len() + 1 > self.threshold {
-            log.clear();
-            self.csn_idx.fetch_add(1, Ordering::AcqRel);
-            self.full_invalidations.fetch_add(1, Ordering::Relaxed);
-            return InvalidateOutcome::FullInvalidation;
-        }
-        let seq = self.next_seq.fetch_add(1, Ordering::AcqRel);
-        log.push(Predicate { seq, key: key.to_vec(), tuple_id });
-        self.logged.fetch_add(1, Ordering::Relaxed);
-        InvalidateOutcome::Logged
-    }
-
-    /// Evaluates a leaf read: `page_csn`/`watermark` come from the page
-    /// header, `range` is the leaf's `[first_key, last_key]` (or `None`
-    /// when the leaf is empty).
-    pub fn check_page(
-        &self,
-        page_csn: u64,
-        watermark: u64,
-        range: Option<(&[u8], &[u8])>,
-    ) -> PageVerdict {
-        let csn = self.csn();
-        if page_csn != csn {
-            // Stale epoch: cache unusable regardless of the log. Zeroing
-            // and re-stamping happen lazily on the next cache store.
-            return PageVerdict {
-                cache_valid: false,
-                must_zero: false,
-                advance_watermark_to: None,
-            };
-        }
-        let log = self.log.lock();
-        let newest = log.last().map(|p| p.seq);
-        let pending: Vec<&Predicate> = log.iter().filter(|p| p.seq > watermark).collect();
-        if pending.is_empty() {
-            return PageVerdict { cache_valid: true, must_zero: false, advance_watermark_to: None };
-        }
-        let matched = match range {
-            Some((first, last)) => {
-                pending.iter().any(|p| p.key.as_slice() >= first && p.key.as_slice() <= last)
-            }
-            None => false,
-        };
-        PageVerdict { cache_valid: !matched, must_zero: matched, advance_watermark_to: newest }
-    }
-
-    /// Number of predicates currently pending.
-    pub fn pending_len(&self) -> usize {
-        self.log.lock().len()
-    }
-
-    /// `(predicates logged, full invalidations)` counters.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.logged.load(Ordering::Relaxed), self.full_invalidations.load(Ordering::Relaxed))
+    /// Whether a leaf whose header carries `page_csn`, and whose
+    /// residency is `marked` or not, has a cache that may be read.
+    #[inline]
+    pub fn trusts(&self, page_csn: u64, marked: bool) -> bool {
+        marked && page_csn == self.csn()
     }
 }
 
@@ -179,94 +50,35 @@ mod tests {
 
     #[test]
     fn fresh_state_validates_matching_csn() {
-        let inv = InvalidationState::new(10);
-        let v = inv.check_page(inv.csn(), 0, Some((b"a".as_ref(), b"z".as_ref())));
-        assert!(v.cache_valid);
-        assert!(!v.must_zero);
+        let inv = InvalidationState::default();
+        assert!(inv.trusts(inv.csn(), true));
     }
 
     #[test]
     fn csn_mismatch_invalidates_without_zero() {
-        let inv = InvalidationState::new(10);
-        let v = inv.check_page(inv.csn() - 1, 0, Some((b"a".as_ref(), b"z".as_ref())));
-        assert!(!v.cache_valid);
-        assert!(!v.must_zero, "stale epoch is handled lazily, not by zeroing");
-    }
-
-    #[test]
-    fn matching_predicate_forces_zero() {
-        let inv = InvalidationState::new(10);
-        assert_eq!(inv.invalidate(b"m", 7), InvalidateOutcome::Logged);
-        let v = inv.check_page(inv.csn(), 0, Some((b"a".as_ref(), b"z".as_ref())));
-        assert!(!v.cache_valid);
-        assert!(v.must_zero);
-        assert_eq!(v.advance_watermark_to, Some(1));
-    }
-
-    #[test]
-    fn non_matching_predicate_leaves_cache_valid() {
-        let inv = InvalidationState::new(10);
-        inv.invalidate(b"zzz", 7);
-        let v = inv.check_page(inv.csn(), 0, Some((b"a".as_ref(), b"m".as_ref())));
-        assert!(v.cache_valid);
-        assert!(!v.must_zero);
-        // watermark advance allows skipping this predicate next time
-        assert_eq!(v.advance_watermark_to, Some(1));
-    }
-
-    #[test]
-    fn watermark_skips_already_seen_predicates() {
-        let inv = InvalidationState::new(10);
-        inv.invalidate(b"m", 7);
-        let v1 = inv.check_page(inv.csn(), 0, Some((b"a".as_ref(), b"z".as_ref())));
-        assert!(v1.must_zero);
-        let wm = v1.advance_watermark_to.unwrap();
-        let v2 = inv.check_page(inv.csn(), wm, Some((b"a".as_ref(), b"z".as_ref())));
-        assert!(v2.cache_valid, "same predicate must not re-zero after watermark");
-    }
-
-    #[test]
-    fn threshold_triggers_full_invalidation() {
-        let inv = InvalidationState::new(3);
-        let before = inv.csn();
-        assert_eq!(inv.invalidate(b"a", 1), InvalidateOutcome::Logged);
-        assert_eq!(inv.invalidate(b"b", 2), InvalidateOutcome::Logged);
-        assert_eq!(inv.invalidate(b"c", 3), InvalidateOutcome::Logged);
-        assert_eq!(inv.invalidate(b"d", 4), InvalidateOutcome::FullInvalidation);
-        assert_eq!(inv.csn(), before + 1);
-        assert_eq!(inv.pending_len(), 0);
-        let (logged, full) = inv.counters();
-        assert_eq!(logged, 3);
-        assert_eq!(full, 1);
+        // A stale epoch only withholds trust; the bytes are reset
+        // lazily, by the leaf's next populate.
+        let inv = InvalidationState::default();
+        inv.invalidate_all();
+        assert!(!inv.trusts(inv.csn() - 1, true));
     }
 
     #[test]
     fn invalidate_all_bumps_and_clears() {
-        let inv = InvalidationState::new(10);
-        inv.invalidate(b"a", 1);
+        let inv = InvalidationState::default();
         let before = inv.csn();
+        assert!(inv.trusts(before, true));
         inv.invalidate_all();
         assert_eq!(inv.csn(), before + 1);
-        assert_eq!(inv.pending_len(), 0);
+        assert!(!inv.trusts(before, true), "every cache stamped before the bump is dropped");
     }
 
     #[test]
-    fn empty_leaf_never_matches() {
-        let inv = InvalidationState::new(10);
-        inv.invalidate(b"m", 7);
-        let v = inv.check_page(inv.csn(), 0, None);
-        assert!(!v.must_zero);
-        assert!(v.cache_valid);
-    }
-
-    #[test]
-    fn range_boundaries_inclusive() {
-        let inv = InvalidationState::new(10);
-        inv.invalidate(b"a", 1);
-        inv.invalidate(b"z", 2);
-        let v = inv.check_page(inv.csn(), 0, Some((b"a".as_ref(), b"a".as_ref())));
-        assert!(v.must_zero, "first_key boundary must match");
-        let v = inv.check_page(inv.csn(), 1, Some((b"z".as_ref(), b"z".as_ref())));
-        assert!(v.must_zero, "last_key boundary must match");
+    fn an_unmarked_residency_is_never_trusted() {
+        // A page fresh from a device: its header may carry the current
+        // epoch (written back after a populate), but its entries may
+        // predate writes that were kept only in memory.
+        let inv = InvalidationState::default();
+        assert!(!inv.trusts(inv.csn(), false));
     }
 }

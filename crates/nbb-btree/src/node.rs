@@ -35,9 +35,9 @@
 //! | 8   | 2    | free_low |
 //! | 10  | 2    | free_high |
 //! | 12  | 4    | reserved |
-//! | 16  | 8    | csn_p — page cache sequence number (leaf) |
+//! | 16  | 8    | csn_p — the epoch (`CSNidx`) the leaf's cache was last reset under |
 //! | 24  | 8    | next leaf PageId (u64::MAX = none) |
-//! | 32  | 8    | aux: internal → leftmost child; leaf → predicate-log watermark |
+//! | 32  | 8    | aux: internal → leftmost child; leaf → unused (0) |
 
 use nbb_storage::error::StorageError;
 use nbb_storage::page::{Page, PageId};
@@ -150,7 +150,8 @@ impl<'a> Node<'a> {
         self.page.read_u16(OFF_DEAD) as usize
     }
 
-    /// Page cache sequence number (`CSNp`, §2.1.2).
+    /// Page cache sequence number (`CSNp`, §2.1.2): the epoch the
+    /// leaf's cache was last reset under.
     #[inline]
     pub fn csn(&self) -> u64 {
         self.page.read_u64(OFF_CSN)
@@ -167,14 +168,6 @@ impl<'a> Node<'a> {
     pub fn leftmost_child(&self) -> PageId {
         debug_assert!(!self.is_leaf());
         PageId(self.page.read_u64(OFF_AUX))
-    }
-
-    /// Predicate-log watermark (leaves): highest log sequence already
-    /// checked against this page.
-    #[inline]
-    pub fn log_watermark(&self) -> u64 {
-        debug_assert!(self.is_leaf());
-        self.page.read_u64(OFF_AUX)
     }
 
     fn dir_base(&self) -> usize {
@@ -334,12 +327,6 @@ impl<'a> NodeMut<'a> {
     /// Sets `CSNp`.
     pub fn set_csn(&mut self, csn: u64) {
         self.page.write_u64(OFF_CSN, csn);
-    }
-
-    /// Sets the predicate-log watermark (leaves).
-    pub fn set_log_watermark(&mut self, wm: u64) {
-        debug_assert!(self.as_ref().is_leaf());
-        self.page.write_u64(OFF_AUX, wm);
     }
 
     /// Zeroes the entire free region, dropping any cached entries.

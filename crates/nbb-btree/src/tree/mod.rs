@@ -1,15 +1,19 @@
 //! The B+Tree: search/insert/delete/scan plus the §2.1 index-cache
 //! protocol (probe on lookup, populate on miss, promote on hit,
-//! predicate-driven invalidation).
+//! write-through at the writer's leaf latch).
 //!
 //! Concurrency model, in full: **structure lock → frame latch**. One
 //! tree-level `RwLock<PageId>` guards the tree's *shape* and holds the
 //! current root as its value; below it the only page-level lock is the
 //! buffer pool's per-frame latch, taken by `with_page` (shared),
-//! `with_page_mut` (exclusive) and `with_page_cache_write` (exclusive,
-//! try-only, non-dirtying: cache writes are simply skipped under
-//! contention, per §2.1.3). The tree has no latch table of its own: the
-//! frame latch of a leaf *is* its leaf latch.
+//! `with_page_mut` (exclusive), `with_page_mut_clean` (exclusive,
+//! non-dirtying: the cache write-through) and `with_page_cache_write`
+//! (exclusive, try-only, non-dirtying: populates and promotions are
+//! simply skipped under contention, per §2.1.3). The tree has no latch
+//! table of its own: the frame latch of a leaf *is* its leaf latch, and
+//! the page's residency stamp, which every exclusive writer latch
+//! advances, is how a populate learns a writer came between its lookup
+//! and its store.
 //!
 //! The read path is `tree/read.rs`, read top to bottom. Every read-only
 //! operation takes the structure lock's read side — readers never block
@@ -53,14 +57,13 @@
 //!
 //! Every lock above sits in the workspace lock-order lattice
 //! (`CONCURRENCY.md` at the repo root): intents at ranks 20 and 25,
-//! structure at rank 30, and the tree's frame-nested state
-//! (invalidation log, promotion RNG) above the pool's frame rank. Debug
-//! test runs verify the whole order at runtime; `cargo run -p nbb-lint`
-//! verifies no lock escapes it.
+//! structure at rank 30, and the tree's frame-nested promotion RNG
+//! above the pool's frame rank. Debug test runs verify the whole order
+//! at runtime; `cargo run -p nbb-lint` verifies no lock escapes it.
 
 use crate::cache::{CacheConfig, CacheViewMut, StoreOutcome};
 use crate::intents::{KeyIntents, DEFAULT_INTENT_STRIPES};
-use crate::invalidation::{InvalidateOutcome, InvalidationState};
+use crate::invalidation::InvalidationState;
 use crate::node::{node_capacity, InsertOutcome, Node, NodeMut};
 use nbb_storage::buffer::BufferPool;
 use nbb_storage::error::{Result, StorageError};
@@ -104,9 +107,12 @@ pub struct CacheStats {
     pub promotions: u64,
     /// Cache writes abandoned because the page latch was contended.
     pub latch_giveups: u64,
-    /// Page caches zeroed by predicate matches.
-    pub zeroings: u64,
-    /// Populates skipped because an invalidation raced the heap read.
+    /// Entries rewritten in place by [`BTree::cache_refresh_many`]
+    /// (write-through of a changed row).
+    pub refreshes: u64,
+    /// Populated entries refused because their leaf moved since the
+    /// lookup — a writer latch or a reload changed its stamp — or the
+    /// epoch was bumped: the heap read may be stale.
     pub stale_skips: u64,
 }
 
@@ -177,17 +183,19 @@ struct CacheStatsAtomic {
     evictions: AtomicU64,
     promotions: AtomicU64,
     latch_giveups: AtomicU64,
-    zeroings: AtomicU64,
+    refreshes: AtomicU64,
     stale_skips: AtomicU64,
 }
 
-/// Consistency token captured at lookup time; [`BTree::cache_populate_many`]
-/// refuses to store a payload if any invalidation happened after it was
-/// issued (the heap value read in between may be stale).
+/// Consistency token captured when a leaf is read:
+/// [`BTree::cache_populate_many`] refuses to store a payload if the
+/// leaf's residency stamp moved (a writer latched it, or it was evicted
+/// and read back) or the epoch was bumped since it was issued — the
+/// heap value read in between may be stale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InvToken {
     csn: u64,
-    newest_seq: u64,
+    stamp: u64,
 }
 
 /// A disk-style B+Tree with fixed-width keys and `u64` values.
@@ -213,13 +221,12 @@ impl BTree {
     /// A tree over `pool` with its root at `root`: fresh intent table,
     /// invalidation epoch and counters.
     fn rooted_at(pool: Arc<BufferPool>, key_size: usize, root: PageId, opts: BTreeOptions) -> Self {
-        let threshold = opts.cache.map(|c| c.log_threshold).unwrap_or(64);
         BTree {
             pool,
             key_size,
             intents: KeyIntents::new(DEFAULT_INTENT_STRIPES),
             root: RwLock::with_rank(lockrank::TREE_STRUCTURE, root),
-            inv: InvalidationState::new(threshold),
+            inv: InvalidationState::default(),
             rng: Mutex::with_rank(
                 lockrank::TREE_RNG,
                 SmallRng::seed_from_u64(opts.cache_seed ^ 0x006e_6262_7472_6565),
@@ -250,11 +257,10 @@ impl BTree {
     /// Reattaches a tree persisted on `pool`'s disk, rooted at `root`
     /// (the caller's catalog records the root page id and key size).
     ///
-    /// This is the restart/recovery path (§2.1.2): the reopened tree
-    /// starts a fresh CSN epoch, so any cache bytes that survived on
-    /// disk are invalid until repopulated — "to support full index
-    /// invalidation … we can efficiently invalidate the entire cache by
-    /// incrementing CSNidx".
+    /// This is the restart/recovery path (§2.1.2): cache bytes that
+    /// survived on disk are never trusted, because every leaf read back
+    /// from a device starts a residency no populate has reset yet (see
+    /// [`crate::invalidation`]) — no epoch bookkeeping is needed.
     pub fn open(
         pool: Arc<BufferPool>,
         key_size: usize,
@@ -265,15 +271,11 @@ impl BTree {
         if let Some(c) = &opts.cache {
             c.validate();
         }
-        // The root comes off a device: it must carry the node magic.
-        // (Every leaf is checked the same way by the chain walk below.)
+        // The root comes off a device: it must carry the node magic,
+        // and so must every leaf, which the chain walk checks.
         pool.with_page(root, |p| Node::checked(p, root, key_size).map(|_| ()))??;
         let tree = Self::rooted_at(pool, key_size, root, opts);
-        // Fresh epoch strictly above every persisted CSNp, so cache
-        // bytes surviving on disk can never false-validate.
-        let mut max_csn = 0u64;
-        tree.for_each_leaf(root, |n| max_csn = max_csn.max(n.csn()))?;
-        tree.inv.advance_epoch_beyond(max_csn);
+        tree.for_each_leaf(root, |_| ())?;
         Ok(tree)
     }
 
@@ -441,9 +443,12 @@ impl BTree {
     /// caller that lists its misses in key order has one run per leaf.
     /// The batch takes the structure lock's read side once; each run
     /// takes its leaf's try-latch once and the placement RNG once. A
-    /// run is skipped whole if any invalidation occurred since its
-    /// token was issued (the heap read may be stale), if the latch is
-    /// contended, or entry by entry when the leaf has no cache room.
+    /// run is refused whole if its leaf's stamp moved since the token
+    /// was issued (a writer latched the leaf, so the heap read may be
+    /// stale; or the page was reloaded) or the epoch was bumped; it is
+    /// skipped whole if the latch is contended, and entry by entry when
+    /// the leaf has no cache room. The first populate of a residency
+    /// resets the leaf's cache before storing — only then is it trusted.
     pub fn cache_populate_many(&self, entries: &[(PageId, InvToken, u64, &[u8])]) -> Result<usize> {
         let Some(cfg) = self.opts.cache else { return Ok(0) };
         if let Some((.., payload)) = entries.iter().find(|e| e.3.len() != cfg.payload_size) {
@@ -456,35 +461,28 @@ impl BTree {
         if entries.is_empty() {
             return Ok(0);
         }
-        let fresh = |t: &InvToken| self.inv.csn() == t.csn && self.inv.newest_seq() == t.newest_seq;
         let _root = self.root.read();
         let mut stored = 0;
         for run in entries.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
             let (leaf, token) = (run[0].0, run[0].1);
-            // Any invalidation after the token means the heap read may
-            // be stale; skip rather than risk caching old bytes.
-            if !fresh(&token) {
-                self.stats.stale_skips.fetch_add(run.len() as u64, Ordering::Relaxed);
-                continue;
-            }
             let outcome = self.pool.with_page_cache_write(leaf, |p| {
-                // Re-check the token under the latch: invalidations
-                // serialize with this closure via the predicate log's
-                // own lock, and the page cannot be probed while we hold
-                // the write latch.
-                let mut n = NodeMut::new(p, self.key_size);
-                if !fresh(&token) || !n.as_ref().is_leaf() {
-                    return (0, 0);
+                // Checked under the latch, so no writer can come
+                // between the check and the store.
+                if p.stamp() != token.stamp || self.inv.csn() != token.csn {
+                    return None;
                 }
-                if n.as_ref().csn() != token.csn {
-                    // Stale epoch: lazily reset this page's cache.
-                    let wm = self.inv.newest_seq();
+                if !self.inv.trusts(Node::new(p, self.key_size).csn(), p.marked()) {
+                    // First populate of this residency or epoch: what
+                    // the free space holds may predate writes that were
+                    // kept only in memory. The reset's mark is no
+                    // writer latch: other tokens stay good.
+                    let mut n = NodeMut::new(p, self.key_size);
                     n.set_csn(token.csn);
-                    n.set_log_watermark(wm);
                     CacheViewMut::new(n.page_mut(), self.key_size, &cfg).zero();
+                    p.mark();
                 }
                 let mut rng = self.rng.lock();
-                let mut cache = CacheViewMut::new(n.page_mut(), self.key_size, &cfg);
+                let mut cache = CacheViewMut::new(p, self.key_size, &cfg);
                 let (mut stored, mut evicted) = (0u64, 0u64);
                 for &(.., value, payload) in run {
                     match cache.store(Self::tuple_id(value), payload, &mut *rng) {
@@ -495,13 +493,16 @@ impl BTree {
                         StoreOutcome::NoRoom => {}
                     }
                 }
-                (stored, evicted)
+                Some((stored, evicted))
             })?;
             match outcome {
-                Some((s, e)) => {
+                Some(Some((s, e))) => {
                     self.stats.populates.fetch_add(s, Ordering::Relaxed);
                     self.stats.evictions.fetch_add(e, Ordering::Relaxed);
                     stored += s as usize;
+                }
+                Some(None) => {
+                    self.stats.stale_skips.fetch_add(run.len() as u64, Ordering::Relaxed);
                 }
                 None => {
                     self.stats.latch_giveups.fetch_add(1, Ordering::Relaxed);
@@ -509,13 +510,6 @@ impl BTree {
             }
         }
         Ok(stored)
-    }
-
-    /// Logs an invalidation for a tuple whose cached fields changed in
-    /// the heap (§2.1.2). `value` is the index pointer for `key`.
-    pub fn invalidate(&self, key: &[u8], value: u64) -> Result<InvalidateOutcome> {
-        self.check_key(key)?;
-        Ok(self.inv.invalidate(key, Self::tuple_id(value)))
     }
 
     /// Invalidates every page cache at once (`CSNidx += 1`) — the crash
@@ -534,7 +528,7 @@ impl BTree {
             evictions: self.stats.evictions.load(Ordering::Relaxed),
             promotions: self.stats.promotions.load(Ordering::Relaxed),
             latch_giveups: self.stats.latch_giveups.load(Ordering::Relaxed),
-            zeroings: self.stats.zeroings.load(Ordering::Relaxed),
+            refreshes: self.stats.refreshes.load(Ordering::Relaxed),
             stale_skips: self.stats.stale_skips.load(Ordering::Relaxed),
         }
     }

@@ -10,8 +10,7 @@
 
 use super::{BTree, IndexStats, InvToken};
 use crate::cache::{CacheView, CacheViewMut};
-use crate::invalidation::PageVerdict;
-use crate::node::{Node, NodeMut};
+use crate::node::Node;
 use nbb_storage::error::{Result, StorageError};
 use nbb_storage::page::PageId;
 use std::ops::Bound;
@@ -70,7 +69,7 @@ pub struct RangeChunk {
     /// [`BTree::cache_populate_many`] together with `token` after a heap
     /// chase, so scans warm the cache like point lookups do.
     pub leaf: PageId,
-    /// Consistency token issued before the leaf was read.
+    /// Consistency token: the leaf as it was read.
     pub token: InvToken,
     /// Keys the leaf holds in total, in range or not — the divisor for
     /// "how many more leaves does a row budget span" (`len` undercounts
@@ -88,12 +87,12 @@ pub struct RangeChunk {
 /// One leaf under a shared pin, as [`BTree::read_leaf`] hands it to
 /// its visitor.
 struct LeafView<'a> {
-    /// Consistency token issued before the page was read.
+    /// Consistency token: the page's stamp under this pin.
     token: InvToken,
     node: Node<'a>,
     /// The leaf's §2.1 cache — absent when the read did not ask to
-    /// probe, the tree has no cache, or the invalidation verdict said
-    /// the page's cache cannot be trusted.
+    /// probe, the tree has no cache, or the leaf's cache is not trusted
+    /// (no populate reset it in this residency and epoch).
     cache: Option<CacheView<'a>>,
     /// Probes asked of this view, and how many the cache answered.
     asked: u64,
@@ -162,7 +161,7 @@ impl BTree {
             value: None,
             payload: None,
             leaf: PageId::INVALID,
-            token: InvToken { csn: 0, newest_seq: 0 },
+            token: InvToken { csn: 0, stamp: 0 },
         };
         let mut out = vec![unanswered; keys.len()];
         self.lookup_cached_with(keys, |pos, leaf, token, value, payload| {
@@ -183,7 +182,7 @@ impl BTree {
     /// [`BTree::get_many`], the batch shares one structure-lock
     /// acquisition and one page visit per distinct leaf — and on top of
     /// that, cache work is amortized per leaf instead of per key: the
-    /// invalidation verdict is checked once per leaf, and every cache
+    /// cache's trust is checked once per leaf, and every cache
     /// hit in a leaf is promoted under a **single** try-latch
     /// acquisition (N hot hits in one leaf cost one latch round-trip,
     /// not N). Positions are visited in key order, so the misses of one
@@ -490,13 +489,13 @@ impl BTree {
     /// either way — so the page must carry the node magic and be a
     /// leaf, or the read is `Corrupt` naming it.
     ///
-    /// With `probe` on a cached tree the invalidation verdict is taken
-    /// once and the visitor's [`LeafView`] carries the cache
-    /// view if the verdict lets it be trusted; once the pin is released
-    /// the verdict's bookkeeping is applied and the counters are fed
-    /// what the visitor probed. Without, neither cache nor counters are
-    /// touched. Returns the visitor's result and the leaf's successor
-    /// on the chain.
+    /// With `probe` on a cached tree the visitor's [`LeafView`] carries
+    /// the cache view if the leaf's cache is trusted, and once the pin
+    /// is released the counters are fed what the visitor probed.
+    /// Without, neither cache nor counters are touched. Either way the
+    /// view's token holds the page's stamp, as read under the pin.
+    /// Returns the visitor's result and the leaf's successor on the
+    /// chain.
     fn read_leaf<R>(
         &self,
         leaf: PageId,
@@ -504,8 +503,8 @@ impl BTree {
         visit: impl FnOnce(&mut LeafView<'_>) -> R,
     ) -> Result<(R, PageId)> {
         let cfg = self.opts.cache.filter(|_| probe);
-        let token = InvToken { csn: self.inv.csn(), newest_seq: self.inv.newest_seq() };
-        let (out, next, verdict, asked, hits) = self.pool.with_page(leaf, |p| {
+        let csn = self.inv.csn();
+        let (out, next, asked, hits) = self.pool.with_page(leaf, |p| {
             let node = Node::checked(p, leaf, self.key_size)?;
             if !node.is_leaf() {
                 return Err(StorageError::Corrupt(format!(
@@ -513,20 +512,16 @@ impl BTree {
                     node.level()
                 )));
             }
-            let verdict = cfg.map(|_| {
-                let range = node.first_key().zip(node.last_key());
-                self.inv.check_page(node.csn(), node.log_watermark(), range)
-            });
             let cache = cfg
                 .as_ref()
-                .filter(|_| verdict.is_some_and(|v| v.cache_valid))
+                .filter(|_| self.inv.trusts(node.csn(), p.marked()))
                 .map(|c| CacheView::new(p, self.key_size, c));
+            let token = InvToken { csn, stamp: p.stamp() };
             let mut view = LeafView { token, node, cache, asked: 0, hits: 0 };
             let out = visit(&mut view);
-            Ok((out, node.next_leaf(), verdict, view.asked, view.hits))
+            Ok((out, node.next_leaf(), view.asked, view.hits))
         })??;
-        if let Some(verdict) = &verdict {
-            self.apply_verdict(leaf, verdict)?;
+        if cfg.is_some() {
             // Stats only meter the cache protocol: a cache-less tree,
             // or a read that did not probe, records nothing.
             self.stats.lookups.fetch_add(asked, Ordering::Relaxed);
@@ -534,35 +529,6 @@ impl BTree {
             self.stats.misses.fetch_add(asked - hits, Ordering::Relaxed);
         }
         Ok((out, next))
-    }
-
-    /// Performs the cache bookkeeping a leaf-read verdict demands:
-    /// zeroes the page cache on a predicate match, and advances the
-    /// predicate-log watermark so pending entries are not rescanned.
-    /// Both writes use the non-dirtying try-latch path and are simply
-    /// skipped under contention (§2.1.3).
-    fn apply_verdict(&self, leaf: PageId, verdict: &PageVerdict) -> Result<()> {
-        let Some(cfg) = self.opts.cache else { return Ok(()) };
-        let (zero, wm) = (verdict.must_zero, verdict.advance_watermark_to);
-        if !zero && wm.is_none() {
-            return Ok(());
-        }
-        if zero {
-            self.stats.zeroings.fetch_add(1, Ordering::Relaxed);
-        }
-        let wrote = self.pool.with_page_cache_write(leaf, |p| {
-            let mut n = NodeMut::new(p, self.key_size);
-            if let Some(wm) = wm.filter(|wm| *wm > n.as_ref().log_watermark()) {
-                n.set_log_watermark(wm);
-            }
-            if zero {
-                CacheViewMut::new(n.page_mut(), self.key_size, &cfg).zero();
-            }
-        })?;
-        if wrote.is_none() {
-            self.stats.latch_giveups.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
     }
 
     /// Promotes one leaf's cache hits (`(slot, value)` each) toward the

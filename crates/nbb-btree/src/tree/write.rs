@@ -1,13 +1,15 @@
-//! The B+Tree's write path, top to bottom: the public multi-key ops,
-//! the one leaf-run walker all three are callers of, and the escalated
-//! insert — the only place the tree's shape changes. `impl BTree`
-//! continued from the parent module, whose docs give the crabbing
-//! discipline this file carries out.
+//! The B+Tree's write path, top to bottom: the public multi-key ops and
+//! the cache write-through, the one leaf-run walker all four are
+//! callers of, and the escalated insert — the only place the tree's
+//! shape changes. `impl BTree` continued from the parent module, whose
+//! docs give the crabbing discipline this file carries out. Every leaf
+//! closure keeps the leaf's §2.1 cache exact (the `cache` module docs).
 
 use super::BTree;
+use crate::cache::CacheViewMut;
 use crate::node::{InsertOutcome, Node, NodeMut};
 use nbb_storage::error::{Result, StorageError};
-use nbb_storage::page::PageId;
+use nbb_storage::page::{Page, PageId};
 use std::sync::atomic::Ordering;
 
 /// Leaf runs the walker processes per structure-lock read acquisition.
@@ -23,8 +25,8 @@ enum LeafWrite {
     /// Nothing was overwritten: the entry is new (`None`), was removed
     /// (its value), or was never there (`None`).
     Done(Option<u64>),
-    /// The key's pointer was overwritten; this is the old one, which
-    /// the walker retires ([`BTree::retire_pointer`]).
+    /// The key's pointer was overwritten; this is the old one, whose
+    /// cache entry the walker drops in the same closure.
     Replaced(u64),
     /// The leaf has no room for a new entry carrying this value: the
     /// walker hands the key to [`BTree::insert_escalated`].
@@ -61,7 +63,7 @@ impl BTree {
         if let Some(w) = order.windows(2).find(|w| key_of(w[0]) == key_of(w[1])) {
             return Err(StorageError::duplicate_key(key_of(w[0])));
         }
-        self.write_runs(&order, key_of, |n, pos| {
+        self.write_runs(&order, key_of, true, |n, pos| {
             let (key, value) = (key_of(pos), entries[pos].1);
             let old = n.as_ref().search(key).ok().map(|j| n.as_ref().value_at(j));
             match n.insert(key, value) {
@@ -95,17 +97,18 @@ impl BTree {
     pub fn delete_many<K: AsRef<[u8]>>(&self, keys: &[K]) -> Result<Vec<Option<u64>>> {
         let key_of = |pos: usize| keys[pos].as_ref();
         let order = self.sorted_positions(keys.len(), key_of)?;
-        self.write_runs(&order, key_of, |n, pos| LeafWrite::Done(n.delete(key_of(pos))))
+        self.write_runs(&order, key_of, true, |n, pos| LeafWrite::Done(n.delete(key_of(pos))))
     }
 
     /// Updates the value of an existing key; returns false if absent
-    /// (an absent key is never created). Logs an invalidation predicate
-    /// for the old pointer.
+    /// (an absent key is never created). The old pointer's cache entry
+    /// is dropped.
     pub fn update_value(&self, key: &[u8], value: u64) -> Result<bool> {
         self.check_key(key)?;
         let old = self.write_runs(
             &[0],
             |_| key,
+            true,
             |n, _| match n.as_ref().search(key) {
                 Ok(j) => {
                     let old = n.as_ref().value_at(j);
@@ -117,6 +120,40 @@ impl BTree {
             },
         )?;
         Ok(old[0].is_some())
+    }
+
+    /// The cache write-through, after the heap changed rows whose keys
+    /// stayed put: `(key, value, payload)` each, `value` the key's
+    /// pointer. A cached entry for `value` gets `payload` in place;
+    /// nothing absent is stored. Returns how many entries were
+    /// rewritten. Each leaf is latched by `with_page_mut_clean`, entry
+    /// or not: its new stamp refuses a populate whose heap read may
+    /// predate the change, and it dirties nothing. Not a write batch in
+    /// [`super::WriteStats`].
+    pub fn cache_refresh_many<K: AsRef<[u8]>, P: AsRef<[u8]>>(
+        &self,
+        entries: &[(K, u64, P)],
+    ) -> Result<usize> {
+        let Some(cfg) = self.opts.cache else { return Ok(0) };
+        let width = |e: &(K, u64, P)| e.2.as_ref().len();
+        if let Some(e) = entries.iter().find(|e| width(e) != cfg.payload_size) {
+            return Err(StorageError::Corrupt(format!(
+                "cache payload width {} != configured {}",
+                width(e),
+                cfg.payload_size
+            )));
+        }
+        let key_of = |pos: usize| entries[pos].0.as_ref();
+        let order = self.sorted_positions(entries.len(), key_of)?;
+        let refreshed = self.write_runs(&order, key_of, false, |n, pos| {
+            let (_, value, payload) = &entries[pos];
+            let mut cache = CacheViewMut::new(n.page_mut(), self.key_size, &cfg);
+            let refreshed = cache.refresh(Self::tuple_id(*value), payload.as_ref());
+            LeafWrite::Done(refreshed.then_some(*value))
+        })?;
+        let refreshed = refreshed.iter().flatten().count();
+        self.stats.refreshes.fetch_add(refreshed as u64, Ordering::Relaxed);
+        Ok(refreshed)
     }
 
     /// The leaf-run walker: every leaf mutation outside a split goes
@@ -135,18 +172,23 @@ impl BTree {
     /// guard released it is inserted under the exclusive structure lock
     /// ([`BTree::insert_escalated`]), and the walk resumes after it.
     /// Returns each key's previous value, indexed by position; a
-    /// non-empty call is one batch in [`super::WriteStats`].
+    /// non-empty `dirty` call is one batch in [`super::WriteStats`].
+    /// Without `dirty` (the write-through) each leaf is taken by
+    /// `with_page_mut_clean`, nothing is counted, and no key is `Full`.
     fn write_runs<'k>(
         &self,
         order: &[usize],
         key_of: impl Fn(usize) -> &'k [u8],
+        dirty: bool,
         leaf_op: impl Fn(&mut NodeMut<'_>, usize) -> LeafWrite,
     ) -> Result<Vec<Option<u64>>> {
         if order.is_empty() {
             return Ok(Vec::new());
         }
-        self.wstats.batches.fetch_add(1, Ordering::Relaxed);
-        self.wstats.keys.fetch_add(order.len() as u64, Ordering::Relaxed);
+        if dirty {
+            self.wstats.batches.fetch_add(1, Ordering::Relaxed);
+            self.wstats.keys.fetch_add(order.len() as u64, Ordering::Relaxed);
+        }
         let mut out: Vec<Option<u64>> = vec![None; order.len()];
         let mut i = 0;
         while i < order.len() {
@@ -157,26 +199,33 @@ impl BTree {
                 while i < order.len() && runs < RUNS_PER_GUARD && full.is_none() {
                     runs += 1;
                     let (leaf, run) = self.locate_run(*root, &key_of, &order[i..])?;
-                    self.wstats.leaf_groups.fetch_add(1, Ordering::Relaxed);
-                    let verdicts = self.pool.with_page_mut(leaf, |p| {
+                    let body = |p: &mut Page| {
                         let mut n = NodeMut::new(p, self.key_size);
                         let mut verdicts = Vec::with_capacity(run);
                         for &pos in &order[i..i + run] {
-                            verdicts.push(leaf_op(&mut n, pos));
-                            if let Some(LeafWrite::Full(_)) = verdicts.last() {
+                            let verdict = leaf_op(&mut n, pos);
+                            if let LeafWrite::Replaced(old) = verdict {
+                                self.forget(&mut n, old);
+                            }
+                            let full = matches!(verdict, LeafWrite::Full(_));
+                            verdicts.push(verdict);
+                            if full {
                                 break;
                             }
                         }
                         verdicts
-                    })?;
+                    };
+                    let verdicts = if dirty {
+                        self.wstats.leaf_groups.fetch_add(1, Ordering::Relaxed);
+                        self.pool.with_page_mut(leaf, body)?
+                    } else {
+                        self.pool.with_page_mut_clean(leaf, body)?
+                    };
                     for verdict in verdicts {
                         let pos = order[i];
                         match verdict {
                             LeafWrite::Done(old) => out[pos] = old,
-                            LeafWrite::Replaced(old) => {
-                                self.retire_pointer(key_of(pos), old);
-                                out[pos] = Some(old);
-                            }
+                            LeafWrite::Replaced(old) => out[pos] = Some(old),
                             LeafWrite::Full(value) => {
                                 full = Some(value);
                                 break;
@@ -195,10 +244,12 @@ impl BTree {
         Ok(out)
     }
 
-    /// Overwriting `key`'s pointer may strand a cached entry for the old
-    /// tuple id; a predicate flushes it lazily.
-    fn retire_pointer(&self, key: &[u8], old: u64) {
-        self.inv.invalidate(key, Self::tuple_id(old));
+    /// Drops the cache entry of `old`, a pointer just overwritten in
+    /// `n`: a later key of this leaf may name the same heap slot.
+    fn forget(&self, n: &mut NodeMut<'_>, old: u64) {
+        if let Some(cfg) = &self.opts.cache {
+            CacheViewMut::new(n.page_mut(), self.key_size, cfg).remove(Self::tuple_id(old));
+        }
     }
 
     /// Descends to the leaf owning the first key of `tail` (the sorted
@@ -241,9 +292,6 @@ impl BTree {
             })?;
             *guard = new_root;
         }
-        if let Some(old) = old {
-            self.retire_pointer(key, old);
-        }
         Ok(old)
     }
 
@@ -261,7 +309,11 @@ impl BTree {
             let (outcome, old) = self.pool.with_page_mut(page, |p| {
                 let mut n = NodeMut::new(p, self.key_size);
                 let old = n.as_ref().search(key).ok().map(|i| n.as_ref().value_at(i));
-                (n.insert(key, value), old)
+                let outcome = n.insert(key, value);
+                if let Some(old) = old {
+                    self.forget(&mut n, old);
+                }
+                (outcome, old)
             })?;
             if outcome != InsertOutcome::NeedSplit {
                 return Ok((old, None));

@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 
 fn cfg(payload: usize, bucket: usize) -> CacheConfig {
-    CacheConfig { payload_size: payload, bucket_slots: bucket, log_threshold: 64 }
+    CacheConfig { payload_size: payload, bucket_slots: bucket }
 }
 
 proptest! {

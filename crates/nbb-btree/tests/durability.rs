@@ -1,6 +1,7 @@
 //! Restart tests: trees persisted to a (file or memory) disk survive a
-//! full tear-down of all in-memory state, and reopened trees start a
-//! fresh CSN epoch so stale on-disk cache bytes are never served.
+//! full tear-down of all in-memory state, and a reopened tree never
+//! trusts cache bytes read back from a device, so stale ones are never
+//! served.
 
 use nbb_btree::{BTree, BTreeOptions, CacheConfig, NodeMut};
 use nbb_storage::{BufferPool, DiskManager, FileDisk, InMemoryDisk, StorageError};
@@ -11,10 +12,7 @@ fn k(v: u64) -> [u8; 8] {
 }
 
 fn cached_opts() -> BTreeOptions {
-    BTreeOptions {
-        cache: Some(CacheConfig { payload_size: 8, bucket_slots: 8, log_threshold: 32 }),
-        cache_seed: 17,
-    }
+    BTreeOptions { cache: Some(CacheConfig { payload_size: 8, bucket_slots: 8 }), cache_seed: 17 }
 }
 
 fn restart_round_trip(disk: Arc<dyn DiskManager>) {
@@ -70,7 +68,9 @@ fn restart_from_real_file() {
 #[test]
 fn reopened_epoch_outruns_persisted_csn() {
     // Crank CSNp values high in the first incarnation (many full
-    // invalidations), then reopen and verify no false validation.
+    // invalidations), then reopen and verify no false validation: the
+    // reopened epoch starts low again, but a leaf read back from a
+    // device is not trusted until a populate resets it.
     let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
     let root;
     {

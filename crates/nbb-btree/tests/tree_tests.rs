@@ -20,7 +20,7 @@ fn k(v: u64) -> [u8; 8] {
 
 fn cached_opts(payload: usize) -> BTreeOptions {
     BTreeOptions {
-        cache: Some(CacheConfig { payload_size: payload, bucket_slots: 8, log_threshold: 32 }),
+        cache: Some(CacheConfig { payload_size: payload, bucket_slots: 8 }),
         cache_seed: 7,
     }
 }
@@ -610,11 +610,11 @@ fn cache_answers_match_heap_under_mixed_workload() {
         x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         let key = x % n;
         if step % 25 == 24 {
-            // Update the "heap" payload and invalidate.
+            // Update the "heap" payload, then write it through.
             let nv = truth[&key].wrapping_add(1);
             truth.insert(key, nv);
             let ptr = tree.get(&k(key)).unwrap().unwrap();
-            tree.invalidate(&k(key), ptr).unwrap();
+            tree.cache_refresh_many(&[(k(key), ptr, nv.to_le_bytes())]).unwrap();
         } else {
             let m = tree.lookup_cached(&k(key)).unwrap();
             let ptr = m.value.expect("key exists");
@@ -629,7 +629,9 @@ fn cache_answers_match_heap_under_mixed_workload() {
     }
     let s = tree.cache_stats();
     assert!(s.hits > 500, "expected plenty of cache hits, got {:?}", s);
-    assert!(s.zeroings > 0 || s.stale_skips > 0, "invalidation paths must fire: {s:?}");
+    assert!(s.refreshes > 0, "updates of cached keys must be written through: {s:?}");
+    // Each populate follows its own lookup with no writer between.
+    assert_eq!(s.stale_skips, 0, "{s:?}");
 }
 
 #[test]
@@ -654,39 +656,69 @@ fn invalidate_all_drops_every_cache() {
 }
 
 #[test]
-fn predicate_log_overflow_invalidates_everything() {
-    let opts = BTreeOptions {
-        cache: Some(CacheConfig { payload_size: 8, bucket_slots: 8, log_threshold: 4 }),
-        cache_seed: 3,
-    };
-    let tree = BTree::create(pool(), 8, opts).unwrap();
-    for v in 0..100u64 {
-        tree.insert(&k(v), v).unwrap();
-    }
-    let m = tree.lookup_cached(&k(0)).unwrap();
-    tree.cache_populate(m.leaf, 0, &0u64.to_le_bytes(), m.token).unwrap();
-    assert!(tree.lookup_cached(&k(0)).unwrap().payload.is_some());
-    // Overflow the tiny log with unrelated invalidations.
-    for v in 50..60u64 {
-        tree.invalidate(&k(v), v).unwrap();
-    }
-    // CSN must have bumped at least once -> key 0's cache is gone too.
-    assert!(tree.lookup_cached(&k(0)).unwrap().payload.is_none());
-}
-
-#[test]
 fn stale_token_populate_is_skipped() {
     let tree = BTree::create(pool(), 8, cached_opts(8)).unwrap();
     tree.insert(&k(1), 10).unwrap();
+    tree.insert(&k(2), 20).unwrap();
     let m = tree.lookup_cached(&k(1)).unwrap();
-    // Invalidation races the heap read.
-    tree.invalidate(&k(1), 10).unwrap();
+    // A writer races the heap read: its write-through finds no entry to
+    // fix, but its latch on the leaf moves the stamp the token holds.
+    assert_eq!(tree.cache_refresh_many(&[(k(1), 10, 8u64.to_le_bytes())]).unwrap(), 0);
     assert!(
         !tree.cache_populate(m.leaf, 10, &7u64.to_le_bytes(), m.token).unwrap(),
         "populate with a stale token must be refused"
     );
     assert_eq!(tree.cache_stats().stale_skips, 1);
     assert!(tree.lookup_cached(&k(1)).unwrap().payload.is_none());
+    // Any writer latch on the leaf counts, not only one on the same key.
+    let m = tree.lookup_cached(&k(1)).unwrap();
+    tree.insert(&k(3), 30).unwrap();
+    assert!(!tree.cache_populate(m.leaf, 10, &8u64.to_le_bytes(), m.token).unwrap());
+    // A fresh token, with no writer since, is taken.
+    let m = tree.lookup_cached(&k(1)).unwrap();
+    assert!(tree.cache_populate(m.leaf, 10, &8u64.to_le_bytes(), m.token).unwrap());
+    assert_eq!(
+        tree.lookup_cached(&k(1)).unwrap().payload.as_deref(),
+        Some(&8u64.to_le_bytes()[..])
+    );
+}
+
+#[test]
+fn a_populate_whose_reset_comes_first_keeps_other_tokens_good() {
+    // Two readers miss on one leaf; the first populate of the residency
+    // resets the leaf's cache and marks it. That mark is no writer: the
+    // second reader's token, issued before it, still stores.
+    let tree = BTree::create(pool(), 8, cached_opts(8)).unwrap();
+    tree.insert(&k(1), 10).unwrap();
+    tree.insert(&k(2), 20).unwrap();
+    let (a, b) = (tree.lookup_cached(&k(1)).unwrap(), tree.lookup_cached(&k(2)).unwrap());
+    assert!(tree.cache_populate(a.leaf, 10, &1u64.to_le_bytes(), a.token).unwrap());
+    assert!(tree.cache_populate(b.leaf, 20, &2u64.to_le_bytes(), b.token).unwrap());
+    assert!(tree.lookup_cached(&k(1)).unwrap().payload.is_some());
+    assert!(tree.lookup_cached(&k(2)).unwrap().payload.is_some());
+    assert_eq!(tree.cache_stats().stale_skips, 0);
+}
+
+#[test]
+fn an_overwritten_pointer_drops_its_old_entry_in_the_same_latch() {
+    let tree = BTree::create(pool(), 8, cached_opts(8)).unwrap();
+    for v in 1..=3u64 {
+        tree.insert(&k(v), v * 10).unwrap();
+        let m = tree.lookup_cached(&k(v)).unwrap();
+        assert!(tree.cache_populate(m.leaf, v * 10, &v.to_le_bytes(), m.token).unwrap());
+    }
+    // Key 1 now names tuple 99; key 2 later names key 1's old tuple 10.
+    assert_eq!(tree.insert(&k(1), 99).unwrap(), Some(10));
+    assert!(tree.lookup_cached(&k(1)).unwrap().payload.is_none());
+    assert!(tree.update_value(&k(2), 10).unwrap());
+    assert!(
+        tree.lookup_cached(&k(2)).unwrap().payload.is_none(),
+        "tuple 10's old entry must be gone, not served for key 2"
+    );
+    assert_eq!(
+        tree.lookup_cached(&k(3)).unwrap().payload.as_deref(),
+        Some(&3u64.to_le_bytes()[..])
+    );
 }
 
 #[test]
@@ -826,20 +858,18 @@ fn concurrent_cached_reads_and_invalidations_stay_consistent() {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 let key = x % n;
                 if x.is_multiple_of(17) {
-                    // writer: bump heap version then invalidate
-                    heap[key as usize].fetch_add(1, Ordering::SeqCst);
-                    tree.invalidate(&k(key), key).unwrap();
+                    // writer: bump heap version, then write it through
+                    let v = heap[key as usize].fetch_add(1, Ordering::SeqCst) + 1;
+                    tree.cache_refresh_many(&[(k(key), key, v.to_le_bytes())]).unwrap();
                 } else {
                     let m = tree.lookup_cached(&k(key)).unwrap();
                     if let Some(pl) = &m.payload {
                         let got = u64::from_le_bytes(pl[..8].try_into().unwrap());
                         let now = heap[key as usize].load(Ordering::SeqCst);
-                        // A cached value may lag only if an invalidation
-                        // is still in flight; it must never exceed the
-                        // heap version and never be older than the value
-                        // at the instant the entry was stored. The strong
-                        // check: after our own invalidate barrier below,
-                        // reads converge. Here: monotone sanity.
+                        // A cached value may lag only while a writer is
+                        // between its heap bump and its write-through;
+                        // it never runs ahead of the heap. The strong
+                        // check is below, once the writers are done.
                         assert!(got <= now, "cache ahead of heap?! {got} > {now}");
                     } else {
                         let now = heap[key as usize].load(Ordering::SeqCst);
@@ -857,7 +887,18 @@ fn concurrent_cached_reads_and_invalidations_stay_consistent() {
     for h in handles {
         h.join().unwrap();
     }
-    // Quiesce: invalidate everything, then every hit must be fresh.
+    // Quiesced: every write was written through and no populate after
+    // a writer latch was taken, so every hit is the current version.
+    let mut hits = 0;
+    for v in 0..n {
+        if let Some(pl) = tree.lookup_cached(&k(v)).unwrap().payload {
+            let got = u64::from_le_bytes(pl[..8].try_into().unwrap());
+            assert_eq!(got, heap[v as usize].load(Ordering::SeqCst), "key {v}");
+            hits += 1;
+        }
+    }
+    assert!(hits > 0, "the cache must hold something once the writers stop");
+    // And the epoch still drops everything at once.
     tree.invalidate_all_caches();
     for v in 0..n {
         let m = tree.lookup_cached(&k(v)).unwrap();
@@ -930,7 +971,7 @@ mod properties {
                     0 => {
                         let nv = truth[&key].wrapping_add(x);
                         truth.insert(key, nv);
-                        tree.invalidate(&k(key), key).unwrap();
+                        tree.cache_refresh_many(&[(k(key), key, nv.to_le_bytes())]).unwrap();
                     }
                     _ => {
                         let m = tree.lookup_cached(&k(key)).unwrap();

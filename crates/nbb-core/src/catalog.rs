@@ -14,8 +14,8 @@
 //!
 //! Reopening ([`crate::db::Database::reopen`]) reverses the process with
 //! [`nbb_storage::HeapFile::attach`] and [`nbb_btree::BTree::open`] —
-//! which starts a fresh CSN epoch, so persisted index-cache bytes are
-//! harmless (§2.1.2's crash handling).
+//! persisted index-cache bytes are harmless, because a leaf read back
+//! from a device is not trusted until a populate resets its cache.
 
 use crate::table::{FieldSpec, IndexSpec};
 use nbb_storage::error::{Result, StorageError};
@@ -23,6 +23,12 @@ use nbb_storage::page::PageId;
 
 const MAGIC: u32 = 0x6E62_6201; // "nbb\x01"
 const VERSION: u32 = 1;
+
+/// What every index entry carries after `bucket_slots`: the slot once
+/// held the predicate-log threshold, gone with the log. The layout
+/// keeps it, written as the default the slot always held and ignored
+/// on read, so catalogs stay byte-compatible both ways.
+const RETIRED_SLOT: u32 = 64;
 
 /// One table's catalog entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,7 +127,7 @@ pub fn encode(cat: &Catalog) -> Vec<u8> {
                 w.u32(f.len as u32);
             }
             w.u32(spec.bucket_slots as u32);
-            w.u32(spec.log_threshold as u32);
+            w.u32(RETIRED_SLOT);
             w.u64(root.0);
         }
     }
@@ -158,12 +164,9 @@ pub fn decode(buf: &[u8]) -> Result<Catalog> {
                 cached_fields.push(FieldSpec::new(r.u32()? as usize, r.u32()? as usize));
             }
             let bucket_slots = r.u32()? as usize;
-            let log_threshold = r.u32()? as usize;
+            r.u32()?; // RETIRED_SLOT
             let root = PageId(r.u64()?);
-            indexes.push((
-                IndexSpec { name: iname, key, cached_fields, bucket_slots, log_threshold },
-                root,
-            ));
+            indexes.push((IndexSpec { name: iname, key, cached_fields, bucket_slots }, root));
         }
         tables.push(TableEntry { name, tuple_width, heap_pages, indexes });
     }
@@ -225,6 +228,46 @@ mod tests {
         let mut bytes = encode(&sample());
         bytes.truncate(bytes.len() / 2);
         assert!(decode(&bytes).is_err());
+    }
+
+    /// The layout a catalog had while `IndexSpec` still carried the
+    /// predicate-log threshold, built field by field.
+    fn legacy_bytes(threshold: u32) -> Vec<u8> {
+        let mut b = Vec::new();
+        let str = |b: &mut Vec<u8>, s: &str| {
+            b.extend_from_slice(&(s.len() as u16).to_le_bytes());
+            b.extend_from_slice(s.as_bytes());
+        };
+        for v in [MAGIC, VERSION, 1] {
+            b.extend_from_slice(&v.to_le_bytes());
+        }
+        str(&mut b, "revision");
+        b.extend_from_slice(&112u32.to_le_bytes()); // tuple width
+        b.extend_from_slice(&1u32.to_le_bytes()); // one heap page
+        b.extend_from_slice(&7u64.to_le_bytes());
+        b.extend_from_slice(&1u16.to_le_bytes()); // one index
+        str(&mut b, "by_rev_id");
+        for v in [0u32, 8] {
+            b.extend_from_slice(&v.to_le_bytes()); // key
+        }
+        b.extend_from_slice(&1u16.to_le_bytes()); // one cached field
+        for v in [8u32, 8, 8, threshold] {
+            b.extend_from_slice(&v.to_le_bytes()); // field, bucket_slots, threshold
+        }
+        b.extend_from_slice(&42u64.to_le_bytes()); // root
+        b
+    }
+
+    #[test]
+    fn a_catalog_in_the_log_threshold_layout_reopens_byte_identically() {
+        let old = legacy_bytes(64);
+        let cat = decode(&old).unwrap();
+        let (spec, root) = &cat.tables[0].indexes[0];
+        let want = IndexSpec::cached("by_rev_id", FieldSpec::new(0, 8), vec![FieldSpec::new(8, 8)]);
+        assert_eq!((spec, *root), (&want, PageId(42)));
+        assert_eq!(encode(&cat), old, "persisting it again writes the same bytes");
+        // Any threshold a caller once chose reads back the same way.
+        assert_eq!(decode(&legacy_bytes(16)).unwrap(), cat);
     }
 
     #[test]

@@ -221,8 +221,9 @@ impl Database {
 
     /// Reopens a persisted database: reads the catalog from the heap
     /// disk and reattaches every table (heaps via page lists, indexes
-    /// via [`nbb_btree::BTree::open`], which invalidates persisted
-    /// cache bytes by starting a fresh CSN epoch).
+    /// via [`nbb_btree::BTree::open`]; persisted cache bytes are never
+    /// trusted, since a leaf read back from a device is not until a
+    /// populate resets it).
     ///
     /// Reads the disks directly, so the previous owner of these disks
     /// must have flushed through [`Database::persist`] or

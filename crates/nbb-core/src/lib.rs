@@ -9,7 +9,8 @@
 //! * [`table`] — fixed-width-tuple tables with cached secondary
 //!   indexes: [`query::IndexRef::project`] is the paper's §2.1
 //!   hot path (index-cache hit → no heap access), and updates/deletes
-//!   carry the §2.1.2 invalidation duties automatically. Reads are
+//!   keep the leaf cache exact automatically (§2.1.2's duty, done at
+//!   the writer's leaf latch). Reads are
 //!   fully concurrent (index→heap chases re-verify the fetched key, so
 //!   racing deletes read as absent). Writers crab through per-leaf
 //!   latches underneath, so mutators on **disjoint keys** proceed in

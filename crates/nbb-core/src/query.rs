@@ -117,8 +117,9 @@ impl<'t> IndexRef<'t> {
 
     /// Updates the tuple whose key is `key` to `tuple`, maintaining
     /// every index of the table (§2.1.2 consistency duties: indexes
-    /// whose cached fields changed get an invalidation predicate,
-    /// indexes whose key bytes changed get a delete+insert). Thin
+    /// whose cached bytes changed get them written through to the
+    /// leaf cache, indexes whose key bytes changed get a
+    /// delete+insert). Thin
     /// wrapper over a one-pair [`IndexRef::update_many`].
     pub fn update(&self, key: &[u8], tuple: &[u8]) -> Result<bool> {
         Ok(self.update_many(&[(key, tuple)])?.pop().unwrap_or(false))
@@ -157,7 +158,7 @@ impl<'t> IndexRef<'t> {
     /// The same batched read as [`IndexRef::get_many`], answering with
     /// the fields sliced out of the leaf-cache entry (whole-row or
     /// projection) on a hit, with per-leaf cache amortization: one
-    /// invalidation-verdict check and one promotion latch acquisition
+    /// cache-trust check and one promotion latch acquisition
     /// per leaf rather than per key. Cache misses fetch the heap in one
     /// batched read and populate the cache, one latch per leaf.
     pub fn project_many<K: AsRef<[u8]>>(&self, keys: &[K]) -> Result<Vec<Option<Projection>>> {

@@ -262,9 +262,11 @@ impl Table {
     ///    multi-key ops: one `delete_many` (old keys of changed and
     ///    deleted rows), then one `insert_many` (new keys of changed
     ///    and fresh rows) — deletes first, so key rotations within a
-    ///    plan (a→b, b→c) resolve deterministically — then the §2.1.2
-    ///    invalidation predicates: a kept key whose cached fields
-    ///    changed, and every freed RID (reuse safety).
+    ///    plan (a→b, b→c) resolve deterministically — then one
+    ///    leaf-cache write-through (`cache_refresh_many`) for every
+    ///    kept key whose entry payload changed. The leaf cache needs
+    ///    nothing else: a deleted key's leaf zeroes its cache, and an
+    ///    overwritten pointer's entry is dropped in the same leaf latch.
     /// 4. **Heap frees**, after every index dropped its entry.
     ///
     /// With same-key writers parked on the intents, nothing coordinated
@@ -274,8 +276,8 @@ impl Table {
     /// reported — the first one wins, an `InvalidSlot` named as the
     /// [`intent_violation`] it is — but only **after** the plan
     /// finishes: aborting mid-loop would strand already-overwritten
-    /// rows with no invalidation predicate (a cached projection would
-    /// answer the old value forever) and stale secondary entries, or
+    /// rows with no write-through (a cached projection would answer
+    /// the old value forever) and stale secondary entries, or
     /// rows whose index entries are already dropped as unreachable live
     /// tuples — torn state for rows that were not even part of the
     /// failure. A row whose overwrite failed owes the indexes nothing
@@ -327,35 +329,31 @@ impl Table {
 
         for idx in &indexes {
             let key = &idx.spec.key;
-            let cached = !idx.spec.cached_fields.is_empty();
+            let cached = idx.tree.cache_config().is_some();
             let mut dels: Vec<&[u8]> = Vec::new();
             let mut inss: Vec<(&[u8], u64)> = Vec::new();
-            let mut invs: Vec<(&[u8], u64)> = Vec::new();
+            let mut refreshed: Vec<(&[u8], u64, Vec<u8>)> = Vec::new();
             for c in plan.iter() {
                 let ptr = c.rid.to_u64();
                 match (c.old.as_deref(), c.new) {
                     (None, Some(new)) => inss.push((key.extract(new), ptr)),
-                    (Some(old), None) => {
-                        dels.push(key.extract(old));
-                        invs.push((key.extract(old), ptr));
-                    }
+                    (Some(old), None) => dels.push(key.extract(old)),
                     (Some(old), Some(new)) if key.extract(old) != key.extract(new) => {
                         dels.push(key.extract(old));
                         inss.push((key.extract(new), ptr));
                     }
-                    (Some(old), Some(new)) => {
-                        if cached && idx.extract_payload(old) != idx.extract_payload(new) {
-                            invs.push((key.extract(new), ptr));
+                    (Some(old), Some(new)) if cached => {
+                        let payload = idx.extract_payload(new);
+                        if idx.extract_payload(old) != payload {
+                            refreshed.push((key.extract(new), ptr, payload));
                         }
                     }
-                    (None, None) => {}
+                    _ => {}
                 }
             }
             idx.tree.delete_many(&dels)?;
             idx.tree.insert_many(&inss)?;
-            for (k, ptr) in invs {
-                idx.tree.invalidate(k, ptr)?;
-            }
+            idx.tree.cache_refresh_many(&refreshed)?;
         }
 
         let (mut updates, mut deletes) = (0u64, 0u64);

@@ -197,15 +197,17 @@ impl<'p> Reservation<'p> {
         batch
     }
 
-    /// Fills every reserved frame: the write-behind store may hold
-    /// newer bytes than the disk and serves those pages itself; the
-    /// rest keep their latch and ride the disk batch. (Frame latches
-    /// are a multi rank, and a just-reserved frame — pinned, mapped to
-    /// nothing — has no other suitor.)
+    /// Fills every reserved frame, each under a fresh residency stamp
+    /// (`Page::restamp`): the write-behind store may hold newer bytes
+    /// than the disk and serves those pages itself; the rest keep their
+    /// latch and ride the disk batch. (Frame latches are a multi rank,
+    /// and a just-reserved frame — pinned, mapped to nothing — has no
+    /// other suitor.)
     fn load(&mut self) {
         let pool = self.pool;
         for m in &mut self.misses {
             let mut page = pool.shards[m.shard].frames[m.frame].data.write();
+            page.restamp(true);
             if pool.wb.as_ref().is_some_and(|wb| wb.serve_fault(m.id, &mut page)) {
                 m.dirty = true;
             } else {

@@ -89,6 +89,12 @@
 //! 2. **Try-latch access.** The same method gives up immediately if the
 //!    frame latch is contended (§2.1.3: "we can give up a write operation
 //!    if the latch is not immediately available").
+//! 3. **Residency stamps.** A page gets a new process-unique
+//!    [`Page::stamp`] whenever it enters a frame (`Reservation::load`)
+//!    and at every exclusive writer latch, including
+//!    [`BufferPool::with_page_mut_clean`], the blocking latch that does
+//!    not dirty. Entering a frame also clears [`Page::marked`]: a
+//!    reloaded image may be older than memory-only writes to it.
 //!
 //! # Sharding
 //!
@@ -279,12 +285,28 @@ impl BufferPool {
         Ok(out)
     }
 
-    /// Runs `f` with exclusive access to page `id`, marking the frame dirty.
+    /// Runs `f` with exclusive access to page `id`, marking the frame
+    /// dirty. The page gets a new [`Page::stamp`] first.
     pub fn with_page_mut<R>(&self, id: PageId, f: impl FnOnce(&mut Page) -> R) -> Result<R> {
+        self.latched(id, true, f)
+    }
+
+    /// [`BufferPool::with_page_mut`] that leaves the dirty bit alone:
+    /// what `f` writes reaches a device only if something else dirties
+    /// the frame first. For memory-only state that readers must see
+    /// change under the latch, such as an index cache kept exact.
+    pub fn with_page_mut_clean<R>(&self, id: PageId, f: impl FnOnce(&mut Page) -> R) -> Result<R> {
+        self.latched(id, false, f)
+    }
+
+    fn latched<R>(&self, id: PageId, dirty: bool, f: impl FnOnce(&mut Page) -> R) -> Result<R> {
         let frame = self.pin(id)?;
         let out = {
             let mut guard = frame.data.write();
-            frame.dirty.store(true, Ordering::Release);
+            if dirty {
+                frame.dirty.store(true, Ordering::Release);
+            }
+            guard.restamp(false);
             f(&mut guard)
         };
         Self::unpin(&frame);
@@ -372,8 +394,9 @@ impl BufferPool {
         Ok(out.into_iter().map(|r| r.expect("every id visited")).collect())
     }
 
-    /// Runs `f` with exclusive access *without* dirtying the frame, and
-    /// only if the frame latch is immediately available.
+    /// Runs `f` with exclusive access *without* dirtying the frame or
+    /// advancing its stamp, and only if the frame latch is immediately
+    /// available.
     ///
     /// Returns `Ok(None)` when the latch was contended — the caller is
     /// expected to simply skip its (cache) write, never to retry in a loop.
@@ -680,6 +703,38 @@ mod tests {
             pool.with_page(x, |_| ()).unwrap();
         }
         assert_eq!(pool.with_page(a, |p| p.bytes()[0]).unwrap(), 1);
+    }
+
+    #[test]
+    fn a_clean_writer_latch_is_lost_on_eviction() {
+        let (pool, _) = pool(2);
+        let a = pool.new_page().unwrap();
+        pool.with_page_mut_clean(a, |p| p.bytes_mut()[0] = 5).unwrap();
+        assert_eq!(pool.with_page(a, |p| p.bytes()[0]).unwrap(), 5);
+        pool.evict_page(a).unwrap();
+        assert_eq!(pool.with_page(a, |p| p.bytes()[0]).unwrap(), 0);
+        assert_eq!(pool.stats().writebacks, 0, "it dirtied nothing");
+    }
+
+    #[test]
+    fn writer_latches_restamp_and_every_load_starts_an_unmarked_residency() {
+        let (pool, _) = pool(2);
+        let a = pool.new_page().unwrap();
+        let seen = |pool: &BufferPool| pool.with_page(a, |p| (p.stamp(), p.marked())).unwrap();
+        let (s0, _) = seen(&pool);
+        pool.with_page_cache_write(a, |p| p.mark()).unwrap().unwrap();
+        assert_eq!(seen(&pool), (s0, true), "a try-latch cache write is no writer");
+        pool.with_page_mut_clean(a, |_| ()).unwrap();
+        let (s1, marked) = seen(&pool);
+        assert!(s1 != s0 && marked, "a writer latch restamps and keeps the mark");
+        pool.with_page_mut(a, |_| ()).unwrap();
+        let (s2, marked) = seen(&pool);
+        assert!(s2 != s1 && marked);
+        // Dirty, so the eviction hands it to write-behind (or the disk),
+        // and the reload is a new residency either way.
+        pool.evict_page(a).unwrap();
+        let (s3, marked) = seen(&pool);
+        assert!(s3 != s2 && !marked, "a reload starts unmarked under a new stamp");
     }
 
     #[test]

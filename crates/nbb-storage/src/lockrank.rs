@@ -25,7 +25,6 @@
 //! |    50 | [`HEAP_DIRECTORY`]       | `HeapFile` page-id directory                   |
 //! |    60 | [`POOL_SHARD_MAP`]       | buffer-pool shard residency maps               |
 //! |    65 | [`POOL_FRAME`]           | per-frame page latches (multi: latch coupling) |
-//! |    66 | [`TREE_INVALIDATION_LOG`]| cache invalidation predicate log               |
 //! |    67 | [`POOL_INFLIGHT`]        | per-fault `InFlight` coalescing state          |
 //! |    68 | [`TREE_RNG`]             | cache-promotion RNG                            |
 //! |    70 | [`POOL_WRITE_BEHIND`]    | write-behind queue state                       |
@@ -41,12 +40,16 @@
 //! locks, the numbering only keeps the two client locks ordered with
 //! respect to each other.
 //!
-//! Two placements look surprising but are forced by real acquisition
-//! paths: the invalidation log and the promotion RNG are *tree*-level
-//! state, yet they rank **above** the pool frame latch because the tree
-//! locks them from inside `with_page` / `with_page_cache_write`
-//! callbacks, i.e. while a frame latch is held. See `CONCURRENCY.md`
-//! at the repo root for the full walk-through of every path.
+//! One placement looks surprising but is forced by a real acquisition
+//! path: the promotion RNG is *tree*-level state, yet it ranks **above**
+//! the pool frame latch because the tree locks it from inside
+//! `with_page_cache_write` callbacks, i.e. while a frame latch is held.
+//! The leaf cache's consistency takes no lock of its own: a writer fixes
+//! the entries it stales under the leaf's frame latch, and a page's
+//! residency stamp (advanced by every exclusive writer latch, renewed
+//! by every load) is how a populate learns a writer came between. See
+//! `CONCURRENCY.md` at the repo root for the full walk-through of every
+//! path.
 //!
 //! The constants live here (not in the `parking_lot` shim) because
 //! `nbb-storage` is the lowest engine crate every other engine crate
@@ -135,10 +138,6 @@ pub const POOL_FRAME: Rank = Rank::new_multi(65, "pool.frame");
 /// a nested fault parks on — and a nested loader resolves — the slot
 /// while the caller's outer frame latch is still held.
 pub const POOL_INFLIGHT: Rank = Rank::new(67, "pool.inflight");
-
-/// The tree's cache-invalidation predicate log. Above [`POOL_FRAME`]
-/// because `check_page` locks it from inside a `with_page` callback.
-pub const TREE_INVALIDATION_LOG: Rank = Rank::new(66, "btree.invalidation_log");
 
 /// The tree's cache-promotion RNG. Above [`POOL_FRAME`] because
 /// promotion decisions run inside `with_page_cache_write` callbacks

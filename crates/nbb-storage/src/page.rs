@@ -7,6 +7,7 @@
 //! work throughout the stack.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default page size in bytes (8 KiB).
 pub const DEFAULT_PAGE_SIZE: usize = 8192;
@@ -34,13 +35,20 @@ impl fmt::Display for PageId {
     }
 }
 
+/// Residency stamps: each value is handed out once per process.
+static STAMPS: AtomicU64 = AtomicU64::new(1);
+
 /// A fixed-size page buffer.
 ///
 /// Pages are always zero-initialized on creation; a zeroed buffer is the
-/// canonical "empty" state every structural view must tolerate.
-#[derive(Clone, PartialEq, Eq)]
+/// canonical "empty" state every structural view must tolerate. Beside
+/// its bytes a page carries a residency stamp and mark: memory only,
+/// never in [`Page::bytes`], never on a device.
+#[derive(Clone)]
 pub struct Page {
     data: Box<[u8]>,
+    stamp: u64,
+    marked: bool,
 }
 
 impl Page {
@@ -50,7 +58,7 @@ impl Page {
     /// Panics if `size < 128`: no on-page structure fits below that.
     pub fn new(size: usize) -> Self {
         assert!(size >= 128, "page size {size} too small (minimum 128)");
-        Page { data: vec![0u8; size].into_boxed_slice() }
+        Page { data: vec![0u8; size].into_boxed_slice(), stamp: 0, marked: false }
     }
 
     /// Allocates a zeroed page of [`DEFAULT_PAGE_SIZE`] bytes.
@@ -61,7 +69,7 @@ impl Page {
     /// Builds a page from an existing buffer (e.g. read from disk).
     pub fn from_bytes(data: Box<[u8]>) -> Self {
         assert!(data.len() >= 128, "page size {} too small", data.len());
-        Page { data }
+        Page { data, stamp: 0, marked: false }
     }
 
     /// Size of this page in bytes.
@@ -80,6 +88,36 @@ impl Page {
     #[inline]
     pub fn bytes_mut(&mut self) -> &mut [u8] {
         &mut self.data
+    }
+
+    /// The residency stamp: process-unique, given by the buffer pool
+    /// whenever the page enters a frame and anew at every exclusive
+    /// writer latch, so two reads that see one stamp saw one residency
+    /// with no writer latch between them. 0 outside a pool.
+    #[inline]
+    pub fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    /// Whether this residency was marked ([`Page::mark`]): false on
+    /// entering a frame, kept by writer latches. A user raises it once
+    /// its memory-only state on the page (an index cache) is in order.
+    #[inline]
+    pub fn marked(&self) -> bool {
+        self.marked
+    }
+
+    /// Raises [`Page::marked`]; not a new stamp.
+    #[inline]
+    pub fn mark(&mut self) {
+        self.marked = true;
+    }
+
+    /// A new stamp; with `fresh` (the page just entered a frame) the
+    /// mark is cleared too.
+    pub(crate) fn restamp(&mut self, fresh: bool) {
+        self.stamp = STAMPS.fetch_add(1, Ordering::Relaxed);
+        self.marked &= !fresh;
     }
 
     /// Zeroes the whole buffer.
@@ -180,6 +218,20 @@ mod tests {
         assert!(!PageId::INVALID.is_valid());
         assert!(PageId(0).is_valid());
         assert_eq!(PageId(42).to_string(), "P42");
+    }
+
+    #[test]
+    fn stamps_are_unique_and_a_restamp_keeps_the_mark() {
+        let mut p = Page::new(256);
+        p.restamp(true);
+        let first = p.stamp();
+        p.mark();
+        p.restamp(false);
+        assert_ne!(p.stamp(), first);
+        assert!(p.marked(), "a writer latch keeps the residency's mark");
+        p.restamp(true);
+        assert!(!p.marked(), "a new residency starts unmarked");
+        assert!(p.stamp() > first);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub enum TraceOp {
         /// The revision id to fetch.
         rev_id: u64,
     },
-    /// Update of a page's non-key fields (invalidates its cache entry).
+    /// Update of a page's non-key fields (rewrites its cache entry).
     PageTouch {
         /// Namespace component of the key.
         namespace: u32,

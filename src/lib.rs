@@ -47,7 +47,7 @@
 //! and racing writers park on it with a pre-granted handoff, making
 //! per-key writes through one index linearizable end to end. The
 //! `tests/concurrent_access.rs` stress test pins down the
-//! reader/writer contract (no lost invalidations, cache answers always
+//! reader/writer contract (no lost write-through, cache answers always
 //! match the heap), and `tests/same_key_storms.rs` pins the writer
 //! contract (zero aborted ops, one winner per racing delete, a
 //! consistent final row).

@@ -4,8 +4,8 @@
 //! The §2.1.2 contract under test: a projection answered from the index
 //! cache (`index_only`) must never be stale. Concretely, once an update
 //! to key `k` has *completed*, no later-starting read of `k` may observe
-//! an older version — a violation means an invalidation was lost (or a
-//! stale populate won a race against the predicate log).
+//! an older version — a violation means a write-through was lost (or a
+//! stale populate won a race against a writer's leaf latch).
 //!
 //! The writer bumps per-key version counters (publishing a floor AFTER
 //! each update completes) and churns a disjoint key range with

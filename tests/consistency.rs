@@ -128,7 +128,7 @@ fn concurrent_readers_and_writers_on_shared_tree() {
             pool,
             8,
             BTreeOptions {
-                cache: Some(CacheConfig { payload_size: 8, bucket_slots: 8, log_threshold: 16 }),
+                cache: Some(CacheConfig { payload_size: 8, bucket_slots: 8 }),
                 cache_seed: 99,
             },
         )
@@ -141,7 +141,7 @@ fn concurrent_readers_and_writers_on_shared_tree() {
     }
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let mut handles = Vec::new();
-    // Writer: bump version then invalidate.
+    // Writer: bump the version ("heap") first, then write it through.
     {
         let tree = Arc::clone(&tree);
         let versions = Arc::clone(&versions);
@@ -151,8 +151,8 @@ fn concurrent_readers_and_writers_on_shared_tree() {
             while !stop.load(Ordering::Relaxed) {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
                 let id = x % n;
-                versions[id as usize].fetch_add(1, Ordering::SeqCst);
-                tree.invalidate(&k(id), id).unwrap();
+                let v = versions[id as usize].fetch_add(1, Ordering::SeqCst) + 1;
+                tree.cache_refresh_many(&[(k(id), id, v.to_le_bytes())]).unwrap();
             }
         }));
     }
@@ -191,7 +191,16 @@ fn concurrent_readers_and_writers_on_shared_tree() {
     for h in handles {
         h.join().unwrap();
     }
-    // Quiesce and verify: full invalidation, then every lookup misses.
+    // Quiesced: every write was written through, so every hit is the
+    // current version — no lag is left to forgive.
+    for i in 0..n {
+        if let Some(pl) = tree.lookup_cached(&k(i)).unwrap().payload {
+            let got = u64::from_le_bytes(pl[..8].try_into().unwrap());
+            assert_eq!(got, versions[i as usize].load(Ordering::SeqCst), "key {i}");
+        }
+    }
+    assert!(tree.cache_stats().hits > 0 && tree.cache_stats().refreshes > 0);
+    // Full invalidation: every lookup misses.
     tree.invalidate_all_caches();
     for i in 0..n {
         assert!(tree.lookup_cached(&k(i)).unwrap().payload.is_none());

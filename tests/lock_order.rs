@@ -5,8 +5,8 @@
 //! spot, naming both locks. This test's job is to make one run cross as
 //! many *combinations* of lock paths as possible at once — faults and
 //! coalesced fault-joins, evictions through the write-behind queue,
-//! same-key intent parks and handoffs, cached-index promotion and
-//! invalidation (the frame-nested ranks), and the `flush_all`
+//! same-key intent parks and handoffs, cached-index promotion (the
+//! frame-nested rank) and write-through, and the `flush_all`
 //! barrier — so the ordinary assertion "the storm completed" carries the
 //! real payload "no interleaving of these paths violated the lattice".
 //!
@@ -46,8 +46,8 @@ fn mixed_storm_respects_the_lock_lattice() {
         ..DbConfig::default()
     });
     let t = db.create_table("t", 24).unwrap();
-    // A cached pk exercises the frame-nested ranks (promotion RNG,
-    // invalidation log) from inside pool callbacks; the secondary
+    // A cached pk exercises the frame-nested rank (promotion RNG) from
+    // inside pool callbacks; the secondary
     // index makes every logical write a multi-index sequence under
     // one intent.
     t.create_index(IndexSpec::cached("pk", FieldSpec::new(0, 8), vec![FieldSpec::new(16, 8)]))
@@ -99,7 +99,7 @@ fn mixed_storm_respects_the_lock_lattice() {
                     inserted.fetch_add(1, Ordering::Relaxed);
                     if round % 8 == 0 {
                         // Delete/reinsert churns the cached index's
-                        // invalidation log under frame latches.
+                        // leaf caches under frame latches.
                         assert!(pk.delete(&key.to_be_bytes()).unwrap());
                         t.insert(&tuple(key, key % 7, key + 1)).unwrap();
                     }
