@@ -858,7 +858,12 @@ fn concurrent_cached_reads_and_invalidations_stay_consistent() {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 let key = x % n;
                 if x.is_multiple_of(17) {
-                    // writer: bump heap version, then write it through
+                    // writer: bump heap version, then write it through,
+                    // holding the key's intent across both as
+                    // `Table::apply` does (without it two writers of one
+                    // key can write through out of order, leaving the
+                    // older version cached)
+                    let _intent = tree.intents().acquire(&k(key));
                     let v = heap[key as usize].fetch_add(1, Ordering::SeqCst) + 1;
                     tree.cache_refresh_many(&[(k(key), key, v.to_le_bytes())]).unwrap();
                 } else {

@@ -2,9 +2,13 @@
 //! not tear the rows around it: `Table::apply` finishes the plan —
 //! every row whose heap write landed gets its full index maintenance,
 //! the remaining frees still run — and only then reports the error.
+//! Likewise a relocation whose copy cannot land leaves the row in place.
 
 use nbb_core::table::{FieldSpec, IndexSpec, Table};
-use nbb_storage::{BufferPool, DiskManager, InMemoryDisk, PageId, PoolOptions, StorageError};
+use nbb_storage::{
+    BufferPool, DiskManager, InMemoryDisk, PageId, PoolOptions, RecordId, StorageError,
+};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 #[path = "../../nbb-storage/tests/support/flaky_disk.rs"]
@@ -96,4 +100,35 @@ fn failed_page_fault_mid_delete_strands_only_its_own_row() {
     }
     assert_eq!(t.heap().live_tuple_count().unwrap(), ROWS as usize - (batch.len() - 1));
     assert_eq!(t.stats().deletes, batch.len() as u64 - 1);
+}
+
+#[test]
+fn failed_allocation_mid_relocate_leaves_the_row_where_the_index_names_it() {
+    let (t, disk, batch) = table_on_flaky_heap();
+    let by_id = t.index("by_id").unwrap();
+    disk.fail_allocs.store(true, Ordering::Relaxed);
+    // Fill the tail page: the first insert that needs a new page fails.
+    let mut next = ROWS;
+    let err = loop {
+        match t.insert(&tuple(next, next)) {
+            Ok(_) => next += 1,
+            Err(e) => break e,
+        }
+    };
+    assert!(matches!(err, StorageError::Io(_)), "want the injected failure, got {err:?}");
+    // A row on the first page: its copy needs a page past the full tail.
+    let (id, page) = batch[0];
+    let key = id.to_be_bytes();
+    let rid = RecordId::from_u64(by_id.tree().get(&key).unwrap().unwrap());
+    assert_eq!(rid.page, page);
+    let err = t.relocate(rid).unwrap_err();
+    assert!(matches!(err, StorageError::Io(_)), "want the injected failure, got {err:?}");
+    assert_eq!(by_id.get(&key).unwrap(), Some(tuple(id, id)), "the row left its indexed slot");
+    assert_eq!(t.heap().live_tuple_count().unwrap(), next as usize);
+    // Once the disk allocates again, the same relocation goes through.
+    disk.fail_allocs.store(false, Ordering::Relaxed);
+    let moved = t.relocate(rid).unwrap();
+    assert_ne!(moved.page, page);
+    assert_eq!(by_id.get(&key).unwrap(), Some(tuple(id, id)));
+    assert_eq!(t.heap().live_tuple_count().unwrap(), next as usize);
 }

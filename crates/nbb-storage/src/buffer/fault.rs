@@ -13,6 +13,10 @@
 //!   frame into a resident page (or frees it), then the parked waiters
 //!   are resolved, then this batch parks on the loads it joined.
 //!
+//! An allocated page is no miss: [`BufferPool::new_page_with`] takes
+//! its frame through `reserve_fresh` and zeroes it, since the device
+//! holds nothing but zeros for it, so it never rides a `read_many`.
+//!
 //! The guarantees are per page: concurrent requesters join that page's
 //! own [`InFlight`] and are pre-granted their pin at publish, a failed
 //! page frees its — by then possibly clobbered — frame and poisons only
@@ -358,6 +362,34 @@ impl BufferPool {
             }
         }
         self.fault_batch(&[id]).pop().unwrap_or(Err(StorageError::BufferPoolExhausted))
+    }
+
+    /// Gives page `id`, just returned by [`crate::disk::DiskManager::allocate`],
+    /// a frame without reading it: the frame is taken like a miss's
+    /// (off the free list, else a victim evicted on the spot) and
+    /// published resident at once, pinned for the caller. Its bytes are
+    /// still the victim's; the caller zeroes and restamps them under the
+    /// frame's write latch before anything reads them, which nothing
+    /// else can, because no one else knows the id yet. `None` if the id
+    /// is already in the table (an id `allocate` cannot return); the
+    /// caller then faults it like any page. No hit, miss or fault is
+    /// counted: an allocation is not a request for a page.
+    pub(super) fn reserve_fresh(&self, id: PageId) -> Result<Option<Arc<Frame>>> {
+        let shard = self.shard_of(id);
+        // rank-exempt: pool entry point, re-enterable from user closures
+        // holding frame latches; see `pin`.
+        let mut map = shard.map.lock_unordered();
+        if map.table.contains_key(&id) {
+            return Ok(None);
+        }
+        let idx = self.take_frame(shard, &mut map)?;
+        let frame = &shard.frames[idx];
+        frame.pin.store(1, Ordering::Release);
+        frame.refbit.store(false, Ordering::Relaxed);
+        map.table.insert(id, Residency::Resident(idx));
+        map.resident[idx] = Some(id);
+        map.admit(idx, id);
+        Ok(Some(Arc::clone(frame)))
     }
 
     /// Demand-faults a batch of pages — any mix of shards — and returns

@@ -43,6 +43,10 @@
 //!   back to the free list unpinned, every parked waiter gets the
 //!   error, and a later retry faults afresh. No zombie frames.
 //!
+//! A page just allocated skips `Loading`: [`BufferPool::new_page_with`]
+//! maps it `Resident` at once and zeroes its frame, because the device
+//! holds only zeros for it and no other thread knows its id yet.
+//!
 //! ## Where things live
 //!
 //! * `mod.rs` is the pool's public face; `shard.rs` one stripe (frames,
@@ -90,8 +94,9 @@
 //!    frame latch is contended (§2.1.3: "we can give up a write operation
 //!    if the latch is not immediately available").
 //! 3. **Residency stamps.** A page gets a new process-unique
-//!    [`Page::stamp`] whenever it enters a frame (`Reservation::load`)
-//!    and at every exclusive writer latch, including
+//!    [`Page::stamp`] whenever it enters a frame (`Reservation::load`,
+//!    or [`BufferPool::new_page_with`] for a page just allocated) and
+//!    at every exclusive writer latch, including
 //!    [`BufferPool::with_page_mut_clean`], the blocking latch that does
 //!    not dirty. Entering a frame also clears [`Page::marked`]: a
 //!    reloaded image may be older than memory-only writes to it.
@@ -267,11 +272,29 @@ impl BufferPool {
         self.disk.allocate()
     }
 
-    /// Allocates a fresh page, loads it, and runs `init` on it (dirtying).
+    /// Allocates a fresh page and runs `init` on it (dirtying), without
+    /// reading it: [`DiskManager::allocate`] promises a zeroed page, so
+    /// the page gets a frame, is zeroed and given a new residency stamp
+    /// there, and `init` sees all zeros whatever the frame held before.
+    /// No device read is issued; the only device call it can make is
+    /// the synchronous write of a dirty victim when write-behind is off
+    /// or full. Callers may hold their own structure locks across it
+    /// (the heap's directory, a B+Tree's structure lock). It counts as
+    /// no page request: no hit, miss or fault.
     pub fn new_page_with<R>(&self, init: impl FnOnce(&mut Page) -> R) -> Result<(PageId, R)> {
         let id = self.disk.allocate()?;
-        let r = self.with_page_mut(id, init)?;
-        Ok((id, r))
+        let Some(frame) = self.reserve_fresh(id)? else {
+            return Ok((id, self.with_page_mut(id, init)?));
+        };
+        let out = {
+            let mut page = frame.data.write();
+            page.clear();
+            page.restamp(true);
+            frame.dirty.store(true, Ordering::Release);
+            init(&mut page)
+        };
+        Self::unpin(&frame);
+        Ok((id, out))
     }
 
     /// Runs `f` with shared access to page `id`, pinning it for the duration.
@@ -735,6 +758,19 @@ mod tests {
         pool.evict_page(a).unwrap();
         let (s3, marked) = seen(&pool);
         assert!(s3 != s2 && !marked, "a reload starts unmarked under a new stamp");
+    }
+
+    #[test]
+    fn a_fresh_page_starts_an_unmarked_residency_in_a_marked_victims_frame() {
+        let (pool, disk) = pool(1);
+        let a = pool.new_page().unwrap();
+        pool.with_page_mut(a, |p| p.mark()).unwrap();
+        let victim = pool.with_page(a, |p| p.stamp()).unwrap();
+        disk.reset_stats();
+        let (b, seen) = pool.new_page_with(|p| (p.stamp(), p.marked())).unwrap();
+        assert!(pool.contains(b) && !pool.contains(a), "premise: b took a's only frame");
+        assert!(seen.0 != victim && !seen.1, "a fresh page is a new, unmarked residency");
+        assert_eq!(disk.stats().reads, 0);
     }
 
     #[test]

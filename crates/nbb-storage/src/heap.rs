@@ -3,9 +3,18 @@
 //! Placement is *append-oriented* (new tuples go to the tail page), which
 //! is exactly the strategy whose locality waste §3.1 analyses: hot tuples
 //! end up scattered across the whole file. The hot/cold clustering in
-//! `nbb-partition` is implemented as delete-then-append on this API, the
-//! same mechanism the paper uses ("relocates hot tuples by deleting then
-//! appending them to the end of the table").
+//! `nbb-partition` moves tuples with this API, the mechanism the paper
+//! uses ("relocates hot tuples by deleting then appending them to the
+//! end of the table"); [`HeapFile::relocate`] appends the copy before
+//! it deletes the original.
+//!
+//! **Every page but the last is full.** A batch that finds the tail
+//! full links the next page under the directory's write lock, or adopts
+//! the one a racing batch linked first ([`HeapFile::append_many`]), so
+//! appends never strand a half-empty page behind the tail, and an
+//! appended row costs the space of a loaded one. ("Full" is as seen by
+//! the tuple that did not fit; deletes later open holes that appends do
+//! not revisit.)
 //!
 //! Batched reads are one visitor, [`HeapFile::read_many`]: tuples are
 //! seen in place under their page's pin, each distinct page pinned
@@ -29,10 +38,8 @@ pub struct HeapFile {
 impl HeapFile {
     /// Creates an empty heap file on `pool`.
     pub fn create(pool: Arc<BufferPool>) -> Result<Self> {
-        let heap =
-            HeapFile { pool, pages: RwLock::with_rank(lockrank::HEAP_DIRECTORY, Vec::new()) };
-        heap.grow()?;
-        Ok(heap)
+        let first = new_slotted_page(&pool)?;
+        Ok(HeapFile { pool, pages: RwLock::with_rank(lockrank::HEAP_DIRECTORY, vec![first]) })
     }
 
     /// Reattaches a heap persisted on `pool`'s disk from its page list
@@ -48,11 +55,21 @@ impl HeapFile {
         Ok(HeapFile { pool, pages: RwLock::with_rank(lockrank::HEAP_DIRECTORY, pages) })
     }
 
-    fn grow(&self) -> Result<PageId> {
-        let (id, ()) = self.pool.new_page_with(|p| {
-            SlottedPage::init(p);
-        })?;
-        self.pages.write().push(id);
+    /// The page after `full`, which a batch found with no room: the page
+    /// a racing batch already linked after it, or else a new page linked
+    /// now. The directory's write lock is held across the allocation so
+    /// that two batches finding one tail full link one page, not two
+    /// (`BufferPool::new_page_with` reads nothing, so the lock never
+    /// waits on a device read).
+    fn grow_past(&self, full: PageId) -> Result<PageId> {
+        let mut pages = self.pages.write();
+        // nbb-lint: allow(unwrap, `full` was read from this directory, which never shrinks)
+        let at = pages.iter().rposition(|&p| p == full).expect("full is a heap page");
+        if let Some(&next) = pages.get(at + 1) {
+            return Ok(next);
+        }
+        let id = new_slotted_page(&self.pool)?;
+        pages.push(id);
         Ok(id)
     }
 
@@ -86,27 +103,22 @@ impl HeapFile {
     /// pin + one page latch + one slotted-page parse per tuple, the
     /// batch fills each tail page under a **single** exclusive page
     /// access — N appends cost one latch round-trip per *page touched*
-    /// (≈ N·width/page_size pages), not per tuple. Placement is
-    /// identical to a loop of [`HeapFile::insert`] calls: tail page
-    /// first, growing a fresh tail when full.
+    /// (≈ N·width/page_size pages), not per tuple. The tail is read
+    /// once; a page with no room for the next tuple is followed by
+    /// `grow_past`, which links at most one page after it however many
+    /// batches race for it. So every page but the last was full when
+    /// the page after it was linked (for one tuple width: holds as many
+    /// rows as one page can), and concurrent appenders cost the same
+    /// space as one.
     ///
     /// A structurally unstorable tuple (empty, or larger than any page
     /// can hold) fails the batch at that tuple; earlier tuples remain
     /// appended, exactly as the equivalent insert loop would leave them.
     pub fn append_many<T: AsRef<[u8]>>(&self, tuples: &[T]) -> Result<Vec<RecordId>> {
         let mut out = Vec::with_capacity(tuples.len());
-        // After the batch fills a page, it continues on the page its
-        // OWN grow() returned instead of re-reading the shared tail:
-        // two racing batches that both grow would otherwise pile onto
-        // whichever page became the tail last, orphaning the other
-        // fresh page empty forever.
-        let mut next_tail: Option<PageId> = None;
+        // nbb-lint: allow(unwrap, heaps are created with one page and never shrink)
+        let mut tail = *self.pages.read().last().expect("heap always has >= 1 page");
         while out.len() < tuples.len() {
-            let tail = match next_tail.take() {
-                Some(pid) => pid,
-                // nbb-lint: allow(unwrap, heaps are created with one page and never shrink)
-                None => *self.pages.read().last().expect("heap always has >= 1 page"),
-            };
             let done = out.len();
             let slots = self.pool.with_page_mut(tail, |p| -> Result<Vec<u16>> {
                 let mut sp = SlottedPage::attach(p)?;
@@ -115,9 +127,9 @@ impl HeapFile {
                     match sp.insert(t.as_ref()) {
                         Ok(slot) => slots.push(slot),
                         // Full page: the rest of the batch continues on
-                        // a fresh tail. (An empty page never reports
+                        // the page after it. (An empty page never reports
                         // PageFull — a tuple too big for any page errors
-                        // as TupleTooLarge below — so every grow makes
+                        // as TupleTooLarge below — so every growth makes
                         // progress.)
                         Err(StorageError::PageFull { .. }) => break,
                         // Oversized/empty tuples fail on every page;
@@ -129,7 +141,7 @@ impl HeapFile {
             })??;
             out.extend(slots.into_iter().map(|slot| RecordId::new(tail, slot)));
             if out.len() < tuples.len() {
-                next_tail = Some(self.grow()?);
+                tail = self.grow_past(tail)?;
             }
         }
         Ok(out)
@@ -222,12 +234,16 @@ impl HeapFile {
         })?
     }
 
-    /// Moves a tuple to the tail of the heap (delete + append), returning
-    /// its new address. This is the paper's clustering primitive.
+    /// Moves a tuple to the tail of the heap (append, then delete),
+    /// returning its new address. This is the paper's clustering
+    /// primitive. The copy lands before the original goes, so a failed
+    /// append (no frame, a device error) leaves the tuple where every
+    /// index still names it.
     pub fn relocate(&self, rid: RecordId) -> Result<RecordId> {
         let bytes = self.get(rid)?;
+        let moved = self.insert(&bytes)?;
         self.delete(rid)?;
-        self.insert(&bytes)
+        Ok(moved)
     }
 
     /// Visits every live tuple as `(rid, bytes)` in page order. The
@@ -278,6 +294,14 @@ impl HeapFile {
         }
         Ok(total / pages.len() as f64)
     }
+}
+
+/// Allocates an empty slotted page on `pool`.
+fn new_slotted_page(pool: &BufferPool) -> Result<PageId> {
+    let (id, ()) = pool.new_page_with(|p| {
+        SlottedPage::init(p);
+    })?;
+    Ok(id)
 }
 
 #[cfg(test)]

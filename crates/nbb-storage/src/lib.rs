@@ -6,7 +6,7 @@
 //! * [`slotted`] — slotted data pages with a slot directory and a
 //!   measurable *fill factor* (the paper's "unused space" metric).
 //! * [`heap`] — append-oriented heap files with stable [`rid::RecordId`]s
-//!   and the delete-then-append relocation primitive §3.1 clusters with.
+//!   and the relocation primitive §3.1 clusters with.
 //! * [`disk`] — in-memory, simulated-latency, blocking-latency, and
 //!   file-backed disks with I/O accounting ([`stats::IoStats`]).
 //! * [`buffer`] — a lock-striped, 2Q-replacement buffer pool: page ids

@@ -112,9 +112,14 @@ pub const INTENT_SLOT: Rank = Rank::new(25, "btree.intent_slot");
 /// descents, write side for escalated splits.
 pub const TREE_STRUCTURE: Rank = Rank::new(30, "btree.structure");
 
-/// `HeapFile`'s directory of allocated page ids. Guards are transient
-/// (never held across pool calls), but scans take it before faulting
-/// pages in, so it ranks below the pool.
+/// `HeapFile`'s directory of allocated page ids. Read guards are
+/// transient (a clone or a load, never held across a pool call). The
+/// write side is held across exactly one pool call, the
+/// `BufferPool::new_page_with` of a heap growth, so that appenders
+/// racing for a full tail link one page; that allocation reads nothing,
+/// and only a dirty victim's synchronous write (write-behind off or
+/// full) can reach a device under it. Ranks below the pool, so the
+/// acquisitions under it ascend: 50 → 60/65/70 (→ 90).
 pub const HEAP_DIRECTORY: Rank = Rank::new(50, "heap.directory");
 
 /// Buffer-pool shard residency maps. Dropped across disk reads on the

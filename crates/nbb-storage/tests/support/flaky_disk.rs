@@ -1,9 +1,9 @@
-//! The test disk whose reads can be made to fail — shared by the pool's
-//! error-path test (`pool_edge_cases.rs`) and the table's write-path
-//! fault test (`nbb-core/tests/write_faults.rs`), which include this
-//! file with `#[path]`.
+//! The test disk whose reads or allocations can be made to fail —
+//! shared by the pool's error-path test (`pool_edge_cases.rs`) and the
+//! table's write-path fault test (`nbb-core/tests/write_faults.rs`),
+//! which include this file with `#[path]`.
 
-// Each includer uses one of the two failure modes.
+// Each includer uses some of the failure modes.
 #![allow(dead_code)]
 
 use nbb_storage::{DiskManager, InMemoryDisk, IoStats, Page, PageId, Result, StorageError};
@@ -11,12 +11,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// An [`InMemoryDisk`] whose reads fail on demand: all of them while
 /// `fail_reads` is set, or one chosen page's n-th read from now
-/// ([`FlakyDisk::fail_nth_read`]). Batched reads go through the trait's
+/// ([`FlakyDisk::fail_nth_read`]); and whose allocations fail while
+/// `fail_allocs` is set. Batched reads go through the trait's
 /// default `read_many`, one `read` per page.
 pub struct FlakyDisk {
     inner: InMemoryDisk,
     /// Every read fails while set.
     pub fail_reads: AtomicBool,
+    /// Every allocation fails while set.
+    pub fail_allocs: AtomicBool,
     /// The page whose reads count down (`u64::MAX` = none armed).
     countdown_page: AtomicU64,
     countdown: AtomicU64,
@@ -27,6 +30,7 @@ impl FlakyDisk {
         FlakyDisk {
             inner: InMemoryDisk::new(page_size),
             fail_reads: AtomicBool::new(false),
+            fail_allocs: AtomicBool::new(false),
             countdown_page: AtomicU64::new(u64::MAX),
             countdown: AtomicU64::new(0),
         }
@@ -45,6 +49,9 @@ impl DiskManager for FlakyDisk {
         self.inner.page_size()
     }
     fn allocate(&self) -> Result<PageId> {
+        if self.fail_allocs.load(Ordering::Relaxed) {
+            return Err(StorageError::Io("injected allocation failure".into()));
+        }
         self.inner.allocate()
     }
     fn read(&self, id: PageId, buf: &mut Page) -> Result<()> {
