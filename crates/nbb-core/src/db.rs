@@ -387,6 +387,10 @@ mod tests {
             tu.extend_from_slice(&[0u8; 56]);
             t.insert(&tu).unwrap();
         }
+        // Land the inserts' dirty evictions on the disk: a page still in
+        // the write-behind queue would serve the lookups' faults below
+        // without a device read.
+        db.persist().unwrap();
         db.reset_stats();
         for i in (0..500u64).step_by(7) {
             t.index("pk").unwrap().get(&i.to_be_bytes()).unwrap().unwrap();

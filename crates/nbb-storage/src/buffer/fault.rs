@@ -367,7 +367,8 @@ impl BufferPool {
     /// Gives page `id`, just returned by [`crate::disk::DiskManager::allocate`],
     /// a frame without reading it: the frame is taken like a miss's
     /// (off the free list, else a victim evicted on the spot) and
-    /// published resident at once, pinned for the caller. Its bytes are
+    /// published resident at once, pinned for the caller and in the
+    /// protected set with its reference bit clear. Its bytes are
     /// still the victim's; the caller zeroes and restamps them under the
     /// frame's write latch before anything reads them, which nothing
     /// else can, because no one else knows the id yet. `None` if the id
@@ -388,7 +389,7 @@ impl BufferPool {
         frame.refbit.store(false, Ordering::Relaxed);
         map.table.insert(id, Residency::Resident(idx));
         map.resident[idx] = Some(id);
-        map.admit(idx, id);
+        map.admit_allocated(idx);
         Ok(Some(Arc::clone(frame)))
     }
 
@@ -460,7 +461,7 @@ impl BufferPool {
     /// and rides **one** [`crate::disk::DiskManager::read_many`]
     /// spanning the whole chunk, so adjacent ids coalesce even though
     /// they stripe across shards. Pages land resident and unpinned, on
-    /// probation unless a recent eviction left their id in the ghost.
+    /// probation unless a recent eviction left their id in a ghost.
     /// Returns the first per-page error (remaining pages are still
     /// faulted — per-page independence, as everywhere in the batch
     /// path).

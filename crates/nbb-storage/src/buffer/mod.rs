@@ -113,20 +113,36 @@
 //! [`MIN_FRAMES_PER_SHARD`] frames; [`BufferPool::with_pool_options`]
 //! gives callers exact control.
 //!
-//! Each shard replaces by 2Q (`shard.rs`). A page's first residency is
-//! **probation**, a FIFO capped at a quarter of the shard in which hits
-//! are ignored, because the touches that come with a first use are
+//! Each shard replaces by 2Q's lists sized by ARC's rule (`shard.rs`).
+//! A faulted page's first residency is **probation**, a FIFO in which
+//! hits are ignored, because the touches that come with a first use are
 //! correlated, not reuse: a range leaf is faulted by `fault_many` and
 //! read by its cursor a moment later, a heap page serves the rows of
 //! one request, and a scrambled-Zipf tail page is touched once. A
 //! clock that references every page it loads lets such a page outlive
 //! two sweeps while pages in real use are read again. A page leaving
-//! probation leaves its id in a **ghost** of half the shard's size; a
-//! miss on a ghost id — a re-reference *after* probation — puts the
-//! page in the **protected** set, where a second-chance sweep evicts
-//! what has not been touched since it last passed. A hit stays one map
-//! probe, a pin and a relaxed store, and all of it lives under the
-//! shard map.
+//! probation leaves its id in the probation **ghost**; a miss on such
+//! an id — a re-reference *after* probation — puts the page in the
+//! **protected** set, where a second-chance sweep evicts what has not
+//! been touched since it last passed and leaves the id in a second
+//! ghost. Each ghost holds half the shard's size in ids.
+//!
+//! How much of a full shard probation may keep is not fixed. Its
+//! `target` starts at a quarter of the shard and moves by ARC's rule
+//! (Megiddo & Modha, FAST '03): a miss on a probation ghost id means
+//! probation was too short and raises it, a miss on a protected ghost
+//! id means the protected set was too small and lowers it, each by the
+//! ratio of the other ghost's size to this one's, at least 1. A fixed
+//! quarter would cap the protected set below a working set that fills
+//! the shard, however warm it is; an adaptive one still leaves range
+//! pages prefetched ahead of their cursor the probation time they need.
+//!
+//! A page [`BufferPool::new_page_with`] allocates skips probation: it
+//! is protected from the start, reference bit clear. An allocation is
+//! not a fault of an unknown page — its creator writes to it next
+//! (a heap tail, a split half, a new root) — and the sweep reclaims it
+//! once it stops being touched. A hit stays one map probe, a pin and a
+//! relaxed store, and all of it lives under the shard map.
 //!
 //! # Lock order
 //!
@@ -446,8 +462,8 @@ impl BufferPool {
     }
 
     /// Forces page `id` out of the pool (handing it to write-behind iff
-    /// dirty). Like any victim, a page on probation leaves its id in the
-    /// ghost, so its next fault promotes it.
+    /// dirty). Like any victim, it leaves its id in its list's ghost, so
+    /// its next fault admits it to the protected set.
     ///
     /// Used by tests and harnesses to simulate memory pressure; a no-op
     /// if the page is not resident. Fails if the page is pinned or mid-load.

@@ -1,8 +1,14 @@
 //! One lock stripe of the pool: its frames, residency table, free list,
-//! 2Q replacement state (Johnson & Shasha, VLDB '94: a probation FIFO,
-//! ghost ids, a protected set under a second-chance sweep; why a first
-//! touch is probation is in `mod.rs` §Sharding) and counters, plus
-//! victim selection and eviction over them.
+//! replacement state and counters, plus victim selection and eviction
+//! over them.
+//!
+//! Replacement keeps 2Q's lists (Johnson & Shasha, VLDB '94: a
+//! probation FIFO and a protected set under a second-chance sweep; why
+//! a first touch is probation is in `mod.rs` §Sharding) and sizes them
+//! by ARC's rule (Megiddo & Modha, FAST '03): each list leaves the ids
+//! it evicts in a ghost of its own, and a miss on a ghost id moves
+//! probation's `target` toward the list that lost the page. An
+//! allocated page skips probation: its creator writes it next.
 
 use super::fault::InFlight;
 use super::BufferPool;
@@ -14,12 +20,8 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Once the shard is full, probation holds at most a quarter of its
-/// frames: its oldest page is the victim while it holds more.
-const PROBATION_SHARE: usize = 4;
-
-/// The ghost remembers the ids of at most half a shard's frames' worth
-/// of pages evicted off probation.
+/// Each ghost remembers the ids of at most half a shard's frames' worth
+/// of evicted pages.
 const GHOST_SHARE: usize = 2;
 
 pub(super) struct Frame {
@@ -47,49 +49,108 @@ pub(super) struct ShardMap {
     pub(super) free: Vec<usize>,
     /// Frames holding a page on its first residency, oldest first.
     probation: VecDeque<usize>,
-    /// local frame index -> its page was re-referenced after probation
+    /// local frame index -> its page was re-referenced after probation,
+    /// or allocated into the frame
     protected: Vec<bool>,
-    /// Ids of the pages last evicted off probation, oldest first, and
-    /// the same ids as a set. Both are allocated once, full size.
-    ghost: VecDeque<PageId>,
-    ghosts: HashSet<PageId>,
+    /// Once the shard is full, probation's oldest page is the victim
+    /// while probation holds more than this many frames. Starts at a
+    /// quarter of the shard; ghost hits move it within `0..=frames`.
+    target: usize,
+    /// Ids of the pages last evicted off probation, and off the
+    /// protected set.
+    probation_ghost: Ghost,
+    protected_ghost: Ghost,
     /// Second-chance hand over the protected frames.
     clock_hand: usize,
 }
 
 impl ShardMap {
-    /// Places page `id`, just loaded into frame `idx`: a page whose id
-    /// the ghost remembers joins the protected set, any other page
-    /// probation's tail.
+    /// Places page `id`, just loaded into frame `idx`. A page whose id
+    /// a ghost remembers was evicted too early: it joins the protected
+    /// set, and `target` moves toward the list it left — up after a
+    /// probation ghost hit, down after a protected one, by the ratio of
+    /// the other ghost's size to this one's, at least 1. Any other page
+    /// joins probation's tail.
     pub(super) fn admit(&mut self, idx: usize, id: PageId) {
-        if self.ghosts.remove(&id) {
-            self.ghost.retain(|&g| g != id);
-            self.protected[idx] = true;
+        let (on_probation, on_protected) =
+            (self.probation_ghost.order.len(), self.protected_ghost.order.len());
+        if self.probation_ghost.forget(id) {
+            let step = (on_protected / on_probation).max(1);
+            self.target = (self.target + step).min(self.resident.len());
+        } else if self.protected_ghost.forget(id) {
+            let step = (on_probation / on_protected).max(1);
+            self.target = self.target.saturating_sub(step);
         } else {
             self.probation.push_back(idx);
+            return;
         }
+        self.protected[idx] = true;
+    }
+
+    /// Places the page just allocated into frame `idx` in the protected
+    /// set: an allocation is no fault of an unknown page, its
+    /// creator writes to it next, and the sweep reclaims it once it
+    /// stops being touched. `target` stays: no ghost holds an id
+    /// `allocate` just returned.
+    pub(super) fn admit_allocated(&mut self, idx: usize) {
+        self.protected[idx] = true;
     }
 
     /// Takes frame `idx`, whose page `id` is leaving, out of the
-    /// replacement state; a page leaving probation leaves its id in the
-    /// ghost, dropping the oldest id when the ghost is full.
+    /// replacement state; the id goes to the ghost of the list the page
+    /// leaves.
     fn retire(&mut self, idx: usize, id: PageId) {
         if std::mem::take(&mut self.protected[idx]) {
-            return;
+            self.protected_ghost.remember(id);
+        } else {
+            self.probation.retain(|&f| f != idx);
+            self.probation_ghost.remember(id);
         }
-        self.probation.retain(|&f| f != idx);
-        if self.ghost.len() == ghost_cap(self.resident.len()) {
-            if let Some(old) = self.ghost.pop_front() {
-                self.ghosts.remove(&old);
-            }
-        }
-        self.ghost.push_back(id);
-        self.ghosts.insert(id);
     }
 }
 
-fn ghost_cap(frames: usize) -> usize {
-    (frames / GHOST_SHARE).max(1)
+/// Ids of the pages one list evicted last, oldest first, and the same
+/// ids as a set. Both are allocated once, full size, so remembering an
+/// id never allocates.
+struct Ghost {
+    order: VecDeque<PageId>,
+    ids: HashSet<PageId>,
+    cap: usize,
+}
+
+impl Ghost {
+    /// A ghost of half of `frames`, at least one id.
+    fn new(frames: usize) -> Self {
+        let cap = (frames / GHOST_SHARE).max(1);
+        Ghost {
+            order: VecDeque::with_capacity(cap),
+            // Twice the ids it will hold: a set that never exceeds half
+            // its capacity rehashes its deletion markers in place
+            // instead of growing.
+            ids: HashSet::with_capacity(2 * cap),
+            cap,
+        }
+    }
+
+    /// Remembers `id`, dropping the oldest id when the ghost is full.
+    fn remember(&mut self, id: PageId) {
+        if self.order.len() == self.cap {
+            if let Some(old) = self.order.pop_front() {
+                self.ids.remove(&old);
+            }
+        }
+        self.order.push_back(id);
+        self.ids.insert(id);
+    }
+
+    /// Forgets `id`; true if the ghost remembered it.
+    fn forget(&mut self, id: PageId) -> bool {
+        let known = self.ids.remove(&id);
+        if known {
+            self.order.retain(|&g| g != id);
+        }
+        known
+    }
 }
 
 /// Per-shard counters. Relaxed atomics on their own cache line so the
@@ -138,11 +199,9 @@ impl Shard {
                     free: (0..n).rev().collect(),
                     probation: VecDeque::with_capacity(n),
                     protected: vec![false; n],
-                    ghost: VecDeque::with_capacity(ghost_cap(n)),
-                    // Twice the ids it will hold: a set that never
-                    // exceeds half its capacity rehashes its deletion
-                    // markers in place instead of growing.
-                    ghosts: HashSet::with_capacity(2 * ghost_cap(n)),
+                    target: (n / 4).max(1),
+                    probation_ghost: Ghost::new(n),
+                    protected_ghost: Ghost::new(n),
                     clock_hand: 0,
                 },
             ),
@@ -161,18 +220,18 @@ impl Shard {
         self.stats.hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// 2Q victim selection; free frames are taken from the free list
-    /// first. While probation holds more than its share of the shard,
-    /// the victim is its oldest unpinned page; otherwise it is the
-    /// second-chance sweep's pick among the protected frames. Each side
-    /// falls back to the other before the shard is exhausted. Both skip
-    /// pinned frames, so neither steals a frame reserved by an
-    /// in-flight load or held by a caller.
+    /// Victim selection; free frames are taken from the free list
+    /// first. While probation holds more than its `target`, the victim
+    /// is its oldest unpinned page; otherwise it is the second-chance
+    /// sweep's pick among the protected frames. Each side falls back to
+    /// the other before the shard is exhausted. Both skip pinned
+    /// frames, so neither steals a frame reserved by an in-flight load
+    /// or held by a caller.
     fn find_victim(&self, map: &mut ShardMap) -> Result<usize> {
         if let Some(idx) = map.free.pop() {
             return Ok(idx);
         }
-        let victim = if map.probation.len() > (self.frames.len() / PROBATION_SHARE).max(1) {
+        let victim = if map.probation.len() > map.target {
             self.oldest_on_probation(map).or_else(|| self.sweep_protected(map))
         } else {
             self.sweep_protected(map).or_else(|| self.oldest_on_probation(map))

@@ -9,13 +9,14 @@
 //!   and the relocation primitive §3.1 clusters with.
 //! * [`disk`] — in-memory, simulated-latency, blocking-latency, and
 //!   file-backed disks with I/O accounting ([`stats::IoStats`]).
-//! * [`buffer`] — a lock-striped, 2Q-replacement buffer pool: page ids
-//!   hash to independent shards (own frame table, free list, probation
-//!   FIFO, ghost ids and protected set, cache-line-padded atomic
-//!   counters), so concurrent accesses to distinct pages rarely
-//!   contend, and a page's first touches buy it only a spell on
-//!   probation — a re-reference after that is what keeps a page
-//!   resident. Faults run through an
+//! * [`buffer`] — a lock-striped buffer pool replacing by 2Q's lists
+//!   sized by ARC's rule: page ids hash to independent shards (own
+//!   frame table, free list, probation FIFO, protected set, a ghost of
+//!   evicted ids for each, cache-line-padded atomic counters), so
+//!   concurrent accesses to distinct pages rarely contend, and a
+//!   faulted page's first touches buy it only a spell on probation — a
+//!   re-reference after that is what keeps a page resident. Faults run
+//!   through an
 //!   I/O-in-progress frame state machine: the shard lock is released
 //!   across the disk read (one implementation serves point accesses
 //!   and batches alike — a point miss is a batch of one),

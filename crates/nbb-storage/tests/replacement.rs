@@ -1,8 +1,13 @@
-//! The pool's replacement policy, through the public API only: 2Q over
-//! each shard's frames. A page's first residency is probation — a FIFO
-//! in which touches count for nothing — and only a re-reference *after*
-//! probation (a miss on an id the ghost still remembers) promotes it to
-//! the protected set, where a second-chance sweep keeps what is used.
+//! The pool's replacement policy, through the public API only: 2Q's
+//! lists over each shard's frames, sized by ARC's rule. A faulted
+//! page's first residency is probation — a FIFO in which touches count
+//! for nothing — and only a re-reference *after* probation (a miss on
+//! an id the probation ghost still remembers) promotes it to the
+//! protected set, where a second-chance sweep keeps what is used. Such
+//! a miss also raises probation's target share of the shard, and a
+//! miss on an id the sweep evicted lowers it, so a warm shard stops
+//! handing its pages to one-touch faults. An allocated page skips
+//! probation: it is protected from the start.
 //!
 //! The last test replays the benchmark's `point_cold` request stream
 //! against a heap-sized pool and pins its misses against what the clock
@@ -93,6 +98,67 @@ fn touches_on_probation_do_not_protect_a_page() {
     assert!(!pool.contains(q[6]), "the protected page untouched since its promotion goes first");
     assert!(pool.contains(p), "a protected page touched since its promotion stays");
     assert!(q.iter().filter(|&&qi| qi != q[0] && qi != q[6]).all(|&qi| pool.contains(qi)));
+}
+
+/// Misses on the warm pages of
+/// `a_warm_shard_keeps_its_pages_against_one_touch_faults` at the commit
+/// before the adaptive target, when probation kept a fixed quarter of
+/// the shard (measured with this same test).
+const PARENT_WARM_MISSES: u64 = 1_444;
+
+#[test]
+fn a_warm_shard_keeps_its_pages_against_one_touch_faults() {
+    const WARM: usize = 64;
+    const WARM_UP: usize = 100;
+    const ROUNDS: usize = 300;
+    // Every page is on the disk before the pool exists, so the pool
+    // faults them all in; none is allocated through it.
+    let disk = Arc::new(InMemoryDisk::new(256));
+    let ids: Vec<PageId> = (0..WARM + WARM_UP + ROUNDS).map(|_| disk.allocate().unwrap()).collect();
+    let (warm, once) = ids.split_at(WARM);
+    let pool = BufferPool::with_pool_options(
+        disk,
+        WARM,
+        PoolOptions { shards: 1, ..PoolOptions::default() },
+    );
+    // Each round touches the warm pages at random (xorshift64), then
+    // faults one page that is never used again.
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut warm_misses = 0;
+    for (round, &page) in once.iter().enumerate() {
+        let misses = pool.stats().misses;
+        for _ in 0..WARM {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            touch(&pool, warm[(state % WARM as u64) as usize]);
+        }
+        if round >= WARM_UP {
+            warm_misses += pool.stats().misses - misses;
+        }
+        touch(&pool, page);
+    }
+    println!("warm shard: {warm_misses} warm misses in {ROUNDS} rounds (fixed quarter: {PARENT_WARM_MISSES})");
+    assert!(
+        warm_misses * 4 <= PARENT_WARM_MISSES,
+        "{warm_misses} warm misses; at most 25 % of the fixed quarter's {PARENT_WARM_MISSES} allowed"
+    );
+}
+
+#[test]
+fn an_allocated_page_in_use_survives_probation() {
+    let (pool, once) = one_shard(FRAMES, 4 * FRAMES);
+    let (a, ()) = pool.new_page_with(|_| ()).unwrap();
+    // The creator keeps writing its page while one-touch faults stream
+    // through the shard; a quarter of them would fill probation.
+    for (i, &q) in once.iter().enumerate() {
+        touch(&pool, q);
+        if i % 4 == 3 {
+            assert!(pool.contains(a), "the allocated page was evicted after {} faults", i + 1);
+            pool.with_page_mut(a, |p| p.bytes_mut()[0] = i as u8).unwrap();
+        }
+    }
+    assert_eq!(pool.stats().misses, 4 * FRAMES as u64, "only the one-touch pages missed");
 }
 
 /// The benchmark's `point_cold` shape: 200,000 rows at 60 per heap page,

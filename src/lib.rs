@@ -13,9 +13,10 @@
 //!
 //! * [`storage`] — pages, heaps, disks (with latency models), and a
 //!   **lock-striped buffer pool**: page ids hash to independent shards,
-//!   each with its own frame table, free list, 2Q replacement state
-//!   (a probation FIFO, a ghost of recent ids, a second-chance sweep
-//!   over protected frames) and padded atomic counters, so concurrent
+//!   each with its own frame table, free list, replacement state (2Q's
+//!   probation FIFO and second-chance sweep over protected frames, a
+//!   ghost of evicted ids for each, and ARC's adaptive probation
+//!   target) and padded atomic counters, so concurrent
 //!   readers contend only on stripe collisions;
 //! * [`btree`] — the Figure-1 B+Tree with the index cache; one
 //!   tree-level `RwLock` (whose value is the root) lets lookups share
