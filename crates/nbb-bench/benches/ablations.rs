@@ -34,10 +34,7 @@ fn bench_covering_vs_cache(c: &mut Criterion) {
     let cached = BTree::bulk_load(
         pool(),
         8,
-        BTreeOptions {
-            cache: Some(CacheConfig { payload_size: 17, bucket_slots: 8 }),
-            cache_seed: 1,
-        },
+        BTreeOptions { cache: Some(CacheConfig { payload_size: 17, bucket_slots: 8 }) },
         (0..n).map(|i| (i.to_be_bytes().to_vec(), i)),
         0.68,
     )

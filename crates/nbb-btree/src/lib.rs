@@ -7,9 +7,9 @@
 //!
 //! * [`node`] — the on-page layout and its zeroing discipline;
 //! * [`cache`] — cache slots, buckets, and the swap-toward-`S` policy
-//!   (§2.1.1), where `S = K/(K+D)·P` is the most stable byte of the page;
-//! * [`invalidation`] — the CSN epoch and the rule for trusting a
-//!   leaf's cache (what remains of §2.1.2);
+//!   (§2.1.1), where `S = K/(K+D)·P` is the most stable byte of the
+//!   page, and the rule for trusting a leaf's cache (what remains of
+//!   §2.1.2);
 //! * [`tree`] — the tree operations plus the cache protocol:
 //!   [`tree::BTree::lookup_cached`] (probe + promote),
 //!   [`tree::BTree::cache_populate`] (store after heap fetch),
@@ -55,7 +55,6 @@
 pub mod cache;
 pub mod covering;
 pub mod intents;
-pub mod invalidation;
 pub mod key;
 pub mod node;
 pub mod tree;
@@ -63,7 +62,6 @@ pub mod tree;
 pub use cache::{CacheConfig, CacheView, CacheViewMut, StoreOutcome};
 pub use covering::CoveringIndex;
 pub use intents::{IntentGuard, KeyIntents, DEFAULT_INTENT_STRIPES};
-pub use invalidation::InvalidationState;
 pub use node::{node_capacity, stable_point, InsertOutcome, Node, NodeMut};
 pub use tree::{
     BTree, BTreeOptions, CacheStats, CachedLookup, IndexStats, InvToken, RangeBuf, RangeChunk,

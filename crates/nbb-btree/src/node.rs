@@ -34,10 +34,14 @@
 //! | 6   | 2    | dead key-entry bytes (compaction credit) |
 //! | 8   | 2    | free_low |
 //! | 10  | 2    | free_high |
-//! | 12  | 4    | reserved |
-//! | 16  | 8    | csn_p — the epoch (`CSNidx`) the leaf's cache was last reset under |
+//! | 12  | 12   | reserved: zero, never written |
 //! | 24  | 8    | next leaf PageId (u64::MAX = none) |
 //! | 32  | 8    | aux: internal → leftmost child; leaf → unused (0) |
+//!
+//! Bytes 12..24 are zero on every page this version formats and are
+//! never read, so a file whose leaves still carry the retired §2.1.2
+//! cache epoch (a `u64` once kept at 16..24) opens unchanged. They are
+//! the room a page checksum can take without moving an offset.
 
 use nbb_storage::error::StorageError;
 use nbb_storage::page::{Page, PageId};
@@ -54,7 +58,6 @@ const OFF_NKEYS: usize = 4;
 const OFF_DEAD: usize = 6;
 const OFF_FREE_LOW: usize = 8;
 const OFF_FREE_HIGH: usize = 10;
-const OFF_CSN: usize = 16;
 const OFF_NEXT: usize = 24;
 const OFF_AUX: usize = 32;
 
@@ -148,13 +151,6 @@ impl<'a> Node<'a> {
     #[inline]
     pub fn dead_bytes(&self) -> usize {
         self.page.read_u16(OFF_DEAD) as usize
-    }
-
-    /// Page cache sequence number (`CSNp`, §2.1.2): the epoch the
-    /// leaf's cache was last reset under.
-    #[inline]
-    pub fn csn(&self) -> u64 {
-        self.page.read_u64(OFF_CSN)
     }
 
     /// Next-leaf pointer.
@@ -324,11 +320,6 @@ impl<'a> NodeMut<'a> {
         self.page.write_u64(OFF_NEXT, next.0);
     }
 
-    /// Sets `CSNp`.
-    pub fn set_csn(&mut self, csn: u64) {
-        self.page.write_u64(OFF_CSN, csn);
-    }
-
     /// Zeroes the entire free region, dropping any cached entries.
     pub fn zero_free_region(&mut self) {
         let (lo, hi) = (self.as_ref().free_low(), self.as_ref().free_high());
@@ -408,13 +399,11 @@ impl<'a> NodeMut<'a> {
     pub fn compact(&mut self) {
         let entries = self.as_ref().entries();
         let level = self.as_ref().level();
-        let csn = self.as_ref().csn();
         let next = self.as_ref().next_leaf();
         let aux = self.page.read_u64(OFF_AUX);
         let ks = self.key_size;
         let mut fresh = NodeMut::init(self.page, ks, level);
         fresh.page.write_u64(OFF_AUX, aux);
-        fresh.set_csn(csn);
         fresh.set_next_leaf(next);
         for (k, v) in &entries {
             let r = fresh.append_sorted(k, *v);
@@ -449,16 +438,14 @@ impl<'a> NodeMut<'a> {
     }
 
     /// Rebuilds this node to contain exactly `entries` (sorted),
-    /// preserving level/csn/next/aux. Used by splits.
+    /// preserving level/next/aux. Used by splits.
     pub fn rebuild_with(&mut self, entries: &[(Vec<u8>, u64)]) {
         let level = self.as_ref().level();
-        let csn = self.as_ref().csn();
         let next = self.as_ref().next_leaf();
         let aux = self.page.read_u64(OFF_AUX);
         let ks = self.key_size;
         let mut fresh = NodeMut::init(self.page, ks, level);
         fresh.page.write_u64(OFF_AUX, aux);
-        fresh.set_csn(csn);
         fresh.set_next_leaf(next);
         for (k, v) in entries {
             let r = fresh.append_sorted(k, *v);
@@ -622,7 +609,6 @@ mod tests {
         {
             let mut n = NodeMut::new(&mut p, KS);
             n.set_next_leaf(PageId(77));
-            n.set_csn(5);
             for v in 0..6u64 {
                 n.insert(&k(v), v);
             }
@@ -633,7 +619,6 @@ mod tests {
         let view = n.as_ref();
         assert_eq!(view.nkeys(), 3);
         assert_eq!(view.next_leaf(), PageId(77));
-        assert_eq!(view.csn(), 5);
         // everything outside entries+header+dir is zero
         let (lo, hi) = (view.free_low(), view.free_high());
         assert!(p.bytes()[lo..hi].iter().all(|&b| b == 0));

@@ -57,19 +57,18 @@
 //!
 //! Every lock above sits in the workspace lock-order lattice
 //! (`CONCURRENCY.md` at the repo root): intents at ranks 20 and 25,
-//! structure at rank 30, and the tree's frame-nested promotion RNG
-//! above the pool's frame rank. Debug test runs verify the whole order
-//! at runtime; `cargo run -p nbb-lint` verifies no lock escapes it.
+//! structure at rank 30; no tree-level lock is taken under a frame
+//! latch. Debug test runs verify the whole order at runtime; `cargo run
+//! -p nbb-lint` verifies no lock escapes it.
 
 use crate::cache::{CacheConfig, CacheViewMut, StoreOutcome};
 use crate::intents::{KeyIntents, DEFAULT_INTENT_STRIPES};
-use crate::invalidation::InvalidationState;
 use crate::node::{node_capacity, InsertOutcome, Node, NodeMut};
 use nbb_storage::buffer::BufferPool;
 use nbb_storage::error::{Result, StorageError};
 use nbb_storage::lockrank;
 use nbb_storage::page::PageId;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,9 +84,6 @@ pub use read::{CachedLookup, RangeBuf, RangeChunk};
 pub struct BTreeOptions {
     /// Enable the index cache with this configuration.
     pub cache: Option<CacheConfig>,
-    /// Seed for the cache's randomized placement (fixed default for
-    /// reproducibility).
-    pub cache_seed: u64,
 }
 
 /// Aggregated index-cache counters.
@@ -111,8 +107,8 @@ pub struct CacheStats {
     /// (write-through of a changed row).
     pub refreshes: u64,
     /// Populated entries refused because their leaf moved since the
-    /// lookup — a writer latch or a reload changed its stamp — or the
-    /// epoch was bumped: the heap read may be stale.
+    /// lookup — a writer latch or a reload changed its stamp: the heap
+    /// read may be stale.
     pub stale_skips: u64,
 }
 
@@ -189,12 +185,11 @@ struct CacheStatsAtomic {
 
 /// Consistency token captured when a leaf is read:
 /// [`BTree::cache_populate_many`] refuses to store a payload if the
-/// leaf's residency stamp moved (a writer latched it, or it was evicted
-/// and read back) or the epoch was bumped since it was issued — the
-/// heap value read in between may be stale.
+/// leaf's residency stamp moved since it was issued (a writer latched
+/// it, or it was evicted and read back) — the heap value read in
+/// between may be stale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InvToken {
-    csn: u64,
     stamp: u64,
 }
 
@@ -211,26 +206,19 @@ pub struct BTree {
     /// above the tree; see [`BTree::intents`].
     intents: KeyIntents,
     opts: BTreeOptions,
-    inv: InvalidationState,
-    rng: Mutex<SmallRng>,
     stats: CacheStatsAtomic,
     wstats: WriteStatsAtomic,
 }
 
 impl BTree {
-    /// A tree over `pool` with its root at `root`: fresh intent table,
-    /// invalidation epoch and counters.
+    /// A tree over `pool` with its root at `root`: fresh intent table
+    /// and counters.
     fn rooted_at(pool: Arc<BufferPool>, key_size: usize, root: PageId, opts: BTreeOptions) -> Self {
         BTree {
             pool,
             key_size,
             intents: KeyIntents::new(DEFAULT_INTENT_STRIPES),
             root: RwLock::with_rank(lockrank::TREE_STRUCTURE, root),
-            inv: InvalidationState::default(),
-            rng: Mutex::with_rank(
-                lockrank::TREE_RNG,
-                SmallRng::seed_from_u64(opts.cache_seed ^ 0x006e_6262_7472_6565),
-            ),
             opts,
             stats: CacheStatsAtomic::default(),
             wstats: WriteStatsAtomic::default(),
@@ -260,7 +248,7 @@ impl BTree {
     /// This is the restart/recovery path (§2.1.2): cache bytes that
     /// survived on disk are never trusted, because every leaf read back
     /// from a device starts a residency no populate has reset yet (see
-    /// [`crate::invalidation`]) — no epoch bookkeeping is needed.
+    /// [`crate::cache`]).
     pub fn open(
         pool: Arc<BufferPool>,
         key_size: usize,
@@ -295,7 +283,7 @@ impl BTree {
         entries: impl IntoIterator<Item = (Vec<u8>, u64)>,
         fill: f64,
     ) -> Result<Self> {
-        assert!((0.0..=1.0).contains(&fill), "fill must be in (0, 1]");
+        assert!(fill > 0.0 && fill <= 1.0, "fill must be in (0, 1]");
         if let Some(c) = &opts.cache {
             c.validate();
         }
@@ -442,13 +430,14 @@ impl BTree {
     /// Consecutive entries of one leaf and token form a **run**, and a
     /// caller that lists its misses in key order has one run per leaf.
     /// The batch takes the structure lock's read side once; each run
-    /// takes its leaf's try-latch once and the placement RNG once. A
-    /// run is refused whole if its leaf's stamp moved since the token
-    /// was issued (a writer latched the leaf, so the heap read may be
-    /// stale; or the page was reloaded) or the epoch was bumped; it is
-    /// skipped whole if the latch is contended, and entry by entry when
-    /// the leaf has no cache room. The first populate of a residency
-    /// resets the leaf's cache before storing — only then is it trusted.
+    /// takes its leaf's try-latch once. A run is refused whole if its
+    /// leaf's stamp moved since the token was issued (a writer latched
+    /// the leaf, so the heap read may be stale; or the page was
+    /// reloaded); it is skipped whole if the latch is contended, and
+    /// entry by entry when the leaf has no cache room. The first
+    /// populate of a residency resets the leaf's cache before storing —
+    /// only then is it trusted. Placement draws from
+    /// `placement_rng` seeded by the leaf and the run's first tuple.
     pub fn cache_populate_many(&self, entries: &[(PageId, InvToken, u64, &[u8])]) -> Result<usize> {
         let Some(cfg) = self.opts.cache else { return Ok(0) };
         if let Some((.., payload)) = entries.iter().find(|e| e.3.len() != cfg.payload_size) {
@@ -468,24 +457,22 @@ impl BTree {
             let outcome = self.pool.with_page_cache_write(leaf, |p| {
                 // Checked under the latch, so no writer can come
                 // between the check and the store.
-                if p.stamp() != token.stamp || self.inv.csn() != token.csn {
+                if p.stamp() != token.stamp {
                     return None;
                 }
-                if !self.inv.trusts(Node::new(p, self.key_size).csn(), p.marked()) {
-                    // First populate of this residency or epoch: what
-                    // the free space holds may predate writes that were
-                    // kept only in memory. The reset's mark is no
-                    // writer latch: other tokens stay good.
-                    let mut n = NodeMut::new(p, self.key_size);
-                    n.set_csn(token.csn);
-                    CacheViewMut::new(n.page_mut(), self.key_size, &cfg).zero();
+                if !p.marked() {
+                    // First populate of this residency: what the free
+                    // space holds may predate writes that were kept
+                    // only in memory. The reset's mark is no writer
+                    // latch: other tokens stay good.
+                    CacheViewMut::new(p, self.key_size, &cfg).zero();
                     p.mark();
                 }
-                let mut rng = self.rng.lock();
+                let mut rng = placement_rng(leaf, Self::tuple_id(run[0].2));
                 let mut cache = CacheViewMut::new(p, self.key_size, &cfg);
                 let (mut stored, mut evicted) = (0u64, 0u64);
                 for &(.., value, payload) in run {
-                    match cache.store(Self::tuple_id(value), payload, &mut *rng) {
+                    match cache.store(Self::tuple_id(value), payload, &mut rng) {
                         StoreOutcome::Stored => stored += 1,
                         StoreOutcome::StoredEvicting => {
                             (stored, evicted) = (stored + 1, evicted + 1)
@@ -510,12 +497,6 @@ impl BTree {
             }
         }
         Ok(stored)
-    }
-
-    /// Invalidates every page cache at once (`CSNidx += 1`) — the crash
-    /// recovery path.
-    pub fn invalidate_all_caches(&self) {
-        self.inv.invalidate_all();
     }
 
     /// Cache counters.
@@ -660,6 +641,20 @@ impl BTree {
         }
         Ok(Ok(()))
     }
+}
+
+/// The generator one cache write places with: seeded from `leaf` and
+/// `salt` (what the write is about) by a splitmix-style hash, so where
+/// an entry lands depends on the page and its contents alone, never on
+/// how threads interleave on a shared generator.
+fn placement_rng(leaf: PageId, salt: u64) -> SmallRng {
+    let mut z = leaf
+        .0
+        .wrapping_add(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .wrapping_add(0x632B_E59B_D9B4_E019);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    SmallRng::seed_from_u64(z ^ (z >> 31))
 }
 
 /// Aggregate statistics over a tree's leaves.

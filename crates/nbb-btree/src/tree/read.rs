@@ -8,7 +8,7 @@
 //! every public entry point here takes the structure lock's read side
 //! once and holds no other tree lock.
 
-use super::{BTree, IndexStats, InvToken};
+use super::{placement_rng, BTree, IndexStats, InvToken};
 use crate::cache::{CacheView, CacheViewMut};
 use crate::node::Node;
 use nbb_storage::error::{Result, StorageError};
@@ -92,7 +92,7 @@ struct LeafView<'a> {
     node: Node<'a>,
     /// The leaf's §2.1 cache — absent when the read did not ask to
     /// probe, the tree has no cache, or the leaf's cache is not trusted
-    /// (no populate reset it in this residency and epoch).
+    /// (no populate reset it in this residency).
     cache: Option<CacheView<'a>>,
     /// Probes asked of this view, and how many the cache answered.
     asked: u64,
@@ -161,7 +161,7 @@ impl BTree {
             value: None,
             payload: None,
             leaf: PageId::INVALID,
-            token: InvToken { csn: 0, stamp: 0 },
+            token: InvToken { stamp: 0 },
         };
         let mut out = vec![unanswered; keys.len()];
         self.lookup_cached_with(keys, |pos, leaf, token, value, payload| {
@@ -503,7 +503,6 @@ impl BTree {
         visit: impl FnOnce(&mut LeafView<'_>) -> R,
     ) -> Result<(R, PageId)> {
         let cfg = self.opts.cache.filter(|_| probe);
-        let csn = self.inv.csn();
         let (out, next, asked, hits) = self.pool.with_page(leaf, |p| {
             let node = Node::checked(p, leaf, self.key_size)?;
             if !node.is_leaf() {
@@ -512,11 +511,9 @@ impl BTree {
                     node.level()
                 )));
             }
-            let cache = cfg
-                .as_ref()
-                .filter(|_| self.inv.trusts(node.csn(), p.marked()))
-                .map(|c| CacheView::new(p, self.key_size, c));
-            let token = InvToken { csn, stamp: p.stamp() };
+            let cache =
+                cfg.as_ref().filter(|_| p.marked()).map(|c| CacheView::new(p, self.key_size, c));
+            let token = InvToken { stamp: p.stamp() };
             let mut view = LeafView { token, node, cache, asked: 0, hits: 0 };
             let out = visit(&mut view);
             Ok((out, node.next_leaf(), view.asked, view.hits))
@@ -533,17 +530,20 @@ impl BTree {
 
     /// Promotes one leaf's cache hits (`(slot, value)` each) toward the
     /// stable point — all of them under one try-latch attempt, skipped
-    /// whole under contention (§2.1.3).
+    /// whole under contention (§2.1.3). Targets draw from
+    /// `placement_rng` seeded by the leaf and the first hit.
     fn promote(&self, leaf: PageId, hits: &[(usize, u64)]) -> Result<()> {
         let Some(cfg) = self.opts.cache else { return Ok(()) };
+        let (first_slot, first) = hits[0];
+        let mut rng =
+            placement_rng(leaf, Self::tuple_id(first) ^ (first_slot as u64).rotate_left(32));
         let promoted = self.pool.with_page_cache_write(leaf, |p| {
-            let mut rng = self.rng.lock();
             let mut cache = CacheViewMut::new(p, self.key_size, &cfg);
             // promote re-verifies the slot still holds the entry, so
             // earlier swaps cannot misdirect it.
             let mut done = 0u64;
             for &(slot, v) in hits {
-                done += u64::from(cache.promote(slot, Self::tuple_id(v), &mut *rng).is_some());
+                done += u64::from(cache.promote(slot, Self::tuple_id(v), &mut rng).is_some());
             }
             done
         })?;

@@ -150,8 +150,7 @@ fn payload_isolation_across_keys() {
     use std::sync::Arc;
     let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
     let pool = Arc::new(BufferPool::new(disk, 256));
-    let tree =
-        BTree::create(pool, 8, BTreeOptions { cache: Some(cfg(8, 8)), cache_seed: 3 }).unwrap();
+    let tree = BTree::create(pool, 8, BTreeOptions { cache: Some(cfg(8, 8)) }).unwrap();
     let n = 2_000u64;
     for i in 0..n {
         tree.insert(&i.to_be_bytes(), i).unwrap();

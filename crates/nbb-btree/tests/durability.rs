@@ -12,7 +12,7 @@ fn k(v: u64) -> [u8; 8] {
 }
 
 fn cached_opts() -> BTreeOptions {
-    BTreeOptions { cache: Some(CacheConfig { payload_size: 8, bucket_slots: 8 }), cache_seed: 17 }
+    BTreeOptions { cache: Some(CacheConfig { payload_size: 8, bucket_slots: 8 }) }
 }
 
 fn restart_round_trip(disk: Arc<dyn DiskManager>) {
@@ -66,11 +66,11 @@ fn restart_from_real_file() {
 }
 
 #[test]
-fn reopened_epoch_outruns_persisted_csn() {
-    // Crank CSNp values high in the first incarnation (many full
-    // invalidations), then reopen and verify no false validation: the
-    // reopened epoch starts low again, but a leaf read back from a
-    // device is not trusted until a populate resets it.
+fn a_reopened_tree_never_trusts_persisted_cache_bytes() {
+    // Populate every key's entry in the first incarnation and persist
+    // the cache bytes, then reopen and verify no false validation: a
+    // leaf read back from a device is not trusted until a populate
+    // resets it.
     let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
     let root;
     {
@@ -79,16 +79,11 @@ fn reopened_epoch_outruns_persisted_csn() {
         for i in 0..100u64 {
             tree.insert(&k(i), i).unwrap();
         }
-        // Inflate the epoch, then stamp pages at the high epoch by
-        // populating (populate re-stamps CSNp lazily).
-        for _ in 0..50 {
-            tree.invalidate_all_caches();
-        }
         for i in 0..100u64 {
             let m = tree.lookup_cached(&k(i)).unwrap();
             tree.cache_populate(m.leaf, i, &[0xEE; 8], m.token).unwrap();
         }
-        // Dirty the pages so CSNp + cache bytes persist, then flush.
+        // Dirty the pages so the cache bytes persist, then flush.
         for i in 100..110u64 {
             tree.insert(&k(i), i).unwrap();
         }
@@ -99,10 +94,7 @@ fn reopened_epoch_outruns_persisted_csn() {
     let tree = BTree::open(pool, 8, root, cached_opts()).unwrap();
     for i in 0..100u64 {
         let m = tree.lookup_cached(&k(i)).unwrap();
-        assert!(
-            m.payload.is_none(),
-            "persisted cache bytes false-validated for key {i} (epoch collision)"
-        );
+        assert!(m.payload.is_none(), "persisted cache bytes false-validated for key {i}");
     }
 }
 

@@ -83,7 +83,6 @@ const PARENT_GET_MANY_4_ALLOCS: u64 = 2;
 fn sixteen_key_cached_lookup_allocates_no_more_than_it_did() {
     let tree = resident_tree(BTreeOptions {
         cache: Some(CacheConfig { payload_size: 8, bucket_slots: 8 }),
-        cache_seed: 11,
     });
     // 16 keys in 16 distinct leaves, out of order, each answered from
     // its leaf's cache.

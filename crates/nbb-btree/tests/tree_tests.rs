@@ -2,7 +2,7 @@
 //! the full §2.1 index-cache protocol.
 
 use nbb_btree::{BTree, BTreeOptions, CacheConfig};
-use nbb_storage::{BufferPool, DiskManager, DiskModel, InMemoryDisk, SimulatedDisk};
+use nbb_storage::{BufferPool, DiskManager, DiskModel, InMemoryDisk, PageId, SimulatedDisk};
 use std::sync::Arc;
 
 fn pool_with(page_size: usize, frames: usize) -> Arc<BufferPool> {
@@ -18,11 +18,18 @@ fn k(v: u64) -> [u8; 8] {
     v.to_be_bytes()
 }
 
-fn cached_opts(payload: usize) -> BTreeOptions {
-    BTreeOptions {
-        cache: Some(CacheConfig { payload_size: payload, bucket_slots: 8 }),
-        cache_seed: 7,
+/// Evicts every page of `tree`'s pool, so each leaf is read back from
+/// the device on its next access: the reload a restart or memory
+/// pressure brings.
+fn evict_all(tree: &BTree) {
+    let pool = tree.pool();
+    for id in 0..pool.disk().num_pages() {
+        pool.evict_page(PageId(id)).unwrap();
     }
+}
+
+fn cached_opts(payload: usize) -> BTreeOptions {
+    BTreeOptions { cache: Some(CacheConfig { payload_size: payload, bucket_slots: 8 }) }
 }
 
 // ---------------------------------------------------------------------
@@ -172,6 +179,14 @@ fn bulk_load_empty_and_single() {
         BTree::bulk_load(pool(), 8, BTreeOptions::default(), vec![(k(9).to_vec(), 99u64)], 0.68)
             .unwrap();
     assert_eq!(tree.get(&k(9)).unwrap(), Some(99));
+}
+
+#[test]
+#[should_panic(expected = "fill must be in (0, 1]")]
+fn bulk_load_refuses_zero_fill() {
+    // A zero fill would be clamped to one key a leaf.
+    let entries = (0..10u64).map(|v| (k(v).to_vec(), v));
+    let _ = BTree::bulk_load(pool(), 8, BTreeOptions::default(), entries, 0.0);
 }
 
 #[test]
@@ -635,7 +650,7 @@ fn cache_answers_match_heap_under_mixed_workload() {
 }
 
 #[test]
-fn invalidate_all_drops_every_cache() {
+fn a_reload_drops_every_cache() {
     let tree = BTree::create(pool(), 8, cached_opts(8)).unwrap();
     for v in 0..50u64 {
         tree.insert(&k(v), v).unwrap();
@@ -647,11 +662,11 @@ fn invalidate_all_drops_every_cache() {
     // Everything hits now.
     let m = tree.lookup_cached(&k(10)).unwrap();
     assert!(m.payload.is_some());
-    // Simulated crash: CSNidx bump.
-    tree.invalidate_all_caches();
+    // Simulated crash: every leaf is read back from the device.
+    evict_all(&tree);
     for v in 0..50u64 {
         let m = tree.lookup_cached(&k(v)).unwrap();
-        assert!(m.payload.is_none(), "cache must be invalid after CSN bump (key {v})");
+        assert!(m.payload.is_none(), "cache must be invalid after a reload (key {v})");
     }
 }
 
@@ -903,8 +918,8 @@ fn concurrent_cached_reads_and_invalidations_stay_consistent() {
         }
     }
     assert!(hits > 0, "the cache must hold something once the writers stop");
-    // And the epoch still drops everything at once.
-    tree.invalidate_all_caches();
+    // And a reload still drops everything at once.
+    evict_all(&tree);
     for v in 0..n {
         let m = tree.lookup_cached(&k(v)).unwrap();
         assert!(m.payload.is_none());

@@ -195,7 +195,7 @@ impl Index {
             payload_size: if whole_rows { row } else { spec.payload_size() },
             bucket_slots: spec.bucket_slots,
         });
-        let tree = tree(BTreeOptions { cache, cache_seed: 0x5eed })?;
+        let tree = tree(BTreeOptions { cache })?;
         Ok(Index { spec, tree, whole_rows })
     }
 

@@ -26,7 +26,6 @@
 //! |    60 | [`POOL_SHARD_MAP`]       | buffer-pool shard residency maps               |
 //! |    65 | [`POOL_FRAME`]           | per-frame page latches (multi: latch coupling) |
 //! |    67 | [`POOL_INFLIGHT`]        | per-fault `InFlight` coalescing state          |
-//! |    68 | [`TREE_RNG`]             | cache-promotion RNG                            |
 //! |    70 | [`POOL_WRITE_BEHIND`]    | write-behind queue state                       |
 //! |    90 | [`DISK_IO`]              | disk backends (multi: wrapper disks may nest)  |
 //!
@@ -40,16 +39,12 @@
 //! locks, the numbering only keeps the two client locks ordered with
 //! respect to each other.
 //!
-//! One placement looks surprising but is forced by a real acquisition
-//! path: the promotion RNG is *tree*-level state, yet it ranks **above**
-//! the pool frame latch because the tree locks it from inside
-//! `with_page_cache_write` callbacks, i.e. while a frame latch is held.
-//! The leaf cache's consistency takes no lock of its own: a writer fixes
-//! the entries it stales under the leaf's frame latch, and a page's
-//! residency stamp (advanced by every exclusive writer latch, renewed
-//! by every load) is how a populate learns a writer came between. See
-//! `CONCURRENCY.md` at the repo root for the full walk-through of every
-//! path.
+//! The leaf cache takes no lock of its own: a writer fixes the entries
+//! it stales under the leaf's frame latch, a page's residency stamp
+//! (advanced by every exclusive writer latch, renewed by every load) is
+//! how a populate learns a writer came between, and placement draws
+//! from a generator local to the write. See `CONCURRENCY.md` at the
+//! repo root for the full walk-through of every path.
 //!
 //! The constants live here (not in the `parking_lot` shim) because
 //! `nbb-storage` is the lowest engine crate every other engine crate
@@ -143,11 +138,6 @@ pub const POOL_FRAME: Rank = Rank::new_multi(65, "pool.frame");
 /// a nested fault parks on — and a nested loader resolves — the slot
 /// while the caller's outer frame latch is still held.
 pub const POOL_INFLIGHT: Rank = Rank::new(67, "pool.inflight");
-
-/// The tree's cache-promotion RNG. Above [`POOL_FRAME`] because
-/// promotion decisions run inside `with_page_cache_write` callbacks
-/// (under the frame's write try-latch).
-pub const TREE_RNG: Rank = Rank::new(68, "btree.cache_rng");
 
 /// Write-behind queue state (bounded queue, flusher handshake,
 /// drain/serve-fault barriers).

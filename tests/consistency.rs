@@ -5,7 +5,7 @@
 use nbb::btree::{BTree, BTreeOptions, CacheConfig};
 use nbb::core::db::{Database, DbConfig};
 use nbb::core::table::{FieldSpec, IndexSpec, Table};
-use nbb::storage::{BufferPool, DiskManager, InMemoryDisk};
+use nbb::storage::{BufferPool, DiskManager, InMemoryDisk, PageId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -83,7 +83,7 @@ fn long_adversarial_interleaving_never_serves_stale() {
 #[test]
 fn stale_never_served_under_memory_pressure() {
     // Tiny pools: constant eviction, so non-dirty cache writes are lost
-    // and CSN state reloads from disk continually.
+    // and leaves reload from disk continually.
     let (_db, t) = cached_table(3, 3);
     let mut truth: HashMap<u64, u64> = HashMap::new();
     let mut x = 0x1357_9BDF_2468_ACE0u64;
@@ -127,10 +127,7 @@ fn concurrent_readers_and_writers_on_shared_tree() {
         BTree::create(
             pool,
             8,
-            BTreeOptions {
-                cache: Some(CacheConfig { payload_size: 8, bucket_slots: 8 }),
-                cache_seed: 99,
-            },
+            BTreeOptions { cache: Some(CacheConfig { payload_size: 8, bucket_slots: 8 }) },
         )
         .unwrap(),
     );
@@ -200,8 +197,11 @@ fn concurrent_readers_and_writers_on_shared_tree() {
         }
     }
     assert!(tree.cache_stats().hits > 0 && tree.cache_stats().refreshes > 0);
-    // Full invalidation: every lookup misses.
-    tree.invalidate_all_caches();
+    // Every leaf read back from the device: every lookup misses.
+    let pool = tree.pool();
+    for id in 0..pool.disk().num_pages() {
+        pool.evict_page(PageId(id)).unwrap();
+    }
     for i in 0..n {
         assert!(tree.lookup_cached(&k(i)).unwrap().payload.is_none());
     }

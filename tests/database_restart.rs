@@ -51,7 +51,8 @@ fn restart_cycle(heap_disk: Arc<dyn DiskManager>, index_disk: Arc<dyn DiskManage
         assert_eq!(a.index("pk").unwrap().get(&k(i)).unwrap().unwrap(), tuple(i, i * 2));
         assert_eq!(b.index("pk").unwrap().get(&k(i)).unwrap().unwrap(), tuple(i, i * 3));
     }
-    // The reopened cached index still works (fresh epoch, then warm).
+    // The reopened cached index still works (reloaded leaves are
+    // untrusted, then warm).
     let p1 = a.index("pk").unwrap().project(&k(7)).unwrap().unwrap();
     assert!(!p1.index_only, "restart must start cold");
     assert_eq!(p1.payload, 14u64.to_le_bytes());

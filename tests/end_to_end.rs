@@ -182,8 +182,12 @@ fn simulated_crash_invalidates_caches_but_preserves_data() {
     }
     let idx = t.index_tree("by_rev_id").unwrap();
     assert!(idx.tree().cache_stats().hits > 0);
-    // "Crash": all page caches become invalid via the CSN bump.
-    idx.tree().invalidate_all_caches();
+    // "Crash": every index page is read back from the device, and a
+    // reloaded leaf's cache is not trusted.
+    let pool = idx.tree().pool();
+    for id in 0..pool.disk().num_pages() {
+        pool.evict_page(nbb::storage::PageId(id)).unwrap();
+    }
     let hits_before = idx.tree().cache_stats().hits;
     // First post-crash cached lookup for each key misses. (A `get` is a
     // cached lookup too — the entries are whole rows — so this is asked

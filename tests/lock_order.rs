@@ -5,9 +5,8 @@
 //! spot, naming both locks. This test's job is to make one run cross as
 //! many *combinations* of lock paths as possible at once — faults and
 //! coalesced fault-joins, evictions through the write-behind queue,
-//! same-key intent parks and handoffs, cached-index promotion (the
-//! frame-nested rank) and write-through, and the `flush_all`
-//! barrier — so the ordinary assertion "the storm completed" carries the
+//! same-key intent parks and handoffs, cached-index promotion and
+//! write-through, and the `flush_all` barrier — so the ordinary assertion "the storm completed" carries the
 //! real payload "no interleaving of these paths violated the lattice".
 //!
 //! The deterministic inversion tests (panic message naming both locks)
@@ -46,10 +45,9 @@ fn mixed_storm_respects_the_lock_lattice() {
         ..DbConfig::default()
     });
     let t = db.create_table("t", 24).unwrap();
-    // A cached pk exercises the frame-nested rank (promotion RNG) from
-    // inside pool callbacks; the secondary
-    // index makes every logical write a multi-index sequence under
-    // one intent.
+    // A cached pk exercises the cache's try-latch (populates and
+    // promotions) from inside pool callbacks; the secondary index makes
+    // every logical write a multi-index sequence under one intent.
     t.create_index(IndexSpec::cached("pk", FieldSpec::new(0, 8), vec![FieldSpec::new(16, 8)]))
         .unwrap();
     t.create_index(IndexSpec::plain("by_group", FieldSpec::new(8, 8))).unwrap();
