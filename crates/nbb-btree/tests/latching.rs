@@ -306,13 +306,13 @@ fn same_leaf_writers_serialize_on_the_latch() {
 /// and co-waiter joins replace duplicate disk reads.
 #[test]
 fn batched_gets_tolerate_in_flight_page_faults() {
-    use nbb_storage::{DiskModel, LatencyDisk};
+    use nbb_storage::{DiskModel, FaultDisk};
     const THREADS: usize = 4;
     const ROUNDS: usize = 3;
     const N: u64 = 2000;
 
     let disk: Arc<dyn DiskManager> =
-        Arc::new(LatencyDisk::new(4096, DiskModel { read_ns: 200_000, write_ns: 0 }));
+        Arc::new(FaultDisk::with_latency(4096, DiskModel { read_ns: 200_000, write_ns: 0 }));
     let pool = Arc::new(BufferPool::with_pool_options(
         disk,
         8,

@@ -2,7 +2,7 @@
 //! the full §2.1 index-cache protocol.
 
 use nbb_btree::{BTree, BTreeOptions, CacheConfig};
-use nbb_storage::{BufferPool, DiskManager, DiskModel, InMemoryDisk, PageId, SimulatedDisk};
+use nbb_storage::{BufferPool, DiskManager, InMemoryDisk, PageId};
 use std::sync::Arc;
 
 fn pool_with(page_size: usize, frames: usize) -> Arc<BufferPool> {
@@ -740,7 +740,7 @@ fn an_overwritten_pointer_drops_its_old_entry_in_the_same_latch() {
 fn cache_lost_on_eviction_but_reads_stay_correct() {
     // Non-dirtying cache writes disappear when the frame is reclaimed;
     // lookups must degrade to misses, never wrong answers.
-    let disk: Arc<dyn DiskManager> = Arc::new(SimulatedDisk::new(4096, DiskModel::free()));
+    let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
     let pool = Arc::new(BufferPool::new(disk, 3));
     let tree = BTree::create(pool, 8, cached_opts(8)).unwrap();
     for v in 0..500u64 {

@@ -1,7 +1,7 @@
 //! Database facade: pools, disks, and named tables in one place.
 
 use crate::table::Table;
-use nbb_storage::disk::{DiskManager, DiskModel, InMemoryDisk, SimulatedDisk};
+use nbb_storage::disk::{DiskManager, InMemoryDisk};
 use nbb_storage::error::{Result, StorageError};
 use nbb_storage::lockrank;
 use nbb_storage::stats::{IoStats, PoolStats};
@@ -35,8 +35,6 @@ pub struct DbConfig {
     /// is unchanged either way: [`Database::persist`] and
     /// [`Database::close`] drain the queue before returning.
     pub write_behind: usize,
-    /// Disk latency model; `None` = plain in-memory disk.
-    pub disk_model: Option<DiskModel>,
 }
 
 impl Default for DbConfig {
@@ -47,7 +45,6 @@ impl Default for DbConfig {
             index_frames: 1024,
             pool_shards: nbb_storage::DEFAULT_POOL_SHARDS,
             write_behind: nbb_storage::DEFAULT_WRITE_BEHIND,
-            disk_model: None,
         }
     }
 }
@@ -77,23 +74,18 @@ pub struct Database {
 }
 
 impl Database {
-    /// Opens an empty database per `config`.
+    /// Opens an empty database per `config` over two in-memory disks.
+    /// A cost-modelled or scripted database passes its own disks to
+    /// [`Database::with_disks`].
     pub fn open(config: DbConfig) -> Self {
-        let heap_disk = Self::fresh_disk(&config);
-        let index_disk = Self::fresh_disk(&config);
+        let heap_disk = Arc::new(InMemoryDisk::new(config.page_size));
+        let index_disk = Arc::new(InMemoryDisk::new(config.page_size));
         let db = Self::attach_disks(config, heap_disk, index_disk)
             // nbb-lint: allow(unwrap, fresh in-memory disks cannot fail validation)
             .expect("fresh in-memory disks are always attachable");
         // nbb-lint: allow(unwrap, fresh in-memory disks cannot fail allocation)
         db.reserve_catalog_header().expect("fresh in-memory disks always allocate");
         db
-    }
-
-    fn fresh_disk(config: &DbConfig) -> Arc<dyn DiskManager> {
-        match config.disk_model {
-            Some(model) => Arc::new(SimulatedDisk::new(config.page_size, model)),
-            None => Arc::new(InMemoryDisk::new(config.page_size)),
-        }
     }
 
     /// Opens an empty database over caller-supplied disks (e.g.
@@ -331,7 +323,7 @@ impl Database {
         (self.heap_pool.stats(), self.index_pool.stats())
     }
 
-    /// `(heap, index)` disk counters (simulated time lives here).
+    /// `(heap, index)` disk counters: pages read and written.
     pub fn io_stats(&self) -> (IoStats, IoStats) {
         (self.heap_disk.stats(), self.index_disk.stats())
     }
@@ -377,7 +369,6 @@ mod tests {
             page_size: 4096,
             heap_frames: 2,
             index_frames: 2,
-            disk_model: Some(DiskModel { read_ns: 1000, write_ns: 10 }),
             ..DbConfig::default()
         });
         let t = db.create_table("t", 64).unwrap();
@@ -396,9 +387,8 @@ mod tests {
             t.index("pk").unwrap().get(&i.to_be_bytes()).unwrap().unwrap();
         }
         let (heap_io, index_io) = db.io_stats();
-        // Tiny pools force disk reads with simulated latency.
+        // Tiny pools force disk reads.
         assert!(heap_io.reads + index_io.reads > 0);
-        assert!(heap_io.sim_total_ns() + index_io.sim_total_ns() > 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use nbb_core::db::{Database, DbConfig};
 use nbb_core::table::{FieldSpec, IndexSpec};
 use nbb_storage::{
-    BufferPool, DiskManager, DiskModel, HeapFile, InMemoryDisk, LatencyDisk, RecordId,
+    BufferPool, DiskManager, DiskModel, FaultDisk, HeapFile, InMemoryDisk, RecordId,
 };
 use std::collections::HashSet;
 use std::sync::{Arc, Barrier};
@@ -32,7 +32,7 @@ fn row(key: u64) -> Vec<u8> {
 }
 
 fn heap_disk() -> Arc<dyn DiskManager> {
-    Arc::new(LatencyDisk::new(PAGE, DiskModel { read_ns: 100_000, write_ns: 0 }))
+    Arc::new(FaultDisk::with_latency(PAGE, DiskModel { read_ns: 100_000, write_ns: 0 }))
 }
 
 fn heap_pool() -> Arc<BufferPool> {

@@ -7,10 +7,9 @@
 use nbb_btree::RangeBuf;
 use nbb_core::db::{Database, DbConfig};
 use nbb_core::table::{FieldSpec, IndexSpec, Table};
-use nbb_storage::disk::{DiskManager, InMemoryDisk};
-use nbb_storage::error::{Result as StorageResult, StorageError};
-use nbb_storage::{Page, PageId, RecordId};
-use parking_lot::Mutex;
+use nbb_storage::disk::FaultDisk;
+use nbb_storage::error::StorageError;
+use nbb_storage::{PageId, RecordId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -172,38 +171,11 @@ fn a_refill_spanning_leaves_warms_each_leafs_own_cache_and_warm_rows_skip_the_he
     assert_eq!(t.stats().heap_fetches - end.heap_fetches, 513);
 }
 
-/// Counts what is read: the page ids of every device call, in order.
-/// Can fail every call that touches one page, until told to stop (a
-/// page that fails once inside a batch is absorbed by the pool's
-/// per-page retry and never reaches the cursor).
-struct ProbeDisk {
-    inner: InMemoryDisk,
-    calls: Mutex<Vec<Vec<PageId>>>,
-    fail_page: Mutex<Option<PageId>>,
-}
-
-impl ProbeDisk {
-    fn new(page_size: usize) -> Arc<Self> {
-        Arc::new(ProbeDisk {
-            inner: InMemoryDisk::new(page_size),
-            calls: Mutex::new(Vec::new()),
-            fail_page: Mutex::new(None),
-        })
-    }
-
-    fn enter_read(&self, ids: Vec<PageId>) -> StorageResult<()> {
-        let bad = self.fail_page.lock().filter(|bad| ids.contains(bad));
-        self.calls.lock().push(ids);
-        match bad {
-            Some(bad) => Err(StorageError::Io(format!("injected read failure on page {}", bad.0))),
-            None => Ok(()),
-        }
-    }
-
-    fn fail_reads_of(&self, page: Option<PageId>) {
-        *self.fail_page.lock() = page;
-    }
-
+/// What a test learns from a disk's read log (a [`FaultDisk`] can also
+/// fail every call that touches one page, until told to stop: a page
+/// that fails once inside a batch is absorbed by the pool's per-page
+/// retry and never reaches the cursor).
+trait Probe {
     /// Drains the log: (device calls, distinct pages read).
     fn take(&self) -> (usize, BTreeSet<u64>) {
         let (calls, _, pages) = self.take_counted();
@@ -211,51 +183,23 @@ impl ProbeDisk {
     }
 
     /// Drains the log: (device calls, page reads, distinct pages read).
+    fn take_counted(&self) -> (usize, usize, BTreeSet<u64>);
+}
+
+impl Probe for FaultDisk {
     fn take_counted(&self) -> (usize, usize, BTreeSet<u64>) {
-        let calls = std::mem::take(&mut *self.calls.lock());
+        let calls = self.take_read_log();
         let reads = calls.iter().map(Vec::len).sum();
         (calls.len(), reads, calls.iter().flatten().map(|p| p.0).collect())
     }
 }
 
-impl DiskManager for ProbeDisk {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-    fn allocate(&self) -> StorageResult<PageId> {
-        self.inner.allocate()
-    }
-    fn read(&self, id: PageId, buf: &mut Page) -> StorageResult<()> {
-        self.enter_read(vec![id])?;
-        self.inner.read(id, buf)
-    }
-    fn read_many(&self, pages: &mut [(PageId, &mut Page)]) -> StorageResult<()> {
-        self.enter_read(pages.iter().map(|(id, _)| *id).collect())?;
-        for (id, buf) in pages.iter_mut() {
-            self.inner.read(*id, buf)?;
-        }
-        Ok(())
-    }
-    fn write(&self, id: PageId, page: &Page) -> StorageResult<()> {
-        self.inner.write(id, page)
-    }
-    fn num_pages(&self) -> u64 {
-        self.inner.num_pages()
-    }
-    fn stats(&self) -> nbb_storage::stats::IoStats {
-        self.inner.stats()
-    }
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
-    }
-}
-
-/// A loaded, persisted database over two probe disks, plus a way to
+/// A loaded, persisted database over two logging disks, plus a way to
 /// reopen it with cold pools of `frames` frames each.
 struct Persisted {
     page_size: usize,
-    heap: Arc<ProbeDisk>,
-    index: Arc<ProbeDisk>,
+    heap: Arc<FaultDisk>,
+    index: Arc<FaultDisk>,
 }
 
 impl Persisted {
@@ -269,7 +213,8 @@ impl Persisted {
 
     /// Loads the table, lets `edit` change it, then closes it.
     fn loaded(page_size: usize, edit: impl FnOnce(&Table)) -> Self {
-        let (heap, index) = (ProbeDisk::new(page_size), ProbeDisk::new(page_size));
+        let (heap, index) =
+            (Arc::new(FaultDisk::new(page_size)), Arc::new(FaultDisk::new(page_size)));
         let cfg = config_with(page_size, 1024);
         let db = Database::with_disks(cfg, heap.clone(), index.clone()).unwrap();
         edit(&load(&db));

@@ -6,14 +6,9 @@
 
 use nbb_core::table::{FieldSpec, IndexSpec, Table};
 use nbb_storage::{
-    BufferPool, DiskManager, InMemoryDisk, PageId, PoolOptions, RecordId, StorageError,
+    BufferPool, DiskManager, FaultDisk, InMemoryDisk, PageId, PoolOptions, RecordId, StorageError,
 };
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-#[path = "../../nbb-storage/tests/support/flaky_disk.rs"]
-mod flaky_disk;
-use flaky_disk::FlakyDisk;
 
 const ROWS: u64 = 200;
 
@@ -26,12 +21,12 @@ fn tuple(id: u64, value: u64) -> Vec<u8> {
     t
 }
 
-/// `ROWS` rows on a two-frame heap pool over a [`FlakyDisk`], one cached
+/// `ROWS` rows on a two-frame heap pool over a [`FaultDisk`], one cached
 /// index on `id` caching `value`; returns the table, the disk, and a
 /// batch of keys each on a heap page of its own, in page order — four
 /// times the page set the pool can hold.
-fn table_on_flaky_heap() -> (Table, Arc<FlakyDisk>, Vec<(u64, PageId)>) {
-    let heap_disk = Arc::new(FlakyDisk::new(512));
+fn table_on_flaky_heap() -> (Table, Arc<FaultDisk>, Vec<(u64, PageId)>) {
+    let heap_disk = Arc::new(FaultDisk::new(512));
     let heap_pool = Arc::new(BufferPool::with_pool_options(
         Arc::clone(&heap_disk) as Arc<dyn DiskManager>,
         2,
@@ -106,7 +101,7 @@ fn failed_page_fault_mid_delete_strands_only_its_own_row() {
 fn failed_allocation_mid_relocate_leaves_the_row_where_the_index_names_it() {
     let (t, disk, batch) = table_on_flaky_heap();
     let by_id = t.index("by_id").unwrap();
-    disk.fail_allocs.store(true, Ordering::Relaxed);
+    disk.fail_allocs(true);
     // Fill the tail page: the first insert that needs a new page fails.
     let mut next = ROWS;
     let err = loop {
@@ -126,7 +121,7 @@ fn failed_allocation_mid_relocate_leaves_the_row_where_the_index_names_it() {
     assert_eq!(by_id.get(&key).unwrap(), Some(tuple(id, id)), "the row left its indexed slot");
     assert_eq!(t.heap().live_tuple_count().unwrap(), next as usize);
     // Once the disk allocates again, the same relocation goes through.
-    disk.fail_allocs.store(false, Ordering::Relaxed);
+    disk.fail_allocs(false);
     let moved = t.relocate(rid).unwrap();
     assert_ne!(moved.page, page);
     assert_eq!(by_id.get(&key).unwrap(), Some(tuple(id, id)));

@@ -31,6 +31,11 @@
 //! * **L6 (rank-exempt)** — the shim's order-check escape hatches
 //!   (`lock_unordered` and friends) require a `// rank-exempt:` comment
 //!   stating the protocol argument that replaces the rank proof.
+//! * **L7 (disk-impls)** — `impl DiskManager for` appears only in
+//!   `crates/nbb-storage/src/` (and in `benchmark/`, whose cost disk
+//!   models the device): a test that needs a gate, a failure, a panic,
+//!   a call log or a latency scripts `nbb_storage::FaultDisk` instead
+//!   of growing its own disk.
 //!
 //! The binary (`cargo run -p nbb-lint`) walks the workspace, applies
 //! the rules, prints `file:line: [rule] message` diagnostics, and exits
@@ -47,7 +52,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule identifier (`L1`..`L6`).
+    /// Rule identifier (`L1`..`L7`).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -66,6 +71,9 @@ pub struct FileClass {
     /// core,proto,server,client}/src`): additionally subject to L1 and
     /// L4.
     pub engine_src: bool,
+    /// Where `DiskManager` may be implemented (`crates/nbb-storage/src/`
+    /// and `benchmark/`): exempt from L7.
+    pub disk_home: bool,
 }
 
 /// Classifies a workspace-relative path. Shim sources are `None`
@@ -89,7 +97,8 @@ pub fn classify(rel_path: &str) -> Option<FileClass> {
     ]
     .iter()
     .any(|pre| p.starts_with(pre));
-    Some(FileClass { engine_src })
+    let disk_home = p.starts_with("crates/nbb-storage/src/") || p.starts_with("benchmark/");
+    Some(FileClass { engine_src, disk_home })
 }
 
 /// The comment/string-stripped views of one source file: `code` has
@@ -562,6 +571,31 @@ pub fn scan_source(rel_path: &str, src: &str, class: FileClass) -> Vec<Finding> 
         }
     }
 
+    // L7: disk implementations live in nbb-storage.
+    if !class.disk_home {
+        let pat = "DiskManager for ";
+        let mut from = 0;
+        while let Some(pos) = v.code[from..].find(pat) {
+            let at = from + pos;
+            from = at + pat.len();
+            let before = v.code.as_bytes()[..at].last().copied().unwrap_or(b' ');
+            let line_start = v.code[..at].rfind('\n').map_or(0, |i| i + 1);
+            if before.is_ascii_alphanumeric()
+                || before == b'_'
+                || !contains_word(&v.code[line_start..at], "impl")
+            {
+                continue;
+            }
+            push(
+                line_of(&v.code, at),
+                "L7",
+                "`impl DiskManager` outside `crates/nbb-storage/src/`: script a \
+                 `nbb_storage::FaultDisk` instead of adding a disk"
+                    .to_string(),
+            );
+        }
+    }
+
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out
 }
@@ -604,8 +638,9 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::
 mod tests {
     use super::*;
 
-    const ENGINE: FileClass = FileClass { engine_src: true };
-    const OTHER: FileClass = FileClass { engine_src: false };
+    const ENGINE: FileClass = FileClass { engine_src: true, disk_home: false };
+    const OTHER: FileClass = FileClass { engine_src: false, disk_home: false };
+    const DISK_HOME: FileClass = FileClass { engine_src: true, disk_home: true };
 
     fn rules(src: &str, class: FileClass) -> Vec<&'static str> {
         scan_source("x.rs", src, class).into_iter().map(|f| f.rule).collect()
@@ -735,6 +770,33 @@ mod tests {
     fn l6_accepts_justified_escape_hatch() {
         let src = "fn f() {\n    // rank-exempt: entry point re-entered from closures.\n    let g = map.lock_unordered();\n}";
         assert!(rules(src, OTHER).is_empty());
+    }
+
+    // ---- L7 -------------------------------------------------------
+
+    #[test]
+    fn l7_flags_a_disk_impl_outside_nbb_storage() {
+        let src = "struct D;\nimpl DiskManager for D {\n}\nimpl nbb_storage::DiskManager for D {}";
+        let found = scan_source("tests/x.rs", src, OTHER);
+        let at: Vec<_> = found.iter().map(|f| (f.line, f.rule)).collect();
+        assert_eq!(at, vec![(2, "L7"), (4, "L7")]);
+        let generic = "impl<T: Send> disk::DiskManager for Wrap<T> {}";
+        assert_eq!(rules(generic, ENGINE), vec!["L7"], "engine code outside storage too");
+        let in_tests = "#[cfg(test)]\nmod tests {\n    impl DiskManager for D {}\n}";
+        assert_eq!(rules(in_tests, OTHER), vec!["L7"], "test code is not exempt");
+    }
+
+    #[test]
+    fn l7_accepts_storage_and_benchmark_disks_and_mere_mentions() {
+        assert!(rules("impl DiskManager for FaultDisk {}", DISK_HOME).is_empty());
+        assert!(classify("crates/nbb-storage/src/disk.rs").unwrap().disk_home);
+        assert!(classify("benchmark/src/disk.rs").unwrap().disk_home);
+        for path in ["crates/nbb-storage/tests/x.rs", "crates/nbb-core/src/db.rs", "tests/x.rs"] {
+            assert!(!classify(path).unwrap().disk_home, "{path}");
+        }
+        let mentions = "// impl DiskManager for D\nfn f(d: &dyn DiskManager) { let s = \"impl \\
+                        DiskManager for D\"; }\nimpl MyDiskManager for D {}\nimpl Probe for FaultDisk {}";
+        assert!(rules(mentions, OTHER).is_empty());
     }
 
     // ---- stripping machinery -------------------------------------

@@ -19,7 +19,7 @@ fn main() -> ExitCode {
     }
     match nbb_lint::scan_workspace(&root) {
         Ok(findings) if findings.is_empty() => {
-            println!("nbb-lint: clean (rules L1-L6)");
+            println!("nbb-lint: clean (rules L1-L7)");
             ExitCode::SUCCESS
         }
         Ok(findings) => {

@@ -23,128 +23,43 @@ use nbb_proto::{
     decode_response, encode_request, Framer, Request, RequestOp, ResponseBody, WireBound,
 };
 use nbb_server::{Server, ServerConfig};
-use nbb_storage::disk::{DiskManager, InMemoryDisk};
-use nbb_storage::error::{Result as StorageResult, StorageError};
-use nbb_storage::{Page, PageId};
-use parking_lot::{Condvar, Mutex};
+use nbb_storage::disk::{DiskManager, FaultDisk, InMemoryDisk};
+use nbb_storage::PageId;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Disk whose reads park at a gate until released — lets a test *hold*
-/// one request mid-fault while later requests race past it (or queue
-/// up behind it), so ordering assertions are deterministic instead of
-/// timing-based. It can also fail every read that touches one chosen
-/// page, and panic inside the next read.
-struct GateDisk {
-    inner: InMemoryDisk,
-    held: Mutex<bool>,
-    cv: Condvar,
+/// What the tests read off a [`FaultDisk`]'s read log. Its read gate
+/// lets a test *hold* one request mid-fault while later requests race
+/// past it (or queue up behind it), so ordering assertions are
+/// deterministic instead of timing-based.
+trait ReadLog {
     /// Pages asked for.
-    read_attempts: AtomicU64,
+    fn read_attempts(&self) -> u64;
     /// Device round trips (`read` and `read_many` alike).
-    read_calls: AtomicU64,
-    fail_page: Mutex<Option<PageId>>,
-    panic_next_read: AtomicBool,
+    fn read_calls(&self) -> u64;
+    /// Spins until `n` pages have *reached* the disk (i.e. a faulting
+    /// request is provably parked at the gate).
+    fn await_read_attempts(&self, n: u64);
 }
 
-impl GateDisk {
-    fn new(page_size: usize) -> Self {
-        GateDisk {
-            inner: InMemoryDisk::new(page_size),
-            held: Mutex::new(false),
-            cv: Condvar::new(),
-            read_attempts: AtomicU64::new(0),
-            read_calls: AtomicU64::new(0),
-            fail_page: Mutex::new(None),
-            panic_next_read: AtomicBool::new(false),
-        }
+impl ReadLog for FaultDisk {
+    fn read_attempts(&self) -> u64 {
+        self.read_log().iter().map(|call| call.len() as u64).sum()
     }
 
-    /// Every read call that asks for `page` fails whole from now on.
-    fn fail_reads_of(&self, page: PageId) {
-        *self.fail_page.lock() = Some(page);
+    fn read_calls(&self) -> u64 {
+        self.read_log().len() as u64
     }
 
-    /// Counts the call, injects the armed panic, parks at the gate,
-    /// then injects the armed failure for a call reading `ids`.
-    fn enter_read(&self, ids: impl Iterator<Item = PageId>) -> StorageResult<()> {
-        let ids: Vec<PageId> = ids.collect();
-        self.read_attempts.fetch_add(ids.len() as u64, Ordering::Relaxed);
-        self.read_calls.fetch_add(1, Ordering::Relaxed);
-        // Checked before the gate: arming it while a read is parked
-        // strikes the NEXT read, not the parked one.
-        if self.panic_next_read.swap(false, Ordering::SeqCst) {
-            panic!("injected disk panic");
-        }
-        self.gate();
-        match *self.fail_page.lock() {
-            Some(bad) if ids.contains(&bad) => {
-                Err(StorageError::Io(format!("injected read failure on page {}", bad.0)))
-            }
-            _ => Ok(()),
-        }
-    }
-
-    fn hold_reads(&self) {
-        *self.held.lock() = true;
-    }
-
-    fn release_reads(&self) {
-        *self.held.lock() = false;
-        self.cv.notify_all();
-    }
-
-    fn gate(&self) {
-        let mut held = self.held.lock();
-        while *held {
-            self.cv.wait(&mut held);
-        }
-    }
-
-    /// Spins until `n` reads have *reached* the disk (i.e. a faulting
-    /// request is provably parked at the gate).
     fn await_read_attempts(&self, n: u64) {
         let deadline = Instant::now() + Duration::from_secs(10);
-        while self.read_attempts.load(Ordering::Relaxed) < n {
+        while self.read_attempts() < n {
             assert!(Instant::now() < deadline, "no read reached the gate disk");
             std::thread::sleep(Duration::from_millis(1));
         }
-    }
-}
-
-impl DiskManager for GateDisk {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-    fn allocate(&self) -> StorageResult<PageId> {
-        self.inner.allocate()
-    }
-    fn read(&self, id: PageId, buf: &mut Page) -> StorageResult<()> {
-        self.enter_read(std::iter::once(id))?;
-        self.inner.read(id, buf)
-    }
-    fn read_many(&self, pages: &mut [(PageId, &mut Page)]) -> StorageResult<()> {
-        self.enter_read(pages.iter().map(|(id, _)| *id))?;
-        for (id, buf) in pages.iter_mut() {
-            self.inner.read(*id, buf)?;
-        }
-        Ok(())
-    }
-    fn write(&self, id: PageId, page: &Page) -> StorageResult<()> {
-        self.inner.write(id, page)
-    }
-    fn num_pages(&self) -> u64 {
-        self.inner.num_pages()
-    }
-    fn stats(&self) -> nbb_storage::stats::IoStats {
-        self.inner.stats()
-    }
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
     }
 }
 
@@ -346,10 +261,10 @@ fn full_op_surface_round_trips_through_a_client() {
 /// A 10,000-row `kv` table, loaded in key order and then indexed (a
 /// bulk-loaded `by_id` of ≈ 90 leaves under the root), over two gate disks; persisted and
 /// evicted, so the next request finds both pools cold.
-fn cold_kv() -> (Arc<Database>, RowSchema, [Arc<GateDisk>; 2]) {
+fn cold_kv() -> (Arc<Database>, RowSchema, [Arc<FaultDisk>; 2]) {
     let cfg = DbConfig { page_size: 4096, ..DbConfig::default() };
     let (_, rows) = kv_schema();
-    let disks = [Arc::new(GateDisk::new(cfg.page_size)), Arc::new(GateDisk::new(cfg.page_size))];
+    let disks = [Arc::new(FaultDisk::new(cfg.page_size)), Arc::new(FaultDisk::new(cfg.page_size))];
     let db = Arc::new(Database::with_disks(cfg, disks[0].clone(), disks[1].clone()).expect("open"));
     let t = db.create_table_with(&rows).expect("create table");
     let load: Vec<Vec<u8>> = (0..10_000)
@@ -364,8 +279,7 @@ fn cold_kv() -> (Arc<Database>, RowSchema, [Arc<GateDisk>; 2]) {
         }
     }
     for disk in &disks {
-        disk.read_calls.store(0, Ordering::Relaxed);
-        disk.read_attempts.store(0, Ordering::Relaxed);
+        disk.take_read_log();
     }
     (db, rows, disks)
 }
@@ -388,10 +302,8 @@ fn a_cold_range_page_costs_a_handful_of_device_calls() {
     assert_eq!(ids, (5003..5003 + 512).collect::<Vec<i64>>());
     assert!(more);
     assert_eq!(resume, Some(key(&rows, 5003 + 511)));
-    let (index_calls, heap_calls) =
-        (index.read_calls.load(Ordering::Relaxed), heap.read_calls.load(Ordering::Relaxed));
-    let (index_pages, heap_pages) =
-        (index.read_attempts.load(Ordering::Relaxed), heap.read_attempts.load(Ordering::Relaxed));
+    let (index_calls, heap_calls) = (index.read_calls(), heap.read_calls());
+    let (index_pages, heap_pages) = (index.read_attempts(), heap.read_attempts());
     assert!(index_pages >= 6 && heap_pages >= 3, "{index_pages} index, {heap_pages} heap pages");
     assert!(index_calls <= 3, "{index_calls} index device calls for {index_pages} pages");
     assert!(heap_calls <= 2, "{heap_calls} heap device calls for {heap_pages} pages");
@@ -413,7 +325,7 @@ fn a_range_of_limit_zero_is_refused_before_any_page_is_touched() {
     let refused = client.range("kv", "by_id", lo.clone(), WireBound::Unbounded, 0);
     assert_eq!(refused, Err(nbb_client::ClientError::Server(nbb_proto::RANGE_LIMIT_ZERO.into())));
     for disk in [&heap, &index] {
-        assert_eq!(disk.read_calls.load(Ordering::Relaxed), 0, "a refused request reads nothing");
+        assert_eq!(disk.read_calls(), 0, "a refused request reads nothing");
     }
 
     // The connection survives, and the smallest legal page pages on.
@@ -430,7 +342,7 @@ fn responses_complete_out_of_order_by_request_id() {
     // Small pages so 50 rows span several heap pages; the gate disk
     // backs the heap, so only heap faults can park.
     let cfg = DbConfig { heap_frames: 64, page_size: 512, ..DbConfig::default() };
-    let gate = Arc::new(GateDisk::new(cfg.page_size));
+    let gate = Arc::new(FaultDisk::new(cfg.page_size));
     let (db, rows, rids) = seeded_db(cfg, Arc::clone(&gate) as Arc<dyn DiskManager>, 50);
 
     // Warm every heap page, then evict exactly the page holding row 3:
@@ -456,7 +368,7 @@ fn responses_complete_out_of_order_by_request_id() {
     // Raw socket: observed arrival order IS the assertion, so no
     // client-side reordering may sit in between.
     let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
-    let reads_before = gate.read_attempts.load(Ordering::Relaxed);
+    let reads_before = gate.read_attempts();
     gate.hold_reads();
 
     // Slow request first (id 1): faults row 3's heap page, parks.
@@ -605,7 +517,7 @@ fn malformed_frames_error_by_name_and_close_without_poisoning() {
 #[test]
 fn shutdown_mid_flight_drains_the_in_flight_response() {
     let cfg = DbConfig { heap_frames: 64, ..DbConfig::default() };
-    let gate = Arc::new(GateDisk::new(cfg.page_size));
+    let gate = Arc::new(FaultDisk::new(cfg.page_size));
     let (db, rows, rids) = seeded_db(cfg, Arc::clone(&gate) as Arc<dyn DiskManager>, 10);
     let t = db.table("kv").expect("table");
     let idx = t.index("by_id").expect("index");
@@ -619,7 +531,7 @@ fn shutdown_mid_flight_drains_the_in_flight_response() {
     let client = Client::connect(addr, ClientConfig::default()).expect("connect");
 
     // Park one request mid-fault…
-    let reads_before = gate.read_attempts.load(Ordering::Relaxed);
+    let reads_before = gate.read_attempts();
     gate.hold_reads();
     let ticket = client
         .submit(RequestOp::GetMany {
@@ -709,7 +621,7 @@ fn max_connections_refuses_extras_and_counts_them() {
 #[test]
 fn full_response_queue_parks_the_reader_and_counts_it() {
     let cfg = DbConfig { heap_frames: 64, ..DbConfig::default() };
-    let gate = Arc::new(GateDisk::new(cfg.page_size));
+    let gate = Arc::new(FaultDisk::new(cfg.page_size));
     let (db, rows, rids) = seeded_db(cfg, Arc::clone(&gate) as Arc<dyn DiskManager>, 10);
     let t = db.table("kv").expect("table");
     let idx = t.index("by_id").expect("index");
@@ -725,7 +637,7 @@ fn full_response_queue_parks_the_reader_and_counts_it() {
             .expect("start");
     let client = Client::connect(server.local_addr(), ClientConfig::default()).expect("connect");
 
-    let reads_before = gate.read_attempts.load(Ordering::Relaxed);
+    let reads_before = gate.read_attempts();
     gate.hold_reads();
     let slow = client
         .submit(RequestOp::GetMany {
@@ -768,7 +680,7 @@ fn full_response_queue_parks_the_reader_and_counts_it() {
 /// everything [`Backlog::enqueue`]d queues up behind it in send order,
 /// so the groups the worker will form are known exactly.
 struct Backlog {
-    gate: Arc<GateDisk>,
+    gate: Arc<FaultDisk>,
     rows: RowSchema,
     rids: Vec<nbb_storage::RecordId>,
     server: Server,
@@ -781,7 +693,7 @@ impl Backlog {
         // `read_many` and device calls count engine calls.
         let cfg =
             DbConfig { heap_frames: 64, page_size: 512, pool_shards: 1, ..DbConfig::default() };
-        let gate = Arc::new(GateDisk::new(cfg.page_size));
+        let gate = Arc::new(FaultDisk::new(cfg.page_size));
         let (db, rows, rids) =
             seeded_db_caching(cfg, Arc::clone(&gate) as Arc<dyn DiskManager>, n, &["val"]);
         db.heap_pool().flush_all().expect("flush");
@@ -798,7 +710,7 @@ impl Backlog {
     /// [`cold_kv`] — 10,000 rows, both pools cold, both disks gated —
     /// behind ONE worker, for queueing `Range` pages: `gate` is the
     /// heap disk, the index disk and the database come back beside it.
-    fn cold() -> (Backlog, Arc<GateDisk>, Arc<Database>) {
+    fn cold() -> (Backlog, Arc<FaultDisk>, Arc<Database>) {
         let (db, rows, [gate, index]) = cold_kv();
         let cfg = ServerConfig { workers: 1, ..ServerConfig::default() };
         let server = Server::start(Arc::clone(&db), cfg).expect("start");
@@ -818,7 +730,7 @@ impl Backlog {
     /// Parks the worker: holds the gate and sends a read of row `id`,
     /// returning once its fault has reached the disk.
     fn park(&self, client: &Client, id: i64) -> nbb_client::Ticket {
-        let reads = self.gate.read_attempts.load(Ordering::Relaxed);
+        let reads = self.gate.read_attempts();
         self.gate.hold_reads();
         let ticket = client.submit(get_many(&self.rows, &[id])).expect("submit blocker");
         self.gate.await_read_attempts(reads + 1);
@@ -849,7 +761,7 @@ fn queued_point_reads_coalesce_into_one_engine_call_and_one_device_call() {
     let b = Backlog::new(200);
     let (c1, c2) = (b.connect(), b.connect());
     let before = b.server.stats();
-    let calls_before = b.gate.read_calls.load(Ordering::Relaxed);
+    let calls_before = b.gate.read_calls();
 
     // Request A parks the only worker mid-fault; six cold reads from
     // two connections (whose request ids collide, so routing is by
@@ -876,7 +788,7 @@ fn queued_point_reads_coalesce_into_one_engine_call_and_one_device_call() {
     let after = b.server.stats();
     assert_eq!(after.frames_in - before.frames_in, 7);
     assert_eq!(after.batches_executed - before.batches_executed, 2);
-    assert_eq!(b.gate.read_calls.load(Ordering::Relaxed) - calls_before, 2);
+    assert_eq!(b.gate.read_calls() - calls_before, 2);
 
     drop((c1, c2));
     b.server.shutdown();
@@ -950,7 +862,7 @@ fn a_request_that_fails_alone_does_not_fail_its_group_mates() {
     let ok1 = b.id_off_pages_of(&[0]);
     let bad = b.id_off_pages_of(&[0, ok1]);
     let ok2 = b.id_off_pages_of(&[0, ok1, bad]);
-    b.gate.fail_reads_of(b.rids[bad as usize].page);
+    b.gate.fail_reads_of(Some(b.rids[bad as usize].page));
     let t_ok1 = b.enqueue(&c1, get_many(&b.rows, &[ok1]));
     let t_bad = b.enqueue(&c2, get_many(&b.rows, &[ok2, bad]));
     let t_ok2 = b.enqueue(&c1, get_many(&b.rows, &[ok2]));
@@ -983,7 +895,7 @@ fn a_panicking_engine_call_answers_its_group_and_the_worker_lives_on() {
     // The blocker is already past the panic check; the next device
     // call — the group's merged read — panics inside the only worker.
     let cold = b.id_off_pages_of(&[0]);
-    b.gate.panic_next_read.store(true, Ordering::SeqCst);
+    b.gate.panic_next_read();
     let t1 = b.enqueue(&c1, get_many(&b.rows, &[cold]));
     let t2 = b.enqueue(&c2, get_many(&b.rows, &[cold + 1]));
     b.release();
@@ -1044,7 +956,7 @@ fn queued_range_pages_share_one_group_refill_and_its_device_calls() {
     // worker; two cold 512-row pages, far from it and from each other,
     // queue up behind it.
     let blocker = b.park(&c1, 0);
-    let calls = |disk: &GateDisk| disk.read_calls.load(Ordering::Relaxed);
+    let calls = |disk: &FaultDisk| disk.read_calls();
     let (index_before, heap_before) = (calls(&index), calls(&b.gate));
     let r1 = b.enqueue(&c1, range_page(&b.rows, 3003, 512));
     let r2 = b.enqueue(&c2, range_page(&b.rows, 7003, 512));
@@ -1124,7 +1036,7 @@ fn a_failing_leaf_fails_only_the_range_page_that_needs_it() {
     let first = key(&b.rows, 7003);
     let doomed =
         t.index("by_id").expect("index").tree().leaf_for(std::ops::Bound::Included(&first));
-    index.fail_reads_of(doomed.expect("leaf_for"));
+    index.fail_reads_of(Some(doomed.expect("leaf_for")));
     let r1 = b.enqueue(&c1, range_page(&b.rows, 3003, 512));
     let r2 = b.enqueue(&c2, range_page(&b.rows, 7003, 512));
     b.release();
@@ -1153,7 +1065,7 @@ fn a_panicking_group_refill_answers_both_pages_and_the_worker_lives_on() {
 
     // The blocker is past the heap disk's panic check; the next heap
     // read — the run's merged chase — panics inside the only worker.
-    b.gate.panic_next_read.store(true, Ordering::SeqCst);
+    b.gate.panic_next_read();
     let r1 = b.enqueue(&c1, range_page(&b.rows, 3003, 512));
     let r2 = b.enqueue(&c2, range_page(&b.rows, 7003, 512));
     b.release();

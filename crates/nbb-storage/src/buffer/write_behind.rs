@@ -357,78 +357,14 @@ mod tests {
     use super::*;
     use crate::buffer::tests::{pool, sharded};
     use crate::buffer::{BufferPool, PoolOptions};
-    use crate::disk::InMemoryDisk;
-    use crate::stats::IoStats;
-    use std::sync::atomic::AtomicBool;
+    use crate::disk::{FaultDisk, InMemoryDisk};
 
-    /// The one write-gated test double behind every "freeze the
-    /// flusher mid-write" scenario: writes (point and batched) block
-    /// while the gate is held, each call counts as one attempt, and
-    /// batch sizes are recorded (a point write records size 1).
-    struct GatedWriteDisk {
-        inner: InMemoryDisk,
-        held: Mutex<bool>,
-        cv: Condvar,
-        write_attempts: AtomicU64,
-        batch_sizes: Mutex<Vec<usize>>,
-    }
-
-    impl GatedWriteDisk {
-        fn new(page_size: usize, held: bool) -> Self {
-            GatedWriteDisk {
-                inner: InMemoryDisk::new(page_size),
-                held: Mutex::new(held),
-                cv: Condvar::new(),
-                write_attempts: AtomicU64::new(0),
-                batch_sizes: Mutex::new(Vec::new()),
-            }
-        }
-
-        fn release(&self) {
-            *self.held.lock() = false;
-            self.cv.notify_all();
-        }
-
-        fn gate(&self, batch: usize) {
-            self.write_attempts.fetch_add(1, Ordering::Relaxed);
-            self.batch_sizes.lock().push(batch);
-            let mut held = self.held.lock();
-            while *held {
-                self.cv.wait(&mut held);
-            }
-        }
-    }
-
-    impl DiskManager for GatedWriteDisk {
-        fn page_size(&self) -> usize {
-            self.inner.page_size()
-        }
-        fn allocate(&self) -> Result<PageId> {
-            self.inner.allocate()
-        }
-        fn read(&self, id: PageId, buf: &mut Page) -> Result<()> {
-            self.inner.read(id, buf)
-        }
-        fn write(&self, id: PageId, page: &Page) -> Result<()> {
-            self.gate(1);
-            self.inner.write(id, page)
-        }
-        fn write_many(&self, pages: &[(PageId, &Page)]) -> Result<()> {
-            self.gate(pages.len());
-            for (id, page) in pages {
-                self.inner.write(*id, page)?;
-            }
-            Ok(())
-        }
-        fn num_pages(&self) -> u64 {
-            self.inner.num_pages()
-        }
-        fn stats(&self) -> IoStats {
-            self.inner.stats()
-        }
-        fn reset_stats(&self) {
-            self.inner.reset_stats()
-        }
+    /// A disk whose writes park at the gate from the start: the
+    /// flusher freezes mid-write until the test releases it.
+    fn write_gated_disk() -> Arc<FaultDisk> {
+        let disk = Arc::new(FaultDisk::new(256));
+        disk.hold_writes();
+        disk
     }
 
     #[test]
@@ -495,7 +431,7 @@ mod tests {
         // the queue while the flusher is frozen mid-write, so the next
         // claim must come out as one multi-page batch.
         const PAGES: usize = 8;
-        let disk = Arc::new(GatedWriteDisk::new(256, true));
+        let disk = write_gated_disk();
         let pool = Arc::new(sharded(Arc::clone(&disk) as Arc<dyn DiskManager>, 16, 1));
         let ids: Vec<PageId> = (0..PAGES).map(|_| pool.new_page().unwrap()).collect();
         for (i, id) in ids.iter().enumerate() {
@@ -506,11 +442,11 @@ mod tests {
         for id in &ids {
             pool.evict_page(*id).unwrap();
         }
-        disk.release();
+        disk.release_writes();
         while pool.stats().wb_pending > 0 {
             std::thread::yield_now();
         }
-        let sizes = disk.batch_sizes.lock().clone();
+        let sizes: Vec<usize> = disk.write_log().iter().map(Vec::len).collect();
         assert_eq!(sizes.iter().sum::<usize>(), PAGES, "every queued page flushed: {sizes:?}");
         assert!(
             sizes.iter().any(|&s| s >= 2),
@@ -518,7 +454,7 @@ mod tests {
         );
         for (i, id) in ids.iter().enumerate() {
             let mut raw = Page::new(256);
-            disk.inner.read(*id, &mut raw).unwrap();
+            disk.read(*id, &mut raw).unwrap();
             assert_eq!(raw.bytes()[0], i as u8, "page {i} lost in the batched drain");
         }
     }
@@ -527,7 +463,7 @@ mod tests {
     fn wb_sync_fallback_is_counted() {
         // Writes gated, so the one queue slot provably stays occupied
         // while a second eviction arrives.
-        let disk = Arc::new(GatedWriteDisk::new(256, true));
+        let disk = write_gated_disk();
         // Queue depth 1: the second distinct dirty eviction must fall
         // back to a synchronous write — the documented stall regime —
         // and the new counter must make it observable.
@@ -551,14 +487,14 @@ mod tests {
         while pool.stats().wb_sync_fallbacks < 1 {
             std::thread::yield_now();
         }
-        disk.release();
+        disk.release_writes();
         evictor.join().unwrap().unwrap();
         pool.flush_all().unwrap();
         let s = pool.stats();
         assert_eq!(s.wb_sync_fallbacks, 1, "exactly one eviction fell back: {s:?}");
         assert_eq!(s.wb_enqueued, 1, "the fallback must not also enqueue");
         let mut raw = Page::new(256);
-        disk.inner.read(b, &mut raw).unwrap();
+        disk.read(b, &mut raw).unwrap();
         assert_eq!(raw.bytes()[0], 2, "the fallback write landed");
         pool.reset_stats();
         assert_eq!(pool.stats().wb_sync_fallbacks, 0, "reset covers the new counter");
@@ -566,50 +502,14 @@ mod tests {
 
     #[test]
     fn panicking_write_behind_flush_does_not_wedge_flush_all() {
-        use crate::stats::IoStats;
-
-        /// Disk whose next write panics (once), modeling a broken
-        /// `DiskManager` implementation under the background flusher.
-        struct PanicOnceDisk {
-            inner: InMemoryDisk,
-            panic_next: AtomicBool,
-        }
-        impl DiskManager for PanicOnceDisk {
-            fn page_size(&self) -> usize {
-                self.inner.page_size()
-            }
-            fn allocate(&self) -> Result<PageId> {
-                self.inner.allocate()
-            }
-            fn read(&self, id: PageId, buf: &mut Page) -> Result<()> {
-                self.inner.read(id, buf)
-            }
-            fn write(&self, id: PageId, page: &Page) -> Result<()> {
-                if self.panic_next.swap(false, Ordering::Relaxed) {
-                    panic!("injected write panic");
-                }
-                self.inner.write(id, page)
-            }
-            fn num_pages(&self) -> u64 {
-                self.inner.num_pages()
-            }
-            fn stats(&self) -> IoStats {
-                self.inner.stats()
-            }
-            fn reset_stats(&self) {
-                self.inner.reset_stats()
-            }
-        }
-
-        let disk = Arc::new(PanicOnceDisk {
-            inner: InMemoryDisk::new(256),
-            panic_next: AtomicBool::new(true),
-        });
+        // A broken `DiskManager` under the background flusher.
+        let disk = Arc::new(FaultDisk::new(256));
+        disk.panic_next_write();
         let pool = sharded(Arc::clone(&disk) as Arc<dyn DiskManager>, 2, 1);
         let a = pool.new_page().unwrap();
         pool.with_page_mut(a, |p| p.bytes_mut()[0] = 5).unwrap();
         pool.evict_page(a).unwrap(); // enqueued; the flusher's write panics
-        while disk.panic_next.load(Ordering::Relaxed) {
+        while disk.write_log().is_empty() {
             std::thread::yield_now(); // let the flusher consume the panic
         }
         // Without the write-path unwind guard the slot would stay
@@ -617,7 +517,7 @@ mod tests {
         // the slot parks as failed and flush_all retries synchronously.
         pool.flush_all().unwrap();
         let mut raw = Page::new(256);
-        disk.inner.read(a, &mut raw).unwrap();
+        disk.read(a, &mut raw).unwrap();
         assert_eq!(raw.bytes()[0], 5, "parked bytes survive the panic and flush");
         assert_eq!(pool.stats().wb_pending, 0);
 
@@ -628,7 +528,7 @@ mod tests {
         while pool.stats().wb_pending > 0 {
             std::thread::yield_now();
         }
-        disk.inner.read(a, &mut raw).unwrap();
+        disk.read(a, &mut raw).unwrap();
         assert_eq!(raw.bytes()[0], 6, "write-behind still functions after the panic");
     }
 
@@ -637,13 +537,13 @@ mod tests {
         // Writes gated from the start, with attempt counting, so the
         // test can freeze the flusher mid-write and provably interleave
         // an eviction with an active flush barrier.
-        let disk = Arc::new(GatedWriteDisk::new(256, true));
+        let disk = write_gated_disk();
         let pool = Arc::new(sharded(Arc::clone(&disk) as Arc<dyn DiskManager>, 4, 1));
         let a = pool.new_page().unwrap();
         let b = pool.new_page().unwrap();
         pool.with_page_mut(a, |p| p.bytes_mut()[0] = 1).unwrap();
         pool.evict_page(a).unwrap(); // slot for `a`; flusher blocks writing it
-        while disk.write_attempts.load(Ordering::Relaxed) < 1 {
+        while disk.write_log().is_empty() {
             std::thread::yield_now();
         }
         pool.with_page_mut(b, |p| p.bytes_mut()[0] = 2).unwrap(); // resident dirty
@@ -665,20 +565,20 @@ mod tests {
             let pool = Arc::clone(&pool);
             std::thread::spawn(move || pool.evict_page(b))
         };
-        while disk.write_attempts.load(Ordering::Relaxed) < 2 {
+        while disk.write_log().len() < 2 {
             std::thread::yield_now();
         }
         assert_eq!(pool.stats().wb_enqueued, 1, "barrier-time eviction must not enqueue");
 
-        disk.release();
+        disk.release_writes();
         flusher.join().unwrap().unwrap();
         evictor.join().unwrap().unwrap();
 
         // Everything dirty at (or during) the barrier is on the disk.
         let mut raw = Page::new(256);
-        disk.inner.read(a, &mut raw).unwrap();
+        disk.read(a, &mut raw).unwrap();
         assert_eq!(raw.bytes()[0], 1);
-        disk.inner.read(b, &mut raw).unwrap();
+        disk.read(b, &mut raw).unwrap();
         assert_eq!(raw.bytes()[0], 2);
         assert_eq!(pool.stats().wb_pending, 0);
     }

@@ -2,14 +2,15 @@
 //!
 //! Three implementations:
 //!
-//! * [`InMemoryDisk`] — plain page store, zero simulated cost. The
-//!   baseline substrate for unit tests.
-//! * [`SimulatedDisk`] — page store plus an explicit latency model.
-//!   Every read/write is charged a configurable number of simulated
-//!   nanoseconds, accumulated in [`IoStats`]. This is the substitution
-//!   for the paper's real disk: Figures 2(b) and 3 depend on the *ratio*
-//!   between memory and disk access costs, which the model makes
-//!   explicit and reproducible.
+//! * [`InMemoryDisk`] — plain page store with no cost. The baseline
+//!   substrate for unit tests and experiments; a harness that wants a
+//!   disk-cost term multiplies the [`IoStats`] counts by a
+//!   [`DiskModel`], which is what the paper's Figures 2(b) and 3 rest
+//!   on: the *ratio* between memory and disk access costs.
+//! * [`FaultDisk`] — an [`InMemoryDisk`] driven by a test script: gates
+//!   that park reads or writes, injected failures and panics, a per-call
+//!   log of page ids, and an optional [`DiskModel`] latency slept once
+//!   per call.
 //! * [`FileDisk`] — a real file on the local filesystem, for runs that
 //!   want actual I/O syscalls.
 
@@ -22,6 +23,9 @@ use std::fs::{File, OpenOptions};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+mod fault;
+pub use fault::FaultDisk;
+
 /// Abstract page-granular backing store.
 ///
 /// All methods take `&self`; implementations are internally synchronized
@@ -33,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// overlapped-fault state machine) and `write`s from a background
 /// write-behind flusher, so an implementation must expect **many
 /// concurrent calls**, including several reads in flight at once.
-/// Implementations that block (e.g. [`LatencyDisk`], [`FileDisk`])
+/// Implementations that block (e.g. [`FaultDisk`], [`FileDisk`])
 /// should do so without holding an internal lock across the wait, or
 /// they re-serialize the faults the pool just overlapped. The pool
 /// guarantees it never issues two concurrent `write`s for the *same*
@@ -62,12 +66,11 @@ pub trait DiskManager: Send + Sync {
     /// Writes `page` to page `id`.
     fn write(&self, id: PageId, page: &Page) -> Result<()>;
 
-    /// Writes a batch of pages. The default implementation issues one
-    /// [`DiskManager::write`] per entry, stopping at the first error;
-    /// implementations with a cheaper bulk path (one lock acquisition,
-    /// one syscall, one device round-trip) override it — the buffer
-    /// pool's write-behind flusher drains its queue through this, so an
-    /// override directly amortizes the background write path.
+    /// Writes a batch of pages in one call: one lock acquisition, one
+    /// syscall, one device round-trip where the store allows. The
+    /// buffer pool's write-behind flusher drains its queue through
+    /// this, so the bulk path directly amortizes the background write
+    /// path.
     ///
     /// Contract: callers never repeat a page id within one batch (the
     /// flusher claims each queue slot before batching), and a batch
@@ -75,20 +78,12 @@ pub trait DiskManager: Send + Sync {
     /// treat every page in the batch as unwritten and retry; page
     /// writes are idempotent, so re-writing a page that did land is
     /// harmless.
-    fn write_many(&self, pages: &[(PageId, &Page)]) -> Result<()> {
-        for (id, page) in pages {
-            self.write(*id, page)?;
-        }
-        Ok(())
-    }
+    fn write_many(&self, pages: &[(PageId, &Page)]) -> Result<()>;
 
-    /// Reads a batch of pages, each into its paired buffer. The default
-    /// implementation issues one [`DiskManager::read`] per entry,
-    /// stopping at the first error; implementations with a cheaper bulk
-    /// path (one lock acquisition, one syscall, one device round-trip)
-    /// override it — the buffer pool's batch-fault path drains its
-    /// misses through this, so an override directly amortizes cold
-    /// scans and multi-point lookups.
+    /// Reads a batch of pages, each into its paired buffer, in one
+    /// call. The buffer pool's fault path drains every miss through
+    /// this (a point miss is a batch of one), so the bulk path directly
+    /// amortizes cold scans and multi-point lookups.
     ///
     /// Contract (the read-side twin of [`DiskManager::write_many`]):
     /// callers never repeat a page id within one batch (the pool claims
@@ -96,50 +91,34 @@ pub trait DiskManager: Send + Sync {
     /// claim about which buffers were filled — callers must treat every
     /// page in the batch as unread and retry; page reads are
     /// idempotent, so re-reading a page that did land is harmless.
-    fn read_many(&self, pages: &mut [(PageId, &mut Page)]) -> Result<()> {
-        for (id, buf) in pages.iter_mut() {
-            self.read(*id, buf)?;
-        }
-        Ok(())
-    }
+    fn read_many(&self, pages: &mut [(PageId, &mut Page)]) -> Result<()>;
 
     /// Number of allocated pages.
     fn num_pages(&self) -> u64;
 
-    /// I/O counters (reads, writes, simulated time).
+    /// I/O counters: pages read and written.
     fn stats(&self) -> IoStats;
 
     /// Zeroes the I/O counters.
     fn reset_stats(&self);
 }
 
-/// Latency model for [`SimulatedDisk`].
+/// Per-page disk costs: what a cost harness charges per counted read
+/// and write, and what a [`FaultDisk`] sleeps per call.
 ///
 /// Defaults approximate a 2011-era SATA drive, the hardware class behind
 /// the paper's measurements: ~10 ms per random page read, ~10 ms writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiskModel {
-    /// Simulated nanoseconds charged per page read.
+    /// Nanoseconds per page read.
     pub read_ns: u64,
-    /// Simulated nanoseconds charged per page write.
+    /// Nanoseconds per page write.
     pub write_ns: u64,
 }
 
 impl Default for DiskModel {
     fn default() -> Self {
         DiskModel { read_ns: 10_000_000, write_ns: 10_000_000 }
-    }
-}
-
-impl DiskModel {
-    /// A model approximating a modern NVMe device (~80 µs random read).
-    pub fn nvme() -> Self {
-        DiskModel { read_ns: 80_000, write_ns: 20_000 }
-    }
-
-    /// A model with zero cost (useful to isolate CPU effects).
-    pub fn free() -> Self {
-        DiskModel { read_ns: 0, write_ns: 0 }
     }
 }
 
@@ -176,7 +155,7 @@ impl DiskManager for InMemoryDisk {
         let pages = self.pages.lock();
         let src = pages.get(id.0 as usize).ok_or(StorageError::PageNotFound(id.0))?;
         buf.bytes_mut().copy_from_slice(src);
-        self.stats.record_read(0);
+        self.stats.record_read();
         Ok(())
     }
 
@@ -184,177 +163,37 @@ impl DiskManager for InMemoryDisk {
         let mut pages = self.pages.lock();
         let dst = pages.get_mut(id.0 as usize).ok_or(StorageError::PageNotFound(id.0))?;
         dst.copy_from_slice(page.bytes());
-        self.stats.record_write(0);
+        self.stats.record_write();
         Ok(())
     }
 
-    /// Bulk override: the whole batch lands under **one** store-lock
-    /// acquisition instead of one per page (the default impl's cost),
-    /// which is exactly the round-trip amortization the write-behind
-    /// flusher batches for.
+    /// The whole batch lands under **one** store-lock acquisition
+    /// instead of one per page, which is exactly the round-trip
+    /// amortization the write-behind flusher batches for.
     fn write_many(&self, pages: &[(PageId, &Page)]) -> Result<()> {
         let mut store = self.pages.lock();
         for (id, page) in pages {
             let dst = store.get_mut(id.0 as usize).ok_or(StorageError::PageNotFound(id.0))?;
             dst.copy_from_slice(page.bytes());
-            self.stats.record_write(0);
+            self.stats.record_write();
         }
         Ok(())
     }
 
-    /// Bulk override: the whole batch is served under **one** store-lock
-    /// acquisition instead of one per page, mirroring `write_many`.
+    /// The whole batch is served under **one** store-lock acquisition
+    /// instead of one per page, mirroring `write_many`.
     fn read_many(&self, pages: &mut [(PageId, &mut Page)]) -> Result<()> {
         let store = self.pages.lock();
         for (id, buf) in pages.iter_mut() {
             let src = store.get(id.0 as usize).ok_or(StorageError::PageNotFound(id.0))?;
             buf.bytes_mut().copy_from_slice(src);
-            self.stats.record_read(0);
+            self.stats.record_read();
         }
         Ok(())
     }
 
     fn num_pages(&self) -> u64 {
         self.pages.lock().len() as u64
-    }
-
-    fn stats(&self) -> IoStats {
-        self.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.stats.reset();
-    }
-}
-
-/// In-memory page store that charges a [`DiskModel`] per operation.
-///
-/// The simulated clock only accumulates; nothing sleeps. Harnesses add
-/// `stats().sim_total_ns()` to measured CPU time to produce end-to-end
-/// cost figures (see `nbb-bench`).
-pub struct SimulatedDisk {
-    inner: InMemoryDisk,
-    model: DiskModel,
-    stats: AtomicIoStats,
-}
-
-impl SimulatedDisk {
-    /// Creates a simulated disk with the given page size and cost model.
-    pub fn new(page_size: usize, model: DiskModel) -> Self {
-        SimulatedDisk { inner: InMemoryDisk::new(page_size), model, stats: AtomicIoStats::new() }
-    }
-
-    /// The cost model in effect.
-    pub fn model(&self) -> DiskModel {
-        self.model
-    }
-}
-
-impl DiskManager for SimulatedDisk {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn allocate(&self) -> Result<PageId> {
-        self.inner.allocate()
-    }
-
-    fn read(&self, id: PageId, buf: &mut Page) -> Result<()> {
-        self.inner.read(id, buf)?;
-        self.stats.record_read(self.model.read_ns);
-        Ok(())
-    }
-
-    fn write(&self, id: PageId, page: &Page) -> Result<()> {
-        self.inner.write(id, page)?;
-        self.stats.record_write(self.model.write_ns);
-        Ok(())
-    }
-
-    fn num_pages(&self) -> u64 {
-        self.inner.num_pages()
-    }
-
-    fn stats(&self) -> IoStats {
-        self.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.stats.reset();
-    }
-}
-
-/// In-memory page store that *actually blocks* for a [`DiskModel`] per
-/// operation (contrast [`SimulatedDisk`], which only accounts).
-///
-/// Sleeping releases the CPU, so a blocked reader models DMA-style I/O:
-/// other threads make progress during the wait. Concurrency benches use
-/// this to expose what a lock held across a page fault really costs —
-/// a single-stripe buffer pool stalls every reader for the full device
-/// latency, a sharded one only the colliding stripe.
-pub struct LatencyDisk {
-    inner: InMemoryDisk,
-    model: DiskModel,
-    stats: AtomicIoStats,
-}
-
-impl LatencyDisk {
-    /// Creates a blocking disk with the given page size and latency model.
-    pub fn new(page_size: usize, model: DiskModel) -> Self {
-        LatencyDisk { inner: InMemoryDisk::new(page_size), model, stats: AtomicIoStats::new() }
-    }
-
-    /// The latency model in effect.
-    pub fn model(&self) -> DiskModel {
-        self.model
-    }
-
-    fn block_for(ns: u64) {
-        if ns > 0 {
-            std::thread::sleep(std::time::Duration::from_nanos(ns));
-        }
-    }
-}
-
-impl DiskManager for LatencyDisk {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn allocate(&self) -> Result<PageId> {
-        self.inner.allocate()
-    }
-
-    fn read(&self, id: PageId, buf: &mut Page) -> Result<()> {
-        self.inner.read(id, buf)?;
-        Self::block_for(self.model.read_ns);
-        self.stats.record_read(self.model.read_ns);
-        Ok(())
-    }
-
-    /// Bulk override modeling seek amortization: the whole batch blocks
-    /// for **one** device latency instead of one per page (a single
-    /// seek + sequential transfer). Accounting stays per page (`reads`
-    /// climbs by the batch size) but only the first page carries the
-    /// simulated latency, so `sim_read_ns` reflects the one seek.
-    fn read_many(&self, pages: &mut [(PageId, &mut Page)]) -> Result<()> {
-        self.inner.read_many(pages)?;
-        Self::block_for(self.model.read_ns);
-        for (i, _) in pages.iter().enumerate() {
-            self.stats.record_read(if i == 0 { self.model.read_ns } else { 0 });
-        }
-        Ok(())
-    }
-
-    fn write(&self, id: PageId, page: &Page) -> Result<()> {
-        self.inner.write(id, page)?;
-        Self::block_for(self.model.write_ns);
-        self.stats.record_write(self.model.write_ns);
-        Ok(())
-    }
-
-    fn num_pages(&self) -> u64 {
-        self.inner.num_pages()
     }
 
     fn stats(&self) -> IoStats {
@@ -443,7 +282,7 @@ impl DiskManager for FileDisk {
             return Err(StorageError::PageNotFound(id.0));
         }
         self.pread(id.0 * self.page_size as u64, buf.bytes_mut())?;
-        self.stats.record_read(0);
+        self.stats.record_read();
         Ok(())
     }
 
@@ -452,11 +291,11 @@ impl DiskManager for FileDisk {
             return Err(StorageError::PageNotFound(id.0));
         }
         self.pwrite(id.0 * self.page_size as u64, page.bytes())?;
-        self.stats.record_write(0);
+        self.stats.record_write();
         Ok(())
     }
 
-    /// Bulk override: sorts the batch by page id and coalesces each run
+    /// Sorts the batch by page id and coalesces each run
     /// of *adjacent* ids into one contiguous buffer written with a
     /// single positioned write — one seek + one syscall per run instead
     /// of one per page (the write-behind flusher's drain batches are
@@ -491,14 +330,14 @@ impl DiskManager for FileDisk {
                 self.pwrite(run[0].0 .0 * self.page_size as u64, &buf)?;
             }
             for _ in run {
-                self.stats.record_write(0);
+                self.stats.record_write();
             }
             run_start = run_end;
         }
         Ok(())
     }
 
-    /// Bulk override mirroring `write_many`: sorts the batch by page id
+    /// Mirrors `write_many`: sorts the batch by page id
     /// and coalesces each run of *adjacent* ids into one contiguous
     /// staging buffer filled with a single positioned read — one seek +
     /// one syscall per run instead of one per page (cold scans fault
@@ -540,7 +379,7 @@ impl DiskManager for FileDisk {
                 }
             }
             for _ in run {
-                self.stats.record_read(0);
+                self.stats.record_read();
             }
             run_start = run_end;
         }
@@ -587,17 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn simulated_round_trip_and_cost() {
-        let d = SimulatedDisk::new(512, DiskModel { read_ns: 100, write_ns: 10 });
-        round_trip(&d);
-        let s = d.stats();
-        assert_eq!(s.reads, 2);
-        assert_eq!(s.writes, 1);
-        assert_eq!(s.sim_read_ns, 200);
-        assert_eq!(s.sim_write_ns, 10);
-    }
-
-    #[test]
     fn file_disk_round_trip() {
         let dir = std::env::temp_dir().join(format!("nbb_disk_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -607,16 +435,20 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// One disk of each kind. The file disk's file is unlinked at
+    /// once where the platform allows: the open handle keeps it alive.
+    fn every_disk(tag: &str) -> Vec<Box<dyn DiskManager>> {
+        let path = std::env::temp_dir().join(format!("nbb_disk_{tag}_{}.db", std::process::id()));
+        let file = FileDisk::create(&path, 512).unwrap();
+        std::fs::remove_file(&path).ok();
+        vec![Box::new(InMemoryDisk::new(512)), Box::new(file), Box::new(FaultDisk::new(512))]
+    }
+
     #[test]
     fn write_many_matches_point_writes() {
-        // The InMemoryDisk override and the trait's default (exercised
-        // through SimulatedDisk, which does not override) must both
-        // land every page and count every write.
-        let disks: [&dyn DiskManager; 2] = [
-            &InMemoryDisk::new(512),
-            &SimulatedDisk::new(512, DiskModel { read_ns: 0, write_ns: 5 }),
-        ];
-        for disk in disks {
+        // Every disk's bulk path must land every page and count every
+        // write.
+        for disk in every_disk("wm") {
             let ids: Vec<PageId> = (0..4).map(|_| disk.allocate().unwrap()).collect();
             let pages: Vec<Page> = (0..4)
                 .map(|i| {
@@ -707,14 +539,9 @@ mod tests {
 
     #[test]
     fn read_many_matches_point_reads() {
-        // The InMemoryDisk override and the trait's default (exercised
-        // through SimulatedDisk, which does not override) must both
-        // fill every buffer and count every read.
-        let disks: [&dyn DiskManager; 2] = [
-            &InMemoryDisk::new(512),
-            &SimulatedDisk::new(512, DiskModel { read_ns: 5, write_ns: 0 }),
-        ];
-        for disk in disks {
+        // Every disk's bulk path must fill every buffer and count every
+        // read.
+        for disk in every_disk("rm") {
             let ids: Vec<PageId> = (0..4).map(|_| disk.allocate().unwrap()).collect();
             for (i, id) in ids.iter().enumerate() {
                 let mut p = Page::new(512);
@@ -792,33 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_disk_read_many_charges_one_latency_per_batch() {
-        let d = LatencyDisk::new(512, DiskModel { read_ns: 2_000_000, write_ns: 0 });
-        let ids: Vec<PageId> = (0..4).map(|_| d.allocate().unwrap()).collect();
-        for (i, id) in ids.iter().enumerate() {
-            let mut p = Page::new(512);
-            p.bytes_mut()[0] = i as u8 + 1;
-            d.write(*id, &p).unwrap();
-        }
-        d.reset_stats();
-        let mut bufs: Vec<Page> = (0..4).map(|_| Page::new(512)).collect();
-        let mut batch: Vec<(PageId, &mut Page)> =
-            ids.iter().copied().zip(bufs.iter_mut()).collect();
-        let start = std::time::Instant::now();
-        d.read_many(&mut batch).unwrap();
-        assert!(
-            start.elapsed() >= std::time::Duration::from_millis(2),
-            "batch must block for one modeled latency"
-        );
-        for (i, buf) in bufs.iter().enumerate() {
-            assert_eq!(buf.bytes()[0], i as u8 + 1);
-        }
-        let s = d.stats();
-        assert_eq!(s.reads, 4, "accounting stays per page");
-        assert_eq!(s.sim_read_ns, 2_000_000, "one seek charged for the whole batch");
-    }
-
-    #[test]
     fn read_of_unallocated_page_fails() {
         let d = InMemoryDisk::new(512);
         let mut p = Page::new(512);
@@ -829,38 +629,16 @@ mod tests {
     fn default_model_is_hdd_scale() {
         let m = DiskModel::default();
         assert_eq!(m.read_ns, 10_000_000);
-        assert!(DiskModel::nvme().read_ns < m.read_ns);
-        assert_eq!(DiskModel::free().read_ns, 0);
     }
 
     #[test]
     fn reset_stats_works() {
-        let d = SimulatedDisk::new(512, DiskModel::default());
+        let d = InMemoryDisk::new(512);
         let id = d.allocate().unwrap();
         let mut p = Page::new(512);
         d.read(id, &mut p).unwrap();
         assert_eq!(d.stats().reads, 1);
         d.reset_stats();
         assert_eq!(d.stats().reads, 0);
-    }
-
-    #[test]
-    fn latency_disk_round_trips_and_blocks() {
-        let d = LatencyDisk::new(512, DiskModel { read_ns: 2_000_000, write_ns: 0 });
-        let id = d.allocate().unwrap();
-        let mut w = Page::new(512);
-        w.bytes_mut()[9] = 99;
-        d.write(id, &w).unwrap();
-        let start = std::time::Instant::now();
-        let mut r = Page::new(512);
-        d.read(id, &mut r).unwrap();
-        assert!(
-            start.elapsed() >= std::time::Duration::from_millis(2),
-            "read must block for the modeled latency"
-        );
-        assert_eq!(r.bytes()[9], 99);
-        let s = d.stats();
-        assert_eq!((s.reads, s.writes), (1, 1));
-        assert_eq!(s.sim_read_ns, 2_000_000);
     }
 }

@@ -7,8 +7,10 @@
 //!   measurable *fill factor* (the paper's "unused space" metric).
 //! * [`heap`] — append-oriented heap files with stable [`rid::RecordId`]s
 //!   and the relocation primitive §3.1 clusters with.
-//! * [`disk`] — in-memory, simulated-latency, blocking-latency, and
-//!   file-backed disks with I/O accounting ([`stats::IoStats`]).
+//! * [`disk`] — in-memory and file-backed disks with I/O accounting
+//!   ([`stats::IoStats`]), plus [`disk::FaultDisk`], the one scripted
+//!   test disk (gates, injected failures and panics, a call log, an
+//!   optional latency per call).
 //! * [`buffer`] — a lock-striped buffer pool replacing by 2Q's lists
 //!   sized by ARC's rule: page ids hash to independent shards (own
 //!   frame table, free list, probation FIFO, protected set, a ghost of
@@ -50,7 +52,7 @@ pub use buffer::{
     clamp_shards, BufferPool, PoolOptions, DEFAULT_POOL_SHARDS, DEFAULT_WRITE_BEHIND,
     MIN_FRAMES_PER_SHARD,
 };
-pub use disk::{DiskManager, DiskModel, FileDisk, InMemoryDisk, LatencyDisk, SimulatedDisk};
+pub use disk::{DiskManager, DiskModel, FaultDisk, FileDisk, InMemoryDisk};
 pub use error::{Result, StorageError};
 pub use heap::HeapFile;
 pub use page::{Page, PageId, DEFAULT_PAGE_SIZE};

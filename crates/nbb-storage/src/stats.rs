@@ -9,17 +9,6 @@ pub struct IoStats {
     pub reads: u64,
     /// Number of page writes applied to the disk.
     pub writes: u64,
-    /// Simulated time spent in reads, in nanoseconds (0 for unmodeled disks).
-    pub sim_read_ns: u64,
-    /// Simulated time spent in writes, in nanoseconds.
-    pub sim_write_ns: u64,
-}
-
-impl IoStats {
-    /// Total simulated I/O time in nanoseconds.
-    pub fn sim_total_ns(&self) -> u64 {
-        self.sim_read_ns + self.sim_write_ns
-    }
 }
 
 /// Thread-safe accumulator behind every disk implementation.
@@ -27,8 +16,6 @@ impl IoStats {
 pub struct AtomicIoStats {
     reads: AtomicU64,
     writes: AtomicU64,
-    sim_read_ns: AtomicU64,
-    sim_write_ns: AtomicU64,
 }
 
 impl AtomicIoStats {
@@ -37,18 +24,16 @@ impl AtomicIoStats {
         Self::default()
     }
 
-    /// Records one read costing `sim_ns` simulated nanoseconds.
+    /// Records one page read.
     #[inline]
-    pub fn record_read(&self, sim_ns: u64) {
+    pub fn record_read(&self) {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        self.sim_read_ns.fetch_add(sim_ns, Ordering::Relaxed);
     }
 
-    /// Records one write costing `sim_ns` simulated nanoseconds.
+    /// Records one page write.
     #[inline]
-    pub fn record_write(&self, sim_ns: u64) {
+    pub fn record_write(&self) {
         self.writes.fetch_add(1, Ordering::Relaxed);
-        self.sim_write_ns.fetch_add(sim_ns, Ordering::Relaxed);
     }
 
     /// Returns a consistent-enough snapshot for reporting.
@@ -56,8 +41,6 @@ impl AtomicIoStats {
         IoStats {
             reads: self.reads.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
-            sim_read_ns: self.sim_read_ns.load(Ordering::Relaxed),
-            sim_write_ns: self.sim_write_ns.load(Ordering::Relaxed),
         }
     }
 
@@ -65,8 +48,6 @@ impl AtomicIoStats {
     pub fn reset(&self) {
         self.reads.store(0, Ordering::Relaxed);
         self.writes.store(0, Ordering::Relaxed);
-        self.sim_read_ns.store(0, Ordering::Relaxed);
-        self.sim_write_ns.store(0, Ordering::Relaxed);
     }
 }
 
@@ -146,21 +127,18 @@ mod tests {
     #[test]
     fn record_and_snapshot() {
         let s = AtomicIoStats::new();
-        s.record_read(100);
-        s.record_read(50);
-        s.record_write(7);
+        s.record_read();
+        s.record_read();
+        s.record_write();
         let snap = s.snapshot();
         assert_eq!(snap.reads, 2);
         assert_eq!(snap.writes, 1);
-        assert_eq!(snap.sim_read_ns, 150);
-        assert_eq!(snap.sim_write_ns, 7);
-        assert_eq!(snap.sim_total_ns(), 157);
     }
 
     #[test]
     fn reset_zeroes() {
         let s = AtomicIoStats::new();
-        s.record_read(1);
+        s.record_read();
         s.reset();
         assert_eq!(s.snapshot(), IoStats::default());
     }

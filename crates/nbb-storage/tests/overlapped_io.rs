@@ -5,146 +5,24 @@
 //! longer pays a synchronous device write.
 //!
 //! Exact-count assertions (one read per storm, every waiter poisoned)
-//! use [`GateDisk`], whose reads block until the test has *observed*
+//! use a [`FaultDisk`] read gate, which holds reads until the test has *observed*
 //! every co-waiter parked via [`nbb_storage::PoolStats::fault_joins`] —
 //! no sleep window to lose a race against a loaded host. The two
 //! timing assertions left are the acceptance criteria themselves, and
-//! they lean on [`LatencyDisk`] *sleeping*: parked threads need no
+//! they lean on a [`FaultDisk`] latency *sleeping*: parked threads need no
 //! CPU, so even a one-core host overlaps the waits with several-fold
 //! margin.
 
-use nbb_storage::disk::{DiskManager, DiskModel, InMemoryDisk, LatencyDisk};
-use nbb_storage::error::{Result, StorageError};
-use nbb_storage::stats::IoStats;
+use nbb_storage::disk::{DiskManager, DiskModel, FaultDisk, InMemoryDisk};
+use nbb_storage::error::StorageError;
 use nbb_storage::{BufferPool, Page, PageId, PoolOptions};
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-/// Disk whose reads and writes can each be held at a gate until the
-/// test releases them, with read-attempt counting and injectable read
-/// failures (applied after the gate, so waiters are provably parked
-/// before the poison lands).
-struct GateDisk {
-    inner: InMemoryDisk,
-    /// (reads_held, writes_held)
-    held: Mutex<(bool, bool)>,
-    cv: Condvar,
-    fail_reads: AtomicBool,
-    /// Fail the next `read`/`read_many` call only, then heal.
-    fail_once: AtomicBool,
-    /// Fail any read touching exactly this page id (`u64::MAX` =
-    /// none). A `read_many` batch containing it fails **as a whole** —
-    /// exercising the contract's "a batch error makes no claim about
-    /// which pages landed" clause and the pool's per-page fallback.
-    fail_page: AtomicU64,
-    panic_reads: AtomicBool,
-    read_attempts: AtomicU64,
-    /// Sizes of the `read_many` batches that reached the disk.
-    read_batches: Mutex<Vec<usize>>,
-}
-
-impl GateDisk {
-    fn new(page_size: usize) -> Self {
-        GateDisk {
-            inner: InMemoryDisk::new(page_size),
-            held: Mutex::new((false, false)),
-            cv: Condvar::new(),
-            fail_reads: AtomicBool::new(false),
-            fail_once: AtomicBool::new(false),
-            fail_page: AtomicU64::new(u64::MAX),
-            panic_reads: AtomicBool::new(false),
-            read_attempts: AtomicU64::new(0),
-            read_batches: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn hold_reads(&self) {
-        self.held.lock().0 = true;
-    }
-
-    fn release_reads(&self) {
-        self.held.lock().0 = false;
-        self.cv.notify_all();
-    }
-
-    fn hold_writes(&self) {
-        self.held.lock().1 = true;
-    }
-
-    fn release_writes(&self) {
-        self.held.lock().1 = false;
-        self.cv.notify_all();
-    }
-}
-
-impl DiskManager for GateDisk {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-    fn allocate(&self) -> Result<PageId> {
-        self.inner.allocate()
-    }
-    fn read(&self, id: PageId, buf: &mut Page) -> Result<()> {
-        self.read_attempts.fetch_add(1, Ordering::Relaxed);
-        let mut held = self.held.lock();
-        while held.0 {
-            self.cv.wait(&mut held);
-        }
-        drop(held);
-        if self.panic_reads.load(Ordering::Relaxed) {
-            panic!("injected read panic");
-        }
-        if self.fail_reads.load(Ordering::Relaxed)
-            || self.fail_once.swap(false, Ordering::Relaxed)
-            || self.fail_page.load(Ordering::Relaxed) == id.0
-        {
-            return Err(StorageError::Io("injected read failure".into()));
-        }
-        self.inner.read(id, buf)
-    }
-    fn read_many(&self, pages: &mut [(PageId, &mut Page)]) -> Result<()> {
-        // Point faults arrive here too, as batches of one.
-        self.read_attempts.fetch_add(1, Ordering::Relaxed);
-        self.read_batches.lock().push(pages.len());
-        let mut held = self.held.lock();
-        while held.0 {
-            self.cv.wait(&mut held);
-        }
-        drop(held);
-        if self.panic_reads.load(Ordering::Relaxed) {
-            panic!("injected read panic");
-        }
-        let fail = self.fail_page.load(Ordering::Relaxed);
-        if self.fail_reads.load(Ordering::Relaxed)
-            || self.fail_once.swap(false, Ordering::Relaxed)
-            || pages.iter().any(|(id, _)| id.0 == fail)
-        {
-            return Err(StorageError::Io("injected batch read failure".into()));
-        }
-        for (id, buf) in pages.iter_mut() {
-            self.inner.read(*id, buf)?;
-        }
-        Ok(())
-    }
-    fn write(&self, id: PageId, page: &Page) -> Result<()> {
-        let mut held = self.held.lock();
-        while held.1 {
-            self.cv.wait(&mut held);
-        }
-        drop(held);
-        self.inner.write(id, page)
-    }
-    fn num_pages(&self) -> u64 {
-        self.inner.num_pages()
-    }
-    fn stats(&self) -> IoStats {
-        self.inner.stats()
-    }
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
-    }
+/// Page counts of the read calls that reached `disk`, in order.
+fn batch_sizes(disk: &FaultDisk) -> Vec<usize> {
+    disk.read_log().iter().map(Vec::len).collect()
 }
 
 /// A single-stripe pool of `frames` frames over `disk`, so every page
@@ -166,7 +44,7 @@ fn await_joins(pool: &BufferPool, joins: u64) {
 #[test]
 fn same_page_fault_storm_issues_exactly_one_read() {
     const THREADS: usize = 8;
-    let disk = Arc::new(GateDisk::new(512));
+    let disk = Arc::new(FaultDisk::new(512));
     let pool = one_shard_pool(disk.clone(), 8);
     let id = pool.new_page().unwrap();
     let mut page = Page::new(512);
@@ -192,7 +70,7 @@ fn same_page_fault_storm_issues_exactly_one_read() {
     });
 
     assert_eq!(disk.stats().reads, 1, "N concurrent missers, one disk read");
-    assert_eq!(disk.read_attempts.load(Ordering::Relaxed), 1);
+    assert_eq!(disk.read_log().len(), 1);
     let s = pool.stats();
     assert_eq!(s.faults, 1);
     assert_eq!(s.fault_joins, (THREADS - 1) as u64, "everyone else joined the in-flight load");
@@ -202,7 +80,7 @@ fn same_page_fault_storm_issues_exactly_one_read() {
 #[test]
 fn poisoned_load_fails_every_waiter_then_retry_succeeds() {
     const THREADS: usize = 6;
-    let disk = Arc::new(GateDisk::new(512));
+    let disk = Arc::new(FaultDisk::new(512));
     let pool = one_shard_pool(disk.clone(), 8);
     let id = pool.new_page().unwrap();
     let mut page = Page::new(512);
@@ -210,7 +88,7 @@ fn poisoned_load_fails_every_waiter_then_retry_succeeds() {
     disk.write(id, &page).unwrap();
 
     // Poison lands only after every co-waiter is parked on the load.
-    disk.fail_reads.store(true, Ordering::Relaxed);
+    disk.fail_reads(true);
     disk.hold_reads();
     let errors = AtomicU64::new(0);
     std::thread::scope(|s| {
@@ -233,17 +111,13 @@ fn poisoned_load_fails_every_waiter_then_retry_succeeds() {
         THREADS as u64,
         "the poisoned load must propagate to every parked waiter"
     );
-    assert_eq!(
-        disk.read_attempts.load(Ordering::Relaxed),
-        1,
-        "the storm still coalesced onto one (failed) read"
-    );
+    assert_eq!(disk.read_log().len(), 1, "the storm still coalesced onto one (failed) read");
 
     // The failed load must not leave a zombie frame pinned: the next
     // attempt faults afresh and succeeds.
-    disk.fail_reads.store(false, Ordering::Relaxed);
+    disk.fail_reads(false);
     assert_eq!(pool.with_page(id, |p| p.bytes()[0]).unwrap(), 77);
-    assert_eq!(disk.read_attempts.load(Ordering::Relaxed), 2, "retry faulted afresh");
+    assert_eq!(disk.read_log().len(), 2, "retry faulted afresh");
 }
 
 #[test]
@@ -254,11 +128,11 @@ fn once_failing_single_page_read_poisons_its_joiners_and_retry_reads_again() {
     // fallback), which on a disk that fails once would heal the load
     // behind the waiters' backs.
     const THREADS: usize = 5;
-    let disk = Arc::new(GateDisk::new(512));
+    let disk = Arc::new(FaultDisk::new(512));
     let pool = one_shard_pool(disk.clone(), 8);
     let id = seed_cold_pages(&disk, 1)[0];
 
-    disk.fail_once.store(true, Ordering::Relaxed);
+    disk.fail_next_read();
     disk.hold_reads();
     let errors = AtomicU64::new(0);
     std::thread::scope(|s| {
@@ -272,12 +146,12 @@ fn once_failing_single_page_read_poisons_its_joiners_and_retry_reads_again() {
         disk.release_reads();
     });
     assert_eq!(errors.load(Ordering::Relaxed), THREADS as u64, "loader and every joiner poisoned");
-    assert_eq!(disk.read_attempts.load(Ordering::Relaxed), 1, "no hidden second read");
+    assert_eq!(disk.read_log().len(), 1, "no hidden second read");
     assert!(!pool.contains(id));
 
     assert_eq!(pool.with_page(id, |p| p.bytes()[0]).unwrap(), 1, "the retry faults afresh");
-    assert_eq!(disk.read_attempts.load(Ordering::Relaxed), 2, "exactly two device reads in all");
-    assert_eq!(disk.read_batches.lock().as_slice(), &[1, 1]);
+    assert_eq!(disk.read_log().len(), 2, "exactly two device reads in all");
+    assert_eq!(batch_sizes(&disk), &[1, 1]);
 }
 
 #[test]
@@ -286,8 +160,10 @@ fn distinct_cold_faults_overlap_within_one_stripe() {
     const READ_MS: u64 = 50;
     // Single shard: before the fault state machine, these K faults
     // serialized behind the one shard mutex at ~K × read latency.
-    let disk =
-        Arc::new(LatencyDisk::new(512, DiskModel { read_ns: READ_MS * 1_000_000, write_ns: 0 }));
+    let disk = Arc::new(FaultDisk::with_latency(
+        512,
+        DiskModel { read_ns: READ_MS * 1_000_000, write_ns: 0 },
+    ));
     let pool = one_shard_pool(disk.clone(), 16);
     assert_eq!(pool.shards(), 1);
     let ids: Vec<PageId> = (0..K).map(|_| pool.new_page().unwrap()).collect();
@@ -339,7 +215,7 @@ fn dirty_victim_reclaim_skips_the_synchronous_write() {
     // One timed pass of a working set that overflows a 4-frame pool,
     // dirtying every page: each fault must reclaim a dirty victim.
     let run = |write_behind: usize| -> (Duration, u64) {
-        let disk = Arc::new(LatencyDisk::new(512, model));
+        let disk = Arc::new(FaultDisk::with_latency(512, model));
         let pool = BufferPool::with_pool_options(
             Arc::clone(&disk) as Arc<dyn DiskManager>,
             4,
@@ -382,7 +258,7 @@ fn fault_storm_over_write_behind_store_skips_the_disk() {
     // the page re-enters memory dirty so nothing is ever lost. The
     // write gate keeps the flusher from retiring the queue entry early,
     // so "served from the store" is deterministic.
-    let disk = Arc::new(GateDisk::new(512));
+    let disk = Arc::new(FaultDisk::new(512));
     let pool = one_shard_pool(disk.clone(), 4);
     let id = pool.new_page().unwrap();
     pool.with_page_mut(id, |p| p.bytes_mut()[0] = 55).unwrap();
@@ -415,14 +291,14 @@ fn panicking_load_poisons_waiters_and_frees_the_frame() {
     // frame goes back to the free list unpinned, and every parked
     // waiter gets an error instead of hanging forever.
     const THREADS: usize = 4;
-    let disk = Arc::new(GateDisk::new(512));
+    let disk = Arc::new(FaultDisk::new(512));
     let pool = one_shard_pool(disk.clone(), 8);
     let id = pool.new_page().unwrap();
     let mut page = Page::new(512);
     page.bytes_mut()[0] = 44;
     disk.write(id, &page).unwrap();
 
-    disk.panic_reads.store(true, Ordering::Relaxed);
+    disk.panic_next_read();
     disk.hold_reads();
     // Any of the threads may become the loader (and die with the
     // panic); the others must all surface the poison as an error.
@@ -452,7 +328,6 @@ fn panicking_load_poisons_waiters_and_frees_the_frame() {
 
     // No zombie frame: the page faults afresh and succeeds, and the
     // whole pool is still usable (all frames reachable).
-    disk.panic_reads.store(false, Ordering::Relaxed);
     assert_eq!(pool.with_page(id, |p| p.bytes()[0]).unwrap(), 44);
     for _ in 0..16 {
         let p2 = pool.new_page().unwrap();
@@ -462,7 +337,7 @@ fn panicking_load_poisons_waiters_and_frees_the_frame() {
 
 /// Allocates `n` cold pages on `disk` with recognizable content
 /// (`id + 1` at byte 0), without warming the pool.
-fn seed_cold_pages(disk: &GateDisk, n: usize) -> Vec<PageId> {
+fn seed_cold_pages(disk: &FaultDisk, n: usize) -> Vec<PageId> {
     (0..n)
         .map(|i| {
             let id = disk.allocate().unwrap();
@@ -476,18 +351,19 @@ fn seed_cold_pages(disk: &GateDisk, n: usize) -> Vec<PageId> {
 
 #[test]
 fn failing_page_in_batch_poisons_only_its_own_entry() {
-    let disk = Arc::new(GateDisk::new(512));
+    let disk = Arc::new(FaultDisk::new(512));
     let pool = one_shard_pool(disk.clone(), 8);
     let ids = seed_cold_pages(&disk, 4);
     let bad = ids[2];
-    disk.fail_page.store(bad.0, Ordering::Relaxed);
+    disk.fail_reads_of(Some(bad));
 
     // The whole batch rides one read_many, which fails as a unit; the
     // pool's per-page fallback must then land every sibling and pin
     // the failure on the one genuinely bad page.
     let err = pool.fault_many(&ids).unwrap_err();
     assert!(matches!(err, StorageError::Io(_)), "the bad page's error surfaces: {err:?}");
-    assert_eq!(disk.read_batches.lock().as_slice(), &[4], "one batch carried all four pages");
+    // The log's first call; the per-page fallback's point reads follow.
+    assert_eq!(&batch_sizes(&disk)[..1], &[4], "one batch carried all four pages");
     for &id in &ids {
         if id == bad {
             assert!(!pool.contains(id), "the failed page must not publish");
@@ -500,17 +376,17 @@ fn failing_page_in_batch_poisons_only_its_own_entry() {
     assert_eq!(s.read_pages, 4);
 
     // Retry heals: no zombie Loading entry, no leaked frame.
-    disk.fail_page.store(u64::MAX, Ordering::Relaxed);
+    disk.fail_reads_of(None);
     assert_eq!(pool.with_page(bad, |p| p.bytes()[0]).unwrap(), 3);
 }
 
 #[test]
 fn batch_fault_failure_poisons_only_its_own_parked_joiners() {
-    let disk = Arc::new(GateDisk::new(512));
+    let disk = Arc::new(FaultDisk::new(512));
     let pool = one_shard_pool(disk.clone(), 8);
     let ids = seed_cold_pages(&disk, 2);
     let (good, bad) = (ids[0], ids[1]);
-    disk.fail_page.store(bad.0, Ordering::Relaxed);
+    disk.fail_reads_of(Some(bad));
     disk.hold_reads();
 
     // The batch thread reserves both Loading entries, then blocks at
@@ -543,7 +419,7 @@ fn batch_fault_failure_poisons_only_its_own_parked_joiners() {
     assert!(!pool.contains(bad));
 
     // Retry heals the poisoned page.
-    disk.fail_page.store(u64::MAX, Ordering::Relaxed);
+    disk.fail_reads_of(None);
     assert_eq!(pool.with_page(bad, |p| p.bytes()[0]).unwrap(), 2);
 }
 
@@ -563,7 +439,7 @@ fn panicking_batch_load_across_shards_frees_every_frame_and_poisons_every_joiner
     // and every page's parked joiner must be poisoned, none left
     // hanging on a Loading entry nobody will resolve.
     const SHARDS: usize = 4;
-    let disk = Arc::new(GateDisk::new(512));
+    let disk = Arc::new(FaultDisk::new(512));
     let opts = PoolOptions { shards: SHARDS, ..PoolOptions::default() };
     let pool = Arc::new(BufferPool::with_pool_options(disk.clone(), 32, opts));
     let ids = seed_cold_pages(&disk, SHARDS);
@@ -572,7 +448,7 @@ fn panicking_batch_load_across_shards_frees_every_frame_and_poisons_every_joiner
     shards.dedup();
     assert_eq!(shards.len(), SHARDS, "test premise: one miss per shard");
 
-    disk.panic_reads.store(true, Ordering::Relaxed);
+    disk.panic_next_read();
     disk.hold_reads();
     let batcher = {
         let (pool, ids) = (Arc::clone(&pool), ids.clone());
@@ -580,7 +456,7 @@ fn panicking_batch_load_across_shards_frees_every_frame_and_poisons_every_joiner
     };
     // At the gate inside read_many, so every page is reserved: whoever
     // asks for one now joins the batch instead of loading it.
-    while disk.read_attempts.load(Ordering::Relaxed) < 1 {
+    while disk.read_log().is_empty() {
         std::thread::yield_now();
     }
     let joiners: Vec<_> = ids
@@ -600,12 +476,11 @@ fn panicking_batch_load_across_shards_frees_every_frame_and_poisons_every_joiner
             other => panic!("expected a poisoned joiner, got {other:?}"),
         }
     }
-    assert_eq!(disk.read_batches.lock().as_slice(), &[SHARDS], "one read_many spanned the shards");
+    assert_eq!(batch_sizes(&disk), &[SHARDS], "one read_many spanned the shards");
     assert!(ids.iter().all(|&id| !pool.contains(id)), "no page was published");
 
     // Every frame of every shard is back: `capacity()` distinct pages,
     // spread evenly over the shards, can all be pinned at once.
-    disk.panic_reads.store(false, Ordering::Relaxed);
     let fresh = seed_cold_pages(&disk, pool.capacity());
     let pinned = with_all_pinned(&pool, &fresh, || fresh.iter().all(|&id| pool.contains(id)));
     assert!(pinned, "a reserved frame leaked: some shard could not hold its share");

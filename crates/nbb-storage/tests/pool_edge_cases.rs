@@ -1,12 +1,7 @@
 //! Buffer-pool edge cases: exhaustion, nested access, stats accounting.
 
-use nbb_storage::{BufferPool, DiskManager, InMemoryDisk, PoolOptions, StorageError};
-use std::sync::atomic::Ordering;
+use nbb_storage::{BufferPool, DiskManager, FaultDisk, InMemoryDisk, PoolOptions, StorageError};
 use std::sync::Arc;
-
-#[path = "support/flaky_disk.rs"]
-mod flaky_disk;
-use flaky_disk::FlakyDisk;
 
 fn pool(cap: usize) -> Arc<BufferPool> {
     let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(256));
@@ -98,7 +93,7 @@ fn stats_add_up() {
 
 #[test]
 fn failed_read_leaves_pool_consistent() {
-    let disk = Arc::new(FlakyDisk::new(256));
+    let disk = Arc::new(FaultDisk::new(256));
     let pool = BufferPool::with_pool_options(
         Arc::clone(&disk) as Arc<dyn DiskManager>,
         2,
@@ -112,9 +107,9 @@ fn failed_read_leaves_pool_consistent() {
     pool.with_page(b, |_| ()).unwrap();
     // Inject failures: faulting `c` must error without corrupting
     // the map — and must not lose `a`'s dirty data.
-    disk.fail_reads.store(true, Ordering::Relaxed);
+    disk.fail_reads(true);
     assert!(pool.with_page(c, |_| ()).is_err());
-    disk.fail_reads.store(false, Ordering::Relaxed);
+    disk.fail_reads(false);
     // Everything still readable with the right contents.
     assert_eq!(pool.with_page(a, |p| p.bytes()[0]).unwrap(), 11);
     pool.with_page(b, |_| ()).unwrap();

@@ -7,18 +7,18 @@
 //!
 //! Demonstrates the full Figure 3 progression on one database: measure
 //! the scattered baseline, cluster the hot tuples, then split them into
-//! a hot partition — and watch the simulated I/O cost fall. Also shows
+//! a hot partition — and watch the disk reads fall. Also shows
 //! the ongoing §3.1 policy: a new revision replaces its page's previous
 //! latest revision, which migrates to the cold partition.
 
 use nbb::partition::{HotColdStore, SetPolicy, Temperature};
-use nbb::storage::{BufferPool, DiskManager, DiskModel, HeapFile, SimulatedDisk};
+use nbb::storage::{BufferPool, DiskManager, HeapFile, InMemoryDisk};
 use nbb::workload::WikiGenerator;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-fn sim_heap(frames: usize) -> (HeapFile, Arc<dyn DiskManager>) {
-    let disk: Arc<dyn DiskManager> = Arc::new(SimulatedDisk::new(8192, DiskModel::default()));
+fn heap_and_disk(frames: usize) -> (HeapFile, Arc<dyn DiskManager>) {
+    let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(8192));
     let pool = Arc::new(BufferPool::new(Arc::clone(&disk), frames));
     (HeapFile::create(pool).expect("heap"), disk)
 }
@@ -36,7 +36,7 @@ fn main() {
     );
 
     // ---- baseline: append order, hot tuples scattered ----------------
-    let (heap, disk) = sim_heap(16);
+    let (heap, disk) = heap_and_disk(16);
     let mut rid_of = HashMap::new();
     for r in &revisions {
         rid_of.insert(r.id, heap.insert(&r.encode()).expect("insert"));
@@ -73,8 +73,8 @@ fn main() {
     );
 
     // ---- partitioned: hot tuples in their own heap --------------------
-    let (hot_heap, hot_disk) = sim_heap(16);
-    let (cold_heap, _cold_disk) = sim_heap(16);
+    let (hot_heap, hot_disk) = heap_and_disk(16);
+    let (cold_heap, _cold_disk) = heap_and_disk(16);
     let store = HotColdStore::new(hot_heap, cold_heap);
     let mut policy = SetPolicy::new(hot_ids.iter().copied());
     let mut loc_of = HashMap::new();

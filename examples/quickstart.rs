@@ -42,7 +42,7 @@
 //! the verification locally:
 //!
 //! ```sh
-//! cargo run -p nbb-lint      # static rules L1-L6 (unranked locks,
+//! cargo run -p nbb-lint      # static rules L1-L7 (unranked locks,
 //!                            # std::sync leaks, unjustified unwraps...)
 //! cargo test --workspace     # debug profile arms the runtime rank
 //!                            # checker: any lock-order inversion panics

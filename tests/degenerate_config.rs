@@ -15,14 +15,7 @@ use std::collections::HashMap;
 use std::sync::Barrier;
 
 fn degenerate_config() -> DbConfig {
-    DbConfig {
-        page_size: 4096,
-        heap_frames: 32,
-        index_frames: 32,
-        pool_shards: 1,
-        write_behind: 0,
-        ..DbConfig::default()
-    }
+    DbConfig { page_size: 4096, heap_frames: 32, index_frames: 32, pool_shards: 1, write_behind: 0 }
 }
 
 /// 24-byte tuple: key(8) | group(8) | value(8).

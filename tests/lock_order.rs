@@ -42,7 +42,6 @@ fn mixed_storm_respects_the_lock_lattice() {
         index_frames: 8,
         pool_shards: 2,
         write_behind: 4,
-        ..DbConfig::default()
     });
     let t = db.create_table("t", 24).unwrap();
     // A cached pk exercises the cache's try-latch (populates and

@@ -15,7 +15,7 @@
 //! * **observable contention** — `TableStats::intent_parks` /
 //!   `intent_handoffs` count the serialized writers.
 //!
-//! The deterministic test uses the GateDisk/observed-parked technique
+//! The deterministic test uses the read-gate/observed-parked technique
 //! from `nbb-storage/tests/overlapped_io.rs`: the first writer blocks
 //! inside a gated heap fault, the test *observes* every other writer
 //! parked on the intent via the stats counter, and only then opens the
@@ -23,71 +23,11 @@
 
 use nbb::core::db::{Database, DbConfig};
 use nbb::core::table::{FieldSpec, IndexSpec, Table};
-use nbb::storage::disk::{DiskManager, DiskModel, InMemoryDisk, LatencyDisk};
-use nbb::storage::error::Result;
-use nbb::storage::stats::IoStats;
-use nbb::storage::{BufferPool, Page, PageId, PoolOptions};
-use parking_lot::{Condvar, Mutex};
+use nbb::storage::disk::{DiskManager, DiskModel, FaultDisk, InMemoryDisk};
+use nbb::storage::{BufferPool, PoolOptions};
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier};
-
-/// Disk whose reads block at a gate until released (the overlapped_io
-/// technique), so a writer can be frozen mid-heap-fault while the test
-/// observes its rivals parked on the key's write intent.
-struct GateDisk {
-    inner: InMemoryDisk,
-    reads_held: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl GateDisk {
-    fn new(page_size: usize) -> Self {
-        GateDisk {
-            inner: InMemoryDisk::new(page_size),
-            reads_held: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn hold_reads(&self) {
-        *self.reads_held.lock() = true;
-    }
-
-    fn release_reads(&self) {
-        *self.reads_held.lock() = false;
-        self.cv.notify_all();
-    }
-}
-
-impl DiskManager for GateDisk {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-    fn allocate(&self) -> Result<PageId> {
-        self.inner.allocate()
-    }
-    fn read(&self, id: PageId, buf: &mut Page) -> Result<()> {
-        let mut held = self.reads_held.lock();
-        while *held {
-            self.cv.wait(&mut held);
-        }
-        drop(held);
-        self.inner.read(id, buf)
-    }
-    fn write(&self, id: PageId, page: &Page) -> Result<()> {
-        self.inner.write(id, page)
-    }
-    fn num_pages(&self) -> u64 {
-        self.inner.num_pages()
-    }
-    fn stats(&self) -> IoStats {
-        self.inner.stats()
-    }
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
-    }
-}
 
 /// 24-byte tuple: key(8) | group(8) | value(8).
 fn tuple(key: u64, group: u64, value: u64) -> Vec<u8> {
@@ -103,7 +43,7 @@ const KEY: u64 = 42;
 #[test]
 fn observed_parked_storm_serializes_same_key_updates() {
     const WRITERS: u64 = 6;
-    let gate = Arc::new(GateDisk::new(4096));
+    let gate = Arc::new(FaultDisk::new(4096));
     // write_behind = 0 so the eviction below lands on the (ungated)
     // write path and the storm's heap access must *read* through the
     // gate — freezing the intent holder mid-fault.
@@ -203,7 +143,7 @@ fn racing_deleters_split_one_true_rest_false() {
     assert_eq!(t.heap().live_tuple_count().unwrap(), 0);
     // (No intent_parks floor here: over a zero-latency disk a one-core
     // host can legitimately schedule the deleters back to back. The
-    // observed-parked test and the LatencyDisk storm assert contention
+    // observed-parked test and the blocking-disk storm assert contention
     // deterministically.)
     assert_eq!(t.stats().deletes, ROUNDS as u64);
 }
@@ -215,20 +155,14 @@ fn mixed_put_update_delete_storm_stays_consistent() {
     // Io-bound regime: a blocking disk stretches every op across real
     // time, so the storm exercises park/handoff chains under load.
     let model = DiskModel { read_ns: 50_000, write_ns: 50_000 };
-    let heap: Arc<dyn DiskManager> = Arc::new(LatencyDisk::new(4096, model));
-    let index: Arc<dyn DiskManager> = Arc::new(LatencyDisk::new(4096, model));
+    let heap: Arc<dyn DiskManager> = Arc::new(FaultDisk::with_latency(4096, model));
+    let index: Arc<dyn DiskManager> = Arc::new(FaultDisk::with_latency(4096, model));
     // Pools far below the working set: every storm op faults through
     // the blocking disk, so the intent holder sits in real I/O while
     // its rivals arrive — contention is structural, not a scheduling
     // accident.
     let db = Database::with_disks(
-        DbConfig {
-            page_size: 4096,
-            heap_frames: 4,
-            index_frames: 4,
-            disk_model: None,
-            ..DbConfig::default()
-        },
+        DbConfig { page_size: 4096, heap_frames: 4, index_frames: 4, ..DbConfig::default() },
         heap,
         index,
     )

@@ -10,16 +10,15 @@
 //! in their own vertical partition.
 
 use nbb::partition::{optimize, QueryClass, VerticalTable};
-use nbb::storage::{BufferPool, DiskManager, DiskModel, HeapFile, SimulatedDisk};
+use nbb::storage::{BufferPool, DiskManager, HeapFile, InMemoryDisk};
 use std::sync::Arc;
 
 const HOT_W: usize = 16;
 const COLD_W: usize = 240;
 const N_ROWS: usize = 2_000;
 
-fn sim_pool(frames: usize) -> (Arc<BufferPool>, Arc<dyn DiskManager>) {
-    let disk: Arc<dyn DiskManager> =
-        Arc::new(SimulatedDisk::new(4096, DiskModel { read_ns: 1000, write_ns: 0 }));
+fn pool_and_disk(frames: usize) -> (Arc<BufferPool>, Arc<dyn DiskManager>) {
+    let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
     (Arc::new(BufferPool::new(Arc::clone(&disk), frames)), disk)
 }
 
@@ -51,7 +50,7 @@ fn optimizer_recommends_the_complementary_split() {
 #[test]
 fn vertical_split_cuts_io_for_hot_field_misses() {
     // Row store: every hot-field fetch faults a page holding ~16 rows.
-    let (row_pool, row_disk) = sim_pool(8);
+    let (row_pool, row_disk) = pool_and_disk(8);
     let row_heap = HeapFile::create(row_pool).unwrap();
     let mut row_rids = Vec::new();
     for i in 0..N_ROWS {
@@ -59,8 +58,8 @@ fn vertical_split_cuts_io_for_hot_field_misses() {
     }
 
     // Vertical: hot partition rows are 16 bytes -> ~250 rows/page.
-    let (vert_pool, vert_disk) = sim_pool(8);
-    let (cold_pool, _) = sim_pool(8);
+    let (vert_pool, vert_disk) = pool_and_disk(8);
+    let (cold_pool, _) = pool_and_disk(8);
     let hot_heap = HeapFile::create(vert_pool).unwrap();
     let cold_heap = HeapFile::create(cold_pool).unwrap();
     let vt = VerticalTable::new(
@@ -98,8 +97,8 @@ fn vertical_split_cuts_io_for_hot_field_misses() {
 
 #[test]
 fn full_row_reconstruction_still_works_and_costs_merges() {
-    let (pool_a, _) = sim_pool(32);
-    let (pool_b, _) = sim_pool(32);
+    let (pool_a, _) = pool_and_disk(32);
+    let (pool_b, _) = pool_and_disk(32);
     let vt = VerticalTable::new(
         vec![vec![0, 1], vec![2]],
         vec![8, 8, COLD_W],
