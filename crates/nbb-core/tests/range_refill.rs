@@ -171,27 +171,21 @@ fn a_refill_spanning_leaves_warms_each_leafs_own_cache_and_warm_rows_skip_the_he
     assert_eq!(t.stats().heap_fetches - end.heap_fetches, 513);
 }
 
-/// What a test learns from a disk's read log (a [`FaultDisk`] can also
-/// fail every call that touches one page, until told to stop: a page
-/// that fails once inside a batch is absorbed by the pool's per-page
-/// retry and never reaches the cursor).
-trait Probe {
-    /// Drains the log: (device calls, distinct pages read).
-    fn take(&self) -> (usize, BTreeSet<u64>) {
-        let (calls, _, pages) = self.take_counted();
-        (calls, pages)
-    }
-
-    /// Drains the log: (device calls, page reads, distinct pages read).
-    fn take_counted(&self) -> (usize, usize, BTreeSet<u64>);
+/// Drains `disk`'s read log: (device calls, distinct pages read). A
+/// [`FaultDisk`] can also fail every call that touches one page, until
+/// told to stop: a page that fails once inside a batch is absorbed by
+/// the pool's per-page retry and never reaches the cursor.
+fn take(disk: &FaultDisk) -> (usize, BTreeSet<u64>) {
+    let (calls, _, pages) = take_counted(disk);
+    (calls, pages)
 }
 
-impl Probe for FaultDisk {
-    fn take_counted(&self) -> (usize, usize, BTreeSet<u64>) {
-        let calls = self.take_read_log();
-        let reads = calls.iter().map(Vec::len).sum();
-        (calls.len(), reads, calls.iter().flatten().map(|p| p.0).collect())
-    }
+/// Drains `disk`'s read log: (device calls, page reads, distinct pages
+/// read).
+fn take_counted(disk: &FaultDisk) -> (usize, usize, BTreeSet<u64>) {
+    let calls = disk.take_read_log();
+    let reads = calls.iter().map(Vec::len).sum();
+    (calls.len(), reads, calls.iter().flatten().map(|p| p.0).collect())
 }
 
 /// A loaded, persisted database over two logging disks, plus a way to
@@ -232,8 +226,8 @@ impl Persisted {
                 pool.evict_page(PageId(page)).unwrap();
             }
         }
-        self.heap.take();
-        self.index.take();
+        take(&self.heap);
+        take(&self.index);
         db
     }
 }
@@ -266,8 +260,8 @@ fn cursor_against_walk(disks: &Persisted, start: u64, limit: usize) -> (usize, u
         }
         lower = Bound::Excluded(buf.keys.chunks_exact(8).last().unwrap().to_vec());
     }
-    let (walk_index_calls, walk_index) = disks.index.take();
-    let (walk_heap_calls, walk_heap) = disks.heap.take();
+    let (walk_index_calls, walk_index) = take(&disks.index);
+    let (walk_heap_calls, walk_heap) = take(&disks.heap);
     assert_eq!(walk_index_calls, walk_index.len(), "the walk reads one page per call, {case}");
     assert_eq!(walk_heap_calls, walk_heap.len(), "the walk reads one page per call, {case}");
     drop((tree_of, t, db));
@@ -277,8 +271,8 @@ fn cursor_against_walk(disks: &Persisted, start: u64, limit: usize) -> (usize, u
     let rows: Vec<_> =
         t.index("pk").unwrap().range(&start[..]..).limit(limit).map(|r| r.unwrap()).collect();
     assert_eq!(rows.len(), limit, "{case}");
-    let (index_calls, index) = disks.index.take();
-    let (heap_calls, heap) = disks.heap.take();
+    let (index_calls, index) = take(&disks.index);
+    let (heap_calls, heap) = take(&disks.heap);
     assert_eq!(index, walk_index, "index pages read, {case}");
     assert_eq!(heap, walk_heap, "heap pages read, {case}");
     assert_eq!(heap_calls, 1, "{} heap pages, {case}", heap.len());
@@ -535,7 +529,7 @@ fn a_group_of_two_pages_reads_the_union_of_their_pages_in_the_calls_of_one() {
     for spec in [first, second] {
         let db = disks.reopen(1024);
         assert_eq!(pages_of(&db.table("t").unwrap(), &[spec], false)[0].0.len(), 512);
-        let ((index_calls, index), (heap_calls, heap)) = (disks.index.take(), disks.heap.take());
+        let ((index_calls, index), (heap_calls, heap)) = (take(&disks.index), take(&disks.heap));
         assert!(index_calls <= 3 && heap_calls <= 2, "alone: {index_calls} + {heap_calls} calls");
         solo.push((index, heap));
     }
@@ -546,8 +540,8 @@ fn a_group_of_two_pages_reads_the_union_of_their_pages_in_the_calls_of_one() {
     let db = disks.reopen(1024);
     let pages = pages_of(&db.table("t").unwrap(), &[first, second], false);
     assert_eq!((pages[0].0.len(), pages[1].0.len()), (512, 512));
-    let (index_calls, index_reads, index) = disks.index.take_counted();
-    let (heap_calls, heap_reads, heap) = disks.heap.take_counted();
+    let (index_calls, index_reads, index) = take_counted(&disks.index);
+    let (heap_calls, heap_reads, heap) = take_counted(&disks.heap);
     assert_eq!(index, &solo[0].0 | &solo[1].0, "index pages: exactly the union");
     assert_eq!(heap, &solo[0].1 | &solo[1].1, "heap pages: exactly the union");
     assert_eq!((index_reads, heap_reads), (index.len(), heap.len()), "a shared page is read once");

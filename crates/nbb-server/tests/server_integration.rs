@@ -31,35 +31,26 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// What the tests read off a [`FaultDisk`]'s read log. Its read gate
-/// lets a test *hold* one request mid-fault while later requests race
-/// past it (or queue up behind it), so ordering assertions are
-/// deterministic instead of timing-based.
-trait ReadLog {
-    /// Pages asked for.
-    fn read_attempts(&self) -> u64;
-    /// Device round trips (`read` and `read_many` alike).
-    fn read_calls(&self) -> u64;
-    /// Spins until `n` pages have *reached* the disk (i.e. a faulting
-    /// request is provably parked at the gate).
-    fn await_read_attempts(&self, n: u64);
+/// Pages asked of `disk` so far. A [`FaultDisk`]'s read gate lets a
+/// test *hold* one request mid-fault while later requests race past it
+/// (or queue up behind it), so ordering assertions are deterministic
+/// instead of timing-based.
+fn read_attempts(disk: &FaultDisk) -> u64 {
+    disk.read_log().iter().map(|call| call.len() as u64).sum()
 }
 
-impl ReadLog for FaultDisk {
-    fn read_attempts(&self) -> u64 {
-        self.read_log().iter().map(|call| call.len() as u64).sum()
-    }
+/// Device round trips to `disk` so far (`read` and `read_many` alike).
+fn read_calls(disk: &FaultDisk) -> u64 {
+    disk.read_log().len() as u64
+}
 
-    fn read_calls(&self) -> u64 {
-        self.read_log().len() as u64
-    }
-
-    fn await_read_attempts(&self, n: u64) {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while self.read_attempts() < n {
-            assert!(Instant::now() < deadline, "no read reached the gate disk");
-            std::thread::sleep(Duration::from_millis(1));
-        }
+/// Spins until `n` pages have *reached* `disk` (i.e. a faulting
+/// request is provably parked at the gate).
+fn await_read_attempts(disk: &FaultDisk, n: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while read_attempts(disk) < n {
+        assert!(Instant::now() < deadline, "no read reached the gate disk");
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -302,8 +293,8 @@ fn a_cold_range_page_costs_a_handful_of_device_calls() {
     assert_eq!(ids, (5003..5003 + 512).collect::<Vec<i64>>());
     assert!(more);
     assert_eq!(resume, Some(key(&rows, 5003 + 511)));
-    let (index_calls, heap_calls) = (index.read_calls(), heap.read_calls());
-    let (index_pages, heap_pages) = (index.read_attempts(), heap.read_attempts());
+    let (index_calls, heap_calls) = (read_calls(&index), read_calls(&heap));
+    let (index_pages, heap_pages) = (read_attempts(&index), read_attempts(&heap));
     assert!(index_pages >= 6 && heap_pages >= 3, "{index_pages} index, {heap_pages} heap pages");
     assert!(index_calls <= 3, "{index_calls} index device calls for {index_pages} pages");
     assert!(heap_calls <= 2, "{heap_calls} heap device calls for {heap_pages} pages");
@@ -325,7 +316,7 @@ fn a_range_of_limit_zero_is_refused_before_any_page_is_touched() {
     let refused = client.range("kv", "by_id", lo.clone(), WireBound::Unbounded, 0);
     assert_eq!(refused, Err(nbb_client::ClientError::Server(nbb_proto::RANGE_LIMIT_ZERO.into())));
     for disk in [&heap, &index] {
-        assert_eq!(disk.read_calls(), 0, "a refused request reads nothing");
+        assert_eq!(read_calls(disk), 0, "a refused request reads nothing");
     }
 
     // The connection survives, and the smallest legal page pages on.
@@ -368,7 +359,7 @@ fn responses_complete_out_of_order_by_request_id() {
     // Raw socket: observed arrival order IS the assertion, so no
     // client-side reordering may sit in between.
     let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
-    let reads_before = gate.read_attempts();
+    let reads_before = read_attempts(&gate);
     gate.hold_reads();
 
     // Slow request first (id 1): faults row 3's heap page, parks.
@@ -381,7 +372,7 @@ fn responses_complete_out_of_order_by_request_id() {
         },
     }))
     .expect("send slow");
-    gate.await_read_attempts(reads_before + 1);
+    await_read_attempts(&gate, reads_before + 1);
 
     // Fast request second (id 2): a row on a resident page, no fault.
     sock.write_all(&encode_request(&Request {
@@ -531,7 +522,7 @@ fn shutdown_mid_flight_drains_the_in_flight_response() {
     let client = Client::connect(addr, ClientConfig::default()).expect("connect");
 
     // Park one request mid-fault…
-    let reads_before = gate.read_attempts();
+    let reads_before = read_attempts(&gate);
     gate.hold_reads();
     let ticket = client
         .submit(RequestOp::GetMany {
@@ -540,7 +531,7 @@ fn shutdown_mid_flight_drains_the_in_flight_response() {
             keys: vec![key(&rows, 4)],
         })
         .expect("submit");
-    gate.await_read_attempts(reads_before + 1);
+    await_read_attempts(&gate, reads_before + 1);
 
     // …start shutdown while it is provably in flight…
     let server = Arc::new(server);
@@ -637,7 +628,7 @@ fn full_response_queue_parks_the_reader_and_counts_it() {
             .expect("start");
     let client = Client::connect(server.local_addr(), ClientConfig::default()).expect("connect");
 
-    let reads_before = gate.read_attempts();
+    let reads_before = read_attempts(&gate);
     gate.hold_reads();
     let slow = client
         .submit(RequestOp::GetMany {
@@ -646,7 +637,7 @@ fn full_response_queue_parks_the_reader_and_counts_it() {
             keys: vec![key(&rows, 2)],
         })
         .expect("submit slow");
-    gate.await_read_attempts(reads_before + 1);
+    await_read_attempts(&gate, reads_before + 1);
     let fast = client
         .submit(RequestOp::GetMany {
             table: "kv".into(),
@@ -730,10 +721,10 @@ impl Backlog {
     /// Parks the worker: holds the gate and sends a read of row `id`,
     /// returning once its fault has reached the disk.
     fn park(&self, client: &Client, id: i64) -> nbb_client::Ticket {
-        let reads = self.gate.read_attempts();
+        let reads = read_attempts(&self.gate);
         self.gate.hold_reads();
         let ticket = client.submit(get_many(&self.rows, &[id])).expect("submit blocker");
-        self.gate.await_read_attempts(reads + 1);
+        await_read_attempts(&self.gate, reads + 1);
         ticket
     }
 
@@ -761,7 +752,7 @@ fn queued_point_reads_coalesce_into_one_engine_call_and_one_device_call() {
     let b = Backlog::new(200);
     let (c1, c2) = (b.connect(), b.connect());
     let before = b.server.stats();
-    let calls_before = b.gate.read_calls();
+    let calls_before = read_calls(&b.gate);
 
     // Request A parks the only worker mid-fault; six cold reads from
     // two connections (whose request ids collide, so routing is by
@@ -788,7 +779,7 @@ fn queued_point_reads_coalesce_into_one_engine_call_and_one_device_call() {
     let after = b.server.stats();
     assert_eq!(after.frames_in - before.frames_in, 7);
     assert_eq!(after.batches_executed - before.batches_executed, 2);
-    assert_eq!(b.gate.read_calls() - calls_before, 2);
+    assert_eq!(read_calls(&b.gate) - calls_before, 2);
 
     drop((c1, c2));
     b.server.shutdown();
@@ -956,8 +947,7 @@ fn queued_range_pages_share_one_group_refill_and_its_device_calls() {
     // worker; two cold 512-row pages, far from it and from each other,
     // queue up behind it.
     let blocker = b.park(&c1, 0);
-    let calls = |disk: &FaultDisk| disk.read_calls();
-    let (index_before, heap_before) = (calls(&index), calls(&b.gate));
+    let (index_before, heap_before) = (read_calls(&index), read_calls(&b.gate));
     let r1 = b.enqueue(&c1, range_page(&b.rows, 3003, 512));
     let r2 = b.enqueue(&c2, range_page(&b.rows, 7003, 512));
     b.release();
@@ -972,7 +962,8 @@ fn queued_range_pages_share_one_group_refill_and_its_device_calls() {
     // 1,026 rows in one heap read: what one page costs.
     let after = b.server.stats();
     assert_eq!(after.batches_executed - before.batches_executed, 2);
-    let (index_calls, heap_calls) = (calls(&index) - index_before, calls(&b.gate) - heap_before);
+    let (index_calls, heap_calls) =
+        (read_calls(&index) - index_before, read_calls(&b.gate) - heap_before);
     assert!(index_calls <= 2, "{index_calls} index device calls for two pages");
     assert!(heap_calls <= 2, "{heap_calls} heap device calls for two pages");
 

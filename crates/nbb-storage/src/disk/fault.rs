@@ -14,9 +14,8 @@ use parking_lot::{Condvar, Mutex};
 ///
 /// * hold reads, and separately writes, at a gate until released
 ///   ([`FaultDisk::hold_reads`], [`FaultDisk::hold_writes`]);
-/// * fail reads: every read ([`FaultDisk::fail_reads`]), the next read
-///   only ([`FaultDisk::fail_next_read`]), any call that touches one
-///   page ([`FaultDisk::fail_reads_of`]) or the n-th read of one page
+/// * fail reads: any call that touches one page
+///   ([`FaultDisk::fail_reads_of`]) or the n-th read of one page
 ///   ([`FaultDisk::fail_nth_read`]); and fail allocations
 ///   ([`FaultDisk::fail_allocs`]);
 /// * panic inside the next read or the next write;
@@ -42,8 +41,6 @@ pub struct FaultDisk {
 struct Script {
     hold_reads: bool,
     hold_writes: bool,
-    fail_reads: bool,
-    fail_next_read: bool,
     fail_page: Option<PageId>,
     /// The page whose reads count down, and the reads left until one fails.
     fail_nth: Option<(PageId, u64)>,
@@ -68,13 +65,9 @@ impl Script {
                 }
             }
         }
-        if let Some(page) = self.fail_page.filter(|page| ids.contains(page)) {
-            return Some(format!("injected read failure on page {page}"));
-        }
-        if self.fail_reads || std::mem::take(&mut self.fail_next_read) {
-            return Some("injected read failure".into());
-        }
-        None
+        self.fail_page
+            .filter(|page| ids.contains(page))
+            .map(|page| format!("injected read failure on page {page}"))
     }
 }
 
@@ -116,16 +109,6 @@ impl FaultDisk {
     pub fn release_writes(&self) {
         self.script.lock().hold_writes = false;
         self.released.notify_all();
-    }
-
-    /// Fails every read call while `on`.
-    pub fn fail_reads(&self, on: bool) {
-        self.script.lock().fail_reads = on;
-    }
-
-    /// Fails the next read call only.
-    pub fn fail_next_read(&self) {
-        self.script.lock().fail_next_read = true;
     }
 
     /// Fails every read call that touches `page` until called with `None`.
@@ -324,32 +307,10 @@ mod tests {
     }
 
     #[test]
-    fn fault_disk_fails_every_read_while_set() {
-        let d = FaultDisk::new(512);
-        let ids = marked_pages(&d, 2);
-        d.reset_stats();
-        d.fail_reads(true);
-        for _ in 0..2 {
-            assert!(matches!(read_batch(&d, &ids), Err(StorageError::Io(_))));
-        }
-        assert_eq!(d.stats().reads, 0, "a failed call lands nothing");
-        d.fail_reads(false);
-        assert_eq!(read_batch(&d, &ids).unwrap(), vec![1, 2]);
-    }
-
-    #[test]
-    fn fault_disk_fails_the_next_read_only() {
-        let d = FaultDisk::new(512);
-        let ids = marked_pages(&d, 2);
-        d.fail_next_read();
-        assert!(read_batch(&d, &ids).is_err());
-        assert_eq!(read_batch(&d, &ids).unwrap(), vec![1, 2]);
-    }
-
-    #[test]
     fn fault_disk_fails_every_call_that_touches_a_page() {
         let d = FaultDisk::new(512);
         let ids = marked_pages(&d, 3);
+        d.reset_stats();
         d.fail_reads_of(Some(ids[1]));
         let mut p = Page::new(512);
         assert!(d.read(ids[1], &mut p).is_err(), "a point read of the page");
@@ -357,6 +318,7 @@ mod tests {
             Err(StorageError::Io(msg)) => assert!(msg.contains("injected read failure"), "{msg}"),
             other => panic!("a batch with the page fails whole, got {other:?}"),
         }
+        assert_eq!(d.stats().reads, 0, "a failed call lands nothing");
         assert_eq!(read_batch(&d, &[ids[0], ids[2]]).unwrap(), vec![1, 3], "others pass");
         d.fail_reads_of(None);
         assert_eq!(read_batch(&d, &ids).unwrap(), vec![1, 2, 3]);
@@ -437,7 +399,7 @@ mod tests {
         let ids = marked_pages(&d, 3);
         let mut p = Page::new(512);
         d.read(ids[2], &mut p).unwrap();
-        d.fail_next_read();
+        d.fail_nth_read(ids[0], 1);
         assert!(read_batch(&d, &ids[..2]).is_err());
         d.write_many(&[(ids[1], &p), (ids[0], &p)]).unwrap();
         assert_eq!(

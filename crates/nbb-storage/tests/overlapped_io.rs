@@ -88,7 +88,7 @@ fn poisoned_load_fails_every_waiter_then_retry_succeeds() {
     disk.write(id, &page).unwrap();
 
     // Poison lands only after every co-waiter is parked on the load.
-    disk.fail_reads(true);
+    disk.fail_reads_of(Some(id));
     disk.hold_reads();
     let errors = AtomicU64::new(0);
     std::thread::scope(|s| {
@@ -115,7 +115,7 @@ fn poisoned_load_fails_every_waiter_then_retry_succeeds() {
 
     // The failed load must not leave a zombie frame pinned: the next
     // attempt faults afresh and succeeds.
-    disk.fail_reads(false);
+    disk.fail_reads_of(None);
     assert_eq!(pool.with_page(id, |p| p.bytes()[0]).unwrap(), 77);
     assert_eq!(disk.read_log().len(), 2, "retry faulted afresh");
 }
@@ -132,7 +132,7 @@ fn once_failing_single_page_read_poisons_its_joiners_and_retry_reads_again() {
     let pool = one_shard_pool(disk.clone(), 8);
     let id = seed_cold_pages(&disk, 1)[0];
 
-    disk.fail_next_read();
+    disk.fail_nth_read(id, 1);
     disk.hold_reads();
     let errors = AtomicU64::new(0);
     std::thread::scope(|s| {
@@ -362,8 +362,8 @@ fn failing_page_in_batch_poisons_only_its_own_entry() {
     // the failure on the one genuinely bad page.
     let err = pool.fault_many(&ids).unwrap_err();
     assert!(matches!(err, StorageError::Io(_)), "the bad page's error surfaces: {err:?}");
-    // The log's first call; the per-page fallback's point reads follow.
-    assert_eq!(&batch_sizes(&disk)[..1], &[4], "one batch carried all four pages");
+    // One batch, then the per-page fallback's four point reads.
+    assert_eq!(batch_sizes(&disk), &[4, 1, 1, 1, 1], "one batch carried all four pages");
     for &id in &ids {
         if id == bad {
             assert!(!pool.contains(id), "the failed page must not publish");

@@ -107,9 +107,9 @@ fn failed_read_leaves_pool_consistent() {
     pool.with_page(b, |_| ()).unwrap();
     // Inject failures: faulting `c` must error without corrupting
     // the map — and must not lose `a`'s dirty data.
-    disk.fail_reads(true);
+    disk.fail_reads_of(Some(c));
     assert!(pool.with_page(c, |_| ()).is_err());
-    disk.fail_reads(false);
+    disk.fail_reads_of(None);
     // Everything still readable with the right contents.
     assert_eq!(pool.with_page(a, |p| p.bytes()[0]).unwrap(), 11);
     pool.with_page(b, |_| ()).unwrap();
