@@ -165,7 +165,7 @@ pub fn run_variant(cfg: &Fig3Config, variant: Fig3Variant) -> Result<Fig3Result>
             }
             t.create_index(rev_index())?;
             // Collect hot RIDs via the index, then relocate.
-            let idx = t.index_tree("by_rev_id")?;
+            let idx = t.index("by_rev_id")?;
             let mut hot_rids: Vec<(u64, RecordId)> = Vec::with_capacity(hot_ids.len());
             for id in &hot_ids {
                 let ptr = idx.tree().get(&be_key(*id))?.expect("hot revision indexed");
@@ -229,8 +229,8 @@ pub fn run_variant(cfg: &Fig3Config, variant: Fig3Variant) -> Result<Fig3Result>
     let (reads, writes) = (heap_io.reads + index_io.reads, heap_io.writes + index_io.writes);
     let io_ns = (reads * cfg.disk.read_ns + writes * cfg.disk.write_ns) as f64;
     let n = ops.len() as f64;
-    let hot_stats = hot_table.index_tree("by_rev_id")?.tree().index_stats()?;
-    let main_stats = main_table.index_tree("by_rev_id")?.tree().index_stats()?;
+    let hot_stats = hot_table.index("by_rev_id")?.tree().index_stats()?;
+    let main_stats = main_table.index("by_rev_id")?.tree().index_stats()?;
     Ok(Fig3Result {
         label: variant.label(),
         cost_ms: (cpu_ns + io_ns) / n / 1e6,

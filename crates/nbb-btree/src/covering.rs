@@ -97,12 +97,6 @@ impl CoveringIndex {
     pub fn tree(&self) -> &BTree {
         &self.tree
     }
-
-    /// Bytes of entry space attributable to covered (non-key) fields —
-    /// the bloat the paper quantifies.
-    pub fn covered_bytes(&self) -> Result<usize> {
-        Ok(self.tree.index_stats()?.keys * self.field_size)
-    }
 }
 
 #[cfg(test)]

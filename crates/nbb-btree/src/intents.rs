@@ -33,7 +33,11 @@
 //! Deadlock discipline: the stripe and slot locks sit at ranks 20/25 of
 //! the workspace lock lattice — strictly before every tree and pool
 //! lock — and [`KeyIntents::acquire_many`] sorts and deduplicates each
-//! writer's key set before any page is touched. `CONCURRENCY.md` at the
+//! writer's key set before any page is touched. A thread that already
+//! holds intents and wants more out of that order (a table swapping a
+//! row onto a hot page) uses [`KeyIntents::try_acquire`], which never
+//! parks. Readers acquire only after a chase found their row moved,
+//! holding nothing else. `CONCURRENCY.md` at the
 //! repo root documents the full lattice, the handoff pattern, and the
 //! rank checker that enforces both on every debug test run.
 
@@ -145,6 +149,20 @@ impl KeyIntents {
         st.grants -= 1;
         drop(st);
         IntentGuard { intents: self, key: key.to_vec() }
+    }
+
+    /// Installs the write intent on `key` only if no one holds it:
+    /// `None` when the key is held, by another writer or by the caller
+    /// itself. Never parks, so a caller holding other intents can try
+    /// any key in any order without risking a deadlock; it is not
+    /// counted in [`KeyIntents::parks`].
+    pub fn try_acquire(&self, key: &[u8]) -> Option<IntentGuard<'_>> {
+        let mut map = self.stripes[self.stripe_of(key)].lock();
+        if map.contains_key(key) {
+            return None;
+        }
+        map.insert(key.to_vec(), Arc::new(IntentSlot::new()));
+        Some(IntentGuard { intents: self, key: key.to_vec() })
     }
 
     /// Acquires the intents for every distinct key in `keys`, in sorted
@@ -297,6 +315,20 @@ mod tests {
         assert_eq!(*counter.lock(), THREADS * ROUNDS);
         assert!(intents.is_idle());
         assert_eq!(intents.parks(), intents.handoffs(), "every park resolves via a handoff");
+    }
+
+    #[test]
+    fn try_acquire_refuses_a_held_key_and_never_parks() {
+        let intents = KeyIntents::new(1);
+        let held = intents.acquire(b"k");
+        assert!(intents.try_acquire(b"k").is_none(), "held by this thread");
+        let other = intents.try_acquire(b"j").expect("a free key installs");
+        assert!(intents.try_acquire(b"j").is_none(), "held by a try");
+        drop(held);
+        let again = intents.try_acquire(b"k").expect("released, so free");
+        drop((again, other));
+        assert!(intents.is_idle());
+        assert_eq!((intents.parks(), intents.handoffs()), (0, 0));
     }
 
     #[test]

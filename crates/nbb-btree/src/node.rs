@@ -453,12 +453,6 @@ impl<'a> NodeMut<'a> {
         }
     }
 
-    /// Sets the leftmost child (internal nodes).
-    pub fn set_leftmost_child(&mut self, child: PageId) {
-        debug_assert!(!self.as_ref().is_leaf());
-        self.page.write_u64(OFF_AUX, child.0);
-    }
-
     /// Direct mutable access to the underlying page (cache writes).
     pub fn page_mut(&mut self) -> &mut Page {
         self.page

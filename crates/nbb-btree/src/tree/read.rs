@@ -325,11 +325,6 @@ impl BTree {
         self.descend(*root, key, 0, None)
     }
 
-    /// Leftmost leaf page.
-    pub fn first_leaf(&self) -> Result<PageId> {
-        self.leaf_for(Bound::Unbounded)
-    }
-
     /// Up to `k` leaves that follow the leaf owning `key`, in key order
     /// — what a range cursor batch-faults before walking them with
     /// [`BTree::range_chunk`]. A cursor asks for as many as finish its

@@ -364,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    fn simulated_disk_accumulates_cost() {
+    fn tiny_pools_force_device_reads() {
         let db = Database::open(DbConfig {
             page_size: 4096,
             heap_frames: 2,

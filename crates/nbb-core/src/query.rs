@@ -516,9 +516,9 @@ impl<'t> RangeState<'t> {
 /// rides ONE `fault_many`, and each cursor walks its leaves by key.
 /// Heap phase: every row that needs its tuple is chased through ONE
 /// [`Table::fetch_verified`], which writes the bodies straight into
-/// the arenas. No tree lock is held across either read. Rows a racing
-/// delete removed in between are dropped; the caller refills if that
-/// left it short.
+/// the arenas (and the new address of a row a swap moved). No tree
+/// lock is held across either read. Rows a racing delete removed in
+/// between are dropped; the caller refills if that left it short.
 fn refill(group: &mut [RangeState<'_>]) -> Result<()> {
     let Some(first) = group.first() else { return Ok(()) };
     let (table, idx, projected) = (first.table, Arc::clone(&first.idx), first.projected);
@@ -566,7 +566,8 @@ fn refill(group: &mut [RangeState<'_>]) -> Result<()> {
         .map(|c| (&c.rows.keys[..], if projected { &mut c.rows.payloads } else { &mut c.bodies }))
         .unzip();
     let key_of = |j: usize| &keys[chased[j].0][chased[j].1 * kw..][..kw];
-    table.fetch_verified(&idx, &rids, key_of, |j, tuple| {
+    let mut moved: Vec<(usize, RecordId)> = Vec::new();
+    table.fetch_verified(&idx, &rids, key_of, |j, at, tuple| {
         let slot = &mut slots[chased[j].0][chased[j].1 * w..][..w];
         if projected {
             idx.write_payload(tuple, slot);
@@ -574,7 +575,14 @@ fn refill(group: &mut [RangeState<'_>]) -> Result<()> {
             slot.copy_from_slice(tuple);
         }
         live[j] = true;
+        if at != rids[j] {
+            moved.push((j, at));
+        }
     })?;
+    for (j, at) in moved {
+        let (ci, r) = chased[j];
+        group[ci].rows.values[r] = at.to_u64();
+    }
 
     // Chased rows warm the cache of the leaf they came from, the whole
     // group in one batched populate; rows a racing delete took are

@@ -2,7 +2,7 @@
 //! [`nbb_encoding::Schema`]'s declared column types to the byte-range
 //! geometry the storage layers speak.
 //!
-//! A [`Table`] addresses tuples as raw fixed-width byte ranges — a
+//! A [`Table`](crate::table::Table) addresses tuples as raw fixed-width byte ranges — a
 //! [`FieldSpec`] is literally `offset..offset+len` — which keeps the
 //! substrate honest but makes callers hand-compute offsets. `RowSchema`
 //! derives that geometry from a typed schema via

@@ -53,9 +53,11 @@
 //! Per-key put/update/delete through one index is therefore
 //! **linearizable end to end**: one racing deleter wins (`true`), the
 //! others observe a completed delete (`false`), and nothing is ever
-//! silently dropped mid-batch. Readers never take intents — index→heap
-//! chases keep their re-verification, so reads stay wait-free and
-//! reader-vs-writer races still read as absent.
+//! silently dropped mid-batch. Readers take no intents on their way:
+//! index→heap chases keep their re-verification, and only a chase that
+//! lands on a slot holding another key, or none, takes that key's
+//! intent and looks once more, because an update may have swapped the
+//! row onto a hot page (`table/hot.rs`, `Table::fetch_verified`).
 //!
 //! The guarantee is scoped to writers that address a row **through the
 //! same index**. Concurrent writers reaching one row through different
@@ -72,12 +74,14 @@ use nbb_storage::error::{Result, StorageError};
 use nbb_storage::heap::HeapFile;
 use nbb_storage::lockrank;
 use nbb_storage::rid::RecordId;
+use nbb_storage::slotted::SlottedPage;
 use nbb_storage::{BufferPool, PageId};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+mod hot;
 mod write;
 
 /// A byte range within the fixed-width tuple.
@@ -333,6 +337,9 @@ pub struct TableStats {
     /// Intent releases that handed the key directly to a parked waiter
     /// (pre-granted continuation), summed over this table's indexes.
     pub intent_handoffs: u64,
+    /// Updated rows that swapped onto a hot heap page instead of being
+    /// overwritten in place (`table/hot.rs`).
+    pub swaps: u64,
 }
 
 /// A fixed-width-tuple table with cached secondary indexes.
@@ -340,6 +347,7 @@ pub struct Table {
     name: String,
     tuple_width: usize,
     heap: HeapFile,
+    hot: hot::HotSet,
     indexes: RwLock<HashMap<String, Arc<Index>>>,
     index_pool: Arc<BufferPool>,
     index_only_answers: AtomicU64,
@@ -362,20 +370,7 @@ impl Table {
         heap_pool: Arc<BufferPool>,
         index_pool: Arc<BufferPool>,
     ) -> Result<Self> {
-        assert!(tuple_width > 0, "tuple width must be positive");
-        Ok(Table {
-            name: name.to_string(),
-            tuple_width,
-            heap: HeapFile::create(heap_pool)?,
-            indexes: RwLock::with_rank(lockrank::TABLE_INDEXES, HashMap::new()),
-            index_pool,
-            index_only_answers: AtomicU64::new(0),
-            heap_fetches: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            updates: AtomicU64::new(0),
-            deletes: AtomicU64::new(0),
-            write_batches: AtomicU64::new(0),
-        })
+        Self::attach(name, tuple_width, HeapFile::create(heap_pool)?, index_pool, Vec::new())
     }
 
     /// Reattaches a persisted table: an existing heap plus indexes
@@ -389,9 +384,12 @@ impl Table {
         indexes: Vec<(IndexSpec, nbb_storage::PageId)>,
     ) -> Result<Self> {
         assert!(tuple_width > 0, "tuple width must be positive");
+        let heap_pool = heap.pool();
+        let slots = SlottedPage::capacity(heap_pool.disk().page_size(), tuple_width);
         let t = Table {
             name: name.to_string(),
             tuple_width,
+            hot: hot::HotSet::new(heap_pool.capacity(), slots),
             heap,
             indexes: RwLock::with_rank(lockrank::TABLE_INDEXES, HashMap::new()),
             index_pool,
@@ -547,12 +545,6 @@ impl Table {
         Ok(crate::query::IndexRef::new(self, self.find_index(name)?))
     }
 
-    /// Access to an index's tree (stats, fill factors).
-    pub fn index_tree(&self, name: &str) -> Result<Arc<IndexHandle>> {
-        let idx = self.find_index(name)?;
-        Ok(Arc::new(IndexHandle { idx }))
-    }
-
     pub(crate) fn check_tuple(&self, tuple: &[u8]) -> Result<()> {
         if tuple.len() != self.tuple_width {
             return Err(StorageError::Corrupt(format!(
@@ -567,11 +559,13 @@ impl Table {
     /// The one index→heap chase: reads the tuples at `rids` through one
     /// batched heap read and hands `visit(i, tuple)` every tuple that
     /// still carries `key_of(i)` — in place, under the heap page's pin,
-    /// so `visit` copies what it keeps and calls nothing. A slot freed
-    /// or recycled for a different key between the index read and the
-    /// heap read is not visited. What that means is the caller's call:
-    /// readers ([`Table::fetch_verified`]) report the key absent,
-    /// writers ([`Table::resolve_for_write`]) an intent violation.
+    /// so `visit` copies what it keeps and calls nothing. A slot freed,
+    /// swapped or recycled for a different key between the index read
+    /// and the heap read is not visited. What that means is the
+    /// caller's call:
+    /// readers ([`Table::fetch_verified`]) look once more under the
+    /// key's intent, writers ([`Table::resolve_for_write`]) report an
+    /// intent violation.
     fn chase<'k>(
         &self,
         idx: &Index,
@@ -587,26 +581,67 @@ impl Table {
     }
 
     /// Reader side of [`Table::chase`] (point reads, projections and
-    /// range refills), tolerating the index→heap race window — a slot a
-    /// concurrent deleter freed or a re-insert recycled for a different
-    /// key is not visited, so the lookup reflects the delete having
-    /// happened first. Visited tuples carry their key, so callers may
-    /// cache fields extracted from them.
+    /// range refills): `visit(i, rid, tuple)` sees each key's tuple
+    /// with the address it was found at. Visited tuples carry their
+    /// key, so callers may cache fields extracted from them.
     ///
-    /// This is the **reader-vs-writer** re-verification, and it stays:
-    /// readers never take write intents, so they remain wait-free and
-    /// pay nothing for the writers' coordination.
+    /// A chase whose slot holds another key, or none, means the row was
+    /// deleted **or moved**: a concurrent delete, or an update that
+    /// swapped the row onto a hot page (`table/hot.rs`), came between
+    /// the index read and the heap read. Those keys, and only those,
+    /// take their write intents on `idx`, are resolved through the
+    /// index again and chased once more, and the intents are released.
+    /// A swapper holds both rows' intents from before its heap swap
+    /// until it has repointed them, so the second chase finds the row
+    /// where the index now names it, or the key is truly gone (the
+    /// delete happened first). Every chase that matches on the first
+    /// try — all of them, when nothing writes — takes no intent, so
+    /// readers of a table no one updates never wait.
     pub(crate) fn fetch_verified<'k>(
         &self,
         idx: &Index,
         rids: &[RecordId],
         key_of: impl Fn(usize) -> &'k [u8],
-        visit: impl FnMut(usize, &[u8]),
+        mut visit: impl FnMut(usize, RecordId, &[u8]),
     ) -> Result<()> {
         // Count every heap access, not just verified ones — a chase
         // that lands on a recycled or freed slot still did the I/O.
         self.heap_fetches.fetch_add(rids.len() as u64, Ordering::Relaxed);
-        self.chase(idx, rids, key_of, visit)
+        // Which keys were found: on the stack for a point read's few.
+        let (mut few, mut many) = ([false; 16], Vec::new());
+        let seen: &mut [bool] = if rids.len() <= few.len() {
+            &mut few[..rids.len()]
+        } else {
+            many.resize(rids.len(), false);
+            &mut many
+        };
+        self.chase(idx, rids, &key_of, |i, tuple| {
+            seen[i] = true;
+            visit(i, rids[i], tuple);
+        })?;
+        if seen.iter().all(|&found| found) {
+            return Ok(());
+        }
+        self.chase_again(idx, seen, key_of, visit)
+    }
+
+    /// The slow path of [`Table::fetch_verified`]: the keys not `seen`
+    /// are resolved and chased once more under their intents.
+    #[cold]
+    #[inline(never)]
+    fn chase_again<'k>(
+        &self,
+        idx: &Index,
+        seen: &[bool],
+        key_of: impl Fn(usize) -> &'k [u8],
+        mut visit: impl FnMut(usize, RecordId, &[u8]),
+    ) -> Result<()> {
+        let lost: Vec<usize> = (0..seen.len()).filter(|&i| !seen[i]).collect();
+        let keys: Vec<&[u8]> = lost.iter().map(|&i| key_of(i)).collect();
+        let _intents = idx.tree.intents().acquire_many(&keys);
+        let (at, moved) = resolved(idx.tree.get_many(&keys)?);
+        self.heap_fetches.fetch_add(moved.len() as u64, Ordering::Relaxed);
+        self.chase(idx, &moved, |j| keys[at[j]], |j, tuple| visit(lost[at[j]], moved[j], tuple))
     }
 
     /// Batched full-tuple lookup; see
@@ -675,7 +710,7 @@ impl Table {
         let w = if probe { idx.entry_size() } else { 0 };
         let mut entries = vec![0u8; chased.len() * w];
         let key_of = |j: usize| keys[chased[j].0].as_ref();
-        self.fetch_verified(idx, &rids, key_of, |j, tuple| {
+        self.fetch_verified(idx, &rids, key_of, |j, _, tuple| {
             out[chased[j].0] = Some((idx.answer(shape, key_of(j), tuple, false), false));
             if probe {
                 idx.write_payload(tuple, &mut entries[j * w..][..w]);
@@ -696,6 +731,12 @@ impl Table {
     /// walking; returning `false` stops the scan without touching the
     /// remaining heap pages (e.g. sampling scans stop after N rows
     /// instead of paying for the whole table).
+    ///
+    /// The walk goes page by page with no intents, so a scan concurrent
+    /// with updates may see a row that a swap moves (`table/hot.rs`)
+    /// twice, or not at all. Its callers tolerate that: the waste
+    /// report samples, and the others (tests, the quickstart) scan a
+    /// table no one is writing.
     pub fn scan(&self, f: impl FnMut(RecordId, &[u8]) -> bool) -> Result<()> {
         self.heap.scan(f)
     }
@@ -735,24 +776,8 @@ impl Table {
             pool_read_pages: heap_pool.read_pages + index_pool.read_pages,
             intent_parks,
             intent_handoffs,
+            swaps: self.hot.swaps(),
         }
-    }
-}
-
-/// Borrow-friendly handle exposing an index's tree.
-pub struct IndexHandle {
-    idx: Arc<Index>,
-}
-
-impl IndexHandle {
-    /// The underlying B+Tree.
-    pub fn tree(&self) -> &BTree {
-        &self.idx.tree
-    }
-
-    /// The index declaration.
-    pub fn spec(&self) -> &IndexSpec {
-        &self.idx.spec
     }
 }
 

@@ -44,21 +44,27 @@ fn intent_violation(index: &str, key: &[u8]) -> StorageError {
 
 /// One row of a write plan: an insert has no `old`, a delete no `new`,
 /// an update both.
-struct RowChange<'a> {
+pub(super) struct RowChange<'a> {
     /// The row's position in the caller's batch.
     pos: usize,
     /// Where the row lives; for an insert, filled in by
-    /// [`Table::apply`] once the tuple is appended.
-    rid: RecordId,
+    /// [`Table::apply`] once the tuple is appended, and for an update
+    /// that swapped, the hot slot it moved to.
+    pub(super) rid: RecordId,
     /// The tuple the row holds now, read under the key's write intent.
-    old: Option<Vec<u8>>,
+    pub(super) old: Option<Vec<u8>>,
     /// The tuple the row will hold, borrowed from the caller's batch.
-    new: Option<&'a [u8]>,
+    pub(super) new: Option<&'a [u8]>,
+    /// Whether resolving the row faulted its heap page.
+    pub(super) faulted: bool,
+    /// After a swap: the row's old slot and the cold row that took it.
+    pub(super) cold: Option<(RecordId, Vec<u8>)>,
 }
 
 impl<'a> RowChange<'a> {
     fn insert(pos: usize, tuple: &'a [u8]) -> Self {
-        RowChange { pos, rid: RecordId::from_u64(0), old: None, new: Some(tuple) }
+        let rid = RecordId::from_u64(0);
+        RowChange { pos, rid, old: None, new: Some(tuple), faulted: false, cold: None }
     }
 
     /// The tuple to append, when this change is an insert.
@@ -217,23 +223,27 @@ impl Table {
 
     /// Writer side of [`Table::chase`]: resolves `keys` through `idx`
     /// and returns the row every key the index holds names — position,
-    /// address and current tuple, no `new` yet — in position order.
-    /// Callers hold the keys' write intents, so same-key writers are
-    /// parked and every pointer the index resolves must chase to a
-    /// live tuple still carrying its key; one that does not is an
-    /// [`intent_violation`].
+    /// address, current tuple and whether its page had to be faulted,
+    /// no `new` yet — in position order. Callers hold the keys' write
+    /// intents, so same-key writers are parked, and a swap that would
+    /// move the row cannot take them: every pointer the index resolves
+    /// must chase to a live tuple still carrying its key; one that does
+    /// not is an [`intent_violation`].
     fn resolve_for_write<'a, K: AsRef<[u8]>>(
         &self,
         idx: &Index,
         keys: &[K],
     ) -> Result<Vec<RowChange<'a>>> {
         let (at, rids) = resolved(idx.tree.get_many(keys)?);
+        let pool = self.heap.pool();
+        let faulted: Vec<bool> =
+            rids.iter().map(|r| self.hot.enabled() && !pool.contains(r.page)).collect();
         let mut tuples: Vec<Option<Vec<u8>>> = vec![None; rids.len()];
         let key_of = |j: usize| keys[at[j]].as_ref();
         self.chase(idx, &rids, key_of, |j, tuple| tuples[j] = Some(tuple.to_vec()))?;
-        (at.iter().zip(rids).zip(tuples))
-            .map(|((&pos, rid), tuple)| match tuple {
-                Some(_) => Ok(RowChange { pos, rid, old: tuple, new: None }),
+        (at.iter().zip(rids).zip(tuples).zip(faulted))
+            .map(|(((&pos, rid), tuple), faulted)| match tuple {
+                Some(_) => Ok(RowChange { pos, rid, old: tuple, new: None, faulted, cold: None }),
                 None => Err(intent_violation(&idx.spec.name, keys[pos].as_ref())),
             })
             .collect()
@@ -256,12 +266,15 @@ impl Table {
     ///    doing, and stay legal.
     /// 2. **Heap.** Fresh tuples are appended, borrowed, one page latch
     ///    per tail page ([`HeapFile::append_many`]) — heap before
-    ///    index, so no entry ever names a slot that is not there yet;
-    ///    updated rows are overwritten in place (RIDs stay stable).
+    ///    index, so no entry ever names a slot that is not there yet.
+    ///    An updated row whose page it faulted may swap onto a hot page
+    ///    (`hot.rs`, under intents held until step 3 ends); every other
+    ///    updated row is overwritten in place (its RID stays).
     /// 3. **Indexes**, each through the B+Tree's sorted, leaf-grouped
     ///    multi-key ops: one `delete_many` (old keys of changed and
     ///    deleted rows), then one `insert_many` (new keys of changed
-    ///    and fresh rows) — deletes first, so key rotations within a
+    ///    and fresh rows, and both rows of every swap at their new
+    ///    slots) — deletes first, so key rotations within a
     ///    plan (a→b, b→c) resolve deterministically — then one
     ///    leaf-cache write-through (`cache_refresh_many`) for every
     ///    kept key whose entry payload changed. The leaf cache needs
@@ -309,6 +322,7 @@ impl Table {
         for (c, rid) in plan.iter_mut().filter(|c| c.fresh().is_some()).zip(appended) {
             c.rid = rid;
         }
+        let _swaps = via.map_or_else(Vec::new, |via| self.gather_hot(via, &indexes, plan));
         let mut first_err: Option<StorageError> = None;
         let row_error = |e: StorageError, old: &[u8]| match (e, via) {
             (StorageError::InvalidSlot { .. }, Some(idx)) => {
@@ -317,7 +331,7 @@ impl Table {
             (e, _) => e,
         };
         plan.retain(|c| match (&c.old, c.new) {
-            (Some(old), Some(new)) => match self.heap.update(c.rid, new) {
+            (Some(old), Some(new)) if c.cold.is_none() => match self.heap.update(c.rid, new) {
                 Ok(()) => true,
                 Err(e) => {
                     first_err.get_or_insert_with(|| row_error(e, old));
@@ -342,6 +356,7 @@ impl Table {
                         dels.push(key.extract(old));
                         inss.push((key.extract(new), ptr));
                     }
+                    (Some(_), Some(new)) if c.cold.is_some() => inss.push((key.extract(new), ptr)),
                     (Some(old), Some(new)) if cached => {
                         let payload = idx.extract_payload(new);
                         if idx.extract_payload(old) != payload {
@@ -349,6 +364,9 @@ impl Table {
                         }
                     }
                     _ => {}
+                }
+                if let Some((slot, cold)) = &c.cold {
+                    inss.push((key.extract(cold), slot.to_u64()));
                 }
             }
             idx.tree.delete_many(&dels)?;

@@ -161,7 +161,7 @@ pub fn audit_unused(table: &Table, index_names: &[&str]) -> Result<UnusedSpaceRe
     let pool = table.index_pool().stats();
     let mut indexes = Vec::new();
     for name in index_names {
-        let h = table.index_tree(name)?;
+        let h = table.index(name)?;
         let s = h.tree().index_stats()?;
         indexes.push(IndexSpaceReport {
             name: (*name).to_string(),

@@ -8,8 +8,9 @@
 //! space (an 8-byte id and the 56 non-key bytes: 31 entries a leaf), so
 //! the benchmark's full-row `GetMany` is answered from the leaf when
 //! the cache holds the row. The three tests replay the request streams
-//! of three benchmark workloads — copied from its generator, both
-//! connections interleaved — and pin the cache's hit ratio:
+//! of three benchmark workloads — the generator's copy in
+//! `support/mod.rs`, both connections interleaved — and pin the cache's
+//! hit ratio:
 //!
 //! * `point_cold`: 4-key `GetMany`, scrambled Zipf. The full-row hit
 //!   ratio is what takes heap reads off the device;
@@ -23,51 +24,16 @@
 //!   the reads keep hitting; every returned row is checked against the
 //!   replay's own map of current values.
 
+mod support;
+
 use nbb_core::table::{FieldSpec, IndexSpec, Table};
 use nbb_storage::{BufferPool, DiskManager, InMemoryDisk};
 use std::collections::HashMap;
 use std::sync::Arc;
+use support::{row, run, Stream, ROWS, TUPLE};
 
-const ROWS: u64 = 200_000;
-const TUPLE: usize = 64;
-const THETA: f64 = 0.99;
-const STRIDE: u64 = 123_457;
 /// Requests per connection of each replay; the first fifth warms up.
 const REQUESTS: usize = 30_000;
-/// First key of connection 0's `PutMany` range; connection `c` puts
-/// from `PUT_BASE * (c + 1)` upward, past every loaded key.
-const PUT_BASE: u64 = 1 << 40;
-
-fn mix(a: u64, b: u64) -> u64 {
-    let mut z =
-        a.wrapping_add(b.wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_add(0x632B_E59B_D9B4_E019);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The value a loaded row starts with.
-fn initial_value(key: u64) -> u64 {
-    mix(key, 0x6e62_6200)
-}
-
-/// The benchmark's row of `key` as first loaded.
-fn row(key: u64) -> Vec<u8> {
-    encode_row(key, initial_value(key))
-}
-
-/// The benchmark's row of `(key, value)`: `key | value | check | 40 B
-/// filler`.
-fn encode_row(key: u64, value: u64) -> Vec<u8> {
-    let mut t = Vec::with_capacity(TUPLE);
-    t.extend_from_slice(&key.to_be_bytes());
-    t.extend_from_slice(&value.to_be_bytes());
-    t.extend_from_slice(&mix(key, value).to_be_bytes());
-    for i in 1..=5u64 {
-        t.extend_from_slice(&mix(key, i << 56).to_be_bytes());
-    }
-    t
-}
 
 /// The table, loaded in key order, with its cached index backfilled.
 fn benchmark_table() -> Table {
@@ -86,104 +52,6 @@ fn benchmark_table() -> Table {
     assert_eq!(pk.tree().cache_config().unwrap().payload_size, 56, "whole-row entries");
     assert_eq!(pk.tree().index_stats().unwrap().leaf_pages, 1_786);
     t
-}
-
-/// One connection's op stream, as the benchmark's generator draws it:
-/// xorshift64* seeded from `(workload, seed, connection)`, Zipf ranks
-/// after Gray et al., and the workload's rank → key map.
-struct Stream {
-    state: u64,
-    zetan: f64,
-    eta: f64,
-    half_pow: f64,
-    offset: u64,
-    scrambled: bool,
-    next_put: u64,
-}
-
-/// One `write_mix` request, in keys and values.
-enum WriteMixOp {
-    Get(Vec<u64>),
-    Update(Vec<(u64, u64)>),
-    Put(Vec<(u64, u64)>),
-}
-
-impl Stream {
-    fn new(workload: &str, seed: u64, conn: u64) -> Self {
-        let name = workload.bytes().fold(0, |h, b| mix(h, u64::from(b)));
-        let zetan: f64 = (1..=ROWS).map(|i| 1.0 / (i as f64).powf(THETA)).sum();
-        let half_pow = 0.5f64.powf(THETA);
-        Stream {
-            state: mix(mix(seed, mix(name, conn)), 0x5851_F42D_4C95_7F2D) | 1,
-            zetan,
-            eta: (1.0 - (2.0 / ROWS as f64).powf(1.0 - THETA)) / (1.0 - (1.0 + half_pow) / zetan),
-            half_pow,
-            offset: mix(seed, 0x00C0_FFEE) % ROWS,
-            scrambled: workload != "project_hot",
-            next_put: PUT_BASE * (conn + 1),
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform in `0..n`.
-    fn below(&mut self, n: u64) -> u64 {
-        ((self.next_u64() as u128 * n as u128) >> 64) as u64
-    }
-
-    fn key(&mut self) -> u64 {
-        let u = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        let rank = if u * self.zetan < 1.0 {
-            0
-        } else if u * self.zetan < 1.0 + self.half_pow {
-            1
-        } else {
-            let r = ROWS as f64 * (self.eta * u - self.eta + 1.0).powf(1.0 / (1.0 - THETA));
-            (r as u64).min(ROWS - 1)
-        };
-        let rank = if self.scrambled { rank * STRIDE } else { rank };
-        (rank + self.offset) % ROWS
-    }
-
-    /// One request's `n` distinct keys.
-    fn distinct(&mut self, n: usize) -> Vec<u64> {
-        let mut keys: Vec<u64> = Vec::with_capacity(n);
-        while keys.len() < n {
-            let k = self.key();
-            if !keys.contains(&k) {
-                keys.push(k);
-            }
-        }
-        keys
-    }
-
-    /// One request's `n` distinct keys, as bytes.
-    fn request(&mut self, n: usize) -> Vec<[u8; 8]> {
-        self.distinct(n).into_iter().map(u64::to_be_bytes).collect()
-    }
-
-    /// The next `write_mix` request.
-    fn write_mix_op(&mut self) -> WriteMixOp {
-        match self.below(100) {
-            0..=49 => WriteMixOp::Get(self.distinct(4)),
-            50..=89 => {
-                let keys = self.distinct(4);
-                WriteMixOp::Update(keys.into_iter().map(|k| (k, self.next_u64())).collect())
-            }
-            _ => {
-                let first = self.next_put;
-                self.next_put += 4;
-                WriteMixOp::Put((first..first + 4).map(|k| (k, self.next_u64())).collect())
-            }
-        }
-    }
 }
 
 /// What a replay measured after its warm-up.
@@ -278,26 +146,7 @@ fn replay_write_mix(t: &Table) -> f64 {
         if i == 2 * REQUESTS / 5 {
             cache = pk.tree().cache_stats();
         }
-        match conns[i % 2].write_mix_op() {
-            WriteMixOp::Get(keys) => {
-                let bytes: Vec<[u8; 8]> = keys.iter().map(|k| k.to_be_bytes()).collect();
-                for (&key, r) in keys.iter().zip(pk.get_many(&bytes).unwrap()) {
-                    let value = written.get(&key).copied().unwrap_or_else(|| initial_value(key));
-                    assert_eq!(r.unwrap(), encode_row(key, value), "request {i}, key {key}");
-                }
-            }
-            WriteMixOp::Update(pairs) => {
-                let rows: Vec<([u8; 8], Vec<u8>)> =
-                    pairs.iter().map(|&(k, v)| (k.to_be_bytes(), encode_row(k, v))).collect();
-                assert!(pk.update_many(&rows).unwrap().iter().all(|&applied| applied));
-                written.extend(pairs);
-            }
-            WriteMixOp::Put(pairs) => {
-                let rows: Vec<Vec<u8>> = pairs.iter().map(|&(k, v)| encode_row(k, v)).collect();
-                pk.put_many(&rows).unwrap();
-                written.extend(pairs);
-            }
-        }
+        run(&pk, i, conns[i % 2].write_mix_op(), &mut written);
     }
     let now = pk.tree().cache_stats();
     println!(

@@ -243,7 +243,7 @@ fn cursor_against_walk(disks: &Persisted, start: u64, limit: usize) -> (usize, u
 
     let db = disks.reopen(1024);
     let t = db.table("t").unwrap();
-    let tree_of = t.index_tree("pk").unwrap();
+    let tree_of = t.index("pk").unwrap();
     let mut lower = Bound::Included(start.to_vec());
     let mut walked = 0;
     while walked < limit {
@@ -264,7 +264,8 @@ fn cursor_against_walk(disks: &Persisted, start: u64, limit: usize) -> (usize, u
     let (walk_heap_calls, walk_heap) = take(&disks.heap);
     assert_eq!(walk_index_calls, walk_index.len(), "the walk reads one page per call, {case}");
     assert_eq!(walk_heap_calls, walk_heap.len(), "the walk reads one page per call, {case}");
-    drop((tree_of, t, db));
+    drop(tree_of);
+    drop((t, db));
 
     let db = disks.reopen(1024);
     let t = db.table("t").unwrap();
@@ -310,7 +311,8 @@ fn a_limited_cursor_reads_exactly_the_pages_a_row_at_a_time_walk_reads() {
     let survivor = 2 * (6 * per_leaf - 1);
     {
         let db = sparse.reopen(1024);
-        let tree_of = db.table("t").unwrap().index_tree("pk").unwrap();
+        let t = db.table("t").unwrap();
+        let tree_of = t.index("pk").unwrap();
         let lower = survivor.to_be_bytes();
         let mut buf = RangeBuf::default();
         let chunk = tree_of

@@ -1,28 +1,16 @@
-//! # nbb-partition — locality-waste elimination (*No Bits Left Behind* §3)
+//! # nbb-partition — vertical partitioning (*No Bits Left Behind* §3.2)
 //!
 //! "Locality waste" is I/O and memory spent on bytes co-located with the
-//! data a query actually wants. This crate implements the paper's §3
-//! machinery:
+//! data a query actually wants. §3.1's horizontal case — hot rows
+//! scattered over cold heap pages — is handled inside the engine: an
+//! update that faults a cold heap page swaps its row onto a resident
+//! hot page (`nbb-core`'s `table/hot.rs`). What stays here is §3.2:
 //!
-//! * [`tracker`] — access-frequency tracking (exact and Space-Saving);
-//! * [`policy`] — hot-set policies (application sets, top-k, thresholds);
-//! * [`horizontal`] — §3.1: clustering hot tuples by delete-then-append
-//!   and the two-heap hot/cold [`horizontal::HotColdStore`] behind
-//!   Figure 3's `Partition` bar;
-//! * [`forwarding`] — forwarding tables for relocated tuples;
-//! * [`vertical`] — §3.2: a column-group cost model, greedy partitioning
+//! * [`vertical`] — a column-group cost model, greedy partitioning
 //!   optimizer, and a working [`vertical::VerticalTable`] store.
 
 #![warn(missing_docs)]
 
-pub mod forwarding;
-pub mod horizontal;
-pub mod policy;
-pub mod tracker;
 pub mod vertical;
 
-pub use forwarding::ForwardingTable;
-pub use horizontal::{cluster_hot_tuples, HotColdStore, Loc, Temperature};
-pub use policy::{HotPolicy, SetPolicy, ThresholdPolicy, TopKPolicy};
-pub use tracker::{ExactTracker, SpaceSavingTracker, Tracker};
 pub use vertical::{evaluate, optimize, Partitioning, QueryClass, VerticalTable};

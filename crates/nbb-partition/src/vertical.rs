@@ -15,6 +15,7 @@
 use nbb_storage::error::Result;
 use nbb_storage::heap::HeapFile;
 use nbb_storage::rid::RecordId;
+use parking_lot::Mutex;
 
 /// A query class: the set of columns it touches and its frequency.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,35 +103,8 @@ pub struct VerticalTable {
     col_offsets: Vec<usize>,
     col_widths: Vec<usize>,
     heaps: Vec<HeapFile>,
-    rows: parking_lot_free_directory::RowDirectory,
-}
-
-/// Tiny internal module to keep the row directory simple and lock-free
-/// for single-writer usage (the simulation inserts from one thread).
-mod parking_lot_free_directory {
-    use nbb_storage::rid::RecordId;
-    use parking_lot::Mutex;
-
-    #[derive(Default)]
-    pub struct RowDirectory {
-        inner: Mutex<Vec<Vec<RecordId>>>,
-    }
-
-    impl RowDirectory {
-        pub fn push(&self, rids: Vec<RecordId>) -> usize {
-            let mut g = self.inner.lock();
-            g.push(rids);
-            g.len() - 1
-        }
-
-        pub fn get(&self, row: usize) -> Option<Vec<RecordId>> {
-            self.inner.lock().get(row).cloned()
-        }
-
-        pub fn len(&self) -> usize {
-            self.inner.lock().len()
-        }
-    }
+    /// Row id → its RID in each partition's heap.
+    rows: Mutex<Vec<Vec<RecordId>>>,
 }
 
 impl VerticalTable {
@@ -164,12 +138,12 @@ impl VerticalTable {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.rows.lock().len()
     }
 
     /// True when the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.len() == 0
+        self.len() == 0
     }
 
     /// The column groups.
@@ -194,16 +168,16 @@ impl VerticalTable {
         for (group, heap) in self.partitioning.iter().zip(&self.heaps) {
             rids.push(heap.insert(&self.project(row, group))?);
         }
-        Ok(self.rows.push(rids))
+        let mut rows = self.rows.lock();
+        rows.push(rids);
+        Ok(rows.len() - 1)
     }
 
     /// Reads selected columns of a row, touching only the partitions
     /// that contain them. Returns the values in the order requested and
     /// the number of partitions touched (the merge cost driver).
     pub fn read_columns(&self, row: usize, columns: &[usize]) -> Result<(Vec<Vec<u8>>, usize)> {
-        let rids = self
-            .rows
-            .get(row)
+        let rids = (self.rows.lock().get(row).cloned())
             .ok_or_else(|| nbb_storage::error::StorageError::Corrupt(format!("row {row}")))?;
         let mut touched = 0usize;
         let mut fetched: Vec<Option<Vec<u8>>> = vec![None; self.col_widths.len()];

@@ -7,10 +7,12 @@
 //!   disk-cost term multiplies the [`IoStats`] counts by a
 //!   [`DiskModel`], which is what the paper's Figures 2(b) and 3 rest
 //!   on: the *ratio* between memory and disk access costs.
-//! * [`FaultDisk`] — an [`InMemoryDisk`] driven by a test script: gates
+//! * `FaultDisk` — an [`InMemoryDisk`] driven by a test script: gates
 //!   that park reads or writes, injected failures and panics, a per-call
 //!   log of page ids, and an optional [`DiskModel`] latency slept once
-//!   per call.
+//!   per call. Test code only: it is compiled under the crate's
+//!   `fault-disk` feature, which only dev-dependencies enable, so no
+//!   release binary carries it.
 //! * [`FileDisk`] — a real file on the local filesystem, for runs that
 //!   want actual I/O syscalls.
 
@@ -23,7 +25,9 @@ use std::fs::{File, OpenOptions};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+#[cfg(any(test, feature = "fault-disk"))]
 mod fault;
+#[cfg(any(test, feature = "fault-disk"))]
 pub use fault::FaultDisk;
 
 /// Abstract page-granular backing store.
@@ -37,7 +41,7 @@ pub use fault::FaultDisk;
 /// overlapped-fault state machine) and `write`s from a background
 /// write-behind flusher, so an implementation must expect **many
 /// concurrent calls**, including several reads in flight at once.
-/// Implementations that block (e.g. [`FaultDisk`], [`FileDisk`])
+/// Implementations that block (e.g. `FaultDisk`, [`FileDisk`])
 /// should do so without holding an internal lock across the wait, or
 /// they re-serialize the faults the pool just overlapped. The pool
 /// guarantees it never issues two concurrent `write`s for the *same*
@@ -104,7 +108,7 @@ pub trait DiskManager: Send + Sync {
 }
 
 /// Per-page disk costs: what a cost harness charges per counted read
-/// and write, and what a [`FaultDisk`] sleeps per call.
+/// and write, and what a `FaultDisk` sleeps per call.
 ///
 /// Defaults approximate a 2011-era SATA drive, the hardware class behind
 /// the paper's measurements: ~10 ms per random page read, ~10 ms writes.

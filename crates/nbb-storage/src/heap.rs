@@ -1,12 +1,15 @@
 //! Heap files: unordered tuple storage over slotted pages.
 //!
 //! Placement is *append-oriented* (new tuples go to the tail page), which
-//! is exactly the strategy whose locality waste §3.1 analyses: hot tuples
-//! end up scattered across the whole file. The hot/cold clustering in
-//! `nbb-partition` moves tuples with this API, the mechanism the paper
-//! uses ("relocates hot tuples by deleting then appending them to the
-//! end of the table"); [`HeapFile::relocate`] appends the copy before
-//! it deletes the original.
+//! is exactly the strategy whose locality waste §3.1 analyses: a row
+//! lands where it was loaded, and hot rows sit one or two to a page
+//! among cold ones. Two primitives move rows. [`HeapFile::swap`]
+//! interchanges two equal-width rows under both page latches; a table
+//! uses it to gather the rows its updates touch onto a few hot pages
+//! without holes, forwarding or new pages. [`HeapFile::relocate`] is the
+//! paper's own ("relocates hot tuples by deleting then appending them to
+//! the end of the table"): it appends the copy before it deletes the
+//! original.
 //!
 //! **Every page but the last is full.** A batch that finds the tail
 //! full links the next page under the directory's write lock, or adopts
@@ -234,6 +237,42 @@ impl HeapFile {
         })?
     }
 
+    /// Interchanges two rows of one width in one step: `tuple` goes into
+    /// `hot`'s slot, and the row `hot` held moves into `row`'s slot.
+    /// Both frames are write-latched, in page-id order, before either
+    /// slot is written, so no reader ever sees one slot written and the
+    /// other not, and two swaps latching the same pages cannot deadlock.
+    ///
+    /// `expect` is what the caller read at `hot`. When `hot` holds
+    /// anything else by the time both latches are held, when `row`'s
+    /// slot is dead, or when the two share a page or the three widths
+    /// differ, nothing is written and this returns `Ok(false)`. An
+    /// error (a frame or a device read for either pin) also leaves
+    /// both slots as they were.
+    pub fn swap(&self, row: RecordId, tuple: &[u8], hot: RecordId, expect: &[u8]) -> Result<bool> {
+        if row.page == hot.page || tuple.len() != expect.len() {
+            return Ok(false);
+        }
+        let (first, second) = if row.page < hot.page { (row, hot) } else { (hot, row) };
+        self.pool.with_page_mut(first.page, |a| {
+            self.pool.with_page_mut(second.page, |b| -> Result<bool> {
+                let (at_row, at_hot) = if first == row { (a, b) } else { (b, a) };
+                let mut hot_page = SlottedPage::attach(at_hot)?;
+                if hot_page.get(hot.slot).ok() != Some(expect) {
+                    return Ok(false);
+                }
+                let mut row_page = SlottedPage::attach(at_row)?;
+                if row_page.get(row.slot).map_or(true, |old| old.len() != expect.len()) {
+                    return Ok(false);
+                }
+                // Equal widths: both writes are in place and cannot fail.
+                hot_page.update(hot.slot, tuple)?;
+                row_page.update(row.slot, expect)?;
+                Ok(true)
+            })?
+        })?
+    }
+
     /// Moves a tuple to the tail of the heap (append, then delete),
     /// returning its new address. This is the paper's clustering
     /// primitive. The copy lands before the original goes, so a failed
@@ -367,6 +406,27 @@ mod tests {
         assert!(moved.page >= first.page);
         assert_eq!(h.get(moved).unwrap(), b"hot-tuple");
         assert!(h.get(first).is_err(), "old rid must be dead");
+    }
+
+    #[test]
+    fn swap_interchanges_two_rows_and_checks_the_hot_slot() {
+        let h = heap();
+        let rids: Vec<RecordId> =
+            (0..100u32).map(|i| h.insert(&i.to_le_bytes()).unwrap()).collect();
+        let (row, hot) = (rids[0], rids[99]);
+        assert_ne!(row.page, hot.page, "premise: two pages");
+        let cold = 99u32.to_le_bytes();
+        // A stale expectation writes nothing.
+        assert!(!h.swap(row, b"new!", hot, &7u32.to_le_bytes()).unwrap());
+        assert_eq!(h.get(row).unwrap(), 0u32.to_le_bytes());
+        assert!(h.swap(row, b"new!", hot, &cold).unwrap());
+        assert_eq!(h.get(hot).unwrap(), b"new!");
+        assert_eq!(h.get(row).unwrap(), cold, "the cold row took the old slot");
+        assert_eq!(h.live_tuple_count().unwrap(), 100, "no row gained or lost");
+        // Same page, or a width that would not fit in place: refused.
+        assert!(!h.swap(rids[0], b"x!!!", rids[1], &1u32.to_le_bytes()).unwrap());
+        assert!(!h.swap(row, b"wider", hot, b"new!").unwrap());
+        assert_eq!(h.get(hot).unwrap(), b"new!");
     }
 
     #[test]

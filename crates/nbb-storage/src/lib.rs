@@ -8,9 +8,10 @@
 //! * [`heap`] — append-oriented heap files with stable [`rid::RecordId`]s
 //!   and the relocation primitive §3.1 clusters with.
 //! * [`disk`] — in-memory and file-backed disks with I/O accounting
-//!   ([`stats::IoStats`]), plus [`disk::FaultDisk`], the one scripted
+//!   ([`stats::IoStats`]), plus `disk::FaultDisk`, the one scripted
 //!   test disk (gates, injected failures and panics, a call log, an
-//!   optional latency per call).
+//!   optional latency per call), compiled only under the `fault-disk`
+//!   feature that test builds enable.
 //! * [`buffer`] — a lock-striped buffer pool replacing by 2Q's lists
 //!   sized by ARC's rule: page ids hash to independent shards (own
 //!   frame table, free list, probation FIFO, protected set, a ghost of
@@ -52,7 +53,9 @@ pub use buffer::{
     clamp_shards, BufferPool, PoolOptions, DEFAULT_POOL_SHARDS, DEFAULT_WRITE_BEHIND,
     MIN_FRAMES_PER_SHARD,
 };
-pub use disk::{DiskManager, DiskModel, FaultDisk, FileDisk, InMemoryDisk};
+#[cfg(any(test, feature = "fault-disk"))]
+pub use disk::FaultDisk;
+pub use disk::{DiskManager, DiskModel, FileDisk, InMemoryDisk};
 pub use error::{Result, StorageError};
 pub use heap::HeapFile;
 pub use page::{Page, PageId, DEFAULT_PAGE_SIZE};

@@ -22,6 +22,7 @@
 //! |    20 | [`INTENT_STRIPE`]        | `KeyIntents` stripe maps                       |
 //! |    25 | [`INTENT_SLOT`]          | per-key `IntentSlot` state                     |
 //! |    30 | [`TREE_STRUCTURE`]       | B+tree structure lock (`BTree.root`)           |
+//! |    40 | [`TABLE_HOT_SET`]        | a table's hot set of heap pages and its clock  |
 //! |    50 | [`HEAP_DIRECTORY`]       | `HeapFile` page-id directory                   |
 //! |    60 | [`POOL_SHARD_MAP`]       | buffer-pool shard residency maps               |
 //! |    65 | [`POOL_FRAME`]           | per-frame page latches (multi: latch coupling) |
@@ -106,6 +107,14 @@ pub const INTENT_SLOT: Rank = Rank::new(25, "btree.intent_slot");
 /// The B+tree structure lock (`BTree.root`): read side for crabbing
 /// descents, write side for escalated splits.
 pub const TREE_STRUCTURE: Rank = Rank::new(30, "btree.structure");
+
+/// A table's hot set: the heap pages updates gather hot rows onto,
+/// one reference bit per slot, and the clock that picks a cold row.
+/// Held for bit work and residency probes only: never across a device
+/// read, a tree call, an intent or a heap latch. Above the tree and
+/// intent ranks because a writer takes it holding neither, below the
+/// heap and the pool because its residency probes reach the shard maps.
+pub const TABLE_HOT_SET: Rank = Rank::new(40, "table.hot_set");
 
 /// `HeapFile`'s directory of allocated page ids. Read guards are
 /// transient (a clone or a load, never held across a pool call). The

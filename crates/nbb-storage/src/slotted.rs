@@ -60,6 +60,12 @@ impl<'a> SlottedPage<'a> {
         SlottedPage { page }
     }
 
+    /// The most slots a `page_size`-byte page holds when every tuple is
+    /// `tuple_len` bytes: one directory entry and the tuple each.
+    pub fn capacity(page_size: usize, tuple_len: usize) -> usize {
+        (page_size - SLOTTED_HEADER_SIZE) / (tuple_len + SLOT_ENTRY_SIZE)
+    }
+
     /// Wraps an already-initialized slotted page.
     pub fn attach(page: &'a mut Page) -> Result<Self> {
         if page.read_u16(OFF_MAGIC) != MAGIC {

@@ -1,128 +1,121 @@
-//! The §3.1 scenario: Wikipedia's revision table, where 99.9% of
-//! lookups touch the ~5% of tuples that are each page's latest revision.
+//! The §3.1 scenario: Wikipedia's revision table, where almost every
+//! access touches the ~5% of tuples that are each page's latest
+//! revision, and those tuples sit one or two to a heap page among
+//! revisions no one reads again.
 //!
 //! ```sh
 //! cargo run --release --example hot_cold_revisions
 //! ```
 //!
-//! Demonstrates the full Figure 3 progression on one database: measure
-//! the scattered baseline, cluster the hot tuples, then split them into
-//! a hot partition — and watch the disk reads fall. Also shows
-//! the ongoing §3.1 policy: a new revision replaces its page's previous
-//! latest revision, which migrates to the cold partition.
+//! The engine gathers them as they are touched: an update that faults a
+//! cold heap page swaps its row onto a resident hot page instead of
+//! writing it back in place (`nbb-core`'s `table/hot.rs`). This loads
+//! the table, reopens it with a heap pool of a tenth of its pages, and
+//! runs rounds of edits to the latest revisions (a `minor_edit` flip
+//! through `update_many`). After each round it prints how many heap
+//! pages the latest revisions span and how many heap reads one sweep
+//! over them costs. The heap never grows: a swap interchanges two
+//! slots.
 
-use nbb::partition::{HotColdStore, SetPolicy, Temperature};
-use nbb::storage::{BufferPool, DiskManager, HeapFile, InMemoryDisk};
+use nbb::core::db::{Database, DbConfig};
+use nbb::core::table::{FieldSpec, IndexSpec};
+use nbb::storage::{DiskManager, InMemoryDisk, RecordId};
+use nbb::workload::wikipedia::{RevisionRow, REVISION_ROW_WIDTH};
 use nbb::workload::WikiGenerator;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-fn heap_and_disk(frames: usize) -> (HeapFile, Arc<dyn DiskManager>) {
-    let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(8192));
-    let pool = Arc::new(BufferPool::new(Arc::clone(&disk), frames));
-    (HeapFile::create(pool).expect("heap"), disk)
+const ROUNDS: u64 = 4;
+
+fn config(heap_frames: usize) -> DbConfig {
+    DbConfig { page_size: 4096, heap_frames, index_frames: 1024, ..DbConfig::default() }
 }
 
 fn main() {
     let mut gen = WikiGenerator::new(42);
     let mut pages = gen.pages(1_000);
     let revisions = gen.revisions(&mut pages, 20);
-    let hot_ids: std::collections::HashSet<u64> = pages.iter().map(|p| p.latest_rev).collect();
-    println!(
-        "revision table: {} rows, hot set = {} latest revisions ({:.1}%)",
-        revisions.len(),
-        hot_ids.len(),
-        hot_ids.len() as f64 * 100.0 / revisions.len() as f64
-    );
-
-    // ---- baseline: append order, hot tuples scattered ----------------
-    let (heap, disk) = heap_and_disk(16);
-    let mut rid_of = HashMap::new();
-    for r in &revisions {
-        rid_of.insert(r.id, heap.insert(&r.encode()).expect("insert"));
-    }
-    let hot_rids: Vec<_> = pages.iter().map(|p| rid_of[&p.latest_rev]).collect();
-    let hot_pages: std::collections::HashSet<_> = hot_rids.iter().map(|r| r.page).collect();
-    println!(
-        "\nbaseline: hot tuples spread over {} of {} heap pages",
-        hot_pages.len(),
-        heap.page_count()
-    );
-    disk.reset_stats();
-    for rid in &hot_rids {
-        heap.get(*rid).expect("read");
-    }
-    let base_reads = disk.stats().reads;
-    println!("one sweep over the hot set: {base_reads} disk reads");
-
-    // ---- clustered: relocate hot tuples to the tail -------------------
-    let mut new_rids = Vec::new();
-    for rid in &hot_rids {
-        new_rids.push(heap.relocate(*rid).expect("relocate"));
-    }
-    let clustered_pages: std::collections::HashSet<_> = new_rids.iter().map(|r| r.page).collect();
-    disk.reset_stats();
-    for rid in &new_rids {
-        heap.get(*rid).expect("read");
-    }
-    println!(
-        "\nclustered: hot tuples now on {} pages; same sweep: {} disk reads ({:.1}x fewer)",
-        clustered_pages.len(),
-        disk.stats().reads,
-        base_reads as f64 / disk.stats().reads.max(1) as f64
-    );
-
-    // ---- partitioned: hot tuples in their own heap --------------------
-    let (hot_heap, hot_disk) = heap_and_disk(16);
-    let (cold_heap, _cold_disk) = heap_and_disk(16);
-    let store = HotColdStore::new(hot_heap, cold_heap);
-    let mut policy = SetPolicy::new(hot_ids.iter().copied());
-    let mut loc_of = HashMap::new();
-    for r in &revisions {
-        let temp = if policy.is_hot_key(r.id) { Temperature::Hot } else { Temperature::Cold };
-        loc_of.insert(r.id, store.insert(temp, &r.encode()).expect("insert"));
-    }
-    let (hp, cp) = store.page_counts();
-    println!("\npartitioned: hot heap {hp} pages, cold heap {cp} pages");
-    hot_disk.reset_stats();
+    let mut latest: HashMap<u64, RevisionRow> = HashMap::new();
     for p in &pages {
-        store.get(loc_of[&p.latest_rev]).expect("read hot");
+        let r = revisions.iter().find(|r| r.id == p.latest_rev).expect("latest revision");
+        latest.insert(r.id, r.clone());
     }
     println!(
-        "same sweep against the hot partition: {} disk reads ({:.1}x fewer than baseline)",
-        hot_disk.stats().reads,
-        base_reads as f64 / hot_disk.stats().reads.max(1) as f64
+        "revision table: {} rows, {} latest revisions ({:.1}%)",
+        revisions.len(),
+        latest.len(),
+        latest.len() as f64 * 100.0 / revisions.len() as f64
     );
 
-    // ---- the ongoing policy: new revision demotes the old one ---------
-    let page0 = &pages[0];
-    let old_latest = page0.latest_rev;
-    let new_rev_id = revisions.len() as u64 + 1;
-    println!("\npolicy: page {} gets revision {new_rev_id}", page0.id);
-    // Insert the new latest hot, demote the superseded one to cold.
-    let mut new_rev = revisions.iter().find(|r| r.id == old_latest).unwrap().clone();
-    new_rev.id = new_rev_id;
-    new_rev.parent_id = old_latest;
-    let new_loc = store.insert(Temperature::Hot, &new_rev.encode()).expect("insert new");
-    let demoted = store.migrate(loc_of[&old_latest]).expect("demote");
-    loc_of.insert(new_rev_id, new_loc);
-    loc_of.insert(old_latest, demoted);
-    policy.replace(old_latest, new_rev_id);
-    println!("revision {old_latest} migrated to {:?}; revision {new_rev_id} is hot", demoted.temp);
-    assert_eq!(demoted.temp, Temperature::Cold);
-    assert!(policy.is_hot_key(new_rev_id) && !policy.is_hot_key(old_latest));
-    println!("\ndone: locality waste measured, clustered away, and kept away by policy.");
-}
-
-/// Local extension trait shim: `SetPolicy::is_hot` comes from the
-/// `HotPolicy` trait; alias it for readability in this example.
-trait IsHotKey {
-    fn is_hot_key(&self, key: u64) -> bool;
-}
-
-impl IsHotKey for SetPolicy {
-    fn is_hot_key(&self, key: u64) -> bool {
-        use nbb::partition::HotPolicy;
-        self.is_hot(key)
+    let heap: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
+    let index: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
+    {
+        let db = Database::with_disks(config(4096), Arc::clone(&heap), Arc::clone(&index))
+            .expect("fresh disks");
+        let t = db.create_table("revision", REVISION_ROW_WIDTH).expect("table");
+        let rows: Vec<Vec<u8>> = revisions.iter().map(RevisionRow::encode).collect();
+        t.insert_many(&rows).expect("load");
+        t.create_index(IndexSpec::plain("rev_id", FieldSpec::new(0, 8))).expect("index");
+        db.close().expect("persist");
     }
+    let frames = heap.num_pages() as usize / 10;
+    let db = Database::reopen(config(frames), Arc::clone(&heap), index).expect("reopen");
+    let t = db.table("revision").expect("table");
+    let by_id = t.index("rev_id").expect("index");
+    let heap_pages = t.heap().page_count();
+    let mut ids: Vec<u64> = latest.keys().copied().collect();
+    ids.sort_unstable();
+    let keys: Vec<[u8; 8]> = ids.iter().map(|id| id.to_le_bytes()).collect();
+    let spread = || {
+        let rids = by_id.tree().get_many(&keys).expect("lookup");
+        rids.into_iter()
+            .map(|r| RecordId::from_u64(r.expect("indexed")).page)
+            .collect::<HashSet<_>>()
+    };
+    let sweep = |latest: &HashMap<u64, RevisionRow>| {
+        let before = heap.stats().reads;
+        for (id, row) in ids.iter().zip(by_id.get_many(&keys).expect("sweep")) {
+            assert_eq!(row.expect("present"), latest[id].encode(), "revision {id}");
+        }
+        heap.stats().reads - before
+    };
+    let (first_spread, first_sweep) = (spread().len(), sweep(&latest));
+    println!(
+        "\nheap pool of {frames} frames for {heap_pages} heap pages\nround 0: latest revisions \
+         on {first_spread} heap pages; one sweep over them: {first_sweep} heap reads"
+    );
+
+    for round in 1..=ROUNDS {
+        // Every latest revision edited once, in a different order each
+        // round, four to a batch.
+        let mut order = ids.clone();
+        order.sort_by_key(|id| id.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(round as u32));
+        for batch in order.chunks(4) {
+            let pairs: Vec<([u8; 8], Vec<u8>)> = batch
+                .iter()
+                .map(|id| {
+                    let row = latest.get_mut(id).expect("latest revision");
+                    row.minor_edit = !row.minor_edit;
+                    (id.to_le_bytes(), row.encode())
+                })
+                .collect();
+            assert!(by_id.update_many(&pairs).expect("edit").iter().all(|&done| done));
+        }
+        println!(
+            "round {round}: latest revisions on {} heap pages; one sweep: {} heap reads \
+             ({} rows swapped onto hot pages so far)",
+            spread().len(),
+            sweep(&latest),
+            t.stats().swaps
+        );
+    }
+
+    let (last_spread, last_sweep) = (spread().len(), sweep(&latest));
+    assert!(last_spread * 2 < first_spread, "the latest revisions gathered onto few pages");
+    assert!(last_sweep * 4 < first_sweep, "and a sweep over them reads a quarter as much");
+    assert_eq!(t.heap().page_count(), heap_pages, "without a single new heap page");
+    println!(
+        "\ndone: {first_spread} → {last_spread} pages, {first_sweep} → {last_sweep} heap reads \
+         per sweep, heap still {heap_pages} pages."
+    );
 }

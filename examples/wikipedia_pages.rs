@@ -108,8 +108,8 @@ fn main() {
     }
 
     let ts = pages_table.stats();
-    let cs = pages_table.index_tree("name_title").unwrap().tree().cache_stats();
-    let is = pages_table.index_tree("name_title").unwrap().tree().index_stats().unwrap();
+    let cs = pages_table.index("name_title").unwrap().tree().cache_stats();
+    let is = pages_table.index("name_title").unwrap().tree().index_stats().unwrap();
     println!("trace: {} ops ({} updates)", trace.len(), update_count);
     println!(
         "index cache: {:.1}% hit rate ({} hits / {} cached lookups)",

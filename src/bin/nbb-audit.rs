@@ -46,7 +46,7 @@ fn main() {
 
     // Warm the system with the hot-set workload so the audit sees
     // realistic cache occupancy.
-    let idx = rev_t.index_tree("by_rev_id").expect("index handle");
+    let idx = rev_t.index("by_rev_id").expect("index handle");
     let mut hot_rids = Vec::new();
     for p in &pages {
         let key = p.latest_rev.to_be_bytes();
@@ -102,9 +102,10 @@ fn main() {
     let loc = report.locality.as_ref().expect("locality audited");
     if loc.hot_per_page < 3.0 {
         println!(
-            "  [locality] hot tuples average {:.2}/page over {} pages: cluster them \
-             (Table::relocate) or split a hot partition (HotColdStore) — see example \
-             hot_cold_revisions",
+            "  [locality] hot tuples average {:.2}/page over {} pages: updates gather \
+             them onto hot pages as they fault cold ones (a heap pool of at least two \
+             frames; see example hot_cold_revisions), or relocate them once \
+             (Table::relocate)",
             loc.hot_per_page, loc.pages_with_hot
         );
     }

@@ -6,7 +6,7 @@
 //! | Waste class | Technique | Entry point |
 //! |-------------|-----------|-------------|
 //! | Unused space (§2) | B+Tree index caches in leaf free space | [`btree::BTree::lookup_cached`] |
-//! | Locality (§3) | Hot/cold clustering & partitioning | [`partition::cluster_hot_tuples`], [`partition::HotColdStore`] |
+//! | Locality (§3) | Hot rows swapped onto hot pages by the updates that touch them; vertical partitioning | [`core::query::IndexRef::update_many`], [`partition::VerticalTable`] |
 //! | Encoding (§4) | Schema-as-hint optimization, semantic IDs | [`encoding::analyze_table`], [`encoding::SemanticIdLayout`] |
 //!
 //! The crates re-exported here are usable independently:
@@ -22,10 +22,11 @@
 //!   tree-level `RwLock` (whose value is the root) lets lookups share
 //!   the read side while splits hold the write side;
 //! * [`encoding`] — §4 codecs, analyzer, semantic ids;
-//! * [`partition`] — §3 trackers, policies, clustering, vertical splits;
+//! * [`partition`] — §3.2 vertical splits: cost model, optimizer, store;
 //! * [`workload`] — zipfian samplers and the synthetic Wikipedia;
-//! * [`core`] — the table/database facade (with the `pool_shards` knob)
-//!   and the waste audit.
+//! * [`core`] — the table/database facade (with the `pool_shards` knob),
+//!   §3.1's swap on update (an update that faults a cold heap page moves
+//!   its row onto a resident hot page) and the waste audit.
 //!
 //! ## Concurrency model
 //!
@@ -33,7 +34,9 @@
 //! takes a tree-level read lock, descends to a leaf, and touches pages
 //! through per-shard pool mutexes and per-frame latches; index→heap
 //! pointer chases re-verify the fetched tuple's key so racing deletes
-//! read as "gone" instead of serving foreign bytes. Range cursors
+//! read as "gone" instead of serving foreign bytes, and a chase that
+//! finds another key looks once more under its key's write intent,
+//! because an update may have swapped the row onto a hot page. Range cursors
 //! (`IndexRef::range(..).limit(n)`) refill by row budget, and a group
 //! of them (`IndexRef::range_pages`, what the server makes of queued
 //! `Range` requests) refills together: each refill batch-faults the

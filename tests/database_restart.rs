@@ -59,8 +59,8 @@ fn restart_cycle(heap_disk: Arc<dyn DiskManager>, index_disk: Arc<dyn DiskManage
     let p2 = a.index("pk").unwrap().project(&k(7)).unwrap().unwrap();
     assert!(p2.index_only, "cache must repopulate after restart");
     // Structural invariants survived the round trip.
-    a.index_tree("pk").unwrap().tree().check_invariants().unwrap().unwrap();
-    b.index_tree("pk").unwrap().tree().check_invariants().unwrap().unwrap();
+    a.index("pk").unwrap().tree().check_invariants().unwrap().unwrap();
+    b.index("pk").unwrap().tree().check_invariants().unwrap().unwrap();
     // And the reopened database accepts new work.
     a.insert(&tuple(9_999, 1)).unwrap();
     assert!(a.index("pk").unwrap().get(&k(9_999)).unwrap().is_some());

@@ -86,7 +86,7 @@ fn mixed_workload_matches_model_on_degenerate_config() {
         }
     }
     assert_eq!(t.heap().live_tuple_count().unwrap(), model.len());
-    assert!(t.index_tree("pk").unwrap().tree().check_invariants().unwrap().is_ok());
+    assert!(t.index("pk").unwrap().tree().check_invariants().unwrap().is_ok());
 }
 
 #[test]
@@ -123,7 +123,7 @@ fn same_key_storm_on_degenerate_config() {
     let live = t.heap().live_tuple_count().unwrap();
     let via_pk = t.index("pk").unwrap().get(&9u64.to_be_bytes()).unwrap();
     assert_eq!(live, usize::from(via_pk.is_some()), "heap and index agree after the storm");
-    assert!(t.index_tree("pk").unwrap().tree().intents().is_idle());
+    assert!(t.index("pk").unwrap().tree().intents().is_idle());
 }
 
 /// The write-behind axis: a real (shallow) write-behind queue and its

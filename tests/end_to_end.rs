@@ -132,7 +132,7 @@ fn clustering_plus_partitioning_cut_io_in_order() {
         }
         let (t, hot, _) = load_revisions(&db, 400, 10, 5);
         if cluster {
-            let idx = t.index_tree("by_rev_id").unwrap();
+            let idx = t.index("by_rev_id").unwrap();
             for id in &hot {
                 let ptr = idx.tree().get(&be_key(*id)).unwrap().unwrap();
                 t.relocate(nbb::storage::RecordId::from_u64(ptr)).unwrap();
@@ -157,7 +157,7 @@ fn waste_audit_covers_all_three_classes() {
     use nbb::encoding::{ColumnDef, DeclaredType, Schema, Value};
     let db = Database::open(DbConfig::default());
     let (t, hot, _) = load_revisions(&db, 100, 10, 9);
-    let idx = t.index_tree("by_rev_id").unwrap();
+    let idx = t.index("by_rev_id").unwrap();
     let hot_rids: Vec<_> = hot
         .iter()
         .map(|id| nbb::storage::RecordId::from_u64(idx.tree().get(&be_key(*id)).unwrap().unwrap()))
@@ -191,7 +191,7 @@ fn simulated_crash_invalidates_caches_but_preserves_data() {
         t.index("by_rev_id").unwrap().project(&be_key(*id)).unwrap();
         t.index("by_rev_id").unwrap().project(&be_key(*id)).unwrap();
     }
-    let idx = t.index_tree("by_rev_id").unwrap();
+    let idx = t.index("by_rev_id").unwrap();
     assert!(idx.tree().cache_stats().hits > 0);
     // "Crash": every index page is read back from the device, and a
     // reloaded leaf's cache is not trusted.

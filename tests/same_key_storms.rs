@@ -91,7 +91,7 @@ fn observed_parked_storm_serializes_same_key_updates() {
     let w = u64::from_be_bytes(row[8..16].try_into().unwrap());
     assert!(w < WRITERS);
     assert_eq!(row, tuple(KEY, w, w + 100), "row must be exactly one writer's tuple");
-    assert!(t.index_tree("pk").unwrap().tree().intents().is_idle(), "no leaked intents");
+    assert!(t.index("pk").unwrap().tree().intents().is_idle(), "no leaked intents");
 }
 
 #[test]
@@ -242,8 +242,8 @@ fn mixed_put_update_delete_storm_stays_consistent() {
     let s = t.stats();
     assert!(s.intent_parks > 0, "a one-key storm must park rivals: {s:?}");
     assert_eq!(s.intent_parks, s.intent_handoffs, "every park resolves via a handoff");
-    assert!(t.index_tree("pk").unwrap().tree().intents().is_idle(), "no leaked intents");
-    assert!(t.index_tree("pk").unwrap().tree().check_invariants().unwrap().is_ok());
+    assert!(t.index("pk").unwrap().tree().intents().is_idle(), "no leaked intents");
+    assert!(t.index("pk").unwrap().tree().check_invariants().unwrap().is_ok());
 }
 
 #[test]
