@@ -186,7 +186,9 @@ impl Table {
             let Some(hot) = hot else { continue };
             // A slot freed since the clock's last turn is no row to swap.
             let Ok(cold) = self.heap.get(hot) else { continue };
-            let Some(guards) = self.swap_intents(via, indexes, plan, i, &cold) else { continue };
+            let Some(guards) = self.swap_intents(via, indexes, plan, i, (hot, &cold)) else {
+                continue;
+            };
             let c = &plan[i];
             let Some(new) = c.new else { continue };
             // Not swapped (the hot slot changed, or a pin failed): the
@@ -203,18 +205,21 @@ impl Table {
         held
     }
 
-    /// The intents swapping `plan[i]` with `cold` needs, every one
-    /// tried and none waited for: `cold`'s key on every index, and the
-    /// updated row's old and new keys on every index but `via`. `None`
-    /// when one is held, or when `cold` shares a key with any row of
-    /// the plan (an index batch must not name one key twice).
+    /// The intents swapping `plan[i]` with `cold`, read at `hot`, needs,
+    /// every one tried and none waited for: `cold`'s key on every index,
+    /// and the updated row's old and new keys on every index but `via`.
+    /// `None` when one is held, when `cold` shares a key with any row of
+    /// the plan (an index batch must not name one key twice), or when
+    /// an index does not name `hot` for `cold`'s key: `insert_many`
+    /// takes no intents and appends before it indexes, so a row it has
+    /// appended may not be indexed yet, and must not move.
     fn swap_intents<'i>(
         &self,
         via: &Index,
         indexes: &'i [Arc<Index>],
         plan: &[RowChange<'_>],
         i: usize,
-        cold: &[u8],
+        (hot, cold): (RecordId, &[u8]),
     ) -> Option<Vec<IntentGuard<'i>>> {
         let mut guards = Vec::new();
         for idx in indexes {
@@ -226,6 +231,9 @@ impl Table {
             }
             let intents = idx.tree.intents();
             guards.push(intents.try_acquire(cold_key)?);
+            if idx.tree.get(cold_key).ok()? != Some(hot.to_u64()) {
+                return None;
+            }
             if !std::ptr::eq(idx.as_ref(), via) {
                 let (old, new) = (plan[i].old.as_deref()?, plan[i].new?);
                 guards.push(intents.try_acquire(key.extract(new))?);

@@ -10,7 +10,7 @@
 mod support;
 
 use nbb_core::db::Database;
-use nbb_core::table::Table;
+use nbb_core::table::{FieldSpec, IndexSpec, Table};
 use nbb_storage::disk::FaultDisk;
 use nbb_storage::rid::RecordId;
 use nbb_storage::{DiskManager, InMemoryDisk};
@@ -132,6 +132,37 @@ fn a_storm_of_reads_updates_ranges_and_puts_matches_the_oracle() {
     db.close().unwrap();
     let db = reopen(heap, index, 24);
     check(&db.table("t").unwrap(), &oracle);
+}
+
+/// A second index, on the value bytes, stays exact while updates
+/// through the first change its keys and swap rows onto hot pages: the
+/// swapper repoints both rows on both indexes under intents it tried
+/// on both.
+#[test]
+fn swaps_keep_a_second_index_exact() {
+    let heap: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
+    let index: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
+    load(Arc::clone(&heap), Arc::clone(&index), ROWS);
+    let db = reopen(heap, index, 24);
+    let t = db.table("t").unwrap();
+    t.create_index(IndexSpec::plain("by_value", FieldSpec::new(8, 8))).unwrap();
+    let pk = t.index("pk").unwrap();
+    let mut oracle: BTreeMap<u64, u64> = (0..ROWS).map(|k| (k, initial_value(k))).collect();
+    for batch in 0..300u64 {
+        let mut keys: Vec<u64> = (0..4).map(|j| mix(3, batch * 4 + j) % ROWS).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let pairs: Vec<([u8; 8], Vec<u8>)> =
+            keys.iter().map(|&k| (key(k), encode_row(k, mix(k, batch + 1)))).collect();
+        assert!(pk.update_many(&pairs).unwrap().iter().all(|&a| a));
+        oracle.extend(keys.iter().map(|&k| (k, mix(k, batch + 1))));
+    }
+    assert!(t.stats().swaps > 50, "updates swapped ({})", t.stats().swaps);
+    check(&t, &oracle);
+    let by_value = t.index("by_value").unwrap();
+    for (&k, &v) in &oracle {
+        assert_eq!(id(&by_value.get(&v.to_be_bytes()).unwrap().unwrap()), k, "value of key {k}");
+    }
 }
 
 /// A database over `heap` and a scripted index disk, reopened with 16
