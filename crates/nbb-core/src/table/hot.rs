@@ -225,8 +225,8 @@ impl Table {
         for idx in indexes {
             let key = &idx.spec.key;
             let cold_key = key.extract(cold);
-            let tuples = plan.iter().flat_map(|c| c.old.as_deref().into_iter().chain(c.new));
-            if tuples.into_iter().any(|t| key.extract(t) == cold_key) {
+            let mut tuples = plan.iter().flat_map(|c| c.old.as_deref().into_iter().chain(c.new));
+            if tuples.any(|t| key.extract(t) == cold_key) {
                 return None;
             }
             let intents = idx.tree.intents();
