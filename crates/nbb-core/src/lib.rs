@@ -39,10 +39,7 @@
 //!   [`query::IndexRef::put_many`] / [`query::IndexRef::update_many`]
 //!   / [`query::IndexRef::delete_many`] amortize lock acquisitions and
 //!   leaf visits across N keys, and every point operation on a handle
-//!   is its batched form with a batch of one; [`query::Batch`] /
-//!   [`table::Table::execute`] mix point reads and writes with a
-//!   documented put → update → delete → read order (a batch's reads
-//!   observe its writes); [`query::IndexRef::range`] /
+//!   is its batched form with a batch of one; [`query::IndexRef::range`] /
 //!   [`query::IndexRef::range_projected`] walk the leaves in key
 //!   order, serving projections from leaf free space and refilling by
 //!   row budget (`.limit(n)`): the leaves a refill is sure to need in
@@ -65,7 +62,6 @@
 //!
 //! ```
 //! use nbb_core::db::{Database, DbConfig};
-//! use nbb_core::query::Batch;
 //! use nbb_core::row::RowSchema;
 //! use nbb_encoding::{ColumnDef, DeclaredType, Schema, Value};
 //!
@@ -111,25 +107,15 @@
 //!     by_id.range(&lo[..]..&hi[..]).map(|r| r.unwrap().tuple).collect();
 //! assert_eq!(in_range.len(), 10);
 //!
-//! // Heterogeneous point ops — reads AND writes — group per index
-//! // through Table::execute. Writes apply before reads (put → update
-//! // → delete → read), so the batch's reads observe its writes.
+//! // Writes and reads ride the same handle's batched calls; a read
+//! // issued after a write observes it.
 //! let fresh = rows.encode(&[Value::Int(100), Value::Int(0), Value::Int(1)]).unwrap();
 //! let k100 = rows.key("id", &Value::Int(100)).unwrap();
-//! let out = t
-//!     .execute(
-//!         Batch::new()
-//!             .put("by_id", &fresh)
-//!             .delete("by_id", &keys[0])
-//!             .get("by_id", &k100)       // sees the put
-//!             .get("by_id", &keys[0])    // sees the delete
-//!             .project("by_id", &keys[1]),
-//!     )
-//!     .unwrap();
-//! assert!(out[0].rid().is_some());
-//! assert_eq!(out[1].applied(), Some(true));
-//! assert!(out[2].tuple().is_some() && out[3].tuple().is_none());
-//! assert!(out[4].projection().is_some());
+//! assert_eq!(by_id.put_many(&[&fresh]).unwrap().len(), 1);
+//! assert_eq!(by_id.delete_many(&keys[..1]).unwrap(), vec![true]);
+//! let out = by_id.get_many(&[&k100, &keys[0]]).unwrap();
+//! assert!(out[0].is_some() && out[1].is_none());   // sees the put and the delete
+//! assert!(by_id.project_many(&keys[1..2]).unwrap()[0].is_some());
 //! ```
 
 #![warn(missing_docs)]
@@ -143,8 +129,7 @@ pub mod waste;
 
 pub use db::{Database, DbConfig};
 pub use query::{
-    Batch, BatchOutput, IndexRef, PageSpec, ProjectedRangeCursor, ProjectedRow, RangeCursor,
-    RangePage, RangeRow,
+    IndexRef, PageSpec, ProjectedRangeCursor, ProjectedRow, RangeCursor, RangePage, RangeRow,
 };
 pub use row::RowSchema;
 pub use table::{FieldSpec, IndexSpec, Projection, Table, TableStats};

@@ -23,10 +23,6 @@
 //!   heap access, and apply index maintenance through the tree's
 //!   sorted, leaf-grouped multi-key ops (one descent + one per-leaf
 //!   latch per destination leaf).
-//! * [`Batch`] / [`Table::execute`] — heterogeneous point ops (reads
-//!   **and** writes) grouped per index and executed through the
-//!   batched paths; see [`Batch`] for the write-before-read ordering
-//!   contract.
 //! * [`IndexRef::range`] / [`IndexRef::range_projected`] — ordered
 //!   cursors over the B+Tree's leaves. The projected cursor serves
 //!   cached fields straight from leaf free space (§2.1) and falls back
@@ -46,10 +42,9 @@
 
 use crate::table::{Index, IndexSpec, Projection, Table};
 use nbb_btree::{node_capacity, BTree, InvToken, RangeBuf};
-use nbb_storage::error::{Result, StorageError};
+use nbb_storage::error::Result;
 use nbb_storage::rid::RecordId;
 use nbb_storage::PageId;
-use std::collections::HashMap;
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 
@@ -724,289 +719,5 @@ impl RangePage<'_> {
     /// Whether rows remain in the range past this page.
     pub fn more(&self) -> bool {
         self.state.rows.values.len() > self.len
-    }
-}
-
-/// One operation of a [`Batch`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum BatchOp {
-    /// Full-tuple lookup through the named index.
-    Get { index: String, key: Vec<u8> },
-    /// Cached-field projection through the named index.
-    Project { index: String, key: Vec<u8> },
-    /// Upsert of a tuple by the named index's key.
-    Put { index: String, tuple: Vec<u8> },
-    /// Key-based in-place update through the named index.
-    Update { index: String, key: Vec<u8>, tuple: Vec<u8> },
-    /// Key-based delete through the named index.
-    Delete { index: String, key: Vec<u8> },
-}
-
-/// A heterogeneous batch of point operations — reads **and** writes —
-/// executed by [`Table::execute`] with per-index grouping so each
-/// group rides the batched paths ([`IndexRef::get_many`] /
-/// [`IndexRef::project_many`] on the read side, [`IndexRef::put_many`]
-/// / [`IndexRef::update_many`] / [`IndexRef::delete_many`] on the
-/// write side).
-///
-/// # Mixed read/write semantics
-///
-/// A batch is **not** a transaction and does not replay its ops in
-/// queue order. Instead the ops are grouped by kind and applied in a
-/// fixed, documented order: all `put`s, then all `update`s, then all
-/// `delete`s, then all reads. Consequences:
-///
-/// * reads in a batch observe **all** of the same batch's writes (a
-///   `get` of a key the batch `put` returns the new tuple; a `get` of
-///   a key the batch `delete`d returns `None`);
-/// * `put` is an **upsert** through its named index, exactly like
-///   [`IndexRef::put`]: present keys update their row in place,
-///   absent keys insert fresh rows;
-/// * within one kind, grouping per index preserves no cross-index
-///   ordering — don't encode cross-op dependencies beyond the
-///   kind-order above;
-/// * index names and tuple widths are validated up front, before any
-///   page is touched; duplicate keys within one write group surface
-///   [`nbb_storage::error::StorageError::DuplicateKeyInBatch`] before
-///   *that group* mutates anything — but a group that fails after
-///   earlier groups ran leaves those earlier groups applied (e.g. a
-///   duplicate in the update group does not roll back the puts),
-///   exactly like the equivalent loop of single-key calls.
-///
-/// ```ignore
-/// let results = table.execute(
-///     Batch::new()
-///         .put("by_id", &new_row)
-///         .update("by_id", &7u64.to_be_bytes(), &changed_row)
-///         .delete("by_id", &9u64.to_be_bytes())
-///         .get("by_id", &7u64.to_be_bytes()),   // sees the update
-/// )?;
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Batch {
-    ops: Vec<BatchOp>,
-}
-
-impl Batch {
-    /// An empty batch.
-    pub fn new() -> Self {
-        Batch::default()
-    }
-
-    /// Appends a full-tuple lookup of `key` through `index`.
-    pub fn get(mut self, index: &str, key: &[u8]) -> Self {
-        self.ops.push(BatchOp::Get { index: index.to_string(), key: key.to_vec() });
-        self
-    }
-
-    /// Appends a cached-field projection of `key` through `index`.
-    pub fn project(mut self, index: &str, key: &[u8]) -> Self {
-        self.ops.push(BatchOp::Project { index: index.to_string(), key: key.to_vec() });
-        self
-    }
-
-    /// Appends an upsert of `tuple` through `index` (present keys
-    /// update in place, absent keys insert; every index maintained).
-    pub fn put(mut self, index: &str, tuple: &[u8]) -> Self {
-        self.ops.push(BatchOp::Put { index: index.to_string(), tuple: tuple.to_vec() });
-        self
-    }
-
-    /// Appends an in-place update of the row whose `index` key is
-    /// `key` to `tuple`.
-    pub fn update(mut self, index: &str, key: &[u8], tuple: &[u8]) -> Self {
-        self.ops.push(BatchOp::Update {
-            index: index.to_string(),
-            key: key.to_vec(),
-            tuple: tuple.to_vec(),
-        });
-        self
-    }
-
-    /// Appends a delete of the row whose `index` key is `key`.
-    pub fn delete(mut self, index: &str, key: &[u8]) -> Self {
-        self.ops.push(BatchOp::Delete { index: index.to_string(), key: key.to_vec() });
-        self
-    }
-
-    /// Number of queued operations.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// True when no operations are queued.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-}
-
-/// One result of [`Table::execute`], in batch order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BatchOutput {
-    /// Result of a [`Batch::get`] op.
-    Tuple(Option<Vec<u8>>),
-    /// Result of a [`Batch::project`] op.
-    Projection(Option<Projection>),
-    /// Result of a [`Batch::put`] op: where the tuple landed.
-    Put(RecordId),
-    /// Result of a [`Batch::update`] op: whether the key existed.
-    Updated(bool),
-    /// Result of a [`Batch::delete`] op: whether the key existed.
-    Deleted(bool),
-}
-
-impl BatchOutput {
-    /// The tuple of a `get` op; `None` for other op kinds.
-    pub fn tuple(&self) -> Option<&[u8]> {
-        match self {
-            BatchOutput::Tuple(Some(t)) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// The projection of a `project` op; `None` for other op kinds.
-    pub fn projection(&self) -> Option<&Projection> {
-        match self {
-            BatchOutput::Projection(Some(p)) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// The landing address of a `put` op; `None` for other op kinds.
-    pub fn rid(&self) -> Option<RecordId> {
-        match self {
-            BatchOutput::Put(rid) => Some(*rid),
-            _ => None,
-        }
-    }
-
-    /// Whether an `update`/`delete` op found its key; `None` for other
-    /// op kinds.
-    pub fn applied(&self) -> Option<bool> {
-        match self {
-            BatchOutput::Updated(b) | BatchOutput::Deleted(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-impl Table {
-    /// Executes a [`Batch`]: operations are grouped per `(index, kind)`
-    /// — resolving each index name exactly once — and each group runs
-    /// through the batched sorted-key paths, so a batch of N point ops
-    /// costs one structure-lock acquisition and one leaf visit per
-    /// distinct leaf per group instead of N full descents. Write groups
-    /// apply before read groups in the documented put → update →
-    /// delete → read order (see [`Batch`]); everything is validated —
-    /// index names, tuple widths — before any group touches a page.
-    /// Results come back in the batch's op order.
-    pub fn execute(&self, batch: Batch) -> Result<Vec<BatchOutput>> {
-        // ---- Validate up front ------------------------------------
-        let mut handles: HashMap<&str, Arc<Index>> = HashMap::new();
-        for op in &batch.ops {
-            let (index, tuple) = match op {
-                BatchOp::Get { index, .. }
-                | BatchOp::Project { index, .. }
-                | BatchOp::Delete { index, .. } => (index, None),
-                BatchOp::Put { index, tuple } | BatchOp::Update { index, tuple, .. } => {
-                    (index, Some(tuple))
-                }
-            };
-            if !handles.contains_key(index.as_str()) {
-                handles.insert(index, self.find_index(index)?);
-            }
-            if let Some(tuple) = tuple {
-                self.check_tuple(tuple)?;
-            }
-        }
-        let mut out: Vec<Option<BatchOutput>> = batch.ops.iter().map(|_| None).collect();
-
-        // ---- Writes: puts, then updates, then deletes -------------
-        let mut put_groups: HashMap<&str, Vec<usize>> = HashMap::new();
-        let mut update_groups: HashMap<&str, Vec<usize>> = HashMap::new();
-        let mut delete_groups: HashMap<&str, Vec<usize>> = HashMap::new();
-        for (i, op) in batch.ops.iter().enumerate() {
-            match op {
-                BatchOp::Put { index, .. } => put_groups.entry(index).or_default().push(i),
-                BatchOp::Update { index, .. } => update_groups.entry(index).or_default().push(i),
-                BatchOp::Delete { index, .. } => delete_groups.entry(index).or_default().push(i),
-                _ => {}
-            }
-        }
-        for (index, positions) in put_groups {
-            let idx = &handles[index];
-            let tuples: Vec<&[u8]> = positions
-                .iter()
-                .map(|&i| match &batch.ops[i] {
-                    BatchOp::Put { tuple, .. } => tuple.as_slice(),
-                    _ => unreachable!("grouped as put"),
-                })
-                .collect();
-            for (&i, rid) in positions.iter().zip(self.put_many_with(idx, &tuples)?) {
-                out[i] = Some(BatchOutput::Put(rid));
-            }
-        }
-        for (index, positions) in update_groups {
-            let idx = &handles[index];
-            let pairs: Vec<(&[u8], &[u8])> = positions
-                .iter()
-                .map(|&i| match &batch.ops[i] {
-                    BatchOp::Update { key, tuple, .. } => (key.as_slice(), tuple.as_slice()),
-                    _ => unreachable!("grouped as update"),
-                })
-                .collect();
-            for (&i, applied) in positions.iter().zip(self.update_many_with(idx, &pairs)?) {
-                out[i] = Some(BatchOutput::Updated(applied));
-            }
-        }
-        for (index, positions) in delete_groups {
-            let idx = &handles[index];
-            let keys: Vec<&[u8]> = positions
-                .iter()
-                .map(|&i| match &batch.ops[i] {
-                    BatchOp::Delete { key, .. } => key.as_slice(),
-                    _ => unreachable!("grouped as delete"),
-                })
-                .collect();
-            for (&i, applied) in positions.iter().zip(self.delete_many_with(idx, &keys)?) {
-                out[i] = Some(BatchOutput::Deleted(applied));
-            }
-        }
-
-        // ---- Reads: they observe this batch's writes --------------
-        let mut read_groups: HashMap<(&str, bool), Vec<usize>> = HashMap::new();
-        for (i, op) in batch.ops.iter().enumerate() {
-            match op {
-                BatchOp::Get { index, .. } => {
-                    read_groups.entry((index, false)).or_default().push(i)
-                }
-                BatchOp::Project { index, .. } => {
-                    read_groups.entry((index, true)).or_default().push(i)
-                }
-                _ => {}
-            }
-        }
-        for ((index, is_projection), positions) in read_groups {
-            let idx = &handles[index];
-            let keys: Vec<&[u8]> = positions
-                .iter()
-                .map(|&i| match &batch.ops[i] {
-                    BatchOp::Get { key, .. } | BatchOp::Project { key, .. } => key.as_slice(),
-                    _ => unreachable!("grouped as read"),
-                })
-                .collect();
-            if is_projection {
-                for (&i, p) in positions.iter().zip(self.project_many_with(idx, &keys)?) {
-                    out[i] = Some(BatchOutput::Projection(p));
-                }
-            } else {
-                for (&i, t) in positions.iter().zip(self.get_many_with(idx, &keys)?) {
-                    out[i] = Some(BatchOutput::Tuple(t));
-                }
-            }
-        }
-        out.into_iter()
-            .map(|r| r.ok_or_else(|| StorageError::Corrupt("batch op not executed".into())))
-            .collect()
     }
 }

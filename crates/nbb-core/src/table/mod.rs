@@ -16,7 +16,7 @@
 //!
 //! Queries flow through handles: [`Table::index`] resolves an index
 //! name once to a [`crate::query::IndexRef`], whose point, batched
-//! (`get_many` / `project_many` / [`Table::execute`]) and range-cursor
+//! (`get_many` / `project_many` / `put_many` / ...) and range-cursor
 //! operations skip the per-call name lookup and amortize lock work.
 //! Every one of them — a range cursor's refill included — reaches the
 //! heap through the same batched, key-verifying chase: a visitor that
@@ -304,8 +304,7 @@ pub struct TableStats {
     pub deletes: u64,
     /// Logical write batches executed: one per plan. A multi-op
     /// ([`Table::insert_many`], `update_many`, `delete_many`,
-    /// `put_many` — both of its legs — or one write group of a
-    /// [`crate::query::Batch`]) counts as **one** batch here while
+    /// `put_many` — both of its legs) counts as **one** batch here while
     /// still counting each tuple above, so
     /// `inserts / write_batches` is the visible amortization factor —
     /// a loop of N single-tuple calls shows as N batches of one.

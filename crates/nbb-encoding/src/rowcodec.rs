@@ -1,5 +1,5 @@
-//! Fixed-width row codec: the physical layout a [`Schema`]'s declared
-//! types imply, with order-preserving per-column byte encodings.
+//! Fixed-width row codec: the physical layout a [`Schema`](crate::Schema)'s
+//! declared types imply, with order-preserving per-column byte encodings.
 //!
 //! The storage layers above this crate address tuples as raw fixed-width
 //! byte ranges (a `FieldSpec` is literally `offset..offset+len`), and

@@ -2,7 +2,7 @@
 //!
 //! A dependency-free (workspace-only), length-prefixed binary codec
 //! whose frames decode straight into the engine's batched operations
-//! (`get_many`, `insert_many`, `Batch`, …). Everything here is pure
+//! (`get_many`, `insert_many`, `range`, …). Everything here is pure
 //! `encode`/`decode` over byte buffers — no sockets, no threads — so
 //! the protocol is fully testable without I/O, and any transport
 //! (`nbb-server`'s loopback TCP, a unit test's `Vec<u8>`) can carry it.
@@ -223,14 +223,6 @@ pub enum RequestOp {
         /// Max rows in this page.
         limit: u32,
     },
-    /// A heterogeneous multi-op batch (`Table::execute`), with the
-    /// engine's documented put → update → delete → read group order.
-    Batch {
-        /// Target table.
-        table: String,
-        /// The queued operations, in batch order.
-        ops: Vec<WireBatchOp>,
-    },
     /// Server counter snapshot (frames, bytes, parks, connections).
     Stats,
 }
@@ -246,52 +238,9 @@ impl RequestOp {
             RequestOp::UpdateMany { .. } => tags::UPDATE_MANY,
             RequestOp::DeleteMany { .. } => tags::DELETE_MANY,
             RequestOp::Range { .. } => tags::RANGE,
-            RequestOp::Batch { .. } => tags::BATCH,
             RequestOp::Stats => tags::STATS,
         }
     }
-}
-
-/// One op inside a wire [`RequestOp::Batch`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireBatchOp {
-    /// Full-tuple lookup through `index`.
-    Get {
-        /// Index name.
-        index: String,
-        /// Key bytes.
-        key: Vec<u8>,
-    },
-    /// Cached-field projection through `index`.
-    Project {
-        /// Index name.
-        index: String,
-        /// Key bytes.
-        key: Vec<u8>,
-    },
-    /// Upsert of `tuple` through `index`.
-    Put {
-        /// Index name.
-        index: String,
-        /// Tuple bytes.
-        tuple: Vec<u8>,
-    },
-    /// In-place update of the row at `key` to `tuple`.
-    Update {
-        /// Index name.
-        index: String,
-        /// Key bytes.
-        key: Vec<u8>,
-        /// Replacement tuple bytes.
-        tuple: Vec<u8>,
-    },
-    /// Delete of the row at `key`.
-    Delete {
-        /// Index name.
-        index: String,
-        /// Key bytes.
-        key: Vec<u8>,
-    },
 }
 
 /// One response frame: the echoed request id plus the result.
@@ -311,21 +260,6 @@ pub struct WireProjection {
     /// Whether the engine answered from leaf free space without
     /// touching the heap.
     pub index_only: bool,
-}
-
-/// One result of a wire batch, mirroring the engine's `BatchOutput`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireBatchOutput {
-    /// Result of a `Get` op.
-    Tuple(Option<Vec<u8>>),
-    /// Result of a `Project` op.
-    Projection(Option<WireProjection>),
-    /// Result of a `Put` op: the packed record id the tuple landed at.
-    Put(u64),
-    /// Result of an `Update` op: whether the key existed.
-    Updated(bool),
-    /// Result of a `Delete` op: whether the key existed.
-    Deleted(bool),
 }
 
 /// Server counter snapshot carried by [`ResponseBody::Stats`].
@@ -405,11 +339,6 @@ pub enum ResponseBody {
         /// `None` when the page is empty.
         resume: Option<Vec<u8>>,
     },
-    /// [`RequestOp::Batch`] results, in batch op order.
-    Batch {
-        /// Per-op outputs.
-        outputs: Vec<WireBatchOutput>,
-    },
     /// [`RequestOp::Stats`] snapshot.
     Stats(WireServerStats),
 }
@@ -426,7 +355,6 @@ impl ResponseBody {
             ResponseBody::UpdateMany { .. } => tags::UPDATE_MANY,
             ResponseBody::DeleteMany { .. } => tags::DELETE_MANY,
             ResponseBody::Range { .. } => tags::RANGE,
-            ResponseBody::Batch { .. } => tags::BATCH,
             ResponseBody::Stats(_) => tags::STATS,
         }
     }
@@ -440,14 +368,9 @@ mod tags {
     pub const UPDATE_MANY: u8 = 5;
     pub const DELETE_MANY: u8 = 6;
     pub const RANGE: u8 = 7;
-    pub const BATCH: u8 = 8;
+    // 8 was the retired by-name batch; never reuse it, so an old
+    // client's batch frame is refused by name, not misread.
     pub const STATS: u8 = 9;
-
-    pub const BATCH_GET: u8 = 1;
-    pub const BATCH_PROJECT: u8 = 2;
-    pub const BATCH_PUT: u8 = 3;
-    pub const BATCH_UPDATE: u8 = 4;
-    pub const BATCH_DELETE: u8 = 5;
 
     pub const STATUS_OK: u8 = 0;
     pub const STATUS_ERR: u8 = 1;
@@ -556,40 +479,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             put_bound(&mut p, hi);
             wire::put_u32(&mut p, *limit);
         }
-        RequestOp::Batch { table, ops } => {
-            put_str(&mut p, table);
-            wire::put_u32(&mut p, ops.len() as u32);
-            for op in ops {
-                match op {
-                    WireBatchOp::Get { index, key } => {
-                        p.push(tags::BATCH_GET);
-                        put_str(&mut p, index);
-                        put_bytes(&mut p, key);
-                    }
-                    WireBatchOp::Project { index, key } => {
-                        p.push(tags::BATCH_PROJECT);
-                        put_str(&mut p, index);
-                        put_bytes(&mut p, key);
-                    }
-                    WireBatchOp::Put { index, tuple } => {
-                        p.push(tags::BATCH_PUT);
-                        put_str(&mut p, index);
-                        put_bytes(&mut p, tuple);
-                    }
-                    WireBatchOp::Update { index, key, tuple } => {
-                        p.push(tags::BATCH_UPDATE);
-                        put_str(&mut p, index);
-                        put_bytes(&mut p, key);
-                        put_bytes(&mut p, tuple);
-                    }
-                    WireBatchOp::Delete { index, key } => {
-                        p.push(tags::BATCH_DELETE);
-                        put_str(&mut p, index);
-                        put_bytes(&mut p, key);
-                    }
-                }
-            }
-        }
         RequestOp::Stats => {}
     }
     seal(p)
@@ -644,40 +533,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                     }
                 }
                 ResponseBody::Range { .. } => unreachable!("encoded above"),
-                ResponseBody::Batch { outputs } => {
-                    wire::put_u32(&mut p, outputs.len() as u32);
-                    for o in outputs {
-                        match o {
-                            WireBatchOutput::Tuple(t) => {
-                                p.push(tags::BATCH_GET);
-                                put_opt_bytes(&mut p, t.as_deref());
-                            }
-                            WireBatchOutput::Projection(pr) => {
-                                p.push(tags::BATCH_PROJECT);
-                                match pr {
-                                    None => p.push(0),
-                                    Some(pr) => {
-                                        p.push(1);
-                                        put_bytes(&mut p, &pr.payload);
-                                        put_bool(&mut p, pr.index_only);
-                                    }
-                                }
-                            }
-                            WireBatchOutput::Put(rid) => {
-                                p.push(tags::BATCH_PUT);
-                                wire::put_u64(&mut p, *rid);
-                            }
-                            WireBatchOutput::Updated(b) => {
-                                p.push(tags::BATCH_UPDATE);
-                                put_bool(&mut p, *b);
-                            }
-                            WireBatchOutput::Deleted(b) => {
-                                p.push(tags::BATCH_DELETE);
-                                put_bool(&mut p, *b);
-                            }
-                        }
-                    }
-                }
                 ResponseBody::Stats(s) => {
                     for v in [
                         s.frames_in,
@@ -866,27 +721,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request> {
             hi: c.bound()?,
             limit: c.u32()?,
         },
-        tags::BATCH => {
-            let table = c.name()?;
-            let n = c.u32()?;
-            let mut ops = Vec::new();
-            for _ in 0..n {
-                let kind = c.u8()?;
-                ops.push(match kind {
-                    tags::BATCH_GET => WireBatchOp::Get { index: c.name()?, key: c.bytes()? },
-                    tags::BATCH_PROJECT => {
-                        WireBatchOp::Project { index: c.name()?, key: c.bytes()? }
-                    }
-                    tags::BATCH_PUT => WireBatchOp::Put { index: c.name()?, tuple: c.bytes()? },
-                    tags::BATCH_UPDATE => {
-                        WireBatchOp::Update { index: c.name()?, key: c.bytes()?, tuple: c.bytes()? }
-                    }
-                    tags::BATCH_DELETE => WireBatchOp::Delete { index: c.name()?, key: c.bytes()? },
-                    t => return Err(DecodeError::BadTag { what: "batch op", tag: t }),
-                });
-            }
-            RequestOp::Batch { table, ops }
-        }
         tags::STATS => RequestOp::Stats,
         t => return Err(DecodeError::BadTag { what: "op", tag: t }),
     };
@@ -963,30 +797,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response> {
                     let more = c.boolean()?;
                     let resume = c.opt_bytes()?;
                     ResponseBody::Range { rows, more, resume }
-                }
-                tags::BATCH => {
-                    let n = c.u32()?;
-                    let mut outputs = Vec::new();
-                    for _ in 0..n {
-                        let kind = c.u8()?;
-                        outputs.push(match kind {
-                            tags::BATCH_GET => WireBatchOutput::Tuple(c.opt_bytes()?),
-                            tags::BATCH_PROJECT => WireBatchOutput::Projection(match c.u8()? {
-                                0 => None,
-                                1 => {
-                                    let payload = c.bytes()?;
-                                    let index_only = c.boolean()?;
-                                    Some(WireProjection { payload, index_only })
-                                }
-                                t => return Err(DecodeError::BadTag { what: "option", tag: t }),
-                            }),
-                            tags::BATCH_PUT => WireBatchOutput::Put(c.u64()?),
-                            tags::BATCH_UPDATE => WireBatchOutput::Updated(c.boolean()?),
-                            tags::BATCH_DELETE => WireBatchOutput::Deleted(c.boolean()?),
-                            t => return Err(DecodeError::BadTag { what: "batch output", tag: t }),
-                        });
-                    }
-                    ResponseBody::Batch { outputs }
                 }
                 tags::STATS => ResponseBody::Stats(WireServerStats {
                     frames_in: c.u64()?,
@@ -1125,16 +935,6 @@ mod tests {
                 hi: WireBound::Excluded(vec![9]),
                 limit: 128,
             },
-            RequestOp::Batch {
-                table: "t".into(),
-                ops: vec![
-                    WireBatchOp::Get { index: "pk".into(), key: vec![1] },
-                    WireBatchOp::Put { index: "pk".into(), tuple: vec![2; 8] },
-                    WireBatchOp::Update { index: "pk".into(), key: vec![3], tuple: vec![4] },
-                    WireBatchOp::Delete { index: "pk".into(), key: vec![5] },
-                    WireBatchOp::Project { index: "pk".into(), key: vec![6] },
-                ],
-            },
             RequestOp::Stats,
         ]
     }
@@ -1171,20 +971,6 @@ mod tests {
                 resume: Some(vec![1]),
             },
             ResponseBody::Range { rows: vec![], more: false, resume: None },
-            ResponseBody::Batch {
-                outputs: vec![
-                    WireBatchOutput::Tuple(Some(vec![1])),
-                    WireBatchOutput::Tuple(None),
-                    WireBatchOutput::Projection(Some(WireProjection {
-                        payload: vec![2],
-                        index_only: false,
-                    })),
-                    WireBatchOutput::Projection(None),
-                    WireBatchOutput::Put(77),
-                    WireBatchOutput::Updated(true),
-                    WireBatchOutput::Deleted(false),
-                ],
-            },
             ResponseBody::Stats(WireServerStats {
                 frames_in: 1,
                 frames_out: 2,
@@ -1246,15 +1032,18 @@ mod tests {
     fn golden_bytes_of_every_response_body_and_request_op_are_pinned() {
         // Pinned from the encoder as it stood before `frame()` stopped
         // copying payloads and `Range` got its borrowed-row encoder.
+        // Ids skip the slot the retired batch op (tag 8) held, so every
+        // string is byte-for-byte what it was while that op existed.
+        let id = |i: usize, retired: usize| (i + usize::from(i >= retired)) as u64;
         let responses: Vec<String> = all_bodies()
             .into_iter()
             .enumerate()
-            .map(|(i, body)| hex(&encode_response(&Response { id: i as u64, body })))
+            .map(|(i, body)| hex(&encode_response(&Response { id: id(i, 9), body })))
             .collect();
         let requests: Vec<String> = all_ops()
             .into_iter()
             .enumerate()
-            .map(|(i, op)| hex(&encode_request(&Request { id: 100 + i as u64, op })))
+            .map(|(i, op)| hex(&encode_request(&Request { id: 100 + id(i, 7), op })))
             .collect();
         #[rustfmt::skip]
         let pinned_responses = [
@@ -1267,7 +1056,6 @@ mod tests {
             "0000000f000000000000000600060000000100",
             "000000200000000000000007000700000001000000010100000002020301010000000101",
             "0000001000000000000000080007000000000000",
-            "0000002e00000000000000090008000000070101000000010101000201000000010200020003000000000000004d04010500",
             "0000005a000000000000000a0009000000000000000100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a",
         ];
         #[rustfmt::skip]
@@ -1279,7 +1067,6 @@ mod tests {
             "00000022000000000000006805000000017400000002706b0000000100000001010000000102",
             "0000001d000000000000006906000000017400000002706b000000010000000101",
             "00000025000000000000006a07000000017400000002706b0100000002000102000000010900000080",
-            "0000005a000000000000006b080000000174000000050100000002706b00000001010300000002706b0000000802020202020202020400000002706b000000010300000001040500000002706b00000001050200000002706b0000000106",
             "00000009000000000000006c09",
         ];
         assert_eq!(responses, pinned_responses);
@@ -1312,6 +1099,17 @@ mod tests {
         nbb_encoding::wire::put_u64(&mut p, 1);
         p.push(200);
         assert_eq!(decode_request(&p), Err(DecodeError::BadTag { what: "op", tag: 200 }));
+
+        // Tag 8, the retired batch op, is refused as a request and as a
+        // response: an old client's frame is never read as another op.
+        let mut p = Vec::new();
+        nbb_encoding::wire::put_u64(&mut p, 1);
+        p.push(8);
+        assert_eq!(decode_request(&p), Err(DecodeError::BadTag { what: "op", tag: 8 }));
+        let mut p = Vec::new();
+        nbb_encoding::wire::put_u64(&mut p, 1);
+        p.extend_from_slice(&[0, 8]); // STATUS_OK, tag 8
+        assert_eq!(decode_response(&p), Err(DecodeError::BadTag { what: "response op", tag: 8 }));
 
         // Status byte 9.
         let mut p = Vec::new();

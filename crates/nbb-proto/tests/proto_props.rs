@@ -5,8 +5,7 @@
 
 use nbb_proto::{
     decode_request, decode_response, encode_request, encode_response, DecodeError, Framer, Request,
-    RequestOp, Response, ResponseBody, WireBatchOp, WireBatchOutput, WireBound, WireProjection,
-    WireServerStats, HEADER_LEN,
+    RequestOp, Response, ResponseBody, WireBound, WireProjection, WireServerStats, HEADER_LEN,
 };
 use proptest::prelude::*;
 
@@ -27,7 +26,7 @@ fn build_request_op(
         1 => WireBound::Included(k),
         _ => WireBound::Excluded(k),
     };
-    match sel % 9 {
+    match sel % 8 {
         0 => RequestOp::GetMany { table, index, keys: blobs },
         1 => RequestOp::ProjectMany { table, index, keys: blobs },
         2 => RequestOp::InsertMany { table, tuples: blobs },
@@ -44,31 +43,13 @@ fn build_request_op(
             hi: bound(bsel.wrapping_add(1), first),
             limit,
         },
-        7 => {
-            let ops = blobs
-                .iter()
-                .enumerate()
-                .map(|(i, b)| match i % 5 {
-                    0 => WireBatchOp::Get { index: index.clone(), key: b.clone() },
-                    1 => WireBatchOp::Project { index: index.clone(), key: b.clone() },
-                    2 => WireBatchOp::Put { index: index.clone(), tuple: b.clone() },
-                    3 => WireBatchOp::Update {
-                        index: index.clone(),
-                        key: b.clone(),
-                        tuple: first.clone(),
-                    },
-                    _ => WireBatchOp::Delete { index: index.clone(), key: b.clone() },
-                })
-                .collect();
-            RequestOp::Batch { table, ops }
-        }
         _ => RequestOp::Stats,
     }
 }
 
 fn build_response_body(sel: u8, blobs: Vec<Vec<u8>>, flags: u64) -> ResponseBody {
     let first = blobs.first().cloned().unwrap_or_default();
-    match sel % 9 {
+    match sel % 8 {
         0 => ResponseBody::Error { message: String::from_utf8_lossy(&first).into_owned() },
         1 => ResponseBody::GetMany {
             rows: blobs
@@ -97,22 +78,6 @@ fn build_response_body(sel: u8, blobs: Vec<Vec<u8>>, flags: u64) -> ResponseBody
             more: flags.is_multiple_of(2),
             resume: if blobs.is_empty() { None } else { Some(first) },
         },
-        7 => ResponseBody::Batch {
-            outputs: blobs
-                .into_iter()
-                .enumerate()
-                .map(|(i, b)| match i % 5 {
-                    0 => WireBatchOutput::Tuple(Some(b)),
-                    1 => WireBatchOutput::Projection(Some(WireProjection {
-                        payload: b,
-                        index_only: false,
-                    })),
-                    2 => WireBatchOutput::Put(b.len() as u64),
-                    3 => WireBatchOutput::Updated(b.len() % 2 == 0),
-                    _ => WireBatchOutput::Deleted(b.is_empty()),
-                })
-                .collect(),
-        },
         _ => ResponseBody::Stats(WireServerStats {
             frames_in: flags,
             frames_out: flags.wrapping_mul(3),
@@ -132,7 +97,7 @@ proptest! {
     #[test]
     fn requests_round_trip(
         id in proptest::prelude::any::<u64>(),
-        sel in 0u8..9,
+        sel in 0u8..8,
         table in "[a-z]{1,8}",
         index in "[a-z]{1,8}",
         blobs in prop::collection::vec(prop::collection::vec(0u8..=255, 0..24), 0..8),
@@ -147,7 +112,7 @@ proptest! {
     #[test]
     fn responses_round_trip(
         id in proptest::prelude::any::<u64>(),
-        sel in 0u8..9,
+        sel in 0u8..8,
         blobs in prop::collection::vec(prop::collection::vec(0u8..=255, 0..24), 0..8),
         flags in proptest::prelude::any::<u64>(),
     ) {
@@ -158,7 +123,7 @@ proptest! {
 
     #[test]
     fn truncated_requests_never_decode_and_never_panic(
-        sel in 0u8..9,
+        sel in 0u8..8,
         table in "[a-z]{1,8}",
         index in "[a-z]{1,8}",
         blobs in prop::collection::vec(prop::collection::vec(0u8..=255, 0..16), 1..5),
@@ -180,7 +145,7 @@ proptest! {
 
     #[test]
     fn spliced_garbage_decodes_or_errors_but_never_panics(
-        sel in 0u8..9,
+        sel in 0u8..8,
         table in "[a-z]{1,8}",
         index in "[a-z]{1,8}",
         blobs in prop::collection::vec(prop::collection::vec(0u8..=255, 0..16), 1..5),
@@ -212,7 +177,7 @@ proptest! {
     #[test]
     fn framer_reassembly_is_chunking_independent(
         id in proptest::prelude::any::<u64>(),
-        sel in 0u8..9,
+        sel in 0u8..8,
         table in "[a-z]{1,8}",
         blobs in prop::collection::vec(prop::collection::vec(0u8..=255, 0..16), 0..4),
         chunk in 1usize..17,

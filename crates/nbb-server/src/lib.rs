@@ -3,7 +3,7 @@
 //! Serves [`nbb_proto`] frames over TCP, multiplexing any number of
 //! pipelined connections onto a small worker pool that executes
 //! requests against a shared [`Database`] through its batched fast
-//! paths (`get_many`, `insert_many`, `Table::execute`, …). One network
+//! paths (`get_many`, `insert_many`, `put_many`, …). One network
 //! round-trip carries a whole batch, so the per-request framing cost
 //! amortizes exactly like the engine amortizes lock acquisitions.
 //!
@@ -65,12 +65,11 @@
 #![warn(missing_docs)]
 
 use nbb_core::db::Database;
-use nbb_core::query::{Batch, PageSpec};
+use nbb_core::query::PageSpec;
 use nbb_core::table::Projection;
-use nbb_core::BatchOutput;
 use nbb_proto::{
-    DecodeError, Framer, Request, RequestOp, Response, ResponseBody, WireBatchOp, WireBatchOutput,
-    WireBound, WireProjection, WireServerStats, RANGE_LIMIT_ZERO, RESPONSE_TOO_LARGE,
+    DecodeError, Framer, Request, RequestOp, Response, ResponseBody, WireBound, WireProjection,
+    WireServerStats, RANGE_LIMIT_ZERO, RESPONSE_TOO_LARGE,
 };
 use nbb_storage::error::StorageError;
 use nbb_storage::lockrank;
@@ -914,34 +913,6 @@ fn try_execute(shared: &Shared, op: &RequestOp) -> Result<ResponseBody, StorageE
             let t = db.table(table)?;
             let applied = t.index(index)?.delete_many(keys)?;
             ResponseBody::DeleteMany { applied }
-        }
-        RequestOp::Batch { table, ops } => {
-            let t = db.table(table)?;
-            let mut batch = Batch::new();
-            for op in ops {
-                batch = match op {
-                    WireBatchOp::Get { index, key } => batch.get(index, key),
-                    WireBatchOp::Project { index, key } => batch.project(index, key),
-                    WireBatchOp::Put { index, tuple } => batch.put(index, tuple),
-                    WireBatchOp::Update { index, key, tuple } => batch.update(index, key, tuple),
-                    WireBatchOp::Delete { index, key } => batch.delete(index, key),
-                };
-            }
-            let outputs = t.execute(batch)?;
-            ResponseBody::Batch {
-                outputs: outputs
-                    .into_iter()
-                    .map(|o| match o {
-                        BatchOutput::Tuple(t) => WireBatchOutput::Tuple(t),
-                        BatchOutput::Projection(p) => {
-                            WireBatchOutput::Projection(p.map(wire_projection))
-                        }
-                        BatchOutput::Put(rid) => WireBatchOutput::Put(rid.to_u64()),
-                        BatchOutput::Updated(b) => WireBatchOutput::Updated(b),
-                        BatchOutput::Deleted(b) => WireBatchOutput::Deleted(b),
-                    })
-                    .collect(),
-            }
         }
         RequestOp::Stats => ResponseBody::Stats(shared.stats.snapshot()),
     })

@@ -211,30 +211,6 @@ fn full_op_surface_round_trips_through_a_client() {
     }
     assert_eq!(seen, 60, "50 seeded + 10 inserted rows, each exactly once");
 
-    // A heterogeneous batch: its reads observe its writes.
-    let k200 = key(&rows, 200);
-    let t200 = rows.encode(&[Value::Int(200), Value::Int(1)]).expect("encode");
-    let body = client
-        .call(RequestOp::Batch {
-            table: "kv".into(),
-            ops: vec![
-                nbb_proto::WireBatchOp::Put { index: "by_id".into(), tuple: t200 },
-                nbb_proto::WireBatchOp::Get { index: "by_id".into(), key: k200.clone() },
-                nbb_proto::WireBatchOp::Delete { index: "by_id".into(), key: key(&rows, 0) },
-                nbb_proto::WireBatchOp::Get { index: "by_id".into(), key: key(&rows, 0) },
-            ],
-        })
-        .expect("batch");
-    match body {
-        ResponseBody::Batch { outputs } => {
-            assert!(matches!(&outputs[0], nbb_proto::WireBatchOutput::Put(_)));
-            assert!(matches!(&outputs[1], nbb_proto::WireBatchOutput::Tuple(Some(_))));
-            assert!(matches!(&outputs[2], nbb_proto::WireBatchOutput::Deleted(true)));
-            assert!(matches!(&outputs[3], nbb_proto::WireBatchOutput::Tuple(None)));
-        }
-        other => panic!("expected batch body, got {other:?}"),
-    }
-
     // Engine errors travel as wire errors; the connection survives.
     let err = client.get_many("nope", "by_id", vec![key(&rows, 1)]);
     assert!(matches!(err, Err(nbb_client::ClientError::Server(_))));

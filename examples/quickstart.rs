@@ -10,9 +10,9 @@
 //! exclusive page access per destination leaf, not per row), resolves an index
 //! handle once ([`Table::index`] → `IndexRef`), then shows (1) the
 //! index cache answering projections from B+Tree free space — via point
-//! lookups, a batched `get_many`/`Batch`, and an ordered range cursor —
-//! (2) the write side of `Batch` (`put`/`update`/`delete` grouped per
-//! index, reads observing the batch's writes), (3) a locality audit
+//! lookups, batched `get_many`/`project_many`, and an ordered range
+//! cursor — (2) the handle's batched writes (`put_many`/`update_many`/
+//! `delete_many`, with reads observing them), (3) a locality audit
 //! before and after hot/cold clustering, (4) the schema advisor
 //! finding encoding waste, (5) a cold range page read in batched
 //! device calls, and (6) the `nbb-proto` wire frame layout that carries
@@ -53,7 +53,6 @@
 //! entirely, so the discipline costs nothing on the measured paths.
 
 use nbb::core::db::{Database, DbConfig};
-use nbb::core::query::Batch;
 use nbb::core::row::RowSchema;
 use nbb::core::waste;
 use nbb::encoding::{ColumnDef, DeclaredType, Schema, Value};
@@ -127,37 +126,27 @@ fn main() {
         let cached = answered.iter().flatten().filter(|p| p.index_only).count();
         println!("project_many : pass {pass}, {cached} of {} from leaf free space", hot.len());
     }
-    let out =
-        t.execute(Batch::new().get("by_id", &hot[0]).project("by_id", &hot[1])).expect("batch");
-    assert!(out[0].tuple().is_some() && out[1].projection().is_some());
+    assert!(by_id.get(&hot[0]).expect("get").is_some());
+    assert!(by_id.project(&hot[1]).expect("project").is_some());
 
-    // Write ops ride the same grouped execution: puts (upserts), then
-    // updates, then deletes, then reads — so a batch's reads always
-    // observe its writes. Each write group is validated up front and
-    // applied through the leaf-grouped multi-key tree ops.
+    // Writes ride the same handle: `put_many` upserts, `update_many`
+    // and `delete_many` report per key whether it existed. Each call is
+    // validated up front and applied through the leaf-grouped multi-key
+    // tree ops, and a read issued after it observes it.
     let fresh =
         rows.encode(&[Value::Int(10_000), Value::Int(7), Value::Int(1), Value::Int(0)]).unwrap();
     let changed =
         rows.encode(&[Value::Int(4242), Value::Int(999), Value::Int(1), Value::Int(0)]).unwrap();
     let k_new = rows.key("id", &Value::Int(10_000)).unwrap();
     let k_gone = rows.key("id", &Value::Int(9_999)).unwrap();
-    let out = t
-        .execute(
-            Batch::new()
-                .put("by_id", &fresh)
-                .update("by_id", &key, &changed)
-                .delete("by_id", &k_gone)
-                .get("by_id", &k_new) // sees the put
-                .get("by_id", &k_gone), // sees the delete
-        )
-        .expect("write batch");
+    let rid = by_id.put_many(&[&fresh]).expect("put")[0];
+    let updated = by_id.update_many(&[(&key, &changed)]).expect("update")[0];
+    let deleted = by_id.delete_many(&[&k_gone]).expect("delete")[0];
     println!(
-        "write batch : put at rid {}, update applied = {}, delete applied = {}",
-        out[0].rid().expect("put returns a rid"),
-        out[1].applied().unwrap(),
-        out[2].applied().unwrap()
+        "writes       : put at rid {rid}, update applied = {updated}, delete applied = {deleted}"
     );
-    assert!(out[3].tuple().is_some() && out[4].tuple().is_none());
+    let after = by_id.get_many(&[&k_new, &k_gone]).expect("read back");
+    assert!(after[0].is_some() && after[1].is_none()); // sees the put and the delete
 
     // Same-key writers need no external coordination: the key-level
     // write intents serialize them end to end. Eight threads race

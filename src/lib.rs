@@ -22,8 +22,8 @@
 //!   tree-level `RwLock` (whose value is the root) lets lookups share
 //!   the read side while splits hold the write side;
 //! * [`encoding`] — §4 codecs, analyzer, semantic ids;
-//! * [`partition`] — §3 access trackers; §3.2 vertical splits: cost
-//!   model, optimizer, store;
+//! * [`partition`] — §3.2 vertical splits: cost model, optimizer,
+//!   store;
 //! * [`workload`] — zipfian samplers and the synthetic Wikipedia;
 //! * [`core`] — the table/database facade (with the `pool_shards` knob),
 //!   §3.1's swap on update (an update that faults a cold heap page moves

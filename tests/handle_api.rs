@@ -1,9 +1,8 @@
 //! Integration tests for the handle-based query API: `IndexRef`
-//! handles, batched execution, ordered range cursors, typed
+//! handles, batched calls, ordered range cursors, typed
 //! `RowSchema` tables, and index-spec validation.
 
 use nbb::core::db::{Database, DbConfig};
-use nbb::core::query::Batch;
 use nbb::core::row::RowSchema;
 use nbb::core::table::{FieldSpec, IndexSpec, Table};
 use nbb::encoding::{ColumnDef, DeclaredType, Schema, Value};
@@ -147,92 +146,19 @@ fn project_many_on_plain_index_projects_from_heap() {
 }
 
 #[test]
-fn execute_groups_heterogeneous_ops_per_index() {
-    let db = Database::open(DbConfig::default());
-    let t = cached_table(&db, 400);
-    t.create_index(IndexSpec::plain("by_group", FieldSpec::new(8, 8))).unwrap();
-    // groups are 0..7; ids 0..400.
-    let batch = Batch::new()
-        .get("by_id", &be_key(10))
-        .project("by_id", &be_key(20))
-        .get("by_group", &be_key(3))
-        .get("by_id", &be_key(999_999))
-        .project("by_id", &be_key(30));
-    assert_eq!(batch.len(), 5);
-    let out = t.execute(batch).unwrap();
-    assert_eq!(out[0].tuple().unwrap(), &tuple(10, 3, 30)[..]);
-    assert_eq!(out[1].projection().unwrap().payload, 60u64.to_le_bytes());
-    // by_group key 3 points at some tuple whose group is 3.
-    let g = out[2].tuple().expect("group 3 exists");
-    assert_eq!(&g[8..16], &be_key(3));
-    assert!(out[3].tuple().is_none(), "absent key is None, in position");
-    assert_eq!(out[4].projection().unwrap().payload, 90u64.to_le_bytes());
-    // Unknown index fails the whole batch.
-    assert!(t.execute(Batch::new().get("nope", &be_key(1))).is_err());
-    // Empty batch is fine.
-    assert_eq!(t.execute(Batch::new()).unwrap().len(), 0);
-}
-
-// ---------------------------------------------------------------------
-// Range cursors
-// ---------------------------------------------------------------------
-
-#[test]
-fn execute_write_ops_then_reads_observe_them() {
-    let db = Database::open(DbConfig::default());
-    let t = cached_table(&db, 100);
-    // One batch mixing every op kind. Documented semantics: put →
-    // update → delete → read, so the reads see all of this batch's
-    // writes regardless of queue position.
-    let out = t
-        .execute(
-            Batch::new()
-                .get("by_id", &be_key(200)) // sees the put below
-                .put("by_id", &tuple(200, 1, 2000))
-                .update("by_id", &be_key(5), &tuple(5, 5, 555))
-                .delete("by_id", &be_key(7))
-                .get("by_id", &be_key(5))
-                .project("by_id", &be_key(7))
-                .update("by_id", &be_key(9999), &tuple(9999, 0, 0)) // absent
-                .delete("by_id", &be_key(9998)), // absent
-        )
-        .unwrap();
-    assert_eq!(out[0].tuple().unwrap(), &tuple(200, 1, 2000)[..], "read sees the batch's put");
-    let rid = out[1].rid().expect("put returns a rid");
-    assert_eq!(t.heap().get(rid).unwrap(), tuple(200, 1, 2000));
-    assert_eq!(out[2].applied(), Some(true));
-    assert_eq!(out[3].applied(), Some(true));
-    assert_eq!(out[4].tuple().unwrap(), &tuple(5, 5, 555)[..], "read sees the batch's update");
-    assert!(out[5].projection().is_none(), "read sees the batch's delete");
-    assert_eq!(out[6].applied(), Some(false));
-    assert_eq!(out[7].applied(), Some(false));
-    // Cross-check against the table after the batch.
-    assert!(t.index("by_id").unwrap().get(&be_key(7)).unwrap().is_none());
-    assert_eq!(t.index("by_id").unwrap().get(&be_key(5)).unwrap().unwrap(), tuple(5, 5, 555));
-}
-
-#[test]
-fn execute_validates_before_touching_anything() {
+fn put_many_validates_before_touching_anything() {
     let db = Database::open(DbConfig::default());
     let t = cached_table(&db, 10);
     let live_before = t.heap().live_tuple_count().unwrap();
-    // Unknown index name fails the whole batch up front: the put never
-    // lands even though it precedes the bad op.
-    let err = t
-        .execute(Batch::new().put("by_id", &tuple(500, 0, 0)).get("nope", &be_key(1)))
-        .unwrap_err();
-    assert!(matches!(err, StorageError::Corrupt(_)), "unknown index: {err:?}");
-    assert_eq!(t.heap().live_tuple_count().unwrap(), live_before);
-    // Wrong tuple width on a later op: same story.
-    let err = t
-        .execute(Batch::new().put("by_id", &tuple(500, 0, 0)).put("by_id", &[0u8; 3]))
-        .unwrap_err();
+    // An unknown index name fails at resolution, before any write.
+    assert!(matches!(t.index("nope"), Err(StorageError::Corrupt(_))));
+    let by_id = t.index("by_id").unwrap();
+    // Wrong tuple width on a later tuple: the valid first one never lands.
+    let err = by_id.put_many(&[&tuple(500, 0, 0)[..], &[0u8; 3][..]]).unwrap_err();
     assert!(matches!(err, StorageError::Corrupt(_)), "bad width: {err:?}");
     assert_eq!(t.heap().live_tuple_count().unwrap(), live_before);
-    // Duplicate keys within one write group surface the named error.
-    let err = t
-        .execute(Batch::new().put("by_id", &tuple(600, 0, 1)).put("by_id", &tuple(600, 0, 2)))
-        .unwrap_err();
+    // Duplicate keys within one batch surface the named error.
+    let err = by_id.put_many(&[tuple(600, 0, 1), tuple(600, 0, 2)]).unwrap_err();
     assert!(matches!(err, StorageError::DuplicateKeyInBatch { .. }), "dup: {err:?}");
     assert_eq!(t.heap().live_tuple_count().unwrap(), live_before);
 }
@@ -262,6 +188,10 @@ fn put_many_and_delete_many_through_the_handle() {
         vec![(be_key(42), tuple(42, 9, 1)), (be_key(41), tuple(41, 9, 1))];
     assert_eq!(by_id.update_many(&pairs).unwrap(), vec![true, false]);
 }
+
+// ---------------------------------------------------------------------
+// Range cursors
+// ---------------------------------------------------------------------
 
 #[test]
 fn range_on_empty_table_yields_nothing() {
