@@ -5,7 +5,7 @@
 //! `ablation_policies` binary since they measure rates, not time.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use nbb_btree::cache::{CacheConfig, CacheView, CacheViewMut};
+use nbb_btree::cache::{Admission, CacheConfig, CacheView, CacheViewMut};
 use nbb_btree::node::NodeMut;
 use nbb_btree::{BTree, BTreeOptions, CoveringIndex};
 use nbb_storage::{BufferPool, DiskManager, InMemoryDisk, Page};
@@ -34,7 +34,7 @@ fn bench_covering_vs_cache(c: &mut Criterion) {
     let cached = BTree::bulk_load(
         pool(),
         8,
-        BTreeOptions { cache: Some(CacheConfig { payload_size: 17, bucket_slots: 8 }) },
+        BTreeOptions { cache: Some(CacheConfig { payload_size: 17 }) },
         (0..n).map(|i| (i.to_be_bytes().to_vec(), i)),
         0.68,
     )
@@ -77,7 +77,7 @@ fn bench_covering_vs_cache(c: &mut Criterion) {
 fn bench_probe_by_entry_size(c: &mut Criterion) {
     let mut group = c.benchmark_group("probe_by_payload");
     for &payload in &[9usize, 17, 57, 120] {
-        let cfg = CacheConfig { payload_size: payload, bucket_slots: 8 };
+        let cfg = CacheConfig { payload_size: payload };
         let mut page = Page::new(8192);
         {
             let mut node = NodeMut::init_leaf(&mut page, 32);
@@ -94,7 +94,7 @@ fn bench_probe_by_entry_size(c: &mut Criterion) {
             let mut cv = CacheViewMut::new(&mut page, 32, &cfg);
             let pl = vec![1u8; payload];
             for i in 0..capacity as u64 {
-                cv.store(1000 + i, &pl, &mut rng);
+                cv.store(1000 + i, &pl, Admission::Free, &mut rng);
             }
         }
         group.bench_function(BenchmarkId::from_parameter(payload), |b| {

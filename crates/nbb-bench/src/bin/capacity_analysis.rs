@@ -39,7 +39,7 @@ fn main() {
     let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(page_size));
     let pool = Arc::new(BufferPool::new(disk, 4096));
     let n_scaled = 200_000u64;
-    let opts = BTreeOptions { cache: Some(CacheConfig { payload_size: 17, bucket_slots: 8 }) };
+    let opts = BTreeOptions { cache: Some(CacheConfig { payload_size: 17 }) };
     let entries = (0..n_scaled).map(|i| {
         let mut k = vec![0u8; key_size];
         k[..8].copy_from_slice(&i.to_be_bytes());

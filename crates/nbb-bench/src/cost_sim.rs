@@ -108,7 +108,7 @@ impl CostSim {
     /// caches, heap pages with 100-byte tuples, and a disk image.
     pub fn build(cfg: CostSimConfig, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let cache_cfg = CacheConfig { payload_size: cfg.payload, bucket_slots: 8 };
+        let cache_cfg = CacheConfig { payload_size: cfg.payload };
         let mut leaves = Vec::with_capacity(cfg.n_leaves);
         let mut cached_ids = Vec::with_capacity(cfg.n_leaves);
         let mut next_id = 1u64;
@@ -134,12 +134,14 @@ impl CostSim {
                 let mut cv = CacheViewMut::new(&mut page, cfg.key_size, &cache_cfg);
                 let payload = vec![0xCD_u8; cfg.payload];
                 for _ in 0..capacity {
-                    use nbb_btree::cache::StoreOutcome;
+                    use nbb_btree::cache::{Admission, StoreOutcome};
                     let id = next_id;
                     next_id += 1;
-                    match cv.store(id, &payload, &mut rng) {
+                    match cv.store(id, &payload, Admission::Free, &mut rng) {
                         StoreOutcome::Stored => ids.push(id),
-                        StoreOutcome::StoredEvicting | StoreOutcome::NoRoom => {
+                        StoreOutcome::StoredEvicting
+                        | StoreOutcome::NoRoom
+                        | StoreOutcome::Refused => {
                             unreachable!("free slots remain for the first `capacity` stores")
                         }
                     }

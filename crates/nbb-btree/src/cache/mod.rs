@@ -17,23 +17,31 @@
 //! their offset) as well as any projection (fields sliced out). A
 //! wider tuple's entry holds only the projected fields.
 //!
-//! Placement policy (§2.1.1):
-//! * slots are ranked by distance from the stable point
-//!   `S = K/(K+D)·P` ([`crate::node::stable_point`]) and grouped into
-//!   *buckets* of `N` slots (rings of `N/2` on each side);
-//! * a new item goes to a uniformly random free slot, or — when none is
-//!   free — evicts a random item from the outermost occupied bucket;
-//! * on a hit, the item is swapped with a random slot of the adjacent
-//!   bucket closer to `S`, so hot items migrate to the most stable
-//!   region and are overwritten last.
+//! Placement (§2.1.1, with admission by frequency in place of the
+//! paper's promotion):
+//! * a new entry goes to a uniformly random free slot;
+//! * in a full leaf it must earn a slot: the tree's access-frequency
+//!   sketch (TinyLFU, `sketch.rs`) estimates it and
+//!   [`ADMISSION_SAMPLE`] occupied slots sampled from a start its id
+//!   picks, and it overwrites the least frequent of them only if it is
+//!   strictly more frequent — ties go to the slot farther from the
+//!   stable point `S = K/(K+D)·P` ([`crate::node::stable_point`]),
+//!   the slot key inserts would take first;
+//! * a hit changes nothing in the leaf; the sketch counts it.
 //!
-//! Promotion stays because it was measured to pay where the paper says
-//! it should: where key inserts eat the free region around a skewed
-//! read stream. On a 200,000-key tree at 0.68 fill, with one random-key
-//! insert per scrambled-Zipf 4-key read, it lifts the hit ratio from
-//! 0.652 to 0.708 (`tests/promotion_replay.rs` pins it); at 0.5 fill
-//! with two inserts per read, from 0.728 to 0.760. The benchmark's
-//! workloads insert only at the right edge, and there it buys ≤ 0.010.
+//! The decision is made under the reader's shared pin
+//! ([`CacheView::admit`]) and travels to the populate in the entry's
+//! token, so a refused miss takes no exclusive latch, and neither does
+//! a hit: the paper's on-hit swap toward `S` was the only exclusive
+//! latch a hit took, and admission keeps hot entries better without
+//! it. On the paper's case — key inserts eating a leaf's free region
+//! around a skewed read stream (`tests/promotion_replay.rs`) — the hit
+//! ratio was 0.708 with promotion and 0.652 with neither mechanism;
+//! admission without promotion reads 0.713. On the benchmark's
+//! `point_cold` stream (`nbb-core`'s `tests/admission_replay.rs`) it
+//! lifts the hit ratio from 0.864 to 0.878, and on `project_hot` it
+//! stores and evicts 0.54 entries per request where random eviction
+//! stored 8.55.
 //!
 //! A leaf's cache is **trusted by its residency alone**: it is read
 //! only while the page's mark ([`nbb_storage::page::Page::marked`]) is
@@ -57,6 +65,10 @@
 //! ≈ 40 requests, dropping every leaf, and each match zeroed a whole
 //! leaf — a 0.03 hit ratio against 0.86 on the read-only workload.
 
+mod sketch;
+
+pub(crate) use sketch::Sketch;
+
 use crate::node::{stable_point, Node};
 use nbb_storage::page::Page;
 use rand::Rng;
@@ -64,19 +76,20 @@ use rand::Rng;
 /// Cache entry header: the identifying tuple id.
 pub const CACHE_ID_SIZE: usize = 8;
 
+/// Occupied slots a full leaf's admission compares a candidate with.
+pub const ADMISSION_SAMPLE: usize = 8;
+
 /// Configuration of a tree's index cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Bytes of cached field data per entry (the paper's example: 4
     /// fields totalling 17 bytes → 25-byte items).
     pub payload_size: usize,
-    /// Slots per bucket (`N`). Must be ≥ 2.
-    pub bucket_slots: usize,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig { payload_size: 17, bucket_slots: 8 }
+        CacheConfig { payload_size: 17 }
     }
 }
 
@@ -90,19 +103,39 @@ impl CacheConfig {
     /// Validates invariants; panics with a clear message otherwise.
     pub fn validate(&self) {
         assert!(self.payload_size > 0, "cache payload must be non-empty");
-        assert!(self.bucket_slots >= 2, "bucket_slots must be >= 2");
     }
+}
+
+/// What a populate may do with one missed entry: decided by
+/// [`CacheView::admit`] under the reader's shared pin, re-checked by
+/// [`CacheViewMut::store`] under the populate's latch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
+    /// Not admitted: a populate skips the entry without latching.
+    Refused,
+    /// Store into a free slot, if one is still free.
+    Free,
+    /// Overwrite `slot`, if it still holds `tuple_id`.
+    Evict {
+        /// The victim's slot.
+        slot: usize,
+        /// The victim's tuple id, as sampled.
+        tuple_id: u64,
+    },
 }
 
 /// Result of a cache store attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreOutcome {
-    /// Entry written into a free slot.
+    /// Entry written into a free slot, or refreshed in place.
     Stored,
-    /// Entry written over a random victim in the peripheral bucket.
+    /// Entry written over its admitted victim.
     StoredEvicting,
     /// No usable slot exists (free region smaller than one slot).
     NoRoom,
+    /// The admission no longer holds: the refused entry, a free slot
+    /// another store took, or a victim that left its slot.
+    Refused,
 }
 
 /// A uniformly drawn one of `slots`, or `None` when there are none:
@@ -123,7 +156,6 @@ pub struct CacheView<'a> {
     free_low: usize,
     free_high: usize,
     s_slot: usize,
-    half_bucket: usize,
 }
 
 impl<'a> CacheView<'a> {
@@ -139,7 +171,6 @@ impl<'a> CacheView<'a> {
             page,
             entry,
             s_slot: s / entry,
-            half_bucket: (cfg.bucket_slots / 2).max(1),
         }
     }
 
@@ -176,10 +207,11 @@ impl<'a> CacheView<'a> {
         &self.page.bytes()[off..off + self.entry - CACHE_ID_SIZE]
     }
 
-    /// Bucket (ring) index of `slot`: 0 is the innermost, most stable.
+    /// Distance of `slot` from the stable point, in slots: key inserts
+    /// take the slots farthest from it first.
     #[inline]
-    pub fn bucket_of(&self, slot: usize) -> usize {
-        self.s_slot.abs_diff(slot) / self.half_bucket
+    pub fn distance(&self, slot: usize) -> usize {
+        self.s_slot.abs_diff(slot)
     }
 
     /// Scans for `tuple_id`, returning its slot and payload.
@@ -208,6 +240,36 @@ impl<'a> CacheView<'a> {
             .map(|s| (self.tuple_id_at(s), self.payload_at(s)))
             .collect()
     }
+
+    /// Decides whether missed `tuple_id`, estimated `freq` lookups, may
+    /// enter this cache. A free slot admits it. Otherwise the first
+    /// [`ADMISSION_SAMPLE`] occupied slots from a start its id picks
+    /// are estimated by `freq_of`, and the least frequent of them —
+    /// farthest from `S` among equals — is its victim if `freq` is
+    /// strictly greater. Two misses of one leaf may be told the same
+    /// free slot or victim; the store refuses the second.
+    pub fn admit(&self, tuple_id: u64, freq: u8, freq_of: impl Fn(u64) -> u8) -> Admission {
+        let (first, last) = self.slot_range();
+        let n = last - first;
+        if n > self.occupied() {
+            return Admission::Free;
+        }
+        if n == 0 {
+            return Admission::Refused;
+        }
+        let start = (tuple_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % n;
+        let victim = (0..n)
+            .map(|i| first + (start + i) % n)
+            .map(|slot| (slot, self.tuple_id_at(slot)))
+            .filter(|&(_, id)| id != 0)
+            .take(ADMISSION_SAMPLE)
+            .map(|(slot, id)| (freq_of(id), std::cmp::Reverse(self.distance(slot)), slot, id))
+            .min();
+        match victim {
+            Some((f, _, slot, id)) if freq > f => Admission::Evict { slot, tuple_id: id },
+            _ => Admission::Refused,
+        }
+    }
 }
 
 /// Mutable cache view over a leaf page.
@@ -217,7 +279,6 @@ pub struct CacheViewMut<'a> {
     free_low: usize,
     free_high: usize,
     s_slot: usize,
-    half_bucket: usize,
 }
 
 impl<'a> CacheViewMut<'a> {
@@ -227,14 +288,7 @@ impl<'a> CacheViewMut<'a> {
         let (free_low, free_high) = (node.free_low(), node.free_high());
         let entry = cfg.entry_size();
         let s = stable_point(page.size(), key_size);
-        CacheViewMut {
-            free_low,
-            free_high,
-            page,
-            entry,
-            s_slot: s / entry,
-            half_bucket: (cfg.bucket_slots / 2).max(1),
-        }
+        CacheViewMut { free_low, free_high, page, entry, s_slot: s / entry }
     }
 
     fn ro(&self) -> CacheView<'_> {
@@ -244,7 +298,6 @@ impl<'a> CacheViewMut<'a> {
             free_low: self.free_low,
             free_high: self.free_high,
             s_slot: self.s_slot,
-            half_bucket: self.half_bucket,
         }
     }
 
@@ -276,83 +329,43 @@ impl<'a> CacheViewMut<'a> {
         true
     }
 
-    /// Stores `tuple_id → payload` per the paper's placement policy:
-    /// a random free slot, else evict a random item in the outermost
-    /// occupied bucket. If `tuple_id` is already cached, its payload is
-    /// refreshed in place.
-    pub fn store<R: Rng>(&mut self, tuple_id: u64, payload: &[u8], rng: &mut R) -> StoreOutcome {
+    /// Stores `tuple_id → payload` as `admission` allows: into a
+    /// uniformly random free slot, or over the admitted victim if it
+    /// still holds the entry it was chosen for. If an admitted
+    /// `tuple_id` is already cached, its payload is refreshed in place.
+    pub fn store<R: Rng>(
+        &mut self,
+        tuple_id: u64,
+        payload: &[u8],
+        admission: Admission,
+        rng: &mut R,
+    ) -> StoreOutcome {
         debug_assert_ne!(tuple_id, 0, "tuple id 0 is the empty sentinel");
         let (first, last) = self.ro().slot_range();
         if first == last {
             return StoreOutcome::NoRoom;
         }
+        if admission == Admission::Refused {
+            return StoreOutcome::Refused;
+        }
         if self.refresh(tuple_id, payload) {
             return StoreOutcome::Stored;
         }
         let view = self.ro();
-        let free = pick((first..last).filter(|&s| view.tuple_id_at(s) == 0), rng);
-        if let Some(slot) = free {
-            self.write_entry(slot, tuple_id, payload);
-            return StoreOutcome::Stored;
-        }
-        // Evict from the outermost (peripheral) occupied bucket.
-        let view = self.ro();
-        let max_bucket = (first..last).map(|s| view.bucket_of(s)).max().unwrap_or(0);
-        let Some(slot) = pick((first..last).filter(|&s| view.bucket_of(s) == max_bucket), rng)
-        else {
-            return StoreOutcome::NoRoom;
+        let (slot, outcome) = match admission {
+            Admission::Evict { slot, tuple_id: victim } => {
+                if !(first..last).contains(&slot) || view.tuple_id_at(slot) != victim {
+                    return StoreOutcome::Refused;
+                }
+                (slot, StoreOutcome::StoredEvicting)
+            }
+            _ => match pick((first..last).filter(|&s| view.tuple_id_at(s) == 0), rng) {
+                Some(slot) => (slot, StoreOutcome::Stored),
+                None => return StoreOutcome::Refused,
+            },
         };
         self.write_entry(slot, tuple_id, payload);
-        StoreOutcome::StoredEvicting
-    }
-
-    /// On-hit promotion: swaps `slot` with a random slot in the adjacent
-    /// bucket closer to `S`. Re-verifies that `slot` still holds
-    /// `tuple_id` (the caller found it under a read latch and re-acquired
-    /// a write latch; the cache may have changed in between).
-    ///
-    /// Returns the slot now holding the entry, or `None` if verification
-    /// failed or the entry is already in the innermost bucket.
-    pub fn promote<R: Rng>(&mut self, slot: usize, tuple_id: u64, rng: &mut R) -> Option<usize> {
-        let (first, last) = self.ro().slot_range();
-        if slot < first || slot >= last || self.ro().tuple_id_at(slot) != tuple_id {
-            return None;
-        }
-        let b = self.ro().bucket_of(slot);
-        if b == 0 {
-            return Some(slot);
-        }
-        // Candidate slots: ring b-1, i.e. |d| in [(b-1)*h, b*h).
-        let h = self.half_bucket;
-        let lo_d = (b - 1) * h;
-        let hi_d = b * h;
-        let mut candidates: Vec<usize> = Vec::with_capacity(2 * h);
-        for d in lo_d..hi_d {
-            if let Some(s) = self.s_slot.checked_sub(d) {
-                if s >= first && s < last {
-                    candidates.push(s);
-                }
-            }
-            let s = self.s_slot + d;
-            if d != 0 && s >= first && s < last {
-                candidates.push(s);
-            }
-        }
-        candidates.retain(|&s| s != slot);
-        if candidates.is_empty() {
-            return Some(slot);
-        }
-        let target = candidates[rng.gen_range(0..candidates.len())];
-        self.swap_slots(slot, target);
-        Some(target)
-    }
-
-    fn swap_slots(&mut self, a: usize, b: usize) {
-        debug_assert_ne!(a, b);
-        let (oa, ob) = (self.offset(a), self.offset(b));
-        let (lo, hi) = if oa < ob { (oa, ob) } else { (ob, oa) };
-        let (left, right) = self.page.bytes_mut().split_at_mut(hi);
-        left[lo..lo + self.entry].swap_with_slice(&mut right[..self.entry]);
+        outcome
     }
 
     /// Zeroes every slot the free region can hold: the reset a leaf's
@@ -377,7 +390,7 @@ mod tests {
     const KS: usize = 8;
 
     fn cfg() -> CacheConfig {
-        CacheConfig { payload_size: 16, bucket_slots: 8 }
+        CacheConfig { payload_size: 16 }
     }
 
     fn empty_leaf() -> Page {
@@ -400,8 +413,8 @@ mod tests {
         let c = cfg();
         let mut r = rng();
         let mut m = CacheViewMut::new(&mut p, KS, &c);
-        assert_eq!(m.store(10, &payload(1), &mut r), StoreOutcome::Stored);
-        assert_eq!(m.store(20, &payload(2), &mut r), StoreOutcome::Stored);
+        assert_eq!(m.store(10, &payload(1), Admission::Free, &mut r), StoreOutcome::Stored);
+        assert_eq!(m.store(20, &payload(2), Admission::Free, &mut r), StoreOutcome::Stored);
         let v = CacheView::new(&p, KS, &c);
         assert_eq!(v.probe(10).unwrap().1, &payload(1)[..]);
         assert_eq!(v.probe(20).unwrap().1, &payload(2)[..]);
@@ -415,95 +428,151 @@ mod tests {
         let c = cfg();
         let mut r = rng();
         let mut m = CacheViewMut::new(&mut p, KS, &c);
-        m.store(10, &payload(1), &mut r);
-        m.store(10, &payload(9), &mut r);
+        m.store(10, &payload(1), Admission::Free, &mut r);
+        m.store(10, &payload(9), Admission::Free, &mut r);
         let v = CacheView::new(&p, KS, &c);
         assert_eq!(v.occupied(), 1, "no duplicate entries");
         assert_eq!(v.probe(10).unwrap().1, &payload(9)[..]);
     }
 
-    #[test]
-    fn full_cache_evicts_peripheral_items() {
+    /// A cache filled with ids `1..=cap`, every slot occupied.
+    fn full_leaf() -> Page {
         let mut p = empty_leaf();
         let c = cfg();
         let mut r = rng();
         let cap = CacheView::new(&p, KS, &c).capacity();
-        assert!(cap > 10, "4 KiB empty leaf should have many slots, got {cap}");
+        assert!(cap > 2 * ADMISSION_SAMPLE, "4 KiB empty leaf should have many slots, got {cap}");
         let mut m = CacheViewMut::new(&mut p, KS, &c);
         for id in 1..=cap as u64 {
-            assert_ne!(m.store(id, &payload(id as u8), &mut r), StoreOutcome::NoRoom);
+            assert_eq!(
+                m.store(id, &payload(id as u8), Admission::Free, &mut r),
+                StoreOutcome::Stored
+            );
         }
         assert_eq!(CacheView::new(&p, KS, &c).occupied(), cap);
+        p
+    }
+
+    /// A leaf whose keys leave between 3 and [`ADMISSION_SAMPLE`]
+    /// slots, all occupied: every admission samples every slot.
+    fn small_full_leaf() -> Page {
+        let mut p = empty_leaf();
+        let c = cfg();
+        let mut key = 0u64;
+        while CacheView::new(&p, KS, &c).capacity() > ADMISSION_SAMPLE {
+            NodeMut::new(&mut p, KS).insert(&key.to_be_bytes(), key);
+            key += 1;
+        }
+        let cap = CacheView::new(&p, KS, &c).capacity();
+        assert!(cap >= 3, "{cap} slots left");
         let mut m = CacheViewMut::new(&mut p, KS, &c);
-        let out = m.store(10_000, &payload(99), &mut r);
+        for id in 1..=cap as u64 {
+            m.store(id, &payload(id as u8), Admission::Free, &mut rng());
+        }
+        assert_eq!(CacheView::new(&p, KS, &c).occupied(), cap);
+        p
+    }
+
+    #[test]
+    fn full_cache_evicts_peripheral_items() {
+        // Every estimate ties: the victim is the slot farthest from S,
+        // and the store overwrites exactly it.
+        let mut p = small_full_leaf();
+        let c = cfg();
+        let v = CacheView::new(&p, KS, &c);
+        let (first, last) = v.slot_range();
+        let farthest = (first..last).map(|s| v.distance(s)).max().unwrap();
+        let admission = v.admit(10_000, 2, |_| 1);
+        let Admission::Evict { slot, tuple_id } = admission else {
+            panic!("a more frequent candidate must be admitted: {admission:?}")
+        };
+        assert_eq!(v.distance(slot), farthest, "victim slot {slot} is not peripheral");
+        let mut m = CacheViewMut::new(&mut p, KS, &c);
+        let out = m.store(10_000, &payload(99), admission, &mut rng());
         assert_eq!(out, StoreOutcome::StoredEvicting);
         let v = CacheView::new(&p, KS, &c);
-        assert_eq!(v.occupied(), cap, "eviction replaces, never grows");
-        // the victim came from the outermost bucket
-        let (slot, _) = v.probe(10_000).unwrap();
-        let max_bucket =
-            (v.slot_range().0..v.slot_range().1).map(|s| v.bucket_of(s)).max().unwrap();
-        assert_eq!(v.bucket_of(slot), max_bucket);
+        assert_eq!(v.occupied(), last - first, "eviction replaces, never grows");
+        assert_eq!(v.probe(10_000).unwrap().0, slot);
+        assert!(v.probe(tuple_id).is_none());
     }
 
     #[test]
-    fn promote_moves_toward_stable_point() {
-        let mut p = empty_leaf();
-        let c = cfg();
-        let mut r = rng();
-        let mut m = CacheViewMut::new(&mut p, KS, &c);
-        m.store(7, &payload(7), &mut r);
-        let (mut slot, _) = CacheView::new(&p, KS, &c).probe(7).unwrap();
-        // Promote repeatedly: bucket index must be non-increasing and
-        // reach 0 within capacity steps.
-        let mut prev_bucket = CacheView::new(&p, KS, &c).bucket_of(slot);
-        for _ in 0..200 {
-            let mut m = CacheViewMut::new(&mut p, KS, &c);
-            slot = m.promote(slot, 7, &mut r).unwrap();
-            let b = CacheView::new(&p, KS, &c).bucket_of(slot);
-            assert!(b <= prev_bucket, "bucket went outward: {prev_bucket} -> {b}");
-            prev_bucket = b;
-            if b == 0 {
-                break;
+    fn a_tie_evicts_the_slot_farther_from_s() {
+        let p = small_full_leaf();
+        let v = CacheView::new(&p, KS, &cfg());
+        let (first, last) = v.slot_range();
+        let mut pairs = 0;
+        for a in first..last {
+            for b in first..last {
+                if v.distance(a) >= v.distance(b) {
+                    continue;
+                }
+                // `a` and `b` share the least estimate; `b` lies farther.
+                let low = [v.tuple_id_at(a), v.tuple_id_at(b)];
+                let freq_of = |id: u64| if low.contains(&id) { 2 } else { 9 };
+                let got = v.admit(7_777, 3, freq_of);
+                assert_eq!(got, Admission::Evict { slot: b, tuple_id: low[1] }, "{a} vs {b}");
+                pairs += 1;
             }
         }
-        assert_eq!(prev_bucket, 0, "hot item should reach the innermost bucket");
-        assert_eq!(CacheView::new(&p, KS, &c).probe(7).unwrap().0, slot);
+        assert!(pairs > 0);
     }
 
     #[test]
-    fn promote_verifies_tuple_id() {
-        let mut p = empty_leaf();
-        let c = cfg();
-        let mut r = rng();
-        let mut m = CacheViewMut::new(&mut p, KS, &c);
-        m.store(7, &payload(7), &mut r);
-        let (slot, _) = CacheView::new(&p, KS, &c).probe(7).unwrap();
-        let mut m = CacheViewMut::new(&mut p, KS, &c);
-        assert!(m.promote(slot, 8, &mut r).is_none(), "wrong id must fail");
-    }
-
-    #[test]
-    fn swap_preserves_both_entries() {
-        let mut p = empty_leaf();
-        let c = cfg();
-        let mut r = rng();
-        // Fill the cache so a promotion almost surely swaps two live entries.
-        let cap = CacheView::new(&p, KS, &c).capacity();
-        let mut m2 = CacheViewMut::new(&mut p, KS, &c);
-        for id in 1..=cap as u64 {
-            m2.store(id, &payload((id % 250) as u8), &mut r);
+    fn admission_refuses_a_candidate_no_more_frequent_than_its_victim() {
+        let p = full_leaf();
+        let v = CacheView::new(&p, KS, &cfg());
+        for cand in 1..100u64 {
+            for freq in 0..=5u8 {
+                let got = v.admit(cand, freq, |_| 5);
+                assert_eq!(got, Admission::Refused, "candidate {cand} at {freq} against 5");
+            }
+            let got = v.admit(cand, 6, |_| 5);
+            assert!(matches!(got, Admission::Evict { .. }), "6 against 5: {got:?}");
         }
-        let v = CacheView::new(&p, KS, &c);
-        let (slot, _) = v.probe(1).unwrap();
-        let before: std::collections::HashMap<u64, Vec<u8>> =
-            v.entries().into_iter().map(|(id, pl)| (id, pl.to_vec())).collect();
+        // One cold slot among the sample is the victim whatever its
+        // distance.
+        let cold = v.tuple_id_at(v.slot_range().0 + 3);
+        let mut hit_cold = 0;
+        for cand in 1..200u64 {
+            let freq_of = |id: u64| if id == cold { 0 } else { 7 };
+            match v.admit(cand, 1, freq_of) {
+                Admission::Evict { tuple_id, .. } => {
+                    assert_eq!(tuple_id, cold);
+                    hit_cold += 1;
+                }
+                Admission::Refused => {} // the cold slot was not sampled
+                Admission::Free => panic!("a full leaf has no free slot"),
+            }
+        }
+        assert!(hit_cold > 0, "no sample held the cold slot");
+    }
+
+    #[test]
+    fn admission_always_takes_a_free_slot() {
+        let mut p = full_leaf();
+        let c = cfg();
+        let mut r = rng();
+        let (first, _) = CacheView::new(&p, KS, &c).slot_range();
+        // Free two slots: even a never-seen candidate is admitted while
+        // one is left, and the stores fill them.
         let mut m = CacheViewMut::new(&mut p, KS, &c);
-        m.promote(slot, 1, &mut r);
+        assert!(m.remove(1) && m.remove(2));
+        for id in [500, 501] {
+            assert_eq!(CacheView::new(&p, KS, &c).admit(id, 0, |_| 15), Admission::Free);
+            let mut m = CacheViewMut::new(&mut p, KS, &c);
+            assert_eq!(m.store(id, &payload(5), Admission::Free, &mut r), StoreOutcome::Stored);
+        }
+        assert_eq!(CacheView::new(&p, KS, &c).admit(502, 0, |_| 15), Admission::Refused);
+        // A free slot another store took is not made by evicting, and a
+        // victim that left its slot is not overwritten.
+        let mut m = CacheViewMut::new(&mut p, KS, &c);
+        assert_eq!(m.store(502, &payload(5), Admission::Free, &mut r), StoreOutcome::Refused);
+        let stale = Admission::Evict { slot: first, tuple_id: 123_456 };
+        assert_eq!(m.store(503, &payload(5), stale, &mut r), StoreOutcome::Refused);
+        assert_eq!(m.store(503, &payload(5), Admission::Refused, &mut r), StoreOutcome::Refused);
         let v = CacheView::new(&p, KS, &c);
-        let after: std::collections::HashMap<u64, Vec<u8>> =
-            v.entries().into_iter().map(|(id, pl)| (id, pl.to_vec())).collect();
-        assert_eq!(before, after, "promotion must not lose or corrupt entries");
+        assert!(v.probe(502).is_none() && v.probe(503).is_none());
     }
 
     #[test]
@@ -512,7 +581,7 @@ mod tests {
         let c = cfg();
         let mut r = rng();
         let mut m = CacheViewMut::new(&mut p, KS, &c);
-        m.store(10, &payload(1), &mut r);
+        m.store(10, &payload(1), Admission::Free, &mut r);
         assert!(m.refresh(10, &payload(2)));
         assert!(!m.refresh(20, &payload(3)), "write-through never inserts");
         assert!(!m.remove(20));
@@ -531,7 +600,7 @@ mod tests {
         let mut r = rng();
         let mut m = CacheViewMut::new(&mut p, KS, &c);
         for id in 1..=5u64 {
-            m.store(id, &payload(id as u8), &mut r);
+            m.store(id, &payload(id as u8), Admission::Free, &mut r);
         }
         m.zero();
         assert_eq!(CacheView::new(&p, KS, &c).occupied(), 0);
@@ -546,7 +615,7 @@ mod tests {
         {
             let mut m = CacheViewMut::new(&mut p, KS, &c);
             for id in 1..=cap0 as u64 {
-                m.store(id, &payload(1), &mut r);
+                m.store(id, &payload(1), Admission::Free, &mut r);
             }
         }
         // Insert keys: the key region grows into the low end of the cache.
@@ -585,7 +654,7 @@ mod tests {
         let c = cfg();
         let mut r = rng();
         let mut m = CacheViewMut::new(&mut p, KS, &c);
-        assert_eq!(m.store(1, &payload(1), &mut r), StoreOutcome::NoRoom);
+        assert_eq!(m.store(1, &payload(1), Admission::Free, &mut r), StoreOutcome::NoRoom);
         assert_eq!(CacheView::new(&p, KS, &c).capacity(), 0);
     }
 
@@ -609,9 +678,7 @@ mod tests {
     #[test]
     fn config_validation() {
         cfg().validate();
-        let bad = CacheConfig { payload_size: 0, ..cfg() };
-        assert!(std::panic::catch_unwind(|| bad.validate()).is_err());
-        let bad = CacheConfig { bucket_slots: 1, ..cfg() };
+        let bad = CacheConfig { payload_size: 0 };
         assert!(std::panic::catch_unwind(|| bad.validate()).is_err());
     }
 }

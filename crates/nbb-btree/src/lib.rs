@@ -6,12 +6,13 @@
 //! free space in the middle recycled as a **tuple cache**:
 //!
 //! * [`node`] — the on-page layout and its zeroing discipline;
-//! * [`cache`] — cache slots, buckets, and the swap-toward-`S` policy
-//!   (§2.1.1), where `S = K/(K+D)·P` is the most stable byte of the
-//!   page, and the rule for trusting a leaf's cache (what remains of
-//!   §2.1.2);
+//! * [`cache`] — cache slots, admission by access frequency (a
+//!   TinyLFU sketch in place of §2.1.1's swap toward `S`, where
+//!   `S = K/(K+D)·P` is the most stable byte of the page and now only
+//!   breaks ties between victims), and the rule for trusting a leaf's
+//!   cache (what remains of §2.1.2);
 //! * [`tree`] — the tree operations plus the cache protocol:
-//!   [`tree::BTree::lookup_cached`] (probe + promote),
+//!   [`tree::BTree::lookup_cached`] (probe, count, and admit a miss),
 //!   [`tree::BTree::cache_populate`] (store after heap fetch),
 //!   [`tree::BTree::cache_refresh_many`] (write-through on a heap
 //!   update);
@@ -59,7 +60,7 @@ pub mod key;
 pub mod node;
 pub mod tree;
 
-pub use cache::{CacheConfig, CacheView, CacheViewMut, StoreOutcome};
+pub use cache::{Admission, CacheConfig, CacheView, CacheViewMut, StoreOutcome};
 pub use covering::CoveringIndex;
 pub use intents::{IntentGuard, KeyIntents, DEFAULT_INTENT_STRIPES};
 pub use node::{node_capacity, stable_point, InsertOutcome, Node, NodeMut};

@@ -1,6 +1,6 @@
 //! The B+Tree: search/insert/delete/scan plus the §2.1 index-cache
-//! protocol (probe on lookup, populate on miss, promote on hit,
-//! write-through at the writer's leaf latch).
+//! protocol (probe and count on lookup, admit by frequency and populate
+//! on miss, write-through at the writer's leaf latch).
 //!
 //! Concurrency model, in full: **structure lock → frame latch**. One
 //! tree-level `RwLock<PageId>` guards the tree's *shape* and holds the
@@ -8,12 +8,13 @@
 //! buffer pool's per-frame latch, taken by `with_page` (shared),
 //! `with_page_mut` (exclusive), `with_page_mut_clean` (exclusive,
 //! non-dirtying: the cache write-through) and `with_page_cache_write`
-//! (exclusive, try-only, non-dirtying: populates and promotions are
-//! simply skipped under contention, per §2.1.3). The tree has no latch
-//! table of its own: the frame latch of a leaf *is* its leaf latch, and
-//! the page's residency stamp, which every exclusive writer latch
-//! advances, is how a populate learns a writer came between its lookup
-//! and its store.
+//! (exclusive, try-only, non-dirtying: a populate is simply skipped
+//! under contention, per §2.1.3). A cache hit takes only the shared
+//! pin, and so does a miss the frequency sketch refuses. The tree has
+//! no latch table of its own: the frame latch of a leaf *is* its leaf
+//! latch, and the page's residency stamp, which every exclusive writer
+//! latch advances, is how a populate learns a writer came between its
+//! lookup and its store.
 //!
 //! The read path is `tree/read.rs`, read top to bottom. Every read-only
 //! operation takes the structure lock's read side — readers never block
@@ -61,7 +62,7 @@
 //! latch. Debug test runs verify the whole order at runtime; `cargo run
 //! -p nbb-lint` verifies no lock escapes it.
 
-use crate::cache::{CacheConfig, CacheViewMut, StoreOutcome};
+use crate::cache::{Admission, CacheConfig, CacheViewMut, Sketch, StoreOutcome};
 use crate::intents::{KeyIntents, DEFAULT_INTENT_STRIPES};
 use crate::node::{node_capacity, InsertOutcome, Node, NodeMut};
 use nbb_storage::buffer::BufferPool;
@@ -97,10 +98,8 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries stored by [`BTree::cache_populate_many`].
     pub populates: u64,
-    /// Stores that overwrote a peripheral victim.
+    /// Stores that overwrote their admitted victim.
     pub evictions: u64,
-    /// On-hit swaps toward the stable point.
-    pub promotions: u64,
     /// Cache writes abandoned because the page latch was contended.
     pub latch_giveups: u64,
     /// Entries rewritten in place by [`BTree::cache_refresh_many`]
@@ -177,7 +176,6 @@ struct CacheStatsAtomic {
     misses: AtomicU64,
     populates: AtomicU64,
     evictions: AtomicU64,
-    promotions: AtomicU64,
     latch_giveups: AtomicU64,
     refreshes: AtomicU64,
     stale_skips: AtomicU64,
@@ -187,10 +185,22 @@ struct CacheStatsAtomic {
 /// [`BTree::cache_populate_many`] refuses to store a payload if the
 /// leaf's residency stamp moved since it was issued (a writer latched
 /// it, or it was evicted and read back) — the heap value read in
-/// between may be stale.
+/// between may be stale. A point lookup's miss also carries its
+/// admission, decided under the reader's pin; a range chunk's token
+/// admits into free slots only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InvToken {
     stamp: u64,
+    admit: Admission,
+}
+
+impl InvToken {
+    /// Whether a populate with this token may store anything: false for
+    /// a miss the frequency sketch refused, so its caller can skip
+    /// fetching its payload for the cache.
+    pub fn admits(&self) -> bool {
+        self.admit != Admission::Refused
+    }
 }
 
 /// A disk-style B+Tree with fixed-width keys and `u64` values.
@@ -206,6 +216,8 @@ pub struct BTree {
     /// above the tree; see [`BTree::intents`].
     intents: KeyIntents,
     opts: BTreeOptions,
+    /// The cache's access-frequency sketch (a cached tree only).
+    sketch: Option<Sketch>,
     stats: CacheStatsAtomic,
     wstats: WriteStatsAtomic,
 }
@@ -214,7 +226,11 @@ impl BTree {
     /// A tree over `pool` with its root at `root`: fresh intent table
     /// and counters.
     fn rooted_at(pool: Arc<BufferPool>, key_size: usize, root: PageId, opts: BTreeOptions) -> Self {
+        let page_size = pool.disk().page_size();
+        let sketch =
+            opts.cache.map(|c| Sketch::for_cache(pool.capacity(), page_size, c.entry_size()));
         BTree {
+            sketch,
             pool,
             key_size,
             intents: KeyIntents::new(DEFAULT_INTENT_STRIPES),
@@ -427,16 +443,20 @@ impl BTree {
     /// reported them, `value` the key's pointer. Returns how many were
     /// stored.
     ///
-    /// Consecutive entries of one leaf and token form a **run**, and a
+    /// Each entry is stored as its token's admission allows: into a
+    /// free slot, or over the victim the lookup chose if that slot
+    /// still holds it. An entry whose admission was refused is skipped
+    /// without a latch, and so is a run of nothing else.
+    ///
+    /// Consecutive entries of one leaf and stamp form a **run**, and a
     /// caller that lists its misses in key order has one run per leaf.
     /// The batch takes the structure lock's read side once; each run
     /// takes its leaf's try-latch once. A run is refused whole if its
     /// leaf's stamp moved since the token was issued (a writer latched
     /// the leaf, so the heap read may be stale; or the page was
-    /// reloaded); it is skipped whole if the latch is contended, and
-    /// entry by entry when the leaf has no cache room. The first
-    /// populate of a residency resets the leaf's cache before storing —
-    /// only then is it trusted. Placement draws from
+    /// reloaded); it is skipped whole if the latch is contended. The
+    /// first populate of a residency resets the leaf's cache before
+    /// storing — only then is it trusted. A free slot is drawn from
     /// `placement_rng` seeded by the leaf and the run's first tuple.
     pub fn cache_populate_many(&self, entries: &[(PageId, InvToken, u64, &[u8])]) -> Result<usize> {
         let Some(cfg) = self.opts.cache else { return Ok(0) };
@@ -452,12 +472,16 @@ impl BTree {
         }
         let _root = self.root.read();
         let mut stored = 0;
-        for run in entries.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-            let (leaf, token) = (run[0].0, run[0].1);
+        for run in entries.chunk_by(|a, b| (a.0, a.1.stamp) == (b.0, b.1.stamp)) {
+            let admitted = run.iter().filter(|e| e.1.admits()).count() as u64;
+            if admitted == 0 {
+                continue;
+            }
+            let (leaf, stamp) = (run[0].0, run[0].1.stamp);
             let outcome = self.pool.with_page_cache_write(leaf, |p| {
                 // Checked under the latch, so no writer can come
                 // between the check and the store.
-                if p.stamp() != token.stamp {
+                if p.stamp() != stamp {
                     return None;
                 }
                 if !p.marked() {
@@ -471,13 +495,13 @@ impl BTree {
                 let mut rng = placement_rng(leaf, Self::tuple_id(run[0].2));
                 let mut cache = CacheViewMut::new(p, self.key_size, &cfg);
                 let (mut stored, mut evicted) = (0u64, 0u64);
-                for &(.., value, payload) in run {
-                    match cache.store(Self::tuple_id(value), payload, &mut rng) {
+                for &(_, token, value, payload) in run {
+                    match cache.store(Self::tuple_id(value), payload, token.admit, &mut rng) {
                         StoreOutcome::Stored => stored += 1,
                         StoreOutcome::StoredEvicting => {
                             (stored, evicted) = (stored + 1, evicted + 1)
                         }
-                        StoreOutcome::NoRoom => {}
+                        StoreOutcome::NoRoom | StoreOutcome::Refused => {}
                     }
                 }
                 Some((stored, evicted))
@@ -489,7 +513,7 @@ impl BTree {
                     stored += s as usize;
                 }
                 Some(None) => {
-                    self.stats.stale_skips.fetch_add(run.len() as u64, Ordering::Relaxed);
+                    self.stats.stale_skips.fetch_add(admitted, Ordering::Relaxed);
                 }
                 None => {
                     self.stats.latch_giveups.fetch_add(1, Ordering::Relaxed);
@@ -507,7 +531,6 @@ impl BTree {
             misses: self.stats.misses.load(Ordering::Relaxed),
             populates: self.stats.populates.load(Ordering::Relaxed),
             evictions: self.stats.evictions.load(Ordering::Relaxed),
-            promotions: self.stats.promotions.load(Ordering::Relaxed),
             latch_giveups: self.stats.latch_giveups.load(Ordering::Relaxed),
             refreshes: self.stats.refreshes.load(Ordering::Relaxed),
             stale_skips: self.stats.stale_skips.load(Ordering::Relaxed),

@@ -8,8 +8,8 @@
 //! every public entry point here takes the structure lock's read side
 //! once and holds no other tree lock.
 
-use super::{placement_rng, BTree, IndexStats, InvToken};
-use crate::cache::{CacheView, CacheViewMut};
+use super::{BTree, IndexStats, InvToken};
+use crate::cache::{Admission, CacheView, Sketch};
 use crate::node::Node;
 use nbb_storage::error::{Result, StorageError};
 use nbb_storage::page::PageId;
@@ -87,13 +87,16 @@ pub struct RangeChunk {
 /// One leaf under a shared pin, as [`BTree::read_leaf`] hands it to
 /// its visitor.
 struct LeafView<'a> {
-    /// Consistency token: the page's stamp under this pin.
+    /// Consistency token: the page's stamp under this pin, admitting
+    /// into free slots only.
     token: InvToken,
     node: Node<'a>,
     /// The leaf's §2.1 cache — absent when the read did not ask to
     /// probe, the tree has no cache, or the leaf's cache is not trusted
     /// (no populate reset it in this residency).
     cache: Option<CacheView<'a>>,
+    /// The tree's frequency sketch, when the read probes a cached tree.
+    sketch: Option<&'a Sketch>,
     /// Probes asked of this view, and how many the cache answered.
     asked: u64,
     hits: u64,
@@ -101,12 +104,32 @@ struct LeafView<'a> {
 
 impl<'a> LeafView<'a> {
     /// Looks the tuple behind index value `value` up in the leaf's
-    /// cache: `(slot, payload)` on a hit.
-    fn probe(&mut self, value: u64) -> Option<(usize, &'a [u8])> {
+    /// cache: its payload on a hit.
+    fn probe(&mut self, value: u64) -> Option<&'a [u8]> {
         self.asked += 1;
         let hit = self.cache.as_ref()?.probe(BTree::tuple_id(value));
         self.hits += u64::from(hit.is_some());
-        hit
+        hit.map(|(_, payload)| payload)
+    }
+
+    /// A point lookup's probe: counts the tuple in the sketch, probes,
+    /// and on a miss decides its admission here, under the shared pin,
+    /// into the token a populate must bring back. A leaf whose cache is
+    /// not trusted admits into a free slot: its first populate frees
+    /// them all.
+    fn lookup(&mut self, value: u64) -> (Option<&'a [u8]>, InvToken) {
+        let Some(sketch) = self.sketch else {
+            return (self.probe(value), InvToken { admit: Admission::Refused, ..self.token });
+        };
+        let id = BTree::tuple_id(value);
+        sketch.record(id);
+        let hit = self.probe(value);
+        let admit = match (&self.cache, hit) {
+            (_, Some(_)) => Admission::Refused,
+            (None, None) => Admission::Free,
+            (Some(cache), None) => cache.admit(id, sketch.estimate(id), |v| sketch.estimate(v)),
+        };
+        (hit, InvToken { admit, ..self.token })
     }
 }
 
@@ -142,10 +165,10 @@ impl BTree {
     }
 
     /// Cache-aware point lookup. On a hit, `payload` carries the cached
-    /// fields and the entry is promoted toward the stable point. On a
-    /// miss, fetch the tuple from the heap and call
-    /// [`BTree::cache_populate_many`] with the returned leaf and token. Thin
-    /// wrapper over a one-key [`BTree::lookup_cached_many`].
+    /// fields. On a miss whose token [admits](InvToken::admits), fetch
+    /// the tuple from the heap and call [`BTree::cache_populate_many`]
+    /// with the returned leaf and token. Thin wrapper over a one-key
+    /// [`BTree::lookup_cached_many`].
     pub fn lookup_cached(&self, key: &[u8]) -> Result<CachedLookup> {
         let mut r = self.lookup_cached_many(&[key])?;
         // nbb-lint: allow(unwrap, lookup_cached_many returns one result per input key)
@@ -161,7 +184,7 @@ impl BTree {
             value: None,
             payload: None,
             leaf: PageId::INVALID,
-            token: InvToken { stamp: 0 },
+            token: InvToken { stamp: 0, admit: Admission::Refused },
         };
         let mut out = vec![unanswered; keys.len()];
         self.lookup_cached_with(keys, |pos, leaf, token, value, payload| {
@@ -180,15 +203,16 @@ impl BTree {
     ///
     /// The leaf-group reader with the cache in view: like
     /// [`BTree::get_many`], the batch shares one structure-lock
-    /// acquisition and one page visit per distinct leaf — and on top of
-    /// that, cache work is amortized per leaf instead of per key: the
-    /// cache's trust is checked once per leaf, and every cache
-    /// hit in a leaf is promoted under a **single** try-latch
-    /// acquisition (N hot hits in one leaf cost one latch round-trip,
-    /// not N). Positions are visited in key order, so the misses of one
-    /// leaf are neighbours: `(leaf, token, value, payload)` for each,
-    /// once its tuple is fetched, is a run of
-    /// [`BTree::cache_populate_many`].
+    /// acquisition and one page visit per distinct leaf, and the cache's
+    /// trust is checked once per leaf. Every key found is counted in the
+    /// tree's frequency sketch, hit or miss, and everything happens
+    /// under the leaf's **shared** pin: a hit takes no other latch, and
+    /// a miss's admission — a free slot, or a less frequent victim
+    /// ([`crate::cache::CacheView::admit`]) — is decided here and
+    /// carried in its token. Positions are visited in key order, so the
+    /// misses of one leaf are neighbours: `(leaf, token, value,
+    /// payload)` for each admitted one, once its tuple is fetched, is a
+    /// run of [`BTree::cache_populate_many`].
     pub fn lookup_cached_with<K: AsRef<[u8]>>(
         &self,
         keys: &[K],
@@ -243,9 +267,10 @@ impl BTree {
     /// Leaves that contribute nothing (all keys below `lower`) are
     /// skipped via the sibling chain under the same lock acquisition.
     /// `exhausted` is true once `upper` was passed or the leaf chain
-    /// ended. Cache hits are **not** promoted: a scan touching every
-    /// entry carries no per-key popularity signal, so it must not churn
-    /// the stable point that point lookups organize.
+    /// ended. A probing scan records nothing in the frequency sketch: a
+    /// scan touching every entry carries no per-key popularity signal.
+    /// So its token admits into free slots only, never over an entry
+    /// the point lookups' frequencies placed.
     pub fn range_chunk(
         &self,
         lower: Bound<&[u8]>,
@@ -296,7 +321,7 @@ impl BTree {
                     if probe {
                         let hit = view.probe(value);
                         match hit {
-                            Some((_, payload)) => out.payloads.extend_from_slice(payload),
+                            Some(payload) => out.payloads.extend_from_slice(payload),
                             None => out.payloads.resize(out.payloads.len() + slot, 0),
                         }
                         out.cached.push(hit.is_some());
@@ -428,11 +453,10 @@ impl BTree {
     /// under one structure-lock acquisition. `order` holds the batch's
     /// positions sorted by key (`key_of` maps a position to its key).
     /// Per run of keys one leaf answers: one descent names the leaf, one
-    /// [`BTree::read_leaf`] pins it, `answer(pos, leaf, token, value,
-    /// payload)` is called once per key — `value` its pointer if it is
-    /// in the index, `payload` its cached fields if `probe` was asked
-    /// and the leaf's cache holds them — and the leaf's hits are
-    /// promoted under one try-latch.
+    /// [`BTree::read_leaf`] pins it, and `answer(pos, leaf, token,
+    /// value, payload)` is called once per key — `value` its pointer if
+    /// it is in the index; with `probe`, `payload` its cached fields if
+    /// the leaf's cache holds them and `token` the admission of a miss.
     fn read_groups<'k>(
         &self,
         order: &[usize],
@@ -441,12 +465,9 @@ impl BTree {
         mut answer: impl FnMut(usize, PageId, InvToken, Option<u64>, Option<&[u8]>),
     ) -> Result<()> {
         let root = self.root.read();
-        // This leaf's cache hits as `(slot, value)`, for promotion.
-        let mut hits: Vec<(usize, u64)> = Vec::new();
         let mut i = 0;
         while i < order.len() {
             let leaf = self.descend(*root, Some(key_of(order[i])), 0, None)?;
-            hits.clear();
             let (consumed, _) = self.read_leaf(leaf, probe, |view| {
                 let n = view.node;
                 let mut c = 0;
@@ -461,18 +482,12 @@ impl BTree {
                         Err(j) if j >= n.nkeys() && c > 0 => break,
                         Err(_) => None,
                     };
-                    let hit = value.and_then(|v| view.probe(v));
-                    if let (Some(v), Some((slot, _))) = (value, hit) {
-                        hits.push((slot, v));
-                    }
-                    answer(pos, leaf, view.token, value, hit.map(|(_, payload)| payload));
+                    let (hit, token) = value.map_or((None, view.token), |v| view.lookup(v));
+                    answer(pos, leaf, token, value, hit);
                     c += 1;
                 }
                 c
             })?;
-            if !hits.is_empty() {
-                self.promote(leaf, &hits)?;
-            }
             i += consumed;
         }
         Ok(())
@@ -498,6 +513,7 @@ impl BTree {
         visit: impl FnOnce(&mut LeafView<'_>) -> R,
     ) -> Result<(R, PageId)> {
         let cfg = self.opts.cache.filter(|_| probe);
+        let sketch = self.sketch.as_ref().filter(|_| probe);
         let (out, next, asked, hits) = self.pool.with_page(leaf, |p| {
             let node = Node::checked(p, leaf, self.key_size)?;
             if !node.is_leaf() {
@@ -508,45 +524,20 @@ impl BTree {
             }
             let cache =
                 cfg.as_ref().filter(|_| p.marked()).map(|c| CacheView::new(p, self.key_size, c));
-            let token = InvToken { stamp: p.stamp() };
-            let mut view = LeafView { token, node, cache, asked: 0, hits: 0 };
+            let token = InvToken { stamp: p.stamp(), admit: Admission::Free };
+            let mut view = LeafView { token, node, cache, sketch, asked: 0, hits: 0 };
             let out = visit(&mut view);
             Ok((out, node.next_leaf(), view.asked, view.hits))
         })??;
-        if cfg.is_some() {
+        if let Some(sketch) = sketch {
             // Stats only meter the cache protocol: a cache-less tree,
-            // or a read that did not probe, records nothing.
-            self.stats.lookups.fetch_add(asked, Ordering::Relaxed);
+            // or a read that did not probe, records nothing. The same
+            // count paces the sketch's halvings.
+            sketch.age(self.stats.lookups.fetch_add(asked, Ordering::Relaxed), asked);
             self.stats.hits.fetch_add(hits, Ordering::Relaxed);
             self.stats.misses.fetch_add(asked - hits, Ordering::Relaxed);
         }
         Ok((out, next))
-    }
-
-    /// Promotes one leaf's cache hits (`(slot, value)` each) toward the
-    /// stable point — all of them under one try-latch attempt, skipped
-    /// whole under contention (§2.1.3). Targets draw from
-    /// `placement_rng` seeded by the leaf and the first hit.
-    fn promote(&self, leaf: PageId, hits: &[(usize, u64)]) -> Result<()> {
-        let Some(cfg) = self.opts.cache else { return Ok(()) };
-        let (first_slot, first) = hits[0];
-        let mut rng =
-            placement_rng(leaf, Self::tuple_id(first) ^ (first_slot as u64).rotate_left(32));
-        let promoted = self.pool.with_page_cache_write(leaf, |p| {
-            let mut cache = CacheViewMut::new(p, self.key_size, &cfg);
-            // promote re-verifies the slot still holds the entry, so
-            // earlier swaps cannot misdirect it.
-            let mut done = 0u64;
-            for &(slot, v) in hits {
-                done += u64::from(cache.promote(slot, Self::tuple_id(v), &mut rng).is_some());
-            }
-            done
-        })?;
-        match promoted {
-            Some(done) => self.stats.promotions.fetch_add(done, Ordering::Relaxed),
-            None => self.stats.latch_giveups.fetch_add(1, Ordering::Relaxed),
-        };
-        Ok(())
     }
 
     /// The one sibling hop: follows `next`, the successor

@@ -13,8 +13,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 
-fn cfg(payload: usize, bucket: usize) -> CacheConfig {
-    CacheConfig { payload_size: payload, bucket_slots: bucket }
+fn cfg(payload: usize) -> CacheConfig {
+    CacheConfig { payload_size: payload }
 }
 
 proptest! {
@@ -26,10 +26,9 @@ proptest! {
     fn cache_never_fabricates_under_churn(
         ops in prop::collection::vec((0u8..5, 1u64..500), 1..300),
         payload in 4usize..40,
-        bucket in 2usize..16,
         seed in any::<u64>(),
     ) {
-        let c = cfg(payload, bucket);
+        let c = cfg(payload);
         let mut page = Page::new(4096);
         NodeMut::init_leaf(&mut page, 8);
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -54,27 +53,24 @@ proptest! {
                     }
                 }
                 2 => {
-                    // cache store
+                    // cache store, admitted by a frequency made of the id
                     let pl: Vec<u8> = (0..payload).map(|i| (x as u8).wrapping_add(i as u8)).collect();
+                    let freq = |id: u64| (id % 16) as u8;
+                    let admission = CacheView::new(&page, 8, &c).admit(x, freq(x), freq);
                     let mut cv = CacheViewMut::new(&mut page, 8, &c);
-                    match cv.store(x, &pl, &mut rng) {
+                    match cv.store(x, &pl, admission, &mut rng) {
                         StoreOutcome::Stored | StoreOutcome::StoredEvicting => {
                             stored.insert(x, pl);
                         }
-                        StoreOutcome::NoRoom => {}
+                        StoreOutcome::NoRoom | StoreOutcome::Refused => {}
                     }
                 }
                 3 => {
-                    // probe + promote
-                    let found = CacheView::new(&page, 8, &c)
-                        .probe(x)
-                        .map(|(s, pl)| (s, pl.to_vec()));
-                    if let Some((slot, pl)) = found {
+                    // probe
+                    if let Some((_, pl)) = CacheView::new(&page, 8, &c).probe(x) {
                         let expect = stored.get(&x);
-                        prop_assert_eq!(Some(&pl), expect,
+                        prop_assert_eq!(Some(&pl.to_vec()), expect,
                             "probe returned bytes never stored for id {}", x);
-                        let mut cv = CacheViewMut::new(&mut page, 8, &c);
-                        cv.promote(slot, x, &mut rng);
                     }
                 }
                 _ => {
@@ -121,7 +117,7 @@ proptest! {
         nkeys in 0usize..200,
         payload in 1usize..64,
     ) {
-        let c = cfg(payload, 8);
+        let c = cfg(payload);
         let mut page = Page::new(4096);
         let mut n = NodeMut::init_leaf(&mut page, 8);
         let cap = n.as_ref().capacity();
@@ -150,7 +146,7 @@ fn payload_isolation_across_keys() {
     use std::sync::Arc;
     let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
     let pool = Arc::new(BufferPool::new(disk, 256));
-    let tree = BTree::create(pool, 8, BTreeOptions { cache: Some(cfg(8, 8)) }).unwrap();
+    let tree = BTree::create(pool, 8, BTreeOptions { cache: Some(cfg(8)) }).unwrap();
     let n = 2_000u64;
     for i in 0..n {
         tree.insert(&i.to_be_bytes(), i).unwrap();

@@ -23,7 +23,7 @@ fn entry(v: u64) -> [u8; 8] {
 fn tiny(frames: usize) -> (BTree, Arc<BufferPool>, Arc<InMemoryDisk>) {
     let disk = Arc::new(InMemoryDisk::new(4096));
     let pool = Arc::new(BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskManager>, frames));
-    let opts = BTreeOptions { cache: Some(CacheConfig { payload_size: 8, bucket_slots: 8 }) };
+    let opts = BTreeOptions { cache: Some(CacheConfig { payload_size: 8 }) };
     let tree = BTree::create(Arc::clone(&pool), 8, opts).unwrap();
     for v in 1..=8u64 {
         tree.insert(&k(v), v * 10).unwrap();

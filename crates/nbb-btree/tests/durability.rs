@@ -12,7 +12,7 @@ fn k(v: u64) -> [u8; 8] {
 }
 
 fn cached_opts() -> BTreeOptions {
-    BTreeOptions { cache: Some(CacheConfig { payload_size: 8, bucket_slots: 8 }) }
+    BTreeOptions { cache: Some(CacheConfig { payload_size: 8 }) }
 }
 
 fn restart_round_trip(disk: Arc<dyn DiskManager>) {

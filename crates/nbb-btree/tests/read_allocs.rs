@@ -81,9 +81,7 @@ const PARENT_GET_MANY_4_ALLOCS: u64 = 2;
 
 #[test]
 fn sixteen_key_cached_lookup_allocates_no_more_than_it_did() {
-    let tree = resident_tree(BTreeOptions {
-        cache: Some(CacheConfig { payload_size: 8, bucket_slots: 8 }),
-    });
+    let tree = resident_tree(BTreeOptions { cache: Some(CacheConfig { payload_size: 8 }) });
     // 16 keys in 16 distinct leaves, out of order, each answered from
     // its leaf's cache.
     let keys: Vec<[u8; 8]> = (0..16u64).map(|i| k((i * 7 % 16) * 250 + 3)).collect();

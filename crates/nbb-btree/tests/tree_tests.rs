@@ -29,7 +29,7 @@ fn evict_all(tree: &BTree) {
 }
 
 fn cached_opts(payload: usize) -> BTreeOptions {
-    BTreeOptions { cache: Some(CacheConfig { payload_size: payload, bucket_slots: 8 }) }
+    BTreeOptions { cache: Some(CacheConfig { payload_size: payload }) }
 }
 
 // ---------------------------------------------------------------------
@@ -819,8 +819,9 @@ fn wrong_payload_width_rejected() {
 
 #[test]
 fn hot_keys_survive_cache_pressure() {
-    // Fill one leaf's cache well beyond capacity with cold keys while
-    // repeatedly hitting a hot key: promotion must keep the hot entry.
+    // Fill one leaf's cache beyond capacity with cold keys while
+    // repeatedly hitting a hot key: admission by frequency must keep
+    // the hot entry, and must not churn the leaf on every miss.
     let tree = BTree::create(pool_with(8192, 256), 8, cached_opts(16)).unwrap();
     let n = 200u64; // all in a handful of leaves
     for v in 0..n {
@@ -831,23 +832,23 @@ fn hot_keys_survive_cache_pressure() {
     tree.cache_populate(m.leaf, hot, &[1u8; 16], m.token).unwrap();
     let mut x = 999u64;
     for _ in 0..5_000 {
-        // Hot hit (promotes toward S)…
+        // Hot hit (counted by the sketch, the leaf untouched)…
         let h = tree.lookup_cached(&k(hot)).unwrap();
         if h.payload.is_none() {
             tree.cache_populate(h.leaf, hot, &[1u8; 16], h.token).unwrap();
         }
-        // …plus two cold misses that insert (eviction pressure).
+        // …plus two cold lookups whose misses ask to be stored.
         for _ in 0..2 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let c = x % n;
             let m = tree.lookup_cached(&k(c)).unwrap();
-            if m.payload.is_none() {
+            if m.payload.is_none() && m.token.admits() {
                 tree.cache_populate(m.leaf, m.value.unwrap(), &[2u8; 16], m.token).unwrap();
             }
         }
     }
     let s = tree.cache_stats();
-    assert!(s.promotions > 100, "hot key should be promoted: {s:?}");
+    assert!(s.evictions > 0 && s.evictions * 4 < s.misses, "eviction churn: {s:?}");
     // The hot key should hit far more often than the base rate.
     let h = tree.lookup_cached(&k(hot)).unwrap();
     assert!(h.payload.is_some(), "hot key must still be cached after churn");

@@ -24,11 +24,13 @@ use nbb_storage::page::PageId;
 const MAGIC: u32 = 0x6E62_6201; // "nbb\x01"
 const VERSION: u32 = 1;
 
-/// What every index entry carries after `bucket_slots`: the slot once
-/// held the predicate-log threshold, gone with the log. The layout
-/// keeps it, written as the default the slot always held and ignored
-/// on read, so catalogs stay byte-compatible both ways.
-const RETIRED_SLOT: u32 = 64;
+/// What every index entry carries after its cached fields: two u32
+/// slots retired with what they held — the leaf cache's placement
+/// bucket size (`bucket_slots`, gone with on-hit promotion) and the
+/// predicate-log threshold (gone with the log). The layout keeps them,
+/// written as the defaults they always held and ignored on read, so
+/// catalogs stay byte-compatible both ways.
+const RETIRED_SLOTS: [u32; 2] = [8, 64];
 
 /// One table's catalog entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,8 +128,9 @@ pub fn encode(cat: &Catalog) -> Vec<u8> {
                 w.u32(f.offset as u32);
                 w.u32(f.len as u32);
             }
-            w.u32(spec.bucket_slots as u32);
-            w.u32(RETIRED_SLOT);
+            for v in RETIRED_SLOTS {
+                w.u32(v);
+            }
             w.u64(root.0);
         }
     }
@@ -163,10 +166,11 @@ pub fn decode(buf: &[u8]) -> Result<Catalog> {
             for _ in 0..ncached {
                 cached_fields.push(FieldSpec::new(r.u32()? as usize, r.u32()? as usize));
             }
-            let bucket_slots = r.u32()? as usize;
-            r.u32()?; // RETIRED_SLOT
+            for _ in RETIRED_SLOTS {
+                r.u32()?;
+            }
             let root = PageId(r.u64()?);
-            indexes.push((IndexSpec { name: iname, key, cached_fields, bucket_slots }, root));
+            indexes.push((IndexSpec { name: iname, key, cached_fields }, root));
         }
         tables.push(TableEntry { name, tuple_width, heap_pages, indexes });
     }
@@ -231,8 +235,9 @@ mod tests {
     }
 
     /// The layout a catalog had while `IndexSpec` still carried the
-    /// predicate-log threshold, built field by field.
-    fn legacy_bytes(threshold: u32) -> Vec<u8> {
+    /// placement bucket size and the predicate-log threshold, built
+    /// field by field.
+    fn legacy_bytes(bucket: u32, threshold: u32) -> Vec<u8> {
         let mut b = Vec::new();
         let str = |b: &mut Vec<u8>, s: &str| {
             b.extend_from_slice(&(s.len() as u16).to_le_bytes());
@@ -251,8 +256,8 @@ mod tests {
             b.extend_from_slice(&v.to_le_bytes()); // key
         }
         b.extend_from_slice(&1u16.to_le_bytes()); // one cached field
-        for v in [8u32, 8, 8, threshold] {
-            b.extend_from_slice(&v.to_le_bytes()); // field, bucket_slots, threshold
+        for v in [8u32, 8, bucket, threshold] {
+            b.extend_from_slice(&v.to_le_bytes()); // field, then the retired slots
         }
         b.extend_from_slice(&42u64.to_le_bytes()); // root
         b
@@ -260,14 +265,19 @@ mod tests {
 
     #[test]
     fn a_catalog_in_the_log_threshold_layout_reopens_byte_identically() {
-        let old = legacy_bytes(64);
+        let old = legacy_bytes(8, 64);
         let cat = decode(&old).unwrap();
         let (spec, root) = &cat.tables[0].indexes[0];
         let want = IndexSpec::cached("by_rev_id", FieldSpec::new(0, 8), vec![FieldSpec::new(8, 8)]);
         assert_eq!((spec, *root), (&want, PageId(42)));
         assert_eq!(encode(&cat), old, "persisting it again writes the same bytes");
-        // Any threshold a caller once chose reads back the same way.
-        assert_eq!(decode(&legacy_bytes(16)).unwrap(), cat);
+        // Any bucket size or threshold a caller once chose reads back
+        // the same way, and is persisted as the default.
+        for (bucket, threshold) in [(8, 16), (4, 64), (16, 32)] {
+            let other = decode(&legacy_bytes(bucket, threshold)).unwrap();
+            assert_eq!(other, cat);
+            assert_eq!(encode(&other), old);
+        }
     }
 
     #[test]

@@ -153,9 +153,9 @@ impl<'t> IndexRef<'t> {
     /// The same batched read as [`IndexRef::get_many`], answering with
     /// the fields sliced out of the leaf-cache entry (whole-row or
     /// projection) on a hit, with per-leaf cache amortization: one
-    /// cache-trust check and one promotion latch acquisition
-    /// per leaf rather than per key. Cache misses fetch the heap in one
-    /// batched read and populate the cache, one latch per leaf.
+    /// cache-trust check per leaf rather than per key, and no latch but
+    /// the leaf's shared pin. Cache misses fetch the heap in one batched
+    /// read, and those the leaf admits populate it, one latch per leaf.
     pub fn project_many<K: AsRef<[u8]>>(&self, keys: &[K]) -> Result<Vec<Option<Projection>>> {
         self.table.project_many_with(&self.idx, keys)
     }

@@ -118,20 +118,17 @@ pub struct IndexSpec {
     /// half-full leaf many times over (then a full-row read hits it
     /// too), and only these fields otherwise.
     pub cached_fields: Vec<FieldSpec>,
-    /// Cache tuning: slots per placement bucket. The entry width is
-    /// derived from the key, `cached_fields` and the tuple width.
-    pub bucket_slots: usize,
 }
 
 impl IndexSpec {
     /// A plain (uncached) index on `key`.
     pub fn plain(name: &str, key: FieldSpec) -> Self {
-        IndexSpec { name: name.to_string(), key, cached_fields: Vec::new(), bucket_slots: 8 }
+        IndexSpec { name: name.to_string(), key, cached_fields: Vec::new() }
     }
 
     /// A cached index on `key`, caching `fields` (§2.1).
     pub fn cached(name: &str, key: FieldSpec, fields: Vec<FieldSpec>) -> Self {
-        IndexSpec { name: name.to_string(), key, cached_fields: fields, bucket_slots: 8 }
+        IndexSpec { name: name.to_string(), key, cached_fields: fields }
     }
 
     /// Width of a projection: the cached fields' total.
@@ -165,8 +162,8 @@ pub(crate) enum Shape {
 type Answer = (Vec<u8>, bool);
 
 /// A key a batched point read chases to the heap: its position, its
-/// pointer, and — when the read probed the cache — the leaf and token a
-/// populate needs.
+/// pointer, and — when the read probed the cache and the miss was
+/// admitted — the leaf and token a populate needs.
 type Chase = (usize, u64, Option<(PageId, InvToken)>);
 
 pub(crate) struct Index {
@@ -197,7 +194,6 @@ impl Index {
             && half_free / (CACHE_ID_SIZE + row) >= WHOLE_ROW_MIN_SLOTS;
         let cache = (!spec.cached_fields.is_empty()).then(|| CacheConfig {
             payload_size: if whole_rows { row } else { spec.payload_size() },
-            bucket_slots: spec.bucket_slots,
         });
         let tree = tree(BTreeOptions { cache })?;
         Ok(Index { spec, tree, whole_rows })
@@ -675,8 +671,9 @@ impl Table {
     /// built straight from its leaf — a full row puts the key back at
     /// its offset, a projection slices its fields out; every hit counts
     /// in [`TableStats::index_only_answers`]. The misses are chased in
-    /// one [`Table::fetch_verified`] heap read, and then populated
-    /// through one [`BTree::cache_populate_many`], one run per leaf.
+    /// one [`Table::fetch_verified`] heap read, and those the leaf
+    /// admitted are then populated through one
+    /// [`BTree::cache_populate_many`], one run per leaf.
     /// Any other read is [`BTree::get_many`] and the chase.
     fn read_many<K: AsRef<[u8]>>(
         &self,
@@ -696,7 +693,9 @@ impl Table {
                         out[pos] = Some((idx.answer(shape, key, entry, true), true));
                         served += 1;
                     }
-                    (Some(ptr), None) => chased.push((pos, ptr, Some((leaf, token)))),
+                    (Some(ptr), None) => {
+                        chased.push((pos, ptr, token.admits().then_some((leaf, token))))
+                    }
                     (None, _) => {}
                 }
             })?;
@@ -711,7 +710,7 @@ impl Table {
         let key_of = |j: usize| keys[chased[j].0].as_ref();
         self.fetch_verified(idx, &rids, key_of, |j, _, tuple| {
             out[chased[j].0] = Some((idx.answer(shape, key_of(j), tuple, false), false));
-            if probe {
+            if chased[j].2.is_some() {
                 idx.write_payload(tuple, &mut entries[j * w..][..w]);
             }
         })?;

@@ -49,7 +49,7 @@ fn build_request_op(
 
 fn build_response_body(sel: u8, blobs: Vec<Vec<u8>>, flags: u64) -> ResponseBody {
     let first = blobs.first().cloned().unwrap_or_default();
-    match sel % 8 {
+    match sel % 9 {
         0 => ResponseBody::Error { message: String::from_utf8_lossy(&first).into_owned() },
         1 => ResponseBody::GetMany {
             rows: blobs
@@ -73,6 +73,7 @@ fn build_response_body(sel: u8, blobs: Vec<Vec<u8>>, flags: u64) -> ResponseBody
         },
         4 => ResponseBody::PutMany { rids: blobs.iter().map(|b| b.len() as u64).collect() },
         5 => ResponseBody::UpdateMany { applied: blobs.iter().map(|b| b.len() % 2 == 0).collect() },
+        8 => ResponseBody::DeleteMany { applied: blobs.iter().map(|b| b.len() % 3 == 0).collect() },
         6 => ResponseBody::Range {
             rows: blobs.iter().map(|b| (b.clone(), first.clone())).collect(),
             more: flags.is_multiple_of(2),
@@ -112,7 +113,7 @@ proptest! {
     #[test]
     fn responses_round_trip(
         id in proptest::prelude::any::<u64>(),
-        sel in 0u8..8,
+        sel in 0u8..9,
         blobs in prop::collection::vec(prop::collection::vec(0u8..=255, 0..24), 0..8),
         flags in proptest::prelude::any::<u64>(),
     ) {

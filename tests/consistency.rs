@@ -124,12 +124,8 @@ fn concurrent_readers_and_writers_on_shared_tree() {
     let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(8192));
     let pool = Arc::new(BufferPool::new(disk, 128));
     let tree = Arc::new(
-        BTree::create(
-            pool,
-            8,
-            BTreeOptions { cache: Some(CacheConfig { payload_size: 8, bucket_slots: 8 }) },
-        )
-        .unwrap(),
+        BTree::create(pool, 8, BTreeOptions { cache: Some(CacheConfig { payload_size: 8 }) })
+            .unwrap(),
     );
     let n = 64u64;
     let versions: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());

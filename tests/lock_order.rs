@@ -5,7 +5,7 @@
 //! spot, naming both locks. This test's job is to make one run cross as
 //! many *combinations* of lock paths as possible at once — faults and
 //! coalesced fault-joins, evictions through the write-behind queue,
-//! same-key intent parks and handoffs, cached-index promotion and
+//! same-key intent parks and handoffs, cached-index populates and
 //! write-through, and the `flush_all` barrier — so the ordinary assertion "the storm completed" carries the
 //! real payload "no interleaving of these paths violated the lattice".
 //!
@@ -44,8 +44,8 @@ fn mixed_storm_respects_the_lock_lattice() {
         write_behind: 4,
     });
     let t = db.create_table("t", 24).unwrap();
-    // A cached pk exercises the cache's try-latch (populates and
-    // promotions) from inside pool callbacks; the secondary index makes
+    // A cached pk exercises the cache's try-latch (populates) and its
+    // frequency sketch from inside pool callbacks; the secondary index makes
     // every logical write a multi-index sequence under one intent.
     t.create_index(IndexSpec::cached("pk", FieldSpec::new(0, 8), vec![FieldSpec::new(16, 8)]))
         .unwrap();

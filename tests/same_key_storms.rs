@@ -178,6 +178,14 @@ fn mixed_put_update_delete_storm_stays_consistent() {
         t.insert(&tuple(1000 + k, 1000 + k, 0)).unwrap();
     }
 
+    // Every writer's first op meets the hot key's intent held here, and
+    // it is let go only once every writer is parked on it (the
+    // observed-parked technique above): the writers overlap by
+    // construction, not by how a loaded host schedules threads. A
+    // barrier before the first op alone still left every op of a run
+    // unparked in 2 of 15 release runs beside a `cargo build`.
+    let pk = t.index("pk").unwrap();
+    let held = pk.tree().intents().acquire(&KEY.to_be_bytes());
     std::thread::scope(|s| {
         for w in 0..WRITERS {
             let t = &t;
@@ -203,6 +211,10 @@ fn mixed_put_update_delete_storm_stays_consistent() {
                 }
             });
         }
+        while t.stats().intent_parks < WRITERS {
+            std::thread::yield_now();
+        }
+        drop(held);
     });
 
     // Consistency sweep: heap, pk, and the secondary agree exactly.
