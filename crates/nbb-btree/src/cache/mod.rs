@@ -67,7 +67,7 @@
 
 mod sketch;
 
-pub(crate) use sketch::Sketch;
+pub use sketch::Sketch;
 
 use crate::node::{stable_point, Node};
 use nbb_storage::page::Page;

@@ -1,15 +1,20 @@
 //! The access-frequency sketch a cached tree admits leaf-cache entries
 //! by (TinyLFU: Einziger, Friedman and Manes, *ACM Transactions on
-//! Storage* 2017).
+//! Storage* 2017), and `nbb-core`'s hot set admits updated rows by.
 //!
 //! A count-min sketch of 4-bit saturating counters, laid out as
 //! Caffeine lays its own: a key's four counters all sit in one 64-byte
 //! block, one in each of four word pairs, so recording a lookup touches
 //! one cache line and writes nothing once its counters are saturated.
-//! Every lookup a cached reader probes is recorded by tuple id, hit or
-//! miss; each time the tree's lookup count crosses a multiple of the
-//! sample (ten lookups per key the sketch can tell apart), every
+//! The tree records every lookup a cached reader probes by tuple id,
+//! hit or miss; each time the tree's lookup count crosses a multiple of
+//! the sample (ten lookups per key the sketch can tell apart), every
 //! counter is halved, so the estimate follows recent frequency.
+//!
+//! The table is allocated by the first record: a sketch nothing
+//! records into (a cached index that is only built and persisted, a
+//! table that is never updated) costs no memory, estimates 0 and has
+//! nothing to halve.
 //!
 //! Only relaxed loads and stores: no lock, no lock rank and no
 //! read-modify-write. Two racing updates of one word may land as one,
@@ -17,6 +22,7 @@
 //! costs placement quality, never correctness.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Counters one word holds.
 const PER_WORD: usize = 16;
@@ -36,9 +42,12 @@ const SAMPLE_PER_KEY: u64 = 10;
 #[repr(align(64))]
 struct Block([AtomicU64; WORDS]);
 
-/// A count-min sketch of recent access frequency by tuple id.
-pub(crate) struct Sketch {
-    blocks: Box<[Block]>,
+/// A count-min sketch of recent access frequency by `u64` id.
+pub struct Sketch {
+    /// The counters, allocated by the first record.
+    blocks: OnceLock<Box<[Block]>>,
+    /// Counters the table holds once allocated: a power of two.
+    counters: usize,
     /// Lookups between two halvings.
     sample: u64,
 }
@@ -53,11 +62,15 @@ fn spread(x: u64) -> u64 {
 
 impl Sketch {
     /// A sketch of at least `counters` counters (rounded up to a power
-    /// of two, and to one block at the least).
-    pub(crate) fn new(counters: usize) -> Self {
+    /// of two, and to one block at the least). Nothing is allocated
+    /// until the first [`Sketch::record`].
+    pub fn new(counters: usize) -> Self {
         let counters = counters.max(PER_BLOCK).next_power_of_two();
-        let blocks = (0..counters / PER_BLOCK).map(|_| Block::default()).collect();
-        Sketch { blocks, sample: SAMPLE_PER_KEY * (counters / DEPTH) as u64 }
+        Sketch {
+            blocks: OnceLock::new(),
+            counters,
+            sample: SAMPLE_PER_KEY * (counters / DEPTH) as u64,
+        }
     }
 
     /// The sketch a leaf cache of `entry`-byte entries over a pool of
@@ -73,7 +86,7 @@ impl Sketch {
     /// Counters this sketch holds.
     #[cfg(test)]
     pub(crate) fn counters(&self) -> usize {
-        self.blocks.len() * PER_BLOCK
+        self.counters
     }
 
     /// Lookups between two halvings.
@@ -82,10 +95,11 @@ impl Sketch {
         self.sample
     }
 
-    /// `id`'s four counters, as `(word, shift)` within its block.
-    fn slots(&self, id: u64) -> (&Block, [(usize, u32); DEPTH]) {
+    /// `id`'s four counters, as `(word, shift)` within its block of
+    /// `blocks`.
+    fn slots(blocks: &[Block], id: u64) -> (&Block, [(usize, u32); DEPTH]) {
         let h = spread(id);
-        let block = &self.blocks[h as usize & (self.blocks.len() - 1)];
+        let block = &blocks[h as usize & (blocks.len() - 1)];
         let at = |i: usize| {
             let b = (h >> (32 + 8 * i)) as usize;
             (2 * i + (b & 1), 4 * ((b >> 1) & 15) as u32)
@@ -93,9 +107,12 @@ impl Sketch {
         (block, [at(0), at(1), at(2), at(3)])
     }
 
-    /// Counts one lookup of `id`.
-    pub(crate) fn record(&self, id: u64) {
-        let (block, slots) = self.slots(id);
+    /// Counts one lookup of `id`; the first record allocates the table.
+    pub fn record(&self, id: u64) {
+        let blocks = self
+            .blocks
+            .get_or_init(|| (0..self.counters / PER_BLOCK).map(|_| Block::default()).collect());
+        let (block, slots) = Self::slots(blocks, id);
         for (word, shift) in slots {
             let w = &block.0[word];
             let old = w.load(Ordering::Relaxed);
@@ -110,19 +127,22 @@ impl Sketch {
     /// `id`'s estimated lookups since the halvings wore them down: the
     /// least of its four counters. With no halving between and no
     /// racing update lost, it is never below the true count (up to 15).
-    pub(crate) fn estimate(&self, id: u64) -> u8 {
-        let (block, slots) = self.slots(id);
+    /// 0 before the first record.
+    pub fn estimate(&self, id: u64) -> u8 {
+        let Some(blocks) = self.blocks.get() else { return 0 };
+        let (block, slots) = Self::slots(blocks, id);
         let count =
             |(word, shift): (usize, u32)| (block.0[word].load(Ordering::Relaxed) >> shift) & 15;
         slots.into_iter().map(count).min().unwrap_or(0) as u8
     }
 
-    /// Called with the tree's lookup count as it was before `added`
+    /// Called with the owner's lookup count as it was before `added`
     /// more: halves every counter when the count crosses a multiple of
-    /// the sample.
-    pub(crate) fn age(&self, before: u64, added: u64) {
+    /// the sample. Nothing to halve before the first record.
+    pub fn age(&self, before: u64, added: u64) {
+        let Some(blocks) = self.blocks.get() else { return };
         if (before + added) / self.sample != before / self.sample {
-            for w in self.blocks.iter().flat_map(|b| &b.0) {
+            for w in blocks.iter().flat_map(|b| &b.0) {
                 let v = w.load(Ordering::Relaxed);
                 w.store((v >> 1) & 0x7777_7777_7777_7777, Ordering::Relaxed);
             }
@@ -143,7 +163,20 @@ mod tests {
         // The benchmark's geometry: 1,800 index frames of 4 KiB, 64-byte
         // whole-row entries (31 in a half-full leaf): 1M counters, 512 KB.
         let s = Sketch::for_cache(1_800, 4096, 64);
-        assert_eq!((s.counters(), s.blocks.len() * 64), (1 << 20, 512 << 10));
+        assert_eq!(s.counters(), 1 << 20);
+        assert!(s.blocks.get().is_none(), "nothing allocated before a record");
+        s.record(1);
+        assert_eq!(s.blocks.get().map_or(0, |b| b.len() * 64), 512 << 10);
+    }
+
+    #[test]
+    fn an_unrecorded_sketch_estimates_zero_and_halves_nothing() {
+        let s = Sketch::new(1024);
+        assert_eq!(s.estimate(7), 0);
+        s.age(0, 3 * s.sample());
+        assert!(s.blocks.get().is_none(), "neither allocates");
+        s.record(7);
+        assert_eq!(s.estimate(7), 1);
     }
 
     #[test]
@@ -174,8 +207,9 @@ mod tests {
         // A saturated counter never carries into its neighbour: the
         // table holds four counters at 15 and nothing else.
         let nibbles = |w: u64| (0..16).map(|i| (w >> (4 * i)) & 15).sum::<u64>();
+        let blocks = s.blocks.get().expect("recorded");
         let total: u64 =
-            s.blocks.iter().flat_map(|b| &b.0).map(|w| nibbles(w.load(Ordering::Relaxed))).sum();
+            blocks.iter().flat_map(|b| &b.0).map(|w| nibbles(w.load(Ordering::Relaxed))).sum();
         assert_eq!(total, 4 * u64::from(MAX_COUNT));
     }
 

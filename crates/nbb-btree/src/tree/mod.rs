@@ -216,7 +216,8 @@ pub struct BTree {
     /// above the tree; see [`BTree::intents`].
     intents: KeyIntents,
     opts: BTreeOptions,
-    /// The cache's access-frequency sketch (a cached tree only).
+    /// The cache's access-frequency sketch (a cached tree only; its
+    /// table is allocated by the first probed lookup).
     sketch: Option<Sketch>,
     stats: CacheStatsAtomic,
     wstats: WriteStatsAtomic,

@@ -108,12 +108,15 @@ pub const INTENT_SLOT: Rank = Rank::new(25, "btree.intent_slot");
 /// descents, write side for escalated splits.
 pub const TREE_STRUCTURE: Rank = Rank::new(30, "btree.structure");
 
-/// A table's hot set: the heap pages updates gather hot rows onto,
-/// one reference bit per slot, and the clock that picks a cold row.
-/// Held for bit work and residency probes only: never across a device
-/// read, a tree call, an intent or a heap latch. Above the tree and
-/// intent ranks because a writer takes it holding neither, below the
-/// heap and the pool because its residency probes reach the shard maps.
+/// A table's hot set: the heap pages updates gather hot rows onto, the
+/// clock that hands a faulting update a hot slot, and the update count
+/// that paces the set's frequency sketch (the sketch itself is
+/// lock-free). Held for the clock's steps and residency probes only:
+/// never across a device read, a tree call, an intent or a heap latch
+/// (an admission samples its hot page after releasing it). Above the
+/// tree and intent ranks because a writer takes it holding neither,
+/// below the heap and the pool because its residency probes reach the
+/// shard maps.
 pub const TABLE_HOT_SET: Rank = Rank::new(40, "table.hot_set");
 
 /// `HeapFile`'s directory of allocated page ids. Read guards are

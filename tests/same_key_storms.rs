@@ -23,7 +23,7 @@
 
 use nbb::core::db::{Database, DbConfig};
 use nbb::core::table::{FieldSpec, IndexSpec, Table};
-use nbb::storage::disk::{DiskManager, DiskModel, FaultDisk, InMemoryDisk};
+use nbb::storage::disk::{DiskManager, FaultDisk, InMemoryDisk};
 use nbb::storage::{BufferPool, PoolOptions};
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering;
@@ -143,7 +143,7 @@ fn racing_deleters_split_one_true_rest_false() {
     assert_eq!(t.heap().live_tuple_count().unwrap(), 0);
     // (No intent_parks floor here: over a zero-latency disk a one-core
     // host can legitimately schedule the deleters back to back. The
-    // observed-parked test and the blocking-disk storm assert contention
+    // observed-parked test and the held-intent storm assert contention
     // deterministically.)
     assert_eq!(t.stats().deletes, ROUNDS as u64);
 }
@@ -152,15 +152,12 @@ fn racing_deleters_split_one_true_rest_false() {
 fn mixed_put_update_delete_storm_stays_consistent() {
     const WRITERS: u64 = 8;
     const ROUNDS: u64 = 30;
-    // Io-bound regime: a blocking disk stretches every op across real
-    // time, so the storm exercises park/handoff chains under load.
-    let model = DiskModel { read_ns: 50_000, write_ns: 50_000 };
-    let heap: Arc<dyn DiskManager> = Arc::new(FaultDisk::with_latency(4096, model));
-    let index: Arc<dyn DiskManager> = Arc::new(FaultDisk::with_latency(4096, model));
-    // Pools far below the working set: every storm op faults through
-    // the blocking disk, so the intent holder sits in real I/O while
-    // its rivals arrive — contention is structural, not a scheduling
-    // accident.
+    // Small pools, but not below the working set: the base rows fill
+    // two heap pages and each tree a few leaves, so a storm faults only
+    // a handful of pages. Contention comes from the intent held below,
+    // not from device time.
+    let heap: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
+    let index: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
     let db = Database::with_disks(
         DbConfig { page_size: 4096, heap_frames: 4, index_frames: 4, ..DbConfig::default() },
         heap,
@@ -171,8 +168,7 @@ fn mixed_put_update_delete_storm_stays_consistent() {
     t.create_index(IndexSpec::plain("pk", FieldSpec::new(0, 8))).unwrap();
     t.create_index(IndexSpec::plain("by_group", FieldSpec::new(8, 8))).unwrap();
     // Base rows on distinct keys/groups keep the tree multi-leaf so the
-    // storm's maintenance crosses real structure (and overflow the
-    // 4-frame pools).
+    // storm's maintenance crosses real structure.
     const BASE: u64 = 256;
     for k in 0..BASE {
         t.insert(&tuple(1000 + k, 1000 + k, 0)).unwrap();
