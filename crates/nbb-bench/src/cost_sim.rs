@@ -16,7 +16,7 @@
 //! ns/lookup; their sum is the cost the figures plot.
 
 use nbb_btree::cache::{CacheConfig, CacheView, CacheViewMut};
-use nbb_btree::node::NodeMut;
+use nbb_btree::node::{Node, NodeMut};
 use nbb_storage::buffer::BufferPool;
 use nbb_storage::disk::{DiskManager, DiskModel, InMemoryDisk};
 use nbb_storage::page::{Page, PageId};
@@ -37,7 +37,8 @@ pub struct CostSimConfig {
     pub n_leaves: usize,
     /// Index key width (the paper's name_title key is 32 bytes).
     pub key_size: usize,
-    /// Cached payload width (17 → 25-byte items with the id).
+    /// Cached payload width (17 → 19-byte entries with the 2-byte tag;
+    /// the paper's items, with an 8-byte tuple id, take 25).
     pub payload: usize,
     /// Buffer-pool array size in pages.
     pub bp_pages: usize,
@@ -92,8 +93,8 @@ pub struct CostSim {
     cache_cfg: CacheConfig,
     /// Real index leaves, caches fully populated.
     leaves: Vec<Page>,
-    /// Ids cached per leaf (probe targets for forced hits).
-    cached_ids: Vec<Vec<u64>>,
+    /// Tags cached per leaf (probe targets for forced hits).
+    cached_tags: Vec<Vec<u16>>,
     /// Buffer pool: the real pool, fully resident slotted heap pages.
     bp_pool: Arc<BufferPool>,
     bp_ids: Vec<PageId>,
@@ -110,7 +111,7 @@ impl CostSim {
         let mut rng = SmallRng::seed_from_u64(seed);
         let cache_cfg = CacheConfig { payload_size: cfg.payload };
         let mut leaves = Vec::with_capacity(cfg.n_leaves);
-        let mut cached_ids = Vec::with_capacity(cfg.n_leaves);
+        let mut cached_tags = Vec::with_capacity(cfg.n_leaves);
         let mut next_id = 1u64;
         for _ in 0..cfg.n_leaves {
             let mut page = Page::new(cfg.page_size);
@@ -125,31 +126,24 @@ impl CostSim {
                     next_id += 1;
                 }
             }
-            // Fill the cache completely with known ids: exactly
-            // `capacity` stores land in free slots (no evictions, so
-            // every recorded id stays probeable).
+            // Cache as many keys as there are slots, each entry tagged
+            // with its key's directory cell: every store lands in a free
+            // slot (no evictions, so every recorded tag stays probeable).
             let capacity = CacheView::new(&page, cfg.key_size, &cache_cfg).capacity();
-            let mut ids = Vec::with_capacity(capacity);
+            let node = Node::new(&page, cfg.key_size);
+            let tags: Vec<u16> = (0..node.nkeys().min(capacity)).map(|i| node.cell_at(i)).collect();
             {
+                use nbb_btree::cache::{Admission, StoreOutcome};
                 let mut cv = CacheViewMut::new(&mut page, cfg.key_size, &cache_cfg);
                 let payload = vec![0xCD_u8; cfg.payload];
-                for _ in 0..capacity {
-                    use nbb_btree::cache::{Admission, StoreOutcome};
-                    let id = next_id;
-                    next_id += 1;
-                    match cv.store(id, &payload, Admission::Free, &mut rng) {
-                        StoreOutcome::Stored => ids.push(id),
-                        StoreOutcome::StoredEvicting
-                        | StoreOutcome::NoRoom
-                        | StoreOutcome::Refused => {
-                            unreachable!("free slots remain for the first `capacity` stores")
-                        }
-                    }
+                for &tag in &tags {
+                    let stored = cv.store(tag, &payload, Admission::Free, &mut rng);
+                    assert_eq!(stored, StoreOutcome::Stored, "a free slot remains for every entry");
                 }
             }
-            assert!(!ids.is_empty(), "leaves must have cache room at 68% fill");
+            assert!(!tags.is_empty(), "leaves must have cache room at 68% fill");
             leaves.push(page);
-            cached_ids.push(ids);
+            cached_tags.push(tags);
         }
         // Buffer pool: a *real* BufferPool (page-table lookup, pin,
         // frame latch) holding slotted pages of 100-byte tuples, all
@@ -175,7 +169,7 @@ impl CostSim {
         // Disk image: 2x the buffer pool, arbitrary bytes.
         let disk_bytes = vec![0x5A_u8; cfg.page_size * cfg.bp_pages.max(16) * 2];
         let frame = Page::new(cfg.page_size);
-        CostSim { cfg, cache_cfg, leaves, cached_ids, bp_pool, bp_ids, disk_bytes, frame }
+        CostSim { cfg, cache_cfg, leaves, cached_tags, bp_pool, bp_ids, disk_bytes, frame }
     }
 
     /// Touches a random buffer-pool page through the real pool: page
@@ -220,14 +214,14 @@ impl CostSim {
             let leaf_i = rng.gen_range(0..self.leaves.len());
             if use_cache {
                 let force_hit = rng.gen_bool(cache_hit);
-                let probe_id = if force_hit {
-                    let ids = &self.cached_ids[leaf_i];
-                    ids[rng.gen_range(0..ids.len())]
+                let probe_tag = if force_hit {
+                    let tags = &self.cached_tags[leaf_i];
+                    tags[rng.gen_range(0..tags.len())]
                 } else {
-                    u64::MAX - 1 // never cached: full scan, then miss path
+                    1 // no key entry starts inside the header: full scan, then miss path
                 };
                 let view = CacheView::new(&self.leaves[leaf_i], self.cfg.key_size, &self.cache_cfg);
-                match view.probe(probe_id) {
+                match view.probe(probe_tag) {
                     Some((_, payload)) => {
                         sink += u64::from(payload[0]);
                         continue; // answered from the index page

@@ -7,7 +7,15 @@
 //! region growth silently kills peripheral slots ("key inserts freely
 //! overwrite the periphery of the cache space").
 //!
-//! Each entry is `tuple_id (u64, nonzero) ‖ payload (fixed width)`. A
+//! Each entry is `tag (u16, nonzero) ‖ payload (fixed width)`, and the
+//! tag is the leaf's own directory cell for the entry's key: the byte
+//! offset of its key entry ([`crate::node::Node::cell_at`]), which
+//! names the key for as long as any entry can exist (the node layer's
+//! zeroing discipline). §2.1.4 spends an 8-byte tuple id per item ("25
+//! bytes/cache item" for 17 bytes of fields) to name a tuple the key
+//! entry in the same leaf already names; a 2-byte tag leaves those 6
+//! bytes to the payloads — a 56-byte whole-row entry takes 58 bytes,
+//! 34 to a half-full 4 KiB leaf where 64-byte entries fitted 31. A
 //! zeroed slot is empty — which is why every byte entering the free
 //! region is zeroed by the node layer. The cache never looks inside a
 //! payload; the table layer (`nbb-core`) decides what it holds. When
@@ -21,9 +29,10 @@
 //! paper's promotion):
 //! * a new entry goes to a uniformly random free slot;
 //! * in a full leaf it must earn a slot: the tree's access-frequency
-//!   sketch (TinyLFU, `sketch.rs`) estimates it and
-//!   [`ADMISSION_SAMPLE`] occupied slots sampled from a start its id
-//!   picks, and it overwrites the least frequent of them only if it is
+//!   sketch (TinyLFU, `sketch.rs`, keyed by the tuple pointer a key
+//!   entry holds) estimates it and [`ADMISSION_SAMPLE`] occupied slots
+//!   sampled from a start its tag picks, each through its tag's key
+//!   entry, and it overwrites the least frequent of them only if it is
 //!   strictly more frequent — ties go to the slot farther from the
 //!   stable point `S = K/(K+D)·P` ([`crate::node::stable_point`]),
 //!   the slot key inserts would take first;
@@ -56,11 +65,12 @@
 //! predicate log: every row change already resolves through the index
 //! it must fix, so it fixes the one entry it stales under that leaf's
 //! latch. A deleted key zeroes the leaf's free region (the node layer);
-//! an overwritten pointer drops its old tuple's entry
-//! ([`CacheViewMut::remove`]); a row whose entry payload changed is
-//! written through ([`CacheViewMut::refresh`]) under a blocking latch
-//! that does not dirty the frame but advances its residency stamp, so a
-//! populate whose lookup saw the older stamp is refused. The log's
+//! a key whose pointer is overwritten drops its entry, which described
+//! the row it named before ([`CacheViewMut::remove`]); a row whose
+//! entry payload changed is written through ([`CacheViewMut::refresh`])
+//! under a blocking latch that does not dirty the frame but advances
+//! its residency stamp, so a populate whose lookup saw the older stamp
+//! is refused. The log's
 //! measured price on the benchmark's `write_mix`: it overflowed every
 //! ≈ 40 requests, dropping every leaf, and each match zeroed a whole
 //! leaf — a 0.03 hit ratio against 0.86 on the read-only workload.
@@ -73,8 +83,8 @@ use crate::node::{stable_point, Node};
 use nbb_storage::page::Page;
 use rand::Rng;
 
-/// Cache entry header: the identifying tuple id.
-pub const CACHE_ID_SIZE: usize = 8;
+/// Cache entry header: the tag, its key's directory cell.
+pub const CACHE_TAG_SIZE: usize = 2;
 
 /// Occupied slots a full leaf's admission compares a candidate with.
 pub const ADMISSION_SAMPLE: usize = 8;
@@ -82,8 +92,9 @@ pub const ADMISSION_SAMPLE: usize = 8;
 /// Configuration of a tree's index cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Bytes of cached field data per entry (the paper's example: 4
-    /// fields totalling 17 bytes → 25-byte items).
+    /// Bytes of cached field data per entry. The paper's example, 4
+    /// fields totalling 17 bytes, makes 25-byte items with its 8-byte
+    /// tuple id and 19-byte entries with this cache's 2-byte tag.
     pub payload_size: usize,
 }
 
@@ -94,10 +105,10 @@ impl Default for CacheConfig {
 }
 
 impl CacheConfig {
-    /// Total bytes per cache entry (id + payload).
+    /// Total bytes per cache entry (tag + payload).
     #[inline]
     pub fn entry_size(&self) -> usize {
-        CACHE_ID_SIZE + self.payload_size
+        CACHE_TAG_SIZE + self.payload_size
     }
 
     /// Validates invariants; panics with a clear message otherwise.
@@ -115,12 +126,12 @@ pub enum Admission {
     Refused,
     /// Store into a free slot, if one is still free.
     Free,
-    /// Overwrite `slot`, if it still holds `tuple_id`.
+    /// Overwrite `slot`, if it still holds `tag`.
     Evict {
         /// The victim's slot.
         slot: usize,
-        /// The victim's tuple id, as sampled.
-        tuple_id: u64,
+        /// The victim's tag, as sampled.
+        tag: u16,
     },
 }
 
@@ -194,17 +205,17 @@ impl<'a> CacheView<'a> {
         slot * self.entry
     }
 
-    /// Tuple id stored in `slot` (0 = empty).
+    /// Tag stored in `slot` (0 = empty).
     #[inline]
-    pub fn tuple_id_at(&self, slot: usize) -> u64 {
-        self.page.read_u64(self.offset(slot))
+    pub fn tag_at(&self, slot: usize) -> u16 {
+        self.page.read_u16(self.offset(slot))
     }
 
     /// Payload bytes of `slot`.
     #[inline]
     pub fn payload_at(&self, slot: usize) -> &'a [u8] {
-        let off = self.offset(slot) + CACHE_ID_SIZE;
-        &self.page.bytes()[off..off + self.entry - CACHE_ID_SIZE]
+        let off = self.offset(slot) + CACHE_TAG_SIZE;
+        &self.page.bytes()[off..off + self.entry - CACHE_TAG_SIZE]
     }
 
     /// Distance of `slot` from the stable point, in slots: key inserts
@@ -214,12 +225,12 @@ impl<'a> CacheView<'a> {
         self.s_slot.abs_diff(slot)
     }
 
-    /// Scans for `tuple_id`, returning its slot and payload.
-    pub fn probe(&self, tuple_id: u64) -> Option<(usize, &'a [u8])> {
-        debug_assert_ne!(tuple_id, 0);
+    /// Scans for `tag`, returning its slot and payload.
+    pub fn probe(&self, tag: u16) -> Option<(usize, &'a [u8])> {
+        debug_assert_ne!(tag, 0);
         let (first, last) = self.slot_range();
         for slot in first..last {
-            if self.tuple_id_at(slot) == tuple_id {
+            if self.tag_at(slot) == tag {
                 return Some((slot, self.payload_at(slot)));
             }
         }
@@ -229,26 +240,27 @@ impl<'a> CacheView<'a> {
     /// Number of occupied slots.
     pub fn occupied(&self) -> usize {
         let (first, last) = self.slot_range();
-        (first..last).filter(|&s| self.tuple_id_at(s) != 0).count()
+        (first..last).filter(|&s| self.tag_at(s) != 0).count()
     }
 
-    /// All `(tuple_id, payload)` entries, for diagnostics.
-    pub fn entries(&self) -> Vec<(u64, &'a [u8])> {
+    /// All `(tag, payload)` entries, for diagnostics.
+    pub fn entries(&self) -> Vec<(u16, &'a [u8])> {
         let (first, last) = self.slot_range();
         (first..last)
-            .filter(|&s| self.tuple_id_at(s) != 0)
-            .map(|s| (self.tuple_id_at(s), self.payload_at(s)))
+            .filter(|&s| self.tag_at(s) != 0)
+            .map(|s| (self.tag_at(s), self.payload_at(s)))
             .collect()
     }
 
-    /// Decides whether missed `tuple_id`, estimated `freq` lookups, may
-    /// enter this cache. A free slot admits it. Otherwise the first
-    /// [`ADMISSION_SAMPLE`] occupied slots from a start its id picks
-    /// are estimated by `freq_of`, and the least frequent of them —
-    /// farthest from `S` among equals — is its victim if `freq` is
-    /// strictly greater. Two misses of one leaf may be told the same
-    /// free slot or victim; the store refuses the second.
-    pub fn admit(&self, tuple_id: u64, freq: u8, freq_of: impl Fn(u64) -> u8) -> Admission {
+    /// Decides whether missed `tag`, estimated `freq` lookups, may enter
+    /// this cache. A free slot admits it. Otherwise the first
+    /// [`ADMISSION_SAMPLE`] occupied slots from a start its tag picks
+    /// are estimated by `freq_of` (given each one's tag), and the least
+    /// frequent of them — farthest from `S` among equals — is its
+    /// victim if `freq` is strictly greater. Two misses of one leaf may
+    /// be told the same free slot or victim; the store refuses the
+    /// second.
+    pub fn admit(&self, tag: u16, freq: u8, freq_of: impl Fn(u16) -> u8) -> Admission {
         let (first, last) = self.slot_range();
         let n = last - first;
         if n > self.occupied() {
@@ -257,16 +269,16 @@ impl<'a> CacheView<'a> {
         if n == 0 {
             return Admission::Refused;
         }
-        let start = (tuple_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % n;
+        let start = (u64::from(tag).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % n;
         let victim = (0..n)
             .map(|i| first + (start + i) % n)
-            .map(|slot| (slot, self.tuple_id_at(slot)))
-            .filter(|&(_, id)| id != 0)
+            .map(|slot| (slot, self.tag_at(slot)))
+            .filter(|&(_, tag)| tag != 0)
             .take(ADMISSION_SAMPLE)
-            .map(|(slot, id)| (freq_of(id), std::cmp::Reverse(self.distance(slot)), slot, id))
+            .map(|(slot, tag)| (freq_of(tag), std::cmp::Reverse(self.distance(slot)), slot, tag))
             .min();
         match victim {
-            Some((f, _, slot, id)) if freq > f => Admission::Evict { slot, tuple_id: id },
+            Some((f, _, slot, tag)) if freq > f => Admission::Evict { slot, tag },
             _ => Admission::Refused,
         }
     }
@@ -306,41 +318,41 @@ impl<'a> CacheViewMut<'a> {
         slot * self.entry
     }
 
-    fn write_entry(&mut self, slot: usize, tuple_id: u64, payload: &[u8]) {
-        debug_assert_eq!(payload.len(), self.entry - CACHE_ID_SIZE);
+    fn write_entry(&mut self, slot: usize, tag: u16, payload: &[u8]) {
+        debug_assert_eq!(payload.len(), self.entry - CACHE_TAG_SIZE);
         let off = self.offset(slot);
-        self.page.write_u64(off, tuple_id);
-        self.page.bytes_mut()[off + CACHE_ID_SIZE..off + self.entry].copy_from_slice(payload);
+        self.page.write_u16(off, tag);
+        self.page.bytes_mut()[off + CACHE_TAG_SIZE..off + self.entry].copy_from_slice(payload);
     }
 
-    /// Write-through: if `tuple_id` is cached, its payload becomes
-    /// `payload` in place. Never stores an entry that is not there.
-    pub fn refresh(&mut self, tuple_id: u64, payload: &[u8]) -> bool {
-        let Some((slot, _)) = self.ro().probe(tuple_id) else { return false };
-        self.write_entry(slot, tuple_id, payload);
+    /// Write-through: if `tag` is cached, its payload becomes `payload`
+    /// in place. Never stores an entry that is not there.
+    pub fn refresh(&mut self, tag: u16, payload: &[u8]) -> bool {
+        let Some((slot, _)) = self.ro().probe(tag) else { return false };
+        self.write_entry(slot, tag, payload);
         true
     }
 
-    /// Drops `tuple_id`'s entry, if cached.
-    pub fn remove(&mut self, tuple_id: u64) -> bool {
-        let Some((slot, _)) = self.ro().probe(tuple_id) else { return false };
+    /// Drops `tag`'s entry, if cached.
+    pub fn remove(&mut self, tag: u16) -> bool {
+        let Some((slot, _)) = self.ro().probe(tag) else { return false };
         let off = self.offset(slot);
         self.page.bytes_mut()[off..off + self.entry].fill(0);
         true
     }
 
-    /// Stores `tuple_id → payload` as `admission` allows: into a
-    /// uniformly random free slot, or over the admitted victim if it
-    /// still holds the entry it was chosen for. If an admitted
-    /// `tuple_id` is already cached, its payload is refreshed in place.
+    /// Stores `tag → payload` as `admission` allows: into a uniformly
+    /// random free slot, or over the admitted victim if it still holds
+    /// the entry it was chosen for. If an admitted `tag` is already
+    /// cached, its payload is refreshed in place.
     pub fn store<R: Rng>(
         &mut self,
-        tuple_id: u64,
+        tag: u16,
         payload: &[u8],
         admission: Admission,
         rng: &mut R,
     ) -> StoreOutcome {
-        debug_assert_ne!(tuple_id, 0, "tuple id 0 is the empty sentinel");
+        debug_assert_ne!(tag, 0, "tag 0 is the empty sentinel");
         let (first, last) = self.ro().slot_range();
         if first == last {
             return StoreOutcome::NoRoom;
@@ -348,23 +360,23 @@ impl<'a> CacheViewMut<'a> {
         if admission == Admission::Refused {
             return StoreOutcome::Refused;
         }
-        if self.refresh(tuple_id, payload) {
+        if self.refresh(tag, payload) {
             return StoreOutcome::Stored;
         }
         let view = self.ro();
         let (slot, outcome) = match admission {
-            Admission::Evict { slot, tuple_id: victim } => {
-                if !(first..last).contains(&slot) || view.tuple_id_at(slot) != victim {
+            Admission::Evict { slot, tag: victim } => {
+                if !(first..last).contains(&slot) || view.tag_at(slot) != victim {
                     return StoreOutcome::Refused;
                 }
                 (slot, StoreOutcome::StoredEvicting)
             }
-            _ => match pick((first..last).filter(|&s| view.tuple_id_at(s) == 0), rng) {
+            _ => match pick((first..last).filter(|&s| view.tag_at(s) == 0), rng) {
                 Some(slot) => (slot, StoreOutcome::Stored),
                 None => return StoreOutcome::Refused,
             },
         };
-        self.write_entry(slot, tuple_id, payload);
+        self.write_entry(slot, tag, payload);
         outcome
     }
 
@@ -435,7 +447,7 @@ mod tests {
         assert_eq!(v.probe(10).unwrap().1, &payload(9)[..]);
     }
 
-    /// A cache filled with ids `1..=cap`, every slot occupied.
+    /// A cache filled with tags `1..=cap`, every slot occupied.
     fn full_leaf() -> Page {
         let mut p = empty_leaf();
         let c = cfg();
@@ -443,9 +455,9 @@ mod tests {
         let cap = CacheView::new(&p, KS, &c).capacity();
         assert!(cap > 2 * ADMISSION_SAMPLE, "4 KiB empty leaf should have many slots, got {cap}");
         let mut m = CacheViewMut::new(&mut p, KS, &c);
-        for id in 1..=cap as u64 {
+        for tag in 1..=cap as u16 {
             assert_eq!(
-                m.store(id, &payload(id as u8), Admission::Free, &mut r),
+                m.store(tag, &payload(tag as u8), Admission::Free, &mut r),
                 StoreOutcome::Stored
             );
         }
@@ -466,8 +478,8 @@ mod tests {
         let cap = CacheView::new(&p, KS, &c).capacity();
         assert!(cap >= 3, "{cap} slots left");
         let mut m = CacheViewMut::new(&mut p, KS, &c);
-        for id in 1..=cap as u64 {
-            m.store(id, &payload(id as u8), Admission::Free, &mut rng());
+        for tag in 1..=cap as u16 {
+            m.store(tag, &payload(tag as u8), Admission::Free, &mut rng());
         }
         assert_eq!(CacheView::new(&p, KS, &c).occupied(), cap);
         p
@@ -483,7 +495,7 @@ mod tests {
         let (first, last) = v.slot_range();
         let farthest = (first..last).map(|s| v.distance(s)).max().unwrap();
         let admission = v.admit(10_000, 2, |_| 1);
-        let Admission::Evict { slot, tuple_id } = admission else {
+        let Admission::Evict { slot, tag } = admission else {
             panic!("a more frequent candidate must be admitted: {admission:?}")
         };
         assert_eq!(v.distance(slot), farthest, "victim slot {slot} is not peripheral");
@@ -493,7 +505,7 @@ mod tests {
         let v = CacheView::new(&p, KS, &c);
         assert_eq!(v.occupied(), last - first, "eviction replaces, never grows");
         assert_eq!(v.probe(10_000).unwrap().0, slot);
-        assert!(v.probe(tuple_id).is_none());
+        assert!(v.probe(tag).is_none());
     }
 
     #[test]
@@ -508,10 +520,10 @@ mod tests {
                     continue;
                 }
                 // `a` and `b` share the least estimate; `b` lies farther.
-                let low = [v.tuple_id_at(a), v.tuple_id_at(b)];
-                let freq_of = |id: u64| if low.contains(&id) { 2 } else { 9 };
+                let low = [v.tag_at(a), v.tag_at(b)];
+                let freq_of = |tag: u16| if low.contains(&tag) { 2 } else { 9 };
                 let got = v.admit(7_777, 3, freq_of);
-                assert_eq!(got, Admission::Evict { slot: b, tuple_id: low[1] }, "{a} vs {b}");
+                assert_eq!(got, Admission::Evict { slot: b, tag: low[1] }, "{a} vs {b}");
                 pairs += 1;
             }
         }
@@ -522,7 +534,7 @@ mod tests {
     fn admission_refuses_a_candidate_no_more_frequent_than_its_victim() {
         let p = full_leaf();
         let v = CacheView::new(&p, KS, &cfg());
-        for cand in 1..100u64 {
+        for cand in 1..100u16 {
             for freq in 0..=5u8 {
                 let got = v.admit(cand, freq, |_| 5);
                 assert_eq!(got, Admission::Refused, "candidate {cand} at {freq} against 5");
@@ -532,13 +544,13 @@ mod tests {
         }
         // One cold slot among the sample is the victim whatever its
         // distance.
-        let cold = v.tuple_id_at(v.slot_range().0 + 3);
+        let cold = v.tag_at(v.slot_range().0 + 3);
         let mut hit_cold = 0;
-        for cand in 1..200u64 {
-            let freq_of = |id: u64| if id == cold { 0 } else { 7 };
+        for cand in 1..200u16 {
+            let freq_of = |tag: u16| if tag == cold { 0 } else { 7 };
             match v.admit(cand, 1, freq_of) {
-                Admission::Evict { tuple_id, .. } => {
-                    assert_eq!(tuple_id, cold);
+                Admission::Evict { tag, .. } => {
+                    assert_eq!(tag, cold);
                     hit_cold += 1;
                 }
                 Admission::Refused => {} // the cold slot was not sampled
@@ -558,17 +570,17 @@ mod tests {
         // one is left, and the stores fill them.
         let mut m = CacheViewMut::new(&mut p, KS, &c);
         assert!(m.remove(1) && m.remove(2));
-        for id in [500, 501] {
-            assert_eq!(CacheView::new(&p, KS, &c).admit(id, 0, |_| 15), Admission::Free);
+        for tag in [500, 501] {
+            assert_eq!(CacheView::new(&p, KS, &c).admit(tag, 0, |_| 15), Admission::Free);
             let mut m = CacheViewMut::new(&mut p, KS, &c);
-            assert_eq!(m.store(id, &payload(5), Admission::Free, &mut r), StoreOutcome::Stored);
+            assert_eq!(m.store(tag, &payload(5), Admission::Free, &mut r), StoreOutcome::Stored);
         }
         assert_eq!(CacheView::new(&p, KS, &c).admit(502, 0, |_| 15), Admission::Refused);
         // A free slot another store took is not made by evicting, and a
         // victim that left its slot is not overwritten.
         let mut m = CacheViewMut::new(&mut p, KS, &c);
         assert_eq!(m.store(502, &payload(5), Admission::Free, &mut r), StoreOutcome::Refused);
-        let stale = Admission::Evict { slot: first, tuple_id: 123_456 };
+        let stale = Admission::Evict { slot: first, tag: 12_345 };
         assert_eq!(m.store(503, &payload(5), stale, &mut r), StoreOutcome::Refused);
         assert_eq!(m.store(503, &payload(5), Admission::Refused, &mut r), StoreOutcome::Refused);
         let v = CacheView::new(&p, KS, &c);
@@ -599,8 +611,8 @@ mod tests {
         let c = cfg();
         let mut r = rng();
         let mut m = CacheViewMut::new(&mut p, KS, &c);
-        for id in 1..=5u64 {
-            m.store(id, &payload(id as u8), Admission::Free, &mut r);
+        for tag in 1..=5u16 {
+            m.store(tag, &payload(tag as u8), Admission::Free, &mut r);
         }
         m.zero();
         assert_eq!(CacheView::new(&p, KS, &c).occupied(), 0);
@@ -614,8 +626,8 @@ mod tests {
         let cap0 = CacheView::new(&p, KS, &c).capacity();
         {
             let mut m = CacheViewMut::new(&mut p, KS, &c);
-            for id in 1..=cap0 as u64 {
-                m.store(id, &payload(1), Admission::Free, &mut r);
+            for tag in 1..=cap0 as u16 {
+                m.store(tag, &payload(1), Admission::Free, &mut r);
             }
         }
         // Insert keys: the key region grows into the low end of the cache.
@@ -628,9 +640,9 @@ mod tests {
         let v = CacheView::new(&p, KS, &c);
         let cap1 = v.capacity();
         assert!(cap1 < cap0, "capacity must shrink: {cap0} -> {cap1}");
-        // All surviving entries still verify: ids in range, payload intact.
-        for (id, pl) in v.entries() {
-            assert!(id >= 1 && id <= cap0 as u64);
+        // All surviving entries still verify: tags in range, payload intact.
+        for (tag, pl) in v.entries() {
+            assert!(tag >= 1 && tag <= cap0 as u16);
             assert_eq!(pl, &payload(1)[..]);
         }
         // And probing never reads a partially-overwritten slot: the node

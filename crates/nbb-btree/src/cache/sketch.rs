@@ -160,9 +160,9 @@ mod tests {
         assert_eq!(Sketch::new(1).counters(), PER_BLOCK);
         assert_eq!(Sketch::new(1000).counters(), 1024);
         assert_eq!(Sketch::new(1024).sample(), 10 * 256);
-        // The benchmark's geometry: 1,800 index frames of 4 KiB, 64-byte
-        // whole-row entries (31 in a half-full leaf): 1M counters, 512 KB.
-        let s = Sketch::for_cache(1_800, 4096, 64);
+        // The benchmark's geometry: 1,800 index frames of 4 KiB, 58-byte
+        // whole-row entries (34 in a half-full leaf): 1M counters, 512 KB.
+        let s = Sketch::for_cache(1_800, 4096, 58);
         assert_eq!(s.counters(), 1 << 20);
         assert!(s.blocks.get().is_none(), "nothing allocated before a record");
         s.record(1);

@@ -46,7 +46,7 @@
 //! let m = tree.lookup_cached(&42u64.to_be_bytes()).unwrap();
 //! assert_eq!(m.value, Some(1000));
 //! assert!(m.payload.is_none(), "first access misses");
-//! tree.cache_populate(m.leaf, 1000, &[7u8; 16], m.token).unwrap();
+//! tree.cache_populate(m.leaf, &42u64.to_be_bytes(), &[7u8; 16], m.token).unwrap();
 //! let h = tree.lookup_cached(&42u64.to_be_bytes()).unwrap();
 //! assert_eq!(h.payload.as_deref(), Some(&[7u8; 16][..]));
 //! ```

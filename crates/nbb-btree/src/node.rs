@@ -17,12 +17,19 @@
 //!
 //! ### Zeroing discipline (cache correctness)
 //!
-//! A cache slot is identified by a nonzero tuple id at its start, so any
+//! A cache slot is identified by a nonzero tag at its start, so any
 //! byte that *enters* the free region must be zero. Operations that grow
 //! the free region (delete, compaction, node rebuild) therefore zero the
 //! whole free region, conservatively dropping that page's cache.
 //! Operations that shrink it (key/directory growth) overwrite cache
 //! periphery freely — exactly the paper's contract.
+//!
+//! The tag is a key's directory cell ([`Node::cell_at`]): the byte
+//! offset of its key entry, at least [`NODE_HEADER_SIZE`] and so never
+//! 0. A cell names one key for as long as any cache entry can exist: a
+//! new key is appended at `free_low`, an existing key's value is
+//! overwritten in place, and the three operations that move or reuse
+//! key entries are the three that zero the free region.
 //!
 //! Header fields (little-endian):
 //!
@@ -178,6 +185,26 @@ impl<'a> Node<'a> {
     #[inline]
     fn entry_offset(&self, i: usize) -> usize {
         self.page.read_u16(self.dir_offset(i)) as usize
+    }
+
+    /// Directory cell of sorted position `i`: its key entry's byte
+    /// offset, stable while the key lives (module docs), where the
+    /// position shifts with every insert below it.
+    #[inline]
+    pub fn cell_at(&self, i: usize) -> u16 {
+        self.page.read_u16(self.dir_offset(i))
+    }
+
+    /// Directory cell of `key`, if present.
+    #[inline]
+    pub fn cell_of(&self, key: &[u8]) -> Option<u16> {
+        self.search(key).ok().map(|i| self.cell_at(i))
+    }
+
+    /// Value of the key entry at directory cell `cell`.
+    #[inline]
+    pub fn value_at_cell(&self, cell: u16) -> u64 {
+        self.page.read_u64(usize::from(cell) + self.key_size)
     }
 
     /// Key at sorted position `i`.

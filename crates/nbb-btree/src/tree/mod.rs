@@ -418,33 +418,35 @@ impl BTree {
     // Index cache protocol (§2.1)
     // ---------------------------------------------------------------
 
-    /// Cache id for an index value: values are tuple pointers, and 0 is
-    /// reserved for "empty slot", so ids are `value + 1`.
+    /// The frequency sketch's id for an index value: values are tuple
+    /// pointers, and the sketch counts tuples by `value + 1`.
     #[inline]
     fn tuple_id(value: u64) -> u64 {
         value.wrapping_add(1)
     }
 
-    /// Stores the payload fetched from the heap after a cache miss.
-    /// Thin wrapper over a one-entry [`BTree::cache_populate_many`];
-    /// returns whether the entry was stored.
+    /// Stores the payload fetched from the heap after a cache miss on
+    /// `key`. Thin wrapper over a one-entry
+    /// [`BTree::cache_populate_many`]; returns whether the entry was
+    /// stored.
     pub fn cache_populate(
         &self,
         leaf: PageId,
-        value: u64,
+        key: &[u8],
         payload: &[u8],
         token: InvToken,
     ) -> Result<bool> {
-        Ok(self.cache_populate_many(&[(leaf, token, value, payload)])? == 1)
+        Ok(self.cache_populate_many(&[(leaf, token, key, payload)])? == 1)
     }
 
     /// Stores the payloads fetched from the heap after cache misses,
-    /// `(leaf, token, value, payload)` each: `leaf` and `token` as the
+    /// `(leaf, token, key, payload)` each: `leaf` and `token` as the
     /// preceding [`BTree::lookup_cached_with`] or [`BTree::range_chunk`]
-    /// reported them, `value` the key's pointer. Returns how many were
-    /// stored.
+    /// reported them for `key`. Returns how many were stored.
     ///
-    /// Each entry is stored as its token's admission allows: into a
+    /// An entry is named by its key's directory cell, found again under
+    /// the leaf's latch: the stamp check makes it the cell the lookup
+    /// saw. Each entry is stored as its token's admission allows: into a
     /// free slot, or over the victim the lookup chose if that slot
     /// still holds it. An entry whose admission was refused is skipped
     /// without a latch, and so is a run of nothing else.
@@ -458,8 +460,11 @@ impl BTree {
     /// reloaded); it is skipped whole if the latch is contended. The
     /// first populate of a residency resets the leaf's cache before
     /// storing — only then is it trusted. A free slot is drawn from
-    /// `placement_rng` seeded by the leaf and the run's first tuple.
-    pub fn cache_populate_many(&self, entries: &[(PageId, InvToken, u64, &[u8])]) -> Result<usize> {
+    /// `placement_rng` seeded by the leaf and the run's first cell.
+    pub fn cache_populate_many(
+        &self,
+        entries: &[(PageId, InvToken, &[u8], &[u8])],
+    ) -> Result<usize> {
         let Some(cfg) = self.opts.cache else { return Ok(0) };
         if let Some((.., payload)) = entries.iter().find(|e| e.3.len() != cfg.payload_size) {
             return Err(StorageError::Corrupt(format!(
@@ -467,6 +472,9 @@ impl BTree {
                 payload.len(),
                 cfg.payload_size
             )));
+        }
+        for &(_, _, key, _) in entries {
+            self.check_key(key)?;
         }
         if entries.is_empty() {
             return Ok(0);
@@ -493,11 +501,13 @@ impl BTree {
                     CacheViewMut::new(p, self.key_size, &cfg).zero();
                     p.mark();
                 }
-                let mut rng = placement_rng(leaf, Self::tuple_id(run[0].2));
-                let mut cache = CacheViewMut::new(p, self.key_size, &cfg);
                 let (mut stored, mut evicted) = (0u64, 0u64);
-                for &(_, token, value, payload) in run {
-                    match cache.store(Self::tuple_id(value), payload, token.admit, &mut rng) {
+                let mut rng = None;
+                for &(_, token, key, payload) in run {
+                    let Some(cell) = Node::new(p, self.key_size).cell_of(key) else { continue };
+                    let rng = rng.get_or_insert_with(|| placement_rng(leaf, u64::from(cell)));
+                    let mut cache = CacheViewMut::new(p, self.key_size, &cfg);
+                    match cache.store(cell, payload, token.admit, rng) {
                         StoreOutcome::Stored => stored += 1,
                         StoreOutcome::StoredEvicting => {
                             (stored, evicted) = (stored + 1, evicted + 1)

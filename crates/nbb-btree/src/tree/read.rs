@@ -103,31 +103,33 @@ struct LeafView<'a> {
 }
 
 impl<'a> LeafView<'a> {
-    /// Looks the tuple behind index value `value` up in the leaf's
-    /// cache: its payload on a hit.
-    fn probe(&mut self, value: u64) -> Option<&'a [u8]> {
+    /// Looks the key at directory cell `cell` up in the leaf's cache:
+    /// its payload on a hit.
+    fn probe(&mut self, cell: u16) -> Option<&'a [u8]> {
         self.asked += 1;
-        let hit = self.cache.as_ref()?.probe(BTree::tuple_id(value));
+        let hit = self.cache.as_ref()?.probe(cell);
         self.hits += u64::from(hit.is_some());
         hit.map(|(_, payload)| payload)
     }
 
-    /// A point lookup's probe: counts the tuple in the sketch, probes,
-    /// and on a miss decides its admission here, under the shared pin,
-    /// into the token a populate must bring back. A leaf whose cache is
-    /// not trusted admits into a free slot: its first populate frees
-    /// them all.
-    fn lookup(&mut self, value: u64) -> (Option<&'a [u8]>, InvToken) {
+    /// A point lookup's probe of the key at `cell`: counts the tuple its
+    /// pointer names in the sketch, probes, and on a miss decides its
+    /// admission here, under the shared pin, into the token a populate
+    /// must bring back. A sampled victim is estimated by the pointer its
+    /// tag's key entry holds. A leaf whose cache is not trusted admits
+    /// into a free slot: its first populate frees them all.
+    fn lookup(&mut self, cell: u16) -> (Option<&'a [u8]>, InvToken) {
         let Some(sketch) = self.sketch else {
-            return (self.probe(value), InvToken { admit: Admission::Refused, ..self.token });
+            return (self.probe(cell), InvToken { admit: Admission::Refused, ..self.token });
         };
-        let id = BTree::tuple_id(value);
-        sketch.record(id);
-        let hit = self.probe(value);
+        let node = self.node;
+        let freq_of = |cell: u16| sketch.estimate(BTree::tuple_id(node.value_at_cell(cell)));
+        sketch.record(BTree::tuple_id(node.value_at_cell(cell)));
+        let hit = self.probe(cell);
         let admit = match (&self.cache, hit) {
             (_, Some(_)) => Admission::Refused,
             (None, None) => Admission::Free,
-            (Some(cache), None) => cache.admit(id, sketch.estimate(id), |v| sketch.estimate(v)),
+            (Some(cache), None) => cache.admit(cell, freq_of(cell), freq_of),
         };
         (hit, InvToken { admit, ..self.token })
     }
@@ -315,11 +317,10 @@ impl BTree {
                         ended = Some(!in_range);
                         break;
                     }
-                    let value = n.value_at(i);
                     out.keys.extend_from_slice(key);
-                    out.values.push(value);
+                    out.values.push(n.value_at(i));
                     if probe {
-                        let hit = view.probe(value);
+                        let hit = view.probe(n.cell_at(i));
                         match hit {
                             Some(payload) => out.payloads.extend_from_slice(payload),
                             None => out.payloads.resize(out.payloads.len() + slot, 0),
@@ -473,8 +474,8 @@ impl BTree {
                 let mut c = 0;
                 while i + c < order.len() {
                     let pos = order[i + c];
-                    let value = match n.search(key_of(pos)) {
-                        Ok(j) => Some(n.value_at(j)),
+                    let cell = match n.search(key_of(pos)) {
+                        Ok(j) => Some(n.cell_at(j)),
                         // Past the last key: only the key that was
                         // routed here (c == 0) is definitively absent;
                         // later keys may belong to a sibling, so the
@@ -482,8 +483,8 @@ impl BTree {
                         Err(j) if j >= n.nkeys() && c > 0 => break,
                         Err(_) => None,
                     };
-                    let (hit, token) = value.map_or((None, view.token), |v| view.lookup(v));
-                    answer(pos, leaf, token, value, hit);
+                    let (hit, token) = cell.map_or((None, view.token), |c| view.lookup(c));
+                    answer(pos, leaf, token, cell.map(|c| n.value_at_cell(c)), hit);
                     c += 1;
                 }
                 c

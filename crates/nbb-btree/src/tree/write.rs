@@ -25,8 +25,8 @@ enum LeafWrite {
     /// Nothing was overwritten: the entry is new (`None`), was removed
     /// (its value), or was never there (`None`).
     Done(Option<u64>),
-    /// The key's pointer was overwritten; this is the old one, whose
-    /// cache entry the walker drops in the same closure.
+    /// The key's pointer was overwritten; this is the old one. The
+    /// walker drops the key's cache entry in the same closure.
     Replaced(u64),
     /// The leaf has no room for a new entry carrying this value: the
     /// walker hands the key to [`BTree::insert_escalated`].
@@ -101,8 +101,8 @@ impl BTree {
     }
 
     /// Updates the value of an existing key; returns false if absent
-    /// (an absent key is never created). The old pointer's cache entry
-    /// is dropped.
+    /// (an absent key is never created). The key's cache entry is
+    /// dropped.
     pub fn update_value(&self, key: &[u8], value: u64) -> Result<bool> {
         self.check_key(key)?;
         let old = self.write_runs(
@@ -124,7 +124,8 @@ impl BTree {
 
     /// The cache write-through, after the heap changed rows whose keys
     /// stayed put: `(key, value, payload)` each, `value` the key's
-    /// pointer. A cached entry for `value` gets `payload` in place;
+    /// pointer. The key's cached entry, found through its directory
+    /// cell, gets `payload` in place while the key still names `value`;
     /// nothing absent is stored. Returns how many entries were
     /// rewritten. Each leaf is latched by `with_page_mut_clean`, entry
     /// or not: its new stamp refuses a populate whose heap read may
@@ -146,9 +147,12 @@ impl BTree {
         let key_of = |pos: usize| entries[pos].0.as_ref();
         let order = self.sorted_positions(entries.len(), key_of)?;
         let refreshed = self.write_runs(&order, key_of, false, |n, pos| {
-            let (_, value, payload) = &entries[pos];
-            let mut cache = CacheViewMut::new(n.page_mut(), self.key_size, &cfg);
-            let refreshed = cache.refresh(Self::tuple_id(*value), payload.as_ref());
+            let (key, value, payload) = &entries[pos];
+            let node = n.as_ref();
+            let cell = node.cell_of(key.as_ref()).filter(|&c| node.value_at_cell(c) == *value);
+            let refreshed = cell.is_some_and(|cell| {
+                CacheViewMut::new(n.page_mut(), self.key_size, &cfg).refresh(cell, payload.as_ref())
+            });
             LeafWrite::Done(refreshed.then_some(*value))
         })?;
         let refreshed = refreshed.iter().flatten().count();
@@ -204,8 +208,8 @@ impl BTree {
                         let mut verdicts = Vec::with_capacity(run);
                         for &pos in &order[i..i + run] {
                             let verdict = leaf_op(&mut n, pos);
-                            if let LeafWrite::Replaced(old) = verdict {
-                                self.forget(&mut n, old);
+                            if let LeafWrite::Replaced(_) = verdict {
+                                self.forget(&mut n, key_of(pos));
                             }
                             let full = matches!(verdict, LeafWrite::Full(_));
                             verdicts.push(verdict);
@@ -244,11 +248,12 @@ impl BTree {
         Ok(out)
     }
 
-    /// Drops the cache entry of `old`, a pointer just overwritten in
-    /// `n`: a later key of this leaf may name the same heap slot.
-    fn forget(&self, n: &mut NodeMut<'_>, old: u64) {
-        if let Some(cfg) = &self.opts.cache {
-            CacheViewMut::new(n.page_mut(), self.key_size, cfg).remove(Self::tuple_id(old));
+    /// Drops the cache entry of `key`, whose pointer was just
+    /// overwritten in `n`: the entry, named by the key's directory cell,
+    /// describes the row the key named before.
+    fn forget(&self, n: &mut NodeMut<'_>, key: &[u8]) {
+        if let (Some(cfg), Some(cell)) = (&self.opts.cache, n.as_ref().cell_of(key)) {
+            CacheViewMut::new(n.page_mut(), self.key_size, cfg).remove(cell);
         }
     }
 
@@ -310,8 +315,8 @@ impl BTree {
                 let mut n = NodeMut::new(p, self.key_size);
                 let old = n.as_ref().search(key).ok().map(|i| n.as_ref().value_at(i));
                 let outcome = n.insert(key, value);
-                if let Some(old) = old {
-                    self.forget(&mut n, old);
+                if old.is_some() {
+                    self.forget(&mut n, key);
                 }
                 (outcome, old)
             })?;

@@ -45,7 +45,7 @@ fn a_reloaded_image_cannot_bring_back_a_stale_entry() {
     let new = 0xB0B0_0000_0000_0002u64;
     // Populate key 3's entry with the old row.
     let m = tree.lookup_cached(&k(3)).unwrap();
-    assert!(tree.cache_populate(m.leaf, 30, &entry(old), m.token).unwrap());
+    assert!(tree.cache_populate(m.leaf, &k(3), &entry(old), m.token).unwrap());
     let leaf = m.leaf;
     // Dirty the leaf (a key insert) and let it be written back: the
     // device image now carries the old entry.
@@ -63,7 +63,7 @@ fn a_reloaded_image_cannot_bring_back_a_stale_entry() {
     assert_eq!(m.value, Some(30));
     assert!(m.payload.is_none(), "the reloaded image's entry is older than the row");
     // The miss goes to the heap, whose new bytes the cache then holds.
-    assert!(tree.cache_populate(m.leaf, 30, &entry(new), m.token).unwrap());
+    assert!(tree.cache_populate(m.leaf, &k(3), &entry(new), m.token).unwrap());
     assert_eq!(tree.lookup_cached(&k(3)).unwrap().payload.as_deref(), Some(&entry(new)[..]));
     // The first populate of the residency reset the leaf: the image's
     // other entries are gone with it.
@@ -81,14 +81,14 @@ fn a_populate_whose_token_predates_a_refresh_and_a_reload_is_refused() {
     pool.evict_page(m.leaf).unwrap();
     assert_eq!(tree.get(&k(5)).unwrap(), Some(50));
     assert!(
-        !tree.cache_populate(m.leaf, 50, &entry(1), m.token).unwrap(),
+        !tree.cache_populate(m.leaf, &k(5), &entry(1), m.token).unwrap(),
         "the heap read may predate the write"
     );
     assert_eq!(tree.cache_stats().stale_skips, 1);
     // A reload alone moves the stamp too: it is a new residency.
     let m = tree.lookup_cached(&k(5)).unwrap();
     pool.evict_page(m.leaf).unwrap();
-    assert!(!tree.cache_populate(m.leaf, 50, &entry(2), m.token).unwrap());
+    assert!(!tree.cache_populate(m.leaf, &k(5), &entry(2), m.token).unwrap());
     assert!(tree.lookup_cached(&k(5)).unwrap().payload.is_none());
 }
 
@@ -96,7 +96,7 @@ fn a_populate_whose_token_predates_a_refresh_and_a_reload_is_refused() {
 fn the_write_through_leaves_the_frame_clean() {
     let (tree, pool, disk) = tiny(4);
     let m = tree.lookup_cached(&k(2)).unwrap();
-    assert!(tree.cache_populate(m.leaf, 20, &entry(1), m.token).unwrap());
+    assert!(tree.cache_populate(m.leaf, &k(2), &entry(1), m.token).unwrap());
     pool.flush_all().unwrap();
     let written = pool.stats().writebacks;
     assert_eq!(tree.cache_refresh_many(&[(k(2), 20, entry(7))]).unwrap(), 1);

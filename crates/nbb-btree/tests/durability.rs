@@ -27,7 +27,7 @@ fn restart_round_trip(disk: Arc<dyn DiskManager>) {
         }
         for i in (0..n).step_by(5) {
             let m = tree.lookup_cached(&k(i)).unwrap();
-            tree.cache_populate(m.leaf, i * 3, &(i * 3).to_le_bytes(), m.token).unwrap();
+            tree.cache_populate(m.leaf, &k(i), &(i * 3).to_le_bytes(), m.token).unwrap();
         }
         root = tree.root_page();
         pool.flush_all().unwrap();
@@ -47,7 +47,7 @@ fn restart_round_trip(disk: Arc<dyn DiskManager>) {
     assert_eq!(m.value, Some(0));
     assert!(m.payload.is_none(), "restart must invalidate persisted caches");
     // And the cache works again after repopulation.
-    tree.cache_populate(m.leaf, 0, &0u64.to_le_bytes(), m.token).unwrap();
+    tree.cache_populate(m.leaf, &k(0), &0u64.to_le_bytes(), m.token).unwrap();
     assert!(tree.lookup_cached(&k(0)).unwrap().payload.is_some());
 }
 
@@ -81,7 +81,7 @@ fn a_reopened_tree_never_trusts_persisted_cache_bytes() {
         }
         for i in 0..100u64 {
             let m = tree.lookup_cached(&k(i)).unwrap();
-            tree.cache_populate(m.leaf, i, &[0xEE; 8], m.token).unwrap();
+            tree.cache_populate(m.leaf, &k(i), &[0xEE; 8], m.token).unwrap();
         }
         // Dirty the pages so the cache bytes persist, then flush.
         for i in 100..110u64 {

@@ -85,9 +85,9 @@ fn sixteen_key_cached_lookup_allocates_no_more_than_it_did() {
     // 16 keys in 16 distinct leaves, out of order, each answered from
     // its leaf's cache.
     let keys: Vec<[u8; 8]> = (0..16u64).map(|i| k((i * 7 % 16) * 250 + 3)).collect();
-    for m in tree.lookup_cached_many(&keys).unwrap() {
+    for (key, m) in keys.iter().zip(tree.lookup_cached_many(&keys).unwrap()) {
         let v = m.value.expect("present");
-        assert!(tree.cache_populate(m.leaf, v, &v.to_le_bytes(), m.token).unwrap());
+        assert!(tree.cache_populate(m.leaf, key, &v.to_le_bytes(), m.token).unwrap());
     }
     // Once unmeasured, so nothing below is a first-time growth.
     let warm = tree.lookup_cached_many(&keys).unwrap();

@@ -276,9 +276,9 @@ fn readers_match_closed_form(opts: BTreeOptions) {
     if cached {
         // Populate what was found; values must not move and the hits
         // must carry what was stored.
-        for m in looked.iter().filter(|m| m.value.is_some()) {
+        for (key, m) in asked.iter().zip(&looked).filter(|(_, m)| m.value.is_some()) {
             let v = m.value.unwrap();
-            tree.cache_populate(m.leaf, v, &v.to_le_bytes(), m.token).unwrap();
+            tree.cache_populate(m.leaf, key, &v.to_le_bytes(), m.token).unwrap();
         }
         let warm = tree.lookup_cached_many(&asked).unwrap();
         let got: Vec<Option<u64>> = warm.iter().map(|m| m.value).collect();
@@ -349,7 +349,7 @@ fn lookup_cached_many_hits_after_populate() {
         let v = m.value.expect("key exists");
         assert_eq!(v, (i as u64 * 31) + 10);
         assert!(m.payload.is_none(), "cold cache must miss");
-        tree.cache_populate(m.leaf, v, &v.to_le_bytes(), m.token).unwrap();
+        tree.cache_populate(m.leaf, &hot[i], &v.to_le_bytes(), m.token).unwrap();
     }
     // Second pass: served from leaf free space.
     let second = tree.lookup_cached_many(&hot).unwrap();
@@ -565,7 +565,7 @@ fn range_chunk_serves_cached_payloads() {
     // Warm a few entries through the point path.
     for v in 10..20u64 {
         let m = tree.lookup_cached(&k(v)).unwrap();
-        tree.cache_populate(m.leaf, v, &v.to_le_bytes(), m.token).unwrap();
+        tree.cache_populate(m.leaf, &k(v), &v.to_le_bytes(), m.token).unwrap();
     }
     let range = (Bound::Included(&k(10)[..]), Bound::Excluded(&k(20)[..]));
     let before = tree.cache_stats();
@@ -598,7 +598,7 @@ fn cache_miss_populate_hit_cycle() {
     let m = tree.lookup_cached(&k(1)).unwrap();
     assert_eq!(m.value, Some(100));
     assert!(m.payload.is_none());
-    assert!(tree.cache_populate(m.leaf, 100, &[9u8; 16], m.token).unwrap());
+    assert!(tree.cache_populate(m.leaf, &k(1), &[9u8; 16], m.token).unwrap());
     let h = tree.lookup_cached(&k(1)).unwrap();
     assert_eq!(h.payload.as_deref(), Some(&[9u8; 16][..]));
     let s = tree.cache_stats();
@@ -632,13 +632,13 @@ fn cache_answers_match_heap_under_mixed_workload() {
             tree.cache_refresh_many(&[(k(key), ptr, nv.to_le_bytes())]).unwrap();
         } else {
             let m = tree.lookup_cached(&k(key)).unwrap();
-            let ptr = m.value.expect("key exists");
+            assert!(m.value.is_some(), "key exists");
             if let Some(pl) = &m.payload {
                 let got = u64::from_le_bytes(pl[..8].try_into().unwrap());
                 assert_eq!(got, truth[&key], "stale cache hit for {key} at step {step}");
             } else {
                 let payload = truth[&key].to_le_bytes();
-                tree.cache_populate(m.leaf, ptr, &payload, m.token).unwrap();
+                tree.cache_populate(m.leaf, &k(key), &payload, m.token).unwrap();
             }
         }
     }
@@ -657,7 +657,7 @@ fn a_reload_drops_every_cache() {
     }
     for v in 0..50u64 {
         let m = tree.lookup_cached(&k(v)).unwrap();
-        tree.cache_populate(m.leaf, v, &v.to_le_bytes(), m.token).unwrap();
+        tree.cache_populate(m.leaf, &k(v), &v.to_le_bytes(), m.token).unwrap();
     }
     // Everything hits now.
     let m = tree.lookup_cached(&k(10)).unwrap();
@@ -680,7 +680,7 @@ fn stale_token_populate_is_skipped() {
     // fix, but its latch on the leaf moves the stamp the token holds.
     assert_eq!(tree.cache_refresh_many(&[(k(1), 10, 8u64.to_le_bytes())]).unwrap(), 0);
     assert!(
-        !tree.cache_populate(m.leaf, 10, &7u64.to_le_bytes(), m.token).unwrap(),
+        !tree.cache_populate(m.leaf, &k(1), &7u64.to_le_bytes(), m.token).unwrap(),
         "populate with a stale token must be refused"
     );
     assert_eq!(tree.cache_stats().stale_skips, 1);
@@ -688,10 +688,10 @@ fn stale_token_populate_is_skipped() {
     // Any writer latch on the leaf counts, not only one on the same key.
     let m = tree.lookup_cached(&k(1)).unwrap();
     tree.insert(&k(3), 30).unwrap();
-    assert!(!tree.cache_populate(m.leaf, 10, &8u64.to_le_bytes(), m.token).unwrap());
+    assert!(!tree.cache_populate(m.leaf, &k(1), &8u64.to_le_bytes(), m.token).unwrap());
     // A fresh token, with no writer since, is taken.
     let m = tree.lookup_cached(&k(1)).unwrap();
-    assert!(tree.cache_populate(m.leaf, 10, &8u64.to_le_bytes(), m.token).unwrap());
+    assert!(tree.cache_populate(m.leaf, &k(1), &8u64.to_le_bytes(), m.token).unwrap());
     assert_eq!(
         tree.lookup_cached(&k(1)).unwrap().payload.as_deref(),
         Some(&8u64.to_le_bytes()[..])
@@ -707,8 +707,8 @@ fn a_populate_whose_reset_comes_first_keeps_other_tokens_good() {
     tree.insert(&k(1), 10).unwrap();
     tree.insert(&k(2), 20).unwrap();
     let (a, b) = (tree.lookup_cached(&k(1)).unwrap(), tree.lookup_cached(&k(2)).unwrap());
-    assert!(tree.cache_populate(a.leaf, 10, &1u64.to_le_bytes(), a.token).unwrap());
-    assert!(tree.cache_populate(b.leaf, 20, &2u64.to_le_bytes(), b.token).unwrap());
+    assert!(tree.cache_populate(a.leaf, &k(1), &1u64.to_le_bytes(), a.token).unwrap());
+    assert!(tree.cache_populate(b.leaf, &k(2), &2u64.to_le_bytes(), b.token).unwrap());
     assert!(tree.lookup_cached(&k(1)).unwrap().payload.is_some());
     assert!(tree.lookup_cached(&k(2)).unwrap().payload.is_some());
     assert_eq!(tree.cache_stats().stale_skips, 0);
@@ -720,7 +720,7 @@ fn an_overwritten_pointer_drops_its_old_entry_in_the_same_latch() {
     for v in 1..=3u64 {
         tree.insert(&k(v), v * 10).unwrap();
         let m = tree.lookup_cached(&k(v)).unwrap();
-        assert!(tree.cache_populate(m.leaf, v * 10, &v.to_le_bytes(), m.token).unwrap());
+        assert!(tree.cache_populate(m.leaf, &k(v), &v.to_le_bytes(), m.token).unwrap());
     }
     // Key 1 now names tuple 99; key 2 later names key 1's old tuple 10.
     assert_eq!(tree.insert(&k(1), 99).unwrap(), Some(10));
@@ -737,6 +737,99 @@ fn an_overwritten_pointer_drops_its_old_entry_in_the_same_latch() {
 }
 
 #[test]
+fn update_value_drops_the_overwritten_keys_entry() {
+    // An entry is named by its key's directory cell, which a pointer
+    // overwrite keeps: the entry describes the row the key named
+    // before, so the overwrite must drop it in the same latch.
+    let tree = BTree::create(pool(), 8, cached_opts(8)).unwrap();
+    for v in 1..=3u64 {
+        tree.insert(&k(v), v * 10).unwrap();
+    }
+    for v in 1..=3u64 {
+        let m = tree.lookup_cached(&k(v)).unwrap();
+        assert!(tree.cache_populate(m.leaf, &k(v), &(v * 10).to_le_bytes(), m.token).unwrap());
+    }
+    assert!(tree.lookup_cached(&k(2)).unwrap().payload.is_some());
+    assert!(tree.update_value(&k(2), 99).unwrap());
+    let m = tree.lookup_cached(&k(2)).unwrap();
+    assert_eq!(m.value, Some(99));
+    assert!(m.payload.is_none(), "key 2 answered with the row it named before");
+    for v in [1u64, 3] {
+        let payload = tree.lookup_cached(&k(v)).unwrap().payload;
+        assert_eq!(payload.as_deref(), Some(&(v * 10).to_le_bytes()[..]), "key {v}");
+    }
+    // The new row's entry takes the same cell.
+    assert!(tree.cache_populate(m.leaf, &k(2), &99u64.to_le_bytes(), m.token).unwrap());
+    let payload = tree.lookup_cached(&k(2)).unwrap().payload;
+    assert_eq!(payload.as_deref(), Some(&99u64.to_le_bytes()[..]));
+}
+
+#[test]
+fn an_insert_that_compacts_the_leaf_drops_every_entry() {
+    // One 4 KiB leaf, 10-byte entries: 225 keys appended of which 9
+    // were deleted leave 144 dead bytes and a 16-byte free region
+    // holding one slot. The next insert compacts, which moves key
+    // entries to new offsets: an entry surviving it would be named by a
+    // cell that now holds another key.
+    let tree = BTree::create(pool(), 8, cached_opts(8)).unwrap();
+    for v in 0..216u64 {
+        tree.insert(&k(v), v).unwrap();
+    }
+    tree.delete_many(&(0..9u64).map(k).collect::<Vec<_>>()).unwrap();
+    for v in 216..225u64 {
+        tree.insert(&k(v), v).unwrap();
+    }
+    let m = tree.lookup_cached(&k(100)).unwrap();
+    assert!(tree.cache_populate(m.leaf, &k(100), &100u64.to_le_bytes(), m.token).unwrap());
+    let before = tree.index_stats().unwrap();
+    assert_eq!((before.leaf_pages, before.free_bytes), (1, 16), "{before:?}");
+    assert_eq!((before.cache_slots, before.cache_occupied), (1, 1), "{before:?}");
+    tree.insert(&k(225), 225).unwrap();
+    let after = tree.index_stats().unwrap();
+    assert_eq!(after.leaf_pages, 1, "the insert must compact, not split: {after:?}");
+    assert!(after.free_bytes > 100, "the insert must compact: {after:?}");
+    assert_eq!(after.cache_occupied, 0, "a compaction zeroes the free region: {after:?}");
+    for v in 9..226u64 {
+        assert!(tree.lookup_cached(&k(v)).unwrap().payload.is_none(), "key {v}");
+    }
+}
+
+#[test]
+fn a_key_inserted_after_a_delete_never_answers_from_another_keys_entry() {
+    // A delete drops the leaf's entries and leaves its key entry's
+    // bytes dead, so a key inserted after it takes a fresh cell, though
+    // it takes the deleted key's place in the sorted directory and
+    // shifts every key above it.
+    let tree = BTree::create(pool(), 8, cached_opts(8)).unwrap();
+    let populate = |v: u64| {
+        let m = tree.lookup_cached(&k(v)).unwrap();
+        let value = m.value.unwrap();
+        assert!(tree.cache_populate(m.leaf, &k(v), &value.to_le_bytes(), m.token).unwrap());
+    };
+    for v in (0..40u64).map(|v| v * 2) {
+        tree.insert(&k(v), v).unwrap();
+        populate(v);
+    }
+    tree.delete(&k(20)).unwrap();
+    for v in (0..40u64).map(|v| v * 2).filter(|&v| v != 20) {
+        populate(v);
+    }
+    // The deleted key back, and keys between the old ones.
+    for v in [20u64, 21, 1, 79] {
+        tree.insert(&k(v), 1_000 + v).unwrap();
+    }
+    for v in 0..80u64 {
+        let m = tree.lookup_cached(&k(v)).unwrap();
+        if let Some(payload) = m.payload {
+            assert_eq!(payload, m.value.unwrap().to_le_bytes(), "key {v}");
+        }
+    }
+    for v in [20u64, 21, 1, 79] {
+        assert!(tree.lookup_cached(&k(v)).unwrap().payload.is_none(), "key {v} was never stored");
+    }
+}
+
+#[test]
 fn cache_lost_on_eviction_but_reads_stay_correct() {
     // Non-dirtying cache writes disappear when the frame is reclaimed;
     // lookups must degrade to misses, never wrong answers.
@@ -749,7 +842,7 @@ fn cache_lost_on_eviction_but_reads_stay_correct() {
     for v in 0..500u64 {
         let m = tree.lookup_cached(&k(v)).unwrap();
         if m.payload.is_none() {
-            tree.cache_populate(m.leaf, v, &(v * 2).to_le_bytes(), m.token).unwrap();
+            tree.cache_populate(m.leaf, &k(v), &(v * 2).to_le_bytes(), m.token).unwrap();
         }
     }
     // Sweep again: hits may be rare (pool is tiny) but must be correct.
@@ -778,7 +871,7 @@ fn splits_drop_affected_page_caches_only() {
     }
     for v in (0..300u64).chain(10_000..10_300) {
         let m = tree.lookup_cached(&k(v)).unwrap();
-        tree.cache_populate(m.leaf, v, &v.to_le_bytes(), m.token).unwrap();
+        tree.cache_populate(m.leaf, &k(v), &v.to_le_bytes(), m.token).unwrap();
     }
     // Force splits in the low cluster only.
     for v in 300..600u64 {
@@ -805,7 +898,7 @@ fn cached_tree_without_cache_config_behaves_plain() {
     let m = tree.lookup_cached(&k(1)).unwrap();
     assert_eq!(m.value, Some(10));
     assert!(m.payload.is_none());
-    assert!(!tree.cache_populate(m.leaf, 10, &[0u8; 16], m.token).unwrap());
+    assert!(!tree.cache_populate(m.leaf, &k(1), &[0u8; 16], m.token).unwrap());
     assert_eq!(tree.cache_stats().lookups, 0, "no cache, no cache accounting");
 }
 
@@ -814,7 +907,7 @@ fn wrong_payload_width_rejected() {
     let tree = BTree::create(pool(), 8, cached_opts(16)).unwrap();
     tree.insert(&k(1), 10).unwrap();
     let m = tree.lookup_cached(&k(1)).unwrap();
-    assert!(tree.cache_populate(m.leaf, 10, &[0u8; 4], m.token).is_err());
+    assert!(tree.cache_populate(m.leaf, &k(1), &[0u8; 4], m.token).is_err());
 }
 
 #[test]
@@ -823,19 +916,21 @@ fn hot_keys_survive_cache_pressure() {
     // repeatedly hitting a hot key: admission by frequency must keep
     // the hot entry, and must not churn the leaf on every miss.
     let tree = BTree::create(pool_with(8192, 256), 8, cached_opts(16)).unwrap();
-    let n = 200u64; // all in a handful of leaves
+    // One leaf of 300 keys: its free space holds 152 entries (an entry
+    // per key, so pressure needs more keys than slots).
+    let n = 300u64;
     for v in 0..n {
         tree.insert(&k(v), v).unwrap();
     }
     let hot = 5u64;
     let m = tree.lookup_cached(&k(hot)).unwrap();
-    tree.cache_populate(m.leaf, hot, &[1u8; 16], m.token).unwrap();
+    tree.cache_populate(m.leaf, &k(hot), &[1u8; 16], m.token).unwrap();
     let mut x = 999u64;
     for _ in 0..5_000 {
         // Hot hit (counted by the sketch, the leaf untouched)…
         let h = tree.lookup_cached(&k(hot)).unwrap();
         if h.payload.is_none() {
-            tree.cache_populate(h.leaf, hot, &[1u8; 16], h.token).unwrap();
+            tree.cache_populate(h.leaf, &k(hot), &[1u8; 16], h.token).unwrap();
         }
         // …plus two cold lookups whose misses ask to be stored.
         for _ in 0..2 {
@@ -843,7 +938,7 @@ fn hot_keys_survive_cache_pressure() {
             let c = x % n;
             let m = tree.lookup_cached(&k(c)).unwrap();
             if m.payload.is_none() && m.token.admits() {
-                tree.cache_populate(m.leaf, m.value.unwrap(), &[2u8; 16], m.token).unwrap();
+                tree.cache_populate(m.leaf, &k(c), &[2u8; 16], m.token).unwrap();
             }
         }
     }
@@ -894,12 +989,7 @@ fn concurrent_cached_reads_and_invalidations_stay_consistent() {
                         assert!(got <= now, "cache ahead of heap?! {got} > {now}");
                     } else {
                         let now = heap[key as usize].load(Ordering::SeqCst);
-                        let _ = tree.cache_populate(
-                            m.leaf,
-                            m.value.unwrap(),
-                            &now.to_le_bytes(),
-                            m.token,
-                        );
+                        let _ = tree.cache_populate(m.leaf, &k(key), &now.to_le_bytes(), m.token);
                     }
                 }
             }
@@ -1001,7 +1091,7 @@ mod properties {
                             prop_assert_eq!(got, truth[&key]);
                         } else {
                             let payload = truth[&key].to_le_bytes();
-                            tree.cache_populate(m.leaf, key, &payload, m.token).unwrap();
+                            tree.cache_populate(m.leaf, &k(key), &payload, m.token).unwrap();
                         }
                     }
                 }

@@ -591,7 +591,8 @@ fn refill(group: &mut [RangeState<'_>]) -> Result<()> {
             match chunks.peek() {
                 _ if !live => dead.push((ci, r)),
                 Some(&&(_, leaf, token)) if projected => {
-                    warm.push((leaf, token, c.rows.values[r], &c.rows.payloads[r * ew..][..ew]));
+                    let key = &c.rows.keys[r * kw..][..kw];
+                    warm.push((leaf, token, key, &c.rows.payloads[r * ew..][..ew]));
                 }
                 _ => {}
             }

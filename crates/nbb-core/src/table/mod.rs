@@ -10,7 +10,8 @@
 //! range of the fixed-width tuple; an [`IndexSpec`] says which range is
 //! the key and which ranges a projection returns. The paper's
 //! `name_title` example: key = (namespace, title), 4 projected fields
-//! (17 bytes, 25-byte cache items when only they are cached).
+//! (17 bytes; the paper's cache items take 25 bytes with an 8-byte
+//! tuple id, this cache's entries 19 with a 2-byte tag).
 //! Declarations are validated at [`Table::create_index`]; geometry can
 //! also be derived from a typed schema via [`crate::row::RowSchema`].
 //!
@@ -67,7 +68,7 @@
 //! silently dropping the row. `inserts` of already-present keys remain
 //! the caller's contract violation, as before.
 
-use nbb_btree::cache::CACHE_ID_SIZE;
+use nbb_btree::cache::CACHE_TAG_SIZE;
 use nbb_btree::node::{NODE_FOOTER_SIZE, NODE_HEADER_SIZE};
 use nbb_btree::{BTree, BTreeOptions, CacheConfig, InvToken};
 use nbb_storage::error::{Result, StorageError};
@@ -179,9 +180,12 @@ impl Index {
     /// derives — the one place an index's leaf-cache entry is chosen,
     /// from what the catalog already stores (`spec`, the tuple width)
     /// and the index pool's page size. A cached index's entry is
-    /// `tuple_id ‖ every non-key byte` when a half-full leaf's free
-    /// space holds [`WHOLE_ROW_MIN_SLOTS`] of them, and
-    /// `tuple_id ‖ cached_fields` otherwise.
+    /// `tag ‖ every non-key byte` when a half-full leaf's free space
+    /// holds [`WHOLE_ROW_MIN_SLOTS`] of them, and `tag ‖ cached_fields`
+    /// otherwise; the tag is the key's 2-byte directory cell. On 4 KiB
+    /// pages that is up to 124 non-key bytes (118 with an 8-byte tuple
+    /// id, so tuples of 119–124 non-key bytes cache whole rows since
+    /// entries are named by the tag).
     fn build(
         spec: IndexSpec,
         tuple_width: usize,
@@ -191,7 +195,7 @@ impl Index {
         let row = tuple_width - spec.key.len;
         let half_free = (page_size - NODE_HEADER_SIZE - NODE_FOOTER_SIZE) / 2;
         let whole_rows = !spec.cached_fields.is_empty()
-            && half_free / (CACHE_ID_SIZE + row) >= WHOLE_ROW_MIN_SLOTS;
+            && half_free / (CACHE_TAG_SIZE + row) >= WHOLE_ROW_MIN_SLOTS;
         let cache = (!spec.cached_fields.is_empty()).then(|| CacheConfig {
             payload_size: if whole_rows { row } else { spec.payload_size() },
         });
@@ -715,10 +719,10 @@ impl Table {
             }
         })?;
         // Every chased key whose tuple verified warms its leaf.
-        let warm: Vec<(PageId, InvToken, u64, &[u8])> = (chased.iter().enumerate())
+        let warm: Vec<(PageId, InvToken, &[u8], &[u8])> = (chased.iter().enumerate())
             .filter(|(_, c)| out[c.0].is_some())
-            .filter_map(|(j, &(_, ptr, home))| {
-                home.map(|(l, t)| (l, t, ptr, &entries[j * w..][..w]))
+            .filter_map(|(j, &(pos, _, home))| {
+                home.map(|(l, t)| (l, t, keys[pos].as_ref(), &entries[j * w..][..w]))
             })
             .collect();
         idx.tree.cache_populate_many(&warm)?;
@@ -953,8 +957,10 @@ mod tests {
     fn a_tuple_too_wide_for_whole_rows_keeps_projection_entries() {
         let (hp, ip) = pools();
         // A half-full 4 KiB leaf frees 2,024 bytes: 16 entries of 126 B
-        // fit (8 B id + 118 non-key bytes), 16 of 127 B do not.
-        for (width, entry) in [(126, 118), (127, 8)] {
+        // fit (2 B tag + 124 non-key bytes), 16 of 127 B do not. Tuples
+        // of 119–124 non-key bytes cache whole rows since entries are
+        // named by a tag and not an 8-byte tuple id.
+        for (width, entry) in [(127, 119), (132, 124), (133, 8)] {
             let t = Table::create("t", width, Arc::clone(&hp), Arc::clone(&ip)).unwrap();
             let spec = IndexSpec::cached("pk", FieldSpec::new(0, 8), vec![FieldSpec::new(8, 8)]);
             t.create_index(spec).unwrap();

@@ -5,7 +5,7 @@
 //! loaded heap — 1,786 leaves with about 2 KiB free each.
 //!
 //! A cached index over 64-byte tuples keeps whole rows in that free
-//! space (an 8-byte id and the 56 non-key bytes: 31 entries a leaf), so
+//! space (a 2-byte tag and the 56 non-key bytes: 34 entries a leaf), so
 //! the benchmark's full-row `GetMany` is answered from the leaf when
 //! the cache holds the row. The three tests replay the request streams
 //! of three benchmark workloads — the generator's copy in
@@ -15,9 +15,9 @@
 //! * `point_cold`: 4-key `GetMany`, scrambled Zipf. The full-row hit
 //!   ratio is what takes heap reads off the device;
 //! * `project_hot`: 16-key `ProjectMany`, clustered Zipf. Whole rows
-//!   hold 31 entries a leaf where projection entries held 84, so the
-//!   clustered hot keys of a leaf compete for fewer slots: this is the
-//!   price side, floored so that it cannot quietly fall further;
+//!   hold 34 entries a leaf where projection entries would hold 112,
+//!   so the clustered hot keys of a leaf compete for fewer slots: this
+//!   is the price side, floored so that it cannot quietly fall further;
 //! * `write_mix`: 50 % 4-key `GetMany`, 40 % 4-key `UpdateMany` of the
 //!   same scrambled draw, 10 % `PutMany` of 4 new keys. Every update
 //!   writes its row through to a cached entry under the leaf latch, so

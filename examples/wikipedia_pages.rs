@@ -48,9 +48,10 @@ fn main() {
     let pages_table = db.create_table("page", PAGE_ROW_WIDTH).expect("create table");
     // The paper's setup: 32-byte composite key, 4 projected fields
     // (17 bytes). The paper caches only those (25-byte cache items);
-    // here a leaf-cache entry holds the row's 48 non-key bytes (56-byte
-    // items), because 16 of them fit a half-full 8 KiB leaf — so a
-    // full-row `get` hits too, at the price of fewer slots.
+    // here a leaf-cache entry holds the row's 48 non-key bytes (50-byte
+    // entries with the 2-byte tag), because 16 of them fit a half-full
+    // 8 KiB leaf — so a full-row `get` hits too, at the price of fewer
+    // slots.
     pages_table
         .create_index(IndexSpec::cached(
             "name_title",
@@ -136,8 +137,9 @@ fn main() {
     // Bound context: with N cache slots over 10k pages under zipf(0.5),
     // the best possible hit rate is the top-mass of the cached fraction
     // (≈ sqrt(N / pages)); the swap policy should get most of it. The
-    // 56-byte items give N = 2,480 (25-byte items gave 5,614: a 52 %
-    // hit rate against 34 % now, both about 70 % of their bound).
+    // 50-byte entries give N = 2,776 and a 45.0 % hit rate (56-byte
+    // items with an 8-byte tuple id gave 2,480 and 42.5 %; 25-byte
+    // items 5,614).
     let bound = (is.cache_slots as f64 / rows.len() as f64).sqrt();
     assert!(
         cs.hit_rate() > 0.6 * bound,

@@ -171,7 +171,7 @@ fn concurrent_readers_and_writers_on_shared_tree() {
                 } else {
                     // Read "heap" (the version array), then populate.
                     let v = versions[id as usize].load(Ordering::SeqCst);
-                    let _ = tree.cache_populate(m.leaf, id, &v.to_le_bytes(), m.token);
+                    let _ = tree.cache_populate(m.leaf, &k(id), &v.to_le_bytes(), m.token);
                 }
             }
         }));
