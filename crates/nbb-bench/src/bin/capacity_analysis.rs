@@ -59,7 +59,7 @@ fn main() {
     let stats = tree.index_stats().expect("stats");
     let slots_measured = stats.cache_slots as f64 / stats.leaf_pages as f64;
     let scale = n_keys as f64 / n_scaled as f64;
-    let total_measured = stats.cache_slots.min(stats.keys) as f64 * scale;
+    let total_measured = stats.cache_slots as f64 * scale;
 
     let measured_col = format!("measured (real index, {our_item} B entries)");
     print_table(
@@ -76,6 +76,11 @@ fn main() {
             vec![
                 format!("cache slots per leaf, {our_item} B entries"),
                 slots_19.to_string(),
+                "-".into(),
+            ],
+            vec![
+                format!("slots entries can fill per leaf (one per key), {our_item} B entries"),
+                slots_19.min(per_leaf_keys).to_string(),
                 f(slots_measured, 1),
             ],
             vec![

@@ -167,6 +167,9 @@ pub struct CacheView<'a> {
     free_low: usize,
     free_high: usize,
     s_slot: usize,
+    /// Keys the leaf holds: an entry is one key's, so no more slots
+    /// than this can ever be filled.
+    keys: usize,
 }
 
 impl<'a> CacheView<'a> {
@@ -182,6 +185,7 @@ impl<'a> CacheView<'a> {
             page,
             entry,
             s_slot: s / entry,
+            keys: node.nkeys(),
         }
     }
 
@@ -194,10 +198,13 @@ impl<'a> CacheView<'a> {
         (first, last.max(first))
     }
 
-    /// Number of usable slots.
+    /// Number of slots entries can fill: the usable ones, at most one
+    /// per key the leaf holds (each entry is one key's, so on the
+    /// paper's geometry — 8 KiB pages, 32-byte keys at 68 % fill, 19-byte
+    /// entries — a leaf's 138 aligned slots hold at most its 131 keys).
     pub fn capacity(&self) -> usize {
         let (a, b) = self.slot_range();
-        b - a
+        (b - a).min(self.keys)
     }
 
     #[inline]
@@ -257,8 +264,10 @@ impl<'a> CacheView<'a> {
     /// [`ADMISSION_SAMPLE`] occupied slots from a start its tag picks
     /// are estimated by `freq_of` (given each one's tag), and the least
     /// frequent of them — farthest from `S` among equals — is its
-    /// victim if `freq` is strictly greater. Two misses of one leaf may
-    /// be told the same free slot or victim; the store refuses the
+    /// victim if `freq` is strictly greater. The estimates stop at the
+    /// first that reads 0, which no other can undercut: that slot is the
+    /// victim, whatever its distance from `S`. Two misses of one leaf
+    /// may be told the same free slot or victim; the store refuses the
     /// second.
     pub fn admit(&self, tag: u16, freq: u8, freq_of: impl Fn(u16) -> u8) -> Admission {
         let (first, last) = self.slot_range();
@@ -270,13 +279,21 @@ impl<'a> CacheView<'a> {
             return Admission::Refused;
         }
         let start = (u64::from(tag).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % n;
-        let victim = (0..n)
+        let sampled = (0..n)
             .map(|i| first + (start + i) % n)
             .map(|slot| (slot, self.tag_at(slot)))
             .filter(|&(_, tag)| tag != 0)
-            .take(ADMISSION_SAMPLE)
-            .map(|(slot, tag)| (freq_of(tag), std::cmp::Reverse(self.distance(slot)), slot, tag))
-            .min();
+            .take(ADMISSION_SAMPLE);
+        let mut victim = None;
+        for (slot, tag) in sampled {
+            let cand = (freq_of(tag), std::cmp::Reverse(self.distance(slot)), slot, tag);
+            if victim.is_none_or(|v| cand < v) {
+                victim = Some(cand);
+            }
+            if cand.0 == 0 {
+                break;
+            }
+        }
         match victim {
             Some((f, _, slot, tag)) if freq > f => Admission::Evict { slot, tag },
             _ => Admission::Refused,
@@ -291,16 +308,17 @@ pub struct CacheViewMut<'a> {
     free_low: usize,
     free_high: usize,
     s_slot: usize,
+    keys: usize,
 }
 
 impl<'a> CacheViewMut<'a> {
     /// Builds a mutable view (same parameters as [`CacheView::new`]).
     pub fn new(page: &'a mut Page, key_size: usize, cfg: &CacheConfig) -> Self {
         let node = Node::new(page, key_size);
-        let (free_low, free_high) = (node.free_low(), node.free_high());
+        let (free_low, free_high, keys) = (node.free_low(), node.free_high(), node.nkeys());
         let entry = cfg.entry_size();
         let s = stable_point(page.size(), key_size);
-        CacheViewMut { free_low, free_high, page, entry, s_slot: s / entry }
+        CacheViewMut { free_low, free_high, page, entry, s_slot: s / entry, keys }
     }
 
     fn ro(&self) -> CacheView<'_> {
@@ -310,6 +328,7 @@ impl<'a> CacheViewMut<'a> {
             free_low: self.free_low,
             free_high: self.free_high,
             s_slot: self.s_slot,
+            keys: self.keys,
         }
     }
 
@@ -419,6 +438,12 @@ mod tests {
         vec![tag; 16]
     }
 
+    /// Aligned slots the free region of `p` holds, whatever its keys.
+    fn slots(p: &Page) -> usize {
+        let (first, last) = CacheView::new(p, KS, &cfg()).slot_range();
+        last - first
+    }
+
     #[test]
     fn store_and_probe_round_trip() {
         let mut p = empty_leaf();
@@ -452,7 +477,7 @@ mod tests {
         let mut p = empty_leaf();
         let c = cfg();
         let mut r = rng();
-        let cap = CacheView::new(&p, KS, &c).capacity();
+        let cap = slots(&p);
         assert!(cap > 2 * ADMISSION_SAMPLE, "4 KiB empty leaf should have many slots, got {cap}");
         let mut m = CacheViewMut::new(&mut p, KS, &c);
         for tag in 1..=cap as u16 {
@@ -471,11 +496,11 @@ mod tests {
         let mut p = empty_leaf();
         let c = cfg();
         let mut key = 0u64;
-        while CacheView::new(&p, KS, &c).capacity() > ADMISSION_SAMPLE {
+        while slots(&p) > ADMISSION_SAMPLE {
             NodeMut::new(&mut p, KS).insert(&key.to_be_bytes(), key);
             key += 1;
         }
-        let cap = CacheView::new(&p, KS, &c).capacity();
+        let cap = slots(&p);
         assert!(cap >= 3, "{cap} slots left");
         let mut m = CacheViewMut::new(&mut p, KS, &c);
         for tag in 1..=cap as u16 {
@@ -561,6 +586,39 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_estimate_ends_the_sample() {
+        let p = small_full_leaf();
+        let v = CacheView::new(&p, KS, &cfg());
+        let (first, last) = v.slot_range();
+        assert!(last - first > 1, "premise: more than one slot to sample");
+        let estimated = std::cell::Cell::new(0);
+        let zero = |_| {
+            estimated.set(estimated.get() + 1);
+            0
+        };
+        assert!(matches!(v.admit(9_999, 1, zero), Admission::Evict { .. }));
+        assert_eq!(estimated.get(), 1, "no sampled slot can undercut a 0");
+        estimated.set(0);
+        let ones = |_| {
+            estimated.set(estimated.get() + 1);
+            1
+        };
+        v.admit(9_999, 1, ones);
+        assert_eq!(estimated.get(), last - first, "every sampled slot is estimated");
+    }
+
+    #[test]
+    fn a_leaf_offers_no_more_slots_than_keys() {
+        let mut p = empty_leaf();
+        assert_eq!(CacheView::new(&p, KS, &cfg()).capacity(), 0, "no key, no entry");
+        for key in 0..5u64 {
+            NodeMut::new(&mut p, KS).insert(&key.to_be_bytes(), key);
+        }
+        assert!(slots(&p) > 5);
+        assert_eq!(CacheView::new(&p, KS, &cfg()).capacity(), 5);
+    }
+
+    #[test]
     fn admission_always_takes_a_free_slot() {
         let mut p = full_leaf();
         let c = cfg();
@@ -623,7 +681,7 @@ mod tests {
         let mut p = empty_leaf();
         let c = cfg();
         let mut r = rng();
-        let cap0 = CacheView::new(&p, KS, &c).capacity();
+        let cap0 = slots(&p);
         {
             let mut m = CacheViewMut::new(&mut p, KS, &c);
             for tag in 1..=cap0 as u16 {
@@ -638,7 +696,7 @@ mod tests {
             }
         }
         let v = CacheView::new(&p, KS, &c);
-        let cap1 = v.capacity();
+        let cap1 = slots(&p);
         assert!(cap1 < cap0, "capacity must shrink: {cap0} -> {cap1}");
         // All surviving entries still verify: tags in range, payload intact.
         for (tag, pl) in v.entries() {

@@ -74,12 +74,18 @@ impl Sketch {
     }
 
     /// The sketch a leaf cache of `entry`-byte entries over a pool of
-    /// `frames` pages of `page_size` bytes is sized to: 16 counters per
-    /// entry a half-full leaf holds, in every frame.
-    pub(crate) fn for_cache(frames: usize, page_size: usize, entry: usize) -> Self {
-        use crate::node::{NODE_FOOTER_SIZE, NODE_HEADER_SIZE};
+    /// `frames` pages of `page_size` bytes, keys of `key_size`, is sized
+    /// to: 16 counters per entry a half-full leaf holds — no more than
+    /// its keys — in every frame.
+    pub(crate) fn for_cache(
+        frames: usize,
+        page_size: usize,
+        key_size: usize,
+        entry: usize,
+    ) -> Self {
+        use crate::node::{node_capacity, NODE_FOOTER_SIZE, NODE_HEADER_SIZE};
         let half_free = page_size.saturating_sub(NODE_HEADER_SIZE + NODE_FOOTER_SIZE) / 2;
-        let per_leaf = (half_free / entry).max(1);
+        let per_leaf = (half_free / entry).min(node_capacity(page_size, key_size) / 2).max(1);
         Self::new(frames.saturating_mul(per_leaf).saturating_mul(16))
     }
 
@@ -161,12 +167,19 @@ mod tests {
         assert_eq!(Sketch::new(1000).counters(), 1024);
         assert_eq!(Sketch::new(1024).sample(), 10 * 256);
         // The benchmark's geometry: 1,800 index frames of 4 KiB, 58-byte
-        // whole-row entries (34 in a half-full leaf): 1M counters, 512 KB.
-        let s = Sketch::for_cache(1_800, 4096, 58);
+        // whole-row entries (34 in a half-full leaf of 112 8-byte keys):
+        // 1M counters, 512 KB.
+        let s = Sketch::for_cache(1_800, 4096, 8, 58);
         assert_eq!(s.counters(), 1 << 20);
         assert!(s.blocks.get().is_none(), "nothing allocated before a record");
         s.record(1);
         assert_eq!(s.blocks.get().map_or(0, |b| b.len() * 64), 512 << 10);
+        // A leaf of wide keys holds fewer keys than entries would fit:
+        // 8 KiB pages of 32-byte keys hold 96 at half fill, where 19-byte
+        // entries would take 214 slots of its free half.
+        let wide = |entry| Sketch::for_cache(1_000, 8192, 32, entry).counters();
+        assert_eq!(wide(19), wide(40), "both capped at the keys");
+        assert!(wide(19) < Sketch::new(1_000 * 214 * 16).counters());
     }
 
     #[test]

@@ -228,8 +228,9 @@ impl BTree {
     /// and counters.
     fn rooted_at(pool: Arc<BufferPool>, key_size: usize, root: PageId, opts: BTreeOptions) -> Self {
         let page_size = pool.disk().page_size();
-        let sketch =
-            opts.cache.map(|c| Sketch::for_cache(pool.capacity(), page_size, c.entry_size()));
+        let sketch = opts
+            .cache
+            .map(|c| Sketch::for_cache(pool.capacity(), page_size, key_size, c.entry_size()));
         BTree {
             sketch,
             pool,

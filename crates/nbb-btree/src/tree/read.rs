@@ -84,6 +84,19 @@ pub struct RangeChunk {
     pub exhausted: bool,
 }
 
+/// How a leaf read treats the leaf's §2.1 cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Probe {
+    /// Leaves the cache and its counters alone.
+    Off,
+    /// Reads a trusted cache, and counts and admits nothing: a writer
+    /// resolving the rows it is about to change.
+    Peek,
+    /// Reads a trusted cache and feeds the counters; a point lookup also
+    /// counts its key in the sketch and decides a miss's admission.
+    Count,
+}
+
 /// One leaf under a shared pin, as [`BTree::read_leaf`] hands it to
 /// its visitor.
 struct LeafView<'a> {
@@ -95,7 +108,8 @@ struct LeafView<'a> {
     /// probe, the tree has no cache, or the leaf's cache is not trusted
     /// (no populate reset it in this residency).
     cache: Option<CacheView<'a>>,
-    /// The tree's frequency sketch, when the read probes a cached tree.
+    /// The tree's frequency sketch, when the read counts on a cached
+    /// tree.
     sketch: Option<&'a Sketch>,
     /// Probes asked of this view, and how many the cache answered.
     asked: u64,
@@ -162,7 +176,7 @@ impl BTree {
         let key_of = |pos: usize| keys[pos].as_ref();
         let order = self.sorted_positions(keys.len(), key_of)?;
         let mut out: Vec<Option<u64>> = vec![None; keys.len()];
-        self.read_groups(&order, key_of, false, |pos, _, _, value, _| out[pos] = value)?;
+        self.read_groups(&order, key_of, Probe::Off, |pos, _, _, value, _| out[pos] = value)?;
         Ok(out)
     }
 
@@ -222,7 +236,28 @@ impl BTree {
     ) -> Result<()> {
         let key_of = |pos: usize| keys[pos].as_ref();
         let order = self.sorted_positions(keys.len(), key_of)?;
-        self.read_groups(&order, key_of, true, visit)
+        self.read_groups(&order, key_of, Probe::Count, visit)
+    }
+
+    /// A writer's batched point lookup: `visit(pos, value, payload)` is
+    /// called once per position of `keys`, as
+    /// [`BTree::lookup_cached_with`] calls its visitor — `payload` the
+    /// cached entry, borrowed from the leaf under its shared pin, when
+    /// the leaf's cache is trusted and holds the key — but the read
+    /// records nothing in the frequency sketch or the cache counters
+    /// and decides no admission: a row is popular when it is read, and
+    /// the writer populates nothing. `visit` must not call back into
+    /// the tree or its pool.
+    pub fn peek_cached_with<K: AsRef<[u8]>>(
+        &self,
+        keys: &[K],
+        mut visit: impl FnMut(usize, Option<u64>, Option<&[u8]>),
+    ) -> Result<()> {
+        let key_of = |pos: usize| keys[pos].as_ref();
+        let order = self.sorted_positions(keys.len(), key_of)?;
+        self.read_groups(&order, key_of, Probe::Peek, |pos, _, _, value, payload| {
+            visit(pos, value, payload)
+        })
     }
 
     /// Visits `(key, value)` pairs in ascending key order starting at the
@@ -290,7 +325,8 @@ impl BTree {
         let mut leaf = self.descend(*root, bound_key(lower), 0, None)?;
         let mut hops = None;
         loop {
-            let ((len, ended, leaf_keys, token), next) = self.read_leaf(leaf, probe, |view| {
+            let mode = if probe { Probe::Count } else { Probe::Off };
+            let ((len, ended, leaf_keys, token), next) = self.read_leaf(leaf, mode, |view| {
                 let n = view.node;
                 let from = match lower {
                     Bound::Included(k) => match n.search(k) {
@@ -438,7 +474,7 @@ impl BTree {
         let mut leaf = self.descend(root, None, 0, None)?;
         let mut hops = None;
         loop {
-            let ((), next) = self.read_leaf(leaf, false, |view| f(view.node))?;
+            let ((), next) = self.read_leaf(leaf, Probe::Off, |view| f(view.node))?;
             if !next.is_valid() {
                 return Ok(());
             }
@@ -456,13 +492,14 @@ impl BTree {
     /// Per run of keys one leaf answers: one descent names the leaf, one
     /// [`BTree::read_leaf`] pins it, and `answer(pos, leaf, token,
     /// value, payload)` is called once per key — `value` its pointer if
-    /// it is in the index; with `probe`, `payload` its cached fields if
-    /// the leaf's cache holds them and `token` the admission of a miss.
+    /// it is in the index; unless `probe` is off, `payload` its cached
+    /// fields if the leaf's cache holds them, and when it counts,
+    /// `token` the admission of a miss.
     fn read_groups<'k>(
         &self,
         order: &[usize],
         key_of: impl Fn(usize) -> &'k [u8],
-        probe: bool,
+        probe: Probe,
         mut answer: impl FnMut(usize, PageId, InvToken, Option<u64>, Option<&[u8]>),
     ) -> Result<()> {
         let root = self.root.read();
@@ -500,21 +537,23 @@ impl BTree {
     /// either way — so the page must carry the node magic and be a
     /// leaf, or the read is `Corrupt` naming it.
     ///
-    /// With `probe` on a cached tree the visitor's [`LeafView`] carries
-    /// the cache view if the leaf's cache is trusted, and once the pin
-    /// is released the counters are fed what the visitor probed.
-    /// Without, neither cache nor counters are touched. Either way the
-    /// view's token holds the page's stamp, as read under the pin.
+    /// Unless `probe` is off, on a cached tree the visitor's
+    /// [`LeafView`] carries the cache view if the leaf's cache is
+    /// trusted; when it counts, the view carries the sketch too, and
+    /// once the pin is released the counters are fed what the visitor
+    /// probed. Otherwise neither cache nor counters are touched. Either
+    /// way the view's token holds the page's stamp, as read under the
+    /// pin.
     /// Returns the visitor's result and the leaf's successor on the
     /// chain.
     fn read_leaf<R>(
         &self,
         leaf: PageId,
-        probe: bool,
+        probe: Probe,
         visit: impl FnOnce(&mut LeafView<'_>) -> R,
     ) -> Result<(R, PageId)> {
-        let cfg = self.opts.cache.filter(|_| probe);
-        let sketch = self.sketch.as_ref().filter(|_| probe);
+        let cfg = self.opts.cache.filter(|_| probe != Probe::Off);
+        let sketch = self.sketch.as_ref().filter(|_| probe == Probe::Count);
         let (out, next, asked, hits) = self.pool.with_page(leaf, |p| {
             let node = Node::checked(p, leaf, self.key_size)?;
             if !node.is_leaf() {

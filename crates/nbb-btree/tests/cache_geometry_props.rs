@@ -174,7 +174,7 @@ proptest! {
             prop_assert!(first * entry >= lo, "first slot below free_low");
             prop_assert!(last * entry <= hi, "last slot above free_high");
         }
-        prop_assert_eq!(v.capacity(), last - first);
+        prop_assert_eq!(v.capacity(), (last - first).min(node.nkeys()));
     }
 }
 
@@ -229,4 +229,38 @@ fn payload_isolation_across_keys() {
         }
     }
     assert!(hits > (n as usize) / 2, "most populated entries should survive: {hits}");
+}
+
+/// The paper's geometry (§2.1.4): an 8 KiB leaf of 32-byte keys at 68 %
+/// fill holds 131 keys, and its free region holds 138 aligned slots of
+/// 19-byte entries (17 bytes of fields and the tag). An entry is one
+/// key's, so the leaf offers 131, and the index's count is 131 a leaf.
+#[test]
+fn a_leaf_of_the_papers_geometry_offers_a_slot_per_key() {
+    use nbb_btree::{BTree, BTreeOptions};
+    use nbb_storage::{BufferPool, DiskManager, InMemoryDisk};
+    use std::sync::Arc;
+    let (page_size, key_size, c) = (8192, 32, cfg(17));
+    let per_leaf = (node_capacity(page_size, key_size) as f64 * 0.68) as usize;
+    assert_eq!((per_leaf, c.entry_size()), (131, 19));
+    let key = |i: u64| {
+        let mut k = vec![0u8; key_size];
+        k[..8].copy_from_slice(&i.to_be_bytes());
+        k
+    };
+    let mut page = Page::new(page_size);
+    let mut n = NodeMut::init_leaf(&mut page, key_size);
+    for i in 0..per_leaf as u64 {
+        n.append_sorted(&key(i), i);
+    }
+    let v = CacheView::new(&page, key_size, &c);
+    let (first, last) = v.slot_range();
+    assert_eq!((last - first, v.capacity()), (138, 131));
+
+    let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(page_size));
+    let pool = Arc::new(BufferPool::new(disk, 64));
+    let keys = (0..10 * per_leaf as u64).map(|i| (key(i), i));
+    let tree = BTree::bulk_load(pool, key_size, BTreeOptions { cache: Some(c) }, keys, 0.68);
+    let s = tree.unwrap().index_stats().unwrap();
+    assert_eq!((s.leaf_pages, s.cache_slots), (10, 10 * 131), "{s:?}");
 }

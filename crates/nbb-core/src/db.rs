@@ -27,13 +27,18 @@ pub struct DbConfig {
     /// pools fan out. Concurrent readers of distinct pages contend only
     /// within a stripe.
     pub pool_shards: usize,
-    /// Write-behind queue depth for each buffer pool: dirty eviction
-    /// victims are memcpy'd into this bounded queue and written to disk
-    /// by a background flusher, so victim reclaim never waits on the
-    /// device. `0` disables write-behind — every dirty eviction pays a
-    /// synchronous write, the pre-overlapped-I/O behavior. Durability
-    /// is unchanged either way: [`Database::persist`] and
-    /// [`Database::close`] drain the queue before returning.
+    /// Write-behind depth for each buffer pool, in pages: the budget,
+    /// counted in bytes, of the store below the frames. Dirty eviction
+    /// victims are memcpy'd into it (a page each) and written to disk by
+    /// a background flusher, so victim reclaim never waits on the
+    /// device; and an update of a row the leaf cache holds, whose heap
+    /// page is out of the pool, leaves its bytes there as a slot patch
+    /// (its tuples' bytes) instead of reading the page, applied when
+    /// the page is next read. `0` disables write-behind — every dirty
+    /// eviction pays a synchronous write and every update reads its
+    /// page, the pre-overlapped-I/O behavior. Durability is unchanged
+    /// either way: [`Database::persist`] and [`Database::close`] drain
+    /// the store before returning.
     pub write_behind: usize,
 }
 

@@ -3,27 +3,32 @@
 //!
 //! Appended rows sit where they were loaded, so a hot row shares its
 //! heap page with cold ones and the pool pays a whole page for it. An
-//! update cannot avoid its row's page: whatever the leaf cache holds, it
-//! reads the row there and writes it back. So the table keeps a *hot
-//! set* of heap pages, and an update that has just faulted its row's
-//! page P, when P is not in the set, swaps the row with a cold row of a
-//! resident hot page H: the new tuple goes into H's slot, and the cold
-//! row moves into the row's old slot on P ([`HeapFile::swap`]). Tuples
-//! are fixed-width per table, so the two slots interchange: no holes, no
+//! update whose row the leaf cache holds no longer pays it: it knows
+//! the row's bytes from the leaf, and when the row's page is out of the
+//! pool the new bytes wait below the pool as a slot patch until the
+//! page is read anyway ([`HeapFile::overwrite`]). An update the cache
+//! cannot resolve still reads the page, and a read that misses the
+//! cache still does. So the table keeps a *hot set* of heap pages, and
+//! an update whose row's page P is out of the pool, when P is not in
+//! the set, swaps the row with a cold row of a resident hot page H: the
+//! new tuple goes into H's slot, and the cold row moves into the row's
+//! old slot on P ([`HeapFile::swap`]) — as a patch when the update came
+//! from the leaf, after a read of P when it was chased. Tuples are
+//! fixed-width per table, so the two slots interchange: no holes, no
 //! forwarding, no new pages, and the heap's size cannot move.
 //!
-//! * **The set** fills with the first pages updates fault, up to half
-//!   the heap pool's frames, and keeps them. Once it is full, a clock
-//!   hand over the set's slots hands each faulting update the slot it
-//!   points at, skipping every hot page the pool has evicted, and moves
-//!   one slot on.
+//! * **The set** fills with the first out-of-pool pages updates touch,
+//!   up to half the heap pool's frames, and keeps them. Once it is
+//!   full, a clock hand over the set's slots hands each such update the
+//!   slot it points at, skipping every hot page the pool has evicted,
+//!   and moves one slot on.
 //! * **Admission by frequency** (TinyLFU, as the leaf cache admits its
 //!   entries: [`nbb_btree::cache::Sketch`]). Every updated row is
 //!   counted in the set's sketch by the key of the index the update
 //!   came through (updates through two indexes split a row's count);
 //!   the sketch has 16 counters per hot slot, is allocated by the first
 //!   update, and halves as the clock's update count passes its sample.
-//!   A faulting update reads [`ADMISSION_SAMPLE`] slots of the hot page
+//!   An update handed a slot reads [`ADMISSION_SAMPLE`] slots of the hot page
 //!   it was handed, from its slot on, in one batched read and with no
 //!   lock held, skipping empty slots, and swaps only when its row is
 //!   strictly more frequent than the least frequent row sampled (ties
@@ -48,6 +53,7 @@
 //!   ([`Table::fetch_verified`]).
 //!
 //! [`HeapFile::swap`]: nbb_storage::heap::HeapFile::swap
+//! [`HeapFile::overwrite`]: nbb_storage::heap::HeapFile::overwrite
 
 use super::write::RowChange;
 use super::{Index, Table};
@@ -254,10 +260,10 @@ impl Table {
                 continue;
             };
             let c = &plan[i];
-            let Some(new) = c.new else { continue };
+            let (Some(old), Some(new)) = (c.old.as_deref(), c.new) else { continue };
             // Not swapped (the hot slot changed, or a pin failed): the
             // in-place overwrite runs instead and reports its own errors.
-            if !self.heap.swap(c.rid, new, hot, &cold).unwrap_or(false) {
+            if !self.heap.swap(c.rid, new, old, hot, &cold).unwrap_or(false) {
                 continue;
             }
             held.extend(guards);

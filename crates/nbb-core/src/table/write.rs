@@ -6,7 +6,7 @@
 //! knows what a row change owes the heap and every index. `impl Table`
 //! continued from the parent module, whose docs explain the intents.
 
-use super::{resolved, Index, Table};
+use super::{resolved, Index, Shape, Table};
 use nbb_storage::error::{Result, StorageError};
 use nbb_storage::rid::RecordId;
 use std::sync::atomic::Ordering;
@@ -55,7 +55,9 @@ pub(super) struct RowChange<'a> {
     pub(super) old: Option<Vec<u8>>,
     /// The tuple the row will hold, borrowed from the caller's batch.
     pub(super) new: Option<&'a [u8]>,
-    /// Whether resolving the row faulted its heap page.
+    /// Whether the row's heap page was out of the pool when the row
+    /// was resolved: its update would fault the page, and is offered a
+    /// swap onto a hot page instead.
     pub(super) faulted: bool,
     /// After a swap: the row's old slot and the cold row that took it.
     pub(super) cold: Option<(RecordId, Vec<u8>)>,
@@ -223,27 +225,56 @@ impl Table {
 
     /// Writer side of [`Table::chase`]: resolves `keys` through `idx`
     /// and returns the row every key the index holds names — position,
-    /// address, current tuple and whether its page had to be faulted,
-    /// no `new` yet — in position order. Callers hold the keys' write
-    /// intents, so same-key writers are parked, and a swap that would
-    /// move the row cannot take them: every pointer the index resolves
-    /// must chase to a live tuple still carrying its key; one that does
-    /// not is an [`intent_violation`].
+    /// address, current tuple and whether its page was out of the pool,
+    /// no `new` yet — in position order.
+    ///
+    /// An index whose leaf-cache entries are whole rows resolves through
+    /// the leaf-group reader [`Table::read_many`] uses, in its writer's
+    /// form ([`nbb_btree::BTree::peek_cached_with`], which counts and
+    /// admits nothing, so the read stream's admission stays the reads'
+    /// own): a key whose entry the leaf holds gets its current tuple
+    /// from the entry, under the leaf's shared pin, and its row is not
+    /// chased, so an update of it reads no heap page
+    /// ([`nbb_storage::heap::HeapFile::overwrite`]). Every other row is
+    /// chased: its heap tuple is the proof that the slot holds its key,
+    /// and the source of the other indexes' old keys. Callers hold the
+    /// keys' write intents, so same-key writers are parked, and a swap
+    /// that would move the row cannot take them: every pointer the
+    /// index resolves must chase to a live tuple still carrying its
+    /// key; one that does not is an [`intent_violation`].
     fn resolve_for_write<'a, K: AsRef<[u8]>>(
         &self,
         idx: &Index,
         keys: &[K],
     ) -> Result<Vec<RowChange<'a>>> {
-        let (at, rids) = resolved(idx.tree.get_many(keys)?);
+        let mut rows: Vec<(usize, RecordId, Option<Vec<u8>>)> = Vec::new();
+        if idx.whole_rows {
+            idx.tree.peek_cached_with(keys, |pos, ptr, entry| {
+                let Some(ptr) = ptr else { return };
+                let key = keys[pos].as_ref();
+                let old = entry.map(|entry| idx.answer(Shape::Row, key, entry, true));
+                rows.push((pos, RecordId::from_u64(ptr), old));
+            })?;
+            rows.sort_unstable_by_key(|r| r.0);
+        } else {
+            let (at, rids) = resolved(idx.tree.get_many(keys)?);
+            rows.extend(at.into_iter().zip(rids).map(|(pos, rid)| (pos, rid, None)));
+        }
         let pool = self.heap.pool();
         let faulted: Vec<bool> =
-            rids.iter().map(|r| self.hot.enabled() && !pool.contains(r.page)).collect();
+            rows.iter().map(|r| self.hot.enabled() && !pool.contains(r.1.page)).collect();
+        let chased: Vec<usize> = (0..rows.len()).filter(|&j| rows[j].2.is_none()).collect();
+        let rids: Vec<RecordId> = chased.iter().map(|&j| rows[j].1).collect();
+        let at: Vec<usize> = chased.iter().map(|&j| rows[j].0).collect();
         let mut tuples: Vec<Option<Vec<u8>>> = vec![None; rids.len()];
-        let key_of = |j: usize| keys[at[j]].as_ref();
-        self.chase(idx, &rids, key_of, |j, tuple| tuples[j] = Some(tuple.to_vec()))?;
-        (at.iter().zip(rids).zip(tuples).zip(faulted))
-            .map(|(((&pos, rid), tuple), faulted)| match tuple {
-                Some(_) => Ok(RowChange { pos, rid, old: tuple, new: None, faulted, cold: None }),
+        let key_of = |k: usize| keys[at[k]].as_ref();
+        self.chase(idx, &rids, key_of, |k, tuple| tuples[k] = Some(tuple.to_vec()))?;
+        for (j, tuple) in chased.into_iter().zip(tuples) {
+            rows[j].2 = tuple;
+        }
+        (rows.into_iter().zip(faulted))
+            .map(|((pos, rid, old), faulted)| match old {
+                Some(_) => Ok(RowChange { pos, rid, old, new: None, faulted, cold: None }),
                 None => Err(intent_violation(&idx.spec.name, keys[pos].as_ref())),
             })
             .collect()
@@ -267,9 +298,11 @@ impl Table {
     /// 2. **Heap.** Fresh tuples are appended, borrowed, one page latch
     ///    per tail page ([`HeapFile::append_many`]) — heap before
     ///    index, so no entry ever names a slot that is not there yet.
-    ///    An updated row whose page it faulted may swap onto a hot page
-    ///    (`hot.rs`, under intents held until step 3 ends); every other
-    ///    updated row is overwritten in place (its RID stays).
+    ///    An updated row whose page was out of the pool may swap onto a
+    ///    hot page (`hot.rs`, under intents held until step 3 ends);
+    ///    every other updated row is overwritten in place (its RID
+    ///    stays) over the tuple it was resolved with — a row whose page
+    ///    is out of the pool as a slot patch, without reading the page.
     /// 3. **Indexes**, each through the B+Tree's sorted, leaf-grouped
     ///    multi-key ops: one `delete_many` (old keys of changed and
     ///    deleted rows), then one `insert_many` (new keys of changed
@@ -331,13 +364,15 @@ impl Table {
             (e, _) => e,
         };
         plan.retain(|c| match (&c.old, c.new) {
-            (Some(old), Some(new)) if c.cold.is_none() => match self.heap.update(c.rid, new) {
-                Ok(()) => true,
-                Err(e) => {
-                    first_err.get_or_insert_with(|| row_error(e, old));
-                    false
+            (Some(old), Some(new)) if c.cold.is_none() => {
+                match self.heap.overwrite(c.rid, old, new) {
+                    Ok(()) => true,
+                    Err(e) => {
+                        first_err.get_or_insert_with(|| row_error(e, old));
+                        false
+                    }
                 }
-            },
+            }
             _ => true,
         });
 

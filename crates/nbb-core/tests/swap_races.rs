@@ -269,3 +269,79 @@ fn a_swap_is_skipped_while_the_cold_rows_intent_is_held() {
     assert_eq!(pk.get(&key(u)).unwrap().unwrap(), encode_row(u, 3));
     assert!(pk.tree().intents().is_idle());
 }
+
+/// Two updaters on disjoint keys and a `GetMany` reader over a heap
+/// pool of 16 frames for 100 pages, with the leaf cache warmed first:
+/// an update of a row whose whole-row entry the leaf holds resolves
+/// from the leaf, and when the row's page is out of the pool its bytes
+/// wait below the pool as a slot patch — in place, or as the row's side
+/// of a swap — until a read faults the page. No patch may be dropped,
+/// and the final state must match the oracle, and again after a persist
+/// and a reopen, which drain the patches still waiting.
+#[test]
+fn a_storm_over_warm_leaves_patches_rows_and_matches_the_oracle() {
+    let heap: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
+    let index: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new(4096));
+    load(Arc::clone(&heap), Arc::clone(&index), ROWS);
+    let db = reopen(Arc::clone(&heap), Arc::clone(&index), 16);
+    let t = db.table("t").unwrap();
+    let pk = t.index("pk").unwrap();
+    let all: Vec<[u8; 8]> = (0..ROWS).map(key).collect();
+    for _ in 0..2 {
+        for chunk in all.chunks(64) {
+            pk.get_many(chunk).unwrap();
+        }
+    }
+    db.heap_pool().reset_stats();
+    let draw = |seed: u64, i: u64| mix(seed, i) % ROWS;
+    let written: Vec<HashMap<u64, u64>> = std::thread::scope(|s| {
+        let updaters: Vec<_> = (0..2u64)
+            .map(|parity| {
+                let t = &t;
+                s.spawn(move || {
+                    let pk = t.index("pk").unwrap();
+                    let mut mine = HashMap::new();
+                    for batch in 0..400u64 {
+                        let mut keys: Vec<u64> = (0..8)
+                            .map(|j| draw(parity + 20, batch * 8 + j))
+                            .filter(|k| k % 2 == parity)
+                            .collect();
+                        keys.sort_unstable();
+                        keys.dedup();
+                        let value = mix(parity + 5, batch);
+                        let pairs: Vec<([u8; 8], Vec<u8>)> =
+                            keys.iter().map(|&k| (key(k), encode_row(k, value))).collect();
+                        assert!(pk.update_many(&pairs).unwrap().iter().all(|&a| a));
+                        mine.extend(keys.iter().map(|&k| (k, value)));
+                    }
+                    mine
+                })
+            })
+            .collect();
+        s.spawn(|| {
+            let pk = t.index("pk").unwrap();
+            for i in 0..600u64 {
+                let keys: Vec<u64> = (0..4).map(|j| draw(21, i * 4 + j)).collect();
+                let bytes: Vec<[u8; 8]> = keys.iter().map(|&k| key(k)).collect();
+                for (&k, got) in keys.iter().zip(pk.get_many(&bytes).unwrap()) {
+                    value_of(k, &got.unwrap_or_else(|| panic!("key {k} read as absent")));
+                }
+            }
+        });
+        updaters.into_iter().map(|u| u.join().unwrap()).collect()
+    });
+    let mut oracle: BTreeMap<u64, u64> = (0..ROWS).map(|k| (k, initial_value(k))).collect();
+    oracle.extend(written.into_iter().flatten());
+    let s = db.heap_pool().stats();
+    assert!(s.patches_deferred > 100, "cached rows' updates wait as patches: {s:?}");
+    assert!(s.patches_absorbed > 0, "reads absorb them: {s:?}");
+    assert_eq!(s.patches_dropped, 0, "no patch met a slot it did not expect: {s:?}");
+    assert!(t.stats().swaps > 0, "the hot set is still offered its swaps");
+    assert!(pk.tree().intents().is_idle(), "every intent released");
+    check(&t, &oracle);
+    drop(pk);
+    drop(t);
+    db.close().unwrap();
+    let db = reopen(heap, index, 16);
+    check(&db.table("t").unwrap(), &oracle);
+}

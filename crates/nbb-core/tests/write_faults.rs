@@ -60,10 +60,11 @@ fn failed_page_fault_mid_update_leaves_no_stale_projection() {
         by_id.project(&id.to_be_bytes()).unwrap();
         assert!(by_id.project(&id.to_be_bytes()).unwrap().unwrap().index_only);
     }
-    // The third row's page: read once when the batch resolves its rows,
-    // evicted by the five pages resolved after it, read again — and
-    // failed — when its row is overwritten, after two rows landed.
-    disk.fail_nth_read(batch[2].1, 2);
+    // The third row's page: the batch resolves its rows from the leaf
+    // cache the projections warmed, so no page is read until the rows
+    // are overwritten, and with write-behind off no overwrite waits as a
+    // patch: its first read fails, after two rows landed.
+    disk.fail_nth_read(batch[2].1, 1);
     let pairs: Vec<(Vec<u8>, Vec<u8>)> =
         batch.iter().map(|(id, _)| (id.to_be_bytes().to_vec(), tuple(*id, id + 1000))).collect();
     let err = by_id.update_many(&pairs).unwrap_err();

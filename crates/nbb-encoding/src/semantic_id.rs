@@ -8,8 +8,8 @@
 //!    a bit-shift instead of a routing-table lookup. [`RoutingTable`] is
 //!    the baseline it replaces; the bench compares their memory.
 //! 2. **Reduction**: drop the id entirely and use the tuple's physical
-//!    address as a proxy (column stores infer ids from offsets) — see
-//!    [`rid_proxy`].
+//!    address as a proxy (column stores infer ids from offsets), saving
+//!    the 8-byte id column per tuple.
 
 use std::collections::HashMap;
 
@@ -141,21 +141,6 @@ impl RoutingTable {
     }
 }
 
-/// ID-reduction helpers: using the packed physical address itself as the
-/// surrogate key ("ID fields representing uniqueness can be eliminated
-/// and the tuple's physical address can be used as a proxy").
-pub mod rid_proxy {
-    /// Bytes saved per tuple by dropping an 8-byte id column.
-    pub const BYTES_SAVED_PER_TUPLE: usize = 8;
-
-    /// Derives the proxy id from a packed record address (the identity
-    /// function, made explicit for call sites).
-    #[inline]
-    pub fn id_from_rid(packed_rid: u64) -> u64 {
-        packed_rid
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,11 +212,5 @@ mod tests {
         }
         // …but the table costs linear memory while the layout costs none.
         assert!(table.approx_bytes() > 4000 * 12);
-    }
-
-    #[test]
-    fn rid_proxy_is_identity() {
-        assert_eq!(rid_proxy::id_from_rid(0xABCD), 0xABCD);
-        assert_eq!(rid_proxy::BYTES_SAVED_PER_TUPLE, 8);
     }
 }

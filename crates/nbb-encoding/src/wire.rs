@@ -12,12 +12,6 @@
 //! Decodes are total: a short buffer yields `None`, never a panic, so
 //! protocol parsers can surface named errors on truncated frames.
 
-/// Appends `v` as 2 order-preserving big-endian bytes.
-#[inline]
-pub fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
 /// Appends `v` as 4 order-preserving big-endian bytes.
 #[inline]
 pub fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -59,8 +53,7 @@ mod tests {
             put_u64(&mut buf, v);
             assert_eq!(get_u64(&buf), Some(v));
         }
-        let mut buf = Vec::new();
-        put_u16(&mut buf, 0xBEEF);
+        let mut buf = 0xBEEFu16.to_be_bytes().to_vec();
         put_u32(&mut buf, 0xDEAD_F00D);
         assert_eq!(get_u16(&buf), Some(0xBEEF));
         assert_eq!(get_u32(&buf[2..]), Some(0xDEAD_F00D));

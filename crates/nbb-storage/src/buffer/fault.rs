@@ -8,7 +8,8 @@
 //! * **load**: no map held — write-behind store, then **one**
 //!   [`crate::disk::DiskManager::read_many`] for whatever the store did
 //!   not serve, spanning every shard of the batch: the one place a page
-//!   enters memory from a device;
+//!   enters memory from a device; a page the store holds slot patches
+//!   for gets them applied over what was read, and enters dirty;
 //! * **publish**: one map acquisition per shard turns each reserved
 //!   frame into a resident page (or frees it), then the parked waiters
 //!   are resolved, then this batch parks on the loads it joined.
@@ -25,6 +26,7 @@
 //! unwinds through [`Reservation`]'s `Drop` like a failed read.
 
 use super::shard::{Frame, Residency, Shard, ShardMap};
+use super::write_behind::{Found, Patch};
 use super::BufferPool;
 use crate::error::{Result, StorageError};
 use crate::lockrank;
@@ -108,9 +110,11 @@ struct Reserved<'p> {
     /// `None` before `load` and once the write-behind store has filled
     /// the frame.
     latch: Option<RwLockWriteGuard<'p, Page>>,
-    /// Served from the write-behind store: newer than the disk, so the
-    /// page re-enters memory dirty.
+    /// Served from the write-behind store, or patched from it: newer
+    /// than the disk, so the page re-enters memory dirty.
     dirty: bool,
+    /// The store's slot patches for the page, applied once it is read.
+    patches: Vec<Patch>,
     loaded: Result<()>,
 }
 
@@ -190,6 +194,7 @@ impl<'p> Reservation<'p> {
                                 inflight,
                                 latch: None,
                                 dirty: false,
+                                patches: Vec::new(),
                                 loaded: Ok(()),
                             });
                         }
@@ -204,18 +209,23 @@ impl<'p> Reservation<'p> {
     /// Fills every reserved frame, each under a fresh residency stamp
     /// (`Page::restamp`): the write-behind store may hold newer bytes
     /// than the disk and serves those pages itself; the rest keep their
-    /// latch and ride the disk batch. (Frame latches are a multi rank,
-    /// and a just-reserved frame — pinned, mapped to nothing — has no
-    /// other suitor.)
+    /// latch and ride the disk batch, and a page read successfully gets
+    /// the store's slot patches for it applied (a failed read leaves
+    /// them in the store for the retry). (Frame latches are a multi
+    /// rank, and a just-reserved frame — pinned, mapped to nothing —
+    /// has no other suitor.)
     fn load(&mut self) {
         let pool = self.pool;
         for m in &mut self.misses {
             let mut page = pool.shards[m.shard].frames[m.frame].data.write();
             page.restamp(true);
-            if pool.wb.as_ref().is_some_and(|wb| wb.serve_fault(m.id, &mut page)) {
-                m.dirty = true;
-            } else {
-                m.latch = Some(page);
+            match pool.wb.as_ref().map_or(Found::Nothing, |wb| wb.serve_fault(m.id, &mut page)) {
+                Found::Image => m.dirty = true,
+                Found::Nothing => m.latch = Some(page),
+                Found::Patches(patches) => {
+                    m.patches = patches;
+                    m.latch = Some(page);
+                }
             }
         }
         // One device round-trip for the whole batch: the batch count
@@ -254,6 +264,10 @@ impl<'p> Reservation<'p> {
                     // error to no one).
                     Err(e.clone())
                 };
+            }
+            if let (Ok(()), Some(wb), false) = (&m.loaded, &pool.wb, m.patches.is_empty()) {
+                wb.absorb(m.id, &mut page, &std::mem::take(&mut m.patches));
+                m.dirty = true;
             }
         }
     }

@@ -68,18 +68,31 @@
 //!
 //! Evicting a dirty victim no longer pays a synchronous
 //! [`DiskManager::write`]: the victim's bytes are memcpy'd into a
-//! bounded write-behind queue and a background flusher thread writes
+//! bounded write-behind store and a background flusher thread writes
 //! them out, so victim reclaim costs a page copy instead of a device
-//! wait. Correctness hinges on the queue being part of the storage
-//! hierarchy: a fault checks the queue before the disk (queued bytes
-//! are newer), and a page re-faulted from the queue re-enters memory
-//! *dirty* with its pending write cancelled, so the frame is always the
-//! single authority for unflushed bytes. [`BufferPool::flush_all`]
-//! drains the queue before flushing resident pages — the durability
-//! barrier `Database::persist`/`close` rely on — and dropping the pool
-//! drains it too. A full queue falls back to the old synchronous write,
-//! so memory stays bounded. `write_behind = 0` disables the queue and
-//! the flusher thread entirely.
+//! wait. Correctness hinges on the store being part of the storage
+//! hierarchy: a fault checks the store before the disk (stored bytes
+//! are newer), and a page re-faulted from it re-enters memory *dirty*
+//! with its pending write cancelled, so the frame is always the single
+//! authority for unflushed bytes. [`BufferPool::flush_all`] drains the
+//! store before flushing resident pages — the durability barrier
+//! `Database::persist`/`close` rely on — and dropping the pool drains
+//! it too. A full store falls back to the old synchronous write, so
+//! memory stays bounded. `write_behind = 0` disables the store and the
+//! flusher thread entirely.
+//!
+//! The store holds a page's **image** or its **slot patches**, within
+//! a budget of `write_behind` pages counted in bytes: an image costs a
+//! page, a patch the bytes of its two tuples. A patch is a row
+//! overwritten while its page is out of the pool ([`BufferPool::patch`]:
+//! `(slot, expect, new)`, handed over under the page's shard map lock
+//! when the page is neither resident nor loading), so the write costs
+//! no read. The next fault of the page applies its patches over what it
+//! read and enters dirty; the flusher merges patched pages into the
+//! device (batched `read_many`, then `write_many`) only while the store
+//! is over budget, and `flush_all` and drop merge whatever is left. A
+//! patch whose slot no longer holds its `expect` is dropped and counted
+//! ([`PoolStats::patches_dropped`]).
 //!
 //! # Index-cache contract
 //!
@@ -182,8 +195,9 @@ pub const DEFAULT_POOL_SHARDS: usize = 8;
 /// nested pins of pages that happen to collide on a shard.
 pub const MIN_FRAMES_PER_SHARD: usize = 16;
 
-/// Default write-behind queue depth (evicted-but-unflushed pages the
-/// pool will buffer before eviction falls back to synchronous writes).
+/// Default write-behind depth: the store's budget in pages (evicted
+/// images cost a page each, slot patches their bytes) before eviction
+/// falls back to synchronous writes and updates to reading their page.
 pub const DEFAULT_WRITE_BEHIND: usize = 64;
 
 /// Fixed-capacity page cache over a shared disk, striped into shards,
@@ -202,10 +216,12 @@ pub struct BufferPool {
 pub struct PoolOptions {
     /// Lock-striped shard count, clamped to `[1, capacity]`.
     pub shards: usize,
-    /// Write-behind queue depth; 0 disables the queue and its flusher
-    /// thread — every dirty eviction pays a synchronous
-    /// [`DiskManager::write`], the pre-write-behind behavior, which
-    /// benches use as the baseline.
+    /// Write-behind depth: the store's budget, `write_behind` pages
+    /// counted in bytes (an evicted image costs a page, a slot patch its
+    /// bytes). 0 disables the store and its flusher thread — every
+    /// dirty eviction pays a synchronous [`DiskManager::write`], the
+    /// pre-write-behind behavior, which benches use as the baseline,
+    /// and [`BufferPool::patch`] takes nothing.
     pub write_behind: usize,
 }
 
@@ -272,8 +288,8 @@ impl BufferPool {
         self.shards.len()
     }
 
-    /// Configured write-behind queue depth (0 = disabled: dirty
-    /// evictions write synchronously).
+    /// Configured write-behind depth in pages (0 = disabled: dirty
+    /// evictions write synchronously, and no slot patch is taken).
     pub fn write_behind(&self) -> usize {
         self.wb.as_ref().map_or(0, |wb| wb.capacity)
     }
@@ -450,6 +466,31 @@ impl BufferPool {
         Ok(out)
     }
 
+    /// Hands a row overwrite — `new` for slot `slot` of slotted page
+    /// `id`, which holds `expect` there, of the same width — to the
+    /// write-behind store as a patch when the page is out of the pool,
+    /// so the write costs no read: decided under the page's shard map
+    /// lock, with the store's lock nested under it as a dirty eviction
+    /// takes it, so no fault of the page can start before the patch is
+    /// in. The page's next load applies it over the device's bytes (or
+    /// the page's image in the store takes it at once); a drain merges
+    /// it otherwise.
+    ///
+    /// False when the page is resident (the caller writes the frame) or
+    /// loading (the caller's write pins it, so joins the load), and when
+    /// the store refuses: write-behind off, the store full, a flush
+    /// barrier up, or a drain of the page in flight or failed. The caller's
+    /// latched write then faults the page as before. A patch whose slot
+    /// no longer holds `expect` when it is applied is dropped and
+    /// counted, never written.
+    pub fn patch(&self, id: PageId, slot: u16, expect: &[u8], new: &[u8]) -> bool {
+        let Some(wb) = &self.wb else { return false };
+        // rank-exempt: pool entry point, called under a heap swap's
+        // frame latch; see `pin`. Only the store's lock nests under it.
+        let map = self.shard_of(id).map.lock_unordered();
+        !map.table.contains_key(&id) && wb.patch(id, slot, expect, new)
+    }
+
     /// True if page `id` is currently resident (a page mid-load is not
     /// yet resident).
     pub fn contains(&self, id: PageId) -> bool {
@@ -486,8 +527,9 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Writes back every dirty page: drains the write-behind queue
-    /// first (evicted pages must not land *after* resident ones — a
+    /// Writes back every dirty page: drains the write-behind store
+    /// first — images, and patched pages merged in batched reads and
+    /// writes (evicted pages must not land *after* resident ones — a
     /// queued stale write racing a fresh flush would clobber it), then
     /// synchronously flushes resident dirty frames. This is the
     /// durability barrier `persist`/`close`/drop build on, and it holds
@@ -613,6 +655,11 @@ impl BufferPool {
             out.wb_flushed = wb.flushed.load(Ordering::Relaxed);
             out.wb_sync_fallbacks = wb.sync_fallbacks.load(Ordering::Relaxed);
             out.wb_pending = wb.pending();
+            out.patches_deferred = wb.patches_deferred.load(Ordering::Relaxed);
+            out.patches_absorbed = wb.patches_absorbed.load(Ordering::Relaxed);
+            out.patches_drained = wb.patches_drained.load(Ordering::Relaxed);
+            out.patches_refused = wb.patches_refused.load(Ordering::Relaxed);
+            out.patches_dropped = wb.patches_dropped.load(Ordering::Relaxed);
         }
         out
     }
@@ -634,15 +681,25 @@ impl BufferPool {
             wb.enqueued.store(0, Ordering::Relaxed);
             wb.flushed.store(0, Ordering::Relaxed);
             wb.sync_fallbacks.store(0, Ordering::Relaxed);
+            for patches in [
+                &wb.patches_deferred,
+                &wb.patches_absorbed,
+                &wb.patches_drained,
+                &wb.patches_refused,
+                &wb.patches_dropped,
+            ] {
+                patches.store(0, Ordering::Relaxed);
+            }
         }
     }
 }
 
 impl Drop for BufferPool {
-    /// Drains the write-behind queue before the pool disappears:
+    /// Drains the write-behind store before the pool disappears:
     /// evicted-dirty pages were already written by eviction time under
-    /// the old synchronous scheme, so write-behind must guarantee they
-    /// reach the disk by drop at the latest. (Resident dirty frames are
+    /// the old synchronous scheme, and a patched row by its update, so
+    /// write-behind must guarantee they reach the disk by drop at the
+    /// latest. (Resident dirty frames are
     /// — as before — the caller's to flush via
     /// [`BufferPool::flush_all`].) Errors are swallowed; the
     /// error-visible barrier is `flush_all`.

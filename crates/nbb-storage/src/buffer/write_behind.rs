@@ -1,25 +1,63 @@
-//! Write-behind: the bounded queue of evicted-but-unflushed pages, its
-//! background flusher, and the drain `flush_all` and drop stand on.
+//! Write-behind: the bounded store below a frame, its background
+//! flusher, and the drain `flush_all` and drop stand on.
+//!
+//! The store holds, per page no frame holds, either the page's evicted
+//! bytes (an **image**, newer than the device's) or **slot patches**:
+//! `(slot, expect, new)` for a row overwritten while its page was out
+//! of the pool, kept beside the page until something reads it anyway
+//! (Severance & Lohman's differential file, TODS 1976). A fault applies
+//! the page's patches over what it read and takes them out of the
+//! store; the flusher writes images as they come, and merges patched
+//! pages into the device (one batched read, one batched write) only
+//! when the store is over budget. `flush_all` and drop drain both.
+//!
+//! The budget is in bytes, `write_behind × page_size`: an image costs a
+//! page, a patch the bytes of its two tuples.
 
 use crate::disk::DiskManager;
 use crate::error::Result;
 use crate::lockrank;
 use crate::page::{Page, PageId};
+use crate::slotted::SlottedPage;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Queue slots the background flusher claims per drain pass; the batch
-/// rides one [`DiskManager::write_many`] call, so disks with a bulk
-/// path pay one round-trip for up to this many pages.
+/// Pages the background flusher claims per pass; the batch rides one
+/// [`DiskManager::write_many`] call (and a batch of patched pages one
+/// [`DiskManager::read_many`] before it), so disks with a bulk path pay
+/// one round-trip for up to this many pages.
 const WB_DRAIN_BATCH: usize = 16;
 
-/// One evicted-but-unflushed page in the write-behind store.
+/// One row overwritten while its page was out of the pool: `slot`
+/// holds `expect` on the device (or in a fault's frame) and is to hold
+/// `new`, of the same width.
+#[derive(Clone, Debug)]
+pub(super) struct Patch {
+    slot: u16,
+    expect: Vec<u8>,
+    new: Vec<u8>,
+}
+
+impl Patch {
+    /// What the patch holds against the store's budget.
+    fn cost(&self) -> usize {
+        self.expect.len() + self.new.len()
+    }
+}
+
+/// What the store holds for one page.
+enum Held {
+    /// The page's evicted bytes.
+    Image(Page),
+    /// Patches over the device's bytes, one per slot.
+    Patches(Vec<Patch>),
+}
+
+/// One page in the write-behind store.
 struct WbSlot {
-    /// The most recently evicted bytes for this page (authoritative
-    /// until flushed or until the page is re-faulted into a frame).
-    page: Page,
+    held: Held,
     /// Bumped on every supersede, so a completing write can tell
     /// whether it flushed the latest bytes.
     gen: u64,
@@ -28,26 +66,93 @@ struct WbSlot {
     /// A write of these bytes failed; kept out of the flusher's rotation
     /// (retried by `flush_all`, a supersede, or the drop drain).
     failed: bool,
+    /// When the page entered the store: patched pages drain oldest
+    /// first.
+    born: u64,
+}
+
+impl WbSlot {
+    fn cost(&self, page_size: usize) -> usize {
+        match &self.held {
+            Held::Image(_) => page_size,
+            Held::Patches(list) => list.iter().map(Patch::cost).sum(),
+        }
+    }
 }
 
 struct WbState {
     slots: HashMap<PageId, WbSlot>,
-    /// Flush order; may hold stale ids (slots cancelled or already
+    /// Image flush order; may hold stale ids (slots cancelled or already
     /// being flushed) which consumers simply skip.
     order: VecDeque<PageId>,
+    /// Bytes the slots hold against the budget.
+    bytes: usize,
+    /// Pages that have entered the store: the next slot's `born`.
+    entered: u64,
     /// Active `flush_all` barriers. While nonzero, evictions of pages
-    /// with no existing slot write synchronously instead of enqueuing —
-    /// a new slot created after the barrier's drain would silently
-    /// survive the "everything is durable now" promise. Pages that
-    /// *have* a slot still supersede in place (per-page ordering goes
-    /// through the slot machinery, and the drain loop runs until the
-    /// queue is empty).
+    /// with no existing slot write synchronously instead of enqueuing,
+    /// and no patch is taken — a new slot created after the barrier's
+    /// drain would silently survive the "everything is durable now"
+    /// promise. Pages that *have* an image slot still supersede in place
+    /// (per-page ordering goes through the slot machinery, and the drain
+    /// loop runs until the store is empty).
     barriers: u32,
     shutdown: bool,
 }
 
-/// Bounded queue of dirty evictees plus the flusher protocol shared by
-/// the background thread, `flush_all`, and drop.
+impl WbState {
+    fn insert(&mut self, pid: PageId, held: Held, page_size: usize) {
+        let slot = WbSlot { held, gen: 0, flushing: None, failed: false, born: self.entered };
+        self.entered += 1;
+        self.bytes += slot.cost(page_size);
+        if matches!(slot.held, Held::Image(_)) {
+            self.order.push_back(pid);
+        }
+        self.slots.insert(pid, slot);
+    }
+
+    fn remove(&mut self, pid: PageId, page_size: usize) {
+        if let Some(slot) = self.slots.remove(&pid) {
+            self.bytes -= slot.cost(page_size);
+        }
+    }
+}
+
+/// What a fault finds in the store for its page.
+pub(super) enum Found {
+    /// Nothing: the device's bytes are the page's.
+    Nothing,
+    /// An image, copied into the frame: newer than the device's bytes.
+    Image,
+    /// Patches to apply over the device's bytes once they are read.
+    Patches(Vec<Patch>),
+}
+
+/// A claimed flush job: the page's image, or its patches to apply over
+/// the device's bytes, as of generation `gen`; written outside the lock.
+struct Job {
+    pid: PageId,
+    gen: u64,
+    what: Claimed,
+}
+
+enum Claimed {
+    Image(Page),
+    Patches(Vec<Patch>),
+}
+
+impl Job {
+    fn patches(&self) -> Option<&[Patch]> {
+        match &self.what {
+            Claimed::Patches(list) => Some(list),
+            Claimed::Image(_) => None,
+        }
+    }
+}
+
+/// The bounded store of dirty evictees and slot patches, plus the
+/// flusher protocol shared by the background thread, `flush_all`, and
+/// drop.
 pub(super) struct WriteBehind {
     disk: Arc<dyn DiskManager>,
     state: Mutex<WbState>,
@@ -55,21 +160,28 @@ pub(super) struct WriteBehind {
     work_cv: Condvar,
     /// Signals drainers that an in-flight write completed.
     done_cv: Condvar,
+    /// The configured depth, in pages.
     pub(super) capacity: usize,
+    page_size: usize,
+    /// Bytes the store may hold: `capacity` pages.
+    budget: usize,
     pub(super) enqueued: AtomicU64,
     pub(super) flushed: AtomicU64,
     /// Dirty evictions that bypassed the queue for a synchronous write
     /// (queue full or barrier active); see
     /// [`crate::stats::PoolStats::wb_sync_fallbacks`].
     pub(super) sync_fallbacks: AtomicU64,
+    /// Slot patches by fate; see [`crate::stats::PoolStats`].
+    pub(super) patches_deferred: AtomicU64,
+    pub(super) patches_absorbed: AtomicU64,
+    pub(super) patches_drained: AtomicU64,
+    pub(super) patches_refused: AtomicU64,
+    pub(super) patches_dropped: AtomicU64,
 }
-
-/// A claimed flush job: these bytes of this generation, written outside
-/// the lock.
-type WbJob = (PageId, Page, u64);
 
 impl WriteBehind {
     pub(super) fn new(disk: Arc<dyn DiskManager>, capacity: usize) -> Self {
+        let page_size = disk.page_size();
         WriteBehind {
             disk,
             state: Mutex::with_rank(
@@ -77,6 +189,8 @@ impl WriteBehind {
                 WbState {
                     slots: HashMap::new(),
                     order: VecDeque::new(),
+                    bytes: 0,
+                    entered: 0,
                     barriers: 0,
                     shutdown: false,
                 },
@@ -84,14 +198,27 @@ impl WriteBehind {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             capacity,
+            page_size,
+            budget: capacity.saturating_mul(page_size),
             enqueued: AtomicU64::new(0),
             flushed: AtomicU64::new(0),
             sync_fallbacks: AtomicU64::new(0),
+            patches_deferred: AtomicU64::new(0),
+            patches_absorbed: AtomicU64::new(0),
+            patches_drained: AtomicU64::new(0),
+            patches_refused: AtomicU64::new(0),
+            patches_dropped: AtomicU64::new(0),
         }
     }
 
+    /// Whether the store cannot take one more image: the flusher then
+    /// drains patched pages, oldest first.
+    fn over_budget(&self, st: &WbState) -> bool {
+        st.bytes + self.page_size > self.budget
+    }
+
     /// Hands a dirty victim's bytes to the queue. Falls back to a
-    /// synchronous write when the queue is full or a flush barrier is
+    /// synchronous write when the store is full or a flush barrier is
     /// active (either way only possible for a page with no existing
     /// slot, so write ordering stays per-page serial). Called with the
     /// victim's shard map lock held.
@@ -101,21 +228,27 @@ impl WriteBehind {
         // memcpy under it would re-couple the evictions the shard
         // striping decoupled. Under the lock only pointers move.
         let copy = page.clone();
-        let mut st = self.state.lock();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
         if let Some(slot) = st.slots.get_mut(&pid) {
-            // Supersede: newest bytes win, no extra capacity.
-            slot.page = copy;
+            // Supersede: newest bytes win. A patched page's slot is
+            // only left while a drain of it is in flight, and its
+            // patches are in these bytes: the fault that brought the
+            // page back applied them.
+            st.bytes = st.bytes + self.page_size - slot.cost(self.page_size);
+            let idle =
+                slot.flushing.is_none() && (slot.failed || !matches!(slot.held, Held::Image(_)));
+            slot.held = Held::Image(copy);
             slot.gen += 1;
-            if slot.flushing.is_none() && slot.failed {
-                // Was parked as failed (not in rotation): requeue.
+            if idle {
+                // Was out of the image rotation: requeue.
                 slot.failed = false;
                 st.order.push_back(pid);
             }
-        } else if st.barriers == 0 && st.slots.len() < self.capacity {
-            st.slots.insert(pid, WbSlot { page: copy, gen: 0, flushing: None, failed: false });
-            st.order.push_back(pid);
+        } else if st.barriers == 0 && st.bytes + self.page_size <= self.budget {
+            st.insert(pid, Held::Image(copy), self.page_size);
         } else {
-            // Queue full (or a flush barrier is draining it) and no
+            // Store full (or a flush barrier is draining it) and no
             // slot to supersede: the old synchronous path. Safe
             // precisely because no slot exists for `pid` — nothing can
             // write staler bytes after us. This runs under the victim
@@ -126,9 +259,11 @@ impl WriteBehind {
             // drain). It stalls the stripe only on this rare fallback,
             // and `wb_sync_fallbacks` counts each occurrence so the
             // regime is observable (bumped before the blocking write,
-            // so a monitor sees the stall as it happens).
+            // so a monitor sees the stall as it happens). Patches
+            // filling the store are the flusher's to drain.
             self.sync_fallbacks.fetch_add(1, Ordering::Relaxed);
-            drop(st);
+            drop(guard);
+            self.work_cv.notify_one();
             return self.disk.write(pid, page);
         }
         self.enqueued.fetch_add(1, Ordering::Relaxed);
@@ -136,10 +271,93 @@ impl WriteBehind {
         Ok(())
     }
 
+    /// Takes `new` for `slot` of page `pid`, which holds `expect` there:
+    /// a page neither resident nor loading (the caller holds its shard
+    /// map lock, so no fault can start before the patch is in). An
+    /// image of the page takes the patch at once; otherwise it waits
+    /// with the page's other patches, and a second patch to one slot
+    /// keeps the first's `expect` and takes the last bytes. False —
+    /// the caller writes the page itself — when the store is full, a
+    /// flush barrier is up, a drain of the page's patches is in flight
+    /// or failed, or its image holds something else at the slot.
+    pub(super) fn patch(&self, pid: PageId, slot: u16, expect: &[u8], new: &[u8]) -> bool {
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let cost = expect.len() + new.len();
+        let taken = match st.slots.get_mut(&pid) {
+            _ if st.barriers > 0 => false,
+            // A drain of the page in flight, or one that failed, may
+            // have landed its patches: a chain kept from them would
+            // expect bytes the device no longer holds.
+            Some(s) if (s.flushing.is_some() || s.failed) && matches!(s.held, Held::Patches(_)) => {
+                false
+            }
+            Some(s) => match &mut s.held {
+                Held::Image(page) => {
+                    let applied =
+                        SlottedPage::attach(page).is_ok_and(|mut sp| sp.patch(slot, expect, new));
+                    if applied {
+                        s.gen += 1;
+                        if s.flushing.is_none() && s.failed {
+                            s.failed = false;
+                            st.order.push_back(pid);
+                        }
+                        self.patches_absorbed.fetch_add(1, Ordering::Relaxed);
+                    }
+                    applied
+                }
+                Held::Patches(list) => match list.iter_mut().find(|p| p.slot == slot) {
+                    Some(p) => {
+                        st.bytes = st.bytes + new.len() - p.new.len();
+                        p.new.clear();
+                        p.new.extend_from_slice(new);
+                        true
+                    }
+                    None if st.bytes + cost <= self.budget => {
+                        list.push(Patch { slot, expect: expect.to_vec(), new: new.to_vec() });
+                        st.bytes += cost;
+                        true
+                    }
+                    None => false,
+                },
+            },
+            None if st.bytes + cost <= self.budget => {
+                let patch = Patch { slot, expect: expect.to_vec(), new: new.to_vec() };
+                st.insert(pid, Held::Patches(vec![patch]), self.page_size);
+                true
+            }
+            None => false,
+        };
+        let drain = self.over_budget(st);
+        drop(guard);
+        if !taken {
+            self.patches_refused.fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
+        self.patches_deferred.fetch_add(1, Ordering::Relaxed);
+        if drain {
+            self.work_cv.notify_one();
+        }
+        true
+    }
+
+    /// Applies `patches` to `page`, a slotted page as the device or a
+    /// fault holds it. Returns how many were applied; the rest, whose
+    /// slot no longer held their `expect`, are dropped and counted.
+    fn apply(&self, page: &mut Page, patches: &[Patch]) -> usize {
+        let applied = match SlottedPage::attach(page) {
+            Ok(mut sp) => patches.iter().filter(|p| sp.patch(p.slot, &p.expect, &p.new)).count(),
+            Err(_) => 0,
+        };
+        let dropped = (patches.len() - applied) as u64;
+        self.patches_dropped.fetch_add(dropped, Ordering::Relaxed);
+        applied
+    }
+
     /// Enters a flush barrier: until the matching
-    /// [`WriteBehind::end_barrier`], no *new* slots are created (see
-    /// [`WbState::barriers`]), so a concurrent dirty eviction cannot
-    /// slip an unflushed page past `flush_all`'s drain.
+    /// [`WriteBehind::end_barrier`], no *new* slots are created and no
+    /// patch is taken (see [`WbState::barriers`]), so a concurrent dirty
+    /// eviction cannot slip an unflushed page past `flush_all`'s drain.
     pub(super) fn begin_barrier(&self) {
         self.state.lock().barriers += 1;
     }
@@ -149,63 +367,104 @@ impl WriteBehind {
         self.state.lock().barriers -= 1;
     }
 
-    /// Serves a fault from the store: copies the queued (newer-than-disk)
-    /// bytes into `dst` and cancels the pending write when possible —
-    /// the re-loaded frame re-enters memory dirty and becomes the single
-    /// authority for these bytes. Returns false when the page has no
-    /// queued bytes (fault must read the disk).
-    pub(super) fn serve_fault(&self, pid: PageId, dst: &mut Page) -> bool {
+    /// What a fault of `pid` finds in the store. An image is copied into
+    /// `dst` and its pending write cancelled when possible — the
+    /// re-loaded frame re-enters memory dirty and becomes the single
+    /// authority for these bytes. Patches are copied and stay in the
+    /// store until the fault has read the device's bytes and
+    /// [absorbed](WriteBehind::absorb) them, so a failed read leaves
+    /// them for the retry.
+    pub(super) fn serve_fault(&self, pid: PageId, dst: &mut Page) -> Found {
         let mut st = self.state.lock();
-        let Some(slot) = st.slots.get(&pid) else { return false };
-        dst.bytes_mut().copy_from_slice(slot.page.bytes());
-        if slot.flushing.is_none() {
-            // Not mid-write: cancel outright (stale `order` entries are
-            // skipped by consumers). If a write is in flight, completion
-            // will retire the slot; the frame's dirty bit keeps the
-            // bytes safe either way.
-            st.slots.remove(&pid);
+        let Some(slot) = st.slots.get(&pid) else { return Found::Nothing };
+        match &slot.held {
+            Held::Patches(list) => Found::Patches(list.clone()),
+            Held::Image(page) => {
+                dst.bytes_mut().copy_from_slice(page.bytes());
+                if slot.flushing.is_none() {
+                    // Not mid-write: cancel outright (stale `order`
+                    // entries are skipped by consumers). If a write is
+                    // in flight, completion will retire the slot; the
+                    // frame's dirty bit keeps the bytes safe either way.
+                    st.remove(pid, self.page_size);
+                }
+                Found::Image
+            }
         }
-        true
     }
 
-    /// Claims up to `max` flushable jobs in queue order, marking each
-    /// slot in-flight — so page ids within the batch are distinct and
-    /// no other consumer can double-write them. One
-    /// [`DiskManager::write_many`] call then amortizes device
-    /// round-trips across the whole claim. The clone under the lock is
-    /// deliberate: the slot must keep its bytes visible for
+    /// Applies the `patches` a fault of `pid` found to the bytes it has
+    /// just read into `page`, and takes them out of the store: the frame,
+    /// published dirty, owns them now. A drain of them in flight keeps
+    /// the slot until it completes (its write carries the same bytes).
+    pub(super) fn absorb(&self, pid: PageId, page: &mut Page, patches: &[Patch]) {
+        let applied = self.apply(page, patches);
+        self.patches_absorbed.fetch_add(applied as u64, Ordering::Relaxed);
+        let mut st = self.state.lock();
+        let idle = st
+            .slots
+            .get(&pid)
+            .is_some_and(|s| s.flushing.is_none() && matches!(s.held, Held::Patches(_)));
+        if idle {
+            st.remove(pid, self.page_size);
+        }
+    }
+
+    /// Claims up to `images` image jobs in queue order and up to
+    /// `patched` patched pages, oldest first, marking each slot
+    /// in-flight — so page ids within the batch are distinct and no
+    /// other consumer can double-write them. The clone under the lock
+    /// is deliberate: the slot must keep its bytes visible for
     /// [`WriteBehind::serve_fault`] while the writer needs a copy a
     /// concurrent supersede cannot swap out from under it — and unlike
     /// `enqueue`, only flusher-side consumers pay it.
-    fn pop_jobs(st: &mut WbState, max: usize) -> Vec<WbJob> {
+    fn claim(st: &mut WbState, images: usize, patched: usize) -> Vec<Job> {
         let mut jobs = Vec::new();
-        while jobs.len() < max {
+        while jobs.len() < images {
             let Some(pid) = st.order.pop_front() else { break };
             if let Some(slot) = st.slots.get_mut(&pid) {
-                if slot.flushing.is_none() && !slot.failed {
+                if let (None, false, Held::Image(page)) = (slot.flushing, slot.failed, &slot.held) {
                     slot.flushing = Some(slot.gen);
-                    jobs.push((pid, slot.page.clone(), slot.gen));
+                    jobs.push(Job { pid, gen: slot.gen, what: Claimed::Image(page.clone()) });
+                }
+            }
+        }
+        if patched == 0 {
+            return jobs;
+        }
+        let mut oldest: Vec<(u64, PageId)> = (st.slots.iter())
+            .filter(|(_, s)| {
+                s.flushing.is_none() && !s.failed && matches!(s.held, Held::Patches(_))
+            })
+            .map(|(pid, s)| (s.born, *pid))
+            .collect();
+        oldest.sort_unstable();
+        for (_, pid) in oldest.into_iter().take(patched) {
+            if let Some(slot) = st.slots.get_mut(&pid) {
+                if let Held::Patches(list) = &slot.held {
+                    slot.flushing = Some(slot.gen);
+                    jobs.push(Job { pid, gen: slot.gen, what: Claimed::Patches(list.clone()) });
                 }
             }
         }
         jobs
     }
 
-    /// Writes a claimed batch through [`DiskManager::write_many`] with
-    /// unwind insurance: a `DiskManager` implementation that panics
-    /// mid-write must not leave a slot marked `flushing` forever —
-    /// `drain` waits on exactly that marker and would hang every future
-    /// `flush_all`. On unwind every claimed slot is parked as failed
-    /// (bytes kept) and drainers are woken; the next `flush_all`
-    /// retries them and surfaces whatever happens then. On a
-    /// batch-level error the caller fails every job the same way — the
-    /// disk makes no claim about which pages landed, and re-flushing a
-    /// page that did land is idempotent (`complete` with the slot's
-    /// claimed gen retries or retires each correctly).
-    fn write_jobs(&self, jobs: &[WbJob]) -> Result<()> {
+    /// Writes a claimed batch with unwind insurance: a `DiskManager`
+    /// implementation that panics mid-read or mid-write must not leave
+    /// a slot marked `flushing` forever — `drain` waits on exactly that
+    /// marker and would hang every future `flush_all`. On unwind every
+    /// claimed slot is parked as failed (bytes kept) and drainers are
+    /// woken; the next `flush_all` retries them and surfaces whatever
+    /// happens then. On a batch-level error the caller fails every job
+    /// the same way — the disk makes no claim about which pages landed,
+    /// and re-flushing a page that did land is idempotent (`complete`
+    /// with the slot's claimed gen retries or retires each correctly;
+    /// a patch found applied is applied).
+    fn flush(&self, jobs: &[Job]) -> Result<()> {
         struct Unwedge<'a> {
             wb: &'a WriteBehind,
-            jobs: &'a [WbJob],
+            jobs: &'a [Job],
             armed: bool,
         }
         impl Drop for Unwedge<'_> {
@@ -214,8 +473,8 @@ impl WriteBehind {
                     return;
                 }
                 let mut st = self.wb.state.lock();
-                for (pid, _, _) in self.jobs {
-                    if let Some(slot) = st.slots.get_mut(pid) {
+                for job in self.jobs {
+                    if let Some(slot) = st.slots.get_mut(&job.pid) {
                         slot.flushing = None;
                         slot.failed = true;
                     }
@@ -225,10 +484,33 @@ impl WriteBehind {
             }
         }
         let mut guard = Unwedge { wb: self, jobs, armed: true };
-        let pages: Vec<(PageId, &Page)> = jobs.iter().map(|(pid, page, _)| (*pid, page)).collect();
-        let res = self.disk.write_many(&pages);
+        let res = self.write_back(jobs);
         guard.armed = false;
         res
+    }
+
+    /// One [`DiskManager::read_many`] for the batch's patched pages, each
+    /// read then patched, and one [`DiskManager::write_many`] for the
+    /// whole batch.
+    fn write_back(&self, jobs: &[Job]) -> Result<()> {
+        let mut merged: Vec<Page> =
+            jobs.iter().filter_map(Job::patches).map(|_| Page::new(self.page_size)).collect();
+        if !merged.is_empty() {
+            let pids = jobs.iter().filter(|j| j.patches().is_some()).map(|j| j.pid);
+            let mut reads: Vec<(PageId, &mut Page)> = pids.zip(merged.iter_mut()).collect();
+            self.disk.read_many(&mut reads)?;
+            for (page, list) in merged.iter_mut().zip(jobs.iter().filter_map(Job::patches)) {
+                self.apply(page, list);
+            }
+        }
+        let mut merged = merged.iter();
+        let pages: Vec<(PageId, &Page)> = (jobs.iter())
+            .filter_map(|job| match &job.what {
+                Claimed::Image(page) => Some((job.pid, page)),
+                Claimed::Patches(_) => merged.next().map(|page| (job.pid, page)),
+            })
+            .collect();
+        self.disk.write_many(&pages)
     }
 
     /// Retires a completed write. A slot superseded mid-write rejoins
@@ -243,15 +525,18 @@ impl WriteBehind {
             if slot.gen == gen {
                 match res {
                     Ok(()) => {
-                        st.slots.remove(&pid);
+                        if let Held::Patches(list) = &slot.held {
+                            self.patches_drained.fetch_add(list.len() as u64, Ordering::Relaxed);
+                        }
+                        st.remove(pid, self.page_size);
                     }
                     Err(_) => {
                         slot.failed = true;
                     }
                 }
             } else {
-                // Superseded while we wrote: newer bytes need a pass
-                // (even if our stale write failed).
+                // Superseded by an image while we wrote: newer bytes
+                // need a pass (even if our stale write failed).
                 st.order.push_back(pid);
                 self.work_cv.notify_one();
             }
@@ -260,31 +545,34 @@ impl WriteBehind {
         self.done_cv.notify_all();
     }
 
-    /// The background flusher: drains claimed jobs in batches of up to
-    /// [`WB_DRAIN_BATCH`] through [`DiskManager::write_many`] (one
-    /// device round-trip per batch on disks that override it), parks
-    /// when idle, exits once shutdown is signalled *and* the rotation
-    /// is empty. A panicking `DiskManager` write is caught so the
-    /// thread survives — dying here would silently disable write-behind
-    /// for the pool's remaining lifetime (`write_jobs`'s guard has
-    /// already parked every claimed slot as failed by the time the
-    /// catch sees the unwind, so there is no completion left to run).
+    /// The background flusher: drains claimed images in batches of up
+    /// to [`WB_DRAIN_BATCH`] through [`DiskManager::write_many`] (one
+    /// device round-trip per batch on disks that override it), and
+    /// patched pages, oldest first, only while the store is over budget
+    /// (a patch waits for a fault to read its page anyway); parks when
+    /// idle, exits once shutdown is signalled *and* the rotation is
+    /// empty. A panicking `DiskManager` call is caught so the thread
+    /// survives — dying here would silently disable write-behind for
+    /// the pool's remaining lifetime (`flush`'s guard has already
+    /// parked every claimed slot as failed by the time the catch sees
+    /// the unwind, so there is no completion left to run).
     pub(super) fn run(wb: Arc<WriteBehind>) {
         let mut st = wb.state.lock();
         loop {
-            let jobs = Self::pop_jobs(&mut st, WB_DRAIN_BATCH);
+            let patched = if wb.over_budget(&st) { WB_DRAIN_BATCH } else { 0 };
+            let jobs = Self::claim(&mut st, WB_DRAIN_BATCH, patched);
             if !jobs.is_empty() {
                 drop(st);
                 let res =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| wb.write_jobs(&jobs)));
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| wb.flush(&jobs)));
                 st = wb.state.lock();
                 if let Ok(res) = res {
                     // One verdict for the whole batch: on error every
                     // job parks as failed (the disk makes no per-page
                     // claim); on success each slot retires or rejoins
                     // per its own generation.
-                    for (pid, _, gen) in &jobs {
-                        wb.complete(&mut st, *pid, *gen, res.clone());
+                    for job in &jobs {
+                        wb.complete(&mut st, job.pid, job.gen, res.clone());
                     }
                 }
                 continue;
@@ -296,14 +584,15 @@ impl WriteBehind {
         }
     }
 
-    /// Drains the queue to disk, helping the flusher rather than merely
-    /// waiting on it, one job per claim. Parked-as-failed slots get one
-    /// synchronous retry; the first persistent failure aborts with its
-    /// error (bytes stay queued, so a later drain can succeed).
+    /// Drains the store to disk, helping the flusher rather than merely
+    /// waiting on it: one image per claim, patched pages in batches of
+    /// [`WB_DRAIN_BATCH`]. Parked-as-failed slots get one synchronous
+    /// retry; the first persistent failure aborts with its error (bytes
+    /// stay queued, so a later drain can succeed).
     pub(super) fn drain(&self) -> Result<()> {
         let mut st = self.state.lock();
         loop {
-            let mut jobs = Self::pop_jobs(&mut st, 1);
+            let mut jobs = Self::claim(&mut st, 1, WB_DRAIN_BATCH);
             let retrying = jobs.is_empty();
             if retrying {
                 if st.slots.values().any(|s| s.flushing.is_some()) {
@@ -315,14 +604,17 @@ impl WriteBehind {
                 // contract: error out but lose nothing.
                 let Some((&pid, slot)) = st.slots.iter_mut().next() else { return Ok(()) };
                 slot.failed = false;
-                st.order.push_back(pid);
-                jobs = Self::pop_jobs(&mut st, 1);
+                let image = matches!(slot.held, Held::Image(_));
+                if image {
+                    st.order.push_back(pid);
+                }
+                jobs = Self::claim(&mut st, usize::from(image), usize::from(!image));
             }
             drop(st);
-            let res = self.write_jobs(&jobs);
+            let res = self.flush(&jobs);
             st = self.state.lock();
-            for (pid, _, gen) in &jobs {
-                self.complete(&mut st, *pid, *gen, res.clone());
+            for job in &jobs {
+                self.complete(&mut st, job.pid, job.gen, res.clone());
             }
             if retrying {
                 res?;
@@ -337,16 +629,33 @@ impl WriteBehind {
     }
 
     /// The pool's drop-time last resort, once the flusher has exited:
-    /// one final synchronous attempt per slot still parked as failed.
+    /// every slot left — patched pages, and images parked as failed —
+    /// gets one final attempt, in batches, a failed batch page by page.
     /// Errors are swallowed; the error-visible barrier is `flush_all`.
     pub(super) fn write_leftovers(&self) {
         let mut st = self.state.lock();
-        for (pid, slot) in st.slots.drain() {
-            let _ = self.disk.write(pid, &slot.page);
+        let jobs: Vec<Job> = (st.slots.drain())
+            .map(|(pid, slot)| Job {
+                pid,
+                gen: slot.gen,
+                what: match slot.held {
+                    Held::Image(page) => Claimed::Image(page),
+                    Held::Patches(list) => Claimed::Patches(list),
+                },
+            })
+            .collect();
+        st.bytes = 0;
+        drop(st);
+        for batch in jobs.chunks(WB_DRAIN_BATCH) {
+            if self.write_back(batch).is_err() {
+                for job in batch {
+                    let _ = self.write_back(std::slice::from_ref(job));
+                }
+            }
         }
     }
 
-    /// Queue depth right now.
+    /// Pages in the store right now, imaged or patched.
     pub(super) fn pending(&self) -> u64 {
         self.state.lock().slots.len() as u64
     }

@@ -3,7 +3,13 @@
 //! Placement is *append-oriented* (new tuples go to the tail page), which
 //! is exactly the strategy whose locality waste §3.1 analyses: a row
 //! lands where it was loaded, and hot rows sit one or two to a page
-//! among cold ones. Two primitives move rows. [`HeapFile::swap`]
+//! among cold ones.
+//!
+//! A row whose current bytes the caller already knows is overwritten
+//! through [`HeapFile::overwrite`]: when its page is out of the pool,
+//! the new bytes wait below it as a slot patch
+//! ([`BufferPool::patch`]) instead of the page being read for a
+//! 64-byte write. Two primitives move rows. [`HeapFile::swap`]
 //! interchanges two equal-width rows under both page latches; a table
 //! uses it to gather the rows its updates touch onto a few hot pages
 //! without holes, forwarding or new pages. [`HeapFile::relocate`] is the
@@ -222,36 +228,73 @@ impl HeapFile {
         })?
     }
 
-    /// Overwrites the tuple at `rid` in place (same RID afterwards).
-    pub fn update(&self, rid: RecordId, tuple: &[u8]) -> Result<()> {
+    /// Overwrites the tuple at `rid`, which holds `expect`, with `new`
+    /// of the same width (same RID afterwards). When the page is out of
+    /// the pool the write waits below it as a slot patch
+    /// ([`BufferPool::patch`]) and no page is read; otherwise the frame
+    /// is written, joining the page's load if one is in flight, or the
+    /// page is faulted as for any write when the store refuses. A slot
+    /// found holding anything but `expect` (or `new`) is
+    /// [`StorageError::InvalidSlot`] and left as it was; a patch finds
+    /// out only when it is applied, and is dropped.
+    pub fn overwrite(&self, rid: RecordId, expect: &[u8], new: &[u8]) -> Result<()> {
+        if self.pool.patch(rid.page, rid.slot, expect, new) {
+            return Ok(());
+        }
         self.pool.with_page_mut(rid.page, |p| {
-            let mut sp = SlottedPage::attach(p)?;
-            match sp.update(rid.slot, tuple) {
-                Err(StorageError::PageFull { .. }) => {
-                    // Compact and retry once: dead bytes may suffice.
-                    sp.compact();
-                    sp.update(rid.slot, tuple)
-                }
-                other => other,
+            if SlottedPage::attach(p)?.patch(rid.slot, expect, new) {
+                Ok(())
+            } else {
+                Err(StorageError::InvalidSlot { page: rid.page.0, slot: rid.slot })
             }
         })?
     }
 
     /// Interchanges two rows of one width in one step: `tuple` goes into
-    /// `hot`'s slot, and the row `hot` held moves into `row`'s slot.
-    /// Both frames are write-latched, in page-id order, before either
-    /// slot is written, so no reader ever sees one slot written and the
-    /// other not, and two swaps latching the same pages cannot deadlock.
+    /// `hot`'s slot, and the row `hot` held moves into `row`'s slot,
+    /// which holds `old`.
     ///
     /// `expect` is what the caller read at `hot`. When `hot` holds
-    /// anything else by the time both latches are held, when `row`'s
-    /// slot is dead, or when the two share a page or the three widths
+    /// anything else by the time it is latched, when `row`'s slot holds
+    /// anything but `old`, or when the two share a page or the widths
     /// differ, nothing is written and this returns `Ok(false)`. An
     /// error (a frame or a device read for either pin) also leaves
     /// both slots as they were.
-    pub fn swap(&self, row: RecordId, tuple: &[u8], hot: RecordId, expect: &[u8]) -> Result<bool> {
-        if row.page == hot.page || tuple.len() != expect.len() {
+    ///
+    /// When `row`'s page is out of the pool, its side is the slot patch
+    /// `(old → expect)` of [`HeapFile::overwrite`], handed over while
+    /// `hot`'s frame is write-latched and checked, and only `hot`'s page
+    /// is latched (a patch checks `old` only when it is applied, and is
+    /// dropped if the slot holds anything else). Otherwise both frames
+    /// are write-latched, in page-id order, before either slot is
+    /// written. Either way no reader ever sees one slot written and the
+    /// other not, and two swaps latching the same pages cannot
+    /// deadlock: under a frame latch a swap takes only the other page's
+    /// shard map and the store, never its latch, out of order.
+    pub fn swap(
+        &self,
+        row: RecordId,
+        tuple: &[u8],
+        old: &[u8],
+        hot: RecordId,
+        expect: &[u8],
+    ) -> Result<bool> {
+        if row.page == hot.page || tuple.len() != expect.len() || old.len() != expect.len() {
             return Ok(false);
+        }
+        let patched = self.pool.with_page_mut(hot.page, |h| -> Result<Option<bool>> {
+            let mut hot_page = SlottedPage::attach(h)?;
+            if hot_page.get(hot.slot).ok() != Some(expect) {
+                return Ok(Some(false));
+            }
+            if !self.pool.patch(row.page, row.slot, old, expect) {
+                return Ok(None);
+            }
+            hot_page.update(hot.slot, tuple)?;
+            Ok(Some(true))
+        })??;
+        if let Some(swapped) = patched {
+            return Ok(swapped);
         }
         let (first, second) = if row.page < hot.page { (row, hot) } else { (hot, row) };
         self.pool.with_page_mut(first.page, |a| {
@@ -262,7 +305,7 @@ impl HeapFile {
                     return Ok(false);
                 }
                 let mut row_page = SlottedPage::attach(at_row)?;
-                if row_page.get(row.slot).map_or(true, |old| old.len() != expect.len()) {
+                if row_page.get(row.slot).ok() != Some(old) {
                     return Ok(false);
                 }
                 // Equal widths: both writes are in place and cannot fail.
@@ -385,13 +428,15 @@ mod tests {
     }
 
     #[test]
-    fn update_in_place_preserves_rid() {
+    fn overwrite_in_place_preserves_rid() {
         let h = heap();
         let rid = h.insert(b"aaaaaaaa").unwrap();
-        h.update(rid, b"bb").unwrap();
-        assert_eq!(h.get(rid).unwrap(), b"bb");
-        h.update(rid, b"cccccccccccc").unwrap();
-        assert_eq!(h.get(rid).unwrap(), b"cccccccccccc");
+        h.overwrite(rid, b"aaaaaaaa", b"bbbbbbbb").unwrap();
+        assert_eq!(h.get(rid).unwrap(), b"bbbbbbbb");
+        // A stale expectation, or another width, writes nothing.
+        assert!(h.overwrite(rid, b"aaaaaaaa", b"cccccccc").is_err());
+        assert!(h.overwrite(rid, b"bbbbbbbb", b"cc").is_err());
+        assert_eq!(h.get(rid).unwrap(), b"bbbbbbbb");
     }
 
     #[test]
@@ -415,18 +460,39 @@ mod tests {
             (0..100u32).map(|i| h.insert(&i.to_le_bytes()).unwrap()).collect();
         let (row, hot) = (rids[0], rids[99]);
         assert_ne!(row.page, hot.page, "premise: two pages");
-        let cold = 99u32.to_le_bytes();
-        // A stale expectation writes nothing.
-        assert!(!h.swap(row, b"new!", hot, &7u32.to_le_bytes()).unwrap());
-        assert_eq!(h.get(row).unwrap(), 0u32.to_le_bytes());
-        assert!(h.swap(row, b"new!", hot, &cold).unwrap());
+        let (old, cold) = (0u32.to_le_bytes(), 99u32.to_le_bytes());
+        // A stale expectation at either slot writes nothing.
+        assert!(!h.swap(row, b"new!", &old, hot, &7u32.to_le_bytes()).unwrap());
+        assert!(!h.swap(row, b"new!", &7u32.to_le_bytes(), hot, &cold).unwrap());
+        assert_eq!(h.get(row).unwrap(), old);
+        assert_eq!(h.get(hot).unwrap(), cold);
+        assert!(h.swap(row, b"new!", &old, hot, &cold).unwrap());
         assert_eq!(h.get(hot).unwrap(), b"new!");
         assert_eq!(h.get(row).unwrap(), cold, "the cold row took the old slot");
         assert_eq!(h.live_tuple_count().unwrap(), 100, "no row gained or lost");
         // Same page, or a width that would not fit in place: refused.
-        assert!(!h.swap(rids[0], b"x!!!", rids[1], &1u32.to_le_bytes()).unwrap());
-        assert!(!h.swap(row, b"wider", hot, b"new!").unwrap());
+        assert!(!h.swap(rids[0], b"x!!!", &old, rids[1], &1u32.to_le_bytes()).unwrap());
+        assert!(!h.swap(row, b"wider", &cold, hot, b"new!").unwrap());
         assert_eq!(h.get(hot).unwrap(), b"new!");
+    }
+
+    #[test]
+    fn a_swap_whose_row_page_is_out_of_the_pool_patches_that_side() {
+        let h = heap();
+        let rids: Vec<RecordId> =
+            (0..100u32).map(|i| h.insert(&i.to_le_bytes()).unwrap()).collect();
+        let (row, hot) = (rids[0], rids[99]);
+        let (old, cold) = (0u32.to_le_bytes(), 99u32.to_le_bytes());
+        h.pool().flush_all().unwrap();
+        h.pool().evict_page(row.page).unwrap();
+        let reads = h.pool().disk().stats().reads;
+        assert!(h.swap(row, b"new!", &old, hot, &cold).unwrap());
+        assert_eq!(h.pool().disk().stats().reads, reads, "the row's page was not read");
+        assert!(!h.pool().contains(row.page));
+        assert_eq!(h.pool().stats().patches_deferred, 1);
+        assert_eq!(h.get(hot).unwrap(), b"new!");
+        assert_eq!(h.get(row).unwrap(), cold, "the load applied the row's side");
+        assert_eq!(h.live_tuple_count().unwrap(), 100);
     }
 
     #[test]

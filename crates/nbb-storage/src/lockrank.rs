@@ -151,8 +151,9 @@ pub const POOL_FRAME: Rank = Rank::new_multi(65, "pool.frame");
 /// while the caller's outer frame latch is still held.
 pub const POOL_INFLIGHT: Rank = Rank::new(67, "pool.inflight");
 
-/// Write-behind queue state (bounded queue, flusher handshake,
-/// drain/serve-fault barriers).
+/// Write-behind store state (evicted images and slot patches, the
+/// flusher handshake, drain/serve-fault barriers). Taken under a shard
+/// map by a dirty eviction's enqueue and by a slot patch's hand-off.
 pub const POOL_WRITE_BEHIND: Rank = Rank::new(70, "pool.write_behind");
 
 /// Disk backends: `InMemoryDisk`'s page vector and `FileDisk`'s

@@ -61,11 +61,6 @@ impl Page {
         Page { data: vec![0u8; size].into_boxed_slice(), stamp: 0, marked: false }
     }
 
-    /// Allocates a zeroed page of [`DEFAULT_PAGE_SIZE`] bytes.
-    pub fn default_size() -> Self {
-        Self::new(DEFAULT_PAGE_SIZE)
-    }
-
     /// Builds a page from an existing buffer (e.g. read from disk).
     pub fn from_bytes(data: Box<[u8]>) -> Self {
         assert!(data.len() >= 128, "page size {} too small", data.len());
@@ -181,11 +176,6 @@ mod tests {
         let p = Page::new(512);
         assert_eq!(p.size(), 512);
         assert!(p.bytes().iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn default_size_matches_constant() {
-        assert_eq!(Page::default_size().size(), DEFAULT_PAGE_SIZE);
     }
 
     #[test]

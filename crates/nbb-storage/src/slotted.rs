@@ -214,6 +214,24 @@ impl<'a> SlottedPage<'a> {
         Ok(())
     }
 
+    /// Overwrites the tuple in `slot` with `new`, of its width, only
+    /// while the slot holds `expect`: true when the slot holds `new`
+    /// afterwards, written now or found there (a patch applied twice is
+    /// applied once). A dead slot, another width or other bytes leave
+    /// the page as it was.
+    pub fn patch(&mut self, slot: u16, expect: &[u8], new: &[u8]) -> bool {
+        let Ok(held) = self.get(slot) else { return false };
+        if held == new {
+            return true;
+        }
+        if held != expect || new.len() != expect.len() {
+            return false;
+        }
+        let (off, len) = self.slot_entry(slot);
+        self.page.bytes_mut()[off..off + len].copy_from_slice(new);
+        true
+    }
+
     /// Rewrites the tuple region so all live tuples are contiguous,
     /// reclaiming space from deleted and superseded tuples. Slot indices
     /// are preserved.

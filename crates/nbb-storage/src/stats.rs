@@ -83,10 +83,26 @@ pub struct PoolStats {
     /// climbing count means the queue depth (`DbConfig::write_behind`)
     /// is undersized for the eviction rate.
     pub wb_sync_fallbacks: u64,
-    /// Current write-behind queue depth (a gauge, not a counter: it
-    /// reflects pages evicted-but-unflushed at snapshot time and is
-    /// untouched by `reset_stats`).
+    /// Pages in the write-behind store right now, as evicted images or
+    /// slot patches (a gauge, not a counter: it reflects the store at
+    /// snapshot time and is untouched by `reset_stats`).
     pub wb_pending: u64,
+    /// Row overwrites the write-behind store took as slot patches
+    /// instead of their page being read (`BufferPool::patch`); two to
+    /// one slot count twice and wait as one.
+    pub patches_deferred: u64,
+    /// Patches applied to bytes read or held anyway: by the load of a
+    /// fault of their page, or at once by the page's evicted image.
+    pub patches_absorbed: u64,
+    /// Patches merged into the device by a drain (the flusher over
+    /// budget, `flush_all`, drop): one read and one write per page.
+    pub patches_drained: u64,
+    /// Patches the store refused (full, a flush barrier up, a drain of
+    /// the page in flight or failed): their update read its page.
+    pub patches_refused: u64,
+    /// Patches whose slot no longer held their `expect` when applied:
+    /// dropped, never written.
+    pub patches_dropped: u64,
     /// Always 0; kept only until a `benchmark` PR drops
     /// `pool.compressed_hit_ratio` (the pool has no compressed frame
     /// tier, and `benchmark/src/run.rs` still names this field).
